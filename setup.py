@@ -1,29 +1,16 @@
-"""Build hooks: compile the optional search kernel extension when Cython is present.
+"""Build hook: compile the search kernel extension from its C source.
 
-The package is fully functional without the extension; ajtkit.kernels falls back
-to the pure-Python twin at import time.
+The package is fully functional without the extension; ajtkit.kernels falls
+back to the pure-Python twin at import time. Set AJTKIT_NO_EXT=1 to skip the
+build. A failed compile is an error, not a silent fallback.
 """
 
 import os
 
-from setuptools import setup
+from setuptools import Extension, setup
 
 ext_modules = []
 if os.environ.get("AJTKIT_NO_EXT") != "1":
-    try:
-        from Cython.Build import cythonize
-        from setuptools import Extension
-
-        ext_modules = cythonize(
-            [
-                Extension(
-                    "ajtkit._kernels",
-                    sources=["src/ajtkit/_kernels.pyx"],
-                )
-            ],
-            language_level=3,
-        )
-    except ImportError:
-        ext_modules = []
+    ext_modules = [Extension("ajtkit._kernels", sources=["src/ajtkit/_kernels.c"])]
 
 setup(ext_modules=ext_modules)

@@ -1,8 +1,8 @@
 """Pure-Python search kernels.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
-compiled twin in _kernels.pyx implements the same two functions with the same
-traversal order; the backends must stay byte-for-byte interchangeable.
+compiled twin in _kernels.c implements s1_exhaust with the same traversal
+order; the backends must stay byte-for-byte interchangeable.
 """
 
 from __future__ import annotations

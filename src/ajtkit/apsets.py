@@ -523,7 +523,7 @@ def min_s1_search(p: int, budget: Budget | str | None = None) -> MinS1Result:
         proven_optimal=proven,
         nodes=nodes_total,
         sizes_exhausted=tuple(exhausted_sizes),
-        backend=kernels.BACKEND,
+        backend=kernels.backend_for(p),
     )
 
 

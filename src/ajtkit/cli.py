@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -91,6 +92,11 @@ def _matrix_from_args(args) -> fp_core.FpMatrix:
     if getattr(args, "p", None) is None or getattr(args, "n", None) is None:
         raise InputError("give --matrix FILE or both --p and --n for a random matrix")
     return fp_core.random_nonsingular(args.p, args.n, seed=args.seed or 0)
+
+
+def _check_trials(args) -> None:
+    if args.trials < 1:
+        raise InputError("need at least one trial")
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +215,18 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...]]) -> dict:
 
 def cmd_sweep(args) -> int:
     p, n = args.p, args.n
+    if n < 1:
+        raise InputError("need n >= 1")
     budget = current_budget(args.budget)
     budget.check_nodes(p ** (n * n), what="matrix sweep")
     jobs = [
         (p, n, row)
         for row in fp_core.enumerate_nonzero_rows(p, n)
     ]
-    if args.threads > 1:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # never more workers than usable CPUs or jobs
+    workers = min(args.threads, len(os.sched_getaffinity(0)), len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_sweep_one_prefix, jobs))
     else:
         partials = [_sweep_one_prefix(job) for job in jobs]
@@ -250,6 +260,7 @@ def cmd_sweep(args) -> int:
 def cmd_duality(args) -> int:
     import random as _random
 
+    _check_trials(args)
     rng = _random.Random(args.seed)
     p, n = args.p, args.n
     disagreements = []
@@ -301,8 +312,7 @@ def cmd_multi(args) -> int:
 
     if args.k < 2:
         raise InputError("multi needs k >= 2 matrices per tuple")
-    if args.trials < 1:
-        raise InputError("need at least one trial")
+    _check_trials(args)
     rng = _random.Random(args.seed)
     found = 0
     witness_free = []
@@ -335,6 +345,7 @@ def cmd_multi(args) -> int:
 
 
 def cmd_pairing(args) -> int:
+    _check_trials(args)
     m = _matrix_from_args(args)
     report = properties.pairing_test(
         m, trials=args.trials, seed=args.seed or 0, budget=args.budget
@@ -349,6 +360,7 @@ def cmd_pairing(args) -> int:
 def cmd_sigma(args) -> int:
     import random as _random
 
+    _check_trials(args)
     config = RunConfig("sigma", seed=args.seed, budget=args.budget)
     if args.matrix:
         matrices = [fp_core.FpMatrix.from_json(_load_json(args.matrix))]

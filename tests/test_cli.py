@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, determinism, payload shapes."""
 
 import json
+import os
 
 import pytest
 
+from ajtkit import cli
 from ajtkit.apsets import appendix_csv_text
 from ajtkit.cli import main
 
@@ -133,6 +135,65 @@ def test_sweep_multiprocess_matches_serial(capsys):
     serial["config"].pop("threads")
     parallel["config"].pop("threads")
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sweep", "--p", "5", "--n", "0"),
+        ("duality", "--p", "5", "--n", "2", "--trials", "0"),
+        ("duality", "--p", "5", "--n", "2", "--trials", "-3"),
+        ("pairing", "--random", "--p", "5", "--n", "2", "--trials", "0"),
+        ("pairing", "--random", "--p", "5", "--n", "2", "--trials", "-3"),
+        ("sigma", "--p", "5", "--n", "2", "--trials", "0"),
+        ("sigma", "--p", "5", "--n", "2", "--trials", "-3"),
+    ],
+)
+def test_nonpositive_count_is_input_error(capsys, argv):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+    requested: list[int] = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, n, want",
+    [
+        (64, 3, 2, 3),  # capped by the usable CPUs
+        (64, 8, 1, 4),  # capped by the 4 jobs of a (5, 1) sweep
+        (2, 8, 2, 2),  # the request itself
+        (1, 8, 2, None),  # serial: no pool at all
+    ],
+)
+def test_sweep_worker_count_is_capped(capsys, monkeypatch, threads, cpus, n, want):
+    monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    rc, payload = run_json(
+        capsys, "sweep", "--p", "5", "--n", str(n), "--threads", str(threads)
+    )
+    assert rc == 0
+    assert _SerialPool.requested == ([] if want is None else [want])
+    assert payload["config"]["threads"] == threads  # the request, as given
 
 
 def test_duality_probe(capsys):

@@ -3,19 +3,60 @@
 The two implementations must agree bit for bit: same found set, same
 exhausted flag, and the same node count, so that proven_optimal claims do
 not depend on which backend happened to import.
+
+When ajtkit._kernels is not built in place, the `compiled` fixture compiles
+src/ajtkit/_kernels.c into a temporary directory and imports it from there;
+the tests skip only when no C compiler is available.
 """
 
+import importlib.util
 import random
+import shlex
+import shutil
+import sysconfig
+from pathlib import Path
 
 import pytest
 
-from ajtkit import _kernels_py, kernels
+from ajtkit import _kernels_py, apsets, kernels
 
-compiled = pytest.importorskip(
-    "ajtkit._kernels", reason="compiled kernel not built"
-)
+SOURCE = Path(__file__).resolve().parents[1] / "src" / "ajtkit" / "_kernels.c"
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23]
+
+
+def _build_kernel(build_dir):
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+
+    dist = Distribution(
+        {"name": "ajtkit-kernel", "ext_modules": [Extension("_kernels", [str(SOURCE)])]}
+    )
+    cmd = build_ext(dist)
+    cmd.build_lib = str(build_dir / "lib")
+    cmd.build_temp = str(build_dir / "tmp")
+    cmd.ensure_finalized()
+    cmd.run()
+    spec = importlib.util.spec_from_file_location(
+        "_kernels", cmd.get_ext_fullpath("_kernels")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def compiled(tmp_path_factory):
+    try:
+        from ajtkit import _kernels
+
+        return _kernels
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
+    return _build_kernel(tmp_path_factory.mktemp("kernel-build"))
 
 
 def naive_witness_mask(mask, p):
@@ -31,45 +72,87 @@ def naive_witness_mask(mask, p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_exhaust_parity(p):
+def test_exhaust_parity(compiled, p):
     for limit in range(3, 2 * p.bit_length() + 3):
         got_c = compiled.s1_exhaust(p, limit, 10**8)
         got_py = _kernels_py.s1_exhaust(p, limit, 10**8)
         assert got_c == got_py
 
 
-def test_witness_mask_parity_and_semantics():
+@pytest.mark.parametrize("p", [131, 257])
+def test_exhaust_parity_multi_limb(compiled, p):
+    # three and five 64-bit limbs; 257 is the largest appendix row
+    for limit in range(3, 6):
+        got_c = compiled.s1_exhaust(p, limit, 10**8)
+        assert got_c == _kernels_py.s1_exhaust(p, limit, 10**8)
+        assert got_c[0] == 0 and got_c[1] is True and got_c[2] > 0
+
+
+def test_exhaust_parity_found_set(compiled):
+    # size 8 is the minimum at 67: the search stops on the first set found
+    got_c = compiled.s1_exhaust(67, 8, 10**8)
+    assert got_c == _kernels_py.s1_exhaust(67, 8, 10**8)
+    found, exhausted, _ = got_c
+    aset = apsets.ResidueSet(67, found)
+    assert exhausted is True
+    assert len(aset) == 8
+    assert apsets.is_sk_type(aset, 1).ok
+
+
+def test_pure_witness_mask_semantics():
     rng = random.Random(0)
     for p in PRIMES:
         for _ in range(200):
             mask = rng.getrandbits(p) | 1
-            want = naive_witness_mask(mask, p)
-            assert _kernels_py.s1_witness_mask(mask, p) == want
-            assert compiled.s1_witness_mask(mask, p) == want
+            assert _kernels_py.s1_witness_mask(mask, p) == naive_witness_mask(mask, p)
 
 
 def test_exhaust_found_set_is_s1():
-    from ajtkit.apsets import ResidueSet, is_sk_type
-
     for p in (11, 13, 17):
         found, exhausted, nodes = kernels.s1_exhaust(p, 6, 10**8)
         if found:
-            aset = ResidueSet(p, found)
-            assert is_sk_type(aset, 1).ok
+            aset = apsets.ResidueSet(p, found)
+            assert apsets.is_sk_type(aset, 1).ok
             assert len(aset.elements()) <= 6
         assert nodes > 0
 
 
-def test_exhaust_respects_node_budget():
-    # a cap below the full tree size must report exhausted=False
-    full = _kernels_py.s1_exhaust(13, 5, 10**8)
-    assert full[1] is True
-    capped = _kernels_py.s1_exhaust(13, 5, 5)
-    assert capped[1] is False
-    assert capped[2] == 6  # stops at the first node past the cap
-    capped_c = compiled.s1_exhaust(13, 5, 5)
-    assert capped_c == capped
+@pytest.mark.parametrize(
+    "p, limit, cap", [(13, 5, 5), (61, 7, 0), (61, 7, 1000), (61, 7, 11149)]
+)
+def test_exhaust_respects_node_budget(compiled, p, limit, cap):
+    # each cap is below the tree size (11150 nodes at p = 61, limit 7), so
+    # the search stops at the first node past it and reports exhausted=False
+    capped = _kernels_py.s1_exhaust(p, limit, cap)
+    assert capped == (0, False, cap + 1)
+    assert compiled.s1_exhaust(p, limit, cap) == capped
+
+
+def test_exhaust_budget_beyond_64_bits(compiled):
+    for cap in (10**30, -(10**30)):
+        assert compiled.s1_exhaust(13, 5, cap) == _kernels_py.s1_exhaust(13, 5, cap)
+
+
+def test_exhaust_rejects_p_out_of_range(compiled):
+    for p in (3, 331):
+        with pytest.raises(ValueError):
+            compiled.s1_exhaust(p, 5, 10)
 
 
 def test_backend_label():
     assert kernels.BACKEND in ("compiled", "pure")
+
+
+def test_backend_reports_the_kernel_that_ran(compiled, monkeypatch):
+    monkeypatch.setattr(kernels, "_ext", compiled)
+    assert kernels.backend_for(257) == "compiled"
+    assert kernels.backend_for(331) == "pure"
+    result = apsets.min_s1_search(13)
+    assert result.backend == "compiled"
+    assert (result.size, result.proven_optimal) == (6, True)
+    # out of the compiled range the pure twin runs, and the result says so
+    capped = apsets.min_s1_search(331, budget="50")
+    assert capped.backend == "pure"
+    assert capped.proven_optimal is False
+    monkeypatch.setattr(kernels, "_ext", None)
+    assert apsets.min_s1_search(13).backend == "pure"
