@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import apsets, fp_core, fp_poly, group_ring, properties
-from .budget import current_budget
+from .budget import Budget, current_budget
 from .errors import (
     AjtError,
     BudgetExceeded,
@@ -180,8 +180,8 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...]]) -> dict:
-    p, n, first_row = job
+def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
+    p, n, first_row, budget = job
     counts = {
         "matrices": 0,
         "p1_witness": 0,
@@ -189,12 +189,14 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...]]) -> dict:
         "modp_nonzero": 0,
         "violations": [],
     }
-    for m in fp_core.enumerate_nonsingular(p, n, prefix=[list(first_row)]):
+    for m in fp_core.enumerate_nonsingular(
+        p, n, budget=budget, prefix=[list(first_row)]
+    ):
         counts["matrices"] += 1
-        witness = properties.check_p1(m)
+        witness = properties.check_p1(m, budget=budget)
         has_witness = witness is not None
-        int_zero = group_ring.check_p3_integer(m)
-        modp_zero = group_ring.check_p4(m)
+        int_zero = group_ring.check_p3_integer(m, budget=budget)
+        modp_zero = group_ring.check_p4(m, budget=budget)
         if has_witness:
             counts["p1_witness"] += 1
         if not int_zero:
@@ -220,7 +222,7 @@ def cmd_sweep(args) -> int:
     budget = current_budget(args.budget)
     budget.check_nodes(p ** (n * n), what="matrix sweep")
     jobs = [
-        (p, n, row)
+        (p, n, row, budget)
         for row in fp_core.enumerate_nonzero_rows(p, n)
     ]
     # never more workers than usable CPUs or jobs

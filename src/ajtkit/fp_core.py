@@ -61,8 +61,21 @@ class Prime(int):
         return super().__new__(cls, value)
 
 
+# moduli that have passed Prime(p) in this process; primality never changes,
+# so each modulus is validated once
+_VALIDATED: set[int] = set()
+
+
 def _as_prime(p: int) -> int:
-    return int(p) if isinstance(p, Prime) else int(Prime(p))
+    """p as an exact int, validated as an odd prime the first time it is seen.
+
+    Returns a plain int, not a Prime: CPython's specialized int fast paths
+    skip subclasses."""
+    p = int(p)
+    if p not in _VALIDATED:
+        Prime(p)
+        _VALIDATED.add(p)
+    return p
 
 
 class FpScalar:

@@ -1,17 +1,24 @@
 """Group rings R[(Z/p)^n] with R one of Z, F_p, or the cyclotomic integers.
 
-Elements are dense coefficient tables of shape (p,) * n; multiplying by a
-group element g^v is an axis roll. The vanishing checks below are the
-translation layer between nowhere-zero statements about matrices and
-products of factors (1 - phase * g^v) in these rings. All cyclotomic
-arithmetic is exact integer arithmetic in Z[x] modulo the p-th cyclotomic
-polynomial, so zero tests are decisions, not float comparisons.
+An element is one dense integer table indexed by group vectors, and
+multiplying by a group element g^v is an axis roll. Z[w][(Z/p)^n], with w a
+primitive p-th root of unity, is held as the integer group ring of
+(Z/p)^(n+1): the table has one more trailing axis of length p, indexed by the
+power of w, so multiplying by w^k is a roll along that axis. The kernel of
+Z[x]/(x^p - 1) -> Z[w] is Z * (1 + x + ... + x^(p-1)), so an element is zero
+exactly when its table is constant along the w axis. F_p tables are the
+integer tables reduced mod p. Zero tests are exact integer decisions, and the
+vanishing checks below are the translation layer between nowhere-zero
+statements about matrices and products of factors (1 - phase * g^v).
+
+Tables are int64 while every entry is provably below 2^62 in absolute value,
+and Python ints (dtype=object) otherwise, so values never wrap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,132 +47,46 @@ CyclotomicRing = _RingTag("CyclotomicRing")
 
 _RINGS = (IntegerRing, ModPRing, CyclotomicRing)
 
-
-class CyclotomicInt:
-    """An element of Z[w], w a primitive p-th root of unity.
-
-    Stored on the integral basis 1, w, ..., w^(p-2); products are cyclic
-    convolutions of length p followed by elimination of the w^(p-1)
-    coordinate via 1 + w + ... + w^(p-1) = 0. The representation is unique,
-    so equality and zero tests are exact.
-    """
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs: Sequence[int]):
-        self.p = p
-        coeffs = tuple(int(c) for c in coeffs)
-        if len(coeffs) != p - 1:
-            raise InputError(f"need exactly p - 1 = {p - 1} coefficients")
-        self.coeffs = coeffs
-
-    @classmethod
-    def zero(cls, p: int) -> "CyclotomicInt":
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
-    def from_int(cls, p: int, c: int) -> "CyclotomicInt":
-        return cls(p, (c,) + (0,) * (p - 2))
-
-    @classmethod
-    def omega_pow(cls, p: int, k: int) -> "CyclotomicInt":
-        k %= p
-        if k == p - 1:
-            # w^(p-1) = -(1 + w + ... + w^(p-2))
-            return cls(p, (-1,) * (p - 1))
-        return cls(p, tuple(1 if i == k else 0 for i in range(p - 1)))
-
-    def _coerce(self, other) -> "CyclotomicInt":
-        if isinstance(other, CyclotomicInt):
-            if other.p != self.p:
-                raise RingMismatch("cyclotomic elements of different orders")
-            return other
-        if isinstance(other, int):
-            return CyclotomicInt.from_int(self.p, other)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicInt(
-            self.p, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CyclotomicInt(
-            self.p, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __neg__(self):
-        return CyclotomicInt(self.p, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        conv = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        conv[(i + j) % p] += a * b
-        top = conv[p - 1]
-        return CyclotomicInt(p, tuple(conv[i] - top for i in range(p - 1)))
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def as_int(self) -> int | None:
-        """The rational integer this element equals, or None."""
-        if any(c != 0 for c in self.coeffs[1:]):
-            return None
-        return self.coeffs[0]
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"CyclotomicInt(p={self.p}, {list(self.coeffs)})"
+_INT64_BOUND = 2**62
 
 
-def _ring_zero(p: int, ring: _RingTag):
+def _exact(table: np.ndarray, bound: int) -> np.ndarray:
+    """The table in a dtype exact for entries up to `bound` in absolute value.
+
+    Below 2^62 that is int64, and the difference of two entries, which the
+    Z[w] zero test takes, still fits."""
+    return table.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+
+
+def _shape(p: int, n: int, ring: _RingTag) -> tuple[int, ...]:
+    return (p,) * (n + (ring is CyclotomicRing))
+
+
+def _shift(p: int, ring: _RingTag, v: Sequence[int], phase: int | None) -> tuple[int, ...]:
+    """Roll offsets for multiplication by g^v, or by w^(-phase) * g^v."""
+    shift = tuple(int(a) % p for a in v)
     if ring is CyclotomicRing:
-        return CyclotomicInt.zero(p)
-    return 0
+        return shift + (-(phase or 0) % p,)
+    if phase is not None:
+        raise PhaseInNonCyclotomicRing("phases require the cyclotomic coefficient ring")
+    return shift
 
 
-def _ring_one(p: int, ring: _RingTag):
-    if ring is CyclotomicRing:
-        return CyclotomicInt.from_int(p, 1)
-    return 1
+def _element(p: int, n: int, ring: _RingTag, table: np.ndarray) -> "GroupRingElem":
+    """Wrap a table computed over Z, reducing it mod p for the F_p ring."""
+    if ring is ModPRing:
+        table = _exact(table % p, p)
+    return GroupRingElem(p, n, ring, table)
 
 
 class GroupRingElem:
-    """A dense element of R[(Z/p)^n]; coefficients indexed by group vectors."""
+    """A dense element of R[(Z/p)^n]; coefficients indexed by group vectors.
+
+    Over Z[w] the table has shape (p,) * (n + 1): entry (v, k) is the
+    coefficient of w^k * g^v. Over Z and F_p it has shape (p,) * n, and F_p
+    entries are kept in [0, p-1]. A table is int64 with every entry below
+    2^62 in absolute value, or dtype=object.
+    """
 
     __slots__ = ("p", "n", "ring", "coeffs")
 
@@ -175,36 +96,25 @@ class GroupRingElem:
         if ring not in _RINGS:
             raise InputError(f"unknown ring {ring!r}")
         self.ring = ring
-        if coeffs.shape != (p,) * n:
+        if coeffs.shape != _shape(self.p, self.n, ring):
             raise InputError("coefficient table has the wrong shape")
         self.coeffs = coeffs
 
     @classmethod
     def zero(cls, p: int, n: int, ring: _RingTag) -> "GroupRingElem":
-        if ring is ModPRing:
-            table = np.zeros((p,) * n, dtype=np.int64)
-        else:
-            table = np.full((p,) * n, _ring_zero(p, ring), dtype=object)
-        return cls(p, n, ring, table)
-
-    @classmethod
-    def monomial(
-        cls, p: int, n: int, ring: _RingTag, v: Sequence[int], coeff=None
-    ) -> "GroupRingElem":
-        """The element coeff * g^v."""
-        out = cls.zero(p, n, ring)
-        if coeff is None:
-            coeff = _ring_one(p, ring)
-        idx = tuple(int(a) % p for a in v)
-        if ring is ModPRing:
-            out.coeffs[idx] = int(coeff) % p
-        else:
-            out.coeffs[idx] = coeff
-        return out
+        p = _as_prime(p)
+        return cls(p, n, ring, np.zeros(_shape(p, n, ring), dtype=np.int64))
 
     @classmethod
     def identity(cls, p: int, n: int, ring: _RingTag) -> "GroupRingElem":
-        return cls.monomial(p, n, ring, (0,) * n)
+        out = cls.zero(p, n, ring)
+        out.coeffs[(0,) * out.coeffs.ndim] = 1
+        return out
+
+    @classmethod
+    def monomial(cls, p: int, n: int, ring: _RingTag, v: Sequence[int]) -> "GroupRingElem":
+        """The element g^v."""
+        return cls.identity(p, n, ring).translate(v)
 
     def _same_ring(self, other: "GroupRingElem") -> None:
         if not isinstance(other, GroupRingElem):
@@ -215,93 +125,76 @@ class GroupRingElem:
                 f"({self.p},{self.n},{self.ring}) vs ({other.p},{other.n},{other.ring})"
             )
 
-    def _wrap(self, table: np.ndarray) -> "GroupRingElem":
+    def _bound(self) -> int:
+        """The largest absolute value of an entry, or a bound on it."""
         if self.ring is ModPRing:
-            table = table % self.p
-        return GroupRingElem(self.p, self.n, self.ring, table)
+            return self.p - 1
+        return max(int(self.coeffs.max()), -int(self.coeffs.min()))
+
+    def _pair(self, other: "GroupRingElem") -> tuple[np.ndarray, np.ndarray]:
+        """Both tables in one dtype exact for their sum and difference."""
+        self._same_ring(other)
+        bound = self._bound() + other._bound()
+        return _exact(self.coeffs, bound), _exact(other.coeffs, bound)
 
     def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        self._same_ring(other)
-        return self._wrap(self.coeffs + other.coeffs)
+        a, b = self._pair(other)
+        return _element(self.p, self.n, self.ring, a + b)
 
     def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        self._same_ring(other)
-        return self._wrap(self.coeffs - other.coeffs)
+        a, b = self._pair(other)
+        return _element(self.p, self.n, self.ring, a - b)
 
     def __neg__(self) -> "GroupRingElem":
-        return self._wrap(-self.coeffs)
+        return _element(self.p, self.n, self.ring, -self.coeffs)
 
-    def translate(self, v: Sequence[int]) -> "GroupRingElem":
-        """Multiplication by the group element g^v."""
-        shift = tuple(int(a) % self.p for a in v)
-        return GroupRingElem(
-            self.p, self.n, self.ring,
-            np.roll(self.coeffs, shift, axis=tuple(range(self.n))),
-        )
-
-    def scale(self, c) -> "GroupRingElem":
-        if self.ring is ModPRing:
-            return self._wrap(self.coeffs * (int(c) % self.p))
-        flat = self.coeffs.ravel()
-        out = np.array([x * c for x in flat], dtype=object).reshape(self.coeffs.shape)
-        return GroupRingElem(self.p, self.n, self.ring, out)
+    def translate(self, v: Sequence[int], phase: int | None = None) -> "GroupRingElem":
+        """Multiplication by g^v, or by w^(-phase) * g^v over the cyclotomic ring."""
+        shift = _shift(self.p, self.ring, v, phase)
+        rolled = np.roll(self.coeffs, shift, axis=tuple(range(self.coeffs.ndim)))
+        return GroupRingElem(self.p, self.n, self.ring, rolled)
 
     def apply_one_minus_g(self, v: Sequence[int], phase: int | None = None) -> "GroupRingElem":
         """Multiply by (1 - g^v), or by (1 - w^(-phase) * g^v) over the cyclotomic ring."""
-        rolled = self.translate(v)
-        if phase is None:
-            return self - rolled
-        if self.ring is not CyclotomicRing:
-            raise PhaseInNonCyclotomicRing(
-                "phases require the cyclotomic coefficient ring"
-            )
-        return self - rolled.scale(CyclotomicInt.omega_pow(self.p, -phase))
+        return self - self.translate(v, phase)
 
     def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
         self._same_ring(other)
         # convolve against the sparser operand
-        a, b = self, other
-        if _support_size(b.coeffs) > _support_size(a.coeffs):
+        a, b = self.coeffs, other.coeffs
+        if np.count_nonzero(b) > np.count_nonzero(a):
             a, b = b, a
-        out = GroupRingElem.zero(self.p, self.n, self.ring)
-        acc = out.coeffs
-        for v, c in b.support_items():
-            rolled = np.roll(a.coeffs, v, axis=tuple(range(self.n)))
-            if self.ring is ModPRing:
-                acc = (acc + rolled * c) % self.p
-            else:
-                flat = acc.ravel()
-                rflat = rolled.ravel()
-                acc = np.array(
-                    [x + y * c for x, y in zip(flat, rflat)], dtype=object
-                ).reshape(acc.shape)
-        return GroupRingElem(self.p, self.n, self.ring, acc)
+        support = np.argwhere(b)
+        a = _exact(a, self._bound() * other._bound() * len(support))
+        axes = tuple(range(a.ndim))
+        acc = np.zeros_like(a)
+        for v in map(tuple, support):
+            acc = acc + np.roll(a, v, axis=axes) * int(b[v])
+        return _element(self.p, self.n, self.ring, acc)
+
+    def normalized(self) -> np.ndarray:
+        """The table in its unique form.
+
+        Over Z[w] the entry at w^(p-1) is subtracted along the w axis, which
+        leaves each coefficient's coordinates on 1, w, ..., w^(p-2) and a zero
+        last slot. Z and F_p tables are returned as they are.
+        """
+        if self.ring is not CyclotomicRing:
+            return self.coeffs
+        return self.coeffs - self.coeffs[..., -1:]
 
     def coeff(self, v: Sequence[int]):
-        return self.coeffs[tuple(int(a) % self.p for a in v)]
-
-    def support_items(self) -> Iterator[tuple[tuple[int, ...], object]]:
-        for idx in np.ndindex(*self.coeffs.shape):
-            c = self.coeffs[idx]
-            if (not c.is_zero()) if isinstance(c, CyclotomicInt) else c != 0:
-                yield idx, c
+        """The coefficient of g^v; over Z[w], its normalized coordinates."""
+        return self.normalized()[tuple(int(a) % self.p for a in v)]
 
     def is_zero(self) -> bool:
-        if self.ring is ModPRing:
-            return not np.any(self.coeffs)
-        for x in self.coeffs.ravel():
-            if (not x.is_zero()) if isinstance(x, CyclotomicInt) else x != 0:
-                return False
-        return True
+        return not np.count_nonzero(self.normalized())
 
     def reduce_mod_p(self) -> "GroupRingElem":
         """Coefficientwise reduction Z -> F_p."""
         if self.ring is not IntegerRing:
             raise RingMismatch("reduction maps the integer ring to the mod-p ring")
-        table = np.array(
-            [int(x) % self.p for x in self.coeffs.ravel()], dtype=np.int64
-        ).reshape(self.coeffs.shape)
-        return GroupRingElem(self.p, self.n, ModPRing, table)
+        return _element(self.p, self.n, ModPRing, self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElem):
@@ -315,47 +208,15 @@ class GroupRingElem:
     def __repr__(self):
         return (
             f"GroupRingElem(p={self.p}, n={self.n}, ring={self.ring}, "
-            f"support={_support_size(self.coeffs)})"
+            f"support={np.count_nonzero(self.normalized())})"
         )
-
-    def to_json(self) -> dict:
-        nonzero = []
-        for v, c in self.support_items():
-            if isinstance(c, CyclotomicInt):
-                coeff = list(c.coeffs)
-            else:
-                coeff = int(c)
-            nonzero.append({"vector": list(v), "coeff": coeff})
-        return {
-            "p": self.p,
-            "n": self.n,
-            "ring": self.ring.name,
-            "nonzero": nonzero,
-        }
-
-
-def _support_size(table: np.ndarray) -> int:
-    if table.dtype == object:
-        return sum(
-            1
-            for x in table.ravel()
-            if ((not x.is_zero()) if isinstance(x, CyclotomicInt) else x != 0)
-        )
-    return int(np.count_nonzero(table))
 
 
 def one_minus_g(
     p: int, n: int, v: Sequence[int], ring: _RingTag, phase: int | None = None
 ) -> GroupRingElem:
     """The factor 1 - g^v, or 1 - w^(-phase) * g^v over the cyclotomic ring."""
-    out = GroupRingElem.identity(p, n, ring)
-    if phase is None:
-        return out - GroupRingElem.monomial(p, n, ring, v)
-    if ring is not CyclotomicRing:
-        raise PhaseInNonCyclotomicRing("phases require the cyclotomic coefficient ring")
-    return out - GroupRingElem.monomial(
-        p, n, ring, v, CyclotomicInt.omega_pow(p, -phase)
-    )
+    return GroupRingElem.identity(p, n, ring).apply_one_minus_g(v, phase)
 
 
 @dataclass(frozen=True)
@@ -429,17 +290,32 @@ class FactorSpec:
 def product_of_factors(
     spec: FactorSpec, ring: _RingTag, budget: Budget | str | None = None
 ) -> GroupRingElem:
-    """Expand the factor product as a dense group-ring element."""
+    """Expand the factor product as a dense group-ring element.
+
+    Each factor is one roll and one subtraction on the whole table, computed
+    over Z; the F_p product is that table reduced mod p. The entries of a
+    product of m >= 1 factors (1 - x) sum to 0 and have absolute sum at most
+    2^m, so none exceeds 2^(m-1): the table is int64 for up to 62 factors and
+    Python ints beyond.
+    """
     b = current_budget(budget)
-    b.check_entries(spec.p**spec.n, what="group-ring table")
+    shape = _shape(spec.p, spec.n, ring)
+    b.check_entries(spec.p ** len(shape), what="group-ring table")
     if spec.phases is not None and ring is not CyclotomicRing:
         raise PhaseInNonCyclotomicRing("phases require the cyclotomic coefficient ring")
-    out = GroupRingElem.identity(spec.p, spec.n, ring)
-    for i, (v, e) in enumerate(zip(spec.vectors, spec.exponents)):
-        for rep in range(e):
-            phase = spec.phases[i][rep] if spec.phases is not None else None
-            out = out.apply_one_minus_g(v, phase=phase)
-    return out
+    phases = spec.phases or [(None,) * e for e in spec.exponents]
+    shifts = [
+        _shift(spec.p, ring, v, phase)
+        for v, ph in zip(spec.vectors, phases)
+        for phase in ph
+    ]
+    table = np.zeros(shape, dtype=np.int64)
+    table[(0,) * len(shape)] = 1
+    table = _exact(table, 2 ** len(shifts) // 2)
+    axes = tuple(range(len(shape)))
+    for shift in shifts:
+        table = table - np.roll(table, shift, axis=axes)
+    return _element(spec.p, spec.n, ring, table)
 
 
 def check_p4(

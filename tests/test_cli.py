@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from ajtkit import cli
+from ajtkit import cli, fp_core
+from ajtkit.budget import Budget
 from ajtkit.apsets import appendix_csv_text
 from ajtkit.cli import main
 
@@ -194,6 +195,48 @@ def test_sweep_worker_count_is_capped(capsys, monkeypatch, threads, cpus, n, wan
     assert rc == 0
     assert _SerialPool.requested == ([] if want is None else [want])
     assert payload["config"]["threads"] == threads  # the request, as given
+
+
+def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
+    # stand-ins record the budget each worker call receives; --threads 1
+    # runs the workers in this process, so no process is started
+    seen = []
+
+    def recording(fn):
+        def call(*args, budget=None, **kwargs):
+            seen.append((fn.__name__, budget))
+            return fn(*args, budget=budget, **kwargs)
+
+        return call
+
+    for module, name in [
+        (cli.fp_core, "enumerate_nonsingular"),
+        (cli.properties, "check_p1"),
+        (cli.group_ring, "check_p3_integer"),
+        (cli.group_ring, "check_p4"),
+    ]:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    rc, payload = run_json(
+        capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1", "--budget", "700"
+    )
+    assert rc == 0
+    assert {name for name, _ in seen} == {
+        "enumerate_nonsingular", "check_p1", "check_p3_integer", "check_p4"
+    }
+    assert len(seen) == 24 + 3 * payload["matrices"]
+    assert {budget for _, budget in seen} == {Budget(nodes=700)}
+
+
+def test_sweep_validates_the_prime_once(capsys, monkeypatch):
+    calls = []
+    real = fp_core.is_probable_prime
+    monkeypatch.setattr(fp_core, "_VALIDATED", set())
+    monkeypatch.setattr(
+        fp_core, "is_probable_prime", lambda m: calls.append(m) or real(m)
+    )
+    rc, _ = run(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1")
+    assert rc == 0
+    assert calls == [5]
 
 
 def test_duality_probe(capsys):

@@ -52,6 +52,16 @@ def test_prime_rejects_everything_else(bad):
         Prime(bad)
 
 
+def test_composite_modulus_raises_on_every_call():
+    # only moduli that passed are remembered; a composite is rejected each time
+    for _ in range(3):
+        with pytest.raises(NotPrime):
+            FpVector([1, 2], 9)
+        with pytest.raises(NotPrime):
+            next(enumerate_nonzero_rows(15, 2))
+    assert type(FpVector([1], 7).p) is int
+
+
 def test_scalar_field_ops():
     a = FpScalar(3, 7)
     b = FpScalar(5, 7)

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajtkit.errors import InputError, PhaseInNonCyclotomicRing
+from ajtkit.budget import Budget
+from ajtkit.errors import BudgetExceeded, InputError, PhaseInNonCyclotomicRing
 from ajtkit.fp_core import FpMatrix, random_nonsingular
 from ajtkit.group_ring import (
-    CyclotomicInt,
     CyclotomicRing,
     FactorSpec,
     GroupRingElem,
@@ -26,50 +26,66 @@ from ajtkit.group_ring import (
     sigma_of_factors,
     sigma_vanishing_candidate,
 )
+from ajtkit.properties import ForbiddenSpec, check_p1
 
 P = 5
 
 
 def cyc(coeffs):
-    return CyclotomicInt(P, coeffs)
+    """An element of Z[w] = Z[w][(Z/p)^0] from its w-axis table of length p."""
+    return GroupRingElem(P, 0, CyclotomicRing, np.array(coeffs, dtype=np.int64))
 
+
+def omega_pow(k):
+    return cyc([int(i == k % P) for i in range(P)])
+
+
+ZERO = cyc([0] * P)
+ONE = cyc([1] + [0] * (P - 1))
 
 cyc_elems = st.builds(
-    lambda c: cyc(c),
-    st.lists(st.integers(-9, 9), min_size=P - 1, max_size=P - 1),
+    cyc,
+    st.lists(st.integers(-9, 9), min_size=P, max_size=P),
 )
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic integers
+# cyclotomic integers: Z[w] elements with n = 0, tensor shape (p,)
 
 
 def test_cyclotomic_int_round_trip():
-    x = CyclotomicInt.from_int(P, 7)
-    assert x.as_int() == 7
-    assert CyclotomicInt.zero(P).is_zero()
+    x = cyc([7] + [0] * (P - 1))
+    assert x.coeffs.shape == (P,)
+    assert list(x.normalized()) == [7, 0, 0, 0, 0]
+    assert ZERO.is_zero()
     assert not x.is_zero()
-    assert cyc([1, 2, 0, 0]).as_int() is None
+    # adding a multiple of 1 + w + ... + w^(p-1) changes the table, not the element
+    assert x == cyc([10, 3, 3, 3, 3])
+    assert list(cyc([10, 3, 3, 3, 3]).normalized()) == [7, 0, 0, 0, 0]
+    assert list(cyc([1, 2, 0, 0, 0]).normalized()) == [1, 2, 0, 0, 0]
 
 
 def test_omega_power_relations():
     for a in range(P):
+        assert ONE.translate((), phase=-a) == omega_pow(a)
         for b in range(P):
-            lhs = CyclotomicInt.omega_pow(P, a) * CyclotomicInt.omega_pow(P, b)
-            assert lhs == CyclotomicInt.omega_pow(P, (a + b) % P)
+            lhs = omega_pow(a) * omega_pow(b)
+            assert lhs == omega_pow((a + b) % P)
 
 
 def test_omega_powers_sum_to_zero():
-    total = CyclotomicInt.zero(P)
+    total = ZERO
     for k in range(P):
-        total = total + CyclotomicInt.omega_pow(P, k)
+        total = total + omega_pow(k)
+    assert list(total.coeffs) == [1] * P
     assert total.is_zero()
 
 
 def test_omega_top_power_uses_minimal_polynomial():
     # w^(p-1) = -(1 + w + ... + w^(p-2)) on the power basis
-    top = CyclotomicInt.omega_pow(P, P - 1)
-    assert top == cyc([-1] * (P - 1))
+    top = omega_pow(P - 1)
+    assert top == cyc([-1] * (P - 1) + [0])
+    assert list(top.normalized()) == [-1] * (P - 1) + [0]
 
 
 @settings(max_examples=120, deadline=None)
@@ -80,16 +96,15 @@ def test_cyclotomic_ring_axioms(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + CyclotomicInt.zero(P) == a
-    assert a * CyclotomicInt.from_int(P, 1) == a
+    assert a + ZERO == a
+    assert a * ONE == a
     assert (a - a).is_zero()
 
 
 def test_cyclotomic_nonzero_product_of_nonzero():
     # Z[w] is an integral domain; spot-check with (1 - w)^k
-    one = CyclotomicInt.from_int(P, 1)
-    x = one - CyclotomicInt.omega_pow(P, 1)
-    acc = one
+    x = ONE - omega_pow(1)
+    acc = ONE
     for _ in range(3 * P):
         acc = acc * x
         assert not acc.is_zero()
@@ -167,6 +182,20 @@ def test_reduce_mod_p_is_a_ring_map():
         assert (a + b).reduce_mod_p() == a.reduce_mod_p() + b.reduce_mod_p()
 
 
+def test_integer_arithmetic_never_wraps():
+    big = 2**61 + 3
+    x = [big, 1, 0, 0, -big]
+    a = GroupRingElem(P, 1, IntegerRing, np.array(x, dtype=np.int64))
+    assert list((a + a).coeffs) == [2 * c for c in x]
+    square = a * a
+    assert square.coeffs.dtype == object
+    assert list(square.coeffs) == [
+        sum(x[i] * x[(j - i) % P] for i in range(P)) for j in range(P)
+    ]
+    assert square - square == GroupRingElem.zero(P, 1, IntegerRing)
+    assert square.reduce_mod_p() == a.reduce_mod_p() * a.reduce_mod_p()
+
+
 def test_phase_needs_cyclotomic_ring():
     x = GroupRingElem.identity(P, 1, ModPRing)
     with pytest.raises(PhaseInNonCyclotomicRing):
@@ -207,8 +236,12 @@ def test_zero_phase_cyclotomic_product_matches_integer_product():
         )
         over_zw = product_of_factors(phased, CyclotomicRing)
         assert over_z.is_zero() == over_zw.is_zero()
-        for v, val in over_zw.support_items():
-            assert val.as_int() == over_z.coeff(v)
+        # every coefficient is a rational integer: the w^0 slot of the
+        # normalized tensor is the Z tensor and every other slot is zero
+        table = over_zw.normalized()
+        assert table.shape == (P, P, P)
+        assert np.array_equal(table[..., 0], over_z.coeffs)
+        assert not np.any(table[..., 1:])
 
 
 def test_product_brute_force_small():
@@ -239,6 +272,67 @@ def test_check_p3_full_forbidden_column_vanishes():
     # product collapses: prod over c of (1 - w^c g) = 1 - g^p = 0
     assert check_p3(one_by_one, c_lists=[range(P)], d_lists=[[]]) is True
     assert check_p3(one_by_one, c_lists=[[0]], d_lists=[[0]]) is False
+
+
+def test_p3_matches_p1_on_random_forbidden_lists():
+    # P1 <=> P3: the phased product vanishes exactly when no witness exists
+    rng = random.Random(43)
+    vanished = 0
+    for trial in range(320):
+        p, n = [(5, 1), (5, 2), (7, 1), (7, 2)][trial % 4]
+        m = random_nonsingular(p, n, rng=rng)
+        lists = [sorted(rng.sample(range(p), rng.randrange(p + 1))) for _ in range(2 * n)]
+        c_lists, d_lists = lists[:n], lists[n:]
+        witness = check_p1(m, ForbiddenSpec(p=p, n=n, c_lists=c_lists, d_lists=d_lists))
+        vanishes = check_p3(m, c_lists, d_lists)
+        assert vanishes == (witness is None), (m.rows, c_lists, d_lists, witness)
+        vanished += vanishes
+    assert 0 < vanished < 320
+
+
+@pytest.mark.parametrize("hit", [True, False])
+def test_p3_past_62_factors_is_exact(hit):
+    # p = 17, n = 2 with four lists of 16: 64 factors, so entries may pass
+    # 2^62 and the table must hold Python ints
+    p, n = 17, 2
+    m = FpMatrix([[1, 2], [3, 5]], p)
+    x = (4, 9)
+    image = [sum(a * b for a, b in zip(row, x)) % p for row in m.rows]
+    allowed = list(x) + [image[0], image[1] if hit else (image[1] + 1) % p]
+    c_lists = [[c for c in range(p) if c != a] for a in allowed[:n]]
+    d_lists = [[d for d in range(p) if d != a] for a in allowed[n:]]
+    spec = FactorSpec.from_matrix(m, c_lists=c_lists, d_lists=d_lists)
+    assert sum(spec.exponents) == 64
+    assert product_of_factors(spec, CyclotomicRing).coeffs.dtype == object
+    witness = check_p1(m, ForbiddenSpec(p=p, n=n, c_lists=c_lists, d_lists=d_lists))
+    assert (witness == x) if hit else (witness is None)
+    assert check_p3(m, c_lists, d_lists) is (not hit)
+
+
+def test_integer_product_past_62_factors_does_not_wrap():
+    # (1 - g)^70 in Z[Z/5]: coefficient j is the sum of (-1)^k C(70, k) over
+    # k = j mod 5, which is beyond int64
+    from math import comb
+
+    e = 70
+    spec = FactorSpec(P, 1, vectors=((1,),), exponents=(e,))
+    got = product_of_factors(spec, IntegerRing)
+    want = [sum((-1) ** k * comb(e, k) for k in range(j, e + 1, P)) for j in range(P)]
+    assert got.coeffs.dtype == object
+    assert list(got.coeffs) == want
+    assert max(map(abs, want)) > 2**63
+    assert got.reduce_mod_p() == product_of_factors(spec, ModPRing)
+
+
+def test_entries_budget_charges_the_cyclotomic_axis():
+    # Z[w] over (Z/5)^2 holds 5^3 entries; F_p and Z hold 5^2
+    m = FpMatrix([[1, 1], [1, 2]], P)
+    cap = Budget(entries=P**2)
+    assert check_p4(m, budget=cap) is False
+    assert check_p3_integer(m, budget=cap) is False
+    with pytest.raises(BudgetExceeded):
+        check_p3(m, c_lists=[[0]] * 2, d_lists=[[0]] * 2, budget=cap)
+    assert check_p3(m, [[0]] * 2, [[0]] * 2, budget=Budget(entries=P**3)) is False
 
 
 # ---------------------------------------------------------------------------
