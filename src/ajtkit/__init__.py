@@ -8,7 +8,6 @@ from .errors import (
     BudgetExceeded,
     ConstructionFailed,
     DegreeMismatch,
-    IndexOutOfRange,
     InputError,
     MathViolation,
     NotFound,
@@ -22,7 +21,6 @@ from .errors import (
 )
 from .fp_core import (
     FpMatrix,
-    FpScalar,
     FpVector,
     Prime,
     enumerate_nonsingular,
@@ -70,7 +68,6 @@ from .group_ring import (
 )
 from .fp_poly import (
     DualityResult,
-    Monomial,
     ReducedPoly,
     check_p2,
     check_p5,

@@ -1,11 +1,14 @@
-/* Compiled S_1 search kernel.
+/* Compiled kernels: the S_1 search and the first-hit progression scan.
 
-   Mirror of _kernels_py.s1_exhaust: the same traversal, so the found mask,
-   the exhausted flag and the node count agree with the pure twin bit for
-   bit. A subset of Z/p is a mask of L = ceil(p/64) 64-bit limbs, least
-   significant limb first; one code path serves every L up to MAX_LIMBS.
-   The visited table is open addressing with linear probing. A slot whose
-   low limb is 0 is empty: every reachable set contains {0, 1}. */
+   s1_exhaust mirrors _kernels_py.s1_exhaust: the same traversal, so the
+   found mask, the exhausted flag and the node count agree with the pure
+   twin bit for bit. A subset of Z/p is a mask of L = ceil(p/64) 64-bit
+   limbs, least significant limb first; one code path serves every L up to
+   MAX_LIMBS. The visited table is open addressing with linear probing. A
+   slot whose low limb is 0 is empty: every reachable set contains {0, 1}.
+
+   first_hit_scan mirrors _kernels_py.first_hit_scan and takes any p >= 3:
+   its limbs are allocated per call. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -221,16 +224,164 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
                          status == OVER_BUDGET ? Py_False : Py_True, nodes);
 }
 
+/* Rotation of A by s, limb i: the 64-bit window of the doubled mask
+   D = A | A << p starting at bit 64 * i + p - s. */
+static u64 window(const u64 *D, size_t bit)
+{
+    size_t q = bit >> 6;
+    int r = bit & 63;
+    return r ? (D[q] >> r) | (D[q + 1] << (64 - r)) : D[q];
+}
+
+/* The n-limb mask held in buf (little-endian, ceil(p/8) bytes), or -1 with
+   ValueError set when the length is wrong or a bit lies at or above p. */
+static int read_mask(Py_buffer *buf, int p, u64 *out, int n, const char *what)
+{
+    const unsigned char *b = buf->buf;
+    Py_ssize_t want = ((Py_ssize_t)p + 7) / 8;
+    if (buf->len != want) {
+        PyErr_Format(PyExc_ValueError, "%s must be %zd bytes for p = %d, got %zd",
+                     what, want, p, buf->len);
+        return -1;
+    }
+    memset(out, 0, n * sizeof(u64));
+    for (Py_ssize_t k = 0; k < buf->len; k++)
+        out[k >> 3] |= (u64)b[k] << (8 * (k & 7));
+    if (p & 63 && out[n - 1] >> (p & 63)) {
+        PyErr_Format(PyExc_ValueError, "%s has bits at or above p = %d", what, p);
+        return -1;
+    }
+    return 0;
+}
+
+/* hits[e] = d for each element e of rem hit at step d, then rem &= ~hit.
+   Only the limbs of rem still nonzero are visited: live lists them in
+   ascending order, so hits go in by ascending d, then ascending e. */
+static int scan(const u64 *D, u64 *rem, int *live, int nlive, int p,
+                const long long *off, long long *shift, Py_ssize_t nsteps,
+                PyObject *hits)
+{
+    for (int d = 1; d < p && nlive > 0; d++) {
+        for (Py_ssize_t t = 0; t < nsteps; t++) {
+            shift[t] += off[t];
+            if (shift[t] >= p)
+                shift[t] -= p;
+        }
+        int kept = 0;
+        for (int j = 0; j < nlive; j++) {
+            int i = live[j];
+            u64 hit = rem[i];
+            for (Py_ssize_t t = 0; t < nsteps && hit; t++)
+                hit &= window(D, 64 * (size_t)i + p - shift[t]);
+            rem[i] &= ~hit;
+            for (; hit; hit &= hit - 1) {
+                PyObject *e = PyLong_FromLong(64L * i + __builtin_ctzll(hit));
+                PyObject *step = PyLong_FromLong(d);
+                int bad = e == NULL || step == NULL || PyDict_SetItem(hits, e, step) < 0;
+                Py_XDECREF(e);
+                Py_XDECREF(step);
+                if (bad)
+                    return -1;
+            }
+            if (rem[i])
+                live[kept++] = i;
+        }
+        nlive = kept;
+    }
+    return 0;
+}
+
+static PyObject *first_hit_scan(PyObject *self, PyObject *args)
+{
+    Py_buffer mask_buf, target_buf;
+    int p;
+    PyObject *steps_obj;
+    if (!PyArg_ParseTuple(args, "y*y*iO:first_hit_scan", &mask_buf, &target_buf,
+                          &p, &steps_obj))
+        return NULL;
+    PyObject *steps = NULL, *hits = NULL, *result = NULL;
+    u64 *D = NULL, *rem = NULL;
+    int *live = NULL;
+    long long *off = NULL;
+    if (p < 3) {
+        PyErr_Format(PyExc_ValueError, "first_hit_scan needs p >= 3, got %d", p);
+        goto done;
+    }
+    steps = PySequence_Fast(steps_obj, "steps must be a sequence of ints");
+    if (steps == NULL)
+        goto done;
+    Py_ssize_t nsteps = PySequence_Fast_GET_SIZE(steps);
+    int n = (int)(((size_t)p + 63) / 64);
+    size_t nd = (2 * (size_t)p + 63) / 64 + 1;
+    D = calloc(nd, sizeof(u64));
+    rem = malloc(2 * n * sizeof(u64)); /* rem, then the mask A */
+    live = malloc(n * sizeof(int));
+    off = malloc(2 * (nsteps + 1) * sizeof(long long));
+    if (D == NULL || rem == NULL || live == NULL || off == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    /* step i moves A by -i*d: shift[t] runs through -i*d mod p as d grows */
+    long long *shift = off + nsteps + 1;
+    for (Py_ssize_t t = 0; t < nsteps; t++) {
+        long long i = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(steps, t));
+        if (i == -1 && PyErr_Occurred())
+            goto done;
+        off[t] = ((-(i % p)) % p + p) % p;
+        shift[t] = 0;
+    }
+    u64 *a = rem + n;
+    if (read_mask(&mask_buf, p, a, n, "mask") < 0 ||
+        read_mask(&target_buf, p, rem, n, "target") < 0)
+        goto done;
+    int q = p >> 6, r = p & 63, nlive = 0;
+    for (int i = 0; i < n; i++) {
+        D[i] |= a[i];
+        D[i + q] |= a[i] << r;
+        if (r)
+            D[i + q + 1] |= a[i] >> (64 - r);
+    }
+    for (int i = 0; i < n; i++)
+        if (rem[i])
+            live[nlive++] = i;
+    hits = PyDict_New();
+    if (hits == NULL || scan(D, rem, live, nlive, p, off, shift, nsteps, hits) < 0)
+        goto done;
+    Py_ssize_t nbytes = ((Py_ssize_t)p + 7) / 8;
+    PyObject *out = PyBytes_FromStringAndSize(NULL, nbytes);
+    if (out == NULL)
+        goto done;
+    unsigned char *b = (unsigned char *)PyBytes_AS_STRING(out);
+    for (Py_ssize_t k = 0; k < nbytes; k++)
+        b[k] = (unsigned char)(rem[k >> 3] >> (8 * (k & 7)));
+    result = Py_BuildValue("(ON)", hits, out);
+done:
+    Py_XDECREF(hits);
+    Py_XDECREF(steps);
+    free(D);
+    free(rem);
+    free(live);
+    free(off);
+    PyBuffer_Release(&mask_buf);
+    PyBuffer_Release(&target_buf);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
      "Same contract and traversal as ajtkit._kernels_py.s1_exhaust."},
+    {"first_hit_scan", first_hit_scan, METH_VARARGS,
+     "first_hit_scan(mask, target, p, steps) -> (hits, remaining)\n\n"
+     "Same contract as ajtkit._kernels_py.first_hit_scan, with the masks as\n"
+     "little-endian bytes of length ceil(p/8)."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled S_1 search kernel; see ajtkit._kernels_py for the pure twin.",
+    "Compiled S_1 search and first-hit scan; see ajtkit._kernels_py for\n"
+    "the pure twins.",
     -1, methods,
 };
 

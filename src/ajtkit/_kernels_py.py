@@ -1,11 +1,14 @@
-"""Pure-Python search kernels.
+"""Pure-Python kernels: the S_1 search and the first-hit progression scan.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 compiled twin in _kernels.c implements s1_exhaust with the same traversal
-order; the backends must stay byte-for-byte interchangeable.
+order and first_hit_scan with the same insertion order; the backends must
+stay byte-for-byte interchangeable.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 
 def _rotl(mask: int, s: int, p: int, full: int) -> int:
@@ -63,3 +66,34 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
                 children.append(child)
         stack.extend(reversed(children))
     return (0, True, nodes)
+
+
+def first_hit_scan(
+    mask: int, target: int, p: int, steps: Sequence[int]
+) -> tuple[dict[int, int], int]:
+    """Smallest difference d witnessing each bit of `target`.
+
+    For d = 1, 2, ... intersect the still-uncovered bits of `target` with
+    the translates A - i*d of A = `mask`, one for each i in `steps`, and map
+    every bit that survives to d. Returns (hits, remaining): hits in
+    ascending d, ascending element within one d; remaining is the part of
+    `target` that no d covers.
+    """
+    full = (1 << p) - 1
+    hits: dict[int, int] = {}
+    remaining = target
+    for d in range(1, p):
+        if remaining == 0:
+            break
+        hit = remaining
+        for i in steps:
+            hit &= _rotl(mask, -i * d, p, full)
+            if hit == 0:
+                break
+        new = hit
+        while new:
+            low = new & -new
+            hits[low.bit_length() - 1] = d
+            new ^= low
+        remaining &= ~hit
+    return hits, remaining

@@ -197,23 +197,28 @@ def _first_hit_scan(
     `mask` listed in `steps` (as multiples of d) and record d as the witness
     for every still-uncovered bit. Returns (witnesses, leftover_mask).
     """
-    witnesses: dict[int, ApWitness] = {}
-    remaining = target
-    for d in range(1, p):
-        if remaining == 0:
-            break
-        hit = remaining
-        for i in steps:
-            hit &= _rotl(mask, (-i * d) % p, p)
-            if hit == 0:
-                break
-        new = hit
-        while new:
-            low = new & -new
-            witnesses[low.bit_length() - 1] = ApWitness(low.bit_length() - 1, d, k)
-            new ^= low
-        remaining &= ~hit
-    return witnesses, remaining
+    hits, remaining = kernels.first_hit_scan(mask, target, p, steps)
+    return {a: ApWitness(a, d, k) for a, d in hits.items()}, remaining
+
+
+def _centered(k: int) -> list[int]:
+    """Steps of the centered progressions a - k*d, ..., a + k*d, a left out."""
+    return [i for i in range(-k, k + 1) if i != 0]
+
+
+def _forward(k: int) -> list[int]:
+    """Steps of the forward progressions b + d, ..., b + k*d."""
+    return list(range(1, k + 1))
+
+
+def _is_nk_mask(mask: int, p: int, k: int) -> bool:
+    """is_nk_type(ResidueSet(p, mask), k).ok from the same two kernel scans,
+    without building the witness maps."""
+    outside = ~mask & ((1 << p) - 1)
+    return (
+        kernels.first_hit_scan(mask, mask, p, _centered(k))[1] == 0
+        and kernels.first_hit_scan(mask, outside, p, _forward(k))[1] == 0
+    )
 
 
 def is_sk_type(aset: ResidueSet, k: int) -> SkReport:
@@ -224,8 +229,7 @@ def is_sk_type(aset: ResidueSet, k: int) -> SkReport:
     """
     p = aset.p
     _check_radius(p, k)
-    steps = [i for i in range(-k, k + 1) if i != 0]
-    witnesses, remaining = _first_hit_scan(aset.mask, aset.mask, p, steps, k)
+    witnesses, remaining = _first_hit_scan(aset.mask, aset.mask, p, _centered(k), k)
     if remaining:
         return SkReport(ok=False, k=k, failing=(remaining & -remaining).bit_length() - 1)
     return SkReport(ok=True, k=k, witnesses=witnesses)
@@ -240,8 +244,7 @@ def is_nk_type(aset: ResidueSet, k: int) -> NkReport:
             ok=False, k=k, failing=inside_report.failing, failing_side="inside"
         )
     outside_target = ~aset.mask & ((1 << p) - 1)
-    steps = list(range(1, k + 1))
-    outside, remaining = _first_hit_scan(aset.mask, outside_target, p, steps, k)
+    outside, remaining = _first_hit_scan(aset.mask, outside_target, p, _forward(k), k)
     if remaining:
         return NkReport(
             ok=False,
@@ -435,7 +438,8 @@ def partition_nk(
     """Random partition of Z/p into N_k-type parts.
 
     Each residue gets an independent uniform label; a draw is accepted when
-    every part is N_k-type. The default part count is ceil(p^(1/(2k+1))).
+    every part is N_k-type, decided by the scans is_nk_type runs. The
+    default part count is ceil(p^(1/(2k+1))).
     """
     p = _as_prime(p)
     _check_radius(p, k)
@@ -449,11 +453,9 @@ def partition_nk(
         masks = [0] * parts
         for residue, lab in enumerate(labels):
             masks[lab] |= 1 << residue
-        sets = [ResidueSet(p, m) for m in masks]
-        if all(is_nk_type(s, k).ok for s in sets):
-            return Partition(
-                p=p, k=k, parts=tuple(sets), seed=seed, attempts=attempt
-            )
+        if all(_is_nk_mask(m, p, k) for m in masks):
+            parts = tuple(ResidueSet(p, m) for m in masks)
+            return Partition(p=p, k=k, parts=parts, seed=seed, attempts=attempt)
     raise PartitionNotFound(
         f"no N_{k} partition of F_{p} into {parts} parts in {max_tries} draws",
         attempts=max_tries,

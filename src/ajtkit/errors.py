@@ -17,10 +17,6 @@ class SingularMatrix(InputError):
     """Inversion was requested for a matrix with zero determinant."""
 
 
-class IndexOutOfRange(InputError):
-    """A row or column index is outside the matrix."""
-
-
 class RadiusTooLarge(InputError):
     """The progression radius k does not satisfy 2k + 1 <= p."""
 

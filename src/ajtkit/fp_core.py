@@ -1,4 +1,4 @@
-"""Prime-field scalars, vectors and matrices.
+"""Prime-field vectors and matrices.
 
 Everything downstream works over F_p for an odd prime p. Residues are kept
 canonical in [0, p-1]. Matrices are immutable; determinants are computed by
@@ -13,7 +13,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .budget import Budget, current_budget
 from .errors import (
-    IndexOutOfRange,
     InputError,
     NotPrime,
     SingularMatrix,
@@ -76,80 +75,6 @@ def _as_prime(p: int) -> int:
         Prime(p)
         _VALIDATED.add(p)
     return p
-
-
-class FpScalar:
-    """A residue modulo an odd prime, with field arithmetic."""
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.p = _as_prime(p)
-        self.value = int(value) % self.p
-
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise InputError(f"mixed moduli {self.p} and {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpScalar(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(other.value - self.value, self.p)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def __pow__(self, e: int):
-        if e < 0 and self.value == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return FpScalar(pow(self.value, e, self.p), self.p)
-
-    def inverse(self) -> "FpScalar":
-        return self ** (-1)
-
-    def __eq__(self, other):
-        if isinstance(other, FpScalar):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __int__(self):
-        return self.value
-
-    def __repr__(self):
-        return f"FpScalar({self.value}, p={self.p})"
 
 
 class FpVector:
@@ -232,9 +157,6 @@ class FpMatrix:
     def row(self, i: int) -> FpVector:
         return FpVector(self.rows[i], self.p)
 
-    def column(self, j: int) -> FpVector:
-        return FpVector((row[j] for row in self.rows), self.p)
-
     def transpose(self) -> "FpMatrix":
         return FpMatrix(list(zip(*self.rows)), self.p)
 
@@ -244,18 +166,6 @@ class FpMatrix:
             raise InputError("dimension mismatch in matvec")
         return FpVector(
             (sum(a * b for a, b in zip(row, x)) for row in self.rows), self.p
-        )
-
-    def matmul(self, other: "FpMatrix") -> "FpMatrix":
-        if not isinstance(other, FpMatrix) or other.p != self.p or other.n != self.n:
-            raise InputError("matrix product needs matching shapes and moduli")
-        cols = list(zip(*other.rows))
-        return FpMatrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.rows
-            ],
-            self.p,
         )
 
     def det(self) -> int:
@@ -284,21 +194,6 @@ class FpMatrix:
                     c = a[r][col]
                     a[r] = [(x - c * y) % p for x, y in zip(a[r], a[col])]
         return FpMatrix([row[n:] for row in a], p)
-
-    def minor(self, i: int, j: int) -> "FpMatrix":
-        """Delete row i and column j, 1-based indices."""
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise IndexOutOfRange(
-                f"minor indices must lie in [1, {self.n}], got ({i}, {j})"
-            )
-        if self.n == 1:
-            raise IndexOutOfRange("a 1x1 matrix has no minors")
-        rows = [
-            [a for jj, a in enumerate(row) if jj != j - 1]
-            for ii, row in enumerate(self.rows)
-            if ii != i - 1
-        ]
-        return FpMatrix(rows, self.p)
 
     def __eq__(self, other):
         if isinstance(other, FpMatrix):

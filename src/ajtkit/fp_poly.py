@@ -28,18 +28,6 @@ from .fp_core import FpMatrix, _as_prime
 ExponentVector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """An exponent vector with every entry in [0, p-1]."""
-
-    exponents: ExponentVector
-
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(int(e) for e in self.exponents))
-        if any(e < 0 for e in self.exponents):
-            raise InputError("exponents must be nonnegative")
-
-
 def reduce_exponent(e: int, p: int) -> int:
     """0 stays 0; positive e maps into [1, p-1] preserving e mod (p-1)."""
     if e < 0:
@@ -107,9 +95,7 @@ class ReducedPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, exps: Sequence[int] | Monomial) -> int:
-        if isinstance(exps, Monomial):
-            exps = exps.exponents
+    def coeff(self, exps: Sequence[int]) -> int:
         exps = tuple(int(e) for e in exps)
         if any(not 0 <= e <= self.p - 1 for e in exps):
             raise InputError("coefficient lookup requires reduced exponents")
@@ -215,11 +201,6 @@ class ReducedPoly:
         return cls.from_terms(p, n, terms)
 
 
-def reduce(p: int, n: int, terms: Iterable[tuple[Sequence[int], int]]) -> ReducedPoly:
-    """Canonical reduced form of a raw term stream."""
-    return ReducedPoly.from_terms(p, n, terms)
-
-
 @lru_cache(maxsize=None)
 def vandermonde(p: int) -> np.ndarray:
     """V[t, e] = t^e mod p for t, e in [0, p-1]; 0^0 = 1."""
@@ -284,10 +265,6 @@ def mul_reduce(f: ReducedPoly, g: ReducedPoly, route: str = "auto") -> ReducedPo
         values = _eval_dense(f.to_dense(), p) * _eval_dense(g.to_dense(), p) % p
         return ReducedPoly.from_dense(p, _interpolate_dense(values, p))
     raise InputError(f"unknown route {route!r}")
-
-
-def coeff(f: ReducedPoly, exps: Sequence[int] | Monomial) -> int:
-    return f.coeff(exps)
 
 
 def power_sum(p: int, k: int) -> int:

@@ -1,12 +1,16 @@
-"""Backend selection for the search kernel.
+"""Backend selection for the two kernels.
 
-The compiled extension (_kernels.c) covers 5 <= p <= 320 with masks of up to
-five 64-bit limbs; the pure-Python twin handles any p. Both run the identical
-traversal, so the returned masks and node counts agree exactly, not just the
-verdicts.
+The compiled extension (_kernels.c) holds both. Its s1_exhaust covers
+5 <= p <= 320 with masks of up to five 64-bit limbs; its first_hit_scan
+allocates its limbs per call and covers any p >= 3. The pure-Python twins in
+_kernels_py handle any p. Each pair returns identical results: the same
+masks and node counts from s1_exhaust, the same hits in the same order from
+first_hit_scan.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 from . import _kernels_py
 
@@ -31,3 +35,16 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
     if backend_for(p) == "compiled":
         return _ext.s1_exhaust(p, limit, node_budget)
     return _kernels_py.s1_exhaust(p, limit, node_budget)
+
+
+def first_hit_scan(
+    mask: int, target: int, p: int, steps: Sequence[int]
+) -> tuple[dict[int, int], int]:
+    """(hits, remaining) of _kernels_py.first_hit_scan, compiled when built."""
+    if _ext is None:
+        return _kernels_py.first_hit_scan(mask, target, p, steps)
+    size = (p + 7) // 8
+    hits, remaining = _ext.first_hit_scan(
+        mask.to_bytes(size, "little"), target.to_bytes(size, "little"), p, steps
+    )
+    return hits, int.from_bytes(remaining, "little")

@@ -375,6 +375,37 @@ def test_partition_default_part_count_needs_large_p():
         partition_nk(257, 1, seed=0, max_tries=25)
 
 
+def test_partition_draw_test_rejects_what_is_nk_type_rejects():
+    # the draw test reads only the kernel scans' leftovers; at p = 10007,
+    # seed 4, the first draw has a part that is not N_1 and the second is kept
+    p, parts = 10007, 22  # ceil(10007^(1/3))
+    part = partition_nk(p, 1, seed=4)
+    assert part.attempts == 2
+    rng = random.Random(4)
+    draws = []
+    for _ in range(2):
+        labels = [rng.randrange(parts) for _ in range(p)]
+        draws.append(
+            [
+                ResidueSet.from_elements(p, (r for r, lab in enumerate(labels) if lab == j))
+                for j in range(parts)
+            ]
+        )
+    assert not all(is_nk_type(q, 1).ok for q in draws[0])
+    assert list(part.parts) == draws[1]
+    assert all(is_nk_type(q, 1).ok for q in part.parts)
+
+
+def test_partition_draw_test_runs_the_outside_scan():
+    # in Z/5 a part of two or one elements has no centered witnesses, so only
+    # a draw putting all of Z/5 in one part passes the inside scans (the empty
+    # part vacuously); the outside scan of the empty part must reject it
+    rng = random.Random(0)
+    assert any(len({rng.randrange(2) for _ in range(5)}) == 1 for _ in range(50))
+    with pytest.raises(PartitionNotFound):
+        partition_nk(5, 1, parts=2, seed=0, max_tries=50)
+
+
 @pytest.mark.slow
 def test_partition_default_part_count_succeeds_eventually():
     part = partition_nk(30011, 1, seed=0, max_tries=20)

@@ -1,8 +1,11 @@
-"""Parity between the compiled search kernel and its pure-Python twin.
+"""Parity between the compiled kernels and their pure-Python twins.
 
-The two implementations must agree bit for bit: same found set, same
-exhausted flag, and the same node count, so that proven_optimal claims do
-not depend on which backend happened to import.
+Two kernels are compared. s1_exhaust must agree bit for bit: same found
+set, same exhausted flag, and the same node count, so that proven_optimal
+claims do not depend on which backend happened to import. first_hit_scan,
+behind every S_k/N_k certification, must return the same hits in the same
+order and the same uncovered remainder, so that witness maps do not depend
+on the backend either.
 
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
@@ -137,6 +140,62 @@ def test_exhaust_rejects_p_out_of_range(compiled):
     for p in (3, 331):
         with pytest.raises(ValueError):
             compiled.s1_exhaust(p, 5, 10)
+
+
+SCAN_PRIMES = [5, 7, 61, 67, 127, 131, 257, 1009, 20011]
+
+
+def scan_cases(p, k, rng):
+    """(mask, target, steps): S_k- and N_k-style scans of random sets, an
+    empty target, the full set, and the set {0}, which leaves elements no d
+    covers."""
+    full = (1 << p) - 1
+    centered = [i for i in range(-k, k + 1) if i != 0]
+    forward = list(range(1, k + 1))
+    half = rng.getrandbits(p)
+    quarter = rng.getrandbits(p) & rng.getrandbits(p)
+    for mask in (half, quarter):
+        yield mask, mask, centered
+        yield mask, ~mask & full, forward
+    yield half, 0, centered
+    yield full, full, centered
+    yield full, full, forward
+    yield 1, full, centered
+    yield 1, full, forward
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_first_hit_scan_parity(compiled, monkeypatch, p):
+    # one limb, limb edges (61, 67, 127, 131) and many limbs; kernels.py
+    # carries the masks to the compiled kernel as bytes and back
+    monkeypatch.setattr(kernels, "_ext", compiled)
+    rng = random.Random(p)
+    for k in (1, 2, 3):
+        for mask, target, steps in scan_cases(p, k, rng):
+            hits_c, rest_c = kernels.first_hit_scan(mask, target, p, steps)
+            hits_py, rest_py = _kernels_py.first_hit_scan(mask, target, p, steps)
+            assert list(hits_c.items()) == list(hits_py.items())
+            assert rest_c == rest_py
+            covered = sum(1 << a for a in hits_c)
+            assert covered & rest_c == 0 and covered | rest_c == target
+    # {0} with forward steps 1: every b != 0 reaches 0 at d = -b, 0 never does
+    hits, rest = kernels.first_hit_scan(1, (1 << p) - 1, p, [1])
+    assert hits == {b: p - b for b in range(1, p)}
+    assert rest == 1
+
+
+def test_first_hit_scan_rejects_bad_input(compiled):
+    two = bytes(2)  # ceil(13 / 8)
+    assert compiled.first_hit_scan(two, two, 13, [1]) == ({}, two)
+    for mask, target in ((bytes(3), two), (two, bytes(1)), (two, b"")):
+        with pytest.raises(ValueError):
+            compiled.first_hit_scan(mask, target, 13, [1])
+    high = (1 << 13).to_bytes(2, "little")  # residue 13 is not in Z/13
+    with pytest.raises(ValueError):
+        compiled.first_hit_scan(high, two, 13, [1])
+    for p in (2, 1, 0, -7):
+        with pytest.raises(ValueError):
+            compiled.first_hit_scan(b"\x00", b"\x00", p, [1])
 
 
 def test_backend_label():
