@@ -73,7 +73,6 @@ from .fp_poly import (
     check_p5,
     duality_check,
     mul_reduce,
-    power_sum,
     reduce_exponent,
     scalar_product_condition,
 )

@@ -565,6 +565,17 @@ def _basis_matrix(basis: Sequence[FpVector], p: int) -> FpMatrix:
     return FpMatrix([[basis[j][i] for j in range(n)] for i in range(n)], p)
 
 
+def _multiplier_route(
+    u_boxes: Sequence[ResidueSet], v_boxes: Sequence[ResidueSet], route: str, b: Budget
+) -> str:
+    """Resolve 'auto': 'exhaustive' when both point sets fit the budget, else 'solve'."""
+    if route != "auto":
+        return route
+    nu = math.prod(len(u) for u in u_boxes)
+    nv = math.prod(len(v) for v in v_boxes)
+    return "exhaustive" if nu * nv <= b.nodes and nu + nv <= b.entries else "solve"
+
+
 def multipliers_valid(
     e_basis: Sequence[FpVector],
     f_basis: Sequence[FpVector],
@@ -585,8 +596,7 @@ def multipliers_valid(
     b = current_budget(budget)
     nu = math.prod(len(u) for u in u_boxes)
     nv = math.prod(len(v) for v in v_boxes)
-    if route == "auto":
-        route = "exhaustive" if nu * nv <= b.nodes and nu + nv <= b.entries else "solve"
+    route = _multiplier_route(u_boxes, v_boxes, route, b)
     lambdas = [int(c) % p for c in lambdas]
     if any(c == 0 for c in lambdas):
         raise InputError("multipliers must be nonzero mod p")
@@ -628,7 +638,7 @@ def random_multipliers(
 
     Requires prod |U_i| * prod |V_i| < (p-1)^n, the counting bound that
     guarantees a valid choice exists, and every box inside the nonzero
-    residues.
+    residues. The certificate records the route that ran, never 'auto'.
     """
     if not e_basis or len(e_basis) != len(f_basis):
         raise InputError("need two bases of equal positive length")
@@ -648,11 +658,13 @@ def random_multipliers(
         raise PreconditionViolated(
             f"box size product {sizes} must stay below (p-1)^n = {(p - 1) ** n}"
         )
+    b = current_budget(budget)
+    route = _multiplier_route(u_boxes, v_boxes, route, b)
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):
         lambdas = tuple(rng.randrange(1, p) for _ in range(n))
         if multipliers_valid(
-            e_basis, f_basis, u_boxes, v_boxes, lambdas, route=route, budget=budget
+            e_basis, f_basis, u_boxes, v_boxes, lambdas, route=route, budget=b
         ):
             return MultiplierCertificate(
                 p=p, lambdas=lambdas, seed=seed, attempts=attempt, route=route

@@ -57,15 +57,24 @@ def parse_budget(text: str) -> Budget:
         raise InputError(
             f"budget must be one of {sorted(PRESETS)} or an integer, got {text!r}"
         ) from None
+    return _node_budget(nodes)
+
+
+def _node_budget(nodes: int) -> Budget:
     if nodes <= 0:
         raise InputError("budget node count must be positive")
     return Budget(nodes=nodes)
 
 
-def current_budget(override: str | Budget | None = None) -> Budget:
-    """Resolve the active budget: explicit override, then AJT_BUDGET, then defaults."""
+def current_budget(override: str | int | Budget | None = None) -> Budget:
+    """Resolve the active budget: explicit override, then AJT_BUDGET, then defaults.
+
+    An int override is a node count, like the same number as a string.
+    """
     if isinstance(override, Budget):
         return override
+    if isinstance(override, int):
+        return _node_budget(override)
     if override is not None:
         return parse_budget(override)
     env = os.environ.get("AJT_BUDGET")

@@ -4,12 +4,16 @@ The reduction rule sends exponent e to ((e - 1) mod (p - 1)) + 1 for e >= 1
 and keeps 0; it preserves the polynomial as a function on F_p. Reduced
 polynomials have every exponent in [0, p-1], and two of them agree as
 functions exactly when they agree coefficientwise, so vanishing checks are
-coefficient checks.
+coefficient checks. A reduced polynomial in n variables is one int64 tensor
+of shape (p,) * n, indexed by exponent vector, with entries in [0, p).
 
-Multiplication has two independent routes: hash-map convolution on exponent
-vectors, and evaluate-multiply-interpolate through the Vandermonde matrix.
-Both land on the same canonical form; tests compare them, the auto route
-picks by size.
+Multiplication has two independent routes. The shift route adds one shifted
+copy of one factor per nonzero term of the other: multiplying by x_i^e
+rotates exponents 1..p-1 along axis i by e and moves exponent 0 to e. The
+interpolate route evaluates both factors through the Vandermonde matrix,
+multiplies the value tables pointwise and interpolates back. Both land on
+the same canonical form and tests compare them; shift is the default, and
+nothing picks between them by size.
 """
 
 from __future__ import annotations
@@ -40,20 +44,22 @@ def reduce_exponent(e: int, p: int) -> int:
 class ReducedPoly:
     """A polynomial over F_p in canonical reduced form.
 
-    Stored as a hash map from exponent vectors (each entry in [0, p-1]) to
-    nonzero coefficients in [1, p-1].
+    Stored as an int64 tensor of shape (p,) * n whose entry at an exponent
+    vector is that term's coefficient in [0, p-1]. The tensor has p^n
+    entries however few terms are nonzero, so callers charge p^n entries
+    to their budget before building one.
     """
 
     __slots__ = ("p", "n", "coeffs")
 
-    def __init__(self, p: int, n: int, coeffs: dict[ExponentVector, int]):
+    def __init__(self, p: int, n: int, coeffs: np.ndarray):
         self.p = _as_prime(p)
         self.n = int(n)
         self.coeffs = coeffs
 
     @classmethod
     def zero(cls, p: int, n: int) -> "ReducedPoly":
-        return cls(p, n, {})
+        return cls(p, n, np.zeros((p,) * n, dtype=np.int64))
 
     @classmethod
     def constant(cls, p: int, n: int, c: int) -> "ReducedPoly":
@@ -80,32 +86,34 @@ class ReducedPoly:
     ) -> "ReducedPoly":
         """Reduce a raw term stream into canonical form."""
         p = _as_prime(p)
-        acc: dict[ExponentVector, int] = {}
+        out = cls.zero(p, n)
         for exps, c in terms:
             exps = tuple(int(e) for e in exps)
             if len(exps) != n:
                 raise InputError("exponent vector has the wrong length")
             key = tuple(reduce_exponent(e, p) for e in exps)
-            acc[key] = (acc.get(key, 0) + int(c)) % p
-        return cls(p, n, {k: v for k, v in acc.items() if v})
+            out.coeffs[key] = (int(out.coeffs[key]) + int(c)) % p
+        return out
 
     def terms(self) -> list[tuple[ExponentVector, int]]:
-        return sorted(self.coeffs.items())
+        """The nonzero terms, in increasing exponent order."""
+        where = np.flatnonzero(self.coeffs)
+        exps = np.unravel_index(where, self.coeffs.shape)
+        return list(zip(zip(*(e.tolist() for e in exps)), self.coeffs.ravel()[where].tolist()))
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.coeffs.any()
 
     def coeff(self, exps: Sequence[int]) -> int:
         exps = tuple(int(e) for e in exps)
-        if any(not 0 <= e <= self.p - 1 for e in exps):
+        if len(exps) != self.n or any(not 0 <= e <= self.p - 1 for e in exps):
             raise InputError("coefficient lookup requires reduced exponents")
-        return self.coeffs.get(exps, 0)
+        return int(self.coeffs[exps])
 
     def total_degree(self) -> int:
         """Max total degree of the canonical form; -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(sum(e) for e in self.coeffs)
+        exps = np.unravel_index(np.flatnonzero(self.coeffs), self.coeffs.shape)
+        return int(sum(exps).max(initial=-1))
 
     def _same_space(self, other: "ReducedPoly") -> None:
         if not isinstance(other, ReducedPoly):
@@ -115,90 +123,35 @@ class ReducedPoly:
 
     def __add__(self, other: "ReducedPoly") -> "ReducedPoly":
         self._same_space(other)
-        acc = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            nv = (acc.get(k, 0) + v) % self.p
-            if nv:
-                acc[k] = nv
-            else:
-                acc.pop(k, None)
-        return ReducedPoly(self.p, self.n, acc)
-
-    def __neg__(self) -> "ReducedPoly":
-        return ReducedPoly(
-            self.p, self.n, {k: (self.p - v) % self.p for k, v in self.coeffs.items()}
-        )
+        return ReducedPoly(self.p, self.n, (self.coeffs + other.coeffs) % self.p)
 
     def __sub__(self, other: "ReducedPoly") -> "ReducedPoly":
-        return self + (-other)
+        self._same_space(other)
+        return ReducedPoly(self.p, self.n, (self.coeffs - other.coeffs) % self.p)
 
     def __mul__(self, other: "ReducedPoly") -> "ReducedPoly":
         return mul_reduce(self, other)
 
-    def __pow__(self, e: int) -> "ReducedPoly":
-        if e < 0:
-            raise InputError("negative powers are not defined")
-        out = ReducedPoly.constant(self.p, self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                out = mul_reduce(out, base)
-            e >>= 1
-            if e:
-                base = mul_reduce(base, base)
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, ReducedPoly):
             return NotImplemented
-        return (self.p, self.n) == (other.p, other.n) and self.coeffs == other.coeffs
+        return (self.p, self.n) == (other.p, other.n) and np.array_equal(
+            self.coeffs, other.coeffs
+        )
 
     def __repr__(self):
-        return f"ReducedPoly(p={self.p}, n={self.n}, terms={len(self.coeffs)})"
+        terms = np.count_nonzero(self.coeffs)
+        return f"ReducedPoly(p={self.p}, n={self.n}, terms={terms})"
 
     def evaluate(self, point: Sequence[int]) -> int:
         point = [int(x) % self.p for x in point]
         total = 0
-        for exps, c in self.coeffs.items():
+        for exps, c in self.terms():
             term = c
             for x, e in zip(point, exps):
                 term = term * pow(x, e, self.p) % self.p
             total = (total + term) % self.p
         return total
-
-    def evaluate_table(self) -> np.ndarray:
-        """Values on the full grid, shape (p,) * n."""
-        dense = self.to_dense()
-        return _eval_dense(dense, self.p)
-
-    def to_dense(self) -> np.ndarray:
-        """Coefficient tensor of shape (p,) * n indexed by exponent."""
-        out = np.zeros((self.p,) * self.n, dtype=np.int64)
-        for exps, c in self.coeffs.items():
-            out[exps] = c
-        return out
-
-    @classmethod
-    def from_dense(cls, p: int, dense: np.ndarray) -> "ReducedPoly":
-        n = dense.ndim
-        coeffs = {}
-        for idx in np.argwhere(dense % p):
-            key = tuple(int(e) for e in idx)
-            coeffs[key] = int(dense[tuple(idx)]) % p
-        return cls(p, n, coeffs)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"exps": list(exps), "coeff": c} for exps, c in self.terms()
-        ]
-
-    @classmethod
-    def from_json(cls, p: int, n: int, items: list[dict]) -> "ReducedPoly":
-        try:
-            terms = [(tuple(item["exps"]), int(item["coeff"])) for item in items]
-        except (KeyError, TypeError):
-            raise InputError("poly JSON needs 'exps' and 'coeff' per term") from None
-        return cls.from_terms(p, n, terms)
 
 
 @lru_cache(maxsize=None)
@@ -235,42 +188,75 @@ def _interpolate_dense(values: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def mul_reduce(f: ReducedPoly, g: ReducedPoly, route: str = "auto") -> ReducedPoly:
+@lru_cache(maxsize=None)
+def _shift_index(p: int, e: int) -> np.ndarray:
+    """Source slot of each target slot when one axis is multiplied by x^e.
+
+    Exponents 1..p-1 rotate by e, so x^(p-1) * x^e = x^e. Target 0 reads
+    source 0, whose terms belong at slot e: `_shift` moves them there.
+    """
+    index = (np.arange(p) - e - 1) % (p - 1) + 1
+    index[0] = 0
+    index.flags.writeable = False
+    return index
+
+
+def _shift(coeffs: np.ndarray, exps: ExponentVector, p: int) -> np.ndarray:
+    """The tensor of the polynomial times x^exps, exps reduced.
+
+    Each nonzero exponent at most doubles the largest entry, so they are not
+    reduced here. Returns `coeffs` itself when every exponent is 0.
+    """
+    for axis, e in enumerate(exps):
+        if e:
+            coeffs = coeffs.take(_shift_index(p, e), axis=axis)
+            lead = (slice(None),) * axis
+            coeffs[lead + (e,)] += coeffs[lead + (0,)]
+            coeffs[lead + (0,)] = 0
+    return coeffs
+
+
+def mul_reduce(f: ReducedPoly, g: ReducedPoly, route: str = "shift") -> ReducedPoly:
     """Product in canonical reduced form.
 
-    route 'hash' convolves exponent maps; route 'interpolate' multiplies the
-    value tables pointwise and interpolates back. The canonical form is the
-    unique representative with all exponents <= p-1, so the routes agree.
+    route 'shift' adds c * g * x^e for each nonzero term c * x^e of the
+    sparser factor; route 'interpolate' multiplies the value tables
+    pointwise and interpolates back. The canonical form is the unique
+    representative with all exponents <= p-1, so the routes agree.
     """
     f._same_space(g)
     p, n = f.p, f.n
-    if route == "auto":
-        pairs = len(f.coeffs) * len(g.coeffs)
-        route = "interpolate" if pairs > 4 * p**n and p**n <= 2**18 else "hash"
-    if route == "hash":
-        acc: dict[ExponentVector, int] = {}
-        for e1, c1 in f.coeffs.items():
-            for e2, c2 in g.coeffs.items():
-                key = tuple(reduce_exponent(a + b, p) for a, b in zip(e1, e2))
-                v = (acc.get(key, 0) + c1 * c2) % p
-                if v:
-                    acc[key] = v
-                else:
-                    acc.pop(key, None)
-        return ReducedPoly(p, n, acc)
+    if route == "shift":
+        if np.count_nonzero(f.coeffs) > np.count_nonzero(g.coeffs):
+            f, g = g, f
+        out = np.zeros(g.coeffs.shape, dtype=np.int64)
+        for exps, c in f.terms():
+            # out < p before each term and the term is below 2^n * p^2, so
+            # reducing after every term keeps the sum inside int64
+            out += c * _shift(g.coeffs, exps, p)
+            out %= p
+        return ReducedPoly(p, n, out)
     if route == "interpolate":
         # evaluation is a bijection between polynomials with exponents
         # <= p-1 and functions on the grid, so interpolating the pointwise
-        # product lands on the same canonical form as the hash route
-        values = _eval_dense(f.to_dense(), p) * _eval_dense(g.to_dense(), p) % p
-        return ReducedPoly.from_dense(p, _interpolate_dense(values, p))
+        # product lands on the same canonical form as the shift route
+        values = _eval_dense(f.coeffs, p) * _eval_dense(g.coeffs, p) % p
+        return ReducedPoly(p, n, _interpolate_dense(values, p))
     raise InputError(f"unknown route {route!r}")
 
 
-def power_sum(p: int, k: int) -> int:
-    """sum over x in F_p of x^k, reduced mod p (0^0 counts as 1)."""
-    p = _as_prime(p)
-    return sum(pow(x, k, p) if (x or k) else 1 for x in range(p)) % p
+def _form_product(
+    p: int, forms: Sequence[Sequence[int]], powers: Sequence[int]
+) -> ReducedPoly:
+    """prod_i <forms[i], x>^(powers[i]), one linear factor at a time."""
+    if any(k < 0 for k in powers):
+        raise InputError("negative powers are not defined")
+    out = ReducedPoly.constant(p, len(forms[0]), 1)
+    for coefficients, k in zip(forms, powers):
+        form = ReducedPoly.linear_form(p, coefficients)
+        for _ in range(k):
+            out = out * form
+    return out
 
 
 def check_p2(
@@ -317,13 +303,7 @@ def check_p5(
         t = [1] * n
     if t_prime is None:
         t_prime = [1] * n
-    f = ReducedPoly.constant(p, n, 1)
-    for i, row in enumerate(m.rows):
-        f = f * (ReducedPoly.linear_form(p, row) ** t_prime[i])
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        f = f * (ReducedPoly.monomial(p, n, e) ** t[i])
+    f = _form_product(p, m.rows, t_prime) * ReducedPoly.monomial(p, n, t)
     return f.total_degree() < sum(t) + sum(t_prime)
 
 
@@ -398,13 +378,8 @@ def duality_check(
         raise InputError("exponents must lie in [0, p-1]")
     if sum(r) != sum(s):
         raise DegreeMismatch(f"sum(r) = {sum(r)} differs from sum(s) = {sum(s)}")
-    lhs = ReducedPoly.constant(p, n, 1)
-    for i, row in enumerate(m.rows):
-        lhs = lhs * (ReducedPoly.linear_form(p, row) ** r[i])
-    rhs = ReducedPoly.constant(p, n, 1)
-    cols = list(zip(*m.rows))
-    for j, col in enumerate(cols):
-        rhs = rhs * (ReducedPoly.linear_form(p, col) ** s[j])
+    lhs = _form_product(p, m.rows, r)
+    rhs = _form_product(p, list(zip(*m.rows)), s)
     return DualityResult(
         p=p, n=n, r=r, s=s, lhs_coeff=lhs.coeff(s), rhs_coeff=rhs.coeff(r)
     )
@@ -462,13 +437,7 @@ def scalar_product_condition(
         return int(vals.sum() % p)
     if route == "coefficient":
         b.check_entries(p**n, what="reduced product")
-        f = ReducedPoly.constant(p, n, 1)
-        for i, row in enumerate(m.rows):
-            f = f * (ReducedPoly.linear_form(p, row) ** r[i])
-        mono = [0] * n
-        for j in range(n):
-            mono[j] = s[j]
-        f = f * ReducedPoly.monomial(p, n, mono)
+        f = _form_product(p, m.rows, r) * ReducedPoly.monomial(p, n, s)
         c = f.coeff((p - 1,) * n)
         return c * pow(-1, n, p) % p
     raise InputError(f"unknown route {route!r}")

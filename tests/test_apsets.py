@@ -309,6 +309,14 @@ def test_min_s1_search_budget_exhaustion_is_honest():
     assert is_sk_type(res.aset, 1).ok
 
 
+def test_min_s1_search_takes_an_int_budget():
+    # an int is a node count, the same budget as its string form
+    for nodes in (50, 10**9):
+        assert min_s1_search(13, budget=nodes) == min_s1_search(13, budget=str(nodes))
+    with pytest.raises(InputError):
+        min_s1_search(13, budget=0)
+
+
 # ---------------------------------------------------------------------------
 # staged construction, radius >= 2
 
@@ -473,6 +481,15 @@ def test_random_multipliers_certificate_verifies():
         e, f, boxes[:n], boxes[n:], cert.lambdas, route="exhaustive"
     )
     assert all(1 <= lam < p for lam in cert.lambdas)
+    # the certificate names the route that ran, and that route accepts it
+    assert cert.route in ("exhaustive", "solve")
+    assert multipliers_valid(e, f, boxes[:n], boxes[n:], cert.lambdas, route=cert.route)
+    gs = good_subsets(p, 1, e, e, seed=1)
+    cert = gs.certificate
+    assert cert.route in ("exhaustive", "solve")
+    assert multipliers_valid(
+        e, e, gs.a_sets, [gs.base_b] * n, cert.lambdas, route=cert.route
+    )
 
 
 def test_random_multipliers_precondition():
