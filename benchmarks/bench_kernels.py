@@ -5,7 +5,8 @@ and must return identical results: node counts included for the search,
 hits in the same order for the scan. This script times them side by side on
 the workloads that dominate real use: exhausting all sets below the optimum
 and finding a minimum set one size up, and the S_1 and N_1 certification
-scans of a logarithmic set and of one partition part.
+scans of a logarithmic set and of one partition part. The compiled side runs
+through ajtkit.kernels, which carries the masks across as bytes.
 
 Run from a checkout with the package installed:
 
@@ -16,11 +17,7 @@ import time
 
 from ajtkit import _kernels_py, apsets, kernels
 
-try:
-    from ajtkit import _kernels
-except ImportError:
-    _kernels = None
-
+COMPILED = kernels.BACKEND == "compiled"
 
 CASES = [
     # (p, limit, label)
@@ -29,6 +26,7 @@ CASES = [
     (67, 7, "exhaust below optimum"),
     (67, 8, "find minimum set"),
     (101, 8, "exhaust below optimum"),
+    (1009, 5, "exhaust, 16 limbs"),
 ]
 
 CENTERED, FORWARD = [-1, 1], [1]
@@ -55,30 +53,28 @@ def timed(fn, *args, repeat=1):
 
 
 def main():
-    if _kernels is None:
+    if not COMPILED:
         print("compiled backend not built; timing pure backend only")
     header = f"{'case':<28}{'p':>6}{'limit':>7}{'nodes':>10}"
     header += f"{'pure (s)':>11}"
-    if _kernels is not None:
+    if COMPILED:
         header += f"{'compiled (s)':>14}{'speedup':>9}"
     print(header)
     print("-" * len(header))
     for p, limit, label in CASES:
         t_py, (mask_py, ex_py, nodes_py) = timed(_kernels_py.s1_exhaust, p, limit, 10**9)
         line = f"{label:<28}{p:>6}{limit:>7}{nodes_py:>10}{t_py:>11.4f}"
-        if _kernels is not None:
-            t_c, got = timed(_kernels.s1_exhaust, p, limit, 10**9)
+        if COMPILED:
+            t_c, got = timed(kernels.s1_exhaust, p, limit, 10**9)
             assert got == (mask_py, ex_py, nodes_py), (
                 f"backend mismatch at p={p} limit={limit}"
             )
             line += f"{t_c:>14.4f}{t_py / t_c:>8.1f}x"
         print(line)
     print()
-    # kernels.first_hit_scan runs the compiled scan whenever the extension
-    # imported; it carries the masks across as bytes. Scans take milliseconds,
-    # so each time is the best of five calls.
+    # scans take milliseconds, so each time is the best of five calls
     header = f"{'scan':<28}{'p':>6}{'hits':>17}{'pure (s)':>11}"
-    if _kernels is not None:
+    if COMPILED:
         header += f"{'compiled (s)':>14}{'speedup':>9}"
     print(header)
     print("-" * len(header))
@@ -87,7 +83,7 @@ def main():
             _kernels_py.first_hit_scan, mask, target, p, steps, repeat=5
         )
         line = f"{label:<28}{p:>6}{len(hits_py):>17}{t_py:>11.4f}"
-        if _kernels is not None:
+        if COMPILED:
             t_c, (hits_c, rest_c) = timed(
                 kernels.first_hit_scan, mask, target, p, steps, repeat=5
             )

@@ -60,7 +60,6 @@ from .group_ring import (
     check_p3,
     check_p3_integer,
     check_p4,
-    delete_one_factor_scan,
     one_minus_g,
     product_of_factors,
     sigma_of_factors,
@@ -85,10 +84,8 @@ from .properties import (
     check_multi,
     check_p1,
     delta,
-    image_membership_delta,
     image_membership_routes,
     line_sum,
-    line_sums_zero,
     multiplier_invariance_test,
     pairing_test,
 )

@@ -1,14 +1,17 @@
 /* Compiled kernels: the S_1 search and the first-hit progression scan.
 
-   s1_exhaust mirrors _kernels_py.s1_exhaust: the same traversal, so the
-   found mask, the exhausted flag and the node count agree with the pure
-   twin bit for bit. A subset of Z/p is a mask of L = ceil(p/64) 64-bit
-   limbs, least significant limb first; one code path serves every L up to
-   MAX_LIMBS. The visited table is open addressing with linear probing. A
-   slot whose low limb is 0 is empty: every reachable set contains {0, 1}.
+   Inside, a subset of Z/p is a mask of L = ceil(p/64) 64-bit limbs, least
+   significant limb first, allocated per call, so one code path serves every
+   p. Masks cross the Python boundary, both ways, as little-endian bytes of
+   length ceil(p/8) (read_mask, write_mask).
 
-   first_hit_scan mirrors _kernels_py.first_hit_scan and takes any p >= 3:
-   its limbs are allocated per call. */
+   s1_exhaust mirrors _kernels_py.s1_exhaust and takes any p >= 5: the same
+   traversal, so the found mask, the exhausted flag and the node count agree
+   with the pure twin bit for bit. The visited table is open addressing with
+   linear probing. A slot whose low limb is 0 is empty: every reachable set
+   contains {0, 1}.
+
+   first_hit_scan mirrors _kernels_py.first_hit_scan and takes any p >= 3. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -19,9 +22,6 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define MAX_LIMBS 5 /* p <= 320 covers every appendix row (p <= 257) */
-#define MIN_P 5
-#define MAX_P (64 * MAX_LIMBS)
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -101,34 +101,37 @@ static int push(Search *s, const u64 *mask)
    rotate_up leaves the bits it shifts past p - 1 in place; they only move
    further up, and the witness scan ANDs them with a rotate_down result,
    which has none. */
-static void rotate_up(u64 *x, const Search *s)
+static void rotate_up(u64 *x, int L, int p)
 {
-    u64 carry = (x[s->L - 1] >> ((s->p - 1) & 63)) & 1;
-    for (int i = 0; i < s->L; i++) {
+    u64 carry = (x[L - 1] >> ((p - 1) & 63)) & 1;
+    for (int i = 0; i < L; i++) {
         u64 out = x[i] >> 63;
         x[i] = (x[i] << 1) | carry;
         carry = out;
     }
 }
 
-static void rotate_down(u64 *x, const Search *s)
+static void rotate_down(u64 *x, int L, int p)
 {
     u64 low = x[0] & 1;
-    for (int i = 0; i + 1 < s->L; i++)
+    for (int i = 0; i + 1 < L; i++)
         x[i] = (x[i] >> 1) | (x[i + 1] << 63);
-    x[s->L - 1] = (x[s->L - 1] >> 1) | (low << ((s->p - 1) & 63));
+    x[L - 1] = (x[L - 1] >> 1) | (low << ((p - 1) & 63));
 }
 
 static int has(const u64 *a, int i) { return (a[i >> 6] >> (i & 63)) & 1; }
 
+/* found is 6 L zeroed limbs: the found mask, then the working masks. */
 static int search(Search *s, int limit, long long budget, u64 *found,
                   long long *nodes)
 {
     int p = s->p, L = s->L, half = (p - 1) / 2;
     size_t bytes = L * sizeof(u64);
-    u64 a[MAX_LIMBS] = {3}, up[MAX_LIMBS], down[MAX_LIMBS], w[MAX_LIMBS];
-    u64 child[MAX_LIMBS];
+    u64 *a = found + L, *up = a + L, *down = up + L, *w = down + L, *child = w + L;
 
+    if (limit < 2)
+        return NONE_FOUND;
+    a[0] = 3;
     if (visit(s, a) < 0 || push(s, a) < 0)
         return NO_MEMORY;
     while (s->sp > 0) {
@@ -141,8 +144,8 @@ static int search(Search *s, int limit, long long budget, u64 *found,
         memset(w, 0, bytes);
         int covered = 0;
         for (int d = 1; d <= half && !covered; d++) {
-            rotate_up(up, s);
-            rotate_down(down, s);
+            rotate_up(up, L, p);
+            rotate_down(down, L, p);
             covered = 1;
             for (int i = 0; i < L; i++) {
                 w[i] |= up[i] & down[i];
@@ -179,51 +182,6 @@ static int search(Search *s, int limit, long long budget, u64 *found,
     return NONE_FOUND;
 }
 
-static PyObject *mask_to_int(const u64 *m, int L)
-{
-    char hex[16 * MAX_LIMBS + 1];
-    for (int i = 0; i < L; i++)
-        snprintf(hex + 16 * i, 17, "%016llx", (unsigned long long)m[L - 1 - i]);
-    return PyLong_FromString(hex, NULL, 16);
-}
-
-static PyObject *s1_exhaust(PyObject *self, PyObject *args)
-{
-    int p, overflow;
-    Py_ssize_t limit;
-    PyObject *budget_obj;
-    if (!PyArg_ParseTuple(args, "inO:s1_exhaust", &p, &limit, &budget_obj))
-        return NULL;
-    if (p < MIN_P || p > MAX_P)
-        return PyErr_Format(PyExc_ValueError,
-                            "compiled kernel supports %d <= p <= %d", MIN_P, MAX_P);
-    long long budget = PyLong_AsLongLongAndOverflow(budget_obj, &overflow);
-    if (budget == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow)
-        budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
-    if (limit < 2)
-        return Py_BuildValue("(iOi)", 0, Py_True, 0);
-
-    Search s = {p, (p + 63) / 64, NULL, TABLE_START, 0, NULL, STACK_START, 0};
-    s.keys = calloc(s.cap * s.L, sizeof(u64));
-    s.stack = malloc(s.scap * s.L * sizeof(u64));
-    u64 found[MAX_LIMBS] = {0};
-    long long nodes = 0;
-    int status = NO_MEMORY;
-    if (s.keys != NULL && s.stack != NULL) {
-        Py_BEGIN_ALLOW_THREADS
-        status = search(&s, limit > p ? p : (int)limit, budget, found, &nodes);
-        Py_END_ALLOW_THREADS
-    }
-    free(s.keys);
-    free(s.stack);
-    if (status == NO_MEMORY)
-        return PyErr_NoMemory();
-    return Py_BuildValue("(NOL)", mask_to_int(found, s.L),
-                         status == OVER_BUDGET ? Py_False : Py_True, nodes);
-}
-
 /* Rotation of A by s, limb i: the 64-bit window of the doubled mask
    D = A | A << p starting at bit 64 * i + p - s. */
 static u64 window(const u64 *D, size_t bit)
@@ -252,6 +210,57 @@ static int read_mask(Py_buffer *buf, int p, u64 *out, int n, const char *what)
         return -1;
     }
     return 0;
+}
+
+/* The mask m as little-endian bytes of length ceil(p/8). */
+static PyObject *write_mask(const u64 *m, int p)
+{
+    Py_ssize_t n = ((Py_ssize_t)p + 7) / 8;
+    PyObject *out = PyBytes_FromStringAndSize(NULL, n);
+    if (out == NULL)
+        return NULL;
+    unsigned char *b = (unsigned char *)PyBytes_AS_STRING(out);
+    for (Py_ssize_t k = 0; k < n; k++)
+        b[k] = (unsigned char)(m[k >> 3] >> (8 * (k & 7)));
+    return out;
+}
+
+static PyObject *s1_exhaust(PyObject *self, PyObject *args)
+{
+    int p, overflow;
+    Py_ssize_t limit;
+    PyObject *budget_obj;
+    if (!PyArg_ParseTuple(args, "inO:s1_exhaust", &p, &limit, &budget_obj))
+        return NULL;
+    if (p < 5)
+        return PyErr_Format(PyExc_ValueError, "s1_exhaust needs p >= 5, got %d", p);
+    long long budget = PyLong_AsLongLongAndOverflow(budget_obj, &overflow);
+    if (budget == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+
+    Search s = {p, (int)(((size_t)p + 63) / 64), NULL, TABLE_START, 0, NULL,
+                STACK_START, 0};
+    s.keys = calloc(s.cap * s.L, sizeof(u64));
+    s.stack = malloc(s.scap * s.L * sizeof(u64));
+    u64 *found = calloc(6 * (size_t)s.L, sizeof(u64));
+    long long nodes = 0;
+    int status = NO_MEMORY;
+    if (s.keys != NULL && s.stack != NULL && found != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        status = search(&s, (int)(limit < 0 ? 0 : limit > p ? p : limit), budget,
+                        found, &nodes);
+        Py_END_ALLOW_THREADS
+    }
+    PyObject *result = status == NO_MEMORY
+        ? PyErr_NoMemory()
+        : Py_BuildValue("(NOL)", write_mask(found, p),
+                        status == OVER_BUDGET ? Py_False : Py_True, nodes);
+    free(s.keys);
+    free(s.stack);
+    free(found);
+    return result;
 }
 
 /* hits[e] = d for each element e of rem hit at step d, then rem &= ~hit.
@@ -347,14 +356,7 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
     hits = PyDict_New();
     if (hits == NULL || scan(D, rem, live, nlive, p, off, shift, nsteps, hits) < 0)
         goto done;
-    Py_ssize_t nbytes = ((Py_ssize_t)p + 7) / 8;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, nbytes);
-    if (out == NULL)
-        goto done;
-    unsigned char *b = (unsigned char *)PyBytes_AS_STRING(out);
-    for (Py_ssize_t k = 0; k < nbytes; k++)
-        b[k] = (unsigned char)(rem[k >> 3] >> (8 * (k & 7)));
-    result = Py_BuildValue("(ON)", hits, out);
+    result = Py_BuildValue("(ON)", hits, write_mask(rem, p));
 done:
     Py_XDECREF(hits);
     Py_XDECREF(steps);
@@ -370,7 +372,8 @@ done:
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
-     "Same contract and traversal as ajtkit._kernels_py.s1_exhaust."},
+     "Same contract and traversal as ajtkit._kernels_py.s1_exhaust, with the\n"
+     "found mask as little-endian bytes of length ceil(p/8)."},
     {"first_hit_scan", first_hit_scan, METH_VARARGS,
      "first_hit_scan(mask, target, p, steps) -> (hits, remaining)\n\n"
      "Same contract as ajtkit._kernels_py.first_hit_scan, with the masks as\n"

@@ -101,9 +101,6 @@ class ResidueSet:
             self.p, (lam * e % self.p for e in self.elements())
         )
 
-    def complement(self) -> "ResidueSet":
-        return ResidueSet(self.p, ~self.mask & ((1 << self.p) - 1))
-
     def union(self, other: "ResidueSet") -> "ResidueSet":
         self._same_space(other)
         return ResidueSet(self.p, self.mask | other.mask)
@@ -525,7 +522,7 @@ def min_s1_search(p: int, budget: Budget | str | None = None) -> MinS1Result:
         proven_optimal=proven,
         nodes=nodes_total,
         sizes_exhausted=tuple(exhausted_sizes),
-        backend=kernels.backend_for(p),
+        backend=kernels.BACKEND,
     )
 
 

@@ -3,8 +3,9 @@
 Subcommands mirror the library: table verification, set construction and
 search, partitioning, property reports, exhaustive sweeps, duality and
 pairing probes. Output is deterministic for a fixed seed and configuration;
-exit codes are 0 (success), 1 (a verified mathematical statement failed),
-2 (bad input), 3 (budget exceeded).
+exit codes are 0 (success), 1 (a verified mathematical statement failed, or
+stdout closed before the output was written), 2 (bad input), 3 (budget
+exceeded).
 """
 
 from __future__ import annotations
@@ -53,13 +54,10 @@ class RunConfig:
 
 
 def _emit(payload: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return
     if fmt == "table":
         _emit_table(payload)
-        return
-    raise InputError(f"format {fmt!r} not supported for this command")
+    else:
+        print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _emit_table(payload: dict, indent: str = "") -> None:
@@ -390,11 +388,8 @@ def cmd_sigma(args) -> int:
 # parser
 
 
-def _add_common(sub, budget=True, seed=False, fmt=True):
-    if fmt:
-        sub.add_argument(
-            "--format", choices=["json", "table", "csv"], default="json"
-        )
+def _add_common(sub, budget=True, seed=False, formats=("json", "table")):
+    sub.add_argument("--format", choices=formats, default="json")
     if budget:
         sub.add_argument(
             "--budget",
@@ -413,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("appendix-verify", help="re-certify the frozen S_1 table")
-    _add_common(s, budget=False)
+    _add_common(s, budget=False, formats=("json", "table", "csv"))
     s.set_defaults(func=cmd_appendix_verify)
 
     s = subs.add_parser("s1", help="build or minimize an S_1-type set")
@@ -494,7 +489,14 @@ def main(argv: list[str] | None = None) -> int:
         # reject a malformed budget up front, even if the command never
         # consults it
         current_budget(getattr(args, "budget", None))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; send the rest of stdout to devnull so that
+        # the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VIOLATION
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

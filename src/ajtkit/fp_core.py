@@ -118,10 +118,6 @@ class FpVector:
     def scale(self, c: int) -> "FpVector":
         return FpVector((c * a for a in self.entries), self.p)
 
-    def dot(self, other: "FpVector") -> int:
-        self._same_space(other)
-        return sum(a * b for a, b in zip(self.entries, other.entries)) % self.p
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 

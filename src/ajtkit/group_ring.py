@@ -416,30 +416,3 @@ def sigma_vanishing_candidate(
         else:
             flags.append(sigmas[j].is_zero())
     return SigmaReport(p=p, n=n, vanishing=tuple(flags))
-
-
-@dataclass(frozen=True)
-class DeleteScanReport:
-    """Vanishing pattern when one row factor block is removed."""
-
-    full_zero: bool
-    dropped_zero: tuple[bool, ...]
-
-    @property
-    def some_drop_vanishes(self) -> bool:
-        return any(self.dropped_zero)
-
-
-def delete_one_factor_scan(
-    m: FpMatrix, k: int = 1, budget: Budget | str | None = None
-) -> DeleteScanReport:
-    """Check the full product prod (1-g^(e_i))^k * prod (1-g^(a_i))^k over F_p
-    and each variant with one row block (1-g^(a_j))^k removed."""
-    n = m.n
-    full = check_p4(m, t=[k] * n, t_prime=[k] * n, budget=budget)
-    dropped = []
-    for j in range(n):
-        t_prime = [k] * n
-        t_prime[j] = 0
-        dropped.append(check_p4(m, t=[k] * n, t_prime=t_prime, budget=budget))
-    return DeleteScanReport(full_zero=full, dropped_zero=tuple(dropped))

@@ -1,11 +1,11 @@
 """Backend selection for the two kernels.
 
-The compiled extension (_kernels.c) holds both. Its s1_exhaust covers
-5 <= p <= 320 with masks of up to five 64-bit limbs; its first_hit_scan
-allocates its limbs per call and covers any p >= 3. The pure-Python twins in
-_kernels_py handle any p. Each pair returns identical results: the same
-masks and node counts from s1_exhaust, the same hits in the same order from
-first_hit_scan.
+Which backend runs is fixed at import: the compiled extension (_kernels.c)
+when it imported, the pure-Python twins in _kernels_py otherwise. The
+compiled s1_exhaust takes any p >= 5 and first_hit_scan any p >= 3, with
+their masks as little-endian bytes of length ceil(p/8) both ways. Each pair
+returns identical results: the same masks and node counts from s1_exhaust,
+the same hits in the same order from first_hit_scan.
 """
 
 from __future__ import annotations
@@ -19,22 +19,15 @@ try:
 except ImportError:
     _ext = None
 
-# whether the extension imported; backend_for names the kernel a given p uses
 BACKEND = "compiled" if _ext is not None else "pure"
-
-# p from MIN_P to MAX_P, as _kernels.c defines them
-_COMPILED_P = range(5, 321)
-
-
-def backend_for(p: int) -> str:
-    """The kernel that s1_exhaust runs for this p: "compiled" or "pure"."""
-    return "compiled" if _ext is not None and p in _COMPILED_P else "pure"
 
 
 def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
-    if backend_for(p) == "compiled":
-        return _ext.s1_exhaust(p, limit, node_budget)
-    return _kernels_py.s1_exhaust(p, limit, node_budget)
+    """(found_mask, exhausted, nodes) of _kernels_py.s1_exhaust, compiled when built."""
+    if _ext is None:
+        return _kernels_py.s1_exhaust(p, limit, node_budget)
+    found, exhausted, nodes = _ext.s1_exhaust(p, limit, node_budget)
+    return int.from_bytes(found, "little"), exhausted, nodes
 
 
 def first_hit_scan(

@@ -31,7 +31,6 @@ import numpy as np
 from .budget import Budget, current_budget
 from .errors import (
     InputError,
-    MathViolation,
     PreconditionViolated,
 )
 from .fp_core import FpMatrix, _as_prime
@@ -307,10 +306,6 @@ def line_sum(f: FunctionTable, v: Sequence[int]) -> FunctionTable:
     return FunctionTable(p, acc)
 
 
-def line_sums_zero(f: FunctionTable, directions: Sequence[Sequence[int]]) -> bool:
-    return all(line_sum(f, v).is_zero() for v in directions)
-
-
 def image_membership_routes(
     f: FunctionTable, m: FpMatrix | None = None
 ) -> tuple[bool, bool]:
@@ -348,16 +343,6 @@ def image_membership_routes(
             by_coeffs = False
             break
     return by_sums, by_coeffs
-
-
-def image_membership_delta(f: FunctionTable, m: FpMatrix | None = None) -> bool:
-    """Image membership with both routes run and compared."""
-    by_sums, by_coeffs = image_membership_routes(f, m)
-    if by_sums != by_coeffs:
-        raise MathViolation(
-            "line-sum route and coefficient route disagree on image membership"
-        )
-    return by_sums
 
 
 @dataclass(frozen=True)

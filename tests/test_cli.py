@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,34 @@ def test_appendix_verify_csv_is_byte_identical(capsys):
     rc, out = run(capsys, "appendix-verify", "--format", "csv")
     assert rc == 0
     assert out == appendix_csv_text()
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ajtkit.cli", "appendix-verify"],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
+
+
+def test_csv_is_refused_before_any_sweep_work(capsys, monkeypatch):
+    def never(job):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli, "_sweep_one_prefix", never)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--p", "5", "--n", "2", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
 def test_s1_build(capsys):

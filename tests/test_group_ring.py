@@ -20,7 +20,6 @@ from ajtkit.group_ring import (
     check_p3,
     check_p3_integer,
     check_p4,
-    delete_one_factor_scan,
     one_minus_g,
     product_of_factors,
     sigma_of_factors,
@@ -397,25 +396,3 @@ def test_sigma_candidate_probe_shape_at_n3():
     for i in range(P):
         j = 2 * 3 - i
         assert report.vanishing[i] == sigmas[j].is_zero()
-
-
-# ---------------------------------------------------------------------------
-# delete-one-factor scan
-
-
-def test_delete_scan_nonzero_products_stay_nonzero():
-    rng = random.Random(17)
-    for _ in range(6):
-        m = random_nonsingular(P, 2, rng=rng)
-        report = delete_one_factor_scan(m)
-        assert report.full_zero is False
-        # a vanishing subproduct would force the full product to vanish
-        assert report.some_drop_vanishes is False
-
-
-def test_delete_scan_can_separate_full_from_drops():
-    one_by_one = FpMatrix([[1]], P)
-    report = delete_one_factor_scan(one_by_one, k=3)
-    # (1-g)^6 = 0 mod 5 but (1-g)^3 is not
-    assert report.full_zero is True
-    assert report.dropped_zero == (False,)

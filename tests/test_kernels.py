@@ -9,7 +9,8 @@ on the backend either.
 
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
-the tests skip only when no C compiler is available.
+the tests skip only when no C compiler is available. The `ext` fixture puts
+that module behind ajtkit.kernels, which carries the masks across as bytes.
 """
 
 import importlib.util
@@ -62,6 +63,13 @@ def compiled(tmp_path_factory):
     return _build_kernel(tmp_path_factory.mktemp("kernel-build"))
 
 
+@pytest.fixture
+def ext(compiled, monkeypatch):
+    """ajtkit.kernels running the compiled backend."""
+    monkeypatch.setattr(kernels, "_ext", compiled)
+    return kernels
+
+
 def naive_witness_mask(mask, p):
     """Elements of the set that sit in the middle of some 3-term progression."""
     elements = [a for a in range(p) if (mask >> a) & 1]
@@ -75,25 +83,25 @@ def naive_witness_mask(mask, p):
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_exhaust_parity(compiled, p):
+def test_exhaust_parity(ext, p):
     for limit in range(3, 2 * p.bit_length() + 3):
-        got_c = compiled.s1_exhaust(p, limit, 10**8)
+        got_c = ext.s1_exhaust(p, limit, 10**8)
         got_py = _kernels_py.s1_exhaust(p, limit, 10**8)
         assert got_c == got_py
 
 
-@pytest.mark.parametrize("p", [131, 257])
-def test_exhaust_parity_multi_limb(compiled, p):
-    # three and five 64-bit limbs; 257 is the largest appendix row
+@pytest.mark.parametrize("p", [131, 257, 331, 521, 1009])
+def test_exhaust_parity_multi_limb(ext, p):
+    # 3 to 16 64-bit limbs; 257 is the largest appendix row
     for limit in range(3, 6):
-        got_c = compiled.s1_exhaust(p, limit, 10**8)
+        got_c = ext.s1_exhaust(p, limit, 10**8)
         assert got_c == _kernels_py.s1_exhaust(p, limit, 10**8)
         assert got_c[0] == 0 and got_c[1] is True and got_c[2] > 0
 
 
-def test_exhaust_parity_found_set(compiled):
+def test_exhaust_parity_found_set(ext):
     # size 8 is the minimum at 67: the search stops on the first set found
-    got_c = compiled.s1_exhaust(67, 8, 10**8)
+    got_c = ext.s1_exhaust(67, 8, 10**8)
     assert got_c == _kernels_py.s1_exhaust(67, 8, 10**8)
     found, exhausted, _ = got_c
     aset = apsets.ResidueSet(67, found)
@@ -123,21 +131,21 @@ def test_exhaust_found_set_is_s1():
 @pytest.mark.parametrize(
     "p, limit, cap", [(13, 5, 5), (61, 7, 0), (61, 7, 1000), (61, 7, 11149)]
 )
-def test_exhaust_respects_node_budget(compiled, p, limit, cap):
+def test_exhaust_respects_node_budget(ext, p, limit, cap):
     # each cap is below the tree size (11150 nodes at p = 61, limit 7), so
     # the search stops at the first node past it and reports exhausted=False
     capped = _kernels_py.s1_exhaust(p, limit, cap)
     assert capped == (0, False, cap + 1)
-    assert compiled.s1_exhaust(p, limit, cap) == capped
+    assert ext.s1_exhaust(p, limit, cap) == capped
 
 
-def test_exhaust_budget_beyond_64_bits(compiled):
+def test_exhaust_budget_beyond_64_bits(ext):
     for cap in (10**30, -(10**30)):
-        assert compiled.s1_exhaust(13, 5, cap) == _kernels_py.s1_exhaust(13, 5, cap)
+        assert ext.s1_exhaust(13, 5, cap) == _kernels_py.s1_exhaust(13, 5, cap)
 
 
 def test_exhaust_rejects_p_out_of_range(compiled):
-    for p in (3, 331):
+    for p in (3, 2, 0, -7):
         with pytest.raises(ValueError):
             compiled.s1_exhaust(p, 5, 10)
 
@@ -165,21 +173,19 @@ def scan_cases(p, k, rng):
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
-def test_first_hit_scan_parity(compiled, monkeypatch, p):
-    # one limb, limb edges (61, 67, 127, 131) and many limbs; kernels.py
-    # carries the masks to the compiled kernel as bytes and back
-    monkeypatch.setattr(kernels, "_ext", compiled)
+def test_first_hit_scan_parity(ext, p):
+    # one limb, limb edges (61, 67, 127, 131) and many limbs
     rng = random.Random(p)
     for k in (1, 2, 3):
         for mask, target, steps in scan_cases(p, k, rng):
-            hits_c, rest_c = kernels.first_hit_scan(mask, target, p, steps)
+            hits_c, rest_c = ext.first_hit_scan(mask, target, p, steps)
             hits_py, rest_py = _kernels_py.first_hit_scan(mask, target, p, steps)
             assert list(hits_c.items()) == list(hits_py.items())
             assert rest_c == rest_py
             covered = sum(1 << a for a in hits_c)
             assert covered & rest_c == 0 and covered | rest_c == target
     # {0} with forward steps 1: every b != 0 reaches 0 at d = -b, 0 never does
-    hits, rest = kernels.first_hit_scan(1, (1 << p) - 1, p, [1])
+    hits, rest = ext.first_hit_scan(1, (1 << p) - 1, p, [1])
     assert hits == {b: p - b for b in range(1, p)}
     assert rest == 1
 
@@ -202,16 +208,19 @@ def test_backend_label():
     assert kernels.BACKEND in ("compiled", "pure")
 
 
-def test_backend_reports_the_kernel_that_ran(compiled, monkeypatch):
-    monkeypatch.setattr(kernels, "_ext", compiled)
-    assert kernels.backend_for(257) == "compiled"
-    assert kernels.backend_for(331) == "pure"
+def test_backend_reports_the_kernel_that_ran(monkeypatch):
+    # BACKEND is fixed at import: the pure twin runs, at any p, exactly when
+    # the label says so
+    pure = _kernels_py.s1_exhaust
+    calls = []
+    monkeypatch.setattr(
+        _kernels_py, "s1_exhaust", lambda *args: calls.append(args) or pure(*args)
+    )
     result = apsets.min_s1_search(13)
-    assert result.backend == "compiled"
     assert (result.size, result.proven_optimal) == (6, True)
-    # out of the compiled range the pure twin runs, and the result says so
     capped = apsets.min_s1_search(331, budget="50")
-    assert capped.backend == "pure"
     assert capped.proven_optimal is False
-    monkeypatch.setattr(kernels, "_ext", None)
-    assert apsets.min_s1_search(13).backend == "pure"
+    assert result.backend == capped.backend == kernels.BACKEND
+    assert bool(calls) == (kernels.BACKEND == "pure")
+    if kernels._ext is not None:
+        assert capped.backend == "compiled"
