@@ -8,6 +8,10 @@ and finding a minimum set one size up, and the S_1 and N_1 certification
 scans of a logarithmic set and of one partition part. The compiled side runs
 through ajtkit.kernels, which carries the masks across as bytes.
 
+A last table times the group-ring factor products, which gather along each
+axis, against a plain `np.roll` loop kept here as the reference, and asserts
+that both give the same tables or verdicts.
+
 Run from a checkout with the package installed:
 
     python3 benchmarks/bench_kernels.py
@@ -15,7 +19,9 @@ Run from a checkout with the package installed:
 
 import time
 
-from ajtkit import _kernels_py, apsets, kernels
+import numpy as np
+
+from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels
 
 COMPILED = kernels.BACKEND == "compiled"
 
@@ -40,6 +46,52 @@ def scan_cases():
     outside = ~part & ((1 << 20011) - 1)
     yield "N_1 part, inside", 20011, part, part, CENTERED
     yield "N_1 part, outside", 20011, part, outside, FORWARD
+
+
+def rolled_product(p, d, shifts):
+    """prod (1 - g^s) over the shifts, one np.roll per factor: the reference."""
+    table = np.zeros((p,) * d, dtype=np.int64)
+    table[(0,) * d] = 1
+    for shift in shifts:
+        table = table - np.roll(table, shift, axis=tuple(range(d)))
+    return table
+
+
+def unit_and_row_shifts(m, phases=None):
+    """Roll offsets of the factors (1 - g^(e_i)) and (1 - g^(a_i)), in order;
+    with phases, one (1 - w^(-c) g^v) per phase c on an extra axis."""
+    vectors = [tuple(int(i == j) for j in range(m.n)) for i in range(m.n)]
+    vectors += list(m.rows)
+    if phases is None:
+        return vectors
+    return [v + (-c % m.p,) for v, ph in zip(vectors, phases) for c in ph]
+
+
+def product_cases():
+    """(label, p, entries, reference call, gather call) for the products."""
+    m = fp_core.FpMatrix([[1, 2], [3, 5]], 11)
+    spec = group_ring.FactorSpec.from_matrix(m)
+    yield (
+        "one product, Z", 11, 11**2,
+        lambda: rolled_product(11, 2, unit_and_row_shifts(m)),
+        lambda: group_ring.product_of_factors(spec, group_ring.IntegerRing).coeffs,
+    )
+    m = fp_core.FpMatrix([[1, 2, 3], [0, 1, 4], [5, 0, 1]], 11)
+    phases = [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 0]]
+    spec = group_ring.FactorSpec.from_matrix(m, c_lists=phases[:3], d_lists=phases[3:])
+    yield (
+        "12 factors, Z[w]", 11, 11**4,
+        lambda: rolled_product(11, 4, unit_and_row_shifts(m, phases)),
+        lambda: group_ring.product_of_factors(spec, group_ring.CyclotomicRing).coeffs,
+    )
+    group = list(fp_core.enumerate_nonsingular(11, 2, prefix=[[1, 2]]))
+    yield (
+        f"stack of {len(group)}, Z", 11, len(group) * 11**2,
+        lambda: [
+            not rolled_product(11, 2, unit_and_row_shifts(g)).any() for g in group
+        ],
+        lambda: group_ring.products_vanish(group, group_ring.IntegerRing),
+    )
 
 
 def timed(fn, *args, repeat=1):
@@ -92,6 +144,20 @@ def main():
             )
             line += f"{t_c:>14.4f}{t_py / t_c:>8.1f}x"
         print(line)
+    print()
+    # products take micro- to milliseconds, so each time is the best of 20
+    header = f"{'group-ring product':<28}{'p':>6}{'entries':>10}"
+    header += f"{'np.roll (s)':>13}{'gather (s)':>12}{'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+    for label, p, entries, reference, gather in product_cases():
+        t_ref, want = timed(reference, repeat=20)
+        t_new, got = timed(gather, repeat=20)
+        assert np.array_equal(np.asarray(got), np.asarray(want)), (
+            f"product mismatch on {label}"
+        )
+        print(f"{label:<28}{p:>6}{entries:>10}{t_ref:>13.6f}{t_new:>12.6f}"
+              f"{t_ref / t_new:>8.1f}x")
 
 
 if __name__ == "__main__":

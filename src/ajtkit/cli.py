@@ -11,6 +11,7 @@ exceeded).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -187,29 +188,38 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
         "modp_nonzero": 0,
         "violations": [],
     }
-    for m in fp_core.enumerate_nonsingular(
+    matrices = fp_core.enumerate_nonsingular(
         p, n, budget=budget, prefix=[list(first_row)]
-    ):
-        counts["matrices"] += 1
-        witness = properties.check_p1(m, budget=budget)
-        has_witness = witness is not None
-        int_zero = group_ring.check_p3_integer(m, budget=budget)
-        modp_zero = group_ring.check_p4(m, budget=budget)
-        if has_witness:
-            counts["p1_witness"] += 1
-        if not int_zero:
-            counts["integer_nonzero"] += 1
-        if not modp_zero:
-            counts["modp_nonzero"] += 1
-        if not has_witness or int_zero or modp_zero:
-            counts["violations"].append(
-                {
-                    "matrix": m.to_json(),
-                    "p1_witness": list(witness) if witness else None,
-                    "integer_zero": int_zero,
-                    "modp_zero": modp_zero,
-                }
-            )
+    )
+    # consecutive matrices that share their first n-1 rows form one stack of
+    # group-ring products, at most p^n - p^(n-1) of them
+    for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
+        group = list(group)
+        int_zeros = group_ring.products_vanish(
+            group, group_ring.IntegerRing, budget=budget
+        )
+        modp_zeros = group_ring.products_vanish(
+            group, group_ring.ModPRing, budget=budget
+        )
+        for m, int_zero, modp_zero in zip(group, int_zeros, modp_zeros):
+            counts["matrices"] += 1
+            witness = properties.check_p1(m, budget=budget)
+            has_witness = witness is not None
+            if has_witness:
+                counts["p1_witness"] += 1
+            if not int_zero:
+                counts["integer_nonzero"] += 1
+            if not modp_zero:
+                counts["modp_nonzero"] += 1
+            if not has_witness or int_zero or modp_zero:
+                counts["violations"].append(
+                    {
+                        "matrix": m.to_json(),
+                        "p1_witness": list(witness) if witness else None,
+                        "integer_zero": int_zero,
+                        "modp_zero": modp_zero,
+                    }
+                )
     return counts
 
 

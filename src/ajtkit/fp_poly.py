@@ -248,11 +248,23 @@ def mul_reduce(f: ReducedPoly, g: ReducedPoly, route: str = "shift") -> ReducedP
 def _form_product(
     p: int, forms: Sequence[Sequence[int]], powers: Sequence[int]
 ) -> ReducedPoly:
-    """prod_i <forms[i], x>^(powers[i]), one linear factor at a time."""
+    """prod_i <forms[i], x>^(powers[i]), one linear factor at a time.
+
+    A one-term form c * x_j raised to the k is the monomial c^k * x_j^k, one
+    shift instead of k products.
+    """
     if any(k < 0 for k in powers):
         raise InputError("negative powers are not defined")
-    out = ReducedPoly.constant(p, len(forms[0]), 1)
+    n = len(forms[0])
+    out = ReducedPoly.constant(p, n, 1)
     for coefficients, k in zip(forms, powers):
+        support = [j for j, c in enumerate(coefficients) if c % p]
+        if len(support) == 1:
+            exps = [0] * n
+            exps[support[0]] = k
+            c = pow(int(coefficients[support[0]]), k, p)
+            out = out * ReducedPoly.monomial(p, n, exps, c)
+            continue
         form = ReducedPoly.linear_form(p, coefficients)
         for _ in range(k):
             out = out * form

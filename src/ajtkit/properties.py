@@ -43,6 +43,7 @@ from .fp_poly import (
 from .group_ring import (
     FactorSpec,
     ModPRing,
+    _roll,
     check_p3,
     check_p4,
     product_of_factors,
@@ -290,10 +291,8 @@ class FunctionTable:
 
 def delta(f: FunctionTable, v: Sequence[int]) -> FunctionTable:
     """(delta_v f)(x) = f(x) - f(x + v)."""
-    shift = tuple(-(int(a) % f.p) for a in v)
-    return FunctionTable(
-        f.p, (f.values - np.roll(f.values, shift, axis=tuple(range(f.n)))) % f.p
-    )
+    shift = [-int(a) for a in v]
+    return FunctionTable(f.p, (f.values - _roll(f.values, shift, f.p)) % f.p)
 
 
 def line_sum(f: FunctionTable, v: Sequence[int]) -> FunctionTable:
@@ -301,8 +300,7 @@ def line_sum(f: FunctionTable, v: Sequence[int]) -> FunctionTable:
     p = f.p
     acc = np.zeros_like(f.values)
     for t in range(p):
-        shift = tuple(-(t * int(a) % p) for a in v)
-        acc = (acc + np.roll(f.values, shift, axis=tuple(range(f.n)))) % p
+        acc = (acc + _roll(f.values, [-t * int(a) for a in v], p)) % p
     return FunctionTable(p, acc)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ajtkit import cli, fp_core
+from ajtkit import cli, fp_core, group_ring, properties
 from ajtkit.budget import Budget
 from ajtkit.apsets import appendix_csv_text
 from ajtkit.cli import main
@@ -236,15 +236,17 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     def recording(fn):
         def call(*args, budget=None, **kwargs):
             seen.append((fn.__name__, budget))
+            if fn.__name__ == "products_vanish":
+                rings.append(args[1])
             return fn(*args, budget=budget, **kwargs)
 
         return call
 
+    rings = []
     for module, name in [
         (cli.fp_core, "enumerate_nonsingular"),
         (cli.properties, "check_p1"),
-        (cli.group_ring, "check_p3_integer"),
-        (cli.group_ring, "check_p4"),
+        (cli.group_ring, "products_vanish"),
     ]:
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     rc, payload = run_json(
@@ -252,10 +254,66 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     )
     assert rc == 0
     assert {name for name, _ in seen} == {
-        "enumerate_nonsingular", "check_p1", "check_p3_integer", "check_p4"
+        "enumerate_nonsingular", "check_p1", "products_vanish"
     }
-    assert len(seen) == 24 + 3 * payload["matrices"]
+    # at n = 2 each of the 24 first rows is one group: one stacked call per
+    # ring per group, and check_p1 once per matrix
+    assert rings == [group_ring.IntegerRing, group_ring.ModPRing] * 24
+    assert len(seen) == 24 + payload["matrices"] + 2 * 24
     assert {budget for _, budget in seen} == {Budget(nodes=700)}
+
+
+def test_sweep_stacks_share_their_first_rows(capsys, monkeypatch):
+    # at n = 3 a stack is the p^3 - p^2 = 18 matrices after two fixed rows
+    stacks = []
+    real = group_ring.products_vanish
+
+    def recording(matrices, ring, budget=None):
+        stacks.append([m.rows for m in matrices])
+        return real(matrices, ring, budget=budget)
+
+    monkeypatch.setattr(group_ring, "products_vanish", recording)
+    rc, payload = run_json(capsys, "sweep", "--p", "3", "--n", "3", "--threads", "1")
+    assert rc == 1  # (3, 3) has violations
+    assert len(stacks) == 2 * 26 * 24
+    assert all(len(rows) == 18 for rows in stacks)
+    assert all(len({r[:2] for r in rows}) == 1 for rows in stacks)
+    assert sum(map(len, stacks)) == 2 * payload["matrices"]
+
+
+def test_sweep_payload_matches_one_matrix_at_a_time(capsys):
+    # (3, 2) has violations, so their order is checked too
+    rc, payload = run_json(capsys, "sweep", "--p", "3", "--n", "2", "--threads", "1")
+    counts = {"matrices": 0, "p1_witness": 0, "integer_nonzero": 0, "modp_nonzero": 0}
+    violations = []
+    for m in fp_core.enumerate_nonsingular(3, 2):
+        witness = properties.check_p1(m)
+        spec = group_ring.FactorSpec.from_matrix(m)
+        int_zero = group_ring.product_of_factors(spec, group_ring.IntegerRing).is_zero()
+        modp_zero = group_ring.product_of_factors(spec, group_ring.ModPRing).is_zero()
+        counts["matrices"] += 1
+        counts["p1_witness"] += witness is not None
+        counts["integer_nonzero"] += not int_zero
+        counts["modp_nonzero"] += not modp_zero
+        if witness is None or int_zero or modp_zero:
+            violations.append(
+                {
+                    "matrix": m.to_json(),
+                    "p1_witness": list(witness) if witness else None,
+                    "integer_zero": int_zero,
+                    "modp_zero": modp_zero,
+                }
+            )
+    assert violations
+    assert rc == 1
+    assert payload == {
+        "config": {"budget": None, "command": "sweep", "seed": None, "threads": 1},
+        "p": 3,
+        "n": 2,
+        "expected_nonsingular": fp_core.nonsingular_count(3, 2),
+        "violations": violations,
+        **counts,
+    }
 
 
 def test_sweep_validates_the_prime_once(capsys, monkeypatch):

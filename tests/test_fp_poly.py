@@ -17,6 +17,7 @@ from ajtkit.fp_poly import (
     check_p5,
     duality_check,
     _eval_dense,
+    _form_product,
     mul_reduce,
     reduce_exponent,
     scalar_product_condition,
@@ -158,6 +159,30 @@ def test_mul_routes_agree(p, n, data):
     f = ReducedPoly.from_terms(p, n, data.draw(term_lists(p, n, p - 1)))
     g = ReducedPoly.from_terms(p, n, data.draw(term_lists(p, n, p - 1)))
     assert mul_reduce(f, g, "shift") == mul_reduce(f, g, "interpolate")
+
+
+def repeated_products(p, forms, powers):
+    out = ReducedPoly.constant(p, len(forms[0]), 1)
+    for coefficients, k in zip(forms, powers):
+        for _ in range(k):
+            out = out * ReducedPoly.linear_form(p, coefficients)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("r", [0, 1, 2, P - 1, P, P + 2, 2 * P - 1])
+def test_one_term_form_power_is_one_monomial(n, r):
+    # r >= p wraps the exponent: x^(p-1) * x = x
+    for j in range(n):
+        for c in (1, 3, 7, -1):
+            one_term = [c if i == j else 0 for i in range(n)]
+            dense = [i + 1 for i in range(n)]
+            for forms, powers in (
+                ([one_term], [r]),
+                ([dense, one_term, dense], [2, r, 1]),
+            ):
+                want = repeated_products(P, forms, powers)
+                assert _form_product(P, forms, powers) == want
 
 
 def test_mul_is_pointwise_product():

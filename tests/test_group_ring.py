@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajtkit import group_ring
 from ajtkit.budget import Budget
 from ajtkit.errors import BudgetExceeded, InputError, PhaseInNonCyclotomicRing
-from ajtkit.fp_core import FpMatrix, random_nonsingular
+from ajtkit.fp_core import FpMatrix, enumerate_nonsingular, random_nonsingular
 from ajtkit.group_ring import (
     CyclotomicRing,
     FactorSpec,
@@ -22,6 +23,7 @@ from ajtkit.group_ring import (
     check_p4,
     one_minus_g,
     product_of_factors,
+    products_vanish,
     sigma_of_factors,
     sigma_vanishing_candidate,
 )
@@ -332,6 +334,91 @@ def test_entries_budget_charges_the_cyclotomic_axis():
     with pytest.raises(BudgetExceeded):
         check_p3(m, c_lists=[[0]] * 2, d_lists=[[0]] * 2, budget=cap)
     assert check_p3(m, [[0]] * 2, [[0]] * 2, budget=Budget(entries=P**3)) is False
+
+
+# ---------------------------------------------------------------------------
+# stacked products
+
+
+def rolled_products(p, shifts):
+    """prod_k (1 - g^(shifts[k, b])) for each b, one np.roll per factor."""
+    factors, size, d = shifts.shape
+    out = []
+    for b in range(size):
+        table = np.zeros((p,) * d, dtype=object)
+        table[(0,) * d] = 1
+        for k in range(factors):
+            table = table - np.roll(table, tuple(shifts[k, b]), axis=tuple(range(d)))
+        out.append(table)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
+def test_stacked_products_match_one_at_a_time(p, n):
+    matrices = list(enumerate_nonsingular(p, n))
+    for ring in (IntegerRing, ModPRing):
+        want = [
+            product_of_factors(FactorSpec.from_matrix(m), ring).is_zero()
+            for m in matrices
+        ]
+        assert products_vanish(matrices, ring) == want
+        # the sweep's stacks: consecutive matrices sharing their first n-1 rows
+        grouped = []
+        for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
+            grouped += products_vanish(list(group), ring)
+        assert grouped == want
+    if p == 3:
+        # (1-g)^3 = 1 - g^3 = 0 over F_3, so some mod-p products vanish
+        assert any(products_vanish(matrices, ModPRing))
+    assert products_vanish([], ModPRing) == []
+
+
+def test_stack_uniform_on_one_axis_gathers_the_other(monkeypatch):
+    p = 7
+    rng = np.random.default_rng(5)
+    shifts = rng.integers(0, p, size=(6, 4, 2))
+    shifts[:, :, 0] = shifts[:, :1, 0]  # axis 0: one shift for the stack
+    shifts[:, 0, 1] = (shifts[:, 1, 1] + 1) % p  # axis 1: never one shift
+    calls = []
+    real = np.take_along_axis
+    monkeypatch.setattr(
+        np, "take_along_axis", lambda *a, **k: calls.append(a[2]) or real(*a, **k)
+    )
+    got = group_ring._expand(p, shifts)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, rolled_products(p, shifts))
+    assert calls == [2] * 6  # only the axis whose shifts differ, once a factor
+
+
+def test_object_stack_past_62_factors():
+    # table b is (1 - g^(1, b))^70, whose entries pass 2^62 (see
+    # test_integer_product_past_62_factors_does_not_wrap)
+    p = P
+    shifts = np.zeros((70, p, 2), dtype=np.int64)
+    shifts[:, :, 0] = 1
+    shifts[:, :, 1] = np.arange(p)
+    got = group_ring._expand(p, shifts)
+    assert got.dtype == object
+    want = rolled_products(p, shifts)
+    assert np.array_equal(got, want)
+    assert max(abs(int(x)) for x in want.flat) > 2**62
+
+
+def test_stack_budget_charges_every_table():
+    m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
+    with pytest.raises(BudgetExceeded):
+        products_vanish(m, IntegerRing, budget=Budget(entries=3 * P**2 - 1))
+    assert products_vanish(m, IntegerRing, budget=Budget(entries=3 * P**2)) == [
+        False
+    ] * 3
+
+
+def test_stack_rejects_mixed_shapes_and_the_cyclotomic_ring():
+    m = FpMatrix([[1, 1], [1, 2]], P)
+    with pytest.raises(InputError):
+        products_vanish([m, FpMatrix([[1]], P)], IntegerRing)
+    with pytest.raises(InputError):
+        products_vanish([m], CyclotomicRing)
 
 
 # ---------------------------------------------------------------------------
