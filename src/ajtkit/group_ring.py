@@ -11,8 +11,10 @@ exactly when its table is constant along the w axis. F_p tables are the
 integer tables reduced mod p. Zero tests are exact integer decisions, and the
 vanishing checks below are the translation layer between nowhere-zero
 statements about matrices and products of factors (1 - phase * g^v).
-Factor products are expanded for a whole stack of tables at once, one gather
-per axis per factor, so many small products cost the numpy calls of one.
+Factor products can be expanded for a stack of tables that share some of
+their factors: the shared factors are applied once, to one table, and each
+other factor is one gather over the whole stack, so many small products cost
+the numpy calls of one.
 
 Tables are int64 while every entry is provably below 2^62 in absolute value,
 and Python ints (dtype=object) otherwise, so values never wrap.
@@ -73,54 +75,52 @@ def _rotation(p: int) -> np.ndarray:
     return windows[p:0:-1]
 
 
-def _roll(table: np.ndarray, shifts: Sequence, p: int) -> np.ndarray:
-    """The last len(shifts) axes of `table` rolled as numpy.roll does, one gather
-    per axis.
+def _roll(table: np.ndarray, shifts: Sequence[int], p: int) -> np.ndarray:
+    """The last len(shifts) axes of `table` rolled as numpy.roll does, one
+    gather per axis through the rotation table.
 
-    A shift is an int, applied to the whole table with one `take`, or an int
-    array with one shift per table of a stack along axis 0, applied with one
-    `take_along_axis`. On the last axis `take` copies one entry per index, so
-    an int shift there is one basic index, 2-3x faster on 10^4 entries. Axes
-    with shift 0 mod p are not copied, so the result may be `table` itself.
+    Axes with shift 0 mod p are not copied, so the result may be `table`
+    itself.
     """
     rot = _rotation(p)
     for axis, s in enumerate(shifts, table.ndim - len(shifts)):
-        if isinstance(s, np.ndarray):
-            shape = [1] * table.ndim
-            shape[0], shape[axis] = len(s), p
-            table = np.take_along_axis(table, rot[s % p].reshape(shape), axis)
-        elif not s % p:
-            continue
-        elif axis == table.ndim - 1:
-            table = table[..., rot[s % p]]
-        else:
-            table = table.take(rot[s % p], axis)
+        if s % p:
+            table = table[(slice(None),) * axis + (rot[s % p],)]
     return table
 
 
-def _expand(p: int, shifts: np.ndarray) -> np.ndarray:
-    """The products prod_k (1 - g^(shifts[k, b])) over Z, for b < B.
+def _expand(
+    p: int, d: int, shared: Sequence[Sequence[int]], varying: np.ndarray = ()
+) -> np.ndarray:
+    """The products prod_k (1 - g^(shared[k])) * prod_j (1 - g^(varying[j, b]))
+    over Z, for b < B.
 
-    `shifts` has shape (factors, B, d); the result is the stack of B tables
-    of shape (p,) * d. Each factor is `t = t - roll(t, shift)`. An axis whose
-    shift is the same for the whole stack is one `take`, which always holds
-    at B = 1; otherwise it is one `take_along_axis`. The entries of a product
-    of m >= 1 factors (1 - x) sum to 0 and have absolute sum at most 2^m, so
-    none exceeds 2^(m-1): the stack is int64 for up to 62 factors and Python
-    ints beyond.
+    `varying` has shape (j, B, d); the result is the stack of B tables of
+    shape (p,) * d, or a stack of one when there are no varying factors. Each
+    factor is `t = t - roll(t, shift)`: the shared factors are applied once,
+    to one table, with `_roll`; each varying factor is one gather over the
+    whole stack. The entries of a product of m >= 1 factors (1 - x) sum to 0
+    and have absolute sum at most 2^m, so none exceeds 2^(m-1): the tables
+    are int64 for up to 62 factors and Python ints beyond.
     """
-    factors, size, d = shifts.shape
-    table = np.zeros((size,) + (p,) * d, dtype=np.int64)
-    table[(slice(None),) + (0,) * d] = 1
-    table = _exact(table, 2**factors // 2)
-    uniform = (shifts == shifts[:, :1]).all(axis=1).tolist()
-    first = shifts[:, 0].tolist()
-    for k in range(factors):
-        per_axis = [
-            first[k][a] if uniform[k][a] else shifts[k, :, a] for a in range(d)
-        ]
-        table = table - _roll(table, per_axis, p)
-    return table
+    table = np.zeros((p,) * d, dtype=np.int64)
+    table[(0,) * d] = 1
+    table = _exact(table, 2 ** (len(shared) + len(varying)) // 2)
+    for s in shared:
+        table = table - _roll(table, s, p)
+    stack = table[None]
+    rot = _rotation(p)
+    for s in varying:
+        size = len(s)
+        # entry (b, i) of the gather is stack[b, i - s[b]]; before the first
+        # varying factor every b reads the one shared table
+        index = [np.arange(size).reshape((size,) + (1,) * d) if len(stack) > 1 else 0]
+        for a in range(d):
+            shape = [size] + [1] * d
+            shape[a + 1] = p
+            index.append(rot[s[:, a] % p].reshape(shape))
+        stack = stack - stack[tuple(index)]
+    return stack
 
 
 def _shape(p: int, n: int, ring: _RingTag) -> tuple[int, ...]:
@@ -369,8 +369,7 @@ def product_of_factors(
         for v, ph in zip(spec.vectors, phases)
         for phase in ph
     ]
-    shifts = np.array(shifts, dtype=np.int64).reshape(len(shifts), 1, len(shape))
-    return _element(spec.p, spec.n, ring, _expand(spec.p, shifts)[0])
+    return _element(spec.p, spec.n, ring, _expand(spec.p, len(shape), shifts)[0])
 
 
 def products_vanish(
@@ -392,12 +391,17 @@ def products_vanish(
         raise InputError("stacked matrices must share p and n")
     size = len(matrices)
     b.check_entries(size * p**n, what="group-ring stack")
-    units = np.broadcast_to(np.eye(n, dtype=np.int64)[:, None], (n, size, n))
-    rows = np.array([m.rows for m in matrices], dtype=np.int64).transpose(1, 0, 2)
-    table = _expand(p, np.concatenate([units, rows]))
+    # rows that every matrix shares are factors of one table; each other row
+    # is one gather over the stack
+    rows = np.array([m.rows for m in matrices], dtype=np.int64)
+    fixed = (rows == rows[:1]).all(axis=(0, 2))
+    units = np.eye(n, dtype=np.int64)
+    shared = np.concatenate([units, rows[0, fixed]]).tolist()
+    table = _expand(p, n, shared, rows[:, ~fixed].transpose(1, 0, 2))
     if ring is ModPRing:
         table = table % p
-    return (np.count_nonzero(table.reshape(size, -1), axis=1) == 0).tolist()
+    nonzero = np.count_nonzero(table.reshape(len(table), -1), axis=1)
+    return np.broadcast_to(nonzero == 0, (size,)).tolist()
 
 
 def check_p4(

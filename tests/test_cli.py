@@ -12,6 +12,7 @@ from ajtkit import cli, fp_core, group_ring, properties
 from ajtkit.budget import Budget
 from ajtkit.apsets import appendix_csv_text
 from ajtkit.cli import main
+from ajtkit.errors import BudgetExceeded
 
 
 def run(capsys, *argv):
@@ -279,6 +280,48 @@ def test_sweep_stacks_share_their_first_rows(capsys, monkeypatch):
     assert all(len(rows) == 18 for rows in stacks)
     assert all(len({r[:2] for r in rows}) == 1 for rows in stacks)
     assert sum(map(len, stacks)) == 2 * payload["matrices"]
+
+
+def test_sweep_splits_groups_into_capped_stacks(capsys, monkeypatch):
+    # at (5, 2) a group is the 20 matrices after one first row; a cap of
+    # 3 * 5^2 entries splits it into stacks of 3, 3, 3, 3, 3, 3, 2
+    rc, want = run_json(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1")
+    stacks = []
+    real = group_ring.products_vanish
+
+    def recording(matrices, ring, budget=None):
+        stacks.append([m.rows for m in matrices])
+        return real(matrices, ring, budget=budget)
+
+    monkeypatch.setattr(group_ring, "products_vanish", recording)
+    monkeypatch.setattr(cli, "SWEEP_STACK_ENTRIES", 3 * 5**2)
+    assert run_json(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1") == (
+        rc, want
+    )
+    assert [len(rows) for rows in stacks] == ([3] * 12 + [2, 2]) * 24
+    assert all(len({r[0] for r in rows}) == 1 for rows in stacks)
+
+
+def test_sweep_group_larger_than_the_entries_budget():
+    # (67, 2): a group of 4422 matrices holds 4422 * 67^2 > 2^24 entries, but
+    # each table fits the default budget, so the sweep runs it in stacks
+    p, n = 67, 2
+    assert (p**n - p) * p**n > Budget().entries
+    counts = cli._sweep_one_prefix((p, n, (1, 0), Budget()))
+    assert counts == {
+        "matrices": p**2 - p,
+        "p1_witness": p**2 - p,
+        "integer_nonzero": p**2 - p,
+        "modp_nonzero": p**2 - p,
+        "violations": [],
+    }
+    # a budget of one table gives stacks of one; below that nothing runs
+    job = (7, 2, (1, 2), Budget())
+    assert cli._sweep_one_prefix(job[:3] + (Budget(entries=7**2),)) == (
+        cli._sweep_one_prefix(job)
+    )
+    with pytest.raises(BudgetExceeded):
+        cli._sweep_one_prefix(job[:3] + (Budget(entries=7**2 - 1),))
 
 
 def test_sweep_payload_matches_one_matrix_at_a_time(capsys):

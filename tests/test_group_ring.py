@@ -367,39 +367,50 @@ def test_stacked_products_match_one_at_a_time(p, n):
         for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
             grouped += products_vanish(list(group), ring)
         assert grouped == want
+        # a stack with no varying row is one table for every matrix
+        assert products_vanish(matrices[:1] * 3, ring) == want[:1] * 3
     if p == 3:
         # (1-g)^3 = 1 - g^3 = 0 over F_3, so some mod-p products vanish
         assert any(products_vanish(matrices, ModPRing))
     assert products_vanish([], ModPRing) == []
 
 
-def test_stack_uniform_on_one_axis_gathers_the_other(monkeypatch):
+def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
     p = 7
     rng = np.random.default_rng(5)
-    shifts = rng.integers(0, p, size=(6, 4, 2))
-    shifts[:, :, 0] = shifts[:, :1, 0]  # axis 0: one shift for the stack
-    shifts[:, 0, 1] = (shifts[:, 1, 1] + 1) % p  # axis 1: never one shift
-    calls = []
-    real = np.take_along_axis
+    shared = rng.integers(0, p, size=(3, 2))
+    varying = rng.integers(0, p, size=(4, 5, 2))
+    varying[:, :, 0] = varying[:, :1, 0]  # axis 0: one shift for the stack
+    varying[:, 0, 1] = (varying[:, 1, 1] + 1) % p  # axis 1: never one shift
+    rolls = []
+    real = group_ring._roll
     monkeypatch.setattr(
-        np, "take_along_axis", lambda *a, **k: calls.append(a[2]) or real(*a, **k)
+        group_ring, "_roll", lambda t, s, q: rolls.append(t.shape) or real(t, s, q)
     )
-    got = group_ring._expand(p, shifts)
+    got = group_ring._expand(p, 2, shared.tolist(), varying)
     assert got.dtype == np.int64
-    assert np.array_equal(got, rolled_products(p, shifts))
-    assert calls == [2] * 6  # only the axis whose shifts differ, once a factor
+    assert rolls == [(p, p)] * 3  # each shared factor once, on one table
+    every = np.concatenate([np.broadcast_to(shared[:, None], (3, 5, 2)), varying])
+    assert np.array_equal(got, rolled_products(p, every))
+    # a sweep stack shares the unit vectors and its first row
+    rolls.clear()
+    group = list(enumerate_nonsingular(p, 2, prefix=[[1, 2]]))
+    assert products_vanish(group, IntegerRing) == [False] * len(group)
+    assert rolls == [(p, p)] * 3
 
 
 def test_object_stack_past_62_factors():
-    # table b is (1 - g^(1, b))^70, whose entries pass 2^62 (see
-    # test_integer_product_past_62_factors_does_not_wrap)
+    # table b is (1 - g^(1, 0))^40 * (1 - g^(1, b))^30, whose entries pass
+    # 2^62 (see test_integer_product_past_62_factors_does_not_wrap)
     p = P
-    shifts = np.zeros((70, p, 2), dtype=np.int64)
-    shifts[:, :, 0] = 1
-    shifts[:, :, 1] = np.arange(p)
-    got = group_ring._expand(p, shifts)
+    shared = [(1, 0)] * 40
+    varying = np.zeros((30, p, 2), dtype=np.int64)
+    varying[:, :, 0] = 1
+    varying[:, :, 1] = np.arange(p)
+    got = group_ring._expand(p, 2, shared, varying)
     assert got.dtype == object
-    want = rolled_products(p, shifts)
+    every = np.concatenate([np.broadcast_to([1, 0], (40, p, 2)), varying])
+    want = rolled_products(p, every)
     assert np.array_equal(got, want)
     assert max(abs(int(x)) for x in want.flat) > 2**62
 
