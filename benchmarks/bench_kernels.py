@@ -8,9 +8,11 @@ and finding a minimum set one size up, and the S_1 and N_1 certification
 scans of a logarithmic set and of one partition part. The compiled side runs
 through ajtkit.kernels, which carries the masks across as bytes.
 
-A last table times the group-ring factor products, which gather along each
+Another table times the group-ring factor products, which gather along each
 axis, against a plain `np.roll` loop kept here as the reference, and asserts
-that both give the same tables or verdicts.
+that both give the same tables or verdicts. A last table times the stacked
+nowhere-zero witness search on one sweep stack against `check_p1` called per
+matrix, and asserts that both find the same witnesses.
 
 Run from a checkout with the package installed:
 
@@ -21,7 +23,7 @@ import time
 
 import numpy as np
 
-from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels
+from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels, properties
 
 COMPILED = kernels.BACKEND == "compiled"
 
@@ -94,6 +96,14 @@ def product_cases():
     )
 
 
+def witness_cases():
+    """(label, p, stack) for the witness search: one sweep stack each, the
+    matrices after a fixed first n-1 rows."""
+    for p, prefix in [(11, [[1, 2]]), (5, [[1, 2, 3], [0, 1, 4]])]:
+        stack = list(fp_core.enumerate_nonsingular(p, len(prefix) + 1, prefix=prefix))
+        yield f"stack of {len(stack)}, n = {len(prefix) + 1}", p, stack
+
+
 def timed(fn, *args, repeat=1):
     """(best wall time over `repeat` calls, result of the last call)."""
     best = float("inf")
@@ -157,6 +167,18 @@ def main():
             f"product mismatch on {label}"
         )
         print(f"{label:<28}{p:>6}{entries:>10}{t_ref:>13.6f}{t_new:>12.6f}"
+              f"{t_ref / t_new:>8.1f}x")
+    print()
+    header = f"{'witness search':<28}{'p':>6}{'witnesses':>10}"
+    header += f"{'check_p1 (s)':>13}{'stacked (s)':>12}{'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+    for label, p, stack in witness_cases():
+        t_ref, want = timed(lambda: [properties.check_p1(m) for m in stack], repeat=20)
+        t_new, got = timed(properties.nowhere_zero_witnesses, stack, repeat=20)
+        assert got == want, f"witness mismatch on {label}"
+        found = sum(w is not None for w in got)
+        print(f"{label:<28}{p:>6}{found:>10}{t_ref:>13.6f}{t_new:>12.6f}"
               f"{t_ref / t_new:>8.1f}x")
 
 

@@ -198,8 +198,10 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
         p, n, budget=budget, prefix=[list(first_row)]
     )
     # consecutive matrices that share their first n-1 rows share all but one
-    # factor, so they are expanded as stacks; a stack holds at most
-    # SWEEP_STACK_ENTRIES entries and never more than the budget allows
+    # factor and all but one row, so their products are expanded and their
+    # witnesses searched as stacks; a stack holds at most SWEEP_STACK_ENTRIES
+    # table entries, and fewer witness-mask entries ((p-1)^n < p^n a matrix),
+    # and never more than the budget allows
     size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // p**n)
     for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
         while stack := list(itertools.islice(group, size)):
@@ -209,9 +211,11 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
             modp_zeros = group_ring.products_vanish(
                 stack, group_ring.ModPRing, budget=budget
             )
-            for m, int_zero, modp_zero in zip(stack, int_zeros, modp_zeros):
+            witnesses = properties.nowhere_zero_witnesses(stack, budget=budget)
+            for m, witness, int_zero, modp_zero in zip(
+                stack, witnesses, int_zeros, modp_zeros
+            ):
                 counts["matrices"] += 1
-                witness = properties.check_p1(m, budget=budget)
                 has_witness = witness is not None
                 if has_witness:
                     counts["p1_witness"] += 1

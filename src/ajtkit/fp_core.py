@@ -147,6 +147,14 @@ class FpMatrix:
         self._det = None
 
     @classmethod
+    def _from_reduced(cls, rows: tuple[tuple[int, ...], ...], p: int) -> "FpMatrix":
+        """A matrix from square rows already reduced mod p, a prime already
+        validated: nothing is checked or copied."""
+        m = object.__new__(cls)
+        m.p, m.n, m.rows, m._det = p, len(rows), rows, None
+        return m
+
+    @classmethod
     def identity(cls, n: int, p: int) -> "FpMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
 
@@ -295,8 +303,10 @@ def enumerate_nonsingular(
 def _enumerate_rows(p: int, n: int, echelon: list) -> Iterator[FpMatrix]:
     # echelon holds (pivot_col, normalized_row) pairs for the chosen prefix;
     # each stored row is reduced against all earlier ones, so a fresh candidate
-    # reduces to zero exactly when it is dependent.
-    prefix = [e[2] for e in echelon]
+    # reduces to zero exactly when it is dependent. The prefix rows are
+    # reduced and p is validated by enumerate_nonsingular, and candidates come
+    # from range(p), so matrices are built without re-validation.
+    prefix = tuple(e[2] for e in echelon)
     for cand in itertools.product(range(p), repeat=n):
         v = list(cand)
         for col, row, _ in echelon:
@@ -310,7 +320,7 @@ def _enumerate_rows(p: int, n: int, echelon: list) -> Iterator[FpMatrix]:
         norm = [x * inv % p for x in v]
         echelon.append((lead, norm, cand))
         if len(echelon) == n:
-            yield FpMatrix(prefix + [cand], p)
+            yield FpMatrix._from_reduced(prefix + (cand,), p)
         else:
             yield from _enumerate_rows(p, n, echelon)
         echelon.pop()

@@ -372,6 +372,18 @@ def product_of_factors(
     return _element(spec.p, spec.n, ring, _expand(spec.p, len(shape), shifts)[0])
 
 
+def _stack_rows(
+    matrices: Sequence[FpMatrix],
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """p, n, the (B, n, n) rows of a nonempty stack of matrices that share p
+    and n, and the (n,) mask of the rows that every matrix of it shares."""
+    p, n = matrices[0].p, matrices[0].n
+    if any((m.p, m.n) != (p, n) for m in matrices):
+        raise InputError("stacked matrices must share p and n")
+    rows = np.array([m.rows for m in matrices], dtype=np.int64)
+    return p, n, rows, (rows == rows[:1]).all(axis=(0, 2))
+
+
 def products_vanish(
     matrices: Sequence[FpMatrix], ring: _RingTag, budget: Budget | str | None = None
 ) -> list[bool]:
@@ -386,15 +398,11 @@ def products_vanish(
         raise InputError("stacked products are over the integer or the mod-p ring")
     if not matrices:
         return []
-    p, n = matrices[0].p, matrices[0].n
-    if any((m.p, m.n) != (p, n) for m in matrices):
-        raise InputError("stacked matrices must share p and n")
+    p, n, rows, fixed = _stack_rows(matrices)
     size = len(matrices)
     b.check_entries(size * p**n, what="group-ring stack")
     # rows that every matrix shares are factors of one table; each other row
     # is one gather over the stack
-    rows = np.array([m.rows for m in matrices], dtype=np.int64)
-    fixed = (rows == rows[:1]).all(axis=(0, 2))
     units = np.eye(n, dtype=np.int64)
     shared = np.concatenate([units, rows[0, fixed]]).tolist()
     table = _expand(p, n, shared, rows[:, ~fixed].transpose(1, 0, 2))

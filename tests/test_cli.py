@@ -246,7 +246,7 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     rings = []
     for module, name in [
         (cli.fp_core, "enumerate_nonsingular"),
-        (cli.properties, "check_p1"),
+        (cli.properties, "nowhere_zero_witnesses"),
         (cli.group_ring, "products_vanish"),
     ]:
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
@@ -255,12 +255,12 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     )
     assert rc == 0
     assert {name for name, _ in seen} == {
-        "enumerate_nonsingular", "check_p1", "products_vanish"
+        "enumerate_nonsingular", "nowhere_zero_witnesses", "products_vanish"
     }
     # at n = 2 each of the 24 first rows is one group: one stacked call per
-    # ring per group, and check_p1 once per matrix
+    # ring and one stacked witness search per group
     assert rings == [group_ring.IntegerRing, group_ring.ModPRing] * 24
-    assert len(seen) == 24 + payload["matrices"] + 2 * 24
+    assert len(seen) == 24 + 3 * 24
     assert {budget for _, budget in seen} == {Budget(nodes=700)}
 
 

@@ -143,6 +143,18 @@ def test_enumerate_nonsingular_complete(p, n):
         assert m.det() != 0
 
 
+def test_enumerated_matrices_equal_validated_ones():
+    p = 3
+    mats = list(enumerate_nonsingular(p, 3))
+    assert len(mats) == nonsingular_count(p, 3)
+    for m in mats:
+        fresh = FpMatrix(m.rows, p)
+        assert m == fresh
+        assert hash(m) == hash(fresh)
+        assert (m.p, m.n) == (fresh.p, fresh.n)
+        assert m.det() == fresh.det() != 0
+
+
 def test_enumerate_nonzero_rows():
     rows = list(enumerate_nonzero_rows(3, 2))
     assert len(rows) == 8

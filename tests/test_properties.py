@@ -6,7 +6,8 @@ import random
 import numpy as np
 import pytest
 
-from ajtkit.errors import InputError, PreconditionViolated
+from ajtkit.budget import Budget
+from ajtkit.errors import BudgetExceeded, InputError, PreconditionViolated
 from ajtkit.fp_core import FpMatrix, enumerate_nonsingular, random_nonsingular
 from ajtkit.properties import (
     ForbiddenSpec,
@@ -18,6 +19,7 @@ from ajtkit.properties import (
     image_membership_routes,
     line_sum,
     multiplier_invariance_test,
+    nowhere_zero_witnesses,
     pairing_test,
 )
 
@@ -99,6 +101,42 @@ def test_check_p1_no_witness_when_everything_forbidden():
     m = FpMatrix([[1]], P)
     spec = ForbiddenSpec(P, 1, c_lists=(tuple(range(P)),), d_lists=((),))
     assert check_p1(m, spec) is None
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3)])
+def test_stacked_witnesses_match_check_p1(p, n):
+    matrices = list(enumerate_nonsingular(p, n))
+    want = [check_p1(m) for m in matrices]
+    if (p, n) == (3, 2):
+        assert None in want  # witness-free matrices exist at (3, 2)
+    assert nowhere_zero_witnesses(matrices) == want
+    # the sweep's stacks: consecutive matrices sharing their first n-1 rows
+    grouped = []
+    for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
+        grouped += nowhere_zero_witnesses(list(group))
+    assert grouped == want
+    # a stack with no varying row
+    assert nowhere_zero_witnesses(matrices[-1:] * 3) == want[-1:] * 3
+    assert nowhere_zero_witnesses([]) == []
+
+
+def test_stacked_witnesses_reject_mixed_shapes():
+    m = FpMatrix([[1, 1], [1, 2]], P)
+    with pytest.raises(InputError):
+        nowhere_zero_witnesses([m, FpMatrix([[1]], P)])
+    with pytest.raises(InputError):
+        nowhere_zero_witnesses([m, FpMatrix([[1, 1], [1, 2]], 7)])
+
+
+def test_stacked_witnesses_charge_the_whole_stack():
+    m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
+    entries = 3 * (P - 1) ** 2
+    with pytest.raises(BudgetExceeded):
+        nowhere_zero_witnesses(m, budget=Budget(entries=entries - 1))
+    with pytest.raises(BudgetExceeded):
+        nowhere_zero_witnesses(m, budget=Budget(nodes=(P - 1) ** 2 - 1))
+    got = nowhere_zero_witnesses(m, budget=Budget(entries=entries))
+    assert got == [check_p1(x) for x in m]
 
 
 def test_check_multi_matches_brute_force():
