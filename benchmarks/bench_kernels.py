@@ -10,9 +10,12 @@ through ajtkit.kernels, which carries the masks across as bytes.
 
 Another table times the group-ring factor products, which gather along each
 axis, against a plain `np.roll` loop kept here as the reference, and asserts
-that both give the same tables or verdicts. A last table times the stacked
-nowhere-zero witness search on one sweep stack against `check_p1` called per
-matrix, and asserts that both find the same witnesses.
+that both give the same tables or verdicts. The stacked products and the
+stacked nowhere-zero witness search take one sweep group as arrays, the
+head rows shared and the last row varying; the witness table times that
+search against `check_p1` called per matrix, and asserts that both find the
+same witnesses. A last row times the grouped enumeration of GL_3(F_5), rows
+as arrays, against the same matrices built one `FpMatrix` at a time.
 
 Run from a checkout with the package installed:
 
@@ -86,22 +89,39 @@ def product_cases():
         lambda: rolled_product(11, 4, unit_and_row_shifts(m, phases)),
         lambda: group_ring.product_of_factors(spec, group_ring.CyclotomicRing).coeffs,
     )
+    head, last = sweep_stack(11, [[1, 2]])
     group = list(fp_core.enumerate_nonsingular(11, 2, prefix=[[1, 2]]))
     yield (
         f"stack of {len(group)}, Z", 11, len(group) * 11**2,
         lambda: [
             not rolled_product(11, 2, unit_and_row_shifts(g)).any() for g in group
         ],
-        lambda: group_ring.products_vanish(group, group_ring.IntegerRing),
+        lambda: group_ring.products_vanish(
+            11, head, last[:, None], group_ring.IntegerRing
+        ),
     )
 
 
+def sweep_stack(p, prefix):
+    """The one group of the sweep below n-1 fixed rows: (head, last rows)."""
+    (group,) = fp_core.enumerate_nonsingular_groups(p, len(prefix) + 1, prefix=prefix)
+    return group
+
+
 def witness_cases():
-    """(label, p, stack) for the witness search: one sweep stack each, the
-    matrices after a fixed first n-1 rows."""
+    """(label, p, head, last rows, matrices) for the witness search: one
+    sweep stack each, the matrices after a fixed first n-1 rows."""
     for p, prefix in [(11, [[1, 2]]), (5, [[1, 2, 3], [0, 1, 4]])]:
-        stack = list(fp_core.enumerate_nonsingular(p, len(prefix) + 1, prefix=prefix))
-        yield f"stack of {len(stack)}, n = {len(prefix) + 1}", p, stack
+        n = len(prefix) + 1
+        stack = list(fp_core.enumerate_nonsingular(p, n, prefix=prefix))
+        yield f"stack of {len(stack)}, n = {n}", p, *sweep_stack(p, prefix), stack
+
+
+def stacked_witnesses(p, head, last):
+    """nowhere_zero_witnesses as check_p1 returns them: a vector or None."""
+    found, first = properties.nowhere_zero_witnesses(p, head, last[:, None])
+    vectors = properties.nowhere_zero_vectors(p, head.shape[1])
+    return [tuple(vectors[i].tolist()) if f else None for f, i in zip(found, first)]
 
 
 def timed(fn, *args, repeat=1):
@@ -173,13 +193,27 @@ def main():
     header += f"{'check_p1 (s)':>13}{'stacked (s)':>12}{'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for label, p, stack in witness_cases():
+    for label, p, head, last, stack in witness_cases():
         t_ref, want = timed(lambda: [properties.check_p1(m) for m in stack], repeat=20)
-        t_new, got = timed(properties.nowhere_zero_witnesses, stack, repeat=20)
+        t_new, got = timed(stacked_witnesses, p, head, last, repeat=20)
         assert got == want, f"witness mismatch on {label}"
         found = sum(w is not None for w in got)
         print(f"{label:<28}{p:>6}{found:>10}{t_ref:>13.6f}{t_new:>12.6f}"
               f"{t_ref / t_new:>8.1f}x")
+    print()
+    header = f"{'enumeration':<28}{'p':>6}{'n':>4}{'matrices':>10}"
+    header += f"{'FpMatrix (s)':>13}{'grouped (s)':>12}{'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+    p, n = 5, 3
+    count = fp_core.nonsingular_count(p, n)
+    t_ref, want = timed(lambda: sum(1 for _ in fp_core.enumerate_nonsingular(p, n)))
+    t_new, got = timed(
+        lambda: sum(len(last) for _, last in fp_core.enumerate_nonsingular_groups(p, n))
+    )
+    assert got == want == count, f"enumeration count mismatch at ({p}, {n})"
+    print(f"{'GL_n(F_p), lex order':<28}{p:>6}{n:>4}{count:>10}{t_ref:>13.4f}"
+          f"{t_new:>12.4f}{t_ref / t_new:>8.1f}x")
 
 
 if __name__ == "__main__":

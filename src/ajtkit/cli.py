@@ -11,12 +11,14 @@ exceeded).
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from . import apsets, fp_core, fp_poly, group_ring, properties
 from .budget import Budget, current_budget
@@ -194,44 +196,43 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
         "modp_nonzero": 0,
         "violations": [],
     }
-    matrices = fp_core.enumerate_nonsingular(
+    vectors = properties.nowhere_zero_vectors(p, n)
+    groups = fp_core.enumerate_nonsingular_groups(
         p, n, budget=budget, prefix=[list(first_row)]
     )
-    # consecutive matrices that share their first n-1 rows share all but one
-    # factor and all but one row, so their products are expanded and their
-    # witnesses searched as stacks; a stack holds at most SWEEP_STACK_ENTRIES
-    # table entries, and fewer witness-mask entries ((p-1)^n < p^n a matrix),
-    # and never more than the budget allows
+    # the matrices of a group share their first n-1 rows, so they share all
+    # but one factor and all but one row: their products are expanded and
+    # their witnesses searched as stacks, the head rows shared and the last
+    # row varying. A stack holds at most SWEEP_STACK_ENTRIES table entries,
+    # and fewer witness-mask entries ((p-1)^n < p^n a matrix), and never
+    # more than the budget allows
     size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // p**n)
-    for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
-        while stack := list(itertools.islice(group, size)):
-            int_zeros = group_ring.products_vanish(
-                stack, group_ring.IntegerRing, budget=budget
+    for head, last in groups:
+        for start in range(0, len(last), size):
+            varying = last[start : start + size, None]
+            int_zero = group_ring.products_vanish(
+                p, head, varying, group_ring.IntegerRing, budget=budget
             )
-            modp_zeros = group_ring.products_vanish(
-                stack, group_ring.ModPRing, budget=budget
+            modp_zero = group_ring.products_vanish(
+                p, head, varying, group_ring.ModPRing, budget=budget
             )
-            witnesses = properties.nowhere_zero_witnesses(stack, budget=budget)
-            for m, witness, int_zero, modp_zero in zip(
-                stack, witnesses, int_zeros, modp_zeros
-            ):
-                counts["matrices"] += 1
-                has_witness = witness is not None
-                if has_witness:
-                    counts["p1_witness"] += 1
-                if not int_zero:
-                    counts["integer_nonzero"] += 1
-                if not modp_zero:
-                    counts["modp_nonzero"] += 1
-                if not has_witness or int_zero or modp_zero:
-                    counts["violations"].append(
-                        {
-                            "matrix": m.to_json(),
-                            "p1_witness": list(witness) if witness else None,
-                            "integer_zero": int_zero,
-                            "modp_zero": modp_zero,
-                        }
-                    )
+            found, first = properties.nowhere_zero_witnesses(
+                p, head, varying, budget=budget
+            )
+            counts["matrices"] += len(varying)
+            counts["p1_witness"] += int(found.sum())
+            counts["integer_nonzero"] += len(varying) - int(int_zero.sum())
+            counts["modp_nonzero"] += len(varying) - int(modp_zero.sum())
+            for i in np.flatnonzero(~found | int_zero | modp_zero).tolist():
+                rows = head.tolist() + varying[i].tolist()
+                counts["violations"].append(
+                    {
+                        "matrix": fp_core.FpMatrix(rows, p).to_json(),
+                        "p1_witness": vectors[first[i]].tolist() if found[i] else None,
+                        "integer_zero": bool(int_zero[i]),
+                        "modp_zero": bool(modp_zero[i]),
+                    }
+                )
     return counts
 
 
@@ -504,9 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, not at import, and kept for the process:
+# parsing leaves the parser as it was
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         # reject a malformed budget up front, even if the command never
         # consults it

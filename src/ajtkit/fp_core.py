@@ -3,13 +3,21 @@
 Everything downstream works over F_p for an odd prime p. Residues are kept
 canonical in [0, p-1]. Matrices are immutable; determinants are computed by
 Gaussian elimination over the field and cached.
+
+GL_n(F_p) is enumerated on integer row arrays: each independent (n-1)-row
+prefix comes with one (B, n) array of the last rows that complete it, the
+vectors outside its span, found by encoding the span as base-p indices.
+`sweep` checks those arrays directly; `enumerate_nonsingular` builds the
+matrices one at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .budget import Budget, current_budget
 from .errors import (
@@ -255,12 +263,82 @@ def nonsingular_count(p: int, n: int) -> int:
     return out
 
 
+# a table can be as large as the entries budget, so only a few are kept
+@lru_cache(maxsize=8)
+def _vectors(p: int, n: int) -> np.ndarray:
+    """All p^n vectors of F_p^n in lex order, as a read-only (p^n, n) table:
+    row i holds the base-p digits of i, most significant first."""
+    table = np.indices((p,) * n).reshape(n, p**n).T
+    table.flags.writeable = False
+    return table
+
+
 def enumerate_nonzero_rows(p: int, n: int) -> Iterator[tuple[int, ...]]:
     """All nonzero length-n row tuples over F_p in lexicographic order."""
+    return map(tuple, _vectors(_as_prime(p), n)[1:].tolist())
+
+
+def _index(p: int, rows: np.ndarray) -> np.ndarray:
+    """The base-p index in `_vectors` of each reduced row of `rows`."""
+    return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1)
+
+
+def _span_mask(p: int, rows: np.ndarray) -> np.ndarray:
+    """The (p^n,) mask of the vectors in the span of the (k, n) rows, indexed
+    as `_vectors(p, n)`: the p^k combinations c·rows, reduced and encoded.
+
+    A combination entry is below k p^2 and an index below p^n, so both fit
+    int64 whenever the mask fits in memory."""
+    k, n = rows.shape
+    inside = np.zeros(p**n, dtype=bool)
+    inside[_index(p, _vectors(p, k) @ rows % p)] = True
+    return inside
+
+
+def enumerate_nonsingular_groups(
+    p: int,
+    n: int,
+    budget: Budget | str | None = None,
+    prefix: Sequence[Sequence[int]] | None = None,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every nonsingular n x n matrix over F_p, grouped by its first n-1 rows.
+
+    Yields pairs (head, last): an independent (n-1, n) int64 array of
+    leading rows and the (B, n) int64 array of every last row that completes
+    it to a nonsingular matrix, which are the p^n vectors outside span(head).
+    Heads come in lex order and so do the last rows of each, so the matrices,
+    flattened, are in lexicographic order of their row tuples. A prefix pins
+    the leading rows: a dependent prefix yields nothing, and a full n-row
+    prefix yields the one group of that matrix. The candidate count p^(n^2)
+    is charged against the node budget up front.
+    """
     p = _as_prime(p)
-    for row in itertools.product(range(p), repeat=n):
-        if any(row):
-            yield row
+    if n < 1:
+        raise InputError("need n >= 1")
+    b = current_budget(budget)
+    b.check_nodes(p ** (n * n), what=f"enumeration of {n}x{n} matrices over F_{p}")
+    pinned = [[int(a) % p for a in row] for row in prefix or []]
+    if any(len(row) != n for row in pinned):
+        raise InputError("prefix rows must have length n")
+    head = np.array(pinned, dtype=np.int64).reshape(len(pinned), n)
+    for k in range(len(head)):
+        # n independent rows span everything, so an (n+1)-th is dependent
+        if k == n or _span_mask(p, head[:k])[_index(p, head[k])]:
+            return
+    if len(head) == n:
+        yield head[:-1], head[-1:]
+    else:
+        yield from _groups(p, n, head)
+
+
+def _groups(p: int, n: int, head: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # head holds independent reduced rows, fewer than n, and p is validated
+    outside = _vectors(p, n)[~_span_mask(p, head)]
+    if len(head) == n - 1:
+        yield head, outside
+        return
+    for row in outside:
+        yield from _groups(p, n, np.vstack([head, row]))
 
 
 def enumerate_nonsingular(
@@ -271,59 +349,16 @@ def enumerate_nonsingular(
 ) -> Iterator[FpMatrix]:
     """Yield every nonsingular n x n matrix over F_p.
 
-    Order is lexicographic in the flattened row tuple. A prefix pins the
-    leading rows (yielding nothing if they are dependent), which lets
-    callers split the enumeration into independent chunks. The candidate
-    count p^(n^2) is charged against the node budget up front.
+    The matrices of `enumerate_nonsingular_groups`, in the same
+    lexicographic order, with the same prefix semantics and the same
+    up-front node charge. Rows are reduced and p validated there, so the
+    matrices are built without re-validation.
     """
     p = _as_prime(p)
-    b = current_budget(budget)
-    b.check_nodes(p ** (n * n), what=f"enumeration of {n}x{n} matrices over F_{p}")
-    echelon: list = []
-    for row in prefix or []:
-        cand = tuple(int(a) % p for a in row)
-        if len(cand) != n:
-            raise InputError("prefix rows must have length n")
-        v = list(cand)
-        for col, red, _ in echelon:
-            if v[col]:
-                c = v[col]
-                v = [(x - c * y) % p for x, y in zip(v, red)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            return
-        inv = pow(v[lead], -1, p)
-        echelon.append((lead, [x * inv % p for x in v], cand))
-    if len(echelon) == n:
-        yield FpMatrix([e[2] for e in echelon], p)
-        return
-    yield from _enumerate_rows(p, n, echelon)
-
-
-def _enumerate_rows(p: int, n: int, echelon: list) -> Iterator[FpMatrix]:
-    # echelon holds (pivot_col, normalized_row) pairs for the chosen prefix;
-    # each stored row is reduced against all earlier ones, so a fresh candidate
-    # reduces to zero exactly when it is dependent. The prefix rows are
-    # reduced and p is validated by enumerate_nonsingular, and candidates come
-    # from range(p), so matrices are built without re-validation.
-    prefix = tuple(e[2] for e in echelon)
-    for cand in itertools.product(range(p), repeat=n):
-        v = list(cand)
-        for col, row, _ in echelon:
-            if v[col]:
-                c = v[col]
-                v = [(x - c * y) % p for x, y in zip(v, row)]
-        lead = next((j for j, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        inv = pow(v[lead], -1, p)
-        norm = [x * inv % p for x in v]
-        echelon.append((lead, norm, cand))
-        if len(echelon) == n:
-            yield FpMatrix._from_reduced(prefix + (cand,), p)
-        else:
-            yield from _enumerate_rows(p, n, echelon)
-        echelon.pop()
+    for head, last in enumerate_nonsingular_groups(p, n, budget=budget, prefix=prefix):
+        rows = tuple(map(tuple, head.tolist()))
+        for row in last.tolist():
+            yield FpMatrix._from_reduced(rows + (tuple(row),), p)
 
 
 def random_nonsingular(p: int, n: int, seed: int | None = None,

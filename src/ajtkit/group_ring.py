@@ -14,7 +14,9 @@ statements about matrices and products of factors (1 - phase * g^v).
 Factor products can be expanded for a stack of tables that share some of
 their factors: the shared factors are applied once, to one table, and each
 other factor is one gather over the whole stack, so many small products cost
-the numpy calls of one.
+the numpy calls of one. `products_vanish` takes a stack of matrices as row
+arrays, the rows they share and the rows that vary, as `sweep` holds the
+matrices of one (n-1)-row prefix.
 
 Tables are int64 while every entry is provably below 2^62 in absolute value,
 and Python ints (dtype=object) otherwise, so values never wrap.
@@ -372,44 +374,51 @@ def product_of_factors(
     return _element(spec.p, spec.n, ring, _expand(spec.p, len(shape), shifts)[0])
 
 
-def _stack_rows(
-    matrices: Sequence[FpMatrix],
+def _stack_arrays(
+    p: int, shared: np.ndarray, varying: np.ndarray
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """p, n, the (B, n, n) rows of a nonempty stack of matrices that share p
-    and n, and the (n,) mask of the rows that every matrix of it shares."""
-    p, n = matrices[0].p, matrices[0].n
-    if any((m.p, m.n) != (p, n) for m in matrices):
-        raise InputError("stacked matrices must share p and n")
-    rows = np.array([m.rows for m in matrices], dtype=np.int64)
-    return p, n, rows, (rows == rows[:1]).all(axis=(0, 2))
+    """p validated, n, and the int64 rows of a stack of B matrices whose
+    rows are the (k, n) `shared` rows, the same in every matrix, followed by
+    the (B, j, n) `varying` rows of each, with k + j = n."""
+    shared = np.asarray(shared, dtype=np.int64)
+    varying = np.asarray(varying, dtype=np.int64)
+    if shared.ndim != 2 or varying.ndim != 3:
+        raise InputError("stacked rows are a (k, n) and a (B, j, n) array")
+    n = shared.shape[1]
+    if varying.shape[2] != n or shared.shape[0] + varying.shape[1] != n:
+        raise InputError("stacked matrices need n rows of length n")
+    return _as_prime(p), n, shared, varying
 
 
 def products_vanish(
-    matrices: Sequence[FpMatrix], ring: _RingTag, budget: Budget | str | None = None
-) -> list[bool]:
+    p: int,
+    shared: np.ndarray,
+    varying: np.ndarray,
+    ring: _RingTag,
+    budget: Budget | str | None = None,
+) -> np.ndarray:
     """`check_p3_integer` (ring IntegerRing) or `check_p4` with unit exponents
-    (ring ModPRing) for each of several matrices that share p and n.
+    (ring ModPRing) for each of a stack of B matrices, as a (B,) bool array.
 
-    The products prod (1-g^(e_i)) * prod (1-g^(a_i)) are expanded as one
-    stack, and the entries budget is charged for the whole stack.
+    Matrix b has the (k, n) `shared` rows and the (j, n) rows varying[b]
+    (see `_stack_arrays`). The products prod (1-g^(e_i)) * prod (1-g^(a_i))
+    are expanded as one stack: the unit vectors and the shared rows are
+    factors of one table, and each varying row is one gather over the stack.
+    The entries budget is charged for the whole stack.
     """
     b = current_budget(budget)
     if ring not in (IntegerRing, ModPRing):
         raise InputError("stacked products are over the integer or the mod-p ring")
-    if not matrices:
-        return []
-    p, n, rows, fixed = _stack_rows(matrices)
-    size = len(matrices)
+    p, n, shared, varying = _stack_arrays(p, shared, varying)
+    size = len(varying)
     b.check_entries(size * p**n, what="group-ring stack")
-    # rows that every matrix shares are factors of one table; each other row
-    # is one gather over the stack
     units = np.eye(n, dtype=np.int64)
-    shared = np.concatenate([units, rows[0, fixed]]).tolist()
-    table = _expand(p, n, shared, rows[:, ~fixed].transpose(1, 0, 2))
+    factors = np.concatenate([units, shared]).tolist()
+    table = _expand(p, n, factors, varying.transpose(1, 0, 2))
     if ring is ModPRing:
         table = table % p
-    nonzero = np.count_nonzero(table.reshape(len(table), -1), axis=1)
-    return np.broadcast_to(nonzero == 0, (size,)).tolist()
+    nonzero = np.count_nonzero(table, axis=tuple(range(1, table.ndim)))
+    return np.broadcast_to(nonzero == 0, (size,))
 
 
 def check_p4(

@@ -15,10 +15,11 @@ P1, P2, P3 are equivalent; P3 implies P4 implies P5 (p > 3). check_all runs
 all five and reports any violation of that chain.
 
 check_p1 searches depth first with early exit, for any forbidden lists. For
-the nowhere-zero lists (c_i = d_i = {0}) of a stack of matrices that share
-p and n, nowhere_zero_witnesses tests all (p-1)^n candidates at once, one
-product over the stack per row the matrices do not share, and returns the
-same witnesses; sweep uses it next to the stacked group-ring products.
+the nowhere-zero lists (c_i = d_i = {0}) of a stack of matrices given as row
+arrays, the rows they share and the rows that vary, nowhere_zero_witnesses
+tests all (p-1)^n candidates at once, one product over the stack per varying
+row, and finds the same witnesses; sweep uses it next to the stacked
+group-ring products, on the matrices of one (n-1)-row prefix.
 
 The delta operators and the pairing test exercise the functional reading of
 P4: difference operators along unit vectors and along the rows of M, images
@@ -51,7 +52,7 @@ from .group_ring import (
     FactorSpec,
     ModPRing,
     _roll,
-    _stack_rows,
+    _stack_arrays,
     check_p3,
     check_p4,
     product_of_factors,
@@ -232,47 +233,48 @@ def check_p1(
 
 # a table can be as large as the entries budget, so only a few are kept
 @lru_cache(maxsize=8)
-def _nowhere_zero_vectors(p: int, n: int) -> np.ndarray:
+def nowhere_zero_vectors(p: int, n: int) -> np.ndarray:
     """The (p-1)^n vectors of {1, ..., p-1}^n in lex order, as a read-only
-    (K, n) table."""
+    (K, n) table: the candidates of `nowhere_zero_witnesses`."""
     table = np.indices((p - 1,) * n).reshape(n, -1).T + 1
     table.flags.writeable = False
     return table
 
 
 def nowhere_zero_witnesses(
-    matrices: Sequence[FpMatrix], budget: Budget | str | None = None
-) -> list[tuple[int, ...] | None]:
-    """`check_p1` with the default spec for each of several matrices that
-    share p and n: the lex-first x in {1..p-1}^n with Mx nowhere zero, or None.
+    p: int,
+    shared: np.ndarray,
+    varying: np.ndarray,
+    budget: Budget | str | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`check_p1` with the default spec for each of a stack of B matrices:
+    whether some x in {1..p-1}^n has Mx nowhere zero, and the lex-first one.
 
-    With the default spec every coordinate has the same slack, so the search
-    assigns coordinates 0..n-1 with values in ascending order and its first
-    hit is this lex-first x. Here all K = (p-1)^n candidates are tested at
-    once: a row that every matrix shares is one (K,) mask, and each other row
-    is one product over the stack of B matrices, a (B, K) mask. The entries
-    budget is charged for the B * K mask entries, the node budget for the K
-    candidates of one matrix.
+    Matrix b has the (k, n) `shared` rows and the (j, n) rows varying[b]
+    (see `group_ring._stack_arrays`). Returns (found, first), two (B,)
+    arrays: where found[b], matrix b's witness is row first[b] of
+    `nowhere_zero_vectors(p, n)`. With the default spec every coordinate
+    has the same slack, so `check_p1` assigns coordinates 0..n-1 with values
+    in ascending order and its first hit is this lex-first x. Here all
+    K = (p-1)^n candidates are tested at once: the shared rows give one (K,)
+    mask, and each varying row is one product over the stack, a (B, K) mask.
+    The entries budget is charged for the B * K mask entries, the node
+    budget for the K candidates of one matrix.
     """
     b = current_budget(budget)
-    if not matrices:
-        return []
-    p, n, rows, fixed = _stack_rows(matrices)
+    p, n, shared, varying = _stack_arrays(p, shared, varying)
+    size = len(varying)
     count = (p - 1) ** n
-    b.check_entries(len(matrices) * count, what="witness stack")
+    b.check_entries(size * count, what="witness stack")
     b.check_nodes(count, what="witness search")
     # an image sum_j a_j x_j is below n p^2, which fits int64 for p < 2^31
     # whenever the (p-1)^n vectors fit in memory
-    vectors = _nowhere_zero_vectors(p, n)
-    ok = (vectors @ rows[0, fixed].T % p != 0).all(axis=1)
-    for row in rows[:, ~fixed].transpose(1, 0, 2):
+    vectors = nowhere_zero_vectors(p, n)
+    ok = (vectors @ shared.T % p != 0).all(axis=1)
+    for row in varying.transpose(1, 0, 2):
         ok = ok & (row @ vectors.T % p != 0)
-    ok = np.broadcast_to(ok, (len(matrices), count))
-    first = ok.argmax(axis=1)
-    return [
-        tuple(vectors[i].tolist()) if found else None
-        for i, found in zip(first.tolist(), ok.any(axis=1).tolist())
-    ]
+    ok = np.broadcast_to(ok, (size, count))
+    return ok.any(axis=1), ok.argmax(axis=1)
 
 
 def check_multi(

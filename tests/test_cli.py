@@ -71,6 +71,33 @@ def test_csv_is_refused_before_any_sweep_work(capsys, monkeypatch):
     assert "invalid choice: 'csv'" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import ajtkit.cli as c; print(c._parser.cache_info().currsize)"],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == b"0\n"  # importing builds no parser
+    argvs = [
+        ["sweep", "--p", "5", "--n", "2"],
+        ["duality", "--p", "5", "--n", "2", "--trials", "3", "--seed", "1"],
+        ["check", "--random", "--p", "5", "--n", "2", "--seed", "3"],
+        ["sweep", "--p", "3", "--n", "2", "--format", "table"],
+    ]
+    cached = [run(capsys, *argv) for argv in argvs]
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--p", "five", "--n", "2"])
+    assert exc.value.code == 2
+    assert "invalid int value: 'five'" in capsys.readouterr().err
+    assert [run(capsys, *argv) for argv in argvs] == cached
+    built = []
+    monkeypatch.setattr(cli, "_parser", lambda: built.append(1) or cli.build_parser())
+    assert [run(capsys, *argv) for argv in argvs] == cached
+    assert len(built) == len(argvs)
+
+
 def test_s1_build(capsys):
     rc, payload = run_json(capsys, "s1", "--p", "13", "--mode", "build")
     assert rc == 0
@@ -238,14 +265,14 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
         def call(*args, budget=None, **kwargs):
             seen.append((fn.__name__, budget))
             if fn.__name__ == "products_vanish":
-                rings.append(args[1])
+                rings.append(args[3])
             return fn(*args, budget=budget, **kwargs)
 
         return call
 
     rings = []
     for module, name in [
-        (cli.fp_core, "enumerate_nonsingular"),
+        (cli.fp_core, "enumerate_nonsingular_groups"),
         (cli.properties, "nowhere_zero_witnesses"),
         (cli.group_ring, "products_vanish"),
     ]:
@@ -255,7 +282,7 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     )
     assert rc == 0
     assert {name for name, _ in seen} == {
-        "enumerate_nonsingular", "nowhere_zero_witnesses", "products_vanish"
+        "enumerate_nonsingular_groups", "nowhere_zero_witnesses", "products_vanish"
     }
     # at n = 2 each of the 24 first rows is one group: one stacked call per
     # ring and one stacked witness search per group
@@ -264,42 +291,51 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     assert {budget for _, budget in seen} == {Budget(nodes=700)}
 
 
-def test_sweep_stacks_share_their_first_rows(capsys, monkeypatch):
-    # at n = 3 a stack is the p^3 - p^2 = 18 matrices after two fixed rows
+def recording_stacks(monkeypatch):
+    """Record (ring, shared rows, last rows) of every products_vanish call."""
     stacks = []
     real = group_ring.products_vanish
 
-    def recording(matrices, ring, budget=None):
-        stacks.append([m.rows for m in matrices])
-        return real(matrices, ring, budget=budget)
+    def recording(p, shared, varying, ring, budget=None):
+        assert varying.shape[1:] == (1, shared.shape[1])  # one varying row
+        stacks.append((ring, shared.tolist(), varying[:, 0].tolist()))
+        return real(p, shared, varying, ring, budget=budget)
 
     monkeypatch.setattr(group_ring, "products_vanish", recording)
+    return stacks
+
+
+def test_sweep_stacks_share_their_first_rows(capsys, monkeypatch):
+    # at n = 3 a stack is the p^3 - p^2 = 18 matrices after two fixed rows
+    stacks = recording_stacks(monkeypatch)
     rc, payload = run_json(capsys, "sweep", "--p", "3", "--n", "3", "--threads", "1")
     assert rc == 1  # (3, 3) has violations
     assert len(stacks) == 2 * 26 * 24
-    assert all(len(rows) == 18 for rows in stacks)
-    assert all(len({r[:2] for r in rows}) == 1 for rows in stacks)
-    assert sum(map(len, stacks)) == 2 * payload["matrices"]
+    assert all(len(head) == 2 and len(last) == 18 for _, head, last in stacks)
+    assert sum(len(last) for _, _, last in stacks) == 2 * payload["matrices"]
+    # each ring's stacks hold every matrix once, in enumeration order
+    for ring in (group_ring.IntegerRing, group_ring.ModPRing):
+        swept = [
+            tuple(map(tuple, head + [row]))
+            for r, head, last in stacks
+            if r is ring
+            for row in last
+        ]
+        assert swept == [m.rows for m in fp_core.enumerate_nonsingular(3, 3)]
 
 
 def test_sweep_splits_groups_into_capped_stacks(capsys, monkeypatch):
     # at (5, 2) a group is the 20 matrices after one first row; a cap of
     # 3 * 5^2 entries splits it into stacks of 3, 3, 3, 3, 3, 3, 2
     rc, want = run_json(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1")
-    stacks = []
-    real = group_ring.products_vanish
-
-    def recording(matrices, ring, budget=None):
-        stacks.append([m.rows for m in matrices])
-        return real(matrices, ring, budget=budget)
-
-    monkeypatch.setattr(group_ring, "products_vanish", recording)
+    stacks = recording_stacks(monkeypatch)
     monkeypatch.setattr(cli, "SWEEP_STACK_ENTRIES", 3 * 5**2)
     assert run_json(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1") == (
         rc, want
     )
-    assert [len(rows) for rows in stacks] == ([3] * 12 + [2, 2]) * 24
-    assert all(len({r[0] for r in rows}) == 1 for rows in stacks)
+    assert [len(last) for _, _, last in stacks] == ([3] * 12 + [2, 2]) * 24
+    first_rows = [head[0] for _, head, _ in stacks]
+    assert first_rows == [list(r) for r in fp_core.enumerate_nonzero_rows(5, 2) for _ in range(14)]
 
 
 def test_sweep_group_larger_than_the_entries_budget():
@@ -325,38 +361,42 @@ def test_sweep_group_larger_than_the_entries_budget():
 
 
 def test_sweep_payload_matches_one_matrix_at_a_time(capsys):
-    # (3, 2) has violations, so their order is checked too
-    rc, payload = run_json(capsys, "sweep", "--p", "3", "--n", "2", "--threads", "1")
-    counts = {"matrices": 0, "p1_witness": 0, "integer_nonzero": 0, "modp_nonzero": 0}
-    violations = []
-    for m in fp_core.enumerate_nonsingular(3, 2):
-        witness = properties.check_p1(m)
-        spec = group_ring.FactorSpec.from_matrix(m)
-        int_zero = group_ring.product_of_factors(spec, group_ring.IntegerRing).is_zero()
-        modp_zero = group_ring.product_of_factors(spec, group_ring.ModPRing).is_zero()
-        counts["matrices"] += 1
-        counts["p1_witness"] += witness is not None
-        counts["integer_nonzero"] += not int_zero
-        counts["modp_nonzero"] += not modp_zero
-        if witness is None or int_zero or modp_zero:
-            violations.append(
-                {
-                    "matrix": m.to_json(),
-                    "p1_witness": list(witness) if witness else None,
-                    "integer_zero": int_zero,
-                    "modp_zero": modp_zero,
-                }
-            )
-    assert violations
-    assert rc == 1
-    assert payload == {
-        "config": {"budget": None, "command": "sweep", "seed": None, "threads": 1},
-        "p": 3,
-        "n": 2,
-        "expected_nonsingular": fp_core.nonsingular_count(3, 2),
-        "violations": violations,
-        **counts,
-    }
+    # (3, 2) and (3, 3) have violations, so their order is checked too; at
+    # (3, 3) each job enumerates two rows deep below its first row
+    for p, n, size, bad in [(3, 2, 48, 8), (3, 3, 11232, 3312)]:
+        rc, payload = run_json(
+            capsys, "sweep", "--p", str(p), "--n", str(n), "--threads", "1"
+        )
+        counts = {"matrices": 0, "p1_witness": 0, "integer_nonzero": 0, "modp_nonzero": 0}
+        violations = []
+        for m in fp_core.enumerate_nonsingular(p, n):
+            witness = properties.check_p1(m)
+            spec = group_ring.FactorSpec.from_matrix(m)
+            int_zero = group_ring.product_of_factors(spec, group_ring.IntegerRing).is_zero()
+            modp_zero = group_ring.product_of_factors(spec, group_ring.ModPRing).is_zero()
+            counts["matrices"] += 1
+            counts["p1_witness"] += witness is not None
+            counts["integer_nonzero"] += not int_zero
+            counts["modp_nonzero"] += not modp_zero
+            if witness is None or int_zero or modp_zero:
+                violations.append(
+                    {
+                        "matrix": m.to_json(),
+                        "p1_witness": list(witness) if witness else None,
+                        "integer_zero": int_zero,
+                        "modp_zero": modp_zero,
+                    }
+                )
+        assert (counts["matrices"], len(violations)) == (size, bad)
+        assert rc == 1
+        assert payload == {
+            "config": {"budget": None, "command": "sweep", "seed": None, "threads": 1},
+            "p": p,
+            "n": n,
+            "expected_nonsingular": fp_core.nonsingular_count(p, n),
+            "violations": violations,
+            **counts,
+        }
 
 
 def test_sweep_validates_the_prime_once(capsys, monkeypatch):

@@ -3,16 +3,20 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajtkit.errors import InputError, NotPrime, SingularMatrix
+from ajtkit.budget import Budget
+from ajtkit.errors import BudgetExceeded, InputError, NotPrime, SingularMatrix
 from ajtkit.fp_core import (
     FpMatrix,
     FpVector,
     Prime,
+    _det_mod_p,
     enumerate_nonsingular,
+    enumerate_nonsingular_groups,
     enumerate_nonzero_rows,
     nonsingular_count,
     random_nonsingular,
@@ -171,6 +175,69 @@ def test_enumerate_prefix_chunks_partition_the_space():
             assert m.rows not in chunked
             chunked.add(m.rows)
     assert chunked == whole
+
+
+def naive_nonsingular(p, n, prefix=()):
+    """Every nonsingular matrix whose leading rows are `prefix`, as row
+    tuples in lex order: all candidates, filtered by determinant."""
+    rows = itertools.product(range(p), repeat=n)
+    return [
+        m
+        for rest in itertools.product(list(rows), repeat=n - len(prefix))
+        if _det_mod_p(m := tuple(prefix) + rest, p)
+    ]
+
+
+def flattened_groups(p, n, prefix=None, budget=None):
+    """The matrices of enumerate_nonsingular_groups as row tuples, in order."""
+    out = []
+    for head, last in enumerate_nonsingular_groups(p, n, budget=budget, prefix=prefix):
+        assert head.dtype == last.dtype == np.int64
+        assert head.shape == (n - 1, n) and last.shape[1:] == (n,)
+        rows = tuple(map(tuple, head.tolist()))
+        out += [rows + (tuple(row),) for row in last.tolist()]
+    return out
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
+def test_grouped_enumeration_matches_a_naive_filter(p, n):
+    everything = naive_nonsingular(p, n)
+    assert len(everything) == nonsingular_count(p, n)
+    for k in sorted({0, 1, n - 1}):
+        # every independent k-row prefix
+        for prefix in sorted({m[:k] for m in everything}):
+            want = naive_nonsingular(p, n, prefix)
+            pinned = [list(row) for row in prefix]
+            assert flattened_groups(p, n, prefix=pinned) == want
+            assert [m.rows for m in enumerate_nonsingular(p, n, prefix=pinned)] == want
+        # a dependent one: twice its first row, or the zero row, last
+        if k:
+            twice = tuple(2 * a for a in prefix[0]) if k > 1 else (0,) * n
+            pinned = [list(row) for row in prefix[:-1] + (twice,)]
+            assert flattened_groups(p, n, prefix=pinned) == []
+            assert list(enumerate_nonsingular(p, n, prefix=pinned)) == []
+    # a full prefix yields its own matrix if nonsingular, unreduced rows
+    # included, and nothing otherwise
+    for m in everything[:: len(everything) // 7]:
+        unreduced = [[a + p for a in row] for row in m]
+        assert flattened_groups(p, n, prefix=unreduced) == [m]
+        assert [x.rows for x in enumerate_nonsingular(p, n, prefix=unreduced)] == [m]
+        singular = [list(m[0])] * n
+        assert flattened_groups(p, n, prefix=singular) == []
+        assert flattened_groups(p, n, prefix=list(m) + [[1] * n]) == []
+
+
+def test_grouped_enumeration_checks_its_budget_and_prefix():
+    p, n = 3, 2
+    with pytest.raises(BudgetExceeded):
+        flattened_groups(p, n, prefix=[[0, 0]], budget=Budget(nodes=p ** (n * n) - 1))
+    assert len(flattened_groups(p, n, budget=Budget(nodes=p ** (n * n)))) == 48
+    with pytest.raises(InputError):
+        flattened_groups(p, n, prefix=[[1, 0, 0]])
+    with pytest.raises(InputError):
+        flattened_groups(p, 0)
+    with pytest.raises(NotPrime):
+        flattened_groups(9, n)
 
 
 def test_random_nonsingular_deterministic_and_valid():

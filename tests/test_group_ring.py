@@ -353,6 +353,14 @@ def rolled_products(p, shifts):
     return np.array(out)
 
 
+def stacked_rows(matrices, k):
+    """The (k, n) rows shared by matrices that agree on their first k rows,
+    and the (B, n - k, n) rows that follow, as products_vanish takes them."""
+    rows = np.array([m.rows for m in matrices], dtype=np.int64)
+    assert (rows[:, :k] == rows[:1, :k]).all()
+    return rows[0, :k], rows[:, k:]
+
+
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
 def test_stacked_products_match_one_at_a_time(p, n):
     matrices = list(enumerate_nonsingular(p, n))
@@ -361,18 +369,25 @@ def test_stacked_products_match_one_at_a_time(p, n):
             product_of_factors(FactorSpec.from_matrix(m), ring).is_zero()
             for m in matrices
         ]
-        assert products_vanish(matrices, ring) == want
-        # the sweep's stacks: consecutive matrices sharing their first n-1 rows
-        grouped = []
-        for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
-            grouped += products_vanish(list(group), ring)
-        assert grouped == want
+        # one stack, every row varying
+        assert products_vanish(p, *stacked_rows(matrices, 0), ring).tolist() == want
+        # stacks of consecutive matrices sharing their first k rows; k = n-1
+        # gives the sweep's stacks
+        for k in range(1, n):
+            grouped = []
+            for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:k]):
+                grouped += products_vanish(p, *stacked_rows(list(group), k), ring).tolist()
+            assert grouped == want
         # a stack with no varying row is one table for every matrix
-        assert products_vanish(matrices[:1] * 3, ring) == want[:1] * 3
+        shared, varying = stacked_rows(matrices[:1] * 3, n)
+        assert varying.shape == (3, 0, n)
+        assert products_vanish(p, shared, varying, ring).tolist() == want[:1] * 3
+        # an empty stack
+        shared, varying = stacked_rows(matrices[:1], n - 1)
+        assert products_vanish(p, shared, varying[:0], ring).shape == (0,)
     if p == 3:
         # (1-g)^3 = 1 - g^3 = 0 over F_3, so some mod-p products vanish
-        assert any(products_vanish(matrices, ModPRing))
-    assert products_vanish([], ModPRing) == []
+        assert products_vanish(p, *stacked_rows(matrices, 0), ModPRing).any()
 
 
 def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
@@ -395,7 +410,8 @@ def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
     # a sweep stack shares the unit vectors and its first row
     rolls.clear()
     group = list(enumerate_nonsingular(p, 2, prefix=[[1, 2]]))
-    assert products_vanish(group, IntegerRing) == [False] * len(group)
+    got = products_vanish(p, *stacked_rows(group, 1), IntegerRing)
+    assert got.tolist() == [False] * len(group)
     assert rolls == [(p, p)] * 3
 
 
@@ -416,20 +432,32 @@ def test_object_stack_past_62_factors():
 
 
 def test_stack_budget_charges_every_table():
-    m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
+    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4
+    shared = np.array([[1, 1]])
+    varying = np.array([[[1, a]] for a in (2, 3, 4)])
     with pytest.raises(BudgetExceeded):
-        products_vanish(m, IntegerRing, budget=Budget(entries=3 * P**2 - 1))
-    assert products_vanish(m, IntegerRing, budget=Budget(entries=3 * P**2)) == [
-        False
-    ] * 3
+        products_vanish(P, shared, varying, IntegerRing, budget=Budget(entries=3 * P**2 - 1))
+    got = products_vanish(P, shared, varying, IntegerRing, budget=Budget(entries=3 * P**2))
+    assert got.tolist() == [False] * 3
 
 
 def test_stack_rejects_mixed_shapes_and_the_cyclotomic_ring():
-    m = FpMatrix([[1, 1], [1, 2]], P)
+    shared = np.array([[1, 1]])
+    varying = np.array([[[1, 2]]])
+    assert products_vanish(P, shared, varying, IntegerRing).tolist() == [False]
+    for bad_shared, bad_varying in [
+        (shared, np.array([[[1, 2, 3]]])),  # rows of two lengths
+        (shared, np.array([[[1, 2], [2, 1]]])),  # three rows of length two
+        (np.zeros((0, 2)), varying),  # one row of length two
+        (shared[0], varying),  # shared rows not a matrix
+        (shared, varying[0]),  # varying rows not a stack
+    ]:
+        with pytest.raises(InputError):
+            products_vanish(P, bad_shared, bad_varying, IntegerRing)
     with pytest.raises(InputError):
-        products_vanish([m, FpMatrix([[1]], P)], IntegerRing)
+        products_vanish(4, shared, varying, IntegerRing)
     with pytest.raises(InputError):
-        products_vanish([m], CyclotomicRing)
+        products_vanish(P, shared, varying, CyclotomicRing)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from ajtkit.properties import (
     image_membership_routes,
     line_sum,
     multiplier_invariance_test,
+    nowhere_zero_vectors,
     nowhere_zero_witnesses,
     pairing_test,
 )
@@ -103,39 +104,73 @@ def test_check_p1_no_witness_when_everything_forbidden():
     assert check_p1(m, spec) is None
 
 
+def stacked_rows(matrices, k):
+    """The (k, n) rows shared by matrices that agree on their first k rows,
+    and the (B, n - k, n) rows that follow, as nowhere_zero_witnesses takes
+    them."""
+    rows = np.array([m.rows for m in matrices], dtype=np.int64)
+    assert (rows[:, :k] == rows[:1, :k]).all()
+    return rows[0, :k], rows[:, k:]
+
+
+def stacked_witnesses(p, shared, varying, budget=None):
+    """nowhere_zero_witnesses as check_p1 returns them: a vector or None."""
+    found, first = nowhere_zero_witnesses(p, shared, varying, budget=budget)
+    vectors = nowhere_zero_vectors(p, varying.shape[2])
+    return [tuple(vectors[i].tolist()) if f else None for f, i in zip(found, first)]
+
+
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3)])
 def test_stacked_witnesses_match_check_p1(p, n):
     matrices = list(enumerate_nonsingular(p, n))
     want = [check_p1(m) for m in matrices]
     if (p, n) == (3, 2):
         assert None in want  # witness-free matrices exist at (3, 2)
-    assert nowhere_zero_witnesses(matrices) == want
-    # the sweep's stacks: consecutive matrices sharing their first n-1 rows
-    grouped = []
-    for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
-        grouped += nowhere_zero_witnesses(list(group))
-    assert grouped == want
+    # one stack, every row varying
+    assert stacked_witnesses(p, *stacked_rows(matrices, 0)) == want
+    # stacks of consecutive matrices sharing their first k rows; k = n-1
+    # gives the sweep's stacks
+    for k in range(1, n):
+        grouped = []
+        for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:k]):
+            grouped += stacked_witnesses(p, *stacked_rows(list(group), k))
+        assert grouped == want
     # a stack with no varying row
-    assert nowhere_zero_witnesses(matrices[-1:] * 3) == want[-1:] * 3
-    assert nowhere_zero_witnesses([]) == []
+    shared, varying = stacked_rows(matrices[-1:] * 3, n)
+    assert varying.shape == (3, 0, n)
+    assert stacked_witnesses(p, shared, varying) == want[-1:] * 3
+    # an empty stack
+    shared, varying = stacked_rows(matrices[:1], n - 1)
+    assert stacked_witnesses(p, shared, varying[:0]) == []
 
 
 def test_stacked_witnesses_reject_mixed_shapes():
-    m = FpMatrix([[1, 1], [1, 2]], P)
+    shared = np.array([[1, 1]])
+    varying = np.array([[[1, 2]]])
+    assert stacked_witnesses(P, shared, varying) == [check_p1(FpMatrix([[1, 1], [1, 2]], P))]
+    for bad_shared, bad_varying in [
+        (shared, np.array([[[1, 2, 3]]])),  # rows of two lengths
+        (shared, np.array([[[1, 2], [2, 1]]])),  # three rows of length two
+        (np.zeros((0, 2)), varying),  # one row of length two
+        (shared[0], varying),  # shared rows not a matrix
+        (shared, varying[0]),  # varying rows not a stack
+    ]:
+        with pytest.raises(InputError):
+            nowhere_zero_witnesses(P, bad_shared, bad_varying)
     with pytest.raises(InputError):
-        nowhere_zero_witnesses([m, FpMatrix([[1]], P)])
-    with pytest.raises(InputError):
-        nowhere_zero_witnesses([m, FpMatrix([[1, 1], [1, 2]], 7)])
+        nowhere_zero_witnesses(9, shared, varying)
 
 
 def test_stacked_witnesses_charge_the_whole_stack():
+    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4
     m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
+    shared, varying = stacked_rows(m, 1)
     entries = 3 * (P - 1) ** 2
     with pytest.raises(BudgetExceeded):
-        nowhere_zero_witnesses(m, budget=Budget(entries=entries - 1))
+        nowhere_zero_witnesses(P, shared, varying, budget=Budget(entries=entries - 1))
     with pytest.raises(BudgetExceeded):
-        nowhere_zero_witnesses(m, budget=Budget(nodes=(P - 1) ** 2 - 1))
-    got = nowhere_zero_witnesses(m, budget=Budget(entries=entries))
+        nowhere_zero_witnesses(P, shared, varying, budget=Budget(nodes=(P - 1) ** 2 - 1))
+    got = stacked_witnesses(P, shared, varying, budget=Budget(entries=entries))
     assert got == [check_p1(x) for x in m]
 
 
