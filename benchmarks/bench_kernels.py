@@ -91,14 +91,16 @@ def product_cases():
     )
     head, last = sweep_stack(11, [[1, 2]])
     group = list(fp_core.enumerate_nonsingular(11, 2, prefix=[[1, 2]]))
+
+    def rolled_verdicts():
+        """Whether each reference table is zero over Z, and zero mod p."""
+        tables = [rolled_product(11, 2, unit_and_row_shifts(g)) for g in group]
+        return [not t.any() for t in tables], [not (t % 11).any() for t in tables]
+
     yield (
-        f"stack of {len(group)}, Z", 11, len(group) * 11**2,
-        lambda: [
-            not rolled_product(11, 2, unit_and_row_shifts(g)).any() for g in group
-        ],
-        lambda: group_ring.products_vanish(
-            11, head, last[:, None], group_ring.IntegerRing
-        ),
+        f"stack of {len(group)}, Z and F_p", 11, len(group) * 11**2,
+        rolled_verdicts,
+        lambda: group_ring.products_vanish(11, head, last[:, None]),
     )
 
 

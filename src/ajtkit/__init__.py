@@ -58,7 +58,6 @@ from .group_ring import (
     IntegerRing,
     ModPRing,
     check_p3,
-    check_p3_integer,
     check_p4,
     one_minus_g,
     product_of_factors,

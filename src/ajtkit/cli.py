@@ -210,11 +210,8 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
     for head, last in groups:
         for start in range(0, len(last), size):
             varying = last[start : start + size, None]
-            int_zero = group_ring.products_vanish(
-                p, head, varying, group_ring.IntegerRing, budget=budget
-            )
-            modp_zero = group_ring.products_vanish(
-                p, head, varying, group_ring.ModPRing, budget=budget
+            int_zero, modp_zero = group_ring.products_vanish(
+                p, head, varying, budget=budget
             )
             found, first = properties.nowhere_zero_witnesses(
                 p, head, varying, budget=budget
@@ -456,7 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("check", help="run the P1..P5 chain on one matrix")
     s.add_argument("--matrix", help="JSON file with p, n, rows")
-    s.add_argument("--random", action="store_true")
     s.add_argument("--p", type=int)
     s.add_argument("--n", type=int)
     s.add_argument("--forbidden", help="JSON file with c_lists and d_lists")
@@ -487,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("pairing", help="orthogonality probe for the delta images")
     s.add_argument("--matrix")
-    s.add_argument("--random", action="store_true")
     s.add_argument("--p", type=int)
     s.add_argument("--n", type=int)
     s.add_argument("--trials", type=int, default=200)

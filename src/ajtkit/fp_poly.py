@@ -27,7 +27,7 @@ import numpy as np
 
 from .budget import Budget, current_budget
 from .errors import DegreeMismatch, InputError
-from .fp_core import FpMatrix, _as_prime
+from .fp_core import FpMatrix, _as_prime, _vectors
 
 ExponentVector = tuple[int, ...]
 
@@ -409,11 +409,6 @@ def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
     return out
 
 
-def _grid_points(p: int, n: int) -> np.ndarray:
-    """All of F_p^n as an array of shape (p^n, n)."""
-    return np.indices((p,) * n).reshape(n, -1).T
-
-
 def scalar_product_condition(
     m: FpMatrix,
     r: Sequence[int],
@@ -439,7 +434,7 @@ def scalar_product_condition(
         route = "evaluate" if p**n <= 2**20 and p**n <= b.entries else "coefficient"
     if route == "evaluate":
         b.check_entries(p**n, what="grid evaluation")
-        points = _grid_points(p, n)
+        points = _vectors(p, n)
         rows = np.array(m.rows, dtype=np.int64)
         forms = points @ rows.T % p
         vals = np.ones(points.shape[0], dtype=np.int64)

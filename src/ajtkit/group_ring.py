@@ -16,7 +16,9 @@ their factors: the shared factors are applied once, to one table, and each
 other factor is one gather over the whole stack, so many small products cost
 the numpy calls of one. `products_vanish` takes a stack of matrices as row
 arrays, the rows they share and the rows that vary, as `sweep` holds the
-matrices of one (n-1)-row prefix.
+matrices of one (n-1)-row prefix. It expands each stack over Z once and reads
+both of the sweep's product verdicts off those tables: zero over Z, and zero
+mod p.
 
 Tables are int64 while every entry is provably below 2^62 in absolute value,
 and Python ints (dtype=object) otherwise, so values never wrap.
@@ -255,12 +257,6 @@ class GroupRingElem:
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.normalized())
 
-    def reduce_mod_p(self) -> "GroupRingElem":
-        """Coefficientwise reduction Z -> F_p."""
-        if self.ring is not IntegerRing:
-            raise RingMismatch("reduction maps the integer ring to the mod-p ring")
-        return _element(self.p, self.n, ModPRing, self.coeffs)
-
     def __eq__(self, other):
         if not isinstance(other, GroupRingElem):
             return NotImplemented
@@ -379,7 +375,7 @@ def _stack_arrays(
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
     """p validated, n, and the int64 rows of a stack of B matrices whose
     rows are the (k, n) `shared` rows, the same in every matrix, followed by
-    the (B, j, n) `varying` rows of each, with k + j = n."""
+    the (B, j, n) `varying` rows of each, with k + j = n and j >= 1."""
     shared = np.asarray(shared, dtype=np.int64)
     varying = np.asarray(varying, dtype=np.int64)
     if shared.ndim != 2 or varying.ndim != 3:
@@ -387,6 +383,8 @@ def _stack_arrays(
     n = shared.shape[1]
     if varying.shape[2] != n or shared.shape[0] + varying.shape[1] != n:
         raise InputError("stacked matrices need n rows of length n")
+    if varying.shape[1] < 1:
+        raise InputError("a stack needs at least one varying row")
     return _as_prime(p), n, shared, varying
 
 
@@ -394,31 +392,28 @@ def products_vanish(
     p: int,
     shared: np.ndarray,
     varying: np.ndarray,
-    ring: _RingTag,
     budget: Budget | str | None = None,
-) -> np.ndarray:
-    """`check_p3_integer` (ring IntegerRing) or `check_p4` with unit exponents
-    (ring ModPRing) for each of a stack of B matrices, as a (B,) bool array.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether prod (1-g^(e_i)) * prod (1-g^(a_i)) vanishes over Z and over
+    F_p (`check_p4` with unit exponents) for each of a stack of B matrices.
 
     Matrix b has the (k, n) `shared` rows and the (j, n) rows varying[b]
-    (see `_stack_arrays`). The products prod (1-g^(e_i)) * prod (1-g^(a_i))
-    are expanded as one stack: the unit vectors and the shared rows are
-    factors of one table, and each varying row is one gather over the stack.
+    (see `_stack_arrays`). The products are expanded over Z once, as one
+    stack: the unit vectors and the shared rows are factors of one table,
+    and each varying row is one gather over the stack. Returns (int_zero,
+    modp_zero), two (B,) bool arrays: a table is zero, and it is zero mod p.
     The entries budget is charged for the whole stack.
     """
     b = current_budget(budget)
-    if ring not in (IntegerRing, ModPRing):
-        raise InputError("stacked products are over the integer or the mod-p ring")
     p, n, shared, varying = _stack_arrays(p, shared, varying)
-    size = len(varying)
-    b.check_entries(size * p**n, what="group-ring stack")
+    b.check_entries(len(varying) * p**n, what="group-ring stack")
     units = np.eye(n, dtype=np.int64)
     factors = np.concatenate([units, shared]).tolist()
     table = _expand(p, n, factors, varying.transpose(1, 0, 2))
-    if ring is ModPRing:
-        table = table % p
-    nonzero = np.count_nonzero(table, axis=tuple(range(1, table.ndim)))
-    return np.broadcast_to(nonzero == 0, (size,))
+    axes = tuple(range(1, table.ndim))
+    int_zero = np.count_nonzero(table, axis=axes) == 0
+    modp_zero = np.count_nonzero(table % p, axis=axes) == 0
+    return int_zero, modp_zero
 
 
 def check_p4(
@@ -446,12 +441,6 @@ def check_p3(
     """
     spec = FactorSpec.from_matrix(m, c_lists=c_lists, d_lists=d_lists)
     return product_of_factors(spec, CyclotomicRing, budget=budget).is_zero()
-
-
-def check_p3_integer(m: FpMatrix, budget: Budget | str | None = None) -> bool:
-    """Vanishing of prod (1-g^(e_i)) * prod (1-g^(a_i)) over Z (all phases trivial)."""
-    spec = FactorSpec.from_matrix(m)
-    return product_of_factors(spec, IntegerRing, budget=budget).is_zero()
 
 
 def sigma_of_factors(

@@ -41,7 +41,7 @@ from .errors import (
     InputError,
     PreconditionViolated,
 )
-from .fp_core import FpMatrix, _as_prime
+from .fp_core import FpMatrix, _as_prime, _vectors
 from .fp_poly import (
     _eval_dense,
     _interpolate_dense,
@@ -263,9 +263,8 @@ def nowhere_zero_witnesses(
     """
     b = current_budget(budget)
     p, n, shared, varying = _stack_arrays(p, shared, varying)
-    size = len(varying)
     count = (p - 1) ** n
-    b.check_entries(size * count, what="witness stack")
+    b.check_entries(len(varying) * count, what="witness stack")
     b.check_nodes(count, what="witness search")
     # an image sum_j a_j x_j is below n p^2, which fits int64 for p < 2^31
     # whenever the (p-1)^n vectors fit in memory
@@ -273,7 +272,6 @@ def nowhere_zero_witnesses(
     ok = (vectors @ shared.T % p != 0).all(axis=1)
     for row in varying.transpose(1, 0, 2):
         ok = ok & (row @ vectors.T % p != 0)
-    ok = np.broadcast_to(ok, (size, count))
     return ok.any(axis=1), ok.argmax(axis=1)
 
 
@@ -380,7 +378,7 @@ def image_membership_routes(
         directions = [list(row) for row in m.rows]
         # pull back through y -> transpose(M) y; membership along the rows of
         # M becomes membership along unit vectors for the pulled-back table
-        points = np.indices((p,) * n).reshape(n, -1).T
+        points = _vectors(p, n)
         mt = np.array(m.transpose().rows, dtype=np.int64)
         images = points @ mt.T % p
         flat = f.values[tuple(images.T)]
@@ -458,7 +456,7 @@ def pairing_test(
     rng = random.Random(seed)
     minv = m.invert()
     # g(x) = h(transpose(M') x) with M' the inverse; build by substitution
-    points = np.indices((p,) * n).reshape(n, -1).T
+    points = _vectors(p, n)
     mprime = np.array(minv.rows, dtype=np.int64)
     subst = points @ mprime % p  # row x gives transpose(M') x
     nonzero = 0

@@ -82,7 +82,7 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     argvs = [
         ["sweep", "--p", "5", "--n", "2"],
         ["duality", "--p", "5", "--n", "2", "--trials", "3", "--seed", "1"],
-        ["check", "--random", "--p", "5", "--n", "2", "--seed", "3"],
+        ["check", "--p", "5", "--n", "2", "--seed", "3"],
         ["sweep", "--p", "3", "--n", "2", "--format", "table"],
     ]
     cached = [run(capsys, *argv) for argv in argvs]
@@ -155,7 +155,7 @@ def test_nk_partition_failure_is_exit_1(capsys):
 
 def test_check_random_matrix(capsys):
     rc, payload = run_json(
-        capsys, "check", "--random", "--p", "5", "--n", "2", "--seed", "9"
+        capsys, "check", "--p", "5", "--n", "2", "--seed", "9"
     )
     assert rc == 0
     assert payload["violations"] == []
@@ -203,8 +203,8 @@ def test_sweep_multiprocess_matches_serial(capsys):
         ("sweep", "--p", "5", "--n", "0"),
         ("duality", "--p", "5", "--n", "2", "--trials", "0"),
         ("duality", "--p", "5", "--n", "2", "--trials", "-3"),
-        ("pairing", "--random", "--p", "5", "--n", "2", "--trials", "0"),
-        ("pairing", "--random", "--p", "5", "--n", "2", "--trials", "-3"),
+        ("pairing", "--p", "5", "--n", "2", "--trials", "0"),
+        ("pairing", "--p", "5", "--n", "2", "--trials", "-3"),
         ("sigma", "--p", "5", "--n", "2", "--trials", "0"),
         ("sigma", "--p", "5", "--n", "2", "--trials", "-3"),
     ],
@@ -264,19 +264,19 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     def recording(fn):
         def call(*args, budget=None, **kwargs):
             seen.append((fn.__name__, budget))
-            if fn.__name__ == "products_vanish":
-                rings.append(args[3])
             return fn(*args, budget=budget, **kwargs)
 
         return call
 
-    rings = []
     for module, name in [
         (cli.fp_core, "enumerate_nonsingular_groups"),
         (cli.properties, "nowhere_zero_witnesses"),
         (cli.group_ring, "products_vanish"),
     ]:
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    expanded = []
+    real = group_ring._expand
+    monkeypatch.setattr(group_ring, "_expand", lambda *a: expanded.append(a) or real(*a))
     rc, payload = run_json(
         capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1", "--budget", "700"
     )
@@ -284,22 +284,23 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     assert {name for name, _ in seen} == {
         "enumerate_nonsingular_groups", "nowhere_zero_witnesses", "products_vanish"
     }
-    # at n = 2 each of the 24 first rows is one group: one stacked call per
-    # ring and one stacked witness search per group
-    assert rings == [group_ring.IntegerRing, group_ring.ModPRing] * 24
-    assert len(seen) == 24 + 3 * 24
+    # at n = 2 each of the 24 first rows is one group: one stacked product
+    # call, whose tables are expanded once for both rings, and one stacked
+    # witness search per group
+    assert len(expanded) == 24
+    assert len(seen) == 24 + 2 * 24
     assert {budget for _, budget in seen} == {Budget(nodes=700)}
 
 
 def recording_stacks(monkeypatch):
-    """Record (ring, shared rows, last rows) of every products_vanish call."""
+    """Record (shared rows, last rows) of every products_vanish call."""
     stacks = []
     real = group_ring.products_vanish
 
-    def recording(p, shared, varying, ring, budget=None):
+    def recording(p, shared, varying, budget=None):
         assert varying.shape[1:] == (1, shared.shape[1])  # one varying row
-        stacks.append((ring, shared.tolist(), varying[:, 0].tolist()))
-        return real(p, shared, varying, ring, budget=budget)
+        stacks.append((shared.tolist(), varying[:, 0].tolist()))
+        return real(p, shared, varying, budget=budget)
 
     monkeypatch.setattr(group_ring, "products_vanish", recording)
     return stacks
@@ -310,18 +311,12 @@ def test_sweep_stacks_share_their_first_rows(capsys, monkeypatch):
     stacks = recording_stacks(monkeypatch)
     rc, payload = run_json(capsys, "sweep", "--p", "3", "--n", "3", "--threads", "1")
     assert rc == 1  # (3, 3) has violations
-    assert len(stacks) == 2 * 26 * 24
-    assert all(len(head) == 2 and len(last) == 18 for _, head, last in stacks)
-    assert sum(len(last) for _, _, last in stacks) == 2 * payload["matrices"]
-    # each ring's stacks hold every matrix once, in enumeration order
-    for ring in (group_ring.IntegerRing, group_ring.ModPRing):
-        swept = [
-            tuple(map(tuple, head + [row]))
-            for r, head, last in stacks
-            if r is ring
-            for row in last
-        ]
-        assert swept == [m.rows for m in fp_core.enumerate_nonsingular(3, 3)]
+    assert len(stacks) == 26 * 24
+    assert all(len(head) == 2 and len(last) == 18 for head, last in stacks)
+    assert sum(len(last) for _, last in stacks) == payload["matrices"]
+    # the stacks hold every matrix once, in enumeration order
+    swept = [tuple(map(tuple, head + [row])) for head, last in stacks for row in last]
+    assert swept == [m.rows for m in fp_core.enumerate_nonsingular(3, 3)]
 
 
 def test_sweep_splits_groups_into_capped_stacks(capsys, monkeypatch):
@@ -333,9 +328,9 @@ def test_sweep_splits_groups_into_capped_stacks(capsys, monkeypatch):
     assert run_json(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1") == (
         rc, want
     )
-    assert [len(last) for _, _, last in stacks] == ([3] * 12 + [2, 2]) * 24
-    first_rows = [head[0] for _, head, _ in stacks]
-    assert first_rows == [list(r) for r in fp_core.enumerate_nonzero_rows(5, 2) for _ in range(14)]
+    assert [len(last) for _, last in stacks] == ([3] * 6 + [2]) * 24
+    first_rows = [head[0] for head, _ in stacks]
+    assert first_rows == [list(r) for r in fp_core.enumerate_nonzero_rows(5, 2) for _ in range(7)]
 
 
 def test_sweep_group_larger_than_the_entries_budget():
@@ -440,7 +435,7 @@ def test_multi_rejects_k1(capsys):
 
 def test_pairing_probe(capsys):
     rc, payload = run_json(
-        capsys, "pairing", "--random", "--p", "5", "--n", "2", "--trials",
+        capsys, "pairing", "--p", "5", "--n", "2", "--trials",
         "20", "--seed", "2",
     )
     assert rc == 0
@@ -467,7 +462,7 @@ def test_sigma_probe(capsys):
         ("appendix-verify",),
         ("s1", "--p", "13", "--mode", "build"),
         ("s1", "--p", "11", "--mode", "min"),
-        ("check", "--random", "--p", "5", "--n", "2", "--seed", "7"),
+        ("check", "--p", "5", "--n", "2", "--seed", "7"),
         ("sweep", "--p", "5", "--n", "2"),
         ("duality", "--p", "5", "--n", "2", "--trials", "20", "--seed", "0"),
         ("multi", "--p", "5", "--n", "2", "--k", "2", "--trials", "10", "--seed", "0"),

@@ -19,7 +19,6 @@ from ajtkit.group_ring import (
     IntegerRing,
     ModPRing,
     check_p3,
-    check_p3_integer,
     check_p4,
     one_minus_g,
     product_of_factors,
@@ -164,6 +163,11 @@ def test_one_minus_g_powers_integer_never_vanish():
         assert not acc.is_zero()
 
 
+def mod_p(x):
+    """An integer element reduced coefficientwise to F_p."""
+    return GroupRingElem(x.p, x.n, ModPRing, (x.coeffs % x.p).astype(np.int64))
+
+
 def test_reduce_mod_p_is_a_ring_map():
     rng = random.Random(5)
     for _ in range(15):
@@ -179,8 +183,8 @@ def test_reduce_mod_p_is_a_ring_map():
             IntegerRing,
             np.array([rng.randrange(-20, 20) for _ in range(P)], dtype=object),
         )
-        assert (a * b).reduce_mod_p() == a.reduce_mod_p() * b.reduce_mod_p()
-        assert (a + b).reduce_mod_p() == a.reduce_mod_p() + b.reduce_mod_p()
+        assert mod_p(a * b) == mod_p(a) * mod_p(b)
+        assert mod_p(a + b) == mod_p(a) + mod_p(b)
 
 
 def test_integer_arithmetic_never_wraps():
@@ -194,7 +198,7 @@ def test_integer_arithmetic_never_wraps():
         sum(x[i] * x[(j - i) % P] for i in range(P)) for j in range(P)
     ]
     assert square - square == GroupRingElem.zero(P, 1, IntegerRing)
-    assert square.reduce_mod_p() == a.reduce_mod_p() * a.reduce_mod_p()
+    assert mod_p(square) == mod_p(a) * mod_p(a)
 
 
 def test_phase_needs_cyclotomic_ring():
@@ -260,7 +264,7 @@ def test_product_brute_force_small():
 def test_check_p4_known_values():
     m = FpMatrix([[1, 1], [1, 2]], P)
     assert check_p4(m) is False  # product does not vanish
-    assert check_p3_integer(m) is False
+    assert not product_of_factors(FactorSpec.from_matrix(m), IntegerRing).is_zero()
     one_by_one = FpMatrix([[1]], P)
     # five factors of (1-g) vanish mod 5
     assert check_p4(one_by_one, t=[2], t_prime=[3]) is True
@@ -322,7 +326,7 @@ def test_integer_product_past_62_factors_does_not_wrap():
     assert got.coeffs.dtype == object
     assert list(got.coeffs) == want
     assert max(map(abs, want)) > 2**63
-    assert got.reduce_mod_p() == product_of_factors(spec, ModPRing)
+    assert np.array_equal(got.coeffs % P, product_of_factors(spec, ModPRing).coeffs)
 
 
 def test_entries_budget_charges_the_cyclotomic_axis():
@@ -330,7 +334,7 @@ def test_entries_budget_charges_the_cyclotomic_axis():
     m = FpMatrix([[1, 1], [1, 2]], P)
     cap = Budget(entries=P**2)
     assert check_p4(m, budget=cap) is False
-    assert check_p3_integer(m, budget=cap) is False
+    assert not product_of_factors(FactorSpec.from_matrix(m), IntegerRing, budget=cap).is_zero()
     with pytest.raises(BudgetExceeded):
         check_p3(m, c_lists=[[0]] * 2, d_lists=[[0]] * 2, budget=cap)
     assert check_p3(m, [[0]] * 2, [[0]] * 2, budget=Budget(entries=P**3)) is False
@@ -364,30 +368,33 @@ def stacked_rows(matrices, k):
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
 def test_stacked_products_match_one_at_a_time(p, n):
     matrices = list(enumerate_nonsingular(p, n))
-    for ring in (IntegerRing, ModPRing):
-        want = [
-            product_of_factors(FactorSpec.from_matrix(m), ring).is_zero()
-            for m in matrices
-        ]
-        # one stack, every row varying
-        assert products_vanish(p, *stacked_rows(matrices, 0), ring).tolist() == want
-        # stacks of consecutive matrices sharing their first k rows; k = n-1
-        # gives the sweep's stacks
-        for k in range(1, n):
-            grouped = []
-            for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:k]):
-                grouped += products_vanish(p, *stacked_rows(list(group), k), ring).tolist()
-            assert grouped == want
-        # a stack with no varying row is one table for every matrix
-        shared, varying = stacked_rows(matrices[:1] * 3, n)
-        assert varying.shape == (3, 0, n)
-        assert products_vanish(p, shared, varying, ring).tolist() == want[:1] * 3
-        # an empty stack
-        shared, varying = stacked_rows(matrices[:1], n - 1)
-        assert products_vanish(p, shared, varying[:0], ring).shape == (0,)
+    want = tuple(
+        [product_of_factors(FactorSpec.from_matrix(m), ring).is_zero() for m in matrices]
+        for ring in (IntegerRing, ModPRing)
+    )
+    # one stack, every row varying
+    int_zero, modp_zero = products_vanish(p, *stacked_rows(matrices, 0))
+    assert (int_zero.tolist(), modp_zero.tolist()) == want
+    assert not (int_zero & ~modp_zero).any()  # zero over Z is zero mod p
+    # stacks of consecutive matrices sharing their first k rows; k = n-1
+    # gives the sweep's stacks
+    for k in range(1, n):
+        grouped = ([], [])
+        for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:k]):
+            for out, got in zip(grouped, products_vanish(p, *stacked_rows(list(group), k))):
+                out += got.tolist()
+        assert grouped == want
+    # a stack needs a varying row
+    shared, varying = stacked_rows(matrices[:1] * 3, n)
+    assert varying.shape == (3, 0, n)
+    with pytest.raises(InputError):
+        products_vanish(p, shared, varying)
+    # an empty stack
+    shared, varying = stacked_rows(matrices[:1], n - 1)
+    assert [a.shape for a in products_vanish(p, shared, varying[:0])] == [(0,), (0,)]
     if p == 3:
         # (1-g)^3 = 1 - g^3 = 0 over F_3, so some mod-p products vanish
-        assert products_vanish(p, *stacked_rows(matrices, 0), ModPRing).any()
+        assert modp_zero.any()
 
 
 def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
@@ -410,8 +417,8 @@ def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
     # a sweep stack shares the unit vectors and its first row
     rolls.clear()
     group = list(enumerate_nonsingular(p, 2, prefix=[[1, 2]]))
-    got = products_vanish(p, *stacked_rows(group, 1), IntegerRing)
-    assert got.tolist() == [False] * len(group)
+    int_zero, modp_zero = products_vanish(p, *stacked_rows(group, 1))
+    assert int_zero.tolist() == modp_zero.tolist() == [False] * len(group)
     assert rolls == [(p, p)] * 3
 
 
@@ -436,15 +443,15 @@ def test_stack_budget_charges_every_table():
     shared = np.array([[1, 1]])
     varying = np.array([[[1, a]] for a in (2, 3, 4)])
     with pytest.raises(BudgetExceeded):
-        products_vanish(P, shared, varying, IntegerRing, budget=Budget(entries=3 * P**2 - 1))
-    got = products_vanish(P, shared, varying, IntegerRing, budget=Budget(entries=3 * P**2))
-    assert got.tolist() == [False] * 3
+        products_vanish(P, shared, varying, budget=Budget(entries=3 * P**2 - 1))
+    got = products_vanish(P, shared, varying, budget=Budget(entries=3 * P**2))
+    assert [a.tolist() for a in got] == [[False] * 3] * 2
 
 
-def test_stack_rejects_mixed_shapes_and_the_cyclotomic_ring():
+def test_stack_rejects_mixed_shapes():
     shared = np.array([[1, 1]])
     varying = np.array([[[1, 2]]])
-    assert products_vanish(P, shared, varying, IntegerRing).tolist() == [False]
+    assert [a.tolist() for a in products_vanish(P, shared, varying)] == [[False]] * 2
     for bad_shared, bad_varying in [
         (shared, np.array([[[1, 2, 3]]])),  # rows of two lengths
         (shared, np.array([[[1, 2], [2, 1]]])),  # three rows of length two
@@ -453,11 +460,9 @@ def test_stack_rejects_mixed_shapes_and_the_cyclotomic_ring():
         (shared, varying[0]),  # varying rows not a stack
     ]:
         with pytest.raises(InputError):
-            products_vanish(P, bad_shared, bad_varying, IntegerRing)
+            products_vanish(P, bad_shared, bad_varying)
     with pytest.raises(InputError):
-        products_vanish(4, shared, varying, IntegerRing)
-    with pytest.raises(InputError):
-        products_vanish(P, shared, varying, CyclotomicRing)
+        products_vanish(4, shared, varying)
 
 
 # ---------------------------------------------------------------------------

@@ -135,10 +135,11 @@ def test_stacked_witnesses_match_check_p1(p, n):
         for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:k]):
             grouped += stacked_witnesses(p, *stacked_rows(list(group), k))
         assert grouped == want
-    # a stack with no varying row
+    # a stack needs a varying row
     shared, varying = stacked_rows(matrices[-1:] * 3, n)
     assert varying.shape == (3, 0, n)
-    assert stacked_witnesses(p, shared, varying) == want[-1:] * 3
+    with pytest.raises(InputError):
+        stacked_witnesses(p, shared, varying)
     # an empty stack
     shared, varying = stacked_rows(matrices[:1], n - 1)
     assert stacked_witnesses(p, shared, varying[:0]) == []
