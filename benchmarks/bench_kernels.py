@@ -6,7 +6,12 @@ hits in the same order for the scan. This script times them side by side on
 the workloads that dominate real use: exhausting all sets below the optimum
 and finding a minimum set one size up, and the S_1 and N_1 certification
 scans of a logarithmic set and of one partition part. The compiled side runs
-through ajtkit.kernels, which carries the masks across as bytes.
+through ajtkit.kernels, which carries the masks across as bytes. The scan
+table times both routes of first_hit_scan on each backend, the rotation and,
+for the centered scans, the pairs of the set, names the route that
+kernels.scan_route picks, and asserts that every route gives the rotation's
+hits in the same order. The witness-map row times is_nk_type on the N_1 part
+against its two bare scans; the difference is the cost of the witness records.
 
 Another table times the group-ring factor products, which gather along each
 axis, against a plain `np.roll` loop kept here as the reference, and asserts
@@ -29,6 +34,7 @@ import numpy as np
 from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels, properties
 
 COMPILED = kernels.BACKEND == "compiled"
+BACKENDS = [("pure", None)] + ([("compiled", kernels._ext)] if COMPILED else [])
 
 CASES = [
     # (p, limit, label)
@@ -51,6 +57,15 @@ def scan_cases():
     outside = ~part & ((1 << 20011) - 1)
     yield "N_1 part, inside", 20011, part, part, CENTERED
     yield "N_1 part, outside", 20011, part, outside, FORWARD
+
+
+def route_on(ext, fn, *args):
+    """fn(*args) with ajtkit.kernels on the backend `ext` (None: pure)."""
+    saved, kernels._ext = kernels._ext, ext
+    try:
+        return fn(*args)
+    finally:
+        kernels._ext = saved
 
 
 def rolled_product(p, d, shifts):
@@ -157,25 +172,47 @@ def main():
         print(line)
     print()
     # scans take milliseconds, so each time is the best of five calls
-    header = f"{'scan':<28}{'p':>6}{'hits':>17}{'pure (s)':>11}"
-    if COMPILED:
-        header += f"{'compiled (s)':>14}{'speedup':>9}"
+    header = f"{'scan':<28}{'p':>6}{'|A|':>6}{'hits':>7}{'backend':>10}{'route':>10}"
+    header += f"{'rotation (s)':>14}{'pair (s)':>10}{'speedup':>9}"
     print(header)
     print("-" * len(header))
     for label, p, mask, target, steps in scan_cases():
-        t_py, (hits_py, rest_py) = timed(
-            _kernels_py.first_hit_scan, mask, target, p, steps, repeat=5
-        )
-        line = f"{label:<28}{p:>6}{len(hits_py):>17}{t_py:>11.4f}"
-        if COMPILED:
-            t_c, (hits_c, rest_c) = timed(
-                kernels.first_hit_scan, mask, target, p, steps, repeat=5
+        want = _kernels_py.first_hit_scan(mask, target, p, steps)
+        for backend, ext in BACKENDS:
+            route = route_on(ext, kernels.scan_route, mask, p, steps)
+            t_rot, got = timed(route_on, ext, kernels.rotation_scan, mask, target, p,
+                               steps, repeat=5)
+            assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
+                f"rotation mismatch on {label}, {backend}"
             )
-            assert list(hits_c.items()) == list(hits_py.items()) and rest_c == rest_py, (
-                f"backend mismatch on {label} at p={p}"
+            line = f"{label:<28}{p:>6}{mask.bit_count():>6}{len(want[0]):>7}"
+            line += f"{backend:>10}{route:>10}{t_rot:>14.5f}"
+            if steps == FORWARD:
+                print(line + f"{'-':>10}{'-':>9}")  # pairs need steps +1 and -1
+                continue
+            t_pair, got = timed(route_on, ext, kernels.pair_scan, mask, target, p,
+                                steps, repeat=5)
+            assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
+                f"pair mismatch on {label}, {backend}"
             )
-            line += f"{t_c:>14.4f}{t_py / t_c:>8.1f}x"
-        print(line)
+            print(line + f"{t_pair:>10.5f}{t_rot / t_pair:>8.1f}x")
+    print()
+    # the same scans with their witness records, and the bare scans alone
+    header = f"{'witness map':<28}{'p':>6}{'witnesses':>10}{'scans (s)':>11}"
+    header += f"{'is_nk_type (s)':>16}{'records (s)':>13}"
+    print(header)
+    print("-" * len(header))
+    part = apsets.partition_nk(20011, 1, seed=0).parts[0]
+    p, mask = part.p, part.mask
+    outside = ~mask & ((1 << p) - 1)
+    t_scan, _ = timed(lambda: (kernels.first_hit_scan(mask, mask, p, CENTERED),
+                               kernels.first_hit_scan(mask, outside, p, FORWARD)),
+                      repeat=5)
+    t_map, report = timed(apsets.is_nk_type, part, 1, repeat=5)
+    assert report.ok
+    found = len(report.inside) + len(report.outside)
+    print(f"{'N_1 part, ' + kernels.BACKEND:<28}{p:>6}{found:>10}{t_scan:>11.5f}"
+          f"{t_map:>16.5f}{t_map - t_scan:>13.5f}")
     print()
     # products take micro- to milliseconds, so each time is the best of 20
     header = f"{'group-ring product':<28}{'p':>6}{'entries':>10}"

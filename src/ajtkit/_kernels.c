@@ -11,7 +11,9 @@
    linear probing. A slot whose low limb is 0 is empty: every reachable set
    contains {0, 1}.
 
-   first_hit_scan mirrors _kernels_py.first_hit_scan and takes any p >= 3. */
+   first_hit_scan mirrors _kernels_py.first_hit_scan and pair_hit_scan
+   mirrors _kernels_py.pair_hit_scan; both take any p >= 3 and give the same
+   hits in the same order, the pair route only for steps holding +1 and -1. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -300,20 +302,125 @@ static int scan(const u64 *D, u64 *rem, int *live, int nlive, int p,
     return 0;
 }
 
-static PyObject *first_hit_scan(PyObject *self, PyObject *args)
+/* (d, a) keys packed as d * p + a sort by ascending d, then ascending a. */
+static int key_order(const void *x, const void *y)
+{
+    u64 u = *(const u64 *)x, v = *(const u64 *)y;
+    return (u > v) - (u < v);
+}
+
+/* x / 2 mod p for 0 <= x < p: p is odd, so (x + p) / 2 when x is odd. */
+static int halve(int x, int p)
+{
+    return (x + (x & 1) * p) >> 1;
+}
+
+/* 1 if c + i*d lies in A for every i in inc (n of them, each i mod p). */
+static int covers(const u64 *a, int c, int d, const long long *inc,
+                  Py_ssize_t n, int p)
+{
+    for (Py_ssize_t t = 0; t < n; t++)
+        if (!has(a, (int)((c + inc[t] * d) % p)))
+            return 0;
+    return 1;
+}
+
+/* The pair route: the same hits and rem as scan, found from the pairs of A.
+   A pair y < z of A is (c - d, c + d) for the center c = (y + z)/2 and
+   d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d. steps hold +1 and
+   -1, so every witness shows up as the pair of its two ends, and a
+   candidate needs only the other steps tested, the ninc in inc. Centers
+   are indexed by x = 2c = y + z mod p, so that most pairs cost an add and
+   a bit test: twice marks 2c for each c of rem, and best[x], read only
+   there, is the least candidate kept for its center, p for none. The cost
+   is O(|A|^2) pairs against scan's O(D * L) limbs, D the largest hit. */
+static int pair_scan(const u64 *a, u64 *rem, int n, int p, const long long *inc,
+                     Py_ssize_t ninc, PyObject *hits)
+{
+    int s = 0, targets = 0, nkeys = 0, status = -1;
+    for (int i = 0; i < n; i++) {
+        s += __builtin_popcountll(a[i]);
+        targets += __builtin_popcountll(rem[i]);
+    }
+    int *el = malloc((s + 1) * sizeof(int));
+    int *best = malloc(p * sizeof(int));
+    u64 *twice = calloc(n, sizeof(u64));
+    u64 *keys = malloc((targets + 1) * sizeof(u64));
+    if (el == NULL || best == NULL || twice == NULL || keys == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int i = 0, m = 0; i < n; i++)
+        for (u64 w = a[i]; w; w &= w - 1)
+            el[m++] = 64 * i + __builtin_ctzll(w);
+    for (int i = 0; i < n; i++)
+        for (u64 w = rem[i]; w; w &= w - 1) {
+            int x = 2 * (64 * i + __builtin_ctzll(w));
+            x -= x >= p ? p : 0;
+            twice[x >> 6] |= 1ULL << (x & 63);
+            best[x] = p;
+        }
+    for (int j = 1; j < s; j++) {
+        int z = el[j];
+        for (int i = 0; i < j; i++) {
+            int x = el[i] + z;
+            x -= x >= p ? p : 0;
+            if (!has(twice, x))
+                continue;
+            int c = halve(x, p), d = halve(z - el[i], p), cur = best[x];
+            int lo = d < p - d ? d : p - d, hi = p - lo;
+            if (lo < cur) {
+                if (covers(a, c, lo, inc, ninc, p))
+                    cur = lo;
+                else if (hi < cur && covers(a, c, hi, inc, ninc, p))
+                    cur = hi;
+            }
+            best[x] = cur;
+        }
+    }
+    for (int i = 0; i < n; i++)
+        for (u64 w = twice[i]; w; w &= w - 1) {
+            int x = 64 * i + __builtin_ctzll(w), c = halve(x, p);
+            if (best[x] < p) {
+                rem[c >> 6] &= ~(1ULL << (c & 63));
+                keys[nkeys++] = (u64)best[x] * p + c;
+            }
+        }
+    qsort(keys, nkeys, sizeof(u64), key_order);
+    for (int j = 0; j < nkeys; j++) {
+        PyObject *e = PyLong_FromLong((long)(keys[j] % p));
+        PyObject *step = PyLong_FromLong((long)(keys[j] / p));
+        int bad = e == NULL || step == NULL || PyDict_SetItem(hits, e, step) < 0;
+        Py_XDECREF(e);
+        Py_XDECREF(step);
+        if (bad)
+            goto done;
+    }
+    status = 0;
+done:
+    free(el);
+    free(best);
+    free(twice);
+    free(keys);
+    return status;
+}
+
+/* first_hit_scan, by rotation (pair = 0) or from the pairs of A (pair = 1). */
+static PyObject *hit_scan(PyObject *args, int pair)
 {
     Py_buffer mask_buf, target_buf;
     int p;
     PyObject *steps_obj;
-    if (!PyArg_ParseTuple(args, "y*y*iO:first_hit_scan", &mask_buf, &target_buf,
-                          &p, &steps_obj))
+    if (!PyArg_ParseTuple(args, pair ? "y*y*iO:pair_hit_scan" : "y*y*iO:first_hit_scan",
+                          &mask_buf, &target_buf, &p, &steps_obj))
         return NULL;
     PyObject *steps = NULL, *hits = NULL, *result = NULL;
     u64 *D = NULL, *rem = NULL;
     int *live = NULL;
     long long *off = NULL;
     if (p < 3) {
-        PyErr_Format(PyExc_ValueError, "first_hit_scan needs p >= 3, got %d", p);
+        PyErr_Format(PyExc_ValueError, "%s needs p >= 3, got %d",
+                     pair ? "pair_hit_scan" : "first_hit_scan", p);
         goto done;
     }
     steps = PySequence_Fast(steps_obj, "steps must be a sequence of ints");
@@ -325,37 +432,56 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
     D = calloc(nd, sizeof(u64));
     rem = malloc(2 * n * sizeof(u64)); /* rem, then the mask A */
     live = malloc(n * sizeof(int));
-    off = malloc(2 * (nsteps + 1) * sizeof(long long));
+    off = malloc(3 * (nsteps + 1) * sizeof(long long));
     if (D == NULL || rem == NULL || live == NULL || off == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    /* step i moves A by -i*d: shift[t] runs through -i*d mod p as d grows */
-    long long *shift = off + nsteps + 1;
+    /* step i moves A by -i*d: shift[t] runs through -i*d mod p as d grows;
+       the pair route tests the steps other than +1 and -1, i mod p in inc */
+    long long *shift = off + nsteps + 1, *inc = shift + nsteps + 1;
+    Py_ssize_t ninc = 0;
+    int up = 0, down = 0;
     for (Py_ssize_t t = 0; t < nsteps; t++) {
         long long i = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(steps, t));
         if (i == -1 && PyErr_Occurred())
             goto done;
-        off[t] = ((-(i % p)) % p + p) % p;
+        i = (i % p + p) % p;
+        off[t] = (p - i) % p;
         shift[t] = 0;
+        up |= i == 1;
+        down |= i == p - 1;
+        if (i != 1 && i != p - 1)
+            inc[ninc++] = i;
+    }
+    if (pair && !(up && down)) {
+        PyErr_SetString(PyExc_ValueError, "pair_hit_scan needs steps +1 and -1");
+        goto done;
     }
     u64 *a = rem + n;
     if (read_mask(&mask_buf, p, a, n, "mask") < 0 ||
         read_mask(&target_buf, p, rem, n, "target") < 0)
         goto done;
-    int q = p >> 6, r = p & 63, nlive = 0;
-    for (int i = 0; i < n; i++) {
-        D[i] |= a[i];
-        D[i + q] |= a[i] << r;
-        if (r)
-            D[i + q + 1] |= a[i] >> (64 - r);
-    }
-    for (int i = 0; i < n; i++)
-        if (rem[i])
-            live[nlive++] = i;
     hits = PyDict_New();
-    if (hits == NULL || scan(D, rem, live, nlive, p, off, shift, nsteps, hits) < 0)
+    if (hits == NULL)
         goto done;
+    if (pair) {
+        if (pair_scan(a, rem, n, p, inc, ninc, hits) < 0)
+            goto done;
+    } else {
+        int q = p >> 6, r = p & 63, nlive = 0;
+        for (int i = 0; i < n; i++) {
+            D[i] |= a[i];
+            D[i + q] |= a[i] << r;
+            if (r)
+                D[i + q + 1] |= a[i] >> (64 - r);
+        }
+        for (int i = 0; i < n; i++)
+            if (rem[i])
+                live[nlive++] = i;
+        if (scan(D, rem, live, nlive, p, off, shift, nsteps, hits) < 0)
+            goto done;
+    }
     result = Py_BuildValue("(ON)", hits, write_mask(rem, p));
 done:
     Py_XDECREF(hits);
@@ -369,6 +495,16 @@ done:
     return result;
 }
 
+static PyObject *first_hit_scan(PyObject *self, PyObject *args)
+{
+    return hit_scan(args, 0);
+}
+
+static PyObject *pair_hit_scan(PyObject *self, PyObject *args)
+{
+    return hit_scan(args, 1);
+}
+
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
@@ -378,6 +514,10 @@ static PyMethodDef methods[] = {
      "first_hit_scan(mask, target, p, steps) -> (hits, remaining)\n\n"
      "Same contract as ajtkit._kernels_py.first_hit_scan, with the masks as\n"
      "little-endian bytes of length ceil(p/8)."},
+    {"pair_hit_scan", pair_hit_scan, METH_VARARGS,
+     "pair_hit_scan(mask, target, p, steps) -> (hits, remaining)\n\n"
+     "Same contract as ajtkit._kernels_py.pair_hit_scan: first_hit_scan's\n"
+     "result from the pairs of the mask; steps must hold +1 and -1."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -1,9 +1,11 @@
 """Pure-Python kernels: the S_1 search and the first-hit progression scan.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
-compiled twin in _kernels.c implements s1_exhaust with the same traversal
-order and first_hit_scan with the same insertion order; the backends must
-stay byte-for-byte interchangeable.
+scan has two routes with the same result: first_hit_scan rotates the mask,
+pair_hit_scan reads the witnesses off the pairs of the set. The compiled
+twin in _kernels.c implements s1_exhaust with the same traversal order and
+both scans with the same insertion order; the backends must stay
+byte-for-byte interchangeable.
 """
 
 from __future__ import annotations
@@ -97,3 +99,48 @@ def first_hit_scan(
             new ^= low
         remaining &= ~hit
     return hits, remaining
+
+
+def pair_hit_scan(
+    mask: int, target: int, p: int, steps: Sequence[int]
+) -> tuple[dict[int, int], int]:
+    """first_hit_scan's (hits, remaining), found from the pairs of A = `mask`.
+
+    A pair y < z of A is (c - d, c + d) for the center c = (y + z)/2 and
+    d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d. `steps` must
+    hold +1 and -1 mod p, so that every witness is the pair of its two
+    ends, and a candidate needs only the other steps tested: c + i*d in A.
+    Each center in `target` keeps its least candidate, and the hits are
+    listed by ascending d, then ascending element, as the rotation lists
+    them. O(|A|^2) pairs, whatever p is.
+    """
+    incs = {i % p for i in steps}
+    if 1 not in incs or p - 1 not in incs:
+        raise ValueError("pair_hit_scan needs steps +1 and -1")
+    others = sorted(incs - {1, p - 1})
+    half = (p + 1) // 2  # the inverse of 2 mod p
+    elements = _bits(mask)
+    centers = set(_bits(target))
+    best: dict[int, int] = {}
+    for j, z in enumerate(elements):
+        for y in elements[:j]:
+            c = (y + z) * half % p
+            if c not in centers:
+                continue
+            d = (z - y) * half % p
+            for cand in sorted((d, p - d)):
+                if cand >= best.get(c, p):
+                    break
+                if all(mask >> ((c + i * cand) % p) & 1 for i in others):
+                    best[c] = cand
+                    break
+    hits = {c: d for d, c in sorted((d, c) for c, d in best.items())}
+    covered = bytearray((p + 7) // 8)
+    for c in hits:
+        covered[c >> 3] |= 1 << (c & 7)
+    return hits, target & ~int.from_bytes(covered, "little")
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, ascending."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]

@@ -7,8 +7,14 @@ b + d, ..., b + k*d contained in A. These sets certify nowhere-zero
 solvability results downstream; this module builds them, searches for
 minimum ones, and verifies a frozen table of small optimal examples.
 
-Sets are bit masks over residues (bit i == residue i), so membership
-scans are word rotations.
+Sets are bit masks over residues (bit i == residue i). Certification runs
+kernels.first_hit_scan, which finds each element's least witness d by one of
+two routes with identical results: word rotations of the mask, or the pairs
+(a - d, a + d) of its elements. kernels.scan_route takes the pairs for
+centered scans of sparse sets, |A|^2 <= c * p * sqrt(ceil(p/64)) with c set
+per backend, and rotates for forward scans and denser sets. A witness is an
+ApWitness, a tuple record that compares equal to (element, step, radius);
+the maps of SkReport and NkReport list them in the scan's order, ascending d.
 """
 
 from __future__ import annotations
@@ -18,8 +24,10 @@ import importlib.resources
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from . import kernels
 from .budget import Budget, current_budget
@@ -124,9 +132,11 @@ class ResidueSet:
             raise InputError("set JSON needs keys 'p' and 'elements'") from None
 
 
-@dataclass(frozen=True)
-class ApWitness:
-    """A progression witness: element, common difference, radius."""
+class ApWitness(NamedTuple):
+    """A progression witness: element, common difference, radius.
+
+    A tuple record: immutable, and equal to (element, step, radius).
+    """
 
     element: int
     step: int
@@ -188,14 +198,18 @@ def _check_radius(p: int, k: int) -> None:
 def _first_hit_scan(
     mask: int, target: int, p: int, steps: Sequence[int], k: int
 ) -> tuple[dict[int, ApWitness], int]:
-    """Witness map for all bits of `target` coverable by the AND of rotations.
+    """Witness map for every bit of `target` that some difference d covers.
 
-    For each difference d in ascending order, intersect the rotations of
-    `mask` listed in `steps` (as multiples of d) and record d as the witness
-    for every still-uncovered bit. Returns (witnesses, leftover_mask).
+    Each bit a maps to ApWitness(a, d, k) with d the least difference whose
+    progression a + i*d, i in `steps`, lies in `mask`; the map lists the
+    kernel's hits in its order, ascending d. The records are built in one
+    C-level pass (tuple.__new__ over zipped fields), with no bytecode per
+    witness. Returns (witnesses, leftover_mask).
     """
     hits, remaining = kernels.first_hit_scan(mask, target, p, steps)
-    return {a: ApWitness(a, d, k) for a, d in hits.items()}, remaining
+    fields = zip(hits, hits.values(), itertools.repeat(k))
+    records = map(tuple.__new__, itertools.repeat(ApWitness), fields)
+    return dict(zip(hits, records)), remaining
 
 
 def _centered(k: int) -> list[int]:
@@ -434,8 +448,9 @@ def partition_nk(
 ) -> Partition:
     """Random partition of Z/p into N_k-type parts.
 
-    Each residue gets an independent uniform label; a draw is accepted when
-    every part is N_k-type, decided by the scans is_nk_type runs. The
+    Each residue gets an independent uniform label; the part masks are
+    packed from the labels in one vectorized pass, and a draw is accepted
+    when every part is N_k-type, decided by the scans is_nk_type runs. The
     default part count is ceil(p^(1/(2k+1))).
     """
     p = _as_prime(p)
@@ -446,10 +461,10 @@ def partition_nk(
         raise InputError("part count must be >= 1")
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):
-        labels = [rng.randrange(parts) for _ in range(p)]
-        masks = [0] * parts
-        for residue, lab in enumerate(labels):
-            masks[lab] |= 1 << residue
+        labels = np.fromiter((rng.randrange(parts) for _ in range(p)), np.int64, p)
+        members = labels == np.arange(parts)[:, None]  # row j: the residues of part j
+        rows = np.packbits(members, axis=1, bitorder="little")
+        masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
         if all(_is_nk_mask(m, p, k) for m in masks):
             parts = tuple(ResidueSet(p, m) for m in masks)
             return Partition(p=p, k=k, parts=parts, seed=seed, attempts=attempt)

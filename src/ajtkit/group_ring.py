@@ -411,8 +411,8 @@ def products_vanish(
     factors = np.concatenate([units, shared]).tolist()
     table = _expand(p, n, factors, varying.transpose(1, 0, 2))
     axes = tuple(range(1, table.ndim))
-    int_zero = np.count_nonzero(table, axis=axes) == 0
-    modp_zero = np.count_nonzero(table % p, axis=axes) == 0
+    int_zero = ~table.any(axis=axes)
+    modp_zero = ~(table % p).any(axis=axes)
     return int_zero, modp_zero
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajtkit import kernels
 from ajtkit.apsets import (
     ApWitness,
     ResidueSet,
@@ -117,6 +118,49 @@ def test_witness_helpers():
     # forward: element itself outside, next k steps inside
     assert witness_covers_forward(s, ApWitness(10, 2, 2))  # 10+2=1, 10+4=3
     assert not witness_covers_forward(s, ApWitness(10, 3, 2))
+
+
+def test_ap_witness_is_an_immutable_tuple_record():
+    w = ApWitness(3, 2, 1)
+    assert ApWitness._fields == ("element", "step", "radius")
+    assert (w.element, w.step, w.radius) == (3, 2, 1)
+    assert w == (3, 2, 1) and hash(w) == hash((3, 2, 1))
+    for name in ApWitness._fields:
+        with pytest.raises(AttributeError):
+            setattr(w, name, 0)
+
+
+@pytest.fixture(scope="module")
+def n1_part():
+    """The first part of the seeded N_1 partition of Z/20011."""
+    return partition_nk(20011, 1, seed=0).parts[0]
+
+
+def test_nk_maps_list_the_kernel_hits_as_records(n1_part):
+    # both maps hold the scans' hits in the kernel's order, ascending d, each
+    # as the record ApWitness(a, d, 1), which the independent checkers accept
+    p, mask = n1_part.p, n1_part.mask
+    report = is_nk_type(n1_part, 1)
+    assert report.ok
+    scans = [
+        (report.inside, mask, [-1, 1], witness_covers_centered),
+        (report.outside, ~mask & ((1 << p) - 1), [1], witness_covers_forward),
+    ]
+    for witnesses, target, steps, covers in scans:
+        hits, remaining = kernels.first_hit_scan(mask, target, p, steps)
+        assert remaining == 0
+        assert list(witnesses) == list(hits)
+        assert list(witnesses.values()) == [ApWitness(a, d, 1) for a, d in hits.items()]
+        assert all(type(w) is ApWitness and covers(n1_part, w) for w in witnesses.values())
+
+
+def test_nk_report_is_the_same_on_the_pure_backend(n1_part, monkeypatch):
+    built = is_nk_type(n1_part, 1)
+    monkeypatch.setattr(kernels, "_ext", None)
+    pure = is_nk_type(n1_part, 1)
+    assert pure == built
+    assert list(pure.inside.items()) == list(built.inside.items())
+    assert list(pure.outside.items()) == list(built.outside.items())
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +445,23 @@ def test_partition_draw_test_rejects_what_is_nk_type_rejects():
     assert not all(is_nk_type(q, 1).ok for q in draws[0])
     assert list(part.parts) == draws[1]
     assert all(is_nk_type(q, 1).ok for q in part.parts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_partition_masks_match_the_per_residue_construction(seed):
+    # the same draws, one residue at a time: every draw before the kept one
+    # has a part that is not N_1, and the kept draw gives the same masks
+    p, parts = 1009, 8
+    part = partition_nk(p, 1, parts=parts, seed=seed)
+    rng = random.Random(seed)
+    for attempt in range(1, part.attempts + 1):
+        labels = [rng.randrange(parts) for _ in range(p)]
+        masks = [0] * parts
+        for residue, lab in enumerate(labels):
+            masks[lab] |= 1 << residue
+        kept = all(is_nk_type(ResidueSet(p, m), 1).ok for m in masks)
+        assert kept == (attempt == part.attempts)
+    assert [q.mask for q in part.parts] == masks
 
 
 def test_partition_draw_test_runs_the_outside_scan():

@@ -5,7 +5,8 @@ set, same exhausted flag, and the same node count, so that proven_optimal
 claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
 order and the same uncovered remainder, so that witness maps do not depend
-on the backend either.
+on the backend either, nor on the route: the rotation and, for centered
+steps, the pairs of the set.
 
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
@@ -14,6 +15,7 @@ that module behind ajtkit.kernels, which carries the masks across as bytes.
 """
 
 import importlib.util
+import math
 import random
 import shlex
 import shutil
@@ -190,18 +192,78 @@ def test_first_hit_scan_parity(ext, p):
     assert rest == 1
 
 
+def pair_cases(p, rng):
+    """(mask, target, steps) for the pair route: the log set and a sparse
+    random set, with k = 1 and k = 2 steps and targets other than the mask,
+    then the empty set, a singleton and, while the pure pairs stay cheap, the
+    full set."""
+    full = (1 << p) - 1
+    k1, k2 = [-1, 1], [-2, -1, 1, 2]
+    log = apsets.build_s1_log(p).mask
+    sparse = sum(1 << e for e in rng.sample(range(p), max(3, math.isqrt(4 * p))))
+    for mask in (log, sparse):
+        for steps in (k1, k2):
+            yield mask, mask, steps
+            yield mask, full, steps
+        yield mask, rng.getrandbits(p), k1
+    yield 0, full, k1
+    yield 1 << rng.randrange(p), full, k1
+    if p <= 257:
+        yield full, full, k1
+        yield full, full, k2
+        yield full, sparse, [1, -1, 1]
+
+
+@pytest.mark.parametrize("p", [5, 61, 67, 127, 131, 20011])
+def test_pair_route_parity(ext, p):
+    # compiled and pure, pair and rotation: the same hits in the same order,
+    # and the same remaining
+    rng = random.Random(p)
+    for mask, target, steps in pair_cases(p, rng):
+        want = _kernels_py.first_hit_scan(mask, target, p, steps)
+        for scan in (ext.rotation_scan, ext.pair_scan, _kernels_py.pair_hit_scan):
+            hits, remaining = scan(mask, target, p, steps)
+            assert list(hits.items()) == list(want[0].items())
+            assert remaining == want[1]
+
+
+def test_pair_route_needs_both_unit_steps(compiled):
+    mask = apsets.build_s1_log(13).mask
+    for steps in ([1], [-1], [1, 2], []):
+        with pytest.raises(ValueError):
+            _kernels_py.pair_hit_scan(mask, mask, 13, steps)
+        with pytest.raises(ValueError):
+            compiled.pair_hit_scan(*(mask.to_bytes(2, "little"),) * 2, 13, steps)
+    # +1 and -1 are read mod p, as the rotation reads every step
+    assert _kernels_py.pair_hit_scan(mask, mask, 13, [14, 12]) == (
+        _kernels_py.first_hit_scan(mask, mask, 13, [-1, 1])
+    )
+
+
+def test_scan_route_rule():
+    # pairs for sparse centered scans; forward scans and dense sets rotate
+    p = 9973
+    log = apsets.build_s1_log(p).mask
+    full = (1 << p) - 1
+    assert kernels.scan_route(log, p, [-1, 1]) == "pair"
+    assert kernels.scan_route(log, p, [-2, -1, 1, 2]) == "pair"
+    assert kernels.scan_route(log, p, [1]) == "rotation"
+    assert kernels.scan_route(full, p, [-1, 1]) == "rotation"
+    assert kernels.scan_route(log, p, [1, 2]) == "rotation"
+
+
 def test_first_hit_scan_rejects_bad_input(compiled):
+    # both routes: the rotation and the pairs, given steps +1 and -1
     two = bytes(2)  # ceil(13 / 8)
-    assert compiled.first_hit_scan(two, two, 13, [1]) == ({}, two)
-    for mask, target in ((bytes(3), two), (two, bytes(1)), (two, b"")):
-        with pytest.raises(ValueError):
-            compiled.first_hit_scan(mask, target, 13, [1])
     high = (1 << 13).to_bytes(2, "little")  # residue 13 is not in Z/13
-    with pytest.raises(ValueError):
-        compiled.first_hit_scan(high, two, 13, [1])
-    for p in (2, 1, 0, -7):
-        with pytest.raises(ValueError):
-            compiled.first_hit_scan(b"\x00", b"\x00", p, [1])
+    for scan in (compiled.first_hit_scan, compiled.pair_hit_scan):
+        assert scan(two, two, 13, [-1, 1]) == ({}, two)
+        for mask, target in ((bytes(3), two), (two, bytes(1)), (two, b""), (high, two)):
+            with pytest.raises(ValueError):
+                scan(mask, target, 13, [-1, 1])
+        for p in (2, 1, 0, -7):
+            with pytest.raises(ValueError):
+                scan(b"\x00", b"\x00", p, [-1, 1])
 
 
 def test_backend_label():
