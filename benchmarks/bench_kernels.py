@@ -7,11 +7,17 @@ the workloads that dominate real use: exhausting all sets below the optimum
 and finding a minimum set one size up, and the S_1 and N_1 certification
 scans of a logarithmic set and of one partition part. The compiled side runs
 through ajtkit.kernels, which carries the masks across as bytes. The scan
-table times both routes of first_hit_scan on each backend, the rotation and,
-for the centered scans, the pairs of the set, names the route that
-kernels.scan_route picks, and asserts that every route gives the rotation's
-hits in the same order. The witness-map row times is_nk_type on the N_1 part
-against its two bare scans; the difference is the cost of the witness records.
+table times the routes of first_hit_scan on each backend, asked for no
+map, so the kernel's own work: the rotation against the pairs of the set
+for the centered scans, and against the gaps between its elements for the
+forward scan (the one step +1). It names the route that kernels.scan_route
+picks, and asserts that every route gives the rotation's hits in the same
+order. The witness-map rows time is_nk_type on
+the N_1 part, per backend, against its two scans asked for no map; the
+difference is the cost of the maps and their records, which the scans build
+themselves. Both backends must give equal reports. The label-draw row times
+partition_nk's bulk label draw against p calls of random.randrange, and
+asserts the same labels and the same generator state after.
 
 Another table times the group-ring factor products, which gather along each
 axis, against a plain `np.roll` loop kept here as the reference, and asserts
@@ -27,6 +33,7 @@ Run from a checkout with the package installed:
     python3 benchmarks/bench_kernels.py
 """
 
+import random
 import time
 
 import numpy as np
@@ -173,46 +180,67 @@ def main():
     print()
     # scans take milliseconds, so each time is the best of five calls
     header = f"{'scan':<28}{'p':>6}{'|A|':>6}{'hits':>7}{'backend':>10}{'route':>10}"
-    header += f"{'rotation (s)':>14}{'pair (s)':>10}{'speedup':>9}"
+    header += f"{'rotation (s)':>14}{'other':>7}{'other (s)':>11}{'speedup':>9}"
     print(header)
     print("-" * len(header))
     for label, p, mask, target, steps in scan_cases():
         want = _kernels_py.first_hit_scan(mask, target, p, steps)
         for backend, ext in BACKENDS:
             route = route_on(ext, kernels.scan_route, mask, p, steps)
-            t_rot, got = timed(route_on, ext, kernels.rotation_scan, mask, target, p,
-                               steps, repeat=5)
-            assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
-                f"rotation mismatch on {label}, {backend}"
-            )
+            # the other route: pairs for centered steps, gaps for the step +1
+            other, scan = ("gap", kernels.gap_scan) if steps == FORWARD else (
+                "pair", kernels.pair_scan)
+            for name, fn in (("rotation", kernels.rotation_scan), (other, scan)):
+                got = route_on(ext, fn, mask, target, p, steps)
+                assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
+                    f"{name} mismatch on {label}, {backend}"
+                )
+            t_rot, _ = timed(route_on, ext, kernels.rotation_scan, mask, target, p,
+                             steps, None, repeat=5)
+            t_other, _ = timed(route_on, ext, scan, mask, target, p, steps, None, repeat=5)
             line = f"{label:<28}{p:>6}{mask.bit_count():>6}{len(want[0]):>7}"
             line += f"{backend:>10}{route:>10}{t_rot:>14.5f}"
-            if steps == FORWARD:
-                print(line + f"{'-':>10}{'-':>9}")  # pairs need steps +1 and -1
-                continue
-            t_pair, got = timed(route_on, ext, kernels.pair_scan, mask, target, p,
-                                steps, repeat=5)
-            assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
-                f"pair mismatch on {label}, {backend}"
-            )
-            print(line + f"{t_pair:>10.5f}{t_rot / t_pair:>8.1f}x")
+            print(line + f"{other:>7}{t_other:>11.5f}{t_rot / t_other:>8.1f}x")
     print()
-    # the same scans with their witness records, and the bare scans alone
-    header = f"{'witness map':<28}{'p':>6}{'witnesses':>10}{'scans (s)':>11}"
-    header += f"{'is_nk_type (s)':>16}{'records (s)':>13}"
+    # is_nk_type with its witness maps, and the same two scans with no map
+    header = f"{'witness map':<28}{'p':>6}{'witnesses':>10}{'no map (s)':>12}"
+    header += f"{'is_nk_type (s)':>16}{'maps (s)':>10}"
     print(header)
     print("-" * len(header))
     part = apsets.partition_nk(20011, 1, seed=0).parts[0]
     p, mask = part.p, part.mask
     outside = ~mask & ((1 << p) - 1)
-    t_scan, _ = timed(lambda: (kernels.first_hit_scan(mask, mask, p, CENTERED),
-                               kernels.first_hit_scan(mask, outside, p, FORWARD)),
-                      repeat=5)
-    t_map, report = timed(apsets.is_nk_type, part, 1, repeat=5)
-    assert report.ok
-    found = len(report.inside) + len(report.outside)
-    print(f"{'N_1 part, ' + kernels.BACKEND:<28}{p:>6}{found:>10}{t_scan:>11.5f}"
-          f"{t_map:>16.5f}{t_map - t_scan:>13.5f}")
+    reports = []
+    for backend, ext in BACKENDS:
+        t_scan, _ = timed(route_on, ext, lambda: (
+            kernels.first_hit_scan(mask, mask, p, CENTERED, None),
+            kernels.first_hit_scan(mask, outside, p, FORWARD, None)), repeat=5)
+        t_map, report = timed(route_on, ext, apsets.is_nk_type, part, 1, repeat=5)
+        assert report.ok
+        reports.append(report)
+        found = len(report.inside) + len(report.outside)
+        print(f"{'N_1 part, ' + backend:<28}{p:>6}{found:>10}{t_scan:>12.5f}"
+              f"{t_map:>16.5f}{t_map - t_scan:>10.5f}")
+    assert all(
+        list(r.inside.items()) == list(reports[0].inside.items())
+        and list(r.outside.items()) == list(reports[0].outside.items())
+        for r in reports
+    ), "witness maps differ between backends"
+    print()
+    # partition_nk's labels: one bulk draw against p randrange calls
+    header = f"{'label draw':<28}{'p':>6}{'parts':>7}{'randrange (s)':>15}"
+    header += f"{'bulk (s)':>10}{'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+    p, parts = 20011, 28
+    single, bulk = random.Random(0), random.Random(0)
+    t_ref, want = timed(lambda: [single.randrange(parts) for _ in range(p)], repeat=5)
+    t_new, got = timed(apsets._draw_labels, bulk, p, parts, repeat=5)
+    assert got.tolist() == want and bulk.getstate() == single.getstate(), (
+        "label draws differ from randrange"
+    )
+    print(f"{'partition labels':<28}{p:>6}{parts:>7}{t_ref:>15.5f}{t_new:>10.5f}"
+          f"{t_ref / t_new:>8.1f}x")
     print()
     # products take micro- to milliseconds, so each time is the best of 20
     header = f"{'group-ring product':<28}{'p':>6}{'entries':>10}"

@@ -11,9 +11,13 @@
    linear probing. A slot whose low limb is 0 is empty: every reachable set
    contains {0, 1}.
 
-   first_hit_scan mirrors _kernels_py.first_hit_scan and pair_hit_scan
-   mirrors _kernels_py.pair_hit_scan; both take any p >= 3 and give the same
-   hits in the same order, the pair route only for steps holding +1 and -1. */
+   first_hit_scan, pair_hit_scan and gap_hit_scan mirror their twins in
+   _kernels_py: the three routes of one scan, for any p >= 3, with the same
+   hits in the same order; the pair route needs steps holding +1 and -1, the
+   gap route the one step +1. Each returns its map finished (struct Hits):
+   the least d of each hit, records of a tuple type the caller passes in,
+   or no map at all. API names this contract; ajtkit.kernels refuses an
+   extension built from another. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -24,6 +28,7 @@
 #include <stdlib.h>
 #include <string.h>
 
+#define API 1            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -265,12 +270,77 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
     return result;
 }
 
-/* hits[e] = d for each element e of rem hit at step d, then rem &= ~hit.
+/* The map a scan returns. map is NULL when none is built (record None);
+   otherwise each hit e goes in as e -> d (record int), or as
+   e -> record(e, d, radius), a record allocated with the type's tp_alloc and
+   its three slots filled here, which hits_init allows only for a tuple
+   subclass laid out as tuple: no instance dict, no extra slots. Such a
+   record holds three ints and can close no reference cycle, so it leaves
+   the collector's lists at once, as CPython untracks a tuple of atoms at
+   its first collection; a re-certified N_1 part makes about 20k of them. */
+typedef struct {
+    PyObject *map;
+    PyTypeObject *record; /* NULL: the values are the steps d */
+    PyObject *radius;
+} Hits;
+
+static int hits_init(Hits *h, PyObject *record, PyObject *radius)
+{
+    PyTypeObject *t = (PyTypeObject *)record;
+    h->map = NULL;
+    h->record = NULL;
+    h->radius = radius;
+    if (record == Py_None)
+        return 0;
+    if (t != &PyLong_Type) {
+        if (!PyType_Check(record) || !PyType_IsSubtype(t, &PyTuple_Type) ||
+            t->tp_basicsize != PyTuple_Type.tp_basicsize ||
+            t->tp_itemsize != PyTuple_Type.tp_itemsize) {
+            PyErr_SetString(PyExc_TypeError,
+                            "record must be int, None or a tuple subclass "
+                            "without instance fields");
+            return -1;
+        }
+        h->record = t;
+    }
+    h->map = PyDict_New();
+    return h->map == NULL ? -1 : 0;
+}
+
+static int hits_add(Hits *h, long e, long d)
+{
+    if (h->map == NULL)
+        return 0;
+    PyObject *key = PyLong_FromLong(e), *value = NULL;
+    if (key == NULL)
+        return -1;
+    if (h->record == NULL)
+        value = PyLong_FromLong(d);
+    else if ((value = h->record->tp_alloc(h->record, 3)) != NULL) {
+        PyObject *step = PyLong_FromLong(d);
+        if (step == NULL) {
+            Py_CLEAR(value);
+        } else {
+            Py_INCREF(key);
+            Py_INCREF(h->radius);
+            PyTuple_SET_ITEM(value, 0, key);
+            PyTuple_SET_ITEM(value, 1, step);
+            PyTuple_SET_ITEM(value, 2, h->radius);
+            PyObject_GC_UnTrack(value);
+        }
+    }
+    int status = value == NULL || PyDict_SetItem(h->map, key, value) < 0 ? -1 : 0;
+    Py_DECREF(key);
+    Py_XDECREF(value);
+    return status;
+}
+
+/* The hit e at step d for each element e of rem hit at step d, then rem &= ~hit.
    Only the limbs of rem still nonzero are visited: live lists them in
    ascending order, so hits go in by ascending d, then ascending e. */
 static int scan(const u64 *D, u64 *rem, int *live, int nlive, int p,
                 const long long *off, long long *shift, Py_ssize_t nsteps,
-                PyObject *hits)
+                Hits *h)
 {
     for (int d = 1; d < p && nlive > 0; d++) {
         for (Py_ssize_t t = 0; t < nsteps; t++) {
@@ -285,15 +355,9 @@ static int scan(const u64 *D, u64 *rem, int *live, int nlive, int p,
             for (Py_ssize_t t = 0; t < nsteps && hit; t++)
                 hit &= window(D, 64 * (size_t)i + p - shift[t]);
             rem[i] &= ~hit;
-            for (; hit; hit &= hit - 1) {
-                PyObject *e = PyLong_FromLong(64L * i + __builtin_ctzll(hit));
-                PyObject *step = PyLong_FromLong(d);
-                int bad = e == NULL || step == NULL || PyDict_SetItem(hits, e, step) < 0;
-                Py_XDECREF(e);
-                Py_XDECREF(step);
-                if (bad)
+            for (; hit && h->map; hit &= hit - 1)
+                if (hits_add(h, 64L * i + __builtin_ctzll(hit), d) < 0)
                     return -1;
-            }
             if (rem[i])
                 live[kept++] = i;
         }
@@ -335,7 +399,7 @@ static int covers(const u64 *a, int c, int d, const long long *inc,
    there, is the least candidate kept for its center, p for none. The cost
    is O(|A|^2) pairs against scan's O(D * L) limbs, D the largest hit. */
 static int pair_scan(const u64 *a, u64 *rem, int n, int p, const long long *inc,
-                     Py_ssize_t ninc, PyObject *hits)
+                     Py_ssize_t ninc, Hits *h)
 {
     int s = 0, targets = 0, nkeys = 0, status = -1;
     for (int i = 0; i < n; i++) {
@@ -386,16 +450,11 @@ static int pair_scan(const u64 *a, u64 *rem, int n, int p, const long long *inc,
                 keys[nkeys++] = (u64)best[x] * p + c;
             }
         }
-    qsort(keys, nkeys, sizeof(u64), key_order);
-    for (int j = 0; j < nkeys; j++) {
-        PyObject *e = PyLong_FromLong((long)(keys[j] % p));
-        PyObject *step = PyLong_FromLong((long)(keys[j] / p));
-        int bad = e == NULL || step == NULL || PyDict_SetItem(hits, e, step) < 0;
-        Py_XDECREF(e);
-        Py_XDECREF(step);
-        if (bad)
+    if (h->map != NULL)
+        qsort(keys, nkeys, sizeof(u64), key_order);
+    for (int j = 0; j < nkeys && h->map; j++)
+        if (hits_add(h, (long)(keys[j] % p), (long)(keys[j] / p)) < 0)
             goto done;
-    }
     status = 0;
 done:
     free(el);
@@ -405,22 +464,83 @@ done:
     return status;
 }
 
-/* first_hit_scan, by rotation (pair = 0) or from the pairs of A (pair = 1). */
-static PyObject *hit_scan(PyObject *args, int pair)
+/* The gap route, for the one step +1: the least witness of b is the
+   distance from b to the next element of A after it, cyclically. One
+   backward sweep gives each target its d (dist, 0 for none), and a counting
+   sort by d lists the hits by ascending d, then ascending b, as scan lists
+   them. A target stays in rem only when A is empty, or when A = {b} for the
+   target b itself. O(p), and O(L) when no map is built. */
+static int gap_scan(const u64 *a, u64 *rem, int n, int p, Hits *h)
 {
+    int first = -1, size = 0;
+    for (int i = n - 1; i >= 0; i--)
+        if (a[i]) {
+            first = 64 * i + __builtin_ctzll(a[i]);
+            size += __builtin_popcountll(a[i]);
+        }
+    if (size == 0)
+        return 0;
+    if (h->map != NULL) {
+        int *dist = malloc((3 * (size_t)p + 1) * sizeof(int));
+        if (dist == NULL) {
+            PyErr_NoMemory();
+            return -1;
+        }
+        int *order = dist + p, *start = order + p; /* start: p + 1 counts */
+        memset(start, 0, (p + 1) * sizeof(int));
+        for (int b = p - 1, next = first + p; b >= 0; b--) {
+            int d = next - b;
+            dist[b] = d < p && has(rem, b) ? d : 0;
+            start[dist[b]]++;
+            if (has(a, b))
+                next = b;
+        }
+        /* start[d]: where the hits at d begin, after the misses at d = 0 */
+        for (int d = 0, sum = 0; d <= p; d++) {
+            int count = start[d];
+            start[d] = sum;
+            sum += count;
+        }
+        for (int b = 0; b < p; b++)
+            order[start[dist[b]]++] = b;
+        int status = 0;
+        for (int j = start[0]; j < p && status == 0; j++)
+            status = hits_add(h, order[j], dist[order[j]]);
+        free(dist);
+        if (status < 0)
+            return -1;
+    }
+    for (int i = 0; i < n; i++)
+        rem[i] &= size == 1 ? a[i] : 0;
+    return 0;
+}
+
+enum { ROTATION, PAIR, GAP };
+static const char *const ROUTE_NAME[] = {"first_hit_scan", "pair_hit_scan",
+                                         "gap_hit_scan"};
+
+/* The scan of A = mask over target by one route: the arguments
+   (mask, target, p, steps, record=int, radius=0), the result (map,
+   remaining bytes). */
+static PyObject *hit_scan(PyObject *args, PyObject *kwargs, int route)
+{
+    static char *kwlist[] = {"mask", "target", "p", "steps", "record", "radius", NULL};
+    static const char *const FORMAT[] = {"y*y*iO|OO:first_hit_scan",
+                                         "y*y*iO|OO:pair_hit_scan",
+                                         "y*y*iO|OO:gap_hit_scan"};
     Py_buffer mask_buf, target_buf;
     int p;
-    PyObject *steps_obj;
-    if (!PyArg_ParseTuple(args, pair ? "y*y*iO:pair_hit_scan" : "y*y*iO:first_hit_scan",
-                          &mask_buf, &target_buf, &p, &steps_obj))
+    PyObject *steps_obj, *record = (PyObject *)&PyLong_Type, *radius_arg = NULL;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, FORMAT[route], kwlist, &mask_buf,
+                                     &target_buf, &p, &steps_obj, &record, &radius_arg))
         return NULL;
-    PyObject *steps = NULL, *hits = NULL, *result = NULL;
+    Hits h = {NULL, NULL, NULL};
+    PyObject *steps = NULL, *radius = NULL, *result = NULL;
     u64 *D = NULL, *rem = NULL;
     int *live = NULL;
     long long *off = NULL;
     if (p < 3) {
-        PyErr_Format(PyExc_ValueError, "%s needs p >= 3, got %d",
-                     pair ? "pair_hit_scan" : "first_hit_scan", p);
+        PyErr_Format(PyExc_ValueError, "%s needs p >= 3, got %d", ROUTE_NAME[route], p);
         goto done;
     }
     steps = PySequence_Fast(steps_obj, "steps must be a sequence of ints");
@@ -454,19 +574,26 @@ static PyObject *hit_scan(PyObject *args, int pair)
         if (i != 1 && i != p - 1)
             inc[ninc++] = i;
     }
-    if (pair && !(up && down)) {
+    if (route == PAIR && !(up && down)) {
         PyErr_SetString(PyExc_ValueError, "pair_hit_scan needs steps +1 and -1");
+        goto done;
+    }
+    if (route == GAP && !(up && !down && ninc == 0)) {
+        PyErr_SetString(PyExc_ValueError, "gap_hit_scan needs the one step +1");
         goto done;
     }
     u64 *a = rem + n;
     if (read_mask(&mask_buf, p, a, n, "mask") < 0 ||
         read_mask(&target_buf, p, rem, n, "target") < 0)
         goto done;
-    hits = PyDict_New();
-    if (hits == NULL)
+    radius = radius_arg != NULL ? Py_NewRef(radius_arg) : PyLong_FromLong(0);
+    if (radius == NULL || hits_init(&h, record, radius) < 0)
         goto done;
-    if (pair) {
-        if (pair_scan(a, rem, n, p, inc, ninc, hits) < 0)
+    if (route == PAIR) {
+        if (pair_scan(a, rem, n, p, inc, ninc, &h) < 0)
+            goto done;
+    } else if (route == GAP) {
+        if (gap_scan(a, rem, n, p, &h) < 0)
             goto done;
     } else {
         int q = p >> 6, r = p & 63, nlive = 0;
@@ -479,12 +606,13 @@ static PyObject *hit_scan(PyObject *args, int pair)
         for (int i = 0; i < n; i++)
             if (rem[i])
                 live[nlive++] = i;
-        if (scan(D, rem, live, nlive, p, off, shift, nsteps, hits) < 0)
+        if (scan(D, rem, live, nlive, p, off, shift, nsteps, &h) < 0)
             goto done;
     }
-    result = Py_BuildValue("(ON)", hits, write_mask(rem, p));
+    result = Py_BuildValue("(ON)", h.map ? h.map : Py_None, write_mask(rem, p));
 done:
-    Py_XDECREF(hits);
+    Py_XDECREF(h.map);
+    Py_XDECREF(radius);
     Py_XDECREF(steps);
     free(D);
     free(rem);
@@ -495,14 +623,19 @@ done:
     return result;
 }
 
-static PyObject *first_hit_scan(PyObject *self, PyObject *args)
+static PyObject *first_hit_scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    return hit_scan(args, 0);
+    return hit_scan(args, kwargs, ROTATION);
 }
 
-static PyObject *pair_hit_scan(PyObject *self, PyObject *args)
+static PyObject *pair_hit_scan(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    return hit_scan(args, 1);
+    return hit_scan(args, kwargs, PAIR);
+}
+
+static PyObject *gap_hit_scan(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    return hit_scan(args, kwargs, GAP);
 }
 
 static PyMethodDef methods[] = {
@@ -510,22 +643,38 @@ static PyMethodDef methods[] = {
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
      "Same contract and traversal as ajtkit._kernels_py.s1_exhaust, with the\n"
      "found mask as little-endian bytes of length ceil(p/8)."},
-    {"first_hit_scan", first_hit_scan, METH_VARARGS,
-     "first_hit_scan(mask, target, p, steps) -> (hits, remaining)\n\n"
+    {"first_hit_scan", (PyCFunction)(void (*)(void))first_hit_scan,
+     METH_VARARGS | METH_KEYWORDS,
+     "first_hit_scan(mask, target, p, steps, record=int, radius=0)\n"
+     "-> (hits, remaining)\n\n"
      "Same contract as ajtkit._kernels_py.first_hit_scan, with the masks as\n"
      "little-endian bytes of length ceil(p/8)."},
-    {"pair_hit_scan", pair_hit_scan, METH_VARARGS,
-     "pair_hit_scan(mask, target, p, steps) -> (hits, remaining)\n\n"
+    {"pair_hit_scan", (PyCFunction)(void (*)(void))pair_hit_scan,
+     METH_VARARGS | METH_KEYWORDS,
+     "pair_hit_scan(mask, target, p, steps, record=int, radius=0)\n"
+     "-> (hits, remaining)\n\n"
      "Same contract as ajtkit._kernels_py.pair_hit_scan: first_hit_scan's\n"
      "result from the pairs of the mask; steps must hold +1 and -1."},
+    {"gap_hit_scan", (PyCFunction)(void (*)(void))gap_hit_scan,
+     METH_VARARGS | METH_KEYWORDS,
+     "gap_hit_scan(mask, target, p, steps, record=int, radius=0)\n"
+     "-> (hits, remaining)\n\n"
+     "Same contract as ajtkit._kernels_py.gap_hit_scan: first_hit_scan's\n"
+     "result from the gaps of the mask; steps must be the one step +1."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled S_1 search and first-hit scan; see ajtkit._kernels_py for\n"
-    "the pure twins.",
+    "Compiled S_1 search and the three first-hit scan routes; see\n"
+    "ajtkit._kernels_py for the pure twins.",
     -1, methods,
 };
 
-PyMODINIT_FUNC PyInit__kernels(void) { return PyModule_Create(&module); }
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    PyObject *m = PyModule_Create(&module);
+    if (m != NULL && PyModule_AddIntConstant(m, "API", API) < 0)
+        Py_CLEAR(m);
+    return m;
+}

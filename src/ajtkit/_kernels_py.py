@@ -1,16 +1,23 @@
 """Pure-Python kernels: the S_1 search and the first-hit progression scan.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
-scan has two routes with the same result: first_hit_scan rotates the mask,
-pair_hit_scan reads the witnesses off the pairs of the set. The compiled
-twin in _kernels.c implements s1_exhaust with the same traversal order and
-both scans with the same insertion order; the backends must stay
-byte-for-byte interchangeable.
+scan has three routes with the same result: first_hit_scan rotates the mask,
+pair_hit_scan reads the witnesses off the pairs of the set, and
+gap_hit_scan, for the one step +1, off the gaps between its elements. Each
+scan returns its map finished: the least d of each hit, the witness records
+of a tuple type it is given, or no map at all. The compiled twin in
+_kernels.c implements s1_exhaust with the same traversal order and the
+scans with the same insertion order; the backends must stay byte-for-byte
+interchangeable.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress, repeat
 from typing import Sequence
+
+
+_DIGIT = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 def _rotl(mask: int, s: int, p: int, full: int) -> int:
@@ -71,15 +78,18 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
 
 
 def first_hit_scan(
-    mask: int, target: int, p: int, steps: Sequence[int]
-) -> tuple[dict[int, int], int]:
+    mask: int, target: int, p: int, steps: Sequence[int],
+    record: type | None = int, radius: int = 0,
+) -> tuple[dict | None, int]:
     """Smallest difference d witnessing each bit of `target`.
 
     For d = 1, 2, ... intersect the still-uncovered bits of `target` with
     the translates A - i*d of A = `mask`, one for each i in `steps`, and map
     every bit that survives to d. Returns (hits, remaining): hits in
     ascending d, ascending element within one d; remaining is the part of
-    `target` that no d covers.
+    `target` that no d covers. `record` says what each hit e becomes: int
+    maps e to d, a tuple type maps e to record(e, d, radius), and None
+    builds no map, returning (None, remaining).
     """
     full = (1 << p) - 1
     hits: dict[int, int] = {}
@@ -92,18 +102,18 @@ def first_hit_scan(
             hit &= _rotl(mask, -i * d, p, full)
             if hit == 0:
                 break
-        new = hit
-        while new:
-            low = new & -new
-            hits[low.bit_length() - 1] = d
-            new ^= low
         remaining &= ~hit
-    return hits, remaining
+        while hit and record is not None:
+            low = hit & -hit
+            hits[low.bit_length() - 1] = d
+            hit ^= low
+    return _hit_map(hits, record, radius), remaining
 
 
 def pair_hit_scan(
-    mask: int, target: int, p: int, steps: Sequence[int]
-) -> tuple[dict[int, int], int]:
+    mask: int, target: int, p: int, steps: Sequence[int],
+    record: type | None = int, radius: int = 0,
+) -> tuple[dict | None, int]:
     """first_hit_scan's (hits, remaining), found from the pairs of A = `mask`.
 
     A pair y < z of A is (c - d, c + d) for the center c = (y + z)/2 and
@@ -138,9 +148,61 @@ def pair_hit_scan(
     covered = bytearray((p + 7) // 8)
     for c in hits:
         covered[c >> 3] |= 1 << (c & 7)
-    return hits, target & ~int.from_bytes(covered, "little")
+    return _hit_map(hits, record, radius), target & ~int.from_bytes(covered, "little")
+
+
+def gap_hit_scan(
+    mask: int, target: int, p: int, steps: Sequence[int],
+    record: type | None = int, radius: int = 0,
+) -> tuple[dict | None, int]:
+    """first_hit_scan's (hits, remaining) for the one step +1, from the gaps of A.
+
+    With steps {+1} mod p the least witness of b is the distance from b to
+    the next element of A = `mask` after it, cyclically: the gap g from an
+    element y to the next one gives y, y + 1, ..., y + g - 1 the distances
+    g, g - 1, ..., 1. Laid end to end from the least element, the gaps give
+    every residue its d; sorting the keys d * p + b of the targets lists the
+    hits by ascending d, then ascending b, as the rotation lists them. A
+    target is left uncovered only when A is empty, or when A = {b} for the
+    target b itself, whose one gap is p. O(p).
+    """
+    if {i % p for i in steps} != {1}:
+        raise ValueError("gap_hit_scan needs the one step +1")
+    elements = _bits(mask)
+    n = len(elements)
+    remaining = target if n == 0 else target & mask if n == 1 else 0
+    if record is None or n == 0:
+        return _hit_map({}, record, radius), remaining
+    ends = elements[1:] + [elements[0] + p]
+    run = list(chain.from_iterable(range(z - y, 0, -1) for y, z in zip(elements, ends)))
+    cut = p - elements[0]
+    dist = run[cut:] + run[:cut]  # dist[b]: the distance from b to the next element
+    keys = sorted([dist[b] * p + b for b in _bits(target & ~remaining)])
+    return _hit_map({key % p: key // p for key in keys}, record, radius), remaining
+
+
+def _hit_map(hits: dict[int, int], record: type | None, radius: int) -> dict | None:
+    """The hits {e: d}, in their order, as `record` asks: unchanged for int,
+    None for None, else {e: record(e, d, radius)}, built in one C-level
+    pass (tuple.__new__ over zipped fields), with no bytecode per record."""
+    if record is None:
+        return None
+    if record is int:
+        return hits
+    fields = zip(hits, hits.values(), repeat(radius))
+    return dict(zip(hits, map(tuple.__new__, repeat(record), fields)))
 
 
 def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending."""
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    """The positions of the set bits of mask, ascending, read off its binary
+    digits in O(p): by one C-level pass over all of them when more than one
+    in 12 is set, else by one C-level find per set bit."""
+    digits = bin(mask)[:1:-1]  # digit i is bit i
+    if 12 * mask.bit_count() > len(digits):
+        return list(compress(range(len(digits)), digits.encode().translate(_DIGIT)))
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out

@@ -9,12 +9,15 @@ minimum ones, and verifies a frozen table of small optimal examples.
 
 Sets are bit masks over residues (bit i == residue i). Certification runs
 kernels.first_hit_scan, which finds each element's least witness d by one of
-two routes with identical results: word rotations of the mask, or the pairs
-(a - d, a + d) of its elements. kernels.scan_route takes the pairs for
-centered scans of sparse sets, |A|^2 <= c * p * sqrt(ceil(p/64)) with c set
-per backend, and rotates for forward scans and denser sets. A witness is an
-ApWitness, a tuple record that compares equal to (element, step, radius);
-the maps of SkReport and NkReport list them in the scan's order, ascending d.
+three routes with identical results: word rotations of the mask, the pairs
+(a - d, a + d) of its elements, or, for the forward scans at k = 1, the gap
+from each b to the next element. kernels.scan_route takes the gaps for the
+one step +1, the pairs for centered scans of sparse sets, |A|^2 <= c * p *
+sqrt(ceil(p/64)) with c set per backend, and rotates for the rest. A witness
+is an ApWitness, a tuple record that compares equal to (element, step,
+radius). The scan builds the maps of SkReport and NkReport itself, records
+included, listed in its order, ascending d; the partition's acceptance test
+asks the same scans for no map at all.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
+from ._kernels_py import _bits
 from .budget import Budget, current_budget
 from .errors import (
     ConstructionFailed,
@@ -74,7 +78,7 @@ class ResidueSet:
         return cls(p, mask)
 
     def elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.p) if self.mask >> i & 1)
+        return tuple(_bits(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -195,23 +199,6 @@ def _check_radius(p: int, k: int) -> None:
         raise RadiusTooLarge(f"need 2k + 1 <= p, got k={k}, p={p}")
 
 
-def _first_hit_scan(
-    mask: int, target: int, p: int, steps: Sequence[int], k: int
-) -> tuple[dict[int, ApWitness], int]:
-    """Witness map for every bit of `target` that some difference d covers.
-
-    Each bit a maps to ApWitness(a, d, k) with d the least difference whose
-    progression a + i*d, i in `steps`, lies in `mask`; the map lists the
-    kernel's hits in its order, ascending d. The records are built in one
-    C-level pass (tuple.__new__ over zipped fields), with no bytecode per
-    witness. Returns (witnesses, leftover_mask).
-    """
-    hits, remaining = kernels.first_hit_scan(mask, target, p, steps)
-    fields = zip(hits, hits.values(), itertools.repeat(k))
-    records = map(tuple.__new__, itertools.repeat(ApWitness), fields)
-    return dict(zip(hits, records)), remaining
-
-
 def _centered(k: int) -> list[int]:
     """Steps of the centered progressions a - k*d, ..., a + k*d, a left out."""
     return [i for i in range(-k, k + 1) if i != 0]
@@ -224,23 +211,27 @@ def _forward(k: int) -> list[int]:
 
 def _is_nk_mask(mask: int, p: int, k: int) -> bool:
     """is_nk_type(ResidueSet(p, mask), k).ok from the same two kernel scans,
-    without building the witness maps."""
+    which build no map."""
     outside = ~mask & ((1 << p) - 1)
     return (
-        kernels.first_hit_scan(mask, mask, p, _centered(k))[1] == 0
-        and kernels.first_hit_scan(mask, outside, p, _forward(k))[1] == 0
+        kernels.first_hit_scan(mask, mask, p, _centered(k), None)[1] == 0
+        and kernels.first_hit_scan(mask, outside, p, _forward(k), None)[1] == 0
     )
 
 
 def is_sk_type(aset: ResidueSet, k: int) -> SkReport:
     """Scan for centered progression witnesses for every element of the set.
 
+    Each element a maps to ApWitness(a, d, k), d the least difference whose
+    progression a + i*d, 0 < |i| <= k, lies in the set, in the scan's order.
     The empty set passes vacuously. On failure the report carries the
     smallest element with no witness.
     """
     p = aset.p
     _check_radius(p, k)
-    witnesses, remaining = _first_hit_scan(aset.mask, aset.mask, p, _centered(k), k)
+    witnesses, remaining = kernels.first_hit_scan(
+        aset.mask, aset.mask, p, _centered(k), ApWitness, k
+    )
     if remaining:
         return SkReport(ok=False, k=k, failing=(remaining & -remaining).bit_length() - 1)
     return SkReport(ok=True, k=k, witnesses=witnesses)
@@ -255,7 +246,9 @@ def is_nk_type(aset: ResidueSet, k: int) -> NkReport:
             ok=False, k=k, failing=inside_report.failing, failing_side="inside"
         )
     outside_target = ~aset.mask & ((1 << p) - 1)
-    outside, remaining = _first_hit_scan(aset.mask, outside_target, p, _forward(k), k)
+    outside, remaining = kernels.first_hit_scan(
+        aset.mask, outside_target, p, _forward(k), ApWitness, k
+    )
     if remaining:
         return NkReport(
             ok=False,
@@ -448,20 +441,22 @@ def partition_nk(
 ) -> Partition:
     """Random partition of Z/p into N_k-type parts.
 
-    Each residue gets an independent uniform label; the part masks are
-    packed from the labels in one vectorized pass, and a draw is accepted
-    when every part is N_k-type, decided by the scans is_nk_type runs. The
-    default part count is ceil(p^(1/(2k+1))).
+    Each residue gets an independent uniform label, the one p calls of
+    random.Random(seed).randrange(parts) would give (_draw_labels); the part
+    masks are packed from the labels in one vectorized pass, and a draw is
+    accepted when every part is N_k-type, decided by the scans is_nk_type
+    runs. The default part count is ceil(p^(1/(2k+1))); more parts than
+    residues would leave a part empty, which is never N_k-type.
     """
     p = _as_prime(p)
     _check_radius(p, k)
     if parts is None:
         parts = _ceil_root(p, 2 * k + 1)
-    if parts < 1:
-        raise InputError("part count must be >= 1")
+    if not 1 <= parts <= p:
+        raise InputError(f"part count must be in [1, p], got {parts} for p = {p}")
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):
-        labels = np.fromiter((rng.randrange(parts) for _ in range(p)), np.int64, p)
+        labels = _draw_labels(rng, p, parts)
         members = labels == np.arange(parts)[:, None]  # row j: the residues of part j
         rows = np.packbits(members, axis=1, bitorder="little")
         masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
@@ -472,6 +467,28 @@ def partition_nk(
         f"no N_{k} partition of F_{p} into {parts} parts in {max_tries} draws",
         attempts=max_tries,
     )
+
+
+def _draw_labels(rng: random.Random, p: int, parts: int) -> np.ndarray:
+    """p labels in [0, parts), 1 <= parts < 2^32: the values of p calls of
+    rng.randrange(parts), leaving rng in the same state.
+
+    randrange(parts) takes one 32-bit word w of the generator per try and
+    keeps w >> (32 - parts.bit_length()) when that is below parts.
+    getrandbits(32 * n) hands out the next n words, least significant
+    first, so the words come in bulk and are filtered here. A shortfall is
+    drawn again, never more words than labels still missing, so the last
+    word drawn is the one that gives the last label.
+    """
+    shift = 32 - parts.bit_length()
+    kept = []
+    missing = p
+    while missing:
+        words = rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")
+        tries = np.frombuffer(words, "<u4") >> shift
+        kept.append(tries[tries < parts])
+        missing -= len(kept[-1])
+    return np.concatenate(kept)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,20 @@
 """Progression-closed subsets of Z/p: predicates, constructions, searches."""
 
+import dataclasses
+import importlib
+import inspect
 import itertools
 import json
 import math
 import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajtkit import kernels
+from ajtkit import apsets, kernels
 from ajtkit.apsets import (
     ApWitness,
     ResidueSet,
@@ -102,6 +106,15 @@ def test_residue_set_ops():
     t = ResidueSet.from_elements(7, [3, 4])
     assert s.union(t).elements() == (0, 1, 3, 4)
     assert s.intersect(t).elements() == (3,)
+
+
+def test_residue_set_elements_read_every_bit():
+    rng = random.Random(11)
+    for p in (5, 61, 67, 127, 131, 20011):
+        full = (1 << p) - 1
+        for mask in (0, 1, 1 << (p - 1), full, rng.getrandbits(p)):
+            want = tuple(i for i in range(p) if mask >> i & 1)
+            assert ResidueSet(p, mask).elements() == want
 
 
 def test_residue_set_rejects_bad_elements():
@@ -464,6 +477,26 @@ def test_partition_masks_match_the_per_residue_construction(seed):
     assert [q.mask for q in part.parts] == masks
 
 
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("parts", [1, 2, 3, 28, 32])
+def test_label_draws_are_randrange_word_for_word(seed, parts):
+    # the bulk draw gives the labels of p randrange(parts) calls, and leaves
+    # the generator where those calls leave it, draw after draw
+    p = 1009
+    bulk, single = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        labels = apsets._draw_labels(bulk, p, parts)
+        assert labels.tolist() == [single.randrange(parts) for _ in range(p)]
+        assert bulk.getstate() == single.getstate()
+
+
+def test_partition_rejects_more_parts_than_residues():
+    # a part would be empty, and the empty set is never N_k-type
+    for parts in (0, 14, 100):
+        with pytest.raises(InputError):
+            partition_nk(13, 1, parts=parts, seed=0)
+
+
 def test_partition_draw_test_runs_the_outside_scan():
     # in Z/5 a part of two or one elements has no centered witnesses, so only
     # a draw putting all of Z/5 in one part passes the inside scans (the empty
@@ -632,3 +665,59 @@ def test_appendix_known_sizes():
 def test_appendix_lookup():
     assert appendix_lookup(67).elements() == (0, 1, 3, 6, 11, 35, 54, 66)
     assert appendix_lookup(5) is None
+
+
+# ---------------------------------------------------------------------------
+# what reading a result runs
+
+
+def public_ajtkit_calls(read):
+    """Names of the public module-level ajtkit functions that read() enters,
+    seen by sys.setprofile: the functions a span tracer would wrap."""
+    public = {}
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ajtkit.") and module is not None:
+            for attr, fn in vars(module).items():
+                if (
+                    not attr.startswith("_")
+                    and inspect.isfunction(fn)
+                    and fn.__module__ == name
+                ):
+                    public[fn.__code__] = f"{name}.{attr}"
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in public:
+            calls.append(public[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
+        read()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_reading_results_calls_no_public_function(n1_part):
+    # reading a result back (elements, report fields, witness maps) runs no
+    # public ajtkit function, so a tracer that wraps them charges nothing to
+    # the reader; the first read shows that the probe sees such calls
+    for name in ("kernels", "_kernels_py", "fp_core", "properties"):
+        importlib.import_module(f"ajtkit.{name}")
+    assert "ajtkit.apsets.build_s1_log" in public_ajtkit_calls(lambda: build_s1_log(13))
+    found = min_s1_search(13)
+    sk = is_sk_type(build_s1_log(61), 1)
+    nk = is_nk_type(n1_part, 1)
+
+    def read():
+        n1_part.elements()
+        list(n1_part)
+        for result in (found, sk, nk):
+            for field in dataclasses.fields(result):
+                getattr(result, field.name)
+        found.aset.elements()
+        for witnesses in (sk.witnesses, nk.inside, nk.outside):
+            for e, w in witnesses.items():
+                assert (w.element, w.step, w.radius) == (e, w[1], w[2])
+
+    assert public_ajtkit_calls(read) == []

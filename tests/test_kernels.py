@@ -5,8 +5,10 @@ set, same exhausted flag, and the same node count, so that proven_optimal
 claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
 order and the same uncovered remainder, so that witness maps do not depend
-on the backend either, nor on the route: the rotation and, for centered
-steps, the pairs of the set.
+on the backend either, nor on the route: the rotation, for centered steps
+the pairs of the set, and for the one step +1 the gaps between its
+elements. The maps each scan builds, witness records included, must agree
+the same way, and a scan asked for no map must leave the same remainder.
 
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
@@ -19,7 +21,9 @@ import math
 import random
 import shlex
 import shutil
+import sys
 import sysconfig
+import types
 from pathlib import Path
 
 import pytest
@@ -241,15 +245,124 @@ def test_pair_route_needs_both_unit_steps(compiled):
 
 
 def test_scan_route_rule():
-    # pairs for sparse centered scans; forward scans and dense sets rotate
+    # gaps for the one step +1, whatever the set; pairs for sparse centered
+    # scans; other forward scans and dense sets rotate
     p = 9973
     log = apsets.build_s1_log(p).mask
     full = (1 << p) - 1
     assert kernels.scan_route(log, p, [-1, 1]) == "pair"
     assert kernels.scan_route(log, p, [-2, -1, 1, 2]) == "pair"
-    assert kernels.scan_route(log, p, [1]) == "rotation"
+    assert kernels.scan_route(log, p, [1]) == "gap"
+    assert kernels.scan_route(full, p, [1, 1 + p]) == "gap"
     assert kernels.scan_route(full, p, [-1, 1]) == "rotation"
     assert kernels.scan_route(log, p, [1, 2]) == "rotation"
+    assert kernels.scan_route(log, p, [-1]) == "rotation"
+
+
+def gap_cases(p, rng):
+    """(mask, target) for the gap route: random sets of two densities, the
+    empty set, a singleton (whose own element no d covers) and the full set,
+    each against its complement, the full set, itself, a random target and
+    the empty one."""
+    full = (1 << p) - 1
+    half = rng.getrandbits(p)
+    sparse = half & rng.getrandbits(p) & rng.getrandbits(p)
+    for mask in (half, sparse, 0, 1 << rng.randrange(p), full):
+        for target in (~mask & full, full, mask, rng.getrandbits(p), 0):
+            yield mask, target
+
+
+@pytest.mark.parametrize("p", [5, 61, 67, 127, 131, 20011])
+def test_gap_route_parity(ext, p):
+    # compiled and pure, gap and rotation: the same hits in the same order,
+    # and the same remaining
+    rng = random.Random(p)
+    for mask, target in gap_cases(p, rng):
+        want = ext.rotation_scan(mask, target, p, [1])
+        if p <= 131:
+            assert want == _kernels_py.first_hit_scan(mask, target, p, [1])
+        for scan in (ext.gap_scan, _kernels_py.gap_hit_scan):
+            hits, remaining = scan(mask, target, p, [1])
+            assert list(hits.items()) == list(want[0].items())
+            assert remaining == want[1]
+
+
+def test_gap_route_needs_the_one_step(compiled):
+    mask = apsets.build_s1_log(13).mask
+    for steps in ([1, 2], [-1], [-1, 1], [2], []):
+        with pytest.raises(ValueError):
+            _kernels_py.gap_hit_scan(mask, mask, 13, steps)
+        with pytest.raises(ValueError):
+            compiled.gap_hit_scan(*(mask.to_bytes(2, "little"),) * 2, 13, steps)
+    # +1 is read mod p, as the rotation reads every step
+    assert _kernels_py.gap_hit_scan(mask, mask, 13, [14, 1]) == (
+        _kernels_py.first_hit_scan(mask, mask, 13, [1])
+    )
+
+
+ROUTES = [
+    ("rotation", [-1, 1], "rotation_scan", "first_hit_scan"),
+    ("rotation", [1, 2], "rotation_scan", "first_hit_scan"),
+    ("pair", [-1, 1], "pair_scan", "pair_hit_scan"),
+    ("pair", [-2, -1, 1, 2], "pair_scan", "pair_hit_scan"),
+    ("gap", [1], "gap_scan", "gap_hit_scan"),
+]
+
+
+@pytest.mark.parametrize("p", [5, 67, 257])
+@pytest.mark.parametrize("route, steps, wrapper, pure", ROUTES)
+def test_scans_build_records_and_skip_maps(ext, p, route, steps, wrapper, pure):
+    # every route on both backends: with a record type the map holds
+    # record(e, d, radius) for each hit e -> d, in the same order; with None
+    # there is no map and the same remaining
+    rng = random.Random(p)
+    full = (1 << p) - 1
+    radius = len(steps) // 2 or len(steps)
+    masks = [apsets.build_s1_log(p).mask, rng.getrandbits(p), full, 0]
+    for mask in masks:
+        for target in (mask, ~mask & full, rng.getrandbits(p)):
+            hits, remaining = _kernels_py.first_hit_scan(mask, target, p, steps)
+            want = [apsets.ApWitness(e, d, radius) for e, d in hits.items()]
+            for scan in (getattr(ext, wrapper), getattr(_kernels_py, pure)):
+                records, rest = scan(mask, target, p, steps, apsets.ApWitness, radius)
+                assert list(records) == list(hits) and rest == remaining
+                assert list(records.values()) == want
+                assert all(type(w) is apsets.ApWitness for w in records.values())
+                assert scan(mask, target, p, steps, None) == (None, remaining)
+
+
+def test_compiled_records_need_a_tuple_layout(compiled):
+    class Wide(tuple):  # instances carry a __dict__
+        pass
+
+    class Slotted(tuple):
+        __slots__ = ()
+
+    mask = (0b111).to_bytes(1, "little")
+    for scan in (compiled.first_hit_scan, compiled.pair_hit_scan):
+        hits, _ = scan(mask, mask, 5, [-1, 1], Slotted, 1)
+        assert hits == {1: (1, 1, 1)} and type(hits[1]) is Slotted
+        for record in (Wide, list, str, 3, apsets.ApWitness(0, 1, 1)):
+            with pytest.raises(TypeError):
+                scan(mask, mask, 5, [-1, 1], record, 1)
+
+
+def test_stale_extension_fails_loudly(monkeypatch):
+    # a missing extension falls back to the pure twins; one that carries
+    # another API, or does not load, is an error naming the rebuild
+    monkeypatch.setitem(sys.modules, "ajtkit._kernels", None)
+    assert kernels._load_extension() is None
+    stale = types.ModuleType("ajtkit._kernels")
+    for api in (None, kernels.API + 1):
+        if api is not None:
+            stale.API = api
+        monkeypatch.setitem(sys.modules, "ajtkit._kernels", stale)
+        with pytest.raises(ImportError, match="build_ext --inplace"):
+            kernels._load_extension()
+
+
+def test_built_extension_matches_the_api(compiled):
+    assert compiled.API == kernels.API
 
 
 def test_first_hit_scan_rejects_bad_input(compiled):
@@ -258,6 +371,7 @@ def test_first_hit_scan_rejects_bad_input(compiled):
     high = (1 << 13).to_bytes(2, "little")  # residue 13 is not in Z/13
     for scan in (compiled.first_hit_scan, compiled.pair_hit_scan):
         assert scan(two, two, 13, [-1, 1]) == ({}, two)
+        assert scan(two, two, 13, [-1, 1], None) == (None, two)
         for mask, target in ((bytes(3), two), (two, bytes(1)), (two, b""), (high, two)):
             with pytest.raises(ValueError):
                 scan(mask, target, 13, [-1, 1])
