@@ -272,9 +272,9 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
 
 /* The map a scan returns. map is NULL when none is built (record None);
    otherwise each hit e goes in as e -> d (record int), or as
-   e -> record(e, d, radius), a record allocated with the type's tp_alloc and
-   its three slots filled here, which hits_init allows only for a tuple
-   subclass laid out as tuple: no instance dict, no extra slots. Such a
+   e -> record(e, d, radius), built as tuple's own constructor builds it
+   (record_new), which hits_init allows only for a tuple subclass laid out
+   as tuple: no instance dict, no extra slots. Such a
    record holds three ints and can close no reference cycle, so it leaves
    the collector's lists at once, as CPython untracks a tuple of atoms at
    its first collection; a re-certified N_1 part makes about 20k of them. */
@@ -307,6 +307,32 @@ static int hits_init(Hits *h, PyObject *record, PyObject *radius)
     return h->map == NULL ? -1 : 0;
 }
 
+/* record(key, step, radius), untracked. Before 3.14 a tuple subclass's own
+   constructor (tuple_subtype_new) is tp_alloc plus the items, so the record
+   is built that way here; from 3.14 a tuple also caches its hash, which that
+   constructor initialises, so the record goes through it. */
+static PyObject *record_new(Hits *h, PyObject *key, PyObject *step)
+{
+    PyObject *value;
+#if PY_VERSION_HEX < 0x030E0000
+    if ((value = h->record->tp_alloc(h->record, 3)) == NULL)
+        return NULL;
+    PyTuple_SET_ITEM(value, 0, Py_NewRef(key));
+    PyTuple_SET_ITEM(value, 1, Py_NewRef(step));
+    PyTuple_SET_ITEM(value, 2, Py_NewRef(h->radius));
+#else
+    PyObject *fields = PyTuple_Pack(3, key, step, h->radius);
+    PyObject *args = fields == NULL ? NULL : PyTuple_Pack(1, fields);
+    value = args == NULL ? NULL : PyTuple_Type.tp_new(h->record, args, NULL);
+    Py_XDECREF(fields);
+    Py_XDECREF(args);
+    if (value == NULL)
+        return NULL;
+#endif
+    PyObject_GC_UnTrack(value);
+    return value;
+}
+
 static int hits_add(Hits *h, long e, long d)
 {
     if (h->map == NULL)
@@ -314,23 +340,12 @@ static int hits_add(Hits *h, long e, long d)
     PyObject *key = PyLong_FromLong(e), *value = NULL;
     if (key == NULL)
         return -1;
-    if (h->record == NULL)
-        value = PyLong_FromLong(d);
-    else if ((value = h->record->tp_alloc(h->record, 3)) != NULL) {
-        PyObject *step = PyLong_FromLong(d);
-        if (step == NULL) {
-            Py_CLEAR(value);
-        } else {
-            Py_INCREF(key);
-            Py_INCREF(h->radius);
-            PyTuple_SET_ITEM(value, 0, key);
-            PyTuple_SET_ITEM(value, 1, step);
-            PyTuple_SET_ITEM(value, 2, h->radius);
-            PyObject_GC_UnTrack(value);
-        }
-    }
+    PyObject *step = PyLong_FromLong(d);
+    if (step != NULL)
+        value = h->record == NULL ? Py_NewRef(step) : record_new(h, key, step);
     int status = value == NULL || PyDict_SetItem(h->map, key, value) < 0 ? -1 : 0;
     Py_DECREF(key);
+    Py_XDECREF(step);
     Py_XDECREF(value);
     return status;
 }

@@ -195,14 +195,6 @@ def _hit_map(hits: dict[int, int], record: type | None, radius: int) -> dict | N
 
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of mask, ascending, read off its binary
-    digits in O(p): by one C-level pass over all of them when more than one
-    in 12 is set, else by one C-level find per set bit."""
-    digits = bin(mask)[:1:-1]  # digit i is bit i
-    if 12 * mask.bit_count() > len(digits):
-        return list(compress(range(len(digits)), digits.encode().translate(_DIGIT)))
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
+    digits in O(p) by one C-level pass over all of them."""
+    digits = bin(mask)[:1:-1].encode().translate(_DIGIT)  # byte i is bit i
+    return list(compress(range(len(digits)), digits))

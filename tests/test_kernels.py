@@ -328,6 +328,10 @@ def test_scans_build_records_and_skip_maps(ext, p, route, steps, wrapper, pure):
                 assert list(records) == list(hits) and rest == remaining
                 assert list(records.values()) == want
                 assert all(type(w) is apsets.ApWitness for w in records.values())
+                # hashed as the equal tuple, so records and Python-built
+                # witnesses find each other in sets and dicts
+                for w in records.values():
+                    assert hash(w) == hash(tuple(w)) and w in {apsets.ApWitness(*w)}
                 assert scan(mask, target, p, steps, None) == (None, remaining)
 
 
