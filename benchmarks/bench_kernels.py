@@ -1,8 +1,9 @@
 """Compare the compiled kernels against their pure-Python twins.
 
-Both backends expose the same two kernels, s1_exhaust and first_hit_scan,
-and must return identical results: node counts included for the search,
-hits in the same order for the scan. This script times them side by side on
+Both backends expose the same three kernels, s1_exhaust, first_hit_scan and
+affine_product, and must return identical results: node counts included for
+the search, hits in the same order for the scan, the same tensor for the
+product. This script times them side by side on
 the workloads that dominate real use: exhausting all sets below the optimum
 and finding a minimum set one size up, and the S_1 and N_1 certification
 scans of a logarithmic set and of one partition part. The compiled side runs
@@ -18,6 +19,12 @@ difference is the cost of the maps and their records, which the scans build
 themselves. Both backends must give equal reports. The label-draw row times
 partition_nk's bulk label draw against p calls of random.randrange, and
 asserts the same labels and the same generator state after.
+
+The affine-product table times prod_i <a_i, x>^(r_i), with the exponents
+summing to n(p - 1)/2 as in a duality check, by affine_product on each
+backend against the same factors chained through mul_reduce one at a time,
+and asserts equal tensors. The verdict table times a whole check_p2 and a
+whole duality_check on each backend, and asserts equal verdicts.
 
 Another table times the group-ring factor products, which gather along each
 axis, against a plain `np.roll` loop kept here as the reference, and asserts
@@ -38,7 +45,7 @@ import time
 
 import numpy as np
 
-from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels, properties
+from ajtkit import _kernels_py, apsets, fp_core, fp_poly, group_ring, kernels, properties
 
 COMPILED = kernels.BACKEND == "compiled"
 BACKENDS = [("pure", None)] + ([("compiled", kernels._ext)] if COMPILED else [])
@@ -73,6 +80,47 @@ def route_on(ext, fn, *args):
         return fn(*args)
     finally:
         kernels._ext = saved
+
+
+def affine_cases():
+    """(p, n, matrix, powers): exponents in [0, p-1] summing to n(p - 1)/2,
+    the size of the ladder's duality products."""
+    for p, n in [(11, 4), (13, 3), (5, 3)]:
+        rng = random.Random(p)
+        powers = [0] * n
+        for _ in range(n * (p - 1) // 2):
+            powers[rng.choice([j for j in range(n) if powers[j] < p - 1])] += 1
+        yield p, n, fp_core.random_nonsingular(p, n, seed=p), powers
+
+
+def chained_product(p, forms, powers):
+    """prod <form, x>^k with one mul_reduce per linear factor: the route every
+    verdict took before affine_product."""
+    out = fp_poly.ReducedPoly.constant(p, len(forms[0]), 1)
+    for form, k in zip(forms, powers):
+        factor = fp_poly.ReducedPoly.linear_form(p, form)
+        for _ in range(k):
+            out = out * factor
+    return out.coeffs
+
+
+def kernel_product(p, forms, powers):
+    """The same product as chained_product, in one affine_product call."""
+    factors = [(0, *form) for form, k in zip(forms, powers) for _ in range(k)]
+    one = np.zeros((p,) * len(forms[0]), dtype=np.int64)
+    one.flat[0] = 1
+    return kernels.affine_product(one, p, factors)
+
+
+def verdict_cases():
+    """(label, p, n, call) for whole check_p2 and duality_check verdicts."""
+    for p, n, m, powers in affine_cases():
+        rng = random.Random(n)
+        lists = [sorted(rng.sample(range(p), 3)) for _ in range(2 * n)]
+        yield "check_p2", p, n, lambda m=m, lists=lists: fp_poly.check_p2(
+            m, lists[:n], lists[n:])
+        yield "duality_check", p, n, lambda m=m, r=powers: fp_poly.duality_check(
+            m, r, r[::-1]).to_json()
 
 
 def rolled_product(p, d, shifts):
@@ -241,6 +289,35 @@ def main():
     )
     print(f"{'partition labels':<28}{p:>6}{parts:>7}{t_ref:>15.5f}{t_new:>10.5f}"
           f"{t_ref / t_new:>8.1f}x")
+    print()
+    # the affine products take 0.01 to 10 ms, so each time is the best of 5
+    header = f"{'affine product':<28}{'p':>6}{'n':>4}{'factors':>9}{'mul_reduce (s)':>16}"
+    header += "".join(f"{b + ' (s)':>15}" for b, _ in BACKENDS) + f"{'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+    for p, n, m, powers in affine_cases():
+        t_ref, want = timed(chained_product, p, m.rows, powers, repeat=5)
+        line = f"{'prod <a_i, x>^(r_i)':<28}{p:>6}{n:>4}{sum(powers):>9}{t_ref:>16.5f}"
+        for backend, ext in BACKENDS:
+            t_new, got = timed(route_on, ext, kernel_product, p, m.rows, powers, repeat=5)
+            assert np.array_equal(got, want), (
+                f"affine product mismatch at ({p}, {n}), {backend}"
+            )
+            line += f"{t_new:>15.5f}"
+        print(line + f"{t_ref / t_new:>8.1f}x")
+    print()
+    header = f"{'verdict':<28}{'p':>6}{'n':>4}"
+    header += "".join(f"{b + ' (s)':>15}" for b, _ in BACKENDS)
+    print(header)
+    print("-" * len(header))
+    for label, p, n, call in verdict_cases():
+        line, verdicts = f"{label:<28}{p:>6}{n:>4}", []
+        for backend, ext in BACKENDS:
+            t, verdict = timed(route_on, ext, call, repeat=5)
+            verdicts.append(verdict)
+            line += f"{t:>15.5f}"
+        assert all(v == verdicts[0] for v in verdicts), f"{label} differs between backends"
+        print(line)
     print()
     # products take micro- to milliseconds, so each time is the best of 20
     header = f"{'group-ring product':<28}{'p':>6}{'entries':>10}"

@@ -1,4 +1,5 @@
-/* Compiled kernels: the S_1 search and the first-hit progression scan.
+/* Compiled kernels: the S_1 search, the first-hit progression scan and the
+   affine product of reduced polynomials.
 
    Inside, a subset of Z/p is a mask of L = ceil(p/64) 64-bit limbs, least
    significant limb first, allocated per call, so one code path serves every
@@ -16,8 +17,13 @@
    hits in the same order; the pair route needs steps holding +1 and -1, the
    gap route the one step +1. Each returns its map finished (struct Hits):
    the least d of each hit, records of a tuple type the caller passes in,
-   or no map at all. API names this contract; ajtkit.kernels refuses an
-   extension built from another. */
+   or no map at all.
+
+   affine_product mirrors _kernels_py.affine_product: a reduced polynomial
+   over F_p in n variables, held as its p^n int64 coefficients, times a list
+   of affine factors c0 + c1 x_1 + ... + cn x_n, reduced by x_j^p = x_j.
+   API names this contract; ajtkit.kernels refuses an extension built from
+   another. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -28,7 +34,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 1            /* bumped whenever a kernel's signature or result changes */
+#define API 2            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -653,6 +659,152 @@ static PyObject *gap_hit_scan(PyObject *self, PyObject *args, PyObject *kwargs)
     return hit_scan(args, kwargs, GAP);
 }
 
+/* Multiply the p^n coefficients in src by c0 + sum_j c[j] x_j into dst,
+   unreduced. Axis j has stride s = p^(n-1-j); in each block of p slots
+   along it, x_j sends slot t to t + 1 for 1 <= t <= p - 2, and both 0 and
+   p - 1 to 1 (x_j^p = x_j): target slots 2..p-1 read the one contiguous
+   run of sources 1..p-2, slot 1 reads sources 0 and p - 1, slot 0 gets
+   nothing. */
+static void affine_step(const int64_t *restrict src, int64_t *restrict dst,
+                        size_t size, long long p, int n, const long long *c)
+{
+    if (c[0])
+        for (size_t i = 0; i < size; i++)
+            dst[i] = c[0] * src[i];
+    else
+        memset(dst, 0, size * sizeof(int64_t));
+    size_t s = size;
+    for (int j = 0; j < n; j++) {
+        s /= (size_t)p;
+        int64_t cj = c[j + 1];
+        if (cj == 0)
+            continue;
+        size_t block = (size_t)p * s, run = (size_t)(p - 2) * s;
+        for (size_t o = 0; o < size; o += block) {
+            const int64_t *restrict from = src + o;
+            int64_t *restrict to = dst + o;
+            for (size_t i = 0; i < run; i++)
+                to[2 * s + i] += cj * from[s + i];
+            for (size_t i = 0; i < s; i++)
+                to[s + i] += cj * (from[i] + from[block - s + i]);
+        }
+    }
+}
+
+/* affine_product(tensor, p, n, factors) -> bytearray of the p^n product
+   coefficients as int64, each in [0, p). The input is reduced into [0, p)
+   as it is copied in; then each factor maps one buffer into the other.
+   Entries stay nonnegative and below an exact bound B: a factor of weight
+   w = c0 + 2 * sum c_j at most multiplies B by w (slot 1 takes two
+   sources), so the entries are reduced mod p only when B * w could pass
+   INT64_MAX, and once at the end. p, the factors and the tensor's length
+   are all checked before the tensor is read. */
+static PyObject *affine_product(PyObject *self, PyObject *args)
+{
+    Py_buffer buf;
+    long long p;
+    int n;
+    PyObject *factors_obj, *factors = NULL, *result = NULL;
+    long long *coef = NULL;
+    int64_t *spare = NULL;
+    if (!PyArg_ParseTuple(args, "y*LiO:affine_product", &buf, &p, &n, &factors_obj))
+        return NULL;
+    if (p < 2 || n < 0) {
+        PyErr_Format(PyExc_ValueError, "affine_product needs p >= 2 and n >= 0, "
+                     "got p = %lld, n = %d", p, n);
+        goto done;
+    }
+    /* a reduced entry, at most p - 1, times the heaviest factor's weight,
+       (2n + 1)(p - 1), must fit in int64 */
+    if (p - 1 > LLONG_MAX / (2 * (long long)n + 1) / (p - 1)) {
+        PyErr_Format(PyExc_ValueError, "(2n + 1)(p - 1)^2 overflows int64 at "
+                     "p = %lld, n = %d", p, n);
+        goto done;
+    }
+    factors = PySequence_Fast(factors_obj, "factors must be a sequence");
+    if (factors == NULL)
+        goto done;
+    Py_ssize_t k = PySequence_Fast_GET_SIZE(factors), width = (Py_ssize_t)n + 1;
+    coef = malloc((k * width + 1) * sizeof(long long));
+    if (coef == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t f = 0; f < k; f++) {
+        PyObject *row = PySequence_Fast(PySequence_Fast_GET_ITEM(factors, f),
+                                        "each factor must be a sequence");
+        if (row == NULL)
+            goto done;
+        int ok = PySequence_Fast_GET_SIZE(row) == width;
+        if (!ok)
+            PyErr_Format(PyExc_ValueError, "each factor needs n + 1 = %zd "
+                         "coefficients", width);
+        for (Py_ssize_t j = 0; ok && j < width; j++) {
+            int overflow;
+            long long c = PyLong_AsLongLongAndOverflow(
+                PySequence_Fast_GET_ITEM(row, j), &overflow);
+            if (c == -1 && PyErr_Occurred())
+                ok = 0;
+            else if (overflow || c < 0 || c >= p) {
+                PyErr_Format(PyExc_ValueError, "factor coefficients must lie in "
+                             "[0, p) for p = %lld", p);
+                ok = 0;
+            }
+            coef[f * width + j] = c;
+        }
+        Py_DECREF(row);
+        if (!ok)
+            goto done;
+    }
+    size_t size = 1, most = PY_SSIZE_T_MAX / sizeof(int64_t);
+    for (int j = 0; j < n && size; j++)
+        size = (size_t)p <= most / size ? size * (size_t)p : 0; /* 0: too large */
+    if (size == 0 || buf.len != (Py_ssize_t)(size * sizeof(int64_t))) {
+        PyErr_Format(PyExc_ValueError, "tensor must hold p^n int64 entries for "
+                     "p = %lld, n = %d, got %zd bytes", p, n, buf.len);
+        goto done;
+    }
+    result = PyByteArray_FromStringAndSize(NULL, size * sizeof(int64_t));
+    spare = malloc(size * sizeof(int64_t));
+    if (result == NULL || spare == NULL) {
+        if (result != NULL)
+            PyErr_NoMemory();
+        Py_CLEAR(result);
+        goto done;
+    }
+    int64_t *out = (int64_t *)PyByteArray_AS_STRING(result), *cur = out, *nxt = spare;
+    const int64_t *in = buf.buf;
+    Py_BEGIN_ALLOW_THREADS
+    for (size_t i = 0; i < size; i++)
+        cur[i] = (in[i] % p + p) % p;
+    long long bound = p - 1;
+    for (Py_ssize_t f = 0; f < k; f++) {
+        const long long *c = coef + f * width;
+        long long w = c[0];
+        for (int j = 1; j <= n; j++)
+            w += 2 * c[j];
+        if (w > 0 && bound > LLONG_MAX / w) {
+            for (size_t i = 0; i < size; i++)
+                cur[i] %= p;
+            bound = p - 1;
+        }
+        affine_step(cur, nxt, size, p, n, c);
+        bound *= w;
+        int64_t *t = cur;
+        cur = nxt;
+        nxt = t;
+    }
+    for (size_t i = 0; i < size; i++)
+        out[i] = cur[i] % p;
+    Py_END_ALLOW_THREADS
+done:
+    Py_XDECREF(factors);
+    free(coef);
+    free(spare);
+    PyBuffer_Release(&buf);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
@@ -676,12 +828,17 @@ static PyMethodDef methods[] = {
      "-> (hits, remaining)\n\n"
      "Same contract as ajtkit._kernels_py.gap_hit_scan: first_hit_scan's\n"
      "result from the gaps of the mask; steps must be the one step +1."},
+    {"affine_product", affine_product, METH_VARARGS,
+     "affine_product(tensor, p, n, factors) -> bytearray\n\n"
+     "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"
+     "read from and returned as p^n native int64 entries."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled S_1 search and the three first-hit scan routes; see\n"
+    "Compiled S_1 search, the three first-hit scan routes and the affine\n"
+    "product of reduced polynomials; see\n"
     "ajtkit._kernels_py for the pure twins.",
     -1, methods,
 };

@@ -1,4 +1,5 @@
-"""Pure-Python kernels: the S_1 search and the first-hit progression scan.
+"""Pure-Python kernels: the S_1 search, the first-hit progression scan and
+the affine product of reduced polynomials.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 scan has three routes with the same result: first_hit_scan rotates the mask,
@@ -9,13 +10,22 @@ of a tuple type it is given, or no map at all. The compiled twin in
 _kernels.c implements s1_exhaust with the same traversal order and the
 scans with the same insertion order; the backends must stay byte-for-byte
 interchangeable.
+
+affine_product multiplies a reduced polynomial over F_p, its coefficient
+tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
+slices; the compiled twin does the same passes in C and returns the same
+tensor.
 """
 
 from __future__ import annotations
 
+import operator
 from itertools import chain, compress, repeat
 from typing import Sequence
 
+import numpy as np
+
+_INT64_MAX = 2**63 - 1
 
 _DIGIT = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
@@ -198,3 +208,53 @@ def _bits(mask: int) -> list[int]:
     digits in O(p) by one C-level pass over all of them."""
     digits = bin(mask)[:1:-1].encode().translate(_DIGIT)  # byte i is bit i
     return list(compress(range(len(digits)), digits))
+
+
+def affine_product(
+    coeffs, p: int, n: int, factors: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """The reduced product coeffs * prod (c0 + c1 x_1 + ... + cn x_n).
+
+    coeffs holds the p^n coefficients of a polynomial in n variables,
+    indexed by exponent vector, each exponent in [0, p-1]; each factor is
+    (c0, c1, ..., cn), every c in [0, p). Multiplying by x_j moves slot t of
+    axis j to t + 1 for 1 <= t <= p - 2 and both 0 and p - 1 to 1, since
+    x_j^p = x_j: two slice updates per axis. The entries stay nonnegative
+    below an exact bound that a factor of weight c0 + 2 * sum c_j at most
+    multiplies, so they are reduced mod p only when the next factor could
+    pass int64, and once at the end. Returns a new int64 tensor of shape
+    (p,) * n with entries in [0, p). ValueError, before coeffs is read, for
+    p < 2, n < 0, p so large that (2n + 1)(p - 1)^2 overflows int64, a
+    factor that is not n + 1 coefficients in [0, p), or coeffs not p^n long.
+    """
+    if p < 2 or n < 0:
+        raise ValueError(f"affine_product needs p >= 2 and n >= 0, got p = {p}, n = {n}")
+    if (2 * n + 1) * (p - 1) ** 2 > _INT64_MAX:
+        raise ValueError(f"(2n + 1)(p - 1)^2 overflows int64 at p = {p}, n = {n}")
+    rows = [[operator.index(c) for c in f] for f in factors]
+    if any(len(f) != n + 1 for f in rows):
+        raise ValueError(f"each factor needs n + 1 = {n + 1} coefficients")
+    if any(not 0 <= c < p for f in rows for c in f):
+        raise ValueError(f"factor coefficients must lie in [0, p) for p = {p}")
+    cur = np.asarray(coeffs, dtype=np.int64)
+    if cur.size != p**n:
+        raise ValueError(f"tensor must hold p^n entries for p = {p}, n = {n}")
+    cur = cur.reshape(-1) % p
+    bound = p - 1
+    for c0, *cs in rows:
+        weight = c0 + 2 * sum(cs)
+        if weight and bound > _INT64_MAX // weight:
+            cur %= p
+            bound = p - 1
+        nxt = cur * c0
+        for j, c in enumerate(cs):
+            if c:
+                # axis j as (outer blocks, its p slots, the stride below it)
+                src = cur.reshape(p**j, p, -1)
+                dst = nxt.reshape(p**j, p, -1)
+                dst[:, 2:] += c * src[:, 1:-1]
+                dst[:, 1] += c * (src[:, 0] + src[:, -1])
+        cur = nxt
+        bound *= weight
+    cur %= p
+    return cur.reshape((p,) * n)

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -246,6 +245,10 @@ def cmd_sweep(args) -> int:
     # never more workers than usable CPUs or jobs
     workers = min(args.threads, len(os.sched_getaffinity(0)), len(jobs))
     if workers > 1:
+        # imported here: concurrent.futures and multiprocessing cost every
+        # process that imports this module about 1.4 MB, a pool or not
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_sweep_one_prefix, jobs))
     else:

@@ -7,13 +7,20 @@ functions exactly when they agree coefficientwise, so vanishing checks are
 coefficient checks. A reduced polynomial in n variables is one int64 tensor
 of shape (p,) * n, indexed by exponent vector, with entries in [0, p).
 
-Multiplication has two independent routes. The shift route adds one shifted
-copy of one factor per nonzero term of the other: multiplying by x_i^e
-rotates exponents 1..p-1 along axis i by e and moves exponent 0 to e. The
-interpolate route evaluates both factors through the Vandermonde matrix,
-multiplies the value tables pointwise and interpolates back. Both land on
-the same canonical form and tests compare them; shift is the default, and
-nothing picks between them by size.
+Every polynomial behind the verdicts (P2, P5, duality and the coefficient
+route of the scalar-product condition) is a product of affine factors:
+<a_i, x> - d, x_i - c, <row, x> and x_j. Each verdict lists its factors and
+makes one kernels.affine_product call, which multiplies the tensor by them
+one pass per factor, compiled when the extension is built.
+
+mul_reduce, the product of two general reduced polynomials, has two
+independent routes. The shift route adds one shifted copy of one factor per
+nonzero term of the other: multiplying by x_i^e rotates exponents 1..p-1
+along axis i by e and moves exponent 0 to e. The interpolate route evaluates
+both factors through the Vandermonde matrix, multiplies the value tables
+pointwise and interpolates back. Both land on the same canonical form and
+tests compare them with each other and with affine_product; shift is the
+default, and nothing picks between them by size.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import kernels
 from .budget import Budget, current_budget
 from .errors import DegreeMismatch, InputError
-from .fp_core import FpMatrix, _as_prime, _vectors
+from .fp_core import FpMatrix, _as_prime
 
 ExponentVector = tuple[int, ...]
 
@@ -245,30 +253,40 @@ def mul_reduce(f: ReducedPoly, g: ReducedPoly, route: str = "shift") -> ReducedP
     raise InputError(f"unknown route {route!r}")
 
 
-def _form_product(
-    p: int, forms: Sequence[Sequence[int]], powers: Sequence[int]
-) -> ReducedPoly:
-    """prod_i <forms[i], x>^(powers[i]), one linear factor at a time.
+def _one(p: int, n: int) -> np.ndarray:
+    """The tensor of the constant polynomial 1."""
+    one = np.zeros((p,) * n, dtype=np.int64)
+    one[(0,) * n] = 1
+    return one
 
-    A one-term form c * x_j raised to the k is the monomial c^k * x_j^k, one
-    shift instead of k products.
+
+def _unit(n: int, j: int) -> tuple[int, ...]:
+    """The coefficients of x_j among x_1..x_n."""
+    return tuple(int(i == j) for i in range(n))
+
+
+def _form_product(
+    p: int,
+    forms: Sequence[Sequence[int]],
+    powers: Sequence[int],
+    monomial: Sequence[int] = (),
+) -> ReducedPoly:
+    """prod_i <forms[i], x>^(powers[i]) * x^monomial, in one affine_product.
+
+    Every power is reduced first: on F_p, y^k and y^reduce_exponent(k) are
+    the same function of y, and the canonical form depends only on the
+    function. So each form, and each x_j of the monomial, is listed at most
+    p - 1 times.
     """
     if any(k < 0 for k in powers):
         raise InputError("negative powers are not defined")
     n = len(forms[0])
-    out = ReducedPoly.constant(p, n, 1)
+    factors = []
     for coefficients, k in zip(forms, powers):
-        support = [j for j, c in enumerate(coefficients) if c % p]
-        if len(support) == 1:
-            exps = [0] * n
-            exps[support[0]] = k
-            c = pow(int(coefficients[support[0]]), k, p)
-            out = out * ReducedPoly.monomial(p, n, exps, c)
-            continue
-        form = ReducedPoly.linear_form(p, coefficients)
-        for _ in range(k):
-            out = out * form
-    return out
+        factors += [(0, *(int(c) % p for c in coefficients))] * reduce_exponent(k, p)
+    for j, t in enumerate(monomial):
+        factors += [(0, *_unit(n, j))] * reduce_exponent(int(t), p)
+    return ReducedPoly(p, n, kernels.affine_product(_one(p, n), p, factors))
 
 
 def check_p2(
@@ -284,18 +302,9 @@ def check_p2(
     """
     p, n = m.p, m.n
     current_budget(budget).check_entries(p**n, what="reduced product")
-    h = ReducedPoly.constant(p, n, 1)
-    for i, row in enumerate(m.rows):
-        form = ReducedPoly.linear_form(p, row)
-        for d in d_lists[i]:
-            h = h * (form - ReducedPoly.constant(p, n, d))
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        var = ReducedPoly.monomial(p, n, e)
-        for c in c_lists[i]:
-            h = h * (var - ReducedPoly.constant(p, n, c))
-    return h.is_zero()
+    factors = [(-int(d) % p, *row) for i, row in enumerate(m.rows) for d in d_lists[i]]
+    factors += [(-int(c) % p, *_unit(n, i)) for i in range(n) for c in c_lists[i]]
+    return not kernels.affine_product(_one(p, n), p, factors).any()
 
 
 def check_p5(
@@ -315,7 +324,9 @@ def check_p5(
         t = [1] * n
     if t_prime is None:
         t_prime = [1] * n
-    f = _form_product(p, m.rows, t_prime) * ReducedPoly.monomial(p, n, t)
+    if len(t) != n:
+        raise InputError("exponent vector has the wrong length")
+    f = _form_product(p, m.rows, t_prime, monomial=t)
     return f.total_degree() < sum(t) + sum(t_prime)
 
 
@@ -397,18 +408,6 @@ def duality_check(
     )
 
 
-def _vec_pow_mod(base: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(base)
-    b = base % p
-    while e:
-        if e & 1:
-            out = out * b % p
-        e >>= 1
-        if e:
-            b = b * b % p
-    return out
-
-
 def scalar_product_condition(
     m: FpMatrix,
     r: Sequence[int],
@@ -434,17 +433,19 @@ def scalar_product_condition(
         route = "evaluate" if p**n <= 2**20 and p**n <= b.entries else "coefficient"
     if route == "evaluate":
         b.check_entries(p**n, what="grid evaluation")
-        points = _vectors(p, n)
-        rows = np.array(m.rows, dtype=np.int64)
-        forms = points @ rows.T % p
-        vals = np.ones(points.shape[0], dtype=np.int64)
-        for i in range(n):
-            vals = vals * _vec_pow_mod(forms[:, i], r[i], p) % p
-            vals = vals * _vec_pow_mod(points[:, i], s[i], p) % p
+        # the grid as a (p,) * n tensor: x[j] holds x_j along axis j, and a
+        # form's values broadcast from them, so no (p^n, n) table of points
+        # is built; v -> v^e mod p is a table of p entries indexed by values
+        x = [np.arange(p).reshape((p,) + (1,) * (n - 1 - j)) for j in range(n)]
+        vals = np.ones((p,) * n, dtype=np.int64)
+        for i, row in enumerate(m.rows):
+            form = sum(c * x[j] for j, c in enumerate(row)) % p
+            for values, e in ((form, r[i]), (x[i], s[i])):
+                vals *= np.array([pow(v, e, p) for v in range(p)], dtype=np.int64)[values]
+                vals %= p
         return int(vals.sum() % p)
     if route == "coefficient":
         b.check_entries(p**n, what="reduced product")
-        f = _form_product(p, m.rows, r) * ReducedPoly.monomial(p, n, s)
-        c = f.coeff((p - 1,) * n)
+        c = _form_product(p, m.rows, r, monomial=s).coeff((p - 1,) * n)
         return c * pow(-1, n, p) % p
     raise InputError(f"unknown route {route!r}")

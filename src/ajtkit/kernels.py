@@ -1,4 +1,4 @@
-"""Backend selection for the two kernels, and route selection for the scan.
+"""Backend selection for the three kernels, and route selection for the scan.
 
 Which backend runs is fixed at import: the compiled extension (_kernels.c)
 when it is built, the pure-Python twins in _kernels_py when it is not. An
@@ -7,7 +7,8 @@ an ImportError naming the rebuild command, never a silent fallback. The
 compiled s1_exhaust takes any p >= 5 and the scans any p >= 3, with their
 masks as little-endian bytes of length ceil(p/8) both ways. Each pair
 returns identical results: the same masks and node counts from s1_exhaust,
-the same hits in the same order from first_hit_scan.
+the same hits in the same order from first_hit_scan, the same tensor from
+affine_product.
 
 first_hit_scan has three routes with identical results. rotation_scan tries
 d = 1, 2, ... and ANDs rotated masks, about L = ceil(p/64) words per d up to
@@ -23,6 +24,12 @@ set's size, p and the steps.
 Every scan builds its map itself, in the kernel: record=int maps each hit e
 to its least d, a tuple type such as apsets.ApWitness maps e to the record
 (e, d, radius), and record=None builds no map and returns (None, remaining).
+
+affine_product multiplies a reduced polynomial's coefficient tensor by a
+list of affine factors c0 + c1 x_1 + ... + cn x_n in one call: every product
+behind P2, P5, duality and the coefficient route of the scalar-product
+condition. The compiled side reads the tensor as p^n int64 entries and
+returns them in a bytearray, which becomes the result's buffer.
 """
 
 from __future__ import annotations
@@ -31,11 +38,13 @@ import importlib
 import math
 from typing import Sequence
 
+import numpy as np
+
 from . import _kernels_py
 
-# the contract of the scans and the search that this module drives; the
-# extension exports the one it was built with, and the two must agree
-API = 1
+# the contract of the kernels that this module drives; the extension exports
+# the one it was built with, and the two must agree
+API = 2
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -151,3 +160,15 @@ def _compiled(
         record, radius,
     )
     return hits, int.from_bytes(remaining, "little")
+
+
+def affine_product(
+    coeffs: np.ndarray, p: int, factors: Sequence[Sequence[int]]
+) -> np.ndarray:
+    """_kernels_py.affine_product over the n = coeffs.ndim variables of the
+    (p,) * n tensor coeffs, compiled when built: a new tensor, coeffs untouched."""
+    n = coeffs.ndim
+    if _ext is None:
+        return _kernels_py.affine_product(coeffs, p, n, factors)
+    out = _ext.affine_product(np.ascontiguousarray(coeffs, dtype=np.int64), p, n, factors)
+    return np.frombuffer(out, dtype=np.int64).reshape(coeffs.shape)

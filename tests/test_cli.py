@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, payload shapes."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -69,6 +70,21 @@ def test_csv_is_refused_before_any_sweep_work(capsys, monkeypatch):
         main(["sweep", "--p", "5", "--n", "2", "--format", "csv"])
     assert exc.value.code == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
+def test_import_loads_no_process_pool():
+    # the pool's modules are imported only by a sweep that starts workers
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, ajtkit.cli; "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == b"[]\n"
 
 
 def test_one_parser_serves_every_call(capsys, monkeypatch):
@@ -246,7 +262,7 @@ class _SerialPool:
 )
 def test_sweep_worker_count_is_capped(capsys, monkeypatch, threads, cpus, n, want):
     monkeypatch.setattr(_SerialPool, "requested", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     rc, payload = run_json(
         capsys, "sweep", "--p", "5", "--n", str(n), "--threads", str(threads)

@@ -1,6 +1,6 @@
 """Parity between the compiled kernels and their pure-Python twins.
 
-Two kernels are compared. s1_exhaust must agree bit for bit: same found
+Three kernels are compared. s1_exhaust must agree bit for bit: same found
 set, same exhausted flag, and the same node count, so that proven_optimal
 claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
@@ -9,11 +9,15 @@ on the backend either, nor on the route: the rotation, for centered steps
 the pairs of the set, and for the one step +1 the gaps between its
 elements. The maps each scan builds, witness records included, must agree
 the same way, and a scan asked for no map must leave the same remainder.
+affine_product, behind every P2/P5/duality product, must return on both
+backends the tensor that the same factors give through mul_reduce, by the
+shift route and by the interpolate route.
 
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
 the tests skip only when no C compiler is available. The `ext` fixture puts
-that module behind ajtkit.kernels, which carries the masks across as bytes.
+that module behind ajtkit.kernels, which carries the masks across as bytes;
+the `backend` fixture runs a test once on each backend.
 """
 
 import importlib.util
@@ -26,9 +30,11 @@ import sysconfig
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ajtkit import _kernels_py, apsets, kernels
+from ajtkit.fp_poly import ReducedPoly, mul_reduce
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ajtkit" / "_kernels.c"
 
@@ -72,6 +78,14 @@ def compiled(tmp_path_factory):
 @pytest.fixture
 def ext(compiled, monkeypatch):
     """ajtkit.kernels running the compiled backend."""
+    monkeypatch.setattr(kernels, "_ext", compiled)
+    return kernels
+
+
+@pytest.fixture(params=["compiled", "pure"])
+def backend(request, monkeypatch):
+    """ajtkit.kernels running each backend in turn."""
+    compiled = request.getfixturevalue("compiled") if request.param == "compiled" else None
     monkeypatch.setattr(kernels, "_ext", compiled)
     return kernels
 
@@ -349,6 +363,104 @@ def test_compiled_records_need_a_tuple_layout(compiled):
         for record in (Wide, list, str, 3, apsets.ApWitness(0, 1, 1)):
             with pytest.raises(TypeError):
                 scan(mask, mask, 5, [-1, 1], record, 1)
+
+
+def affine_chain(coeffs, p, factors, route):
+    """coeffs times each factor c0 + c1 x_1 + ... + cn x_n through mul_reduce."""
+    n = coeffs.ndim
+    out = ReducedPoly(p, n, coeffs)
+    for c0, *cs in factors:
+        factor = ReducedPoly.constant(p, n, c0) + ReducedPoly.linear_form(p, cs)
+        out = mul_reduce(out, factor, route)
+    return out.coeffs
+
+
+def random_tensor(rng, p, n):
+    return np.array([rng.randrange(p) for _ in range(p**n)], dtype=np.int64).reshape(
+        (p,) * n
+    )
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (5, 4), (7, 3), (11, 4), (13, 3)])
+def test_affine_product_matches_mul_reduce(backend, p, n):
+    rng = random.Random(p * 100 + n)
+    coeffs = random_tensor(rng, p, n)
+    before = coeffs.copy()
+    for size in (1, 3, 8):
+        # some coefficients zero, so that factors skip axes or the constant
+        factors = [
+            tuple(rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(n + 1))
+            for _ in range(size)
+        ]
+        got = backend.affine_product(coeffs, p, factors)
+        assert got.shape == (p,) * n and got.dtype == np.int64
+        assert np.array_equal(got, affine_chain(coeffs, p, factors, "shift"))
+        assert np.array_equal(got, affine_chain(coeffs, p, factors, "interpolate"))
+    assert np.array_equal(coeffs, before)  # the input is left as it was
+
+
+def test_affine_product_edge_cases(backend):
+    p, n = 7, 3
+    rng = random.Random(1)
+    coeffs = random_tensor(rng, p, n)
+    # no factors: the input, reduced; an unreduced input is reduced first
+    assert np.array_equal(backend.affine_product(coeffs, p, []), coeffs)
+    assert np.array_equal(backend.affine_product(coeffs - 3 * p, p, []), coeffs)
+    # an all-zero factor zeroes the product, whatever follows
+    zero = [(0,) * (n + 1)]
+    assert not backend.affine_product(coeffs, p, zero + [(1, 2, 3, 4)]).any()
+    # x_j alone, up to p + 1 times: x_j^p = x_j
+    for j in range(n):
+        unit = tuple(int(i == j + 1) for i in range(n + 1))
+        for k in (1, 2, p - 1, p, p + 1):
+            exps = [0] * n
+            exps[j] = k
+            want = mul_reduce(ReducedPoly(p, n, coeffs), ReducedPoly.monomial(p, n, exps))
+            got = backend.affine_product(coeffs, p, [unit] * k)
+            assert np.array_equal(got, want.coeffs)
+
+
+def test_affine_product_reduces_lazily(backend):
+    # at p = 65537 ten heavy factors multiply the entry bound far past int64,
+    # so the kernel must reduce between factors to stay exact
+    p, n = 65537, 1
+    rng = random.Random(2)
+    factors = [(rng.randrange(p // 2, p), rng.randrange(p // 2, p)) for _ in range(10)]
+    assert (p - 1) * math.prod(c0 + 2 * c1 for c0, c1 in factors) > 2**63
+    coeffs = random_tensor(rng, p, n)
+    got = backend.affine_product(coeffs, p, factors)
+    assert np.array_equal(got, affine_chain(coeffs, p, factors, "shift"))
+
+
+def test_affine_product_rejects_bad_input(compiled):
+    def entries(out):  # the compiled kernel returns a bytearray of int64
+        return np.frombuffer(out, dtype=np.int64).ravel().tolist()
+
+    tensor = np.zeros(5**2, dtype=np.int64)
+    for kernel in (compiled.affine_product, _kernels_py.affine_product):
+        assert entries(kernel(tensor, 5, 2, [(1, 0, 0)])) == [0] * 25
+        bad = [
+            (tensor[:24], 5, 2, []),  # not p^n entries
+            (np.zeros(5**3, dtype=np.int64), 5, 2, []),
+            (tensor, 5, 2, [(0, 5, 0)]),  # a coefficient >= p
+            (tensor, 5, 2, [(0, -1, 0)]),
+            (tensor, 5, 2, [(0, 2**64, 0)]),
+            (tensor, 5, 2, [(0, 1)]),  # not n + 1 coefficients
+            (tensor, 1, 2, []),
+            (tensor, 5, -1, []),
+        ]
+        for args in bad:
+            with pytest.raises(ValueError):
+                kernel(*args)
+        # (2n + 1)(p - 1)^2 overflows int64: refused before the one-entry
+        # tensor is read, so nothing p^n long is ever allocated
+        with pytest.raises(ValueError, match="overflows"):
+            kernel(np.zeros(1, dtype=np.int64), 2**31 - 1, 1, [])
+        assert entries(kernel(np.full(1, -1, dtype=np.int64), 2**31 - 1, 0, [])) == [
+            2**31 - 2
+        ]
+        with pytest.raises(TypeError):
+            kernel(tensor, 5, 2, [(0, 1.5, 0)])
 
 
 def test_stale_extension_fails_loudly(monkeypatch):
