@@ -7,13 +7,14 @@ product. This script times them side by side on
 the workloads that dominate real use: exhausting all sets below the optimum
 and finding a minimum set one size up, and the S_1 and N_1 certification
 scans of a logarithmic set and of one partition part. The compiled side runs
-through ajtkit.kernels, which carries the masks across as bytes. The scan
-table times the routes of first_hit_scan on each backend, asked for no
-map, so the kernel's own work: the rotation against the pairs of the set
-for the centered scans, and against the gaps between its elements for the
-forward scan (the one step +1). It names the route that kernels.scan_route
-picks, and asserts that every route gives the rotation's hits in the same
-order. The witness-map rows time is_nk_type on
+through ajtkit.kernels, which carries the mask across as bytes. The scan
+table times the routes of first_hit_scan on each backend, at k = 1 and asked
+for no map, so the kernel's own work: the rotation against the pairs of the
+set for the centered scans, and against the gaps between its elements for
+the forward scan. It names the route that kernels.scan_route picks, and
+asserts that every route gives the pure rotation's hits in the same order
+and the same least element left without a witness. The witness-map rows
+time is_nk_type on
 the N_1 part, per backend, against its two scans asked for no map; the
 difference is the cost of the maps and their records, which the scans build
 themselves. Both backends must give equal reports. The label-draw row times
@@ -60,17 +61,12 @@ CASES = [
     (1009, 5, "exhaust, 16 limbs"),
 ]
 
-CENTERED, FORWARD = [-1, 1], [1]
-
-
 def scan_cases():
-    """(label, p, mask, target, steps) for the certification scans."""
-    log = apsets.build_s1_log(9973).mask
-    yield "log set, S_1", 9973, log, log, CENTERED
+    """(label, p, mask, forward) for the certification scans, all at k = 1."""
+    yield "log set, S_1", 9973, apsets.build_s1_log(9973).mask, False
     part = apsets.partition_nk(20011, 1, seed=0).parts[0].mask
-    outside = ~part & ((1 << 20011) - 1)
-    yield "N_1 part, inside", 20011, part, part, CENTERED
-    yield "N_1 part, outside", 20011, part, outside, FORWARD
+    yield "N_1 part, inside", 20011, part, False
+    yield "N_1 part, outside", 20011, part, True
 
 
 def route_on(ext, fn, *args):
@@ -231,22 +227,22 @@ def main():
     header += f"{'rotation (s)':>14}{'other':>7}{'other (s)':>11}{'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for label, p, mask, target, steps in scan_cases():
-        want = _kernels_py.first_hit_scan(mask, target, p, steps)
+    for label, p, mask, forward in scan_cases():
+        want = _kernels_py.first_hit_scan(mask, p, 1, forward, tuple)
+        hits = len(want[0])
         for backend, ext in BACKENDS:
-            route = route_on(ext, kernels.scan_route, mask, p, steps)
-            # the other route: pairs for centered steps, gaps for the step +1
-            other, scan = ("gap", kernels.gap_scan) if steps == FORWARD else (
-                "pair", kernels.pair_scan)
+            route = route_on(ext, kernels.scan_route, mask, p, 1, forward)
+            # the other route: gaps for the forward scan, pairs for centered ones
+            other, scan = ("gap", kernels.gap_scan) if forward else ("pair", kernels.pair_scan)
             for name, fn in (("rotation", kernels.rotation_scan), (other, scan)):
-                got = route_on(ext, fn, mask, target, p, steps)
+                got = route_on(ext, fn, mask, p, 1, forward, tuple)
                 assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
                     f"{name} mismatch on {label}, {backend}"
                 )
-            t_rot, _ = timed(route_on, ext, kernels.rotation_scan, mask, target, p,
-                             steps, None, repeat=5)
-            t_other, _ = timed(route_on, ext, scan, mask, target, p, steps, None, repeat=5)
-            line = f"{label:<28}{p:>6}{mask.bit_count():>6}{len(want[0]):>7}"
+            t_rot, _ = timed(route_on, ext, kernels.rotation_scan, mask, p, 1, forward,
+                             None, repeat=5)
+            t_other, _ = timed(route_on, ext, scan, mask, p, 1, forward, None, repeat=5)
+            line = f"{label:<28}{p:>6}{mask.bit_count():>6}{hits:>7}"
             line += f"{backend:>10}{route:>10}{t_rot:>14.5f}"
             print(line + f"{other:>7}{t_other:>11.5f}{t_rot / t_other:>8.1f}x")
     print()
@@ -257,12 +253,11 @@ def main():
     print("-" * len(header))
     part = apsets.partition_nk(20011, 1, seed=0).parts[0]
     p, mask = part.p, part.mask
-    outside = ~mask & ((1 << p) - 1)
     reports = []
     for backend, ext in BACKENDS:
         t_scan, _ = timed(route_on, ext, lambda: (
-            kernels.first_hit_scan(mask, mask, p, CENTERED, None),
-            kernels.first_hit_scan(mask, outside, p, FORWARD, None)), repeat=5)
+            kernels.first_hit_scan(mask, p, 1, False, None),
+            kernels.first_hit_scan(mask, p, 1, True, None)), repeat=5)
         t_map, report = timed(route_on, ext, apsets.is_nk_type, part, 1, repeat=5)
         assert report.ok
         reports.append(report)

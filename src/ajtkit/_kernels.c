@@ -13,11 +13,14 @@
    contains {0, 1}.
 
    first_hit_scan, pair_hit_scan and gap_hit_scan mirror their twins in
-   _kernels_py: the three routes of one scan, for any p >= 3, with the same
-   hits in the same order; the pair route needs steps holding +1 and -1, the
-   gap route the one step +1. Each returns its map finished (struct Hits):
-   the least d of each hit, records of a tuple type the caller passes in,
-   or no map at all.
+   _kernels_py: the three routes of one scan, for any p >= 3 and
+   1 <= k <= (p - 1)/2, with the same hits in the same order. A centered
+   scan asks, for each a in A, the least d with a + i*d in A for 0 < |i| <= k;
+   a forward scan asks, for each b outside A, the least d with b + i*d in A
+   for 1 <= i <= k. The pair route serves centered scans, the gap route
+   forward scans at k = 1. Each returns its map finished (struct Hits), of
+   records of a tuple type the caller passes in, or no map, and the least
+   element left without a witness.
 
    affine_product mirrors _kernels_py.affine_product: a reduced polynomial
    over F_p in n variables, held as its p^n int64 coefficients, times a list
@@ -34,7 +37,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 2            /* bumped whenever a kernel's signature or result changes */
+#define API 3            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -206,20 +209,20 @@ static u64 window(const u64 *D, size_t bit)
 
 /* The n-limb mask held in buf (little-endian, ceil(p/8) bytes), or -1 with
    ValueError set when the length is wrong or a bit lies at or above p. */
-static int read_mask(Py_buffer *buf, int p, u64 *out, int n, const char *what)
+static int read_mask(Py_buffer *buf, int p, u64 *out, int n)
 {
     const unsigned char *b = buf->buf;
     Py_ssize_t want = ((Py_ssize_t)p + 7) / 8;
     if (buf->len != want) {
-        PyErr_Format(PyExc_ValueError, "%s must be %zd bytes for p = %d, got %zd",
-                     what, want, p, buf->len);
+        PyErr_Format(PyExc_ValueError, "mask must be %zd bytes for p = %d, got %zd",
+                     want, p, buf->len);
         return -1;
     }
     memset(out, 0, n * sizeof(u64));
     for (Py_ssize_t k = 0; k < buf->len; k++)
         out[k >> 3] |= (u64)b[k] << (8 * (k & 7));
     if (p & 63 && out[n - 1] >> (p & 63)) {
-        PyErr_Format(PyExc_ValueError, "%s has bits at or above p = %d", what, p);
+        PyErr_Format(PyExc_ValueError, "mask has bits at or above p = %d", p);
         return -1;
     }
     return 0;
@@ -277,43 +280,38 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
 }
 
 /* The map a scan returns. map is NULL when none is built (record None);
-   otherwise each hit e goes in as e -> d (record int), or as
-   e -> record(e, d, radius), built as tuple's own constructor builds it
-   (record_new), which hits_init allows only for a tuple subclass laid out
-   as tuple: no instance dict, no extra slots. Such a
+   otherwise each hit e goes in as e -> record(e, d, k), built as tuple's own
+   constructor builds it (record_new), which hits_init allows only for a
+   tuple subclass laid out as tuple: no instance dict, no extra slots. Such a
    record holds three ints and can close no reference cycle, so it leaves
-   the collector's lists at once, as CPython untracks a tuple of atoms at
-   its first collection; a re-certified N_1 part makes about 20k of them. */
+   the collector's lists at once, as CPython untracks a tuple of atoms at its
+   first collection; a re-certified N_1 part makes about 20k of them. */
 typedef struct {
     PyObject *map;
-    PyTypeObject *record; /* NULL: the values are the steps d */
-    PyObject *radius;
+    PyTypeObject *record;
+    PyObject *k;
 } Hits;
 
-static int hits_init(Hits *h, PyObject *record, PyObject *radius)
+static int hits_init(Hits *h, PyObject *record, PyObject *k)
 {
     PyTypeObject *t = (PyTypeObject *)record;
     h->map = NULL;
-    h->record = NULL;
-    h->radius = radius;
+    h->record = t;
+    h->k = k;
     if (record == Py_None)
         return 0;
-    if (t != &PyLong_Type) {
-        if (!PyType_Check(record) || !PyType_IsSubtype(t, &PyTuple_Type) ||
-            t->tp_basicsize != PyTuple_Type.tp_basicsize ||
-            t->tp_itemsize != PyTuple_Type.tp_itemsize) {
-            PyErr_SetString(PyExc_TypeError,
-                            "record must be int, None or a tuple subclass "
-                            "without instance fields");
-            return -1;
-        }
-        h->record = t;
+    if (!PyType_Check(record) || !PyType_IsSubtype(t, &PyTuple_Type) ||
+        t->tp_basicsize != PyTuple_Type.tp_basicsize ||
+        t->tp_itemsize != PyTuple_Type.tp_itemsize) {
+        PyErr_SetString(PyExc_TypeError,
+                        "record must be None or a tuple subclass without instance fields");
+        return -1;
     }
     h->map = PyDict_New();
     return h->map == NULL ? -1 : 0;
 }
 
-/* record(key, step, radius), untracked. Before 3.14 a tuple subclass's own
+/* record(key, step, k), untracked. Before 3.14 a tuple subclass's own
    constructor (tuple_subtype_new) is tp_alloc plus the items, so the record
    is built that way here; from 3.14 a tuple also caches its hash, which that
    constructor initialises, so the record goes through it. */
@@ -325,9 +323,9 @@ static PyObject *record_new(Hits *h, PyObject *key, PyObject *step)
         return NULL;
     PyTuple_SET_ITEM(value, 0, Py_NewRef(key));
     PyTuple_SET_ITEM(value, 1, Py_NewRef(step));
-    PyTuple_SET_ITEM(value, 2, Py_NewRef(h->radius));
+    PyTuple_SET_ITEM(value, 2, Py_NewRef(h->k));
 #else
-    PyObject *fields = PyTuple_Pack(3, key, step, h->radius);
+    PyObject *fields = PyTuple_Pack(3, key, step, h->k);
     PyObject *args = fields == NULL ? NULL : PyTuple_Pack(1, fields);
     value = args == NULL ? NULL : PyTuple_Type.tp_new(h->record, args, NULL);
     Py_XDECREF(fields);
@@ -343,48 +341,66 @@ static int hits_add(Hits *h, long e, long d)
 {
     if (h->map == NULL)
         return 0;
-    PyObject *key = PyLong_FromLong(e), *value = NULL;
-    if (key == NULL)
-        return -1;
-    PyObject *step = PyLong_FromLong(d);
-    if (step != NULL)
-        value = h->record == NULL ? Py_NewRef(step) : record_new(h, key, step);
+    PyObject *key = PyLong_FromLong(e), *step = PyLong_FromLong(d), *value = NULL;
+    if (key != NULL && step != NULL)
+        value = record_new(h, key, step);
     int status = value == NULL || PyDict_SetItem(h->map, key, value) < 0 ? -1 : 0;
-    Py_DECREF(key);
+    Py_XDECREF(key);
     Py_XDECREF(step);
     Py_XDECREF(value);
     return status;
 }
 
-/* The hit e at step d for each element e of rem hit at step d, then rem &= ~hit.
-   Only the limbs of rem still nonzero are visited: live lists them in
-   ascending order, so hits go in by ascending d, then ascending e. */
-static int scan(const u64 *D, u64 *rem, int *live, int nlive, int p,
-                const long long *off, long long *shift, Py_ssize_t nsteps,
-                Hits *h)
+/* The rotation route: for d = 1, 2, ..., the elements e of rem with e + i*d
+   in A for each step i (0 < |i| <= k, or 1 <= i <= k when forward) are hit
+   at d and leave rem. Limb j of A - i*d is the 64-bit window of the doubled
+   mask D = A | A << p from bit 64 * j + (i*d mod p). Only the limbs of rem
+   still nonzero are visited: live lists them in ascending order, so hits go
+   in by ascending d, then ascending e. */
+static int rotation_scan(const u64 *a, u64 *rem, int n, int p, int k, int forward,
+                         Hits *h)
 {
+    int q = p >> 6, r = p & 63, nlive = 0, status = -1;
+    u64 *D = calloc((2 * (size_t)p + 63) / 64 + 1, sizeof(u64));
+    int *live = malloc(n * sizeof(int));
+    if (D == NULL || live == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (int i = 0; i < n; i++) {
+        D[i] |= a[i];
+        D[i + q] |= a[i] << r;
+        if (r)
+            D[i + q + 1] |= a[i] >> (64 - r);
+        if (rem[i])
+            live[nlive++] = i;
+    }
     for (int d = 1; d < p && nlive > 0; d++) {
-        for (Py_ssize_t t = 0; t < nsteps; t++) {
-            shift[t] += off[t];
-            if (shift[t] >= p)
-                shift[t] -= p;
-        }
         int kept = 0;
         for (int j = 0; j < nlive; j++) {
             int i = live[j];
             u64 hit = rem[i];
-            for (Py_ssize_t t = 0; t < nsteps && hit; t++)
-                hit &= window(D, 64 * (size_t)i + p - shift[t]);
+            /* id runs through i*d mod p */
+            for (int s = 1, id = d; s <= k && hit;
+                 s++, id = id >= p - d ? id - (p - d) : id + d) {
+                hit &= window(D, 64 * (size_t)i + id);
+                if (!forward)
+                    hit &= window(D, 64 * (size_t)i + p - id);
+            }
             rem[i] &= ~hit;
             for (; hit && h->map; hit &= hit - 1)
                 if (hits_add(h, 64L * i + __builtin_ctzll(hit), d) < 0)
-                    return -1;
+                    goto done;
             if (rem[i])
                 live[kept++] = i;
         }
         nlive = kept;
     }
-    return 0;
+    status = 0;
+done:
+    free(D);
+    free(live);
+    return status;
 }
 
 /* (d, a) keys packed as d * p + a sort by ascending d, then ascending a. */
@@ -400,47 +416,43 @@ static int halve(int x, int p)
     return (x + (x & 1) * p) >> 1;
 }
 
-/* 1 if c + i*d lies in A for every i in inc (n of them, each i mod p). */
-static int covers(const u64 *a, int c, int d, const long long *inc,
-                  Py_ssize_t n, int p)
+/* 1 if c + i*d and c - i*d lie in A for every 2 <= i <= k. */
+static int covers(const u64 *a, int c, int d, int k, int p)
 {
-    for (Py_ssize_t t = 0; t < n; t++)
-        if (!has(a, (int)((c + inc[t] * d) % p)))
+    for (long long i = 2; i <= k; i++) {
+        long long id = i * d % p;
+        if (!has(a, (int)((c + id) % p)) || !has(a, (int)((c - id + p) % p)))
             return 0;
+    }
     return 1;
 }
 
-/* The pair route: the same hits and rem as scan, found from the pairs of A.
-   A pair y < z of A is (c - d, c + d) for the center c = (y + z)/2 and
-   d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d. steps hold +1 and
-   -1, so every witness shows up as the pair of its two ends, and a
-   candidate needs only the other steps tested, the ninc in inc. Centers
-   are indexed by x = 2c = y + z mod p, so that most pairs cost an add and
-   a bit test: twice marks 2c for each c of rem, and best[x], read only
-   there, is the least candidate kept for its center, p for none. The cost
-   is O(|A|^2) pairs against scan's O(D * L) limbs, D the largest hit. */
-static int pair_scan(const u64 *a, u64 *rem, int n, int p, const long long *inc,
-                     Py_ssize_t ninc, Hits *h)
+/* The pair route, for centered scans: the rotation's hits and rem, found
+   from the pairs of A. A pair y < z of A is (c - d, c + d) for the center
+   c = (y + z)/2 and d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d,
+   so every witness shows up as the pair of its two ends, and a candidate
+   needs only the steps 2 <= |i| <= k tested. Centers are indexed by
+   x = 2c = y + z mod p, so that most pairs cost an add and a bit test:
+   twice marks 2c for each c of A, and best[x], read only there, is the
+   least candidate kept for its center, p for none. The cost is O(|A|^2)
+   pairs against the rotation's O(D * L) limbs, D the largest hit. */
+static int pair_scan(const u64 *a, u64 *rem, int n, int p, int k, Hits *h)
 {
-    int s = 0, targets = 0, nkeys = 0, status = -1;
-    for (int i = 0; i < n; i++) {
+    int s = 0, nkeys = 0, status = -1;
+    for (int i = 0; i < n; i++)
         s += __builtin_popcountll(a[i]);
-        targets += __builtin_popcountll(rem[i]);
-    }
     int *el = malloc((s + 1) * sizeof(int));
     int *best = malloc(p * sizeof(int));
     u64 *twice = calloc(n, sizeof(u64));
-    u64 *keys = malloc((targets + 1) * sizeof(u64));
+    u64 *keys = malloc((s + 1) * sizeof(u64));
     if (el == NULL || best == NULL || twice == NULL || keys == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     for (int i = 0, m = 0; i < n; i++)
-        for (u64 w = a[i]; w; w &= w - 1)
-            el[m++] = 64 * i + __builtin_ctzll(w);
-    for (int i = 0; i < n; i++)
-        for (u64 w = rem[i]; w; w &= w - 1) {
-            int x = 2 * (64 * i + __builtin_ctzll(w));
+        for (u64 w = a[i]; w; w &= w - 1) {
+            el[m] = 64 * i + __builtin_ctzll(w);
+            int x = 2 * el[m++];
             x -= x >= p ? p : 0;
             twice[x >> 6] |= 1ULL << (x & 63);
             best[x] = p;
@@ -455,9 +467,9 @@ static int pair_scan(const u64 *a, u64 *rem, int n, int p, const long long *inc,
             int c = halve(x, p), d = halve(z - el[i], p), cur = best[x];
             int lo = d < p - d ? d : p - d, hi = p - lo;
             if (lo < cur) {
-                if (covers(a, c, lo, inc, ninc, p))
+                if (covers(a, c, lo, k, p))
                     cur = lo;
-                else if (hi < cur && covers(a, c, hi, inc, ninc, p))
+                else if (hi < cur && covers(a, c, hi, k, p))
                     cur = hi;
             }
             best[x] = cur;
@@ -485,178 +497,130 @@ done:
     return status;
 }
 
-/* The gap route, for the one step +1: the least witness of b is the
-   distance from b to the next element of A after it, cyclically. One
-   backward sweep gives each target its d (dist, 0 for none), and a counting
-   sort by d lists the hits by ascending d, then ascending b, as scan lists
-   them. A target stays in rem only when A is empty, or when A = {b} for the
-   target b itself. O(p), and O(L) when no map is built. */
+/* The gap route, for forward scans at k = 1: the least witness of b outside
+   A is the distance from b to the next element of A, cyclically. One
+   backward sweep gives each b its d (dist, 0 for the elements of A), and a
+   counting sort by d lists the hits by ascending d, then ascending b, as the
+   rotation lists them. Every b is hit unless A is empty. O(p), and O(L)
+   when no map is built. */
 static int gap_scan(const u64 *a, u64 *rem, int n, int p, Hits *h)
 {
-    int first = -1, size = 0;
+    int first = -1;
     for (int i = n - 1; i >= 0; i--)
-        if (a[i]) {
+        if (a[i])
             first = 64 * i + __builtin_ctzll(a[i]);
-            size += __builtin_popcountll(a[i]);
-        }
-    if (size == 0)
+    if (first < 0)
         return 0;
-    if (h->map != NULL) {
-        int *dist = malloc((3 * (size_t)p + 1) * sizeof(int));
-        if (dist == NULL) {
-            PyErr_NoMemory();
-            return -1;
-        }
-        int *order = dist + p, *start = order + p; /* start: p + 1 counts */
-        memset(start, 0, (p + 1) * sizeof(int));
-        for (int b = p - 1, next = first + p; b >= 0; b--) {
-            int d = next - b;
-            dist[b] = d < p && has(rem, b) ? d : 0;
-            start[dist[b]]++;
-            if (has(a, b))
-                next = b;
-        }
-        /* start[d]: where the hits at d begin, after the misses at d = 0 */
-        for (int d = 0, sum = 0; d <= p; d++) {
-            int count = start[d];
-            start[d] = sum;
-            sum += count;
-        }
-        for (int b = 0; b < p; b++)
-            order[start[dist[b]]++] = b;
-        int status = 0;
-        for (int j = start[0]; j < p && status == 0; j++)
-            status = hits_add(h, order[j], dist[order[j]]);
-        free(dist);
-        if (status < 0)
-            return -1;
+    memset(rem, 0, n * sizeof(u64));
+    if (h->map == NULL)
+        return 0;
+    int *dist = malloc((3 * (size_t)p + 1) * sizeof(int));
+    if (dist == NULL) {
+        PyErr_NoMemory();
+        return -1;
     }
-    for (int i = 0; i < n; i++)
-        rem[i] &= size == 1 ? a[i] : 0;
-    return 0;
+    int *order = dist + p, *start = order + p; /* start: p + 1 counts */
+    memset(start, 0, (p + 1) * sizeof(int));
+    for (int b = p - 1, next = first + p; b >= 0; b--) {
+        int in = has(a, b);
+        dist[b] = in ? 0 : next - b;
+        next = in ? b : next;
+        start[dist[b]]++;
+    }
+    /* start[d]: where the hits at d begin, after the elements of A at d = 0 */
+    for (int d = 0, sum = 0; d <= p; d++) {
+        int count = start[d];
+        start[d] = sum;
+        sum += count;
+    }
+    for (int b = 0; b < p; b++)
+        order[start[dist[b]]++] = b;
+    int status = 0;
+    for (int j = start[0]; j < p && status == 0; j++)
+        status = hits_add(h, order[j], dist[order[j]]);
+    free(dist);
+    return status;
 }
 
 enum { ROTATION, PAIR, GAP };
-static const char *const ROUTE_NAME[] = {"first_hit_scan", "pair_hit_scan",
-                                         "gap_hit_scan"};
 
-/* The scan of A = mask over target by one route: the arguments
-   (mask, target, p, steps, record=int, radius=0), the result (map,
-   remaining bytes). */
-static PyObject *hit_scan(PyObject *args, PyObject *kwargs, int route)
+/* The scan of A = mask by one route: the arguments (mask, p, k, forward,
+   record), the result (map or None, the least element left without a
+   witness or None). A centered scan targets A itself, a forward one the
+   complement of A, and each route checks that it serves the scan asked. */
+static PyObject *hit_scan(PyObject *args, int route)
 {
-    static char *kwlist[] = {"mask", "target", "p", "steps", "record", "radius", NULL};
-    static const char *const FORMAT[] = {"y*y*iO|OO:first_hit_scan",
-                                         "y*y*iO|OO:pair_hit_scan",
-                                         "y*y*iO|OO:gap_hit_scan"};
-    Py_buffer mask_buf, target_buf;
-    int p;
-    PyObject *steps_obj, *record = (PyObject *)&PyLong_Type, *radius_arg = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, FORMAT[route], kwlist, &mask_buf,
-                                     &target_buf, &p, &steps_obj, &record, &radius_arg))
+    static const char *const FORMAT[] = {"y*iipO:first_hit_scan", "y*iipO:pair_hit_scan",
+                                         "y*iipO:gap_hit_scan"};
+    Py_buffer buf;
+    int p, k, forward;
+    PyObject *record, *k_obj = NULL, *result = NULL;
+    if (!PyArg_ParseTuple(args, FORMAT[route], &buf, &p, &k, &forward, &record))
         return NULL;
     Hits h = {NULL, NULL, NULL};
-    PyObject *steps = NULL, *radius = NULL, *result = NULL;
-    u64 *D = NULL, *rem = NULL;
-    int *live = NULL;
-    long long *off = NULL;
-    if (p < 3) {
-        PyErr_Format(PyExc_ValueError, "%s needs p >= 3, got %d", ROUTE_NAME[route], p);
+    u64 *a = NULL;
+    if (p < 3 || k < 1 || k > (p - 1) / 2) {
+        PyErr_Format(PyExc_ValueError, "scans need p >= 3 and 2k + 1 <= p, got p = %d, "
+                     "k = %d", p, k);
         goto done;
     }
-    steps = PySequence_Fast(steps_obj, "steps must be a sequence of ints");
-    if (steps == NULL)
+    if (route == PAIR && forward) {
+        PyErr_SetString(PyExc_ValueError, "pair_hit_scan takes centered scans only");
         goto done;
-    Py_ssize_t nsteps = PySequence_Fast_GET_SIZE(steps);
+    }
+    if (route == GAP && !(forward && k == 1)) {
+        PyErr_SetString(PyExc_ValueError, "gap_hit_scan takes forward scans at k = 1 only");
+        goto done;
+    }
     int n = (int)(((size_t)p + 63) / 64);
-    size_t nd = (2 * (size_t)p + 63) / 64 + 1;
-    D = calloc(nd, sizeof(u64));
-    rem = malloc(2 * n * sizeof(u64)); /* rem, then the mask A */
-    live = malloc(n * sizeof(int));
-    off = malloc(3 * (nsteps + 1) * sizeof(long long));
-    if (D == NULL || rem == NULL || live == NULL || off == NULL) {
+    a = malloc(2 * (size_t)n * sizeof(u64)); /* A, then rem: what is left to hit */
+    if (a == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    /* step i moves A by -i*d: shift[t] runs through -i*d mod p as d grows;
-       the pair route tests the steps other than +1 and -1, i mod p in inc */
-    long long *shift = off + nsteps + 1, *inc = shift + nsteps + 1;
-    Py_ssize_t ninc = 0;
-    int up = 0, down = 0;
-    for (Py_ssize_t t = 0; t < nsteps; t++) {
-        long long i = PyLong_AsLongLong(PySequence_Fast_GET_ITEM(steps, t));
-        if (i == -1 && PyErr_Occurred())
-            goto done;
-        i = (i % p + p) % p;
-        off[t] = (p - i) % p;
-        shift[t] = 0;
-        up |= i == 1;
-        down |= i == p - 1;
-        if (i != 1 && i != p - 1)
-            inc[ninc++] = i;
-    }
-    if (route == PAIR && !(up && down)) {
-        PyErr_SetString(PyExc_ValueError, "pair_hit_scan needs steps +1 and -1");
+    u64 *rem = a + n;
+    if (read_mask(&buf, p, a, n) < 0)
         goto done;
-    }
-    if (route == GAP && !(up && !down && ninc == 0)) {
-        PyErr_SetString(PyExc_ValueError, "gap_hit_scan needs the one step +1");
+    for (int i = 0; i < n; i++)
+        rem[i] = forward ? ~a[i] : a[i];
+    if (p & 63)
+        rem[n - 1] &= (1ULL << (p & 63)) - 1;
+    k_obj = PyLong_FromLong(k);
+    if (k_obj == NULL || hits_init(&h, record, k_obj) < 0)
         goto done;
-    }
-    u64 *a = rem + n;
-    if (read_mask(&mask_buf, p, a, n, "mask") < 0 ||
-        read_mask(&target_buf, p, rem, n, "target") < 0)
+    int status = route == PAIR ? pair_scan(a, rem, n, p, k, &h)
+                 : route == GAP ? gap_scan(a, rem, n, p, &h)
+                 : rotation_scan(a, rem, n, p, k, forward, &h);
+    if (status < 0)
         goto done;
-    radius = radius_arg != NULL ? Py_NewRef(radius_arg) : PyLong_FromLong(0);
-    if (radius == NULL || hits_init(&h, record, radius) < 0)
-        goto done;
-    if (route == PAIR) {
-        if (pair_scan(a, rem, n, p, inc, ninc, &h) < 0)
-            goto done;
-    } else if (route == GAP) {
-        if (gap_scan(a, rem, n, p, &h) < 0)
-            goto done;
-    } else {
-        int q = p >> 6, r = p & 63, nlive = 0;
-        for (int i = 0; i < n; i++) {
-            D[i] |= a[i];
-            D[i + q] |= a[i] << r;
-            if (r)
-                D[i + q + 1] |= a[i] >> (64 - r);
-        }
-        for (int i = 0; i < n; i++)
-            if (rem[i])
-                live[nlive++] = i;
-        if (scan(D, rem, live, nlive, p, off, shift, nsteps, &h) < 0)
-            goto done;
-    }
-    result = Py_BuildValue("(ON)", h.map ? h.map : Py_None, write_mask(rem, p));
+    int least = -1;
+    for (int i = n - 1; i >= 0; i--)
+        if (rem[i])
+            least = 64 * i + __builtin_ctzll(rem[i]);
+    PyObject *map = h.map ? h.map : Py_None;
+    result = least < 0 ? Py_BuildValue("(OO)", map, Py_None)
+                       : Py_BuildValue("(Oi)", map, least);
 done:
     Py_XDECREF(h.map);
-    Py_XDECREF(radius);
-    Py_XDECREF(steps);
-    free(D);
-    free(rem);
-    free(live);
-    free(off);
-    PyBuffer_Release(&mask_buf);
-    PyBuffer_Release(&target_buf);
+    Py_XDECREF(k_obj);
+    free(a);
+    PyBuffer_Release(&buf);
     return result;
 }
 
-static PyObject *first_hit_scan(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *first_hit_scan(PyObject *self, PyObject *args)
 {
-    return hit_scan(args, kwargs, ROTATION);
+    return hit_scan(args, ROTATION);
 }
 
-static PyObject *pair_hit_scan(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *pair_hit_scan(PyObject *self, PyObject *args)
 {
-    return hit_scan(args, kwargs, PAIR);
+    return hit_scan(args, PAIR);
 }
 
-static PyObject *gap_hit_scan(PyObject *self, PyObject *args, PyObject *kwargs)
+static PyObject *gap_hit_scan(PyObject *self, PyObject *args)
 {
-    return hit_scan(args, kwargs, GAP);
+    return hit_scan(args, GAP);
 }
 
 /* Multiply the p^n coefficients in src by c0 + sum_j c[j] x_j into dst,
@@ -810,24 +774,18 @@ static PyMethodDef methods[] = {
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
      "Same contract and traversal as ajtkit._kernels_py.s1_exhaust, with the\n"
      "found mask as little-endian bytes of length ceil(p/8)."},
-    {"first_hit_scan", (PyCFunction)(void (*)(void))first_hit_scan,
-     METH_VARARGS | METH_KEYWORDS,
-     "first_hit_scan(mask, target, p, steps, record=int, radius=0)\n"
-     "-> (hits, remaining)\n\n"
-     "Same contract as ajtkit._kernels_py.first_hit_scan, with the masks as\n"
+    {"first_hit_scan", first_hit_scan, METH_VARARGS,
+     "first_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
+     "Same contract as ajtkit._kernels_py.first_hit_scan, with the mask as\n"
      "little-endian bytes of length ceil(p/8)."},
-    {"pair_hit_scan", (PyCFunction)(void (*)(void))pair_hit_scan,
-     METH_VARARGS | METH_KEYWORDS,
-     "pair_hit_scan(mask, target, p, steps, record=int, radius=0)\n"
-     "-> (hits, remaining)\n\n"
+    {"pair_hit_scan", pair_hit_scan, METH_VARARGS,
+     "pair_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
      "Same contract as ajtkit._kernels_py.pair_hit_scan: first_hit_scan's\n"
-     "result from the pairs of the mask; steps must hold +1 and -1."},
-    {"gap_hit_scan", (PyCFunction)(void (*)(void))gap_hit_scan,
-     METH_VARARGS | METH_KEYWORDS,
-     "gap_hit_scan(mask, target, p, steps, record=int, radius=0)\n"
-     "-> (hits, remaining)\n\n"
+     "result from the pairs of the mask, for centered scans."},
+    {"gap_hit_scan", gap_hit_scan, METH_VARARGS,
+     "gap_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
      "Same contract as ajtkit._kernels_py.gap_hit_scan: first_hit_scan's\n"
-     "result from the gaps of the mask; steps must be the one step +1."},
+     "result from the gaps of the mask, for forward scans at k = 1."},
     {"affine_product", affine_product, METH_VARARGS,
      "affine_product(tensor, p, n, factors) -> bytearray\n\n"
      "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"

@@ -2,12 +2,15 @@
 the affine product of reduced polynomials.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
-scan has three routes with the same result: first_hit_scan rotates the mask,
-pair_hit_scan reads the witnesses off the pairs of the set, and
-gap_hit_scan, for the one step +1, off the gaps between its elements. Each
-scan returns its map finished: the least d of each hit, the witness records
-of a tuple type it is given, or no map at all. The compiled twin in
-_kernels.c implements s1_exhaust with the same traversal order and the
+scan answers the S_k/N_k question at radius k: centered, the least d with
+a + i*d in A for 0 < |i| <= k for each a in A; forward, the least d with
+b + i*d in A for 1 <= i <= k for each b outside A. It has three routes with
+the same result: first_hit_scan rotates the mask, pair_hit_scan reads the
+witnesses of a centered scan off the pairs of the set, and gap_hit_scan
+those of a forward scan at k = 1 off the gaps between its elements. Each
+scan returns its map finished, as records of a tuple type it is given or no
+map at all, and the least element left without a witness. The compiled twin
+in _kernels.c implements s1_exhaust with the same traversal order and the
 scans with the same insertion order; the backends must stay byte-for-byte
 interchangeable.
 
@@ -20,7 +23,7 @@ tensor.
 from __future__ import annotations
 
 import operator
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
@@ -88,22 +91,25 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
 
 
 def first_hit_scan(
-    mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None = int, radius: int = 0,
-) -> tuple[dict | None, int]:
-    """Smallest difference d witnessing each bit of `target`.
+    mask: int, p: int, k: int, forward: bool, record: type | None
+) -> tuple[dict | None, int | None]:
+    """The least difference d witnessing each element the scan asks about.
 
-    For d = 1, 2, ... intersect the still-uncovered bits of `target` with
-    the translates A - i*d of A = `mask`, one for each i in `steps`, and map
-    every bit that survives to d. Returns (hits, remaining): hits in
-    ascending d, ascending element within one d; remaining is the part of
-    `target` that no d covers. `record` says what each hit e becomes: int
-    maps e to d, a tuple type maps e to record(e, d, radius), and None
-    builds no map, returning (None, remaining).
+    A centered scan (forward False) asks, for each a in A = `mask`, for the
+    least d with a + i*d in A for every 0 < |i| <= k; a forward scan asks,
+    for each b outside A, for the least d with b + i*d in A for 1 <= i <= k.
+    For d = 1, 2, ... the elements still without a witness are ANDed with
+    the translates A - i*d. Returns (hits, least): hits maps each element e,
+    in ascending d and ascending e within one d, to record(e, d, k), or is
+    None when record is None; least is the least element left without a
+    witness, None when there is none. ValueError for p < 3, k outside
+    [1, (p - 1)/2] or a mask bit at or above p; TypeError for a record that
+    is neither None nor a tuple type.
     """
-    full = (1 << p) - 1
+    full = _check_scan(mask, p, k, record)
+    steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
+    remaining = full & ~mask if forward else mask
     hits: dict[int, int] = {}
-    remaining = target
     for d in range(1, p):
         if remaining == 0:
             break
@@ -117,35 +123,35 @@ def first_hit_scan(
             low = hit & -hit
             hits[low.bit_length() - 1] = d
             hit ^= low
-    return _hit_map(hits, record, radius), remaining
+    least = (remaining & -remaining).bit_length() - 1 if remaining else None
+    return _hit_map(hits, record, k), least
 
 
 def pair_hit_scan(
-    mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None = int, radius: int = 0,
-) -> tuple[dict | None, int]:
-    """first_hit_scan's (hits, remaining), found from the pairs of A = `mask`.
+    mask: int, p: int, k: int, forward: bool, record: type | None
+) -> tuple[dict | None, int | None]:
+    """first_hit_scan's (hits, least) for a centered scan, from the pairs of A.
 
-    A pair y < z of A is (c - d, c + d) for the center c = (y + z)/2 and
-    d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d. `steps` must
-    hold +1 and -1 mod p, so that every witness is the pair of its two
-    ends, and a candidate needs only the other steps tested: c + i*d in A.
-    Each center in `target` keeps its least candidate, and the hits are
-    listed by ascending d, then ascending element, as the rotation lists
-    them. O(|A|^2) pairs, whatever p is.
+    A pair y < z of A = `mask` is (c - d, c + d) for the center
+    c = (y + z)/2 and d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d,
+    so every witness is the pair of its two ends, and a candidate needs only
+    the steps 2 <= |i| <= k tested: c + i*d in A. Each element keeps its
+    least candidate, and the hits are listed by ascending d, then ascending
+    element, as the rotation lists them. O(|A|^2) pairs, whatever p is.
+    ValueError for a forward scan.
     """
-    incs = {i % p for i in steps}
-    if 1 not in incs or p - 1 not in incs:
-        raise ValueError("pair_hit_scan needs steps +1 and -1")
-    others = sorted(incs - {1, p - 1})
+    _check_scan(mask, p, k, record)
+    if forward:
+        raise ValueError("pair_hit_scan takes centered scans only")
+    others = [i for i in range(-k, k + 1) if abs(i) > 1]
     half = (p + 1) // 2  # the inverse of 2 mod p
     elements = _bits(mask)
-    centers = set(_bits(target))
+    members = set(elements)
     best: dict[int, int] = {}
     for j, z in enumerate(elements):
         for y in elements[:j]:
             c = (y + z) * half % p
-            if c not in centers:
+            if c not in members:
                 continue
             d = (z - y) * half % p
             for cand in sorted((d, p - d)):
@@ -155,51 +161,55 @@ def pair_hit_scan(
                     best[c] = cand
                     break
     hits = {c: d for d, c in sorted((d, c) for c, d in best.items())}
-    covered = bytearray((p + 7) // 8)
-    for c in hits:
-        covered[c >> 3] |= 1 << (c & 7)
-    return _hit_map(hits, record, radius), target & ~int.from_bytes(covered, "little")
+    return _hit_map(hits, record, k), next((a for a in elements if a not in best), None)
 
 
 def gap_hit_scan(
-    mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None = int, radius: int = 0,
-) -> tuple[dict | None, int]:
-    """first_hit_scan's (hits, remaining) for the one step +1, from the gaps of A.
+    mask: int, p: int, k: int, forward: bool, record: type | None
+) -> tuple[dict | None, int | None]:
+    """first_hit_scan's (hits, least) for forward scans at k = 1, from the gaps.
 
-    With steps {+1} mod p the least witness of b is the distance from b to
-    the next element of A = `mask` after it, cyclically: the gap g from an
-    element y to the next one gives y, y + 1, ..., y + g - 1 the distances
-    g, g - 1, ..., 1. Laid end to end from the least element, the gaps give
-    every residue its d; sorting the keys d * p + b of the targets lists the
-    hits by ascending d, then ascending b, as the rotation lists them. A
-    target is left uncovered only when A is empty, or when A = {b} for the
-    target b itself, whose one gap is p. O(p).
+    The least witness of b outside A = `mask` is the distance from b to the
+    next element of A, cyclically: between an element y and the next one z,
+    the residues y + 1, ..., z - 1 get the distances z - y - 1, ..., 1.
+    Sorting the keys d * p + b lists the hits by ascending d, then ascending
+    b, as the rotation lists them. Every b is hit unless A is empty, which
+    leaves 0 without a witness. O(p). ValueError for any other scan.
     """
-    if {i % p for i in steps} != {1}:
-        raise ValueError("gap_hit_scan needs the one step +1")
+    _check_scan(mask, p, k, record)
+    if not forward or k != 1:
+        raise ValueError("gap_hit_scan takes forward scans at k = 1 only")
     elements = _bits(mask)
-    n = len(elements)
-    remaining = target if n == 0 else target & mask if n == 1 else 0
-    if record is None or n == 0:
-        return _hit_map({}, record, radius), remaining
+    if not elements:
+        return _hit_map({}, record, k), 0
+    if record is None:
+        return None, None
     ends = elements[1:] + [elements[0] + p]
-    run = list(chain.from_iterable(range(z - y, 0, -1) for y, z in zip(elements, ends)))
-    cut = p - elements[0]
-    dist = run[cut:] + run[:cut]  # dist[b]: the distance from b to the next element
-    keys = sorted([dist[b] * p + b for b in _bits(target & ~remaining)])
-    return _hit_map({key % p: key // p for key in keys}, record, radius), remaining
+    gaps = zip(elements, ends)
+    keys = sorted([(z - b) * p + b % p for y, z in gaps for b in range(y + 1, z)])
+    return _hit_map({key % p: key // p for key in keys}, record, k), None
 
 
-def _hit_map(hits: dict[int, int], record: type | None, radius: int) -> dict | None:
-    """The hits {e: d}, in their order, as `record` asks: unchanged for int,
-    None for None, else {e: record(e, d, radius)}, built in one C-level
-    pass (tuple.__new__ over zipped fields), with no bytecode per record."""
+def _check_scan(mask: int, p: int, k: int, record: type | None) -> int:
+    """The full p-bit mask, once the scan's arguments pass the checks that
+    the compiled scans make."""
+    if p < 3 or not 1 <= k <= (p - 1) // 2:
+        raise ValueError(f"scans need p >= 3 and 2k + 1 <= p, got p = {p}, k = {k}")
+    full = (1 << p) - 1
+    if mask & ~full:
+        raise ValueError(f"mask has bits at or above p = {p}")
+    if record is not None and not (isinstance(record, type) and issubclass(record, tuple)):
+        raise TypeError("record must be None or a tuple subclass")
+    return full
+
+
+def _hit_map(hits: dict[int, int], record: type | None, k: int) -> dict | None:
+    """The hits {e: d}, in their order, as {e: record(e, d, k)}, built in one
+    C-level pass (tuple.__new__ over zipped fields), with no bytecode per
+    record; None when record is None."""
     if record is None:
         return None
-    if record is int:
-        return hits
-    fields = zip(hits, hits.values(), repeat(radius))
+    fields = zip(hits, hits.values(), repeat(k))
     return dict(zip(hits, map(tuple.__new__, repeat(record), fields)))
 
 

@@ -7,17 +7,18 @@ b + d, ..., b + k*d contained in A. These sets certify nowhere-zero
 solvability results downstream; this module builds them, searches for
 minimum ones, and verifies a frozen table of small optimal examples.
 
-Sets are bit masks over residues (bit i == residue i). Certification runs
-kernels.first_hit_scan, which finds each element's least witness d by one of
+Sets are bit masks over residues (bit i == residue i). Certification asks
+kernels.first_hit_scan the question itself: a centered scan of A for
+S_k-type, a forward scan of its complement for the outside half of N_k-type,
+each for radius k. The kernel finds each element's least witness d by one of
 three routes with identical results: word rotations of the mask, the pairs
-(a - d, a + d) of its elements, or, for the forward scans at k = 1, the gap
-from each b to the next element. kernels.scan_route takes the gaps for the
-one step +1, the pairs for centered scans of sparse sets, |A|^2 <= c * p *
-sqrt(ceil(p/64)) with c set per backend, and rotates for the rest. A witness
-is an ApWitness, a tuple record that compares equal to (element, step,
-radius). The scan builds the maps of SkReport and NkReport itself, records
-included, listed in its order, ascending d; the partition's acceptance test
-asks the same scans for no map at all.
+(a - d, a + d) of its elements, or, for forward scans at k = 1, the gap from
+each b to the next element; kernels.scan_route picks one from |A|, p, k and
+the direction. A witness is an ApWitness, a tuple record that compares equal
+to (element, step, radius). The scan builds the maps of SkReport and
+NkReport itself, records included, listed in its order, ascending d, and
+names the least element left without a witness; the partition's acceptance
+test asks the same scans for no map at all.
 """
 
 from __future__ import annotations
@@ -113,18 +114,6 @@ class ResidueSet:
             self.p, (lam * e % self.p for e in self.elements())
         )
 
-    def union(self, other: "ResidueSet") -> "ResidueSet":
-        self._same_space(other)
-        return ResidueSet(self.p, self.mask | other.mask)
-
-    def intersect(self, other: "ResidueSet") -> "ResidueSet":
-        self._same_space(other)
-        return ResidueSet(self.p, self.mask & other.mask)
-
-    def _same_space(self, other: "ResidueSet") -> None:
-        if not isinstance(other, ResidueSet) or other.p != self.p:
-            raise InputError("sets live over different moduli")
-
     def to_json(self) -> dict:
         return {"p": self.p, "elements": list(self.elements())}
 
@@ -199,23 +188,12 @@ def _check_radius(p: int, k: int) -> None:
         raise RadiusTooLarge(f"need 2k + 1 <= p, got k={k}, p={p}")
 
 
-def _centered(k: int) -> list[int]:
-    """Steps of the centered progressions a - k*d, ..., a + k*d, a left out."""
-    return [i for i in range(-k, k + 1) if i != 0]
-
-
-def _forward(k: int) -> list[int]:
-    """Steps of the forward progressions b + d, ..., b + k*d."""
-    return list(range(1, k + 1))
-
-
 def _is_nk_mask(mask: int, p: int, k: int) -> bool:
     """is_nk_type(ResidueSet(p, mask), k).ok from the same two kernel scans,
     which build no map."""
-    outside = ~mask & ((1 << p) - 1)
     return (
-        kernels.first_hit_scan(mask, mask, p, _centered(k), None)[1] == 0
-        and kernels.first_hit_scan(mask, outside, p, _forward(k), None)[1] == 0
+        kernels.first_hit_scan(mask, p, k, False, None)[1] is None
+        and kernels.first_hit_scan(mask, p, k, True, None)[1] is None
     )
 
 
@@ -227,38 +205,22 @@ def is_sk_type(aset: ResidueSet, k: int) -> SkReport:
     The empty set passes vacuously. On failure the report carries the
     smallest element with no witness.
     """
-    p = aset.p
-    _check_radius(p, k)
-    witnesses, remaining = kernels.first_hit_scan(
-        aset.mask, aset.mask, p, _centered(k), ApWitness, k
-    )
-    if remaining:
-        return SkReport(ok=False, k=k, failing=(remaining & -remaining).bit_length() - 1)
+    _check_radius(aset.p, k)
+    witnesses, failing = kernels.first_hit_scan(aset.mask, aset.p, k, False, ApWitness)
+    if failing is not None:
+        return SkReport(ok=False, k=k, failing=failing)
     return SkReport(ok=True, k=k, witnesses=witnesses)
 
 
 def is_nk_type(aset: ResidueSet, k: int) -> NkReport:
     """S_k scan plus forward progression witnesses for every outside element."""
-    p = aset.p
-    inside_report = is_sk_type(aset, k)
-    if not inside_report.ok:
-        return NkReport(
-            ok=False, k=k, failing=inside_report.failing, failing_side="inside"
-        )
-    outside_target = ~aset.mask & ((1 << p) - 1)
-    outside, remaining = kernels.first_hit_scan(
-        aset.mask, outside_target, p, _forward(k), ApWitness, k
-    )
-    if remaining:
-        return NkReport(
-            ok=False,
-            k=k,
-            failing=(remaining & -remaining).bit_length() - 1,
-            failing_side="outside",
-        )
-    return NkReport(
-        ok=True, k=k, inside=inside_report.witnesses, outside=outside
-    )
+    inside = is_sk_type(aset, k)
+    if not inside.ok:
+        return NkReport(ok=False, k=k, failing=inside.failing, failing_side="inside")
+    outside, failing = kernels.first_hit_scan(aset.mask, aset.p, k, True, ApWitness)
+    if failing is not None:
+        return NkReport(ok=False, k=k, failing=failing, failing_side="outside")
+    return NkReport(ok=True, k=k, inside=inside.witnesses, outside=outside)
 
 
 # ---------------------------------------------------------------------------

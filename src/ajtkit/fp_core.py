@@ -224,14 +224,31 @@ class FpMatrix:
     @classmethod
     def from_json(cls, obj: dict) -> "FpMatrix":
         try:
-            p = obj["p"]
-            rows = obj["rows"]
+            p, rows = obj["p"], obj["rows"]
         except (KeyError, TypeError):
             raise InputError("matrix JSON needs keys 'p' and 'rows'") from None
-        m = cls(rows, p)
-        if "n" in obj and int(obj["n"]) != m.n:
+        m = cls(_json_int_rows(rows, "matrix JSON 'rows'"), _json_int(p, "matrix JSON 'p'"))
+        if _json_int(obj.get("n", m.n), "matrix JSON 'n'") != m.n:
             raise InputError("matrix JSON 'n' does not match row count")
         return m
+
+
+def _json_int(value, what: str) -> int:
+    """value when it is a JSON integer, else InputError: a bool, float or
+    string is not one, so nothing is rounded or coerced into an integer."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_int_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """rows as tuples when it is a JSON list of lists of integers (as
+    _json_int reads them), else InputError."""
+    if type(rows) is not list or any(
+        type(row) is not list or any(type(v) is not int for v in row) for row in rows
+    ):
+        raise InputError(f"{what} must be a list of lists of JSON integers")
+    return tuple(map(tuple, rows))
 
 
 def _det_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:

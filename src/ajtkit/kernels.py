@@ -4,26 +4,29 @@ Which backend runs is fixed at import: the compiled extension (_kernels.c)
 when it is built, the pure-Python twins in _kernels_py when it is not. An
 extension built from other sources (its API differs from this module's) is
 an ImportError naming the rebuild command, never a silent fallback. The
-compiled s1_exhaust takes any p >= 5 and the scans any p >= 3, with their
-masks as little-endian bytes of length ceil(p/8) both ways. Each pair
-returns identical results: the same masks and node counts from s1_exhaust,
-the same hits in the same order from first_hit_scan, the same tensor from
-affine_product.
+compiled s1_exhaust takes any p >= 5 and returns its mask as little-endian
+bytes of length ceil(p/8); the scans take any p >= 3 and their mask as such
+bytes. Each pair returns identical results: the same masks and node counts
+from s1_exhaust, the same hits in the same order from first_hit_scan, the
+same tensor from affine_product.
 
-first_hit_scan has three routes with identical results. rotation_scan tries
+first_hit_scan answers the one question the S_k/N_k certificates ask of a
+set A: a centered scan finds, for each a in A, the least d with a + i*d in A
+for 0 < |i| <= k; a forward scan finds, for each b outside A, the least d
+with b + i*d in A for 1 <= i <= k. It returns the map of those witnesses,
+each as record(e, d, k) for a tuple type such as apsets.ApWitness, or None
+when record is None, and the least element left without a witness, or None.
+
+The scan has three routes with identical results. rotation_scan tries
 d = 1, 2, ... and ANDs rotated masks, about L = ceil(p/64) words per d up to
-the largest witness; pair_scan reads each witness off the pair (a - d, a + d)
-of the set, about |A|^2 / 2 pair tests, and needs steps +1 and -1 (centered
-scans); gap_scan, for the one step +1 (forward scans at k = 1), reads each
-witness off the gap to the next element of the set, in one O(p) sweep.
-scan_route takes the gaps whenever the steps are {+1}, and the pairs for
-centered scans with |A|^2 <= c * p * sqrt(L), c from PAIR_CUTOFF for the
-backend; other forward scans and denser sets rotate. The rule reads only the
-set's size, p and the steps.
-
-Every scan builds its map itself, in the kernel: record=int maps each hit e
-to its least d, a tuple type such as apsets.ApWitness maps e to the record
-(e, d, radius), and record=None builds no map and returns (None, remaining).
+the largest witness; pair_scan, for centered scans, reads each witness off
+the pair (a - d, a + d) of the set, about |A|^2 / 2 pair tests; gap_scan,
+for forward scans at k = 1, reads each witness off the gap to the next
+element of the set, in one O(p) sweep. scan_route takes the gaps for every
+forward scan at k = 1, and the pairs for centered scans with
+|A|^2 <= c * p * sqrt(L), c from PAIR_CUTOFF for the backend; other forward
+scans and denser sets rotate. The rule reads only |A|, p, k and the
+direction.
 
 affine_product multiplies a reduced polynomial's coefficient tensor by a
 list of affine factors c0 + c1 x_1 + ... + cn x_n in one call: every product
@@ -44,7 +47,7 @@ from . import _kernels_py
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 2
+API = 3
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -86,80 +89,56 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
     return int.from_bytes(found, "little"), exhausted, nodes
 
 
-def scan_route(mask: int, p: int, steps: Sequence[int]) -> str:
-    """The route first_hit_scan takes for this set and these steps: "gap",
+def scan_route(mask: int, p: int, k: int, forward: bool) -> str:
+    """The route first_hit_scan takes for this set and this scan: "gap",
     "pair" or "rotation".
 
-    The one step +1 takes the gaps, O(p) for any set. Pairs need steps +1
-    and -1, so other forward scans rotate. A centered scan of A costs about
-    |A|^2 / 2 pair tests, or L = ceil(p/64) words for each difference d that
-    the rotation tries, up to the largest witness, near p^2 ln|A| / |A|^2
-    for a random set. The two meet where |A|^2 is about c * p * sqrt(L), c
-    weakly rising with |A|; pairs are taken below PAIR_CUTOFF's c for the
-    backend that runs.
+    A forward scan at k = 1 takes the gaps, O(p) for any set; other forward
+    scans rotate. A centered scan of A costs about |A|^2 / 2 pair tests, or
+    L = ceil(p/64) words for each difference d that the rotation tries, up
+    to the largest witness, near p^2 ln|A| / |A|^2 for a random set. The two
+    meet where |A|^2 is about c * p * sqrt(L), c weakly rising with |A|;
+    pairs are taken below PAIR_CUTOFF's c for the backend that runs.
     """
-    incs = {i % p for i in steps}
-    if incs == {1}:
-        return "gap"
-    if 1 not in incs or p - 1 not in incs:
-        return "rotation"
+    if forward:
+        return "gap" if k == 1 else "rotation"
     cutoff = PAIR_CUTOFF["pure" if _ext is None else "compiled"]
     size = mask.bit_count()
     return "pair" if size * size <= cutoff * p * math.sqrt((p + 63) // 64) else "rotation"
 
 
 def first_hit_scan(
-    mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None = int, radius: int = 0,
-) -> tuple[dict | None, int]:
-    """(hits, remaining) of _kernels_py.first_hit_scan, by the route that
+    mask: int, p: int, k: int, forward: bool, record: type | None
+) -> tuple[dict | None, int | None]:
+    """(hits, least) of _kernels_py.first_hit_scan, by the route that
     scan_route picks, compiled when built. Every route gives the same result."""
-    route = scan_route(mask, p, steps)
+    route = scan_route(mask, p, k, forward)
     scan = gap_scan if route == "gap" else pair_scan if route == "pair" else rotation_scan
-    return scan(mask, target, p, steps, record, radius)
+    return scan(mask, p, k, forward, record)
 
 
-def rotation_scan(
-    mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None = int, radius: int = 0,
-) -> tuple[dict | None, int]:
-    """(hits, remaining) of _kernels_py.first_hit_scan, compiled when built."""
+def rotation_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
+    """(hits, least) of _kernels_py.first_hit_scan, compiled when built."""
+    return _scan("first_hit_scan", mask, p, k, forward, record)
+
+
+def pair_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
+    """(hits, least) of _kernels_py.pair_hit_scan, compiled when built."""
+    return _scan("pair_hit_scan", mask, p, k, forward, record)
+
+
+def gap_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
+    """(hits, least) of _kernels_py.gap_hit_scan, compiled when built."""
+    return _scan("gap_hit_scan", mask, p, k, forward, record)
+
+
+def _scan(name: str, mask: int, p: int, k: int, forward: bool, record: type | None):
+    """The scan `name` on the backend that runs; the compiled one takes the
+    mask as bytes."""
     if _ext is None:
-        return _kernels_py.first_hit_scan(mask, target, p, steps, record, radius)
-    return _compiled(_ext.first_hit_scan, mask, target, p, steps, record, radius)
-
-
-def pair_scan(
-    mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None = int, radius: int = 0,
-) -> tuple[dict | None, int]:
-    """(hits, remaining) of _kernels_py.pair_hit_scan, compiled when built."""
-    if _ext is None:
-        return _kernels_py.pair_hit_scan(mask, target, p, steps, record, radius)
-    return _compiled(_ext.pair_hit_scan, mask, target, p, steps, record, radius)
-
-
-def gap_scan(
-    mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None = int, radius: int = 0,
-) -> tuple[dict | None, int]:
-    """(hits, remaining) of _kernels_py.gap_hit_scan, compiled when built."""
-    if _ext is None:
-        return _kernels_py.gap_hit_scan(mask, target, p, steps, record, radius)
-    return _compiled(_ext.gap_hit_scan, mask, target, p, steps, record, radius)
-
-
-def _compiled(
-    scan, mask: int, target: int, p: int, steps: Sequence[int],
-    record: type | None, radius: int,
-):
-    """A compiled scan, with the masks carried across as bytes."""
+        return getattr(_kernels_py, name)(mask, p, k, forward, record)
     size = (p + 7) // 8
-    hits, remaining = scan(
-        mask.to_bytes(size, "little"), target.to_bytes(size, "little"), p, steps,
-        record, radius,
-    )
-    return hits, int.from_bytes(remaining, "little")
+    return getattr(_ext, name)(mask.to_bytes(size, "little"), p, k, forward, record)
 
 
 def affine_product(

@@ -41,7 +41,7 @@ from .errors import (
     InputError,
     PreconditionViolated,
 )
-from .fp_core import FpMatrix, _as_prime, _vectors
+from .fp_core import FpMatrix, _as_prime, _json_int, _json_int_rows, _vectors
 from .fp_poly import (
     _eval_dense,
     _interpolate_dense,
@@ -120,16 +120,17 @@ class ForbiddenSpec:
     @classmethod
     def from_json(cls, obj: dict) -> "ForbiddenSpec":
         try:
-            return cls(
-                p=int(obj["p"]),
-                n=int(obj["n"]),
-                c_lists=tuple(tuple(int(v) for v in c) for c in obj["c_lists"]),
-                d_lists=tuple(tuple(int(v) for v in d) for d in obj["d_lists"]),
-            )
+            p, n, c_lists, d_lists = obj["p"], obj["n"], obj["c_lists"], obj["d_lists"]
         except (KeyError, TypeError):
             raise InputError(
                 "forbidden-spec JSON needs p, n, c_lists, d_lists"
             ) from None
+        return cls(
+            p=_json_int(p, "forbidden-spec JSON 'p'"),
+            n=_json_int(n, "forbidden-spec JSON 'n'"),
+            c_lists=_json_int_rows(c_lists, "forbidden-spec JSON 'c_lists'"),
+            d_lists=_json_int_rows(d_lists, "forbidden-spec JSON 'd_lists'"),
+        )
 
 
 # ---------------------------------------------------------------------------

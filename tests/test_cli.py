@@ -191,6 +191,48 @@ def test_check_missing_file_is_input_error(capsys):
     assert rc == 2
 
 
+GOOD_MATRIX = {"p": 5, "n": 2, "rows": [[1, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "command, option, payload",
+    [
+        ("check", "--matrix", {"p": 5, "rows": [["a", 1], [1, 1]]}),
+        ("check", "--matrix", {"p": "x", "rows": [[1, 1], [1, 2]]}),
+        ("check", "--matrix", {"p": 5, "rows": 7}),
+        ("check", "--matrix", {"p": 5, "rows": [7, [1, 2]]}),
+        # read as 1 by int(): a matrix that is not the one in the file
+        ("check", "--matrix", {"p": 5, "rows": [[1.9, 0], [0, 1]]}),
+        ("check", "--matrix", {"p": 5, "rows": [[True, 0], [0, 1]]}),
+        ("check", "--matrix", {"p": 5.0, "rows": [[1, 1], [1, 2]]}),
+        ("check", "--matrix", {"p": 5, "n": "2", "rows": [[1, 1], [1, 2]]}),
+        ("check", "--forbidden", {"p": 5, "n": 2, "c_lists": [["z"], []], "d_lists": [[], []]}),
+        ("check", "--forbidden", {"p": 5, "n": 2, "c_lists": [[0.0], []], "d_lists": [[], []]}),
+        ("check", "--forbidden", {"p": 5, "n": 2, "c_lists": 3, "d_lists": [[], []]}),
+        ("check", "--forbidden", {"p": True, "n": 2, "c_lists": [[], []], "d_lists": [[], []]}),
+        ("sigma", "--matrix", {"p": 5, "rows": [["a", 1], [1, 1]]}),
+        ("sigma", "--matrix", {"p": 5, "rows": 7}),
+        ("pairing", "--matrix", {"p": "x", "rows": [[1, 1], [1, 2]]}),
+        ("pairing", "--matrix", {"p": 5, "rows": [[1.9, 0], [0, 1]]}),
+    ],
+)
+def test_bad_json_entries_are_input_errors(tmp_path, capsys, command, option, payload):
+    # only JSON integers, in lists where lists belong: anything else exits 2
+    # with one error line, never a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    argv = [command, option, str(bad)]
+    if option == "--forbidden":
+        good = tmp_path / "m.json"
+        good.write_text(json.dumps(GOOD_MATRIX))
+        argv += ["--matrix", str(good)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
+
 def test_sweep_5_2(capsys):
     rc, payload = run_json(capsys, "sweep", "--p", "5", "--n", "2")
     assert rc == 0

@@ -4,11 +4,12 @@ Three kernels are compared. s1_exhaust must agree bit for bit: same found
 set, same exhausted flag, and the same node count, so that proven_optimal
 claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
-order and the same uncovered remainder, so that witness maps do not depend
-on the backend either, nor on the route: the rotation, for centered steps
-the pairs of the set, and for the one step +1 the gaps between its
-elements. The maps each scan builds, witness records included, must agree
-the same way, and a scan asked for no map must leave the same remainder.
+order and the same least uncovered element, so that witness maps do not
+depend on the backend either, nor on the route: the rotation, for centered
+scans the pairs of the set, and for forward scans at k = 1 the gaps between
+its elements. The maps each scan builds, witness records included, must
+agree the same way, and a scan asked for no map must name the same least
+uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
 backends the tensor that the same factors give through mul_reduce, by the
 shift route and by the interpolate route.
@@ -16,7 +17,7 @@ shift route and by the interpolate route.
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
 the tests skip only when no C compiler is available. The `ext` fixture puts
-that module behind ajtkit.kernels, which carries the masks across as bytes;
+that module behind ajtkit.kernels, which carries the mask across as bytes;
 the `backend` fixture runs a test once on each backend.
 """
 
@@ -173,147 +174,102 @@ def test_exhaust_rejects_p_out_of_range(compiled):
 SCAN_PRIMES = [5, 7, 61, 67, 127, 131, 257, 1009, 20011]
 
 
-def scan_cases(p, k, rng):
-    """(mask, target, steps): S_k- and N_k-style scans of random sets, an
-    empty target, the full set, and the set {0}, which leaves elements no d
-    covers."""
-    full = (1 << p) - 1
-    centered = [i for i in range(-k, k + 1) if i != 0]
-    forward = list(range(1, k + 1))
+def scans(p):
+    """(k, forward) for every scan at p: k from 1 up to 3 wherever
+    2k + 1 <= p, centered and forward."""
+    return [(k, forward) for k in (1, 2, 3) if 2 * k + 1 <= p for forward in (False, True)]
+
+
+def scan_sets(p, rng):
+    """Random sets of two densities, the log set, a sparse set, the empty
+    set, a singleton, the full set and {0}, whose element has no centered
+    witness."""
     half = rng.getrandbits(p)
-    quarter = rng.getrandbits(p) & rng.getrandbits(p)
-    for mask in (half, quarter):
-        yield mask, mask, centered
-        yield mask, ~mask & full, forward
-    yield half, 0, centered
-    yield full, full, centered
-    yield full, full, forward
-    yield 1, full, centered
-    yield 1, full, forward
+    sparse = sum(1 << e for e in rng.sample(range(p), max(3, math.isqrt(4 * p))))
+    log = apsets.build_s1_log(p).mask
+    return [half, half & rng.getrandbits(p), log, sparse, 0, 1 << rng.randrange(p),
+            (1 << p) - 1, 1]
+
+
+def naive_scan(mask, p, k, forward):
+    """The scan from its definition: the (e, d, k) of each element asked
+    about, by ascending d, then ascending e, and the least element with no
+    witness, or None."""
+    members = {a for a in range(p) if mask >> a & 1}
+    steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
+    hits, missing = [], []
+    for e in (a for a in range(p) if (a in members) != forward):
+        d = next((d for d in range(1, p) if all((e + i * d) % p in members for i in steps)), 0)
+        if d:
+            hits.append((d, e))
+        else:
+            missing.append(e)
+    return [(e, d, k) for d, e in sorted(hits)], min(missing, default=None)
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
 def test_first_hit_scan_parity(ext, p):
-    # one limb, limb edges (61, 67, 127, 131) and many limbs
+    # one limb, limb edges (61, 67, 127, 131) and many limbs: the compiled
+    # rotation gives the pure one's map, in order, and least element; up to
+    # p = 67 both give the definition's
     rng = random.Random(p)
-    for k in (1, 2, 3):
-        for mask, target, steps in scan_cases(p, k, rng):
-            hits_c, rest_c = ext.first_hit_scan(mask, target, p, steps)
-            hits_py, rest_py = _kernels_py.first_hit_scan(mask, target, p, steps)
-            assert list(hits_c.items()) == list(hits_py.items())
-            assert rest_c == rest_py
-            covered = sum(1 << a for a in hits_c)
-            assert covered & rest_c == 0 and covered | rest_c == target
-    # {0} with forward steps 1: every b != 0 reaches 0 at d = -b, 0 never does
-    hits, rest = ext.first_hit_scan(1, (1 << p) - 1, p, [1])
-    assert hits == {b: p - b for b in range(1, p)}
-    assert rest == 1
+    for mask in scan_sets(p, rng):
+        for k, forward in scans(p):
+            hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
+            got = ext.rotation_scan(mask, p, k, forward, tuple)
+            assert list(got[0].items()) == list(hits.items()) and got[1] == least
+            assert all(mask >> e & 1 != forward for e in hits) and least not in hits
+            if least is not None:
+                assert mask >> least & 1 != forward
+            if p <= 67:
+                assert (list(hits.values()), least) == naive_scan(mask, p, k, forward)
 
 
-def pair_cases(p, rng):
-    """(mask, target, steps) for the pair route: the log set and a sparse
-    random set, with k = 1 and k = 2 steps and targets other than the mask,
-    then the empty set, a singleton and, while the pure pairs stay cheap, the
-    full set."""
-    full = (1 << p) - 1
-    k1, k2 = [-1, 1], [-2, -1, 1, 2]
-    log = apsets.build_s1_log(p).mask
-    sparse = sum(1 << e for e in rng.sample(range(p), max(3, math.isqrt(4 * p))))
-    for mask in (log, sparse):
-        for steps in (k1, k2):
-            yield mask, mask, steps
-            yield mask, full, steps
-        yield mask, rng.getrandbits(p), k1
-    yield 0, full, k1
-    yield 1 << rng.randrange(p), full, k1
-    if p <= 257:
-        yield full, full, k1
-        yield full, full, k2
-        yield full, sparse, [1, -1, 1]
-
-
-@pytest.mark.parametrize("p", [5, 61, 67, 127, 131, 20011])
+@pytest.mark.parametrize("p", SCAN_PRIMES)
 def test_pair_route_parity(ext, p):
-    # compiled and pure, pair and rotation: the same hits in the same order,
-    # and the same remaining
+    # centered scans: the pairs, compiled and pure, give the rotation's map
+    # in the same order and the same least element, on the sets where their
+    # |A|^2 / 2 pair tests stay cheap
     rng = random.Random(p)
-    for mask, target, steps in pair_cases(p, rng):
-        want = _kernels_py.first_hit_scan(mask, target, p, steps)
-        for scan in (ext.rotation_scan, ext.pair_scan, _kernels_py.pair_hit_scan):
-            hits, remaining = scan(mask, target, p, steps)
-            assert list(hits.items()) == list(want[0].items())
-            assert remaining == want[1]
-
-
-def test_pair_route_needs_both_unit_steps(compiled):
-    mask = apsets.build_s1_log(13).mask
-    for steps in ([1], [-1], [1, 2], []):
-        with pytest.raises(ValueError):
-            _kernels_py.pair_hit_scan(mask, mask, 13, steps)
-        with pytest.raises(ValueError):
-            compiled.pair_hit_scan(*(mask.to_bytes(2, "little"),) * 2, 13, steps)
-    # +1 and -1 are read mod p, as the rotation reads every step
-    assert _kernels_py.pair_hit_scan(mask, mask, 13, [14, 12]) == (
-        _kernels_py.first_hit_scan(mask, mask, 13, [-1, 1])
-    )
+    for mask in scan_sets(p, rng):
+        for k, forward in scans(p):
+            if forward:
+                continue
+            want = ext.rotation_scan(mask, p, k, False, tuple)
+            for scan, most in ((ext.pair_scan, 6000), (_kernels_py.pair_hit_scan, 600)):
+                if mask.bit_count() > most:
+                    continue
+                hits, least = scan(mask, p, k, False, tuple)
+                assert list(hits.items()) == list(want[0].items()) and least == want[1]
 
 
 def test_scan_route_rule():
-    # gaps for the one step +1, whatever the set; pairs for sparse centered
-    # scans; other forward scans and dense sets rotate
+    # gaps for forward scans at k = 1, whatever the set; pairs for sparse
+    # centered scans; other forward scans and dense sets rotate
     p = 9973
     log = apsets.build_s1_log(p).mask
     full = (1 << p) - 1
-    assert kernels.scan_route(log, p, [-1, 1]) == "pair"
-    assert kernels.scan_route(log, p, [-2, -1, 1, 2]) == "pair"
-    assert kernels.scan_route(log, p, [1]) == "gap"
-    assert kernels.scan_route(full, p, [1, 1 + p]) == "gap"
-    assert kernels.scan_route(full, p, [-1, 1]) == "rotation"
-    assert kernels.scan_route(log, p, [1, 2]) == "rotation"
-    assert kernels.scan_route(log, p, [-1]) == "rotation"
+    assert kernels.scan_route(log, p, 1, False) == "pair"
+    assert kernels.scan_route(log, p, 2, False) == "pair"
+    assert kernels.scan_route(log, p, 1, True) == "gap"
+    assert kernels.scan_route(full, p, 1, True) == "gap"
+    assert kernels.scan_route(full, p, 1, False) == "rotation"
+    assert kernels.scan_route(log, p, 2, True) == "rotation"
 
 
-def gap_cases(p, rng):
-    """(mask, target) for the gap route: random sets of two densities, the
-    empty set, a singleton (whose own element no d covers) and the full set,
-    each against its complement, the full set, itself, a random target and
-    the empty one."""
-    full = (1 << p) - 1
-    half = rng.getrandbits(p)
-    sparse = half & rng.getrandbits(p) & rng.getrandbits(p)
-    for mask in (half, sparse, 0, 1 << rng.randrange(p), full):
-        for target in (~mask & full, full, mask, rng.getrandbits(p), 0):
-            yield mask, target
-
-
-@pytest.mark.parametrize("p", [5, 61, 67, 127, 131, 20011])
+@pytest.mark.parametrize("p", SCAN_PRIMES)
 def test_gap_route_parity(ext, p):
-    # compiled and pure, gap and rotation: the same hits in the same order,
-    # and the same remaining
+    # forward scans at k = 1: the gaps, compiled and pure, give the
+    # rotation's map in the same order and the same least element
     rng = random.Random(p)
-    for mask, target in gap_cases(p, rng):
-        want = ext.rotation_scan(mask, target, p, [1])
-        if p <= 131:
-            assert want == _kernels_py.first_hit_scan(mask, target, p, [1])
+    for mask in scan_sets(p, rng):
+        want = ext.rotation_scan(mask, p, 1, True, tuple)
         for scan in (ext.gap_scan, _kernels_py.gap_hit_scan):
-            hits, remaining = scan(mask, target, p, [1])
-            assert list(hits.items()) == list(want[0].items())
-            assert remaining == want[1]
+            hits, least = scan(mask, p, 1, True, tuple)
+            assert list(hits.items()) == list(want[0].items()) and least == want[1]
 
 
-def test_gap_route_needs_the_one_step(compiled):
-    mask = apsets.build_s1_log(13).mask
-    for steps in ([1, 2], [-1], [-1, 1], [2], []):
-        with pytest.raises(ValueError):
-            _kernels_py.gap_hit_scan(mask, mask, 13, steps)
-        with pytest.raises(ValueError):
-            compiled.gap_hit_scan(*(mask.to_bytes(2, "little"),) * 2, 13, steps)
-    # +1 is read mod p, as the rotation reads every step
-    assert _kernels_py.gap_hit_scan(mask, mask, 13, [14, 1]) == (
-        _kernels_py.first_hit_scan(mask, mask, 13, [1])
-    )
-
-
+# each scan named by its steps: -k..-1, 1..k centered, 1..k forward
 ROUTES = [
     ("rotation", [-1, 1], "rotation_scan", "first_hit_scan"),
     ("rotation", [1, 2], "rotation_scan", "first_hit_scan"),
@@ -327,26 +283,23 @@ ROUTES = [
 @pytest.mark.parametrize("route, steps, wrapper, pure", ROUTES)
 def test_scans_build_records_and_skip_maps(ext, p, route, steps, wrapper, pure):
     # every route on both backends: with a record type the map holds
-    # record(e, d, radius) for each hit e -> d, in the same order; with None
-    # there is no map and the same remaining
+    # record(e, d, k) for each hit e at d, in the same order; with None
+    # there is no map and the same least element
+    k, forward = max(steps), min(steps) > 0
     rng = random.Random(p)
-    full = (1 << p) - 1
-    radius = len(steps) // 2 or len(steps)
-    masks = [apsets.build_s1_log(p).mask, rng.getrandbits(p), full, 0]
-    for mask in masks:
-        for target in (mask, ~mask & full, rng.getrandbits(p)):
-            hits, remaining = _kernels_py.first_hit_scan(mask, target, p, steps)
-            want = [apsets.ApWitness(e, d, radius) for e, d in hits.items()]
-            for scan in (getattr(ext, wrapper), getattr(_kernels_py, pure)):
-                records, rest = scan(mask, target, p, steps, apsets.ApWitness, radius)
-                assert list(records) == list(hits) and rest == remaining
-                assert list(records.values()) == want
-                assert all(type(w) is apsets.ApWitness for w in records.values())
-                # hashed as the equal tuple, so records and Python-built
-                # witnesses find each other in sets and dicts
-                for w in records.values():
-                    assert hash(w) == hash(tuple(w)) and w in {apsets.ApWitness(*w)}
-                assert scan(mask, target, p, steps, None) == (None, remaining)
+    for mask in (apsets.build_s1_log(p).mask, rng.getrandbits(p), (1 << p) - 1, 0):
+        hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
+        want = [apsets.ApWitness(*h) for h in hits.values()]
+        for scan in (getattr(ext, wrapper), getattr(_kernels_py, pure)):
+            records, rest = scan(mask, p, k, forward, apsets.ApWitness)
+            assert list(records) == list(hits) and rest == least
+            assert list(records.values()) == want
+            assert all(type(w) is apsets.ApWitness for w in records.values())
+            # hashed as the equal tuple, so records and Python-built
+            # witnesses find each other in sets and dicts
+            for w in records.values():
+                assert hash(w) == hash(tuple(w)) and w in {apsets.ApWitness(*w)}
+            assert scan(mask, p, k, forward, None) == (None, least)
 
 
 def test_compiled_records_need_a_tuple_layout(compiled):
@@ -358,11 +311,11 @@ def test_compiled_records_need_a_tuple_layout(compiled):
 
     mask = (0b111).to_bytes(1, "little")
     for scan in (compiled.first_hit_scan, compiled.pair_hit_scan):
-        hits, _ = scan(mask, mask, 5, [-1, 1], Slotted, 1)
-        assert hits == {1: (1, 1, 1)} and type(hits[1]) is Slotted
-        for record in (Wide, list, str, 3, apsets.ApWitness(0, 1, 1)):
+        hits, least = scan(mask, 5, 1, False, Slotted)
+        assert (hits, least) == ({1: (1, 1, 1)}, 0) and type(hits[1]) is Slotted
+        for record in (Wide, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
             with pytest.raises(TypeError):
-                scan(mask, mask, 5, [-1, 1], record, 1)
+                scan(mask, 5, 1, False, record)
 
 
 def affine_chain(coeffs, p, factors, route):
@@ -482,18 +435,41 @@ def test_built_extension_matches_the_api(compiled):
 
 
 def test_first_hit_scan_rejects_bad_input(compiled):
-    # both routes: the rotation and the pairs, given steps +1 and -1
-    two = bytes(2)  # ceil(13 / 8)
-    high = (1 << 13).to_bytes(2, "little")  # residue 13 is not in Z/13
-    for scan in (compiled.first_hit_scan, compiled.pair_hit_scan):
-        assert scan(two, two, 13, [-1, 1]) == ({}, two)
-        assert scan(two, two, 13, [-1, 1], None) == (None, two)
-        for mask, target in ((bytes(3), two), (two, bytes(1)), (two, b""), (high, two)):
+    # every route on both backends: the mask, p and k are checked, the pair
+    # route takes only centered scans, the gap route only forward scans at
+    # k = 1, and a record is None or a tuple type, int no longer
+    log = apsets.build_s1_log(13).mask
+    for name in ("first_hit_scan", "pair_hit_scan", "gap_hit_scan"):
+        forward = name == "gap_hit_scan"
+        c_scan, py_scan = getattr(compiled, name), getattr(_kernels_py, name)
+        # the empty set: nothing to hit centered, and 0 left over forward
+        want = {}, (0 if forward else None)
+        assert c_scan(bytes(2), 13, 1, forward, tuple) == want
+        assert py_scan(0, 13, 1, forward, tuple) == want
+        for mask in (bytes(3), bytes(1), b"", (1 << 13).to_bytes(2, "little")):
+            with pytest.raises(ValueError):  # ceil(13 / 8) bytes, residues below 13
+                c_scan(mask, 13, 1, forward, None)
+        for mask in (1 << 13, -1):
             with pytest.raises(ValueError):
-                scan(mask, target, 13, [-1, 1])
-        for p in (2, 1, 0, -7):
+                py_scan(mask, 13, 1, forward, None)
+        for p, k in ((2, 1), (1, 1), (0, 1), (-7, 1), (13, 0), (13, -1), (13, 7), (5, 3)):
             with pytest.raises(ValueError):
-                scan(b"\x00", b"\x00", p, [-1, 1])
+                c_scan(b"\x00", p, k, forward, None)
+            with pytest.raises(ValueError):
+                py_scan(0, p, k, forward, None)
+        for record in (int, list, 3):
+            with pytest.raises(TypeError):
+                c_scan(log.to_bytes(2, "little"), 13, 1, forward, record)
+            with pytest.raises(TypeError):
+                py_scan(log, 13, 1, forward, record)
+    bad_routes = [("pair_hit_scan", 1, True), ("pair_hit_scan", 2, True),
+                  ("gap_hit_scan", 1, False), ("gap_hit_scan", 2, False),
+                  ("gap_hit_scan", 2, True)]
+    for name, k, forward in bad_routes:
+        with pytest.raises(ValueError):
+            getattr(compiled, name)(log.to_bytes(2, "little"), 13, k, forward, None)
+        with pytest.raises(ValueError):
+            getattr(_kernels_py, name)(log, 13, k, forward, None)
 
 
 def test_backend_label():
