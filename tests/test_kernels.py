@@ -243,6 +243,20 @@ def test_pair_route_parity(ext, p):
                 assert list(hits.items()) == list(want[0].items()) and least == want[1]
 
 
+def test_pair_route_needs_both_unit_steps(compiled):
+    # the pair route takes centered scans only, whose steps hold -1 and +1;
+    # a forward scan is refused on both backends at every k
+    log = apsets.build_s1_log(13).mask
+    for k in (1, 2, 3):
+        with pytest.raises(ValueError):
+            _kernels_py.pair_hit_scan(log, 13, k, True, None)
+        with pytest.raises(ValueError):
+            compiled.pair_hit_scan(log.to_bytes(2, "little"), 13, k, True, None)
+        want = _kernels_py.first_hit_scan(log, 13, k, False, tuple)
+        assert _kernels_py.pair_hit_scan(log, 13, k, False, tuple) == want
+        assert compiled.pair_hit_scan(log.to_bytes(2, "little"), 13, k, False, tuple) == want
+
+
 def test_scan_route_rule():
     # gaps for forward scans at k = 1, whatever the set; pairs for sparse
     # centered scans; other forward scans and dense sets rotate
@@ -267,6 +281,21 @@ def test_gap_route_parity(ext, p):
         for scan in (ext.gap_scan, _kernels_py.gap_hit_scan):
             hits, least = scan(mask, p, 1, True, tuple)
             assert list(hits.items()) == list(want[0].items()) and least == want[1]
+
+
+def test_gap_route_needs_the_one_step(compiled):
+    # the gap route takes the forward scan at k = 1 only, whose one step is
+    # +1; centered scans and forward scans at k > 1 are refused on both
+    # backends
+    log = apsets.build_s1_log(13).mask
+    for k, forward in ((1, False), (2, False), (2, True), (3, True)):
+        with pytest.raises(ValueError):
+            _kernels_py.gap_hit_scan(log, 13, k, forward, None)
+        with pytest.raises(ValueError):
+            compiled.gap_hit_scan(log.to_bytes(2, "little"), 13, k, forward, None)
+    want = _kernels_py.first_hit_scan(log, 13, 1, True, tuple)
+    assert _kernels_py.gap_hit_scan(log, 13, 1, True, tuple) == want
+    assert compiled.gap_hit_scan(log.to_bytes(2, "little"), 13, 1, True, tuple) == want
 
 
 # each scan named by its steps: -k..-1, 1..k centered, 1..k forward
@@ -435,9 +464,8 @@ def test_built_extension_matches_the_api(compiled):
 
 
 def test_first_hit_scan_rejects_bad_input(compiled):
-    # every route on both backends: the mask, p and k are checked, the pair
-    # route takes only centered scans, the gap route only forward scans at
-    # k = 1, and a record is None or a tuple type, int no longer
+    # every route on both backends: the mask, p and k are checked and a
+    # record is None or a tuple type, int no longer
     log = apsets.build_s1_log(13).mask
     for name in ("first_hit_scan", "pair_hit_scan", "gap_hit_scan"):
         forward = name == "gap_hit_scan"
@@ -462,14 +490,6 @@ def test_first_hit_scan_rejects_bad_input(compiled):
                 c_scan(log.to_bytes(2, "little"), 13, 1, forward, record)
             with pytest.raises(TypeError):
                 py_scan(log, 13, 1, forward, record)
-    bad_routes = [("pair_hit_scan", 1, True), ("pair_hit_scan", 2, True),
-                  ("gap_hit_scan", 1, False), ("gap_hit_scan", 2, False),
-                  ("gap_hit_scan", 2, True)]
-    for name, k, forward in bad_routes:
-        with pytest.raises(ValueError):
-            getattr(compiled, name)(log.to_bytes(2, "little"), 13, k, forward, None)
-        with pytest.raises(ValueError):
-            getattr(_kernels_py, name)(log, 13, k, forward, None)
 
 
 def test_backend_label():
