@@ -92,9 +92,12 @@ def affine_cases():
 def chained_product(p, forms, powers):
     """prod <form, x>^k with one mul_reduce per linear factor: the route every
     verdict took before affine_product."""
-    out = fp_poly.ReducedPoly.constant(p, len(forms[0]), 1)
+    n = len(forms[0])
+    out = fp_poly.ReducedPoly.constant(p, n, 1)
     for form, k in zip(forms, powers):
-        factor = fp_poly.ReducedPoly.linear_form(p, form)
+        factor = fp_poly.ReducedPoly.from_terms(
+            p, n, [(tuple(int(i == j) for i in range(n)), c) for j, c in enumerate(form)]
+        )
         for _ in range(k):
             out = out * factor
     return out.coeffs

@@ -110,7 +110,8 @@ def first_hit_scan(
     steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
     remaining = full & ~mask if forward else mask
     hits: dict[int, int] = {}
-    for d in range(1, p):
+    # a centered witness d also serves as p - d, so none is first past (p-1)/2
+    for d in range(1, p if forward else (p + 1) // 2):
         if remaining == 0:
             break
         hit = remaining

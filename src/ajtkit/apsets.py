@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from ._kernels_py import _bits
+from ._kernels_py import _bits, _rotl
 from .budget import Budget, current_budget
 from .errors import (
     ConstructionFailed,
@@ -45,15 +45,7 @@ from .errors import (
     PreconditionViolated,
     RadiusTooLarge,
 )
-from .fp_core import FpMatrix, FpVector, Prime, _as_prime
-
-
-def _rotl(mask: int, s: int, p: int) -> int:
-    s %= p
-    if s == 0:
-        return mask
-    full = (1 << p) - 1
-    return ((mask << s) | (mask >> (p - s))) & full
+from .fp_core import FpMatrix, FpVector, Prime, _as_prime, _json_int
 
 
 class ResidueSet:
@@ -103,7 +95,7 @@ class ResidueSet:
 
     def translate(self, c: int) -> "ResidueSet":
         """The set A + c."""
-        return ResidueSet(self.p, _rotl(self.mask, c, self.p))
+        return ResidueSet(self.p, _rotl(self.mask, c, self.p, (1 << self.p) - 1))
 
     def dilate(self, lam: int) -> "ResidueSet":
         """The set lam * A; lam must be nonzero mod p."""
@@ -119,10 +111,19 @@ class ResidueSet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ResidueSet":
+        """The set in `obj`, whose 'p' is a JSON integer and whose
+        'elements' a list of them (read as fp_core._json_int reads them),
+        else InputError."""
         try:
-            return cls.from_elements(obj["p"], obj["elements"])
+            p, elements = obj["p"], obj["elements"]
         except (KeyError, TypeError):
             raise InputError("set JSON needs keys 'p' and 'elements'") from None
+        if type(elements) is not list:
+            raise InputError("set JSON 'elements' must be a list of JSON integers")
+        return cls.from_elements(
+            _json_int(p, "set JSON 'p'"),
+            [_json_int(e, "set JSON element") for e in elements],
+        )
 
 
 class ApWitness(NamedTuple):

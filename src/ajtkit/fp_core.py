@@ -111,30 +111,6 @@ class FpVector:
     def __hash__(self):
         return hash((self.entries, self.p))
 
-    def __add__(self, other: "FpVector") -> "FpVector":
-        self._same_space(other)
-        return FpVector(
-            (a + b for a, b in zip(self.entries, other.entries)), self.p
-        )
-
-    def __sub__(self, other: "FpVector") -> "FpVector":
-        self._same_space(other)
-        return FpVector(
-            (a - b for a, b in zip(self.entries, other.entries)), self.p
-        )
-
-    def scale(self, c: int) -> "FpVector":
-        return FpVector((c * a for a in self.entries), self.p)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def _same_space(self, other: "FpVector") -> None:
-        if not isinstance(other, FpVector):
-            raise InputError("expected an FpVector")
-        if other.p != self.p or len(other) != len(self):
-            raise InputError("vectors live in different spaces")
-
     def __repr__(self):
         return f"FpVector({list(self.entries)}, p={self.p})"
 
@@ -165,9 +141,6 @@ class FpMatrix:
     @classmethod
     def identity(cls, n: int, p: int) -> "FpMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
-
-    def row(self, i: int) -> FpVector:
-        return FpVector(self.rows[i], self.p)
 
     def transpose(self) -> "FpMatrix":
         return FpMatrix(list(zip(*self.rows)), self.p)

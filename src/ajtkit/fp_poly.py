@@ -78,17 +78,6 @@ class ReducedPoly:
         return cls.from_terms(p, n, [(tuple(exps), coeff)])
 
     @classmethod
-    def linear_form(cls, p: int, coefficients: Sequence[int]) -> "ReducedPoly":
-        """The polynomial sum_j coefficients[j] * x_j."""
-        n = len(coefficients)
-        terms = []
-        for j, c in enumerate(coefficients):
-            e = [0] * n
-            e[j] = 1
-            terms.append((tuple(e), c))
-        return cls.from_terms(p, n, terms)
-
-    @classmethod
     def from_terms(
         cls, p: int, n: int, terms: Iterable[tuple[Sequence[int], int]]
     ) -> "ReducedPoly":

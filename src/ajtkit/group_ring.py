@@ -214,9 +214,6 @@ class GroupRingElem:
         a, b = self._pair(other)
         return _element(self.p, self.n, self.ring, a - b)
 
-    def __neg__(self) -> "GroupRingElem":
-        return _element(self.p, self.n, self.ring, -self.coeffs)
-
     def translate(self, v: Sequence[int], phase: int | None = None) -> "GroupRingElem":
         """Multiplication by g^v, or by w^(-phase) * g^v over the cyclotomic ring."""
         rolled = _roll(self.coeffs, _shift(self.p, self.ring, v, phase), self.p)

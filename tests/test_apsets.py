@@ -119,6 +119,16 @@ def test_residue_set_rejects_bad_elements():
         ResidueSet.from_elements(7, [7])
     with pytest.raises(InputError):
         ResidueSet.from_elements(7, [-1])
+    # set JSON holds JSON integers only: nothing is rounded or coerced
+    for obj in (
+        {"p": 7, "elements": [1.9, True, "3"]},
+        {"p": 7, "elements": [True]},
+        {"p": "7", "elements": [1]},
+        {"p": 7, "elements": 3},
+        {"p": 7, "elements": "13"},
+    ):
+        with pytest.raises(InputError):
+            ResidueSet.from_json(obj)
 
 
 def test_witness_helpers():

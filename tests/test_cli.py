@@ -87,6 +87,25 @@ def test_import_loads_no_process_pool():
     assert proc.stdout == b"[]\n"
 
 
+def test_package_root_is_only_a_namespace():
+    # each name is imported from its module: the package root holds only
+    # __version__, and the set-up path (apsets, fp_poly) loads no module
+    # that it does not use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, ajtkit; "
+        "print(sorted(n for n in vars(ajtkit) if not n.startswith('_')), ajtkit.__version__); "
+        "from ajtkit import apsets, fp_poly; "
+        "print(sorted({'ajtkit.group_ring', 'ajtkit.properties', 'ajtkit.cli'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout == b"[] 0.1.0\n[]\n", proc.stderr
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch):
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(

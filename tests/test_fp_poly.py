@@ -127,13 +127,6 @@ def test_evaluate_matches_table():
                 assert table[x, y] == f.evaluate((x, y))
 
 
-def test_linear_form():
-    f = ReducedPoly.linear_form(P, [2, 3])
-    assert f.evaluate((1, 1)) == 0  # 2+3 = 5
-    assert f.evaluate((2, 1)) == 2
-    assert f.total_degree() == 1
-
-
 def test_total_degree():
     assert ReducedPoly.zero(P, 2).total_degree() == -1
     assert ReducedPoly.constant(P, 2, 3).total_degree() == 0
@@ -162,10 +155,14 @@ def test_mul_routes_agree(p, n, data):
 
 
 def repeated_products(p, forms, powers):
-    out = ReducedPoly.constant(p, len(forms[0]), 1)
+    n = len(forms[0])
+    out = ReducedPoly.constant(p, n, 1)
     for coefficients, k in zip(forms, powers):
+        form = ReducedPoly.from_terms(
+            p, n, [(tuple(int(i == j) for i in range(n)), c) for j, c in enumerate(coefficients)]
+        )
         for _ in range(k):
-            out = out * ReducedPoly.linear_form(p, coefficients)
+            out = out * form
     return out
 
 

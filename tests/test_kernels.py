@@ -211,7 +211,8 @@ def naive_scan(mask, p, k, forward):
 def test_first_hit_scan_parity(ext, p):
     # one limb, limb edges (61, 67, 127, 131) and many limbs: the compiled
     # rotation gives the pure one's map, in order, and least element; up to
-    # p = 67 both give the definition's
+    # p = 67 both give the definition's, and at every p both leave {0}
+    # without a centered witness
     rng = random.Random(p)
     for mask in scan_sets(p, rng):
         for k, forward in scans(p):
@@ -223,6 +224,8 @@ def test_first_hit_scan_parity(ext, p):
                 assert mask >> least & 1 != forward
             if p <= 67:
                 assert (list(hits.values()), least) == naive_scan(mask, p, k, forward)
+            if mask == 1 and not forward:
+                assert (hits, least) == ({}, 0)
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
@@ -352,8 +355,10 @@ def affine_chain(coeffs, p, factors, route):
     n = coeffs.ndim
     out = ReducedPoly(p, n, coeffs)
     for c0, *cs in factors:
-        factor = ReducedPoly.constant(p, n, c0) + ReducedPoly.linear_form(p, cs)
-        out = mul_reduce(out, factor, route)
+        terms = [((0,) * n, c0)] + [
+            (tuple(int(i == j) for i in range(n)), c) for j, c in enumerate(cs)
+        ]
+        out = mul_reduce(out, ReducedPoly.from_terms(p, n, terms), route)
     return out.coeffs
 
 
