@@ -27,6 +27,7 @@ import csv
 import importlib.resources
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -64,7 +65,10 @@ class ResidueSet:
         p = _as_prime(p)
         mask = 0
         for e in elements:
-            e = int(e)
+            try:
+                e = operator.index(e)
+            except TypeError:
+                raise InputError(f"residue {e!r} is not an integer") from None
             if not 0 <= e < p:
                 raise InputError(f"residue {e} outside [0, {p})")
             mask |= 1 << e
@@ -273,21 +277,12 @@ class SkConstruction:
         return len(self.aset)
 
 
-def _forward_hit(c: int, target: set[int], d: int, p: int) -> int:
-    """c + i*d with i >= 1 minimal landing in target."""
+def _progression_hit(c: int, target: set[int], d: int, p: int) -> int:
+    """c + i*d with i >= 1 minimal landing in target; a negative d walks
+    backward."""
     cur = c
     for _ in range(p):
         cur = (cur + d) % p
-        if cur in target:
-            return cur
-    raise MathViolation("progression failed to meet a nonempty set")
-
-
-def _backward_hit(c: int, target: set[int], d: int, p: int) -> int:
-    """c + i*d with i <= -1 maximal landing in target."""
-    cur = c
-    for _ in range(p):
-        cur = (cur - d) % p
         if cur in target:
             return cur
     raise MathViolation("progression failed to meet a nonempty set")
@@ -313,9 +308,9 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
 
     a_cur = {t % p for t in range(-kx, kx + 1)}
     b_cur = {(-kx + t) % p for t in range(k + 1)}
-    b_cur |= {_forward_hit(j % p, a_cur, x, p) for j in range(kx - k, kx + 1)}
+    b_cur |= {_progression_hit(j % p, a_cur, x, p) for j in range(kx - k, kx + 1)}
     c_cur = {(kx - k + t) % p for t in range(k + 1)}
-    c_cur |= {_backward_hit(j % p, a_cur, x, p) for j in range(-kx, -kx + k + 1)}
+    c_cur |= {_progression_hit(j % p, a_cur, -x, p) for j in range(-kx, -kx + k + 1)}
 
     union = set(a_cur)
     stage_sizes = [len(a_cur)]
@@ -331,7 +326,7 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
             (a - j * step) % p for a in b_cur for j in range(span - k, span + 1)
         }
         b_next |= {
-            _forward_hit((a + j * step) % p, a_next, bigstep, p)
+            _progression_hit((a + j * step) % p, a_next, bigstep, p)
             for a in c_cur
             for j in range(span - k, span + 1)
         }
@@ -339,7 +334,7 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
             (a + j * step) % p for a in c_cur for j in range(span - k, span + 1)
         }
         c_next |= {
-            _backward_hit((a - j * step) % p, a_next, bigstep, p)
+            _progression_hit((a - j * step) % p, a_next, -bigstep, p)
             for a in b_cur
             for j in range(span - k, span + 1)
         }

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import BudgetExceeded, InputError
 
 MAX_RING_ENTRIES = 2**24
 
@@ -30,16 +30,12 @@ class Budget:
     nodes: int = PRESETS["default"]
 
     def check_entries(self, needed: int, what: str = "dense table") -> None:
-        from .errors import BudgetExceeded
-
         if needed > self.entries:
             raise BudgetExceeded(
                 f"{what} needs {needed} entries, budget allows {self.entries}"
             )
 
     def check_nodes(self, needed: int, what: str = "search") -> None:
-        from .errors import BudgetExceeded
-
         if needed > self.nodes:
             raise BudgetExceeded(
                 f"{what} needs {needed} nodes, budget allows {self.nodes}"

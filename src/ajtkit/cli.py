@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -281,10 +282,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_duality(args) -> int:
-    import random as _random
-
     _check_trials(args)
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     p, n = args.p, args.n
     disagreements = []
     factorial_failures = []
@@ -331,12 +330,10 @@ def _random_balanced_partner(rng, r: list[int], p: int) -> list[int]:
 
 
 def cmd_multi(args) -> int:
-    import random as _random
-
     if args.k < 2:
         raise InputError("multi needs k >= 2 matrices per tuple")
     _check_trials(args)
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     found = 0
     witness_free = []
     for _ in range(args.trials):
@@ -381,14 +378,12 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_sigma(args) -> int:
-    import random as _random
-
     _check_trials(args)
     config = RunConfig("sigma", seed=args.seed, budget=args.budget)
     if args.matrix:
         matrices = [fp_core.FpMatrix.from_json(_load_json(args.matrix))]
     else:
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         matrices = [
             fp_core.random_nonsingular(args.p, args.n, rng=rng)
             for _ in range(args.trials)

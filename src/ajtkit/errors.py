@@ -21,10 +21,6 @@ class RadiusTooLarge(InputError):
     """The progression radius k does not satisfy 2k + 1 <= p."""
 
 
-class RingMismatch(InputError):
-    """Two group-ring elements live over different rings or different (p, n)."""
-
-
 class PhaseInNonCyclotomicRing(InputError):
     """Root-of-unity phases only make sense over the cyclotomic ring."""
 

@@ -11,6 +11,9 @@ exactly when its table is constant along the w axis. F_p tables are the
 integer tables reduced mod p. Zero tests are exact integer decisions, and the
 vanishing checks below are the translation layer between nowhere-zero
 statements about matrices and products of factors (1 - phase * g^v).
+
+Factor products are the only multiplication: `GroupRingElem` is the value a
+product returns, with equality and a zero test but no ring arithmetic.
 Factor products can be expanded for a stack of tables that share some of
 their factors: the shared factors are applied once, to one table, and each
 other factor is one gather over the whole stack, so many small products cost
@@ -18,7 +21,8 @@ the numpy calls of one. `products_vanish` takes a stack of matrices as row
 arrays, the rows they share and the rows that vary, as `sweep` holds the
 matrices of one (n-1)-row prefix. It expands each stack over Z once and reads
 both of the sweep's product verdicts off those tables: zero over Z, and zero
-mod p.
+mod p. `sigma_of_factors` stacks the elementary symmetric functions of the
+factors the same way, one roll of the stack per factor.
 
 Tables are int64 while every entry is provably below 2^62 in absolute value,
 and Python ints (dtype=object) otherwise, so values never wrap.
@@ -33,11 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import Budget, current_budget
-from .errors import (
-    InputError,
-    PhaseInNonCyclotomicRing,
-    RingMismatch,
-)
+from .errors import InputError, PhaseInNonCyclotomicRing
 from .fp_core import FpMatrix, _as_prime
 
 
@@ -132,20 +132,11 @@ def _shape(p: int, n: int, ring: _RingTag) -> tuple[int, ...]:
 
 
 def _shift(p: int, ring: _RingTag, v: Sequence[int], phase: int | None) -> tuple[int, ...]:
-    """Roll offsets for multiplication by g^v, or by w^(-phase) * g^v."""
+    """Roll offsets for multiplication by g^v, or by w^(-phase) * g^v over Z[w]."""
     shift = tuple(int(a) % p for a in v)
     if ring is CyclotomicRing:
         return shift + (-(phase or 0) % p,)
-    if phase is not None:
-        raise PhaseInNonCyclotomicRing("phases require the cyclotomic coefficient ring")
     return shift
-
-
-def _element(p: int, n: int, ring: _RingTag, table: np.ndarray) -> "GroupRingElem":
-    """Wrap a table computed over Z, reducing it mod p for the F_p ring."""
-    if ring is ModPRing:
-        table = _exact(table % p, p)
-    return GroupRingElem(p, n, ring, table)
 
 
 class GroupRingElem:
@@ -169,73 +160,6 @@ class GroupRingElem:
             raise InputError("coefficient table has the wrong shape")
         self.coeffs = coeffs
 
-    @classmethod
-    def zero(cls, p: int, n: int, ring: _RingTag) -> "GroupRingElem":
-        p = _as_prime(p)
-        return cls(p, n, ring, np.zeros(_shape(p, n, ring), dtype=np.int64))
-
-    @classmethod
-    def identity(cls, p: int, n: int, ring: _RingTag) -> "GroupRingElem":
-        out = cls.zero(p, n, ring)
-        out.coeffs[(0,) * out.coeffs.ndim] = 1
-        return out
-
-    @classmethod
-    def monomial(cls, p: int, n: int, ring: _RingTag, v: Sequence[int]) -> "GroupRingElem":
-        """The element g^v."""
-        return cls.identity(p, n, ring).translate(v)
-
-    def _same_ring(self, other: "GroupRingElem") -> None:
-        if not isinstance(other, GroupRingElem):
-            raise RingMismatch("expected a GroupRingElem")
-        if (other.p, other.n, other.ring) != (self.p, self.n, self.ring):
-            raise RingMismatch(
-                f"elements live in different rings: "
-                f"({self.p},{self.n},{self.ring}) vs ({other.p},{other.n},{other.ring})"
-            )
-
-    def _bound(self) -> int:
-        """The largest absolute value of an entry, or a bound on it."""
-        if self.ring is ModPRing:
-            return self.p - 1
-        return max(int(self.coeffs.max()), -int(self.coeffs.min()))
-
-    def _pair(self, other: "GroupRingElem") -> tuple[np.ndarray, np.ndarray]:
-        """Both tables in one dtype exact for their sum and difference."""
-        self._same_ring(other)
-        bound = self._bound() + other._bound()
-        return _exact(self.coeffs, bound), _exact(other.coeffs, bound)
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        a, b = self._pair(other)
-        return _element(self.p, self.n, self.ring, a + b)
-
-    def __sub__(self, other: "GroupRingElem") -> "GroupRingElem":
-        a, b = self._pair(other)
-        return _element(self.p, self.n, self.ring, a - b)
-
-    def translate(self, v: Sequence[int], phase: int | None = None) -> "GroupRingElem":
-        """Multiplication by g^v, or by w^(-phase) * g^v over the cyclotomic ring."""
-        rolled = _roll(self.coeffs, _shift(self.p, self.ring, v, phase), self.p)
-        return GroupRingElem(self.p, self.n, self.ring, rolled)
-
-    def apply_one_minus_g(self, v: Sequence[int], phase: int | None = None) -> "GroupRingElem":
-        """Multiply by (1 - g^v), or by (1 - w^(-phase) * g^v) over the cyclotomic ring."""
-        return self - self.translate(v, phase)
-
-    def __mul__(self, other: "GroupRingElem") -> "GroupRingElem":
-        self._same_ring(other)
-        # convolve against the sparser operand
-        a, b = self.coeffs, other.coeffs
-        if np.count_nonzero(b) > np.count_nonzero(a):
-            a, b = b, a
-        support = np.argwhere(b)
-        a = _exact(a, self._bound() * other._bound() * len(support))
-        acc = np.zeros_like(a)
-        for v in map(tuple, support):
-            acc = acc + _roll(a, v, self.p) * int(b[v])
-        return _element(self.p, self.n, self.ring, acc)
-
     def normalized(self) -> np.ndarray:
         """The table in its unique form.
 
@@ -247,34 +171,21 @@ class GroupRingElem:
             return self.coeffs
         return self.coeffs - self.coeffs[..., -1:]
 
-    def coeff(self, v: Sequence[int]):
-        """The coefficient of g^v; over Z[w], its normalized coordinates."""
-        return self.normalized()[tuple(int(a) % self.p for a in v)]
-
     def is_zero(self) -> bool:
         return not np.count_nonzero(self.normalized())
 
     def __eq__(self, other):
         if not isinstance(other, GroupRingElem):
             return NotImplemented
-        try:
-            self._same_ring(other)
-        except RingMismatch:
-            return False
-        return (self - other).is_zero()
+        return (self.p, self.n, self.ring) == (other.p, other.n, other.ring) and (
+            np.array_equal(self.normalized(), other.normalized())
+        )
 
     def __repr__(self):
         return (
             f"GroupRingElem(p={self.p}, n={self.n}, ring={self.ring}, "
             f"support={np.count_nonzero(self.normalized())})"
         )
-
-
-def one_minus_g(
-    p: int, n: int, v: Sequence[int], ring: _RingTag, phase: int | None = None
-) -> GroupRingElem:
-    """The factor 1 - g^v, or 1 - w^(-phase) * g^v over the cyclotomic ring."""
-    return GroupRingElem.identity(p, n, ring).apply_one_minus_g(v, phase)
 
 
 @dataclass(frozen=True)
@@ -364,7 +275,10 @@ def product_of_factors(
         for v, ph in zip(spec.vectors, phases)
         for phase in ph
     ]
-    return _element(spec.p, spec.n, ring, _expand(spec.p, len(shape), shifts)[0])
+    table = _expand(spec.p, len(shape), shifts)[0]
+    if ring is ModPRing:
+        table = _exact(table % spec.p, spec.p)
+    return GroupRingElem(spec.p, spec.n, ring, table)
 
 
 def _stack_arrays(
@@ -444,23 +358,20 @@ def sigma_of_factors(
     m: FpMatrix, budget: Budget | str | None = None
 ) -> list[GroupRingElem]:
     """Elementary symmetric functions sigma_0..sigma_2n of the 2n factors
-    (1-g^(e_1)), ..., (1-g^(e_n)), (1-g^(a_1)), ..., (1-g^(a_n)) over F_p."""
+    (1-g^(e_1)), ..., (1-g^(e_n)), (1-g^(a_1)), ..., (1-g^(a_n)) over F_p.
+
+    The sigmas are one (2n+1, p, ..., p) stack, and each factor (1 - g^v)
+    adds sigma_(j-1) * (1 - g^v) to every sigma_j with one roll of the
+    stack. The entries budget is charged for the whole stack.
+    """
     b = current_budget(budget)
     p, n = m.p, m.n
-    b.check_entries(p**n, what="group-ring table")
-    unit_vectors = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    factors = [one_minus_g(p, n, v, ModPRing) for v in unit_vectors]
-    factors += [one_minus_g(p, n, row, ModPRing) for row in m.rows]
-    sigmas = [GroupRingElem.identity(p, n, ModPRing)]
-    for w in factors:
-        new = [sigmas[0]]
-        for j in range(1, len(sigmas) + 1):
-            term = sigmas[j - 1] * w
-            if j < len(sigmas):
-                term = sigmas[j] + term
-            new.append(term)
-        sigmas = new
-    return sigmas
+    b.check_entries((2 * n + 1) * p**n, what="group-ring sigma stack")
+    stack = np.zeros((2 * n + 1,) + (p,) * n, dtype=np.int64)
+    stack[(0,) * (n + 1)] = 1
+    for v in FactorSpec.from_matrix(m).vectors:
+        stack[1:] = (stack[1:] + stack[:-1] - _roll(stack[:-1], v, p)) % p
+    return [GroupRingElem(p, n, ModPRing, table) for table in stack]
 
 
 @dataclass(frozen=True)

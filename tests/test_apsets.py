@@ -10,6 +10,7 @@ import pathlib
 import random
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,10 +116,13 @@ def test_residue_set_elements_read_every_bit():
 
 
 def test_residue_set_rejects_bad_elements():
-    with pytest.raises(InputError):
-        ResidueSet.from_elements(7, [7])
-    with pytest.raises(InputError):
-        ResidueSet.from_elements(7, [-1])
+    # elements are read with operator.index: a float or a string is refused,
+    # not truncated or parsed, and numpy integers are integers
+    for bad in ([7], [-1], [1.9], ["3"]):
+        with pytest.raises(InputError):
+            ResidueSet.from_elements(7, bad)
+    s = ResidueSet.from_elements(7, [1, np.int64(3), np.int32(5), np.uint8(6)])
+    assert s.elements() == (1, 3, 5, 6)
     # set JSON holds JSON integers only: nothing is rounded or coerced
     for obj in (
         {"p": 7, "elements": [1.9, True, "3"]},

@@ -529,6 +529,24 @@ def test_sigma_probe(capsys):
     assert payload["checked"] == 10
 
 
+def test_sigma_candidates_are_pinned(capsys):
+    # at p = 3, 2n = 6 > p - 1, so sigma_6..sigma_4 can all vanish; these
+    # are the matrices of the first 100 seeded draws where they do
+    rc, payload = run_json(
+        capsys, "sigma", "--p", "3", "--n", "3", "--trials", "100", "--seed", "1"
+    )
+    assert rc == 0
+    assert payload["checked"] == 100
+    assert payload["candidates"] == [
+        {"p": 3, "n": 3, "rows": rows}
+        for rows in (
+            [[2, 1, 1], [2, 0, 2], [0, 1, 0]],
+            [[2, 2, 0], [1, 2, 1], [2, 1, 1]],
+            [[1, 2, 1], [2, 2, 0], [0, 0, 1]],
+        )
+    ]
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
