@@ -1,12 +1,13 @@
 """Compare the compiled kernels against their pure-Python twins.
 
-Both backends expose the same three kernels, s1_exhaust, first_hit_scan and
-affine_product, and must return identical results: node counts included for
-the search, hits in the same order for the scan, the same tensor for the
-product. This script times them side by side on
-the workloads that dominate real use: exhausting all sets below the optimum
-and finding a minimum set one size up, and the S_1 and N_1 certification
-scans of a logarithmic set and of one partition part. The compiled side runs
+Both backends expose the same four kernels, s1_exhaust, first_hit_scan,
+affine_product and products_vanish, and must return identical results: node
+counts included for the search, hits in the same order for the scan, the
+same tensor for the product, the same flags for the sweep's products. This
+script times them side by side on the workloads that dominate real use:
+exhausting all sets below the optimum and finding a minimum set one size
+up, and the S_1 and N_1 certification scans of a logarithmic set and of one
+partition part. The compiled side runs
 through ajtkit.kernels, which carries the mask across as bytes. The scan
 table times the routes of first_hit_scan on each backend, at k = 1 and asked
 for no map, so the kernel's own work: the rotation against the pairs of the
@@ -29,9 +30,12 @@ whole duality_check on each backend, and asserts equal verdicts.
 
 Another table times the group-ring factor products, which gather along each
 axis, against a plain `np.roll` loop kept here as the reference, and asserts
-that both give the same tables or verdicts. The stacked products and the
-stacked nowhere-zero witness search take one sweep group as arrays, the
-head rows shared and the last row varying; the witness table times that
+that both give the same tables or verdicts; its stacked row runs
+kernels.products_vanish on the backend that imported. The products_vanish
+table times that kernel on each backend, at one sweep group each of (5, 2),
+(11, 2), (5, 3) and (31, 2), and asserts equal flags. The stacked products
+and the stacked nowhere-zero witness search take one sweep group as arrays,
+the head rows shared and the last row varying; the witness table times that
 search against `check_p1` called per matrix, and asserts that both find the
 same witnesses. A last row times the grouped enumeration of GL_3(F_5), rows
 as arrays, against the same matrices built one `FpMatrix` at a time.
@@ -330,6 +334,23 @@ def main():
         )
         print(f"{label:<28}{p:>6}{entries:>10}{t_ref:>13.6f}{t_new:>12.6f}"
               f"{t_ref / t_new:>8.1f}x")
+    print()
+    header = f"{'products_vanish':<28}{'p':>6}{'n':>4}{'matrices':>10}{'entries':>10}"
+    header += "".join(f"{b + ' (s)':>15}" for b, _ in BACKENDS) + f"{'speedup':>9}"
+    print(header)
+    print("-" * len(header))
+    for p, prefix in [(5, [[1, 2]]), (11, [[1, 2]]), (5, [[1, 2, 3], [0, 1, 4]]),
+                      (31, [[1, 2]])]:
+        head, last = sweep_stack(p, prefix)
+        n, times, flags = len(prefix) + 1, [], []
+        for backend, ext in BACKENDS:
+            t, got = timed(route_on, ext, kernels.products_vanish, p, head, last[:, None],
+                           repeat=20)
+            times.append(t)
+            flags.append([a.tolist() for a in got])
+        assert all(f == flags[0] for f in flags), f"products_vanish differs at ({p}, {n})"
+        line = f"{'one sweep group':<28}{p:>6}{n:>4}{len(last):>10}{len(last) * p**n:>10}"
+        print(line + "".join(f"{t:>15.6f}" for t in times) + f"{times[0] / times[-1]:>8.1f}x")
     print()
     header = f"{'witness search':<28}{'p':>6}{'witnesses':>10}"
     header += f"{'check_p1 (s)':>13}{'stacked (s)':>12}{'speedup':>9}"

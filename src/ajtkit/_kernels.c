@@ -1,5 +1,6 @@
-/* Compiled kernels: the S_1 search, the first-hit progression scan and the
-   affine product of reduced polynomials.
+/* Compiled kernels: the S_1 search, the first-hit progression scan, the
+   affine product of reduced polynomials and the sweep's group-ring
+   products.
 
    Inside, a subset of Z/p is a mask of L = ceil(p/64) 64-bit limbs, least
    significant limb first, allocated per call, so one code path serves every
@@ -25,6 +26,12 @@
    affine_product mirrors _kernels_py.affine_product: a reduced polynomial
    over F_p in n variables, held as its p^n int64 coefficients, times a list
    of affine factors c0 + c1 x_1 + ... + cn x_n, reduced by x_j^p = x_j.
+
+   products_vanish mirrors _kernels_py.products_vanish: for each of a stack
+   of matrices that share k rows and vary in j = n - k, whether
+   prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over Z[(Z/p)^n] is zero, and zero
+   mod p, with every factor applied as t <- t - roll(t, v) to p^n int64
+   entries.
    API names this contract; ajtkit.kernels refuses an extension built from
    another. */
 
@@ -37,7 +44,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 3            /* bumped whenever a kernel's signature or result changes */
+#define API 4            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -772,6 +779,142 @@ done:
     return result;
 }
 
+/* dst = src - roll(src, v) for a table of p^n int64 entries, row-major:
+   entry i of dst is src[i] - src[i - v], the index taken mod p along each
+   axis, with every shift v[a] in [0, p). Along the last axis a row is two
+   contiguous runs: its first v[n-1] slots read the end of the source row,
+   the others its start. The source row sits at the destination row's outer
+   digits minus v; an odometer over the n - 1 outer axes steps both, the
+   destination's digits in place[] and the source's in digit[], with the
+   source row's offset in from. */
+static void roll_sub(const int64_t *restrict src, int64_t *restrict dst, size_t size,
+                     int p, int n, const int *v)
+{
+    int place[31], digit[31], last = v[n - 1];
+    size_t stride[31], from = 0, s = (size_t)p;
+    for (int a = n - 2; a >= 0; a--, s *= (size_t)p) {
+        stride[a] = s;
+        place[a] = 0;
+        digit[a] = v[a] ? p - v[a] : 0;
+        from += (size_t)digit[a] * s;
+    }
+    for (size_t row = 0; row < size; row += (size_t)p) {
+        const int64_t *same = src + row, *back = src + from;
+        int64_t *out = dst + row;
+        for (int x = 0; x < last; x++)
+            out[x] = same[x] - back[p - last + x];
+        for (int x = last; x < p; x++)
+            out[x] = same[x] - back[x - last];
+        for (int a = n - 2; a >= 0; a--) {
+            from += stride[a];
+            if (++digit[a] == p) {
+                digit[a] = 0;
+                from -= (size_t)p * stride[a];
+            }
+            if (++place[a] < p)
+                break;
+            place[a] = 0;
+        }
+    }
+}
+
+/* The n entries of a row, reduced mod p into [0, p). */
+static void read_shifts(const int64_t *row, int n, int p, int *v)
+{
+    for (int a = 0; a < n; a++) {
+        int64_t r = row[a] % p;
+        v[a] = (int)(r < 0 ? r + p : r);
+    }
+}
+
+/* products_vanish(shared, varying, p, n, j) -> (int_zero, modp_zero), two
+   bytearrays of B bytes, 1 where matrix b's product
+   prod (1 - g^(e_i)) * prod (1 - g^(a_i)) is zero over Z, respectively
+   mod p. The matrices share the k = n - j rows
+   in `shared` and matrix b has the j rows b * j .. b * j + j - 1 of
+   `varying`, all native int64, read mod p. The unit vectors and the shared
+   rows are applied once, to one table; each matrix's varying rows then
+   ping-pong through two scratch tables, and the zero tests stop at the first
+   entry that decides them. 2n factors keep every entry at most 2^(2n-1), so
+   n <= 31 keeps int64 exact. p, n, j and the buffer lengths are checked
+   before either buffer is read. */
+static PyObject *products_vanish(PyObject *self, PyObject *args)
+{
+    Py_buffer shared, varying;
+    int p, n, j;
+    PyObject *zero = NULL, *modp = NULL, *result = NULL;
+    int64_t *tables = NULL;
+    if (!PyArg_ParseTuple(args, "y*y*iii:products_vanish", &shared, &varying, &p, &n, &j))
+        return NULL;
+    if (p < 3 || n < 1 || n > 31 || j < 1 || j > n) {
+        PyErr_Format(PyExc_ValueError, "products_vanish needs p >= 3, 1 <= n <= 31 and "
+                     "1 <= j <= n, got p = %d, n = %d, j = %d", p, n, j);
+        goto done;
+    }
+    size_t size = 1, most = PY_SSIZE_T_MAX / (3 * sizeof(int64_t));
+    for (int a = 0; a < n && size; a++)
+        size = (size_t)p <= most / size ? size * (size_t)p : 0; /* 0: too large */
+    Py_ssize_t row = n * (Py_ssize_t)sizeof(int64_t);
+    if (size == 0 || shared.len != (n - j) * row || varying.len % (j * row)) {
+        PyErr_Format(PyExc_ValueError, "products_vanish needs p^n table entries, (n - j) "
+                     "* n shared and B * j * n varying int64 entries, got p = %d, n = %d, "
+                     "j = %d, %zd and %zd bytes", p, n, j, shared.len, varying.len);
+        goto done;
+    }
+    Py_ssize_t count = varying.len / (j * row);
+    zero = PyByteArray_FromStringAndSize(NULL, count);
+    modp = PyByteArray_FromStringAndSize(NULL, count);
+    tables = malloc(3 * size * sizeof(int64_t));
+    if (zero == NULL || modp == NULL || tables == NULL) {
+        if (tables == NULL)
+            PyErr_NoMemory();
+        goto done;
+    }
+    char *z = PyByteArray_AS_STRING(zero), *m = PyByteArray_AS_STRING(modp);
+    const int64_t *head = shared.buf, *rows = varying.buf;
+    Py_BEGIN_ALLOW_THREADS
+    int v[31];
+    int64_t *cur = tables, *nxt = tables + size, *spare = nxt + size;
+    memset(cur, 0, size * sizeof(int64_t));
+    cur[0] = 1;
+    for (int f = 0; f < n + n - j; f++) {
+        if (f < n)
+            for (int a = 0; a < n; a++)
+                v[a] = a == f;
+        else
+            read_shifts(head + (size_t)(f - n) * n, n, p, v);
+        roll_sub(cur, nxt, size, p, n, v);
+        int64_t *t = cur;
+        cur = nxt;
+        nxt = t;
+    }
+    int64_t *scratch[2] = {nxt, spare};
+    for (Py_ssize_t b = 0; b < count; b++) {
+        const int64_t *t = cur;
+        for (int r = 0; r < j; r++) {
+            read_shifts(rows + ((size_t)b * j + r) * n, n, p, v);
+            roll_sub(t, scratch[r & 1], size, p, n, v);
+            t = scratch[r & 1];
+        }
+        size_t i = 0;
+        while (i < size && t[i] == 0)
+            i++;
+        z[b] = i == size;
+        while (i < size && t[i] % p == 0)
+            i++;
+        m[b] = i == size;
+    }
+    Py_END_ALLOW_THREADS
+    result = PyTuple_Pack(2, zero, modp);
+done:
+    Py_XDECREF(zero);
+    Py_XDECREF(modp);
+    free(tables);
+    PyBuffer_Release(&shared);
+    PyBuffer_Release(&varying);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
@@ -793,13 +936,18 @@ static PyMethodDef methods[] = {
      "affine_product(tensor, p, n, factors) -> bytearray\n\n"
      "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"
      "read from and returned as p^n native int64 entries."},
+    {"products_vanish", products_vanish, METH_VARARGS,
+     "products_vanish(shared, varying, p, n, j) -> (int_zero, modp_zero)\n\n"
+     "Same contract as ajtkit._kernels_py.products_vanish, with the rows read\n"
+     "from native int64 buffers and the flags returned as two bytearrays of\n"
+     "B bytes, 1 for zero."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled S_1 search, the three first-hit scan routes and the affine\n"
-    "product of reduced polynomials; see\n"
+    "Compiled S_1 search, the three first-hit scan routes, the affine\n"
+    "product of reduced polynomials and the sweep's group-ring products; see\n"
     "ajtkit._kernels_py for the pure twins.",
     -1, methods,
 };

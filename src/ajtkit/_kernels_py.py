@@ -1,5 +1,5 @@
-"""Pure-Python kernels: the S_1 search, the first-hit progression scan and
-the affine product of reduced polynomials.
+"""Pure-Python kernels: the S_1 search, the first-hit progression scan, the
+affine product of reduced polynomials and the sweep's group-ring products.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 scan answers the S_k/N_k question at radius k: centered, the least d with
@@ -18,17 +18,26 @@ affine_product multiplies a reduced polynomial over F_p, its coefficient
 tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
 slices; the compiled twin does the same passes in C and returns the same
 tensor.
+
+products_vanish tells, for each of a stack of matrices, whether the
+group-ring product prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over its unit
+vectors and rows vanishes over Z and mod p. Its numpy expansion, `_expand`,
+is also the one behind group_ring's factor products, and its roll, `_roll`,
+serves the sigma stack and properties' difference operators; the compiled
+twin applies the same factors in C and returns the same flags.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from itertools import compress, repeat
 from typing import Sequence
 
 import numpy as np
 
 _INT64_MAX = 2**63 - 1
+_INT64_BOUND = 2**62
 
 _DIGIT = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
@@ -219,6 +228,108 @@ def _bits(mask: int) -> list[int]:
     digits in O(p) by one C-level pass over all of them."""
     digits = bin(mask)[:1:-1].encode().translate(_DIGIT)  # byte i is bit i
     return list(compress(range(len(digits)), digits))
+
+
+def _exact(table: np.ndarray, bound: int) -> np.ndarray:
+    """The table in a dtype exact for entries up to `bound` in absolute value.
+
+    Below 2^62 that is int64, and the difference of two entries, which the
+    Z[w] zero test takes, still fits."""
+    return table.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+
+
+@lru_cache(maxsize=None)
+def _rotation(p: int) -> np.ndarray:
+    """rot[s, i] = (i - s) % p: gathering a length-p axis at rot[s] rolls it by s.
+
+    A read-only (p, p) window view of 0..p-1 repeated twice, so it holds 2p
+    entries, not p^2.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(np.arange(p), 2), p)
+    return windows[p:0:-1]
+
+
+def _roll(table: np.ndarray, shifts: Sequence[int], p: int) -> np.ndarray:
+    """The last len(shifts) axes of `table` rolled as numpy.roll does, one
+    gather per axis through the rotation table.
+
+    Axes with shift 0 mod p are not copied, so the result may be `table`
+    itself.
+    """
+    rot = _rotation(p)
+    for axis, s in enumerate(shifts, table.ndim - len(shifts)):
+        if s % p:
+            table = table[(slice(None),) * axis + (rot[s % p],)]
+    return table
+
+
+def _expand(
+    p: int, d: int, shared: Sequence[Sequence[int]], varying: np.ndarray = ()
+) -> np.ndarray:
+    """The products prod_k (1 - g^(shared[k])) * prod_j (1 - g^(varying[j, b]))
+    over Z, for b < B.
+
+    `varying` has shape (j, B, d); the result is the stack of B tables of
+    shape (p,) * d, or a stack of one when there are no varying factors. Each
+    factor is `t = t - roll(t, shift)`: the shared factors are applied once,
+    to one table, with `_roll`; each varying factor is one gather over the
+    whole stack. The entries of a product of m >= 1 factors (1 - x) sum to 0
+    and have absolute sum at most 2^m, so none exceeds 2^(m-1): the tables
+    are int64 for up to 62 factors and Python ints beyond.
+    """
+    table = np.zeros((p,) * d, dtype=np.int64)
+    table[(0,) * d] = 1
+    table = _exact(table, 2 ** (len(shared) + len(varying)) // 2)
+    for s in shared:
+        table = table - _roll(table, s, p)
+    stack = table[None]
+    rot = _rotation(p)
+    for s in varying:
+        size = len(s)
+        # entry (b, i) of the gather is stack[b, i - s[b]]; before the first
+        # varying factor every b reads the one shared table
+        index = [np.arange(size).reshape((size,) + (1,) * d) if len(stack) != 1 else 0]
+        for a in range(d):
+            shape = [size] + [1] * d
+            shape[a + 1] = p
+            index.append(rot[s[:, a] % p].reshape(shape))
+        stack = stack - stack[tuple(index)]
+    return stack
+
+
+def products_vanish(
+    shared, varying, p: int, n: int, j: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Whether prod_i (1 - g^(e_i)) * prod_i (1 - g^(a_i)) over the n unit
+    vectors e_i and the n rows a_i of each of a stack of B matrices vanishes
+    over Z, and mod p.
+
+    The matrices share the k = n - j rows `shared`, k * n int64 entries, and
+    matrix b has the j rows varying[b], B * j * n entries in all; a row's
+    entries are read mod p. The unit vectors and the shared rows are factors
+    of one table, expanded once, and each varying row is one gather over the
+    stack (`_expand`). Returns (int_zero, modp_zero), two (B,) bool arrays:
+    a table is zero, and it is zero mod p. ValueError, before either buffer
+    is read, for p < 3, n outside [1, 31] (the 2n factors keep every entry
+    at most 2^(2n-1) < 2^63), j outside [1, n], or buffer lengths that
+    disagree with n and j.
+    """
+    if p < 3 or not 1 <= n <= 31 or not 1 <= j <= n:
+        raise ValueError(
+            f"products_vanish needs p >= 3, 1 <= n <= 31 and 1 <= j <= n, "
+            f"got p = {p}, n = {n}, j = {j}"
+        )
+    shared = np.asarray(shared, dtype=np.int64)
+    varying = np.asarray(varying, dtype=np.int64)
+    if shared.size != (n - j) * n or varying.size % (j * n):
+        raise ValueError("need (n - j) * n shared and B * j * n varying entries")
+    units = np.eye(n, dtype=np.int64)
+    factors = np.concatenate([units, shared.reshape(n - j, n)]).tolist()
+    table = _expand(p, n, factors, varying.reshape(-1, j, n).transpose(1, 0, 2))
+    axes = tuple(range(1, table.ndim))
+    int_zero = ~table.any(axis=axes)
+    modp_zero = ~(table % p).any(axis=axes)
+    return int_zero, modp_zero
 
 
 def affine_product(

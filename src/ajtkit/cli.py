@@ -181,9 +181,11 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-# entries of one stack of group-ring products in the sweep: per matrix, the
-# products cost the same from 2^14 to 2^20 entries a stack at (11, 2), (31, 2),
-# (61, 2), (11, 3) and (5, 4), and more below 2^14
+# entries of one stack of the sweep's stacked calls: per matrix, the witness
+# search, 2-10x the cost of the compiled products, is about flat from 2^14 to
+# 2^18 entries a stack at (11, 2), (31, 2), (61, 2), (11, 3) and (5, 4),
+# slower at 2^20 for p >= 31, and slower below 2^14; the products, a few us a
+# call, cost at most a quarter less at 2^20 than at 2^16
 SWEEP_STACK_ENTRIES = 2**16
 
 
@@ -237,6 +239,8 @@ def cmd_sweep(args) -> int:
     p, n = args.p, args.n
     if n < 1:
         raise InputError("need n >= 1")
+    if args.threads < 1:
+        raise InputError("need --threads >= 1")
     budget = current_budget(args.budget)
     budget.check_nodes(p ** (n * n), what="matrix sweep")
     jobs = [

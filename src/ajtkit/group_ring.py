@@ -14,15 +14,15 @@ statements about matrices and products of factors (1 - phase * g^v).
 
 Factor products are the only multiplication: `GroupRingElem` is the value a
 product returns, with equality and a zero test but no ring arithmetic.
-Factor products can be expanded for a stack of tables that share some of
-their factors: the shared factors are applied once, to one table, and each
-other factor is one gather over the whole stack, so many small products cost
-the numpy calls of one. `products_vanish` takes a stack of matrices as row
-arrays, the rows they share and the rows that vary, as `sweep` holds the
-matrices of one (n-1)-row prefix. It expands each stack over Z once and reads
-both of the sweep's product verdicts off those tables: zero over Z, and zero
-mod p. `sigma_of_factors` stacks the elementary symmetric functions of the
-factors the same way, one roll of the stack per factor.
+`products_vanish` takes a stack of matrices as row arrays, the rows they
+share and the rows that vary, as `sweep` holds the matrices of one
+(n-1)-row prefix, and `kernels.products_vanish` answers both of the sweep's
+product verdicts for each: zero over Z, and zero mod p. It expands the unit
+vectors and the shared rows once, into one table, then each matrix's varying
+rows, compiled when the extension is built; its pure twin and
+`product_of_factors` share one numpy expansion, `_kernels_py._expand`.
+`sigma_of_factors` stacks the elementary symmetric functions of the factors
+as one table stack, one roll of the stack per factor.
 
 Tables are int64 while every entry is provably below 2^62 in absolute value,
 and Python ints (dtype=object) otherwise, so values never wrap.
@@ -31,11 +31,12 @@ and Python ints (dtype=object) otherwise, so values never wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
+from . import kernels
+from ._kernels_py import _exact, _expand, _roll
 from .budget import Budget, current_budget
 from .errors import InputError, PhaseInNonCyclotomicRing
 from .fp_core import FpMatrix, _as_prime
@@ -56,76 +57,6 @@ ModPRing = _RingTag("ModPRing")
 CyclotomicRing = _RingTag("CyclotomicRing")
 
 _RINGS = (IntegerRing, ModPRing, CyclotomicRing)
-
-_INT64_BOUND = 2**62
-
-
-def _exact(table: np.ndarray, bound: int) -> np.ndarray:
-    """The table in a dtype exact for entries up to `bound` in absolute value.
-
-    Below 2^62 that is int64, and the difference of two entries, which the
-    Z[w] zero test takes, still fits."""
-    return table.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
-
-
-@lru_cache(maxsize=None)
-def _rotation(p: int) -> np.ndarray:
-    """rot[s, i] = (i - s) % p: gathering a length-p axis at rot[s] rolls it by s.
-
-    A read-only (p, p) window view of 0..p-1 repeated twice, so it holds 2p
-    entries, not p^2.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(np.arange(p), 2), p)
-    return windows[p:0:-1]
-
-
-def _roll(table: np.ndarray, shifts: Sequence[int], p: int) -> np.ndarray:
-    """The last len(shifts) axes of `table` rolled as numpy.roll does, one
-    gather per axis through the rotation table.
-
-    Axes with shift 0 mod p are not copied, so the result may be `table`
-    itself.
-    """
-    rot = _rotation(p)
-    for axis, s in enumerate(shifts, table.ndim - len(shifts)):
-        if s % p:
-            table = table[(slice(None),) * axis + (rot[s % p],)]
-    return table
-
-
-def _expand(
-    p: int, d: int, shared: Sequence[Sequence[int]], varying: np.ndarray = ()
-) -> np.ndarray:
-    """The products prod_k (1 - g^(shared[k])) * prod_j (1 - g^(varying[j, b]))
-    over Z, for b < B.
-
-    `varying` has shape (j, B, d); the result is the stack of B tables of
-    shape (p,) * d, or a stack of one when there are no varying factors. Each
-    factor is `t = t - roll(t, shift)`: the shared factors are applied once,
-    to one table, with `_roll`; each varying factor is one gather over the
-    whole stack. The entries of a product of m >= 1 factors (1 - x) sum to 0
-    and have absolute sum at most 2^m, so none exceeds 2^(m-1): the tables
-    are int64 for up to 62 factors and Python ints beyond.
-    """
-    table = np.zeros((p,) * d, dtype=np.int64)
-    table[(0,) * d] = 1
-    table = _exact(table, 2 ** (len(shared) + len(varying)) // 2)
-    for s in shared:
-        table = table - _roll(table, s, p)
-    stack = table[None]
-    rot = _rotation(p)
-    for s in varying:
-        size = len(s)
-        # entry (b, i) of the gather is stack[b, i - s[b]]; before the first
-        # varying factor every b reads the one shared table
-        index = [np.arange(size).reshape((size,) + (1,) * d) if len(stack) > 1 else 0]
-        for a in range(d):
-            shape = [size] + [1] * d
-            shape[a + 1] = p
-            index.append(rot[s[:, a] % p].reshape(shape))
-        stack = stack - stack[tuple(index)]
-    return stack
-
 
 def _shape(p: int, n: int, ring: _RingTag) -> tuple[int, ...]:
     return (p,) * (n + (ring is CyclotomicRing))
@@ -309,22 +240,17 @@ def products_vanish(
     F_p (`check_p4` with unit exponents) for each of a stack of B matrices.
 
     Matrix b has the (k, n) `shared` rows and the (j, n) rows varying[b]
-    (see `_stack_arrays`). The products are expanded over Z once, as one
-    stack: the unit vectors and the shared rows are factors of one table,
-    and each varying row is one gather over the stack. Returns (int_zero,
-    modp_zero), two (B,) bool arrays: a table is zero, and it is zero mod p.
-    The entries budget is charged for the whole stack.
+    (see `_stack_arrays`). `kernels.products_vanish` expands the products
+    over Z once, the unit vectors and the shared rows as factors of one
+    table, and reads both verdicts off each matrix's table. Returns
+    (int_zero, modp_zero), two (B,) bool arrays: a table is zero, and it is
+    zero mod p. The entries budget is charged for the whole stack, on either
+    backend.
     """
     b = current_budget(budget)
     p, n, shared, varying = _stack_arrays(p, shared, varying)
     b.check_entries(len(varying) * p**n, what="group-ring stack")
-    units = np.eye(n, dtype=np.int64)
-    factors = np.concatenate([units, shared]).tolist()
-    table = _expand(p, n, factors, varying.transpose(1, 0, 2))
-    axes = tuple(range(1, table.ndim))
-    int_zero = ~table.any(axis=axes)
-    modp_zero = ~(table % p).any(axis=axes)
-    return int_zero, modp_zero
+    return kernels.products_vanish(p, shared, varying)
 
 
 def check_p4(

@@ -1,4 +1,4 @@
-"""Backend selection for the three kernels, and route selection for the scan.
+"""Backend selection for the four kernels, and route selection for the scan.
 
 Which backend runs is fixed at import: the compiled extension (_kernels.c)
 when it is built, the pure-Python twins in _kernels_py when it is not. An
@@ -8,7 +8,7 @@ compiled s1_exhaust takes any p >= 5 and returns its mask as little-endian
 bytes of length ceil(p/8); the scans take any p >= 3 and their mask as such
 bytes. Each pair returns identical results: the same masks and node counts
 from s1_exhaust, the same hits in the same order from first_hit_scan, the
-same tensor from affine_product.
+same tensor from affine_product, the same flags from products_vanish.
 
 first_hit_scan answers the one question the S_k/N_k certificates ask of a
 set A: a centered scan finds, for each a in A, the least d with a + i*d in A
@@ -33,6 +33,14 @@ list of affine factors c0 + c1 x_1 + ... + cn x_n in one call: every product
 behind P2, P5, duality and the coefficient route of the scalar-product
 condition. The compiled side reads the tensor as p^n int64 entries and
 returns them in a bytearray, which becomes the result's buffer.
+
+products_vanish answers the sweep's two group-ring verdicts for a stack of B
+matrices that share k rows and vary in j = n - k: whether
+prod (1 - g^(e_i)) * prod (1 - g^(a_i)) vanishes over Z, and mod p. The
+compiled side applies the unit vectors and the shared rows once, to one
+p^n int64 table, then each matrix's varying rows through two scratch
+tables, so it holds 3 p^n entries whatever B is, and returns the flags in
+two bytearrays of B bytes, 1 for zero, which become the results' buffers.
 """
 
 from __future__ import annotations
@@ -47,7 +55,7 @@ from . import _kernels_py
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 3
+API = 4
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -151,3 +159,20 @@ def affine_product(
         return _kernels_py.affine_product(coeffs, p, n, factors)
     out = _ext.affine_product(np.ascontiguousarray(coeffs, dtype=np.int64), p, n, factors)
     return np.frombuffer(out, dtype=np.int64).reshape(coeffs.shape)
+
+
+def products_vanish(
+    p: int, shared: np.ndarray, varying: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """_kernels_py.products_vanish of the stack whose matrices share the
+    (k, n) int64 rows `shared` and vary in the (B, j, n) rows `varying`,
+    compiled when built: (int_zero, modp_zero), two (B,) bool arrays."""
+    _, j, n = varying.shape
+    if _ext is None:
+        return _kernels_py.products_vanish(shared, varying, p, n, j)
+    flags = _ext.products_vanish(
+        np.ascontiguousarray(shared, dtype=np.int64),
+        np.ascontiguousarray(varying, dtype=np.int64),
+        p, n, j,
+    )
+    return tuple(np.frombuffer(f, dtype=bool) for f in flags)

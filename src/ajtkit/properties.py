@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._kernels_py import _roll
 from .budget import Budget, current_budget
 from .errors import (
     InputError,
@@ -51,7 +52,6 @@ from .fp_poly import (
 from .group_ring import (
     FactorSpec,
     ModPRing,
-    _roll,
     _stack_arrays,
     check_p3,
     check_p4,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ajtkit import cli, fp_core, group_ring, properties
+from ajtkit import cli, fp_core, group_ring, kernels, properties
 from ajtkit.budget import Budget
 from ajtkit.apsets import appendix_csv_text
 from ajtkit.cli import main
@@ -284,6 +284,8 @@ def test_sweep_multiprocess_matches_serial(capsys):
         ("pairing", "--p", "5", "--n", "2", "--trials", "-3"),
         ("sigma", "--p", "5", "--n", "2", "--trials", "0"),
         ("sigma", "--p", "5", "--n", "2", "--trials", "-3"),
+        ("sweep", "--p", "5", "--n", "2", "--threads", "0"),
+        ("sweep", "--p", "5", "--n", "2", "--threads", "-1"),
     ],
 )
 def test_nonpositive_count_is_input_error(capsys, argv):
@@ -352,8 +354,10 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
     ]:
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     expanded = []
-    real = group_ring._expand
-    monkeypatch.setattr(group_ring, "_expand", lambda *a: expanded.append(a) or real(*a))
+    real = kernels.products_vanish
+    monkeypatch.setattr(
+        kernels, "products_vanish", lambda *a: expanded.append(a) or real(*a)
+    )
     rc, payload = run_json(
         capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1", "--budget", "700"
     )
@@ -362,8 +366,8 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
         "enumerate_nonsingular_groups", "nowhere_zero_witnesses", "products_vanish"
     }
     # at n = 2 each of the 24 first rows is one group: one stacked product
-    # call, whose tables are expanded once for both rings, and one stacked
-    # witness search per group
+    # call, whose kernel call answers both rings, and one stacked witness
+    # search per group
     assert len(expanded) == 24
     assert len(seen) == 24 + 2 * 24
     assert {budget for _, budget in seen} == {Budget(nodes=700)}

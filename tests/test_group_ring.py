@@ -7,7 +7,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from ajtkit import group_ring
+from ajtkit import _kernels_py, group_ring
 from ajtkit.budget import Budget
 from ajtkit.errors import BudgetExceeded, InputError, PhaseInNonCyclotomicRing
 from ajtkit.fp_core import FpMatrix, enumerate_nonsingular, random_nonsingular
@@ -319,19 +319,21 @@ def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
     varying[:, :, 0] = varying[:, :1, 0]  # axis 0: one shift for the stack
     varying[:, 0, 1] = (varying[:, 1, 1] + 1) % p  # axis 1: never one shift
     rolls = []
-    real = group_ring._roll
+    real = _kernels_py._roll
     monkeypatch.setattr(
-        group_ring, "_roll", lambda t, s, q: rolls.append(t.shape) or real(t, s, q)
+        _kernels_py, "_roll", lambda t, s, q: rolls.append(t.shape) or real(t, s, q)
     )
-    got = group_ring._expand(p, 2, shared.tolist(), varying)
+    got = _kernels_py._expand(p, 2, shared.tolist(), varying)
     assert got.dtype == np.int64
     assert rolls == [(p, p)] * 3  # each shared factor once, on one table
     every = np.concatenate([np.broadcast_to(shared[:, None], (3, 5, 2)), varying])
     assert np.array_equal(got, rolled_products(p, every))
-    # a sweep stack shares the unit vectors and its first row
+    # a sweep stack shares the unit vectors and its first row: the pure
+    # twin rolls those three factors once
     rolls.clear()
     group = list(enumerate_nonsingular(p, 2, prefix=[[1, 2]]))
-    int_zero, modp_zero = products_vanish(p, *stacked_rows(group, 1))
+    head, last = stacked_rows(group, 1)
+    int_zero, modp_zero = _kernels_py.products_vanish(head, last, p, 2, 1)
     assert int_zero.tolist() == modp_zero.tolist() == [False] * len(group)
     assert rolls == [(p, p)] * 3
 
@@ -344,7 +346,7 @@ def test_object_stack_past_62_factors():
     varying = np.zeros((30, p, 2), dtype=np.int64)
     varying[:, :, 0] = 1
     varying[:, :, 1] = np.arange(p)
-    got = group_ring._expand(p, 2, shared, varying)
+    got = _kernels_py._expand(p, 2, shared, varying)
     assert got.dtype == object
     every = np.concatenate([np.broadcast_to([1, 0], (40, p, 2)), varying])
     want = rolled_products(p, every)

@@ -1,6 +1,6 @@
 """Parity between the compiled kernels and their pure-Python twins.
 
-Three kernels are compared. s1_exhaust must agree bit for bit: same found
+Four kernels are compared. s1_exhaust must agree bit for bit: same found
 set, same exhausted flag, and the same node count, so that proven_optimal
 claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
@@ -12,7 +12,9 @@ agree the same way, and a scan asked for no map must name the same least
 uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
 backends the tensor that the same factors give through mul_reduce, by the
-shift route and by the interpolate route.
+shift route and by the interpolate route. products_vanish, behind the
+sweep's group-ring verdicts, must return the same flags on both backends,
+byte for byte, as an np.roll expansion of each matrix's product gives them.
 
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
@@ -450,13 +452,77 @@ def test_affine_product_rejects_bad_input(compiled):
             kernel(tensor, 5, 2, [(0, 1.5, 0)])
 
 
+def rolled_flags(p, rows):
+    """(zero over Z, zero mod p) of prod (1 - g^(e_i)) * prod (1 - g^(a_i))
+    over the unit vectors and the rows of one matrix, one np.roll a factor."""
+    n = len(rows)
+    table = np.zeros((p,) * n, dtype=np.int64)
+    table[(0,) * n] = 1
+    for v in np.concatenate([np.eye(n, dtype=np.int64), rows]):
+        table = table - np.roll(table, tuple(v), axis=tuple(range(n)))
+    return not table.any(), not (table % p).any()
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
+def test_products_vanish_parity(ext, p, n):
+    # stacks of one matrix and of several that share k = 0..n-1 rows, with
+    # entries below 0 and at or above p, which the kernels read mod p; each
+    # stack's first matrix ends in a row that is 0 mod p, and at p = 3 its
+    # last matrix has every varying row e_1 mod p, so that with the unit
+    # vector (1 - g^(e_1))^3 = 0 mod 3 once two rows vary
+    rng = np.random.default_rng(p * 10 + n)
+    seen = set()
+    for k in range(n):
+        for size in (1, 6):
+            shared = rng.integers(-p, 2 * p, size=(k, n))
+            varying = rng.integers(-p, 2 * p, size=(size, n - k, n))
+            varying[0, -1] = p * rng.integers(-2, 3, size=n)
+            if p == 3 and size > 1:
+                varying[-1] = np.eye(n, dtype=np.int64)[0] + 3 * varying[-1]
+            want = [rolled_flags(p, np.concatenate([shared, v])) for v in varying]
+            pure = _kernels_py.products_vanish(shared, varying, p, n, n - k)
+            assert [list(t) for t in zip(*pure)] == [list(w) for w in want]
+            raw = ext._ext.products_vanish(shared, varying, p, n, n - k)
+            assert raw == tuple(a.tobytes() for a in pure)  # bit for bit
+            got = ext.products_vanish(p, shared, varying)
+            assert [(a.dtype, a.flags.writeable) for a in got] == [(bool, True)] * 2
+            assert all(np.array_equal(a, b) for a, b in zip(got, pure))
+            seen.update(want)
+    assert {(False, False), (True, True)} <= seen
+    if p == 3:
+        assert (False, True) in seen
+
+
+def test_products_vanish_rejects_bad_input(compiled):
+    shared = np.array([[1, 2]], dtype=np.int64)
+    varying = np.array([[[0, 1]], [[5, 0]]], dtype=np.int64)
+    for kernel in (compiled.products_vanish, _kernels_py.products_vanish):
+        # bytearrays from the compiled kernel, bool arrays from the pure one
+        assert [bytes(f) for f in kernel(shared, varying, 5, 2, 1)] == [b"\0\1"] * 2
+        assert [bytes(f) for f in kernel(shared, varying[:0], 5, 2, 1)] == [b""] * 2
+        bad = [
+            (shared, varying, 2, 2, 1),  # p < 3
+            (shared, varying, -5, 2, 1),
+            (shared, varying, 5, 0, 1),  # n outside [1, 31]
+            (np.zeros(31 * 32, np.int64), np.zeros(32, np.int64), 5, 32, 1),
+            (shared, varying, 5, 2, 0),  # j outside [1, n]
+            (shared, varying, 5, 2, 3),
+            (shared, varying, 5, 2, 2),  # shared rows not (n - j) * n entries
+            (np.array([1], np.int64), varying, 5, 2, 1),
+            (shared, np.array([1, 2, 3], np.int64), 5, 2, 1),  # not B * j * n entries
+        ]
+        for args in bad:
+            with pytest.raises(ValueError):
+                kernel(*args)
+
+
 def test_stale_extension_fails_loudly(monkeypatch):
     # a missing extension falls back to the pure twins; one that carries
     # another API, or does not load, is an error naming the rebuild
     monkeypatch.setitem(sys.modules, "ajtkit._kernels", None)
     assert kernels._load_extension() is None
     stale = types.ModuleType("ajtkit._kernels")
-    for api in (None, kernels.API + 1):
+    for api in (None, kernels.API - 1, kernels.API + 1):
         if api is not None:
             stale.API = api
         monkeypatch.setitem(sys.modules, "ajtkit._kernels", stale)
