@@ -34,8 +34,8 @@ that both give the same tables or verdicts; its stacked row runs
 kernels.products_vanish on the backend that imported. The products_vanish
 table times that kernel on each backend, at one sweep group each of (5, 2),
 (11, 2), (5, 3) and (31, 2), and asserts equal flags. The stacked products
-and the stacked nowhere-zero witness search take one sweep group as arrays,
-the head rows shared and the last row varying; the witness table times that
+and the stacked nowhere-zero witness search take one sweep group as two
+arrays, the head rows it shares and the last row of each matrix; the witness table times that
 search against `check_p1` called per matrix, and asserts that both find the
 same witnesses. A last row times the grouped enumeration of GL_3(F_5), rows
 as arrays, against the same matrices built one `FpMatrix` at a time.
@@ -173,7 +173,7 @@ def product_cases():
     yield (
         f"stack of {len(group)}, Z and F_p", 11, len(group) * 11**2,
         rolled_verdicts,
-        lambda: group_ring.products_vanish(11, head, last[:, None]),
+        lambda: group_ring.products_vanish(11, head, last),
     )
 
 
@@ -194,7 +194,7 @@ def witness_cases():
 
 def stacked_witnesses(p, head, last):
     """nowhere_zero_witnesses as check_p1 returns them: a vector or None."""
-    found, first = properties.nowhere_zero_witnesses(p, head, last[:, None])
+    found, first = properties.nowhere_zero_witnesses(p, head, last)
     vectors = properties.nowhere_zero_vectors(p, head.shape[1])
     return [tuple(vectors[i].tolist()) if f else None for f, i in zip(found, first)]
 
@@ -344,8 +344,7 @@ def main():
         head, last = sweep_stack(p, prefix)
         n, times, flags = len(prefix) + 1, [], []
         for backend, ext in BACKENDS:
-            t, got = timed(route_on, ext, kernels.products_vanish, p, head, last[:, None],
-                           repeat=20)
+            t, got = timed(route_on, ext, kernels.products_vanish, p, head, last, repeat=20)
             times.append(t)
             flags.append([a.tolist() for a in got])
         assert all(f == flags[0] for f in flags), f"products_vanish differs at ({p}, {n})"

@@ -28,10 +28,10 @@
    of affine factors c0 + c1 x_1 + ... + cn x_n, reduced by x_j^p = x_j.
 
    products_vanish mirrors _kernels_py.products_vanish: for each of a stack
-   of matrices that share k rows and vary in j = n - k, whether
-   prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over Z[(Z/p)^n] is zero, and zero
-   mod p, with every factor applied as t <- t - roll(t, v) to p^n int64
-   entries.
+   of matrices that share n - 1 head rows and differ in their last row,
+   whether prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over Z[(Z/p)^n] is zero,
+   and zero mod p, with every factor applied as t <- t - roll(t, v) to p^n
+   int64 entries.
    API names this contract; ajtkit.kernels refuses an extension built from
    another. */
 
@@ -44,7 +44,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 4            /* bumped whenever a kernel's signature or result changes */
+#define API 5            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -827,80 +827,74 @@ static void read_shifts(const int64_t *row, int n, int p, int *v)
     }
 }
 
-/* products_vanish(shared, varying, p, n, j) -> (int_zero, modp_zero), two
+/* products_vanish(head, last, p, n) -> (int_zero, modp_zero), two
    bytearrays of B bytes, 1 where matrix b's product
    prod (1 - g^(e_i)) * prod (1 - g^(a_i)) is zero over Z, respectively
-   mod p. The matrices share the k = n - j rows
-   in `shared` and matrix b has the j rows b * j .. b * j + j - 1 of
-   `varying`, all native int64, read mod p. The unit vectors and the shared
-   rows are applied once, to one table; each matrix's varying rows then
-   ping-pong through two scratch tables, and the zero tests stop at the first
-   entry that decides them. 2n factors keep every entry at most 2^(2n-1), so
-   n <= 31 keeps int64 exact. p, n, j and the buffer lengths are checked
-   before either buffer is read. */
+   mod p. The matrices share the n - 1 rows in `head` and matrix b ends in
+   row b of `last`, all native int64, read mod p. The unit vectors and the
+   head rows are applied once, to one table; each last row then takes one
+   roll_sub into a scratch table, and the zero tests stop at the first entry
+   that decides them. 2n factors keep every entry at most 2^(2n-1), so
+   n <= 31 keeps int64 exact. p, n and the buffer lengths are checked before
+   either buffer is read. */
 static PyObject *products_vanish(PyObject *self, PyObject *args)
 {
-    Py_buffer shared, varying;
-    int p, n, j;
+    Py_buffer head, last;
+    int p, n;
     PyObject *zero = NULL, *modp = NULL, *result = NULL;
     int64_t *tables = NULL;
-    if (!PyArg_ParseTuple(args, "y*y*iii:products_vanish", &shared, &varying, &p, &n, &j))
+    if (!PyArg_ParseTuple(args, "y*y*ii:products_vanish", &head, &last, &p, &n))
         return NULL;
-    if (p < 3 || n < 1 || n > 31 || j < 1 || j > n) {
-        PyErr_Format(PyExc_ValueError, "products_vanish needs p >= 3, 1 <= n <= 31 and "
-                     "1 <= j <= n, got p = %d, n = %d, j = %d", p, n, j);
+    if (p < 3 || n < 1 || n > 31) {
+        PyErr_Format(PyExc_ValueError, "products_vanish needs p >= 3 and 1 <= n <= 31, "
+                     "got p = %d, n = %d", p, n);
         goto done;
     }
-    size_t size = 1, most = PY_SSIZE_T_MAX / (3 * sizeof(int64_t));
+    size_t size = 1, most = PY_SSIZE_T_MAX / (2 * sizeof(int64_t));
     for (int a = 0; a < n && size; a++)
         size = (size_t)p <= most / size ? size * (size_t)p : 0; /* 0: too large */
     Py_ssize_t row = n * (Py_ssize_t)sizeof(int64_t);
-    if (size == 0 || shared.len != (n - j) * row || varying.len % (j * row)) {
-        PyErr_Format(PyExc_ValueError, "products_vanish needs p^n table entries, (n - j) "
-                     "* n shared and B * j * n varying int64 entries, got p = %d, n = %d, "
-                     "j = %d, %zd and %zd bytes", p, n, j, shared.len, varying.len);
+    if (size == 0 || head.len != (n - 1) * row || last.len % row) {
+        PyErr_Format(PyExc_ValueError, "products_vanish needs p^n table entries, (n - 1) "
+                     "* n head and B * n last int64 entries, got p = %d, n = %d, %zd and "
+                     "%zd bytes", p, n, head.len, last.len);
         goto done;
     }
-    Py_ssize_t count = varying.len / (j * row);
+    Py_ssize_t count = last.len / row;
     zero = PyByteArray_FromStringAndSize(NULL, count);
     modp = PyByteArray_FromStringAndSize(NULL, count);
-    tables = malloc(3 * size * sizeof(int64_t));
+    tables = malloc(2 * size * sizeof(int64_t));
     if (zero == NULL || modp == NULL || tables == NULL) {
         if (tables == NULL)
             PyErr_NoMemory();
         goto done;
     }
     char *z = PyByteArray_AS_STRING(zero), *m = PyByteArray_AS_STRING(modp);
-    const int64_t *head = shared.buf, *rows = varying.buf;
+    const int64_t *heads = head.buf, *lasts = last.buf;
     Py_BEGIN_ALLOW_THREADS
     int v[31];
-    int64_t *cur = tables, *nxt = tables + size, *spare = nxt + size;
+    int64_t *cur = tables, *nxt = tables + size;
     memset(cur, 0, size * sizeof(int64_t));
     cur[0] = 1;
-    for (int f = 0; f < n + n - j; f++) {
+    for (int f = 0; f < 2 * n - 1; f++) {
         if (f < n)
             for (int a = 0; a < n; a++)
                 v[a] = a == f;
         else
-            read_shifts(head + (size_t)(f - n) * n, n, p, v);
+            read_shifts(heads + (size_t)(f - n) * n, n, p, v);
         roll_sub(cur, nxt, size, p, n, v);
         int64_t *t = cur;
         cur = nxt;
         nxt = t;
     }
-    int64_t *scratch[2] = {nxt, spare};
     for (Py_ssize_t b = 0; b < count; b++) {
-        const int64_t *t = cur;
-        for (int r = 0; r < j; r++) {
-            read_shifts(rows + ((size_t)b * j + r) * n, n, p, v);
-            roll_sub(t, scratch[r & 1], size, p, n, v);
-            t = scratch[r & 1];
-        }
+        read_shifts(lasts + (size_t)b * n, n, p, v);
+        roll_sub(cur, nxt, size, p, n, v);
         size_t i = 0;
-        while (i < size && t[i] == 0)
+        while (i < size && nxt[i] == 0)
             i++;
         z[b] = i == size;
-        while (i < size && t[i] % p == 0)
+        while (i < size && nxt[i] % p == 0)
             i++;
         m[b] = i == size;
     }
@@ -910,8 +904,8 @@ done:
     Py_XDECREF(zero);
     Py_XDECREF(modp);
     free(tables);
-    PyBuffer_Release(&shared);
-    PyBuffer_Release(&varying);
+    PyBuffer_Release(&head);
+    PyBuffer_Release(&last);
     return result;
 }
 
@@ -937,7 +931,7 @@ static PyMethodDef methods[] = {
      "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"
      "read from and returned as p^n native int64 entries."},
     {"products_vanish", products_vanish, METH_VARARGS,
-     "products_vanish(shared, varying, p, n, j) -> (int_zero, modp_zero)\n\n"
+     "products_vanish(head, last, p, n) -> (int_zero, modp_zero)\n\n"
      "Same contract as ajtkit._kernels_py.products_vanish, with the rows read\n"
      "from native int64 buffers and the flags returned as two bytearrays of\n"
      "B bytes, 1 for zero."},

@@ -19,12 +19,13 @@ tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
 slices; the compiled twin does the same passes in C and returns the same
 tensor.
 
-products_vanish tells, for each of a stack of matrices, whether the
-group-ring product prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over its unit
-vectors and rows vanishes over Z and mod p. Its numpy expansion, `_expand`,
-is also the one behind group_ring's factor products, and its roll, `_roll`,
-serves the sigma stack and properties' difference operators; the compiled
-twin applies the same factors in C and returns the same flags.
+products_vanish tells, for each of a stack of matrices that share an
+(n-1)-row head and differ in their last row, whether the group-ring product
+prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over its unit vectors and rows
+vanishes over Z and mod p. Its numpy expansion of the shared factors,
+`_expand`, is also the one behind group_ring's factor products, and its
+roll, `_roll`, serves the sigma stack and properties' difference operators;
+the compiled twin applies the same factors in C and returns the same flags.
 """
 
 from __future__ import annotations
@@ -48,17 +49,6 @@ def _rotl(mask: int, s: int, p: int, full: int) -> int:
     if s == 0:
         return mask
     return ((mask << s) | (mask >> (p - s))) & full
-
-
-def s1_witness_mask(mask: int, p: int) -> int:
-    """Elements a of the set with a centered progression a-d, a, a+d inside it."""
-    full = (1 << p) - 1
-    w = 0
-    for d in range(1, (p - 1) // 2 + 1):
-        w |= _rotl(mask, d, p, full) & _rotl(mask, p - d, p, full)
-        if mask & ~w == 0:
-            break
-    return mask & w
 
 
 def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
@@ -85,10 +75,10 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
         nodes += 1
         if nodes > node_budget:
             return (0, False, nodes)
-        uncovered = a & ~s1_witness_mask(a, p)
-        if uncovered == 0:
+        # repair the least element without a centered witness
+        _, e = first_hit_scan(a, p, 1, False, None)
+        if e is None:
             return (a, True, nodes)
-        e = (uncovered & -uncovered).bit_length() - 1
         children = []
         for d in range(1, half + 1):
             child = a | _rotl(1 << e, d, p, full) | _rotl(1 << e, p - d, p, full)
@@ -263,73 +253,57 @@ def _roll(table: np.ndarray, shifts: Sequence[int], p: int) -> np.ndarray:
     return table
 
 
-def _expand(
-    p: int, d: int, shared: Sequence[Sequence[int]], varying: np.ndarray = ()
-) -> np.ndarray:
-    """The products prod_k (1 - g^(shared[k])) * prod_j (1 - g^(varying[j, b]))
-    over Z, for b < B.
+def _expand(p: int, d: int, shifts: Sequence[Sequence[int]]) -> np.ndarray:
+    """The product prod_k (1 - g^(shifts[k])) over Z, a table of shape (p,) * d.
 
-    `varying` has shape (j, B, d); the result is the stack of B tables of
-    shape (p,) * d, or a stack of one when there are no varying factors. Each
-    factor is `t = t - roll(t, shift)`: the shared factors are applied once,
-    to one table, with `_roll`; each varying factor is one gather over the
-    whole stack. The entries of a product of m >= 1 factors (1 - x) sum to 0
-    and have absolute sum at most 2^m, so none exceeds 2^(m-1): the tables
-    are int64 for up to 62 factors and Python ints beyond.
+    Each factor is `t = t - roll(t, shift)`, one `_roll`. The entries of a
+    product of m >= 1 factors (1 - x) sum to 0 and have absolute sum at most
+    2^m, so none exceeds 2^(m-1): the table is int64 for up to 62 factors and
+    Python ints beyond.
     """
     table = np.zeros((p,) * d, dtype=np.int64)
     table[(0,) * d] = 1
-    table = _exact(table, 2 ** (len(shared) + len(varying)) // 2)
-    for s in shared:
+    table = _exact(table, 2 ** len(shifts) // 2)
+    for s in shifts:
         table = table - _roll(table, s, p)
-    stack = table[None]
-    rot = _rotation(p)
-    for s in varying:
-        size = len(s)
-        # entry (b, i) of the gather is stack[b, i - s[b]]; before the first
-        # varying factor every b reads the one shared table
-        index = [np.arange(size).reshape((size,) + (1,) * d) if len(stack) != 1 else 0]
-        for a in range(d):
-            shape = [size] + [1] * d
-            shape[a + 1] = p
-            index.append(rot[s[:, a] % p].reshape(shape))
-        stack = stack - stack[tuple(index)]
-    return stack
+    return table
 
 
-def products_vanish(
-    shared, varying, p: int, n: int, j: int
-) -> tuple[np.ndarray, np.ndarray]:
+def products_vanish(head, last, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Whether prod_i (1 - g^(e_i)) * prod_i (1 - g^(a_i)) over the n unit
     vectors e_i and the n rows a_i of each of a stack of B matrices vanishes
     over Z, and mod p.
 
-    The matrices share the k = n - j rows `shared`, k * n int64 entries, and
-    matrix b has the j rows varying[b], B * j * n entries in all; a row's
-    entries are read mod p. The unit vectors and the shared rows are factors
-    of one table, expanded once, and each varying row is one gather over the
-    stack (`_expand`). Returns (int_zero, modp_zero), two (B,) bool arrays:
-    a table is zero, and it is zero mod p. ValueError, before either buffer
-    is read, for p < 3, n outside [1, 31] (the 2n factors keep every entry
-    at most 2^(2n-1) < 2^63), j outside [1, n], or buffer lengths that
-    disagree with n and j.
+    The matrices share the n - 1 rows `head`, (n - 1) * n int64 entries, and
+    matrix b ends in the row last[b], B * n entries in all; a row's entries
+    are read mod p. The unit vectors and the head rows are factors of one
+    table, expanded once (`_expand`), and the last rows are one gather over
+    the stack. Returns (int_zero, modp_zero), two (B,) bool arrays: a table
+    is zero, and it is zero mod p. ValueError, before either buffer is read,
+    for p < 3, n outside [1, 31] (the 2n factors keep every entry at most
+    2^(2n-1) < 2^63), or buffer lengths that disagree with n.
     """
-    if p < 3 or not 1 <= n <= 31 or not 1 <= j <= n:
+    if p < 3 or not 1 <= n <= 31:
         raise ValueError(
-            f"products_vanish needs p >= 3, 1 <= n <= 31 and 1 <= j <= n, "
-            f"got p = {p}, n = {n}, j = {j}"
+            f"products_vanish needs p >= 3 and 1 <= n <= 31, got p = {p}, n = {n}"
         )
-    shared = np.asarray(shared, dtype=np.int64)
-    varying = np.asarray(varying, dtype=np.int64)
-    if shared.size != (n - j) * n or varying.size % (j * n):
-        raise ValueError("need (n - j) * n shared and B * j * n varying entries")
-    units = np.eye(n, dtype=np.int64)
-    factors = np.concatenate([units, shared.reshape(n - j, n)]).tolist()
-    table = _expand(p, n, factors, varying.reshape(-1, j, n).transpose(1, 0, 2))
-    axes = tuple(range(1, table.ndim))
-    int_zero = ~table.any(axis=axes)
-    modp_zero = ~(table % p).any(axis=axes)
-    return int_zero, modp_zero
+    head = np.asarray(head, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
+    if head.size != (n - 1) * n or last.size % n:
+        raise ValueError("need (n - 1) * n head and B * n last entries")
+    factors = np.concatenate([np.eye(n, dtype=np.int64), head.reshape(n - 1, n)])
+    table = _expand(p, n, factors.tolist())
+    # entry (b, i) of the gather is table[i - last[b]], one axis at a time
+    last = last.reshape(-1, n) % p
+    rot = _rotation(p)
+    index = []
+    for a in range(n):
+        shape = [len(last)] + [1] * n
+        shape[a + 1] = p
+        index.append(rot[last[:, a]].reshape(shape))
+    stack = table - table[tuple(index)]
+    axes = tuple(range(1, stack.ndim))
+    return ~stack.any(axis=axes), ~(stack % p).any(axis=axes)
 
 
 def affine_product(

@@ -412,6 +412,8 @@ def partition_nk(
         parts = _ceil_root(p, 2 * k + 1)
     if not 1 <= parts <= p:
         raise InputError(f"part count must be in [1, p], got {parts} for p = {p}")
+    if max_tries < 1:
+        raise InputError(f"need max_tries >= 1, got {max_tries}")
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):
         labels = _draw_labels(rng, p, parts)

@@ -211,19 +211,19 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
     size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // p**n)
     for head, last in groups:
         for start in range(0, len(last), size):
-            varying = last[start : start + size, None]
+            stack = last[start : start + size]
             int_zero, modp_zero = group_ring.products_vanish(
-                p, head, varying, budget=budget
+                p, head, stack, budget=budget
             )
             found, first = properties.nowhere_zero_witnesses(
-                p, head, varying, budget=budget
+                p, head, stack, budget=budget
             )
-            counts["matrices"] += len(varying)
+            counts["matrices"] += len(stack)
             counts["p1_witness"] += int(found.sum())
-            counts["integer_nonzero"] += len(varying) - int(int_zero.sum())
-            counts["modp_nonzero"] += len(varying) - int(modp_zero.sum())
+            counts["integer_nonzero"] += len(stack) - int(int_zero.sum())
+            counts["modp_nonzero"] += len(stack) - int(modp_zero.sum())
             for i in np.flatnonzero(~found | int_zero | modp_zero).tolist():
-                rows = head.tolist() + varying[i].tolist()
+                rows = head.tolist() + [stack[i].tolist()]
                 counts["violations"].append(
                     {
                         "matrix": fp_core.FpMatrix(rows, p).to_json(),

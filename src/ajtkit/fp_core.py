@@ -138,10 +138,6 @@ class FpMatrix:
         m.p, m.n, m.rows, m._det = p, len(rows), rows, None
         return m
 
-    @classmethod
-    def identity(cls, n: int, p: int) -> "FpMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], p)
-
     def transpose(self) -> "FpMatrix":
         return FpMatrix(list(zip(*self.rows)), self.p)
 

@@ -118,14 +118,6 @@ class ReducedPoly:
         if (other.p, other.n) != (self.p, self.n):
             raise InputError("polynomials live over different spaces")
 
-    def __add__(self, other: "ReducedPoly") -> "ReducedPoly":
-        self._same_space(other)
-        return ReducedPoly(self.p, self.n, (self.coeffs + other.coeffs) % self.p)
-
-    def __sub__(self, other: "ReducedPoly") -> "ReducedPoly":
-        self._same_space(other)
-        return ReducedPoly(self.p, self.n, (self.coeffs - other.coeffs) % self.p)
-
     def __mul__(self, other: "ReducedPoly") -> "ReducedPoly":
         return mul_reduce(self, other)
 

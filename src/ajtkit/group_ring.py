@@ -14,13 +14,13 @@ statements about matrices and products of factors (1 - phase * g^v).
 
 Factor products are the only multiplication: `GroupRingElem` is the value a
 product returns, with equality and a zero test but no ring arithmetic.
-`products_vanish` takes a stack of matrices as row arrays, the rows they
-share and the rows that vary, as `sweep` holds the matrices of one
-(n-1)-row prefix, and `kernels.products_vanish` answers both of the sweep's
-product verdicts for each: zero over Z, and zero mod p. It expands the unit
-vectors and the shared rows once, into one table, then each matrix's varying
-rows, compiled when the extension is built; its pure twin and
-`product_of_factors` share one numpy expansion, `_kernels_py._expand`.
+`products_vanish` takes a stack of matrices as two row arrays, the (n-1)-row
+head they share and the last row of each, as `sweep` enumerates them, and
+`kernels.products_vanish` answers both of the sweep's product verdicts for
+each: zero over Z, and zero mod p. It expands the unit vectors and the head
+rows once, into one table, then each matrix's last row, compiled when the
+extension is built; its pure twin and `product_of_factors` share one numpy
+expansion, `_kernels_py._expand`.
 `sigma_of_factors` stacks the elementary symmetric functions of the factors
 as one table stack, one roll of the stack per factor.
 
@@ -192,8 +192,8 @@ def product_of_factors(
 ) -> GroupRingElem:
     """Expand the factor product as a dense group-ring element.
 
-    The product is computed over Z as a stack of one (see `_expand`); the
-    F_p product is that table reduced mod p.
+    The product is computed over Z (see `_expand`); the F_p product is that
+    table reduced mod p.
     """
     b = current_budget(budget)
     shape = _shape(spec.p, spec.n, ring)
@@ -206,51 +206,45 @@ def product_of_factors(
         for v, ph in zip(spec.vectors, phases)
         for phase in ph
     ]
-    table = _expand(spec.p, len(shape), shifts)[0]
+    table = _expand(spec.p, len(shape), shifts)
     if ring is ModPRing:
         table = _exact(table % spec.p, spec.p)
     return GroupRingElem(spec.p, spec.n, ring, table)
 
 
 def _stack_arrays(
-    p: int, shared: np.ndarray, varying: np.ndarray
+    p: int, head: np.ndarray, last: np.ndarray
 ) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """p validated, n, and the int64 rows of a stack of B matrices whose
-    rows are the (k, n) `shared` rows, the same in every matrix, followed by
-    the (B, j, n) `varying` rows of each, with k + j = n and j >= 1."""
-    shared = np.asarray(shared, dtype=np.int64)
-    varying = np.asarray(varying, dtype=np.int64)
-    if shared.ndim != 2 or varying.ndim != 3:
-        raise InputError("stacked rows are a (k, n) and a (B, j, n) array")
-    n = shared.shape[1]
-    if varying.shape[2] != n or shared.shape[0] + varying.shape[1] != n:
-        raise InputError("stacked matrices need n rows of length n")
-    if varying.shape[1] < 1:
-        raise InputError("a stack needs at least one varying row")
-    return _as_prime(p), n, shared, varying
+    """p validated, n, and the int64 rows of a stack of B matrices: each
+    has the (n-1, n) `head` rows, the same in every matrix, followed by its
+    own row of the (B, n) `last` rows."""
+    head = np.asarray(head, dtype=np.int64)
+    last = np.asarray(last, dtype=np.int64)
+    if last.ndim != 2 or head.shape != (last.shape[1] - 1, last.shape[1]):
+        raise InputError("a stack is an (n-1, n) head and a (B, n) array of last rows")
+    return _as_prime(p), last.shape[1], head, last
 
 
 def products_vanish(
     p: int,
-    shared: np.ndarray,
-    varying: np.ndarray,
+    head: np.ndarray,
+    last: np.ndarray,
     budget: Budget | str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Whether prod (1-g^(e_i)) * prod (1-g^(a_i)) vanishes over Z and over
     F_p (`check_p4` with unit exponents) for each of a stack of B matrices.
 
-    Matrix b has the (k, n) `shared` rows and the (j, n) rows varying[b]
-    (see `_stack_arrays`). `kernels.products_vanish` expands the products
-    over Z once, the unit vectors and the shared rows as factors of one
-    table, and reads both verdicts off each matrix's table. Returns
-    (int_zero, modp_zero), two (B,) bool arrays: a table is zero, and it is
-    zero mod p. The entries budget is charged for the whole stack, on either
-    backend.
+    Matrix b has the (n-1, n) `head` rows and the row last[b] (see
+    `_stack_arrays`). `kernels.products_vanish` expands the products over Z
+    once, the unit vectors and the head rows as factors of one table, and
+    reads both verdicts off each matrix's table. Returns (int_zero,
+    modp_zero), two (B,) bool arrays: a table is zero, and it is zero mod p.
+    The entries budget is charged for the whole stack, on either backend.
     """
     b = current_budget(budget)
-    p, n, shared, varying = _stack_arrays(p, shared, varying)
-    b.check_entries(len(varying) * p**n, what="group-ring stack")
-    return kernels.products_vanish(p, shared, varying)
+    p, n, head, last = _stack_arrays(p, head, last)
+    b.check_entries(len(last) * p**n, what="group-ring stack")
+    return kernels.products_vanish(p, head, last)
 
 
 def check_p4(

@@ -35,12 +35,12 @@ condition. The compiled side reads the tensor as p^n int64 entries and
 returns them in a bytearray, which becomes the result's buffer.
 
 products_vanish answers the sweep's two group-ring verdicts for a stack of B
-matrices that share k rows and vary in j = n - k: whether
-prod (1 - g^(e_i)) * prod (1 - g^(a_i)) vanishes over Z, and mod p. The
-compiled side applies the unit vectors and the shared rows once, to one
-p^n int64 table, then each matrix's varying rows through two scratch
-tables, so it holds 3 p^n entries whatever B is, and returns the flags in
-two bytearrays of B bytes, 1 for zero, which become the results' buffers.
+matrices, an (n-1, n) head of shared rows and a (B, n) array of last rows:
+whether prod (1 - g^(e_i)) * prod (1 - g^(a_i)) vanishes over Z, and mod p.
+The compiled side applies the unit vectors and the head rows once, to one
+p^n int64 table, then each last row into one scratch table, so it holds
+2 p^n entries whatever B is, and returns the flags in two bytearrays of B
+bytes, 1 for zero, which become the results' buffers.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from . import _kernels_py
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 4
+API = 5
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -162,17 +162,17 @@ def affine_product(
 
 
 def products_vanish(
-    p: int, shared: np.ndarray, varying: np.ndarray
+    p: int, head: np.ndarray, last: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """_kernels_py.products_vanish of the stack whose matrices share the
-    (k, n) int64 rows `shared` and vary in the (B, j, n) rows `varying`,
-    compiled when built: (int_zero, modp_zero), two (B,) bool arrays."""
-    _, j, n = varying.shape
+    (n-1, n) int64 rows `head` and end in the (B, n) rows `last`, compiled
+    when built: (int_zero, modp_zero), two (B,) bool arrays."""
+    n = last.shape[1]
     if _ext is None:
-        return _kernels_py.products_vanish(shared, varying, p, n, j)
+        return _kernels_py.products_vanish(head, last, p, n)
     flags = _ext.products_vanish(
-        np.ascontiguousarray(shared, dtype=np.int64),
-        np.ascontiguousarray(varying, dtype=np.int64),
-        p, n, j,
+        np.ascontiguousarray(head, dtype=np.int64),
+        np.ascontiguousarray(last, dtype=np.int64),
+        p, n,
     )
     return tuple(np.frombuffer(f, dtype=bool) for f in flags)

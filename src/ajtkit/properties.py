@@ -16,10 +16,10 @@ all five and reports any violation of that chain.
 
 check_p1 searches depth first with early exit, for any forbidden lists. For
 the nowhere-zero lists (c_i = d_i = {0}) of a stack of matrices given as row
-arrays, the rows they share and the rows that vary, nowhere_zero_witnesses
-tests all (p-1)^n candidates at once, one product over the stack per varying
-row, and finds the same witnesses; sweep uses it next to the stacked
-group-ring products, on the matrices of one (n-1)-row prefix.
+arrays, the (n-1)-row head they share and the last row of each,
+nowhere_zero_witnesses tests all (p-1)^n candidates at once, one product
+over the stack for the last rows, and finds the same witnesses; sweep uses
+it next to the stacked group-ring products.
 
 The delta operators and the pairing test exercise the functional reading of
 P4: difference operators along unit vectors and along the rows of M, images
@@ -211,7 +211,9 @@ def check_p1(
     """Exhaustive witness search for the solvability property.
 
     Returns x with every x_i off its forbidden list and every <a_i, x> off
-    its list, or None when no such x exists (the property holds).
+    its list, or None when no such x exists (the property holds). The
+    entries budget is charged for the n lists of allowed values, up to p
+    each, before they are built.
     """
     p, n = m.p, m.n
     if spec is None:
@@ -219,6 +221,7 @@ def check_p1(
     if (spec.p, spec.n) != (p, n):
         raise InputError("forbidden spec does not match the matrix")
     b = current_budget(budget)
+    b.check_entries(n * p, what="witness value lists")
     allowed = [
         [v for v in range(p) if v not in banned] for banned in map(set, spec.c_lists)
     ]
@@ -244,35 +247,33 @@ def nowhere_zero_vectors(p: int, n: int) -> np.ndarray:
 
 def nowhere_zero_witnesses(
     p: int,
-    shared: np.ndarray,
-    varying: np.ndarray,
+    head: np.ndarray,
+    last: np.ndarray,
     budget: Budget | str | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """`check_p1` with the default spec for each of a stack of B matrices:
     whether some x in {1..p-1}^n has Mx nowhere zero, and the lex-first one.
 
-    Matrix b has the (k, n) `shared` rows and the (j, n) rows varying[b]
-    (see `group_ring._stack_arrays`). Returns (found, first), two (B,)
-    arrays: where found[b], matrix b's witness is row first[b] of
+    Matrix b has the (n-1, n) `head` rows and the row last[b] (see
+    `group_ring._stack_arrays`). Returns (found, first), two (B,) arrays:
+    where found[b], matrix b's witness is row first[b] of
     `nowhere_zero_vectors(p, n)`. With the default spec every coordinate
     has the same slack, so `check_p1` assigns coordinates 0..n-1 with values
     in ascending order and its first hit is this lex-first x. Here all
-    K = (p-1)^n candidates are tested at once: the shared rows give one (K,)
-    mask, and each varying row is one product over the stack, a (B, K) mask.
+    K = (p-1)^n candidates are tested at once: the head rows give one (K,)
+    mask, and the last rows one product over the stack, a (B, K) mask.
     The entries budget is charged for the B * K mask entries, the node
     budget for the K candidates of one matrix.
     """
     b = current_budget(budget)
-    p, n, shared, varying = _stack_arrays(p, shared, varying)
+    p, n, head, last = _stack_arrays(p, head, last)
     count = (p - 1) ** n
-    b.check_entries(len(varying) * count, what="witness stack")
+    b.check_entries(len(last) * count, what="witness stack")
     b.check_nodes(count, what="witness search")
     # an image sum_j a_j x_j is below n p^2, which fits int64 for p < 2^31
     # whenever the (p-1)^n vectors fit in memory
     vectors = nowhere_zero_vectors(p, n)
-    ok = (vectors @ shared.T % p != 0).all(axis=1)
-    for row in varying.transpose(1, 0, 2):
-        ok = ok & (row @ vectors.T % p != 0)
+    ok = (vectors @ head.T % p != 0).all(axis=1) & (last @ vectors.T % p != 0)
     return ok.any(axis=1), ok.argmax(axis=1)
 
 
@@ -286,6 +287,8 @@ def check_multi(
     Exhaustive over F_p^n in a deterministic order; a seed permutes the
     per-coordinate value order (the search stays exhaustive). A single
     matrix degenerates to the plain witness search with x unconstrained.
+    The entries budget is charged for the n value orders, p each, before
+    they are built.
     """
     if not matrices:
         raise InputError("need at least one matrix")
@@ -296,6 +299,7 @@ def check_multi(
         if not m.is_nonsingular():
             raise PreconditionViolated("matrices must be nonsingular")
     b = current_budget(budget)
+    b.check_entries(n * p, what="witness value lists")
     rows = [list(row) for m in matrices for row in m.rows]
     forbidden = [frozenset((0,))] * len(rows)
     allowed = [list(range(p)) for _ in range(n)]

@@ -286,6 +286,8 @@ def test_sweep_multiprocess_matches_serial(capsys):
         ("sigma", "--p", "5", "--n", "2", "--trials", "-3"),
         ("sweep", "--p", "5", "--n", "2", "--threads", "0"),
         ("sweep", "--p", "5", "--n", "2", "--threads", "-1"),
+        ("nk-partition", "--p", "7", "--k", "1", "--max-tries", "0"),
+        ("nk-partition", "--p", "7", "--k", "1", "--max-tries", "-1"),
     ],
 )
 def test_nonpositive_count_is_input_error(capsys, argv):
@@ -374,14 +376,15 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
 
 
 def recording_stacks(monkeypatch):
-    """Record (shared rows, last rows) of every products_vanish call."""
+    """Record (head rows, last rows) of every products_vanish call."""
     stacks = []
     real = group_ring.products_vanish
 
-    def recording(p, shared, varying, budget=None):
-        assert varying.shape[1:] == (1, shared.shape[1])  # one varying row
-        stacks.append((shared.tolist(), varying[:, 0].tolist()))
-        return real(p, shared, varying, budget=budget)
+    def recording(p, head, last, budget=None):
+        n = last.shape[1]
+        assert (head.shape, last.ndim) == ((n - 1, n), 2)
+        stacks.append((head.tolist(), last.tolist()))
+        return real(p, head, last, budget=budget)
 
     monkeypatch.setattr(group_ring, "products_vanish", recording)
     return stacks

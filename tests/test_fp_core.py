@@ -80,7 +80,7 @@ def test_det_known_example():
     assert m.det() == 1
     inv = m.invert()
     assert inv.rows == ((2, 4), (4, 1))
-    assert matmul(m, inv).rows == FpMatrix.identity(2, 5).rows
+    assert matmul(m, inv).rows == ((1, 0), (0, 1))
 
 
 def test_det_matches_permanent_expansion_oracle():
@@ -265,6 +265,6 @@ def test_inverse_really_inverts(p, data):
         with pytest.raises(SingularMatrix):
             m.invert()
     else:
-        ident = FpMatrix.identity(n, p)
-        assert matmul(m, m.invert()).rows == ident.rows
-        assert matmul(m.invert(), m).rows == ident.rows
+        ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        assert matmul(m, m.invert()).rows == ident
+        assert matmul(m.invert(), m).rows == ident

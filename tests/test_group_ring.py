@@ -271,12 +271,12 @@ def rolled_products(p, shifts):
     return np.array(out)
 
 
-def stacked_rows(matrices, k):
-    """The (k, n) rows shared by matrices that agree on their first k rows,
-    and the (B, n - k, n) rows that follow, as products_vanish takes them."""
+def stacked_rows(matrices):
+    """The (n-1, n) head shared by matrices that agree on their first n-1
+    rows, and the (B, n) last rows, as products_vanish takes them."""
     rows = np.array([m.rows for m in matrices], dtype=np.int64)
-    assert (rows[:, :k] == rows[:1, :k]).all()
-    return rows[0, :k], rows[:, k:]
+    assert (rows[:, :-1] == rows[:1, :-1]).all()
+    return rows[0, :-1], rows[:, -1]
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
@@ -286,26 +286,21 @@ def test_stacked_products_match_one_at_a_time(p, n):
         [product_of_factors(FactorSpec.from_matrix(m), ring).is_zero() for m in matrices]
         for ring in (IntegerRing, ModPRing)
     )
-    # one stack, every row varying
-    int_zero, modp_zero = products_vanish(p, *stacked_rows(matrices, 0))
-    assert (int_zero.tolist(), modp_zero.tolist()) == want
+    # stacks of consecutive matrices sharing their first n-1 rows, as the
+    # sweep stacks them
+    grouped = ([], [])
+    for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
+        for out, got in zip(grouped, products_vanish(p, *stacked_rows(list(group)))):
+            out += got.tolist()
+    assert grouped == want
+    int_zero, modp_zero = map(np.array, grouped)
     assert not (int_zero & ~modp_zero).any()  # zero over Z is zero mod p
-    # stacks of consecutive matrices sharing their first k rows; k = n-1
-    # gives the sweep's stacks
-    for k in range(1, n):
-        grouped = ([], [])
-        for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:k]):
-            for out, got in zip(grouped, products_vanish(p, *stacked_rows(list(group), k))):
-                out += got.tolist()
-        assert grouped == want
-    # a stack needs a varying row
-    shared, varying = stacked_rows(matrices[:1] * 3, n)
-    assert varying.shape == (3, 0, n)
+    # a head must be n-1 rows
+    head, last = stacked_rows(matrices[:1])
     with pytest.raises(InputError):
-        products_vanish(p, shared, varying)
+        products_vanish(p, np.vstack([head, last]), last)
     # an empty stack
-    shared, varying = stacked_rows(matrices[:1], n - 1)
-    assert [a.shape for a in products_vanish(p, shared, varying[:0])] == [(0,), (0,)]
+    assert [a.shape for a in products_vanish(p, head, last[:0])] == [(0,), (0,)]
     if p == 3:
         # (1-g)^3 = 1 - g^3 = 0 over F_3, so some mod-p products vanish
         assert modp_zero.any()
@@ -314,71 +309,51 @@ def test_stacked_products_match_one_at_a_time(p, n):
 def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
     p = 7
     rng = np.random.default_rng(5)
-    shared = rng.integers(0, p, size=(3, 2))
-    varying = rng.integers(0, p, size=(4, 5, 2))
-    varying[:, :, 0] = varying[:, :1, 0]  # axis 0: one shift for the stack
-    varying[:, 0, 1] = (varying[:, 1, 1] + 1) % p  # axis 1: never one shift
+    shifts = rng.integers(0, p, size=(5, 2))
     rolls = []
     real = _kernels_py._roll
     monkeypatch.setattr(
         _kernels_py, "_roll", lambda t, s, q: rolls.append(t.shape) or real(t, s, q)
     )
-    got = _kernels_py._expand(p, 2, shared.tolist(), varying)
+    got = _kernels_py._expand(p, 2, shifts.tolist())
     assert got.dtype == np.int64
-    assert rolls == [(p, p)] * 3  # each shared factor once, on one table
-    every = np.concatenate([np.broadcast_to(shared[:, None], (3, 5, 2)), varying])
-    assert np.array_equal(got, rolled_products(p, every))
-    # a sweep stack shares the unit vectors and its first row: the pure
-    # twin rolls those three factors once
+    assert rolls == [(p, p)] * 5  # each factor once
+    assert np.array_equal(got, rolled_products(p, shifts[:, None])[0])
+    # a sweep stack shares the unit vectors and its head row: the pure twin
+    # rolls those three factors once, and gathers the last rows in one go
     rolls.clear()
     group = list(enumerate_nonsingular(p, 2, prefix=[[1, 2]]))
-    head, last = stacked_rows(group, 1)
-    int_zero, modp_zero = _kernels_py.products_vanish(head, last, p, 2, 1)
+    head, last = stacked_rows(group)
+    int_zero, modp_zero = _kernels_py.products_vanish(head, last, p, 2)
     assert int_zero.tolist() == modp_zero.tolist() == [False] * len(group)
     assert rolls == [(p, p)] * 3
 
 
-def test_object_stack_past_62_factors():
-    # table b is (1 - g^(1, 0))^40 * (1 - g^(1, b))^30, whose entries pass
-    # 2^62 (see test_integer_product_past_62_factors_does_not_wrap)
-    p = P
-    shared = [(1, 0)] * 40
-    varying = np.zeros((30, p, 2), dtype=np.int64)
-    varying[:, :, 0] = 1
-    varying[:, :, 1] = np.arange(p)
-    got = _kernels_py._expand(p, 2, shared, varying)
-    assert got.dtype == object
-    every = np.concatenate([np.broadcast_to([1, 0], (40, p, 2)), varying])
-    want = rolled_products(p, every)
-    assert np.array_equal(got, want)
-    assert max(abs(int(x)) for x in want.flat) > 2**62
-
-
 def test_stack_budget_charges_every_table():
     # the matrices [[1, 1], [1, a]] for a = 2, 3, 4
-    shared = np.array([[1, 1]])
-    varying = np.array([[[1, a]] for a in (2, 3, 4)])
+    head = np.array([[1, 1]])
+    last = np.array([[1, a] for a in (2, 3, 4)])
     with pytest.raises(BudgetExceeded):
-        products_vanish(P, shared, varying, budget=Budget(entries=3 * P**2 - 1))
-    got = products_vanish(P, shared, varying, budget=Budget(entries=3 * P**2))
+        products_vanish(P, head, last, budget=Budget(entries=3 * P**2 - 1))
+    got = products_vanish(P, head, last, budget=Budget(entries=3 * P**2))
     assert [a.tolist() for a in got] == [[False] * 3] * 2
 
 
 def test_stack_rejects_mixed_shapes():
-    shared = np.array([[1, 1]])
-    varying = np.array([[[1, 2]]])
-    assert [a.tolist() for a in products_vanish(P, shared, varying)] == [[False]] * 2
-    for bad_shared, bad_varying in [
-        (shared, np.array([[[1, 2, 3]]])),  # rows of two lengths
-        (shared, np.array([[[1, 2], [2, 1]]])),  # three rows of length two
-        (np.zeros((0, 2)), varying),  # one row of length two
-        (shared[0], varying),  # shared rows not a matrix
-        (shared, varying[0]),  # varying rows not a stack
+    head = np.array([[1, 1]])
+    last = np.array([[1, 2]])
+    assert [a.tolist() for a in products_vanish(P, head, last)] == [[False]] * 2
+    for bad_head, bad_last in [
+        (head, np.array([[1, 2, 3]])),  # rows of two lengths
+        (np.array([[1, 1], [2, 1]]), last),  # three rows of length two
+        (np.zeros((0, 2)), last),  # one row of length two
+        (head[0], last),  # head rows not a matrix
+        (head, last[0]),  # last rows not a stack
     ]:
         with pytest.raises(InputError):
-            products_vanish(P, bad_shared, bad_varying)
+            products_vanish(P, bad_head, bad_last)
     with pytest.raises(InputError):
-        products_vanish(4, shared, varying)
+        products_vanish(4, head, last)
 
 
 # ---------------------------------------------------------------------------

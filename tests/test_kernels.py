@@ -134,11 +134,15 @@ def test_exhaust_parity_found_set(ext):
 
 
 def test_pure_witness_mask_semantics():
+    # the element the pure s1_exhaust repairs: the least one of the set
+    # that is the middle of no 3-term progression inside it
     rng = random.Random(0)
     for p in PRIMES:
         for _ in range(200):
             mask = rng.getrandbits(p) | 1
-            assert _kernels_py.s1_witness_mask(mask, p) == naive_witness_mask(mask, p)
+            uncovered = mask & ~naive_witness_mask(mask, p)
+            want = (uncovered & -uncovered).bit_length() - 1 if uncovered else None
+            assert _kernels_py.first_hit_scan(mask, p, 1, False, None) == (None, want)
 
 
 def test_exhaust_found_set_is_s1():
@@ -465,51 +469,49 @@ def rolled_flags(p, rows):
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
 def test_products_vanish_parity(ext, p, n):
-    # stacks of one matrix and of several that share k = 0..n-1 rows, with
-    # entries below 0 and at or above p, which the kernels read mod p; each
-    # stack's first matrix ends in a row that is 0 mod p, and at p = 3 its
-    # last matrix has every varying row e_1 mod p, so that with the unit
-    # vector (1 - g^(e_1))^3 = 0 mod 3 once two rows vary
+    # stacks of 0, 1 and 6 matrices, with entries below 0 and at or above p,
+    # which the kernels read mod p; each nonempty stack's first last row is
+    # 0 mod p, and at p = 3 its head starts with e_1 and its final last row
+    # is e_1 mod p, so that with the unit vector (1 - g^(e_1))^3 = 0 mod 3
     rng = np.random.default_rng(p * 10 + n)
     seen = set()
-    for k in range(n):
-        for size in (1, 6):
-            shared = rng.integers(-p, 2 * p, size=(k, n))
-            varying = rng.integers(-p, 2 * p, size=(size, n - k, n))
-            varying[0, -1] = p * rng.integers(-2, 3, size=n)
-            if p == 3 and size > 1:
-                varying[-1] = np.eye(n, dtype=np.int64)[0] + 3 * varying[-1]
-            want = [rolled_flags(p, np.concatenate([shared, v])) for v in varying]
-            pure = _kernels_py.products_vanish(shared, varying, p, n, n - k)
-            assert [list(t) for t in zip(*pure)] == [list(w) for w in want]
-            raw = ext._ext.products_vanish(shared, varying, p, n, n - k)
-            assert raw == tuple(a.tobytes() for a in pure)  # bit for bit
-            got = ext.products_vanish(p, shared, varying)
-            assert [(a.dtype, a.flags.writeable) for a in got] == [(bool, True)] * 2
-            assert all(np.array_equal(a, b) for a, b in zip(got, pure))
-            seen.update(want)
+    for size in (0, 1, 6):
+        head = rng.integers(-p, 2 * p, size=(n - 1, n))
+        last = rng.integers(-p, 2 * p, size=(size, n))
+        if size:
+            last[0] = p * rng.integers(-2, 3, size=n)
+        if p == 3 and size > 1:
+            head[0] = np.eye(n, dtype=np.int64)[0]
+            last[-1] = np.eye(n, dtype=np.int64)[0] + 3 * last[-1]
+        want = [rolled_flags(p, np.concatenate([head, row[None]])) for row in last]
+        pure = _kernels_py.products_vanish(head, last, p, n)
+        assert [tuple(map(bool, t)) for t in zip(*pure)] == want
+        raw = ext._ext.products_vanish(head, last, p, n)
+        assert raw == tuple(a.tobytes() for a in pure)  # bit for bit
+        got = ext.products_vanish(p, head, last)
+        assert [(a.dtype, a.flags.writeable) for a in got] == [(bool, True)] * 2
+        assert all(np.array_equal(a, b) for a, b in zip(got, pure))
+        seen.update(want)
     assert {(False, False), (True, True)} <= seen
     if p == 3:
         assert (False, True) in seen
 
 
 def test_products_vanish_rejects_bad_input(compiled):
-    shared = np.array([[1, 2]], dtype=np.int64)
-    varying = np.array([[[0, 1]], [[5, 0]]], dtype=np.int64)
+    head = np.array([[1, 2]], dtype=np.int64)
+    last = np.array([[0, 1], [5, 0]], dtype=np.int64)
     for kernel in (compiled.products_vanish, _kernels_py.products_vanish):
         # bytearrays from the compiled kernel, bool arrays from the pure one
-        assert [bytes(f) for f in kernel(shared, varying, 5, 2, 1)] == [b"\0\1"] * 2
-        assert [bytes(f) for f in kernel(shared, varying[:0], 5, 2, 1)] == [b""] * 2
+        assert [bytes(f) for f in kernel(head, last, 5, 2)] == [b"\0\1"] * 2
+        assert [bytes(f) for f in kernel(head, last[:0], 5, 2)] == [b""] * 2
         bad = [
-            (shared, varying, 2, 2, 1),  # p < 3
-            (shared, varying, -5, 2, 1),
-            (shared, varying, 5, 0, 1),  # n outside [1, 31]
-            (np.zeros(31 * 32, np.int64), np.zeros(32, np.int64), 5, 32, 1),
-            (shared, varying, 5, 2, 0),  # j outside [1, n]
-            (shared, varying, 5, 2, 3),
-            (shared, varying, 5, 2, 2),  # shared rows not (n - j) * n entries
-            (np.array([1], np.int64), varying, 5, 2, 1),
-            (shared, np.array([1, 2, 3], np.int64), 5, 2, 1),  # not B * j * n entries
+            (head, last, 2, 2),  # p < 3
+            (head, last, -5, 2),
+            (head, last, 5, 0),  # n outside [1, 31]
+            (np.zeros(31 * 32, np.int64), np.zeros(32, np.int64), 5, 32),
+            (np.zeros(4, np.int64), last, 5, 2),  # head not (n - 1) * n entries
+            (np.array([1], np.int64), last, 5, 2),
+            (head, np.array([1, 2, 3], np.int64), 5, 2),  # last not B * n entries
         ]
         for args in bad:
             with pytest.raises(ValueError):

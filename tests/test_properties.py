@@ -104,19 +104,18 @@ def test_check_p1_no_witness_when_everything_forbidden():
     assert check_p1(m, spec) is None
 
 
-def stacked_rows(matrices, k):
-    """The (k, n) rows shared by matrices that agree on their first k rows,
-    and the (B, n - k, n) rows that follow, as nowhere_zero_witnesses takes
-    them."""
+def stacked_rows(matrices):
+    """The (n-1, n) head shared by matrices that agree on their first n-1
+    rows, and the (B, n) last rows, as nowhere_zero_witnesses takes them."""
     rows = np.array([m.rows for m in matrices], dtype=np.int64)
-    assert (rows[:, :k] == rows[:1, :k]).all()
-    return rows[0, :k], rows[:, k:]
+    assert (rows[:, :-1] == rows[:1, :-1]).all()
+    return rows[0, :-1], rows[:, -1]
 
 
-def stacked_witnesses(p, shared, varying, budget=None):
+def stacked_witnesses(p, head, last, budget=None):
     """nowhere_zero_witnesses as check_p1 returns them: a vector or None."""
-    found, first = nowhere_zero_witnesses(p, shared, varying, budget=budget)
-    vectors = nowhere_zero_vectors(p, varying.shape[2])
+    found, first = nowhere_zero_witnesses(p, head, last, budget=budget)
+    vectors = nowhere_zero_vectors(p, last.shape[1])
     return [tuple(vectors[i].tolist()) if f else None for f, i in zip(found, first)]
 
 
@@ -126,53 +125,60 @@ def test_stacked_witnesses_match_check_p1(p, n):
     want = [check_p1(m) for m in matrices]
     if (p, n) == (3, 2):
         assert None in want  # witness-free matrices exist at (3, 2)
-    # one stack, every row varying
-    assert stacked_witnesses(p, *stacked_rows(matrices, 0)) == want
-    # stacks of consecutive matrices sharing their first k rows; k = n-1
-    # gives the sweep's stacks
-    for k in range(1, n):
-        grouped = []
-        for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:k]):
-            grouped += stacked_witnesses(p, *stacked_rows(list(group), k))
-        assert grouped == want
-    # a stack needs a varying row
-    shared, varying = stacked_rows(matrices[-1:] * 3, n)
-    assert varying.shape == (3, 0, n)
+    # stacks of consecutive matrices sharing their first n-1 rows, as the
+    # sweep stacks them
+    grouped = []
+    for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
+        grouped += stacked_witnesses(p, *stacked_rows(list(group)))
+    assert grouped == want
+    # a head must be n-1 rows
+    head, last = stacked_rows(matrices[-1:])
     with pytest.raises(InputError):
-        stacked_witnesses(p, shared, varying)
+        stacked_witnesses(p, np.vstack([head, last]), last)
     # an empty stack
-    shared, varying = stacked_rows(matrices[:1], n - 1)
-    assert stacked_witnesses(p, shared, varying[:0]) == []
+    assert stacked_witnesses(p, head, last[:0]) == []
 
 
 def test_stacked_witnesses_reject_mixed_shapes():
-    shared = np.array([[1, 1]])
-    varying = np.array([[[1, 2]]])
-    assert stacked_witnesses(P, shared, varying) == [check_p1(FpMatrix([[1, 1], [1, 2]], P))]
-    for bad_shared, bad_varying in [
-        (shared, np.array([[[1, 2, 3]]])),  # rows of two lengths
-        (shared, np.array([[[1, 2], [2, 1]]])),  # three rows of length two
-        (np.zeros((0, 2)), varying),  # one row of length two
-        (shared[0], varying),  # shared rows not a matrix
-        (shared, varying[0]),  # varying rows not a stack
+    head = np.array([[1, 1]])
+    last = np.array([[1, 2]])
+    assert stacked_witnesses(P, head, last) == [check_p1(FpMatrix([[1, 1], [1, 2]], P))]
+    for bad_head, bad_last in [
+        (head, np.array([[1, 2, 3]])),  # rows of two lengths
+        (np.array([[1, 1], [2, 1]]), last),  # three rows of length two
+        (np.zeros((0, 2)), last),  # one row of length two
+        (head[0], last),  # head rows not a matrix
+        (head, last[0]),  # last rows not a stack
     ]:
         with pytest.raises(InputError):
-            nowhere_zero_witnesses(P, bad_shared, bad_varying)
+            nowhere_zero_witnesses(P, bad_head, bad_last)
     with pytest.raises(InputError):
-        nowhere_zero_witnesses(9, shared, varying)
+        nowhere_zero_witnesses(9, head, last)
 
 
 def test_stacked_witnesses_charge_the_whole_stack():
     # the matrices [[1, 1], [1, a]] for a = 2, 3, 4
     m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
-    shared, varying = stacked_rows(m, 1)
+    head, last = stacked_rows(m)
     entries = 3 * (P - 1) ** 2
     with pytest.raises(BudgetExceeded):
-        nowhere_zero_witnesses(P, shared, varying, budget=Budget(entries=entries - 1))
+        nowhere_zero_witnesses(P, head, last, budget=Budget(entries=entries - 1))
     with pytest.raises(BudgetExceeded):
-        nowhere_zero_witnesses(P, shared, varying, budget=Budget(nodes=(P - 1) ** 2 - 1))
-    got = stacked_witnesses(P, shared, varying, budget=Budget(entries=entries))
+        nowhere_zero_witnesses(P, head, last, budget=Budget(nodes=(P - 1) ** 2 - 1))
+    got = stacked_witnesses(P, head, last, budget=Budget(entries=entries))
     assert got == [check_p1(x) for x in m]
+
+
+def test_value_lists_are_charged_before_they_are_built():
+    # n = 1 at p = 101: one list of up to 101 values for each search
+    m = FpMatrix([[3]], 101)
+    for search in (
+        lambda budget: check_p1(m, budget=budget),
+        lambda budget: check_multi([m], seed=0, budget=budget),
+    ):
+        with pytest.raises(BudgetExceeded, match="value lists"):
+            search(Budget(entries=100))
+        assert search(Budget(entries=101)) is not None
 
 
 def test_check_multi_matches_brute_force():
@@ -223,7 +229,7 @@ def test_check_multi_rejects_empty():
 
 
 def test_check_multi_identity_matrices():
-    eye = FpMatrix.identity(2, P)
+    eye = FpMatrix([[1, 0], [0, 1]], P)
     w = check_multi([eye, eye])
     assert w is not None
     assert all(c != 0 for c in w)  # here Mx = x forces x nowhere-zero
