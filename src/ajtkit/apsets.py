@@ -29,7 +29,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -46,7 +45,7 @@ from .errors import (
     PreconditionViolated,
     RadiusTooLarge,
 )
-from .fp_core import FpMatrix, FpVector, Prime, _as_prime, _json_int
+from .fp_core import FpMatrix, _as_prime, _json_int
 
 
 class ResidueSet:
@@ -158,8 +157,7 @@ def witness_covers_forward(aset: ResidueSet, w: ApWitness) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SkReport:
+class SkReport(NamedTuple):
     """Verdict of an S_k scan with per-element witnesses on success."""
 
     ok: bool
@@ -171,8 +169,7 @@ class SkReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class NkReport:
+class NkReport(NamedTuple):
     """Verdict of an N_k scan: inside witnesses plus outside witnesses."""
 
     ok: bool
@@ -262,8 +259,7 @@ def _ceil_root(value: int, r: int) -> int:
     return x + 1
 
 
-@dataclass(frozen=True)
-class SkConstruction:
+class SkConstruction(NamedTuple):
     """Result of the staged S_k construction: the set plus build trace."""
 
     aset: ResidueSet
@@ -370,8 +366,7 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
     return result
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """A partition of Z/p into N_k-type parts."""
 
     p: int
@@ -381,13 +376,7 @@ class Partition:
     attempts: int
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "parts": [list(part.elements()) for part in self.parts],
-        }
+        return {**self._asdict(), "parts": [list(part) for part in self.parts]}
 
 
 def partition_nk(
@@ -451,8 +440,7 @@ def _draw_labels(rng: random.Random, p: int, parts: int) -> np.ndarray:
     return np.concatenate(kept)
 
 
-@dataclass(frozen=True)
-class MinS1Result:
+class MinS1Result(NamedTuple):
     """Outcome of the branch-and-bound minimum S_1 search."""
 
     p: int
@@ -464,15 +452,10 @@ class MinS1Result:
     backend: str
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "size": self.size,
-            "elements": list(self.aset.elements()),
-            "proven_optimal": self.proven_optimal,
-            "nodes": self.nodes,
-            "sizes_exhausted": list(self.sizes_exhausted),
-            "backend": self.backend,
-        }
+        out = self._asdict()
+        out["elements"] = list(out.pop("aset"))
+        out["sizes_exhausted"] = list(self.sizes_exhausted)
+        return out
 
 
 def min_s1_search(p: int, budget: Budget | str | None = None) -> MinS1Result:
@@ -522,8 +505,7 @@ def min_s1_search(p: int, budget: Budget | str | None = None) -> MinS1Result:
 # multiplier certificates and good subset families
 
 
-@dataclass(frozen=True)
-class MultiplierCertificate:
+class MultiplierCertificate(NamedTuple):
     """Nonzero multipliers separating two boxed sum sets, with trace data."""
 
     p: int
@@ -537,7 +519,9 @@ def _box_points(boxes: Sequence[ResidueSet]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*[box.elements() for box in boxes])
 
 
-def _combination(basis: Sequence[FpVector], coeffs: Sequence[int], p: int) -> tuple[int, ...]:
+def _combination(
+    basis: Sequence[Sequence[int]], coeffs: Sequence[int], p: int
+) -> tuple[int, ...]:
     n = len(basis[0])
     out = [0] * n
     for c, vec in zip(coeffs, basis):
@@ -546,7 +530,7 @@ def _combination(basis: Sequence[FpVector], coeffs: Sequence[int], p: int) -> tu
     return tuple(out)
 
 
-def _basis_matrix(basis: Sequence[FpVector], p: int) -> FpMatrix:
+def _basis_matrix(basis: Sequence[Sequence[int]], p: int) -> FpMatrix:
     # basis vectors become columns
     n = len(basis)
     if any(len(v) != n for v in basis):
@@ -566,8 +550,8 @@ def _multiplier_route(
 
 
 def multipliers_valid(
-    e_basis: Sequence[FpVector],
-    f_basis: Sequence[FpVector],
+    e_basis: Sequence[Sequence[int]],
+    f_basis: Sequence[Sequence[int]],
     u_boxes: Sequence[ResidueSet],
     v_boxes: Sequence[ResidueSet],
     lambdas: Sequence[int],
@@ -614,8 +598,8 @@ def multipliers_valid(
 
 
 def random_multipliers(
-    e_basis: Sequence[FpVector],
-    f_basis: Sequence[FpVector],
+    e_basis: Sequence[Sequence[int]],
+    f_basis: Sequence[Sequence[int]],
     u_boxes: Sequence[ResidueSet],
     v_boxes: Sequence[ResidueSet],
     seed: int = 0,
@@ -663,8 +647,7 @@ def random_multipliers(
     )
 
 
-@dataclass(frozen=True)
-class GoodSubsets:
+class GoodSubsets(NamedTuple):
     """Per-coordinate set families A_i, B_i with the disjoint sum-set certificate."""
 
     p: int
@@ -697,8 +680,8 @@ def appendix_lookup(p: int) -> ResidueSet | None:
 def good_subsets(
     p: int,
     k: int,
-    e_basis: Sequence[FpVector],
-    f_basis: Sequence[FpVector],
+    e_basis: Sequence[Sequence[int]],
+    f_basis: Sequence[Sequence[int]],
     seed: int = 0,
     max_tries: int = 1000,
     a_set: ResidueSet | None = None,
@@ -763,8 +746,7 @@ def good_subsets(
 # frozen table of small optimal S_1 sets
 
 
-@dataclass(frozen=True)
-class AppendixRow:
+class AppendixRow(NamedTuple):
     """One frozen table row: prime, elements, stated size."""
 
     p: int
@@ -772,8 +754,10 @@ class AppendixRow:
     size: int
 
 
-@dataclass(frozen=True)
-class AppendixRowCheck:
+class AppendixRowCheck(NamedTuple):
+    """One re-certified table row: stated and actual size, S_1 scan, sqrt
+    bound."""
+
     p: int
     stated_size: int
     actual_size: int
@@ -785,8 +769,9 @@ class AppendixRowCheck:
         return self.is_s1 and self.stated_size == self.actual_size and self.below_sqrt
 
 
-@dataclass(frozen=True)
-class AppendixReport:
+class AppendixReport(NamedTuple):
+    """Every table row, re-certified."""
+
     rows: tuple[AppendixRowCheck, ...]
 
     @property
@@ -794,20 +779,7 @@ class AppendixReport:
         return all(r.ok for r in self.rows)
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "rows": [
-                {
-                    "p": r.p,
-                    "stated_size": r.stated_size,
-                    "actual_size": r.actual_size,
-                    "is_s1": r.is_s1,
-                    "below_sqrt": r.below_sqrt,
-                    "ok": r.ok,
-                }
-                for r in self.rows
-            ],
-        }
+        return {"ok": self.ok, "rows": [{**r._asdict(), "ok": r.ok} for r in self.rows]}
 
 
 def appendix_csv_text() -> str:

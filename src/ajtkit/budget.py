@@ -9,7 +9,7 @@ AJT_BUDGET environment variable, or the defaults below, in that order.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InputError
 
@@ -22,8 +22,7 @@ PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Caps for one run: dense table entries and search nodes."""
 
     entries: int = MAX_RING_ENTRIES
@@ -32,14 +31,35 @@ class Budget:
     def check_entries(self, needed: int, what: str = "dense table") -> None:
         if needed > self.entries:
             raise BudgetExceeded(
-                f"{what} needs {needed} entries, budget allows {self.entries}"
+                f"{what} needs {_count(needed)} entries, budget allows {self.entries}"
             )
 
     def check_nodes(self, needed: int, what: str = "search") -> None:
         if needed > self.nodes:
             raise BudgetExceeded(
-                f"{what} needs {needed} nodes, budget allows {self.nodes}"
+                f"{what} needs {_count(needed)} nodes, budget allows {self.nodes}"
             )
+
+    def check_nodes_power(self, base: int, exp: int, what: str = "search") -> None:
+        """check_nodes(base ** exp) for base >= 2, without forming a power
+        past the cap: base ** exp >= 2 ** (exp * (base.bit_length() - 1)),
+        so once that exponent reaches the cap's bit length the refusal
+        states the bound instead."""
+        bound = exp * (base.bit_length() - 1)
+        if bound >= self.nodes.bit_length():
+            raise BudgetExceeded(
+                f"{what} needs at least 2^{bound} nodes, budget allows {self.nodes}"
+            )
+        self.check_nodes(base**exp, what=what)
+
+
+def _count(needed: int) -> str:
+    """needed in decimal, or a power-of-two bound when it has more digits
+    than Python converts to a string."""
+    try:
+        return str(needed)
+    except ValueError:
+        return f"more than 2^{needed.bit_length() - 1}"
 
 
 def parse_budget(text: str) -> Budget:

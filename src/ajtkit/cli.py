@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,22 +37,15 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the run parameters, embedded in every JSON report."""
-
-    command: str
-    seed: int | None = None
-    budget: str | None = None
-    threads: int = 1
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "budget": self.budget,
-            "threads": self.threads,
-        }
+def _config(args) -> dict:
+    """Echo of the run parameters, embedded in every JSON report; a
+    subcommand without an option echoes its default."""
+    return {
+        "command": args.command,
+        "seed": getattr(args, "seed", None),
+        "budget": getattr(args, "budget", None),
+        "threads": getattr(args, "threads", 1),
+    }
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -109,7 +101,7 @@ def cmd_appendix_verify(args) -> int:
     if args.format == "csv":
         sys.stdout.write(apsets.appendix_csv_text())
     else:
-        payload = {"config": RunConfig("appendix-verify").to_json()}
+        payload = {"config": _config(args)}
         payload.update(report.to_json())
         _emit(payload, args.format)
     if not report.ok:
@@ -119,12 +111,11 @@ def cmd_appendix_verify(args) -> int:
 
 
 def cmd_s1(args) -> int:
-    config = RunConfig("s1", seed=args.seed, budget=args.budget)
     if args.mode == "build":
         aset = apsets.build_s1_log(args.p)
         report = apsets.is_sk_type(aset, 1)
         payload = {
-            "config": config.to_json(),
+            "config": _config(args),
             "p": args.p,
             "mode": "build",
             "elements": list(aset.elements()),
@@ -134,17 +125,16 @@ def cmd_s1(args) -> int:
         _emit(payload, args.format)
         return EXIT_OK if report.ok else EXIT_VIOLATION
     result = apsets.min_s1_search(args.p, budget=args.budget)
-    payload = {"config": config.to_json(), "mode": "min"}
+    payload = {"config": _config(args), "mode": "min"}
     payload.update(result.to_json())
     _emit(payload, args.format)
     return EXIT_OK
 
 
 def cmd_sk_build(args) -> int:
-    config = RunConfig("sk-build", budget=args.budget)
     result = apsets.build_sk(args.p, args.k, budget=args.budget)
     payload = {
-        "config": config.to_json(),
+        "config": _config(args),
         "p": args.p,
         "k": args.k,
         "x": result.x,
@@ -158,11 +148,10 @@ def cmd_sk_build(args) -> int:
 
 
 def cmd_nk_partition(args) -> int:
-    config = RunConfig("nk-partition", seed=args.seed)
     partition = apsets.partition_nk(
         args.p, args.k, parts=args.parts, seed=args.seed, max_tries=args.max_tries
     )
-    payload = {"config": config.to_json()}
+    payload = {"config": _config(args)}
     payload.update(partition.to_json())
     _emit(payload, args.format)
     return EXIT_OK
@@ -174,8 +163,7 @@ def cmd_check(args) -> int:
     if args.forbidden:
         spec = properties.ForbiddenSpec.from_json(_load_json(args.forbidden))
     report = properties.check_all(m, spec, budget=args.budget)
-    config = RunConfig("check", seed=args.seed, budget=args.budget)
-    payload = {"config": config.to_json()}
+    payload = {"config": _config(args)}
     payload.update(report.to_json())
     _emit(payload, args.format)
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -241,8 +229,9 @@ def cmd_sweep(args) -> int:
         raise InputError("need n >= 1")
     if args.threads < 1:
         raise InputError("need --threads >= 1")
+    p = fp_core._as_prime(p)
     budget = current_budget(args.budget)
-    budget.check_nodes(p ** (n * n), what="matrix sweep")
+    budget.check_nodes_power(p, n * n, what="matrix sweep")
     jobs = [
         (p, n, row, budget)
         for row in fp_core.enumerate_nonzero_rows(p, n)
@@ -270,9 +259,8 @@ def cmd_sweep(args) -> int:
             totals[key] += part[key]
         violations.extend(part["violations"])
     expected = fp_core.nonsingular_count(p, n)
-    config = RunConfig("sweep", budget=args.budget, threads=args.threads)
     payload = {
-        "config": config.to_json(),
+        "config": _config(args),
         "p": p,
         "n": n,
         "expected_nonsingular": expected,
@@ -300,9 +288,8 @@ def cmd_duality(args) -> int:
             disagreements.append(result.to_json())
         if not result.factorial_relation_holds():
             factorial_failures.append(result.to_json())
-    config = RunConfig("duality", seed=args.seed, budget=args.budget)
     payload = {
-        "config": config.to_json(),
+        "config": _config(args),
         "p": p,
         "n": n,
         "trials": args.trials,
@@ -353,9 +340,8 @@ def cmd_multi(args) -> int:
         else:
             # a tuple with no witness is the interesting outcome; echo it
             witness_free.append([list(list(r) for r in m.rows) for m in matrices])
-    config = RunConfig("multi", seed=args.seed, budget=args.budget)
     payload = {
-        "config": config.to_json(),
+        "config": _config(args),
         "p": args.p,
         "n": args.n,
         "k": args.k,
@@ -374,8 +360,7 @@ def cmd_pairing(args) -> int:
     report = properties.pairing_test(
         m, trials=args.trials, seed=args.seed or 0, budget=args.budget
     )
-    config = RunConfig("pairing", seed=args.seed, budget=args.budget)
-    payload = {"config": config.to_json(), "matrix": m.to_json()}
+    payload = {"config": _config(args), "matrix": m.to_json()}
     payload.update(report.to_json())
     _emit(payload, args.format)
     return EXIT_OK if report.ok else EXIT_VIOLATION
@@ -383,7 +368,6 @@ def cmd_pairing(args) -> int:
 
 def cmd_sigma(args) -> int:
     _check_trials(args)
-    config = RunConfig("sigma", seed=args.seed, budget=args.budget)
     if args.matrix:
         matrices = [fp_core.FpMatrix.from_json(_load_json(args.matrix))]
     else:
@@ -398,7 +382,7 @@ def cmd_sigma(args) -> int:
         if report.candidate:
             candidates.append(m.to_json())
     payload = {
-        "config": config.to_json(),
+        "config": _config(args),
         "checked": len(matrices),
         "candidates": candidates,
     }

@@ -1,8 +1,9 @@
-"""Prime-field vectors and matrices.
+"""Prime-field matrices.
 
 Everything downstream works over F_p for an odd prime p. Residues are kept
-canonical in [0, p-1]. Matrices are immutable; determinants are computed by
-Gaussian elimination over the field and cached.
+canonical in [0, p-1], and a vector is a plain tuple of them. Matrices are
+immutable; determinants are computed by Gaussian elimination over the field
+and cached.
 
 GL_n(F_p) is enumerated on integer row arrays: each independent (n-1)-row
 prefix comes with one (B, n) array of the last rows that complete it, the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -85,36 +86,6 @@ def _as_prime(p: int) -> int:
     return p
 
 
-class FpVector:
-    """An immutable vector over F_p."""
-
-    __slots__ = ("entries", "p")
-
-    def __init__(self, entries: Iterable[int], p: int):
-        self.p = _as_prime(p)
-        self.entries = tuple(int(e) % self.p for e in entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other):
-        if isinstance(other, FpVector):
-            return self.p == other.p and self.entries == other.entries
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.entries, self.p))
-
-    def __repr__(self):
-        return f"FpVector({list(self.entries)}, p={self.p})"
-
-
 class FpMatrix:
     """An immutable square matrix over F_p."""
 
@@ -141,13 +112,12 @@ class FpMatrix:
     def transpose(self) -> "FpMatrix":
         return FpMatrix(list(zip(*self.rows)), self.p)
 
-    def matvec(self, x: Sequence[int]) -> FpVector:
+    def matvec(self, x: Sequence[int]) -> tuple[int, ...]:
+        """The residues of M x, each in [0, p)."""
         x = list(x)
         if len(x) != self.n:
             raise InputError("dimension mismatch in matvec")
-        return FpVector(
-            (sum(a * b for a, b in zip(row, x)) for row in self.rows), self.p
-        )
+        return tuple(sum(a * b for a, b in zip(row, x)) % self.p for row in self.rows)
 
     def det(self) -> int:
         if self._det is None:
@@ -296,13 +266,14 @@ def enumerate_nonsingular_groups(
     flattened, are in lexicographic order of their row tuples. A prefix pins
     the leading rows: a dependent prefix yields nothing, and a full n-row
     prefix yields the one group of that matrix. The candidate count p^(n^2)
-    is charged against the node budget up front.
+    is charged against the node budget up front, without forming it when
+    it is past the cap.
     """
     p = _as_prime(p)
     if n < 1:
         raise InputError("need n >= 1")
     b = current_budget(budget)
-    b.check_nodes(p ** (n * n), what=f"enumeration of {n}x{n} matrices over F_{p}")
+    b.check_nodes_power(p, n * n, what=f"enumeration of {n}x{n} matrices over F_{p}")
     pinned = [[int(a) % p for a in row] for row in prefix or []]
     if any(len(row) != n for row in pinned):
         raise InputError("prefix rows must have length n")

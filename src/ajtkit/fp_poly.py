@@ -26,9 +26,8 @@ default, and nothing picks between them by size.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -311,8 +310,7 @@ def check_p5(
     return f.total_degree() < sum(t) + sum(t_prime)
 
 
-@dataclass(frozen=True)
-class DualityResult:
+class DualityResult(NamedTuple):
     """Both sides of the row/column coefficient duality at one (r, s) pair."""
 
     p: int
@@ -347,12 +345,9 @@ class DualityResult:
 
     def to_json(self) -> dict:
         return {
-            "p": self.p,
-            "n": self.n,
+            **self._asdict(),
             "r": list(self.r),
             "s": list(self.s),
-            "lhs_coeff": self.lhs_coeff,
-            "rhs_coeff": self.rhs_coeff,
             "lhs_zero": self.lhs_zero,
             "rhs_zero": self.rhs_zero,
             "agree": self.agree,

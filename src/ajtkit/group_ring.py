@@ -31,7 +31,7 @@ and Python ints (dtype=object) otherwise, so values never wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -294,8 +294,7 @@ def sigma_of_factors(
     return [GroupRingElem(p, n, ModPRing, table) for table in stack]
 
 
-@dataclass(frozen=True)
-class SigmaReport:
+class SigmaReport(NamedTuple):
     """Which sigma_(2n-i) vanish for i = 0..p-1; all must for a candidate."""
 
     p: int
@@ -308,8 +307,7 @@ class SigmaReport:
 
     def to_json(self) -> dict:
         return {
-            "p": self.p,
-            "n": self.n,
+            **self._asdict(),
             "candidate": self.candidate,
             "vanishing": list(self.vanishing),
         }

@@ -30,9 +30,9 @@ images when the product vanishes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -401,8 +401,7 @@ def image_membership_routes(
     return by_sums, by_coeffs
 
 
-@dataclass(frozen=True)
-class PairingReport:
+class PairingReport(NamedTuple):
     """Outcome of the orthogonality test between the two delta images."""
 
     p: int
@@ -420,17 +419,10 @@ class PairingReport:
         return not (self.p4 and self.nonzero_pairings > 0)
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "P4": self.p4,
-            "trials": self.trials,
-            "seed": self.seed,
-            "nonzero_pairings": self.nonzero_pairings,
-            "exhaustive": self.exhaustive,
-            "converse_confirmed": self.converse_confirmed,
-            "ok": self.ok,
-        }
+        out = self._asdict()
+        out["P4"] = out.pop("p4")
+        out["ok"] = self.ok
+        return out
 
 
 def _table_from_coeff_tensor(c: np.ndarray, p: int) -> np.ndarray:
@@ -515,8 +507,7 @@ def pairing_test(
 # scaling invariance and the full report
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     """Vanishing of the scaled factor products against the unscaled one."""
 
     p: int
@@ -531,15 +522,7 @@ class InvarianceReport:
         return not self.mismatches
 
     def to_json(self) -> dict:
-        return {
-            "p": self.p,
-            "n": self.n,
-            "base": self.base,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mismatches": list(self.mismatches),
-            "ok": self.ok,
-        }
+        return {**self._asdict(), "mismatches": list(self.mismatches), "ok": self.ok}
 
 
 def multiplier_invariance_test(
@@ -593,8 +576,7 @@ def multiplier_invariance_test(
     )
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """All five properties for one matrix and forbidden spec, plus violations."""
 
     matrix: FpMatrix
@@ -647,7 +629,11 @@ def check_all(
     spec: ForbiddenSpec | None = None,
     budget: Budget | str | None = None,
 ) -> PropertyReport:
-    """Run P1 through P5 for one matrix; requires p > 3."""
+    """Run P1 through P5 for one matrix; requires p > 3.
+
+    The budget is resolved once and charged for P3's p^(n+1) table, the
+    largest any property builds, before P1 searches.
+    """
     p, n = m.p, m.n
     if p <= 3:
         raise PreconditionViolated("the property chain needs p > 3")
@@ -657,11 +643,13 @@ def check_all(
         spec = ForbiddenSpec.default(p, n)
     if (spec.p, spec.n) != (p, n):
         raise InputError("forbidden spec does not match the matrix")
-    witness = check_p1(m, spec, budget=budget)
-    p2 = check_p2(m, spec.c_lists, spec.d_lists, budget=budget)
-    p3 = check_p3(m, spec.c_lists, spec.d_lists, budget=budget)
-    p4 = check_p4(m, t=spec.t, t_prime=spec.t_prime, budget=budget)
-    p5 = check_p5(m, t=spec.t, t_prime=spec.t_prime, budget=budget)
+    b = current_budget(budget)
+    b.check_entries(p ** (n + 1), what="group-ring table")
+    witness = check_p1(m, spec, budget=b)
+    p2 = check_p2(m, spec.c_lists, spec.d_lists, budget=b)
+    p3 = check_p3(m, spec.c_lists, spec.d_lists, budget=b)
+    p4 = check_p4(m, t=spec.t, t_prime=spec.t_prime, budget=b)
+    p5 = check_p5(m, t=spec.t, t_prime=spec.t_prime, budget=b)
     return PropertyReport(
         matrix=m, spec=spec, p1_witness=witness, p2=p2, p3=p3, p4=p4, p5=p5
     )

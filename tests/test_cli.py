@@ -90,13 +90,14 @@ def test_import_loads_no_process_pool():
 def test_package_root_is_only_a_namespace():
     # each name is imported from its module: the package root holds only
     # __version__, and the set-up path (apsets, fp_poly) loads no module
-    # that it does not use
+    # that it does not use; its records are NamedTuples, so not dataclasses
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import sys, ajtkit; "
         "print(sorted(n for n in vars(ajtkit) if not n.startswith('_')), ajtkit.__version__); "
         "from ajtkit import apsets, fp_poly; "
-        "print(sorted({'ajtkit.group_ring', 'ajtkit.properties', 'ajtkit.cli'} & set(sys.modules)))"
+        "print(sorted({'ajtkit.group_ring', 'ajtkit.properties', 'ajtkit.cli', 'dataclasses'}"
+        " & set(sys.modules)))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -296,6 +297,26 @@ def test_nonpositive_count_is_input_error(capsys, argv):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("sweep", "--p", "5", "--n", "2000", "--budget", "low"), 3),
+        (("sweep", "--p", "40", "--n", "2000", "--budget", "low"), 2),
+        (("sweep", "--p", "4", "--n", "1000003"), 2),
+        (("sweep", "--p", "7", "--n", "10007", "--budget", "low"), 3),
+    ],
+)
+def test_sweep_refuses_before_it_forms_the_matrix_count(capsys, argv, code):
+    # p is validated before any charge, and a count p^(n^2) past the node
+    # cap is refused by a bound on its bit length, never formed: 5^(2000^2)
+    # has 2.8 million digits, and 4^(1000003^2) does not fit in memory
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert ("needs at least 2^" in captured.err) == (code == 3)
 
 
 class _SerialPool:
@@ -577,6 +598,21 @@ def test_output_is_byte_stable(capsys, argv):
     rc2, out2 = run(capsys, *argv)
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv, fixture",
+    [
+        (("s1", "--p", "13", "--mode", "min"), "s1_min_13.table"),
+        (("appendix-verify",), "appendix_verify.table"),
+    ],
+)
+def test_table_output_is_pinned(capsys, argv, fixture):
+    # a list prints as [...] and a list of dicts as rows[i]: blocks; a tuple
+    # left in a report's JSON would print as (...) and break these lines
+    want = (Path(__file__).parent / "fixtures" / fixture).read_text()
+    want = want.replace("backend = compiled", f"backend = {kernels.BACKEND}")
+    assert run(capsys, *argv, "--format", "table") == (0, want)
 
 
 def test_table_format(capsys):

@@ -12,7 +12,6 @@ from ajtkit.budget import Budget
 from ajtkit.errors import BudgetExceeded, InputError, NotPrime, SingularMatrix
 from ajtkit.fp_core import (
     FpMatrix,
-    FpVector,
     Prime,
     _det_mod_p,
     enumerate_nonsingular,
@@ -69,10 +68,10 @@ def test_composite_modulus_raises_on_every_call():
     # only moduli that passed are remembered; a composite is rejected each time
     for _ in range(3):
         with pytest.raises(NotPrime):
-            FpVector([1, 2], 9)
+            FpMatrix([[1]], 9)
         with pytest.raises(NotPrime):
             next(enumerate_nonzero_rows(15, 2))
-    assert type(FpVector([1], 7).p) is int
+    assert type(FpMatrix([[1]], 7).p) is int
 
 
 def test_det_known_example():
@@ -111,7 +110,7 @@ def test_matvec_linear():
     m = FpMatrix([[1, 2], [3, 4]], 7)
     x = [5, 6]
     y = m.matvec(x)
-    assert y.entries == ((1 * 5 + 2 * 6) % 7, (3 * 5 + 4 * 6) % 7)
+    assert y == ((1 * 5 + 2 * 6) % 7, (3 * 5 + 4 * 6) % 7)
 
 
 def test_transpose_row_column():

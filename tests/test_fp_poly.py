@@ -326,7 +326,7 @@ def test_scalar_product_counts_witnesses_mod_p():
         count = 0
         for x in itertools.product(range(1, P), repeat=2):
             y = m.matvec(x)
-            if all(c != 0 for c in y.entries):
+            if all(c != 0 for c in y):
                 count += 1
         assert val == count % P
         if val != 0:

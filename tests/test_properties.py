@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from ajtkit import properties
 from ajtkit.budget import Budget
 from ajtkit.errors import BudgetExceeded, InputError, PreconditionViolated
 from ajtkit.fp_core import FpMatrix, enumerate_nonsingular, random_nonsingular
@@ -34,7 +35,7 @@ def brute_force_p1(m, spec):
         if any(x[i] in spec.c_lists[i] for i in range(n)):
             continue
         y = m.matvec(x)
-        if any(y.entries[j] in spec.d_lists[j] for j in range(n)):
+        if any(y[j] in spec.d_lists[j] for j in range(n)):
             continue
         return x
     return None
@@ -79,7 +80,7 @@ def test_check_p1_known_witness():
     assert w is not None
     y = m.matvec(w)
     assert all(c != 0 for c in w)
-    assert all(c != 0 for c in y.entries)
+    assert all(c != 0 for c in y)
 
 
 def test_check_p1_matches_brute_force_existence():
@@ -95,7 +96,7 @@ def test_check_p1_matches_brute_force_existence():
             y = m.matvec(got)
             for i in range(n):
                 assert got[i] not in spec.c_lists[i]
-                assert y.entries[i] not in spec.d_lists[i]
+                assert y[i] not in spec.d_lists[i]
 
 
 def test_check_p1_no_witness_when_everything_forbidden():
@@ -181,6 +182,33 @@ def test_value_lists_are_charged_before_they_are_built():
         assert search(Budget(entries=101)) is not None
 
 
+def test_check_all_charges_the_largest_table_before_p1(monkeypatch):
+    # P3's Z[w] table, p^(n+1) entries, is the largest any property builds:
+    # one entry short, check_all refuses before P1 searches
+    p, n = 7, 2
+    m = FpMatrix([[1, 1], [1, 2]], p)
+    calls = []
+    real = properties.check_p1
+    monkeypatch.setattr(
+        properties, "check_p1", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    )
+    with pytest.raises(BudgetExceeded, match="group-ring table"):
+        check_all(m, budget=Budget(entries=p ** (n + 1) - 1))
+    assert calls == []
+    assert check_all(m, budget=Budget(entries=p ** (n + 1))).ok
+    assert len(calls) == 1
+
+
+def test_a_charge_too_long_to_print_states_a_bound():
+    # p^(n+1) at p = 2^31 - 1, n = 460 has more than the 4,300 digits that
+    # Python converts to a string; the refusal states a power of two
+    p, n = 2**31 - 1, 460
+    m = FpMatrix([[int(i == j) for j in range(n)] for i in range(n)], p)
+    bits = (p ** (n + 1)).bit_length()
+    with pytest.raises(BudgetExceeded, match=rf"needs more than 2\^{bits - 1} entries"):
+        check_all(m)
+
+
 def test_check_multi_matches_brute_force():
     # x itself carries no constraint; only the images must avoid zero.
     # p=5 with three matrices genuinely admits witness-free triples
@@ -193,7 +221,7 @@ def test_check_multi_matches_brute_force():
         w = check_multi(mats, seed=0)
         exists = any(
             all(
-                all(c != 0 for c in m.matvec(x).entries)
+                all(c != 0 for c in m.matvec(x))
                 for m in mats
             )
             for x in itertools.product(range(P), repeat=2)
@@ -203,7 +231,7 @@ def test_check_multi_matches_brute_force():
             nones += 1
         else:
             for m in mats:
-                assert all(c != 0 for c in m.matvec(w).entries)
+                assert all(c != 0 for c in m.matvec(w))
     assert nones > 0  # the sample includes a witness-free triple
 
 
