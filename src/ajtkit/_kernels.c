@@ -13,12 +13,12 @@
    linear probing. A slot whose low limb is 0 is empty: every reachable set
    contains {0, 1}.
 
-   first_hit_scan, pair_hit_scan and gap_hit_scan mirror their twins in
+   first_hit_scan, window_hit_scan and gap_hit_scan mirror their twins in
    _kernels_py: the three routes of one scan, for any p >= 3 and
    1 <= k <= (p - 1)/2, with the same hits in the same order. A centered
    scan asks, for each a in A, the least d with a + i*d in A for 0 < |i| <= k;
    a forward scan asks, for each b outside A, the least d with b + i*d in A
-   for 1 <= i <= k. The pair route serves centered scans, the gap route
+   for 1 <= i <= k. The window route serves centered scans, the gap route
    forward scans at k = 1. Each returns its map finished (struct Hits), of
    records of a tuple type the caller passes in, or no map, and the least
    element left without a witness.
@@ -44,7 +44,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 5            /* bumped whenever a kernel's signature or result changes */
+#define API 6            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -215,6 +215,19 @@ static u64 window(const u64 *D, size_t bit)
     return r ? (D[q] >> r) | (D[q + 1] << (64 - r)) : D[q];
 }
 
+/* The doubled mask D = A | A << p of the n-limb mask a, into the zeroed
+   (2p + 63)/64 + 1 limbs of D, one spare for window's read past the end. */
+static void double_mask(const u64 *a, int n, int p, u64 *D)
+{
+    int q = p >> 6, r = p & 63;
+    for (int i = 0; i < n; i++) {
+        D[i] |= a[i];
+        D[i + q] |= a[i] << r;
+        if (r)
+            D[i + q + 1] |= a[i] >> (64 - r);
+    }
+}
+
 /* The n-limb mask held in buf (little-endian, ceil(p/8) bytes), or -1 with
    ValueError set when the length is wrong or a bit lies at or above p. */
 static int read_mask(Py_buffer *buf, int p, u64 *out, int n)
@@ -368,21 +381,17 @@ static int hits_add(Hits *h, long e, long d)
 static int rotation_scan(const u64 *a, u64 *rem, int n, int p, int k, int forward,
                          Hits *h)
 {
-    int q = p >> 6, r = p & 63, nlive = 0, status = -1;
+    int nlive = 0, status = -1;
     u64 *D = calloc((2 * (size_t)p + 63) / 64 + 1, sizeof(u64));
     int *live = malloc(n * sizeof(int));
     if (D == NULL || live == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (int i = 0; i < n; i++) {
-        D[i] |= a[i];
-        D[i + q] |= a[i] << r;
-        if (r)
-            D[i + q + 1] |= a[i] >> (64 - r);
+    double_mask(a, n, p, D);
+    for (int i = 0; i < n; i++)
         if (rem[i])
             live[nlive++] = i;
-    }
     /* a centered witness d also serves as p - d, so none is first past (p-1)/2 */
     int last = forward ? p - 1 : (p - 1) / 2;
     for (int d = 1; d <= last && nlive > 0; d++) {
@@ -420,12 +429,6 @@ static int key_order(const void *x, const void *y)
     return (u > v) - (u < v);
 }
 
-/* x / 2 mod p for 0 <= x < p: p is odd, so (x + p) / 2 when x is odd. */
-static int halve(int x, int p)
-{
-    return (x + (x & 1) * p) >> 1;
-}
-
 /* 1 if c + i*d and c - i*d lie in A for every 2 <= i <= k. */
 static int covers(const u64 *a, int c, int d, int k, int p)
 {
@@ -437,61 +440,73 @@ static int covers(const u64 *a, int c, int d, int k, int p)
     return 1;
 }
 
-/* The pair route, for centered scans: the rotation's hits and rem, found
-   from the pairs of A. A pair y < z of A is (c - d, c + d) for the center
-   c = (y + z)/2 and d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d,
-   so every witness shows up as the pair of its two ends, and a candidate
-   needs only the steps 2 <= |i| <= k tested. Centers are indexed by
-   x = 2c = y + z mod p, so that most pairs cost an add and a bit test:
-   twice marks 2c for each c of A, and best[x], read only there, is the
-   least candidate kept for its center, p for none. The cost is O(|A|^2)
-   pairs against the rotation's O(D * L) limbs, D the largest hit. */
-static int pair_scan(const u64 *a, u64 *rem, int n, int p, int k, Hits *h)
+/* x with its 64 bits in reverse order. */
+static u64 reverse_bits(u64 x)
 {
-    int s = 0, nkeys = 0, status = -1;
+    x = (x >> 1 & 0x5555555555555555ULL) | (x & 0x5555555555555555ULL) << 1;
+    x = (x >> 2 & 0x3333333333333333ULL) | (x & 0x3333333333333333ULL) << 2;
+    x = (x >> 4 & 0x0F0F0F0F0F0F0F0FULL) | (x & 0x0F0F0F0F0F0F0F0FULL) << 4;
+    return __builtin_bswap64(x);
+}
+
+/* c's least witness d <= (p - 1)/2, or 0 for none. Bit j of the window of
+   D from bit c + 1 + t says c + t + j + 1 is in A, and bit j of the window
+   of M from bit p - c + t says c - t - j - 1 is; their AND lists the
+   candidates d = t + j + 1, 64 at a time, and only the steps 2 <= |i| <= k
+   are left to test. */
+static int least_window(const u64 *a, const u64 *D, const u64 *M, int c, int p, int k)
+{
+    int half = (p - 1) / 2;
+    for (int t = 0; t < half; t += 64) {
+        u64 both = window(D, c + 1 + (size_t)t) & window(M, p - c + (size_t)t);
+        if (half - t < 64)
+            both &= (1ULL << (half - t)) - 1;
+        for (; both; both &= both - 1) {
+            int d = t + __builtin_ctzll(both) + 1;
+            if (covers(a, c, d, k, p))
+                return d;
+        }
+    }
+    return 0;
+}
+
+/* The window route, for centered scans: the rotation's hits and rem, read
+   center by center off two doubled masks, D = A | A << p and its mirror
+   M = R | R << p, where bit j of R is bit p - 1 - j of A (least_window).
+   The hits, keyed d * p + c, are sorted into the rotation's order. The cost
+   is the sum over the centers c of ceil(d_c / 64) words after O(L) set-up,
+   d_c the witness of c, or (p - 1)/2 when it has none; asked for no map,
+   the scan stops at the first center without one, the least. */
+static int window_scan(const u64 *a, u64 *rem, int n, int p, int k, Hits *h)
+{
+    int size = 0, nkeys = 0, status = -1;
     for (int i = 0; i < n; i++)
-        s += __builtin_popcountll(a[i]);
-    int *el = malloc((s + 1) * sizeof(int));
-    int *best = malloc(p * sizeof(int));
-    u64 *twice = calloc(n, sizeof(u64));
-    u64 *keys = malloc((s + 1) * sizeof(u64));
-    if (el == NULL || best == NULL || twice == NULL || keys == NULL) {
+        size += __builtin_popcountll(a[i]);
+    size_t limbs = (2 * (size_t)p + 63) / 64 + 1;
+    u64 *D = calloc(2 * limbs + n + 1, sizeof(u64)), *M = D + limbs, *R = M + limbs;
+    u64 *keys = malloc((size + 1) * sizeof(u64));
+    if (D == NULL || keys == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    for (int i = 0, m = 0; i < n; i++)
-        for (u64 w = a[i]; w; w &= w - 1) {
-            el[m] = 64 * i + __builtin_ctzll(w);
-            int x = 2 * el[m++];
-            x -= x >= p ? p : 0;
-            twice[x >> 6] |= 1ULL << (x & 63);
-            best[x] = p;
-        }
-    for (int j = 1; j < s; j++) {
-        int z = el[j];
-        for (int i = 0; i < j; i++) {
-            int x = el[i] + z;
-            x -= x >= p ? p : 0;
-            if (!has(twice, x))
-                continue;
-            int c = halve(x, p), d = halve(z - el[i], p), cur = best[x];
-            int lo = d < p - d ? d : p - d, hi = p - lo;
-            if (lo < cur) {
-                if (covers(a, c, lo, k, p))
-                    cur = lo;
-                else if (hi < cur && covers(a, c, hi, k, p))
-                    cur = hi;
-            }
-            best[x] = cur;
-        }
-    }
+    /* A reversed as 64 n bits holds bit p - 1 - j of A at bit j + 64 n - p */
+    int shift = (int)(64 * (size_t)n - p);
     for (int i = 0; i < n; i++)
-        for (u64 w = twice[i]; w; w &= w - 1) {
-            int x = 64 * i + __builtin_ctzll(w), c = halve(x, p);
-            if (best[x] < p) {
-                rem[c >> 6] &= ~(1ULL << (c & 63));
-                keys[nkeys++] = (u64)best[x] * p + c;
+        R[i] = reverse_bits(a[n - 1 - i]);
+    for (int i = 0; i < n && shift; i++)
+        R[i] = R[i] >> shift | R[i + 1] << (64 - shift);
+    double_mask(a, n, p, D);
+    double_mask(R, n, p, M);
+    int stop = 0;
+    for (int i = 0; i < n && !stop; i++)
+        for (u64 w = a[i]; w && !stop; w &= w - 1) {
+            int c = 64 * i + __builtin_ctzll(w), d = least_window(a, D, M, c, p, k);
+            if (d) {
+                rem[i] &= ~(1ULL << (c & 63));
+                keys[nkeys++] = (u64)d * p + c;
             }
+            /* with no map to build, the first element left over is the least */
+            stop = d == 0 && h->map == NULL;
         }
     if (h->map != NULL)
         qsort(keys, nkeys, sizeof(u64), key_order);
@@ -500,9 +515,7 @@ static int pair_scan(const u64 *a, u64 *rem, int n, int p, int k, Hits *h)
             goto done;
     status = 0;
 done:
-    free(el);
-    free(best);
-    free(twice);
+    free(D);
     free(keys);
     return status;
 }
@@ -552,7 +565,7 @@ static int gap_scan(const u64 *a, u64 *rem, int n, int p, Hits *h)
     return status;
 }
 
-enum { ROTATION, PAIR, GAP };
+enum { ROTATION, WINDOW, GAP };
 
 /* The scan of A = mask by one route: the arguments (mask, p, k, forward,
    record), the result (map or None, the least element left without a
@@ -560,7 +573,7 @@ enum { ROTATION, PAIR, GAP };
    complement of A, and each route checks that it serves the scan asked. */
 static PyObject *hit_scan(PyObject *args, int route)
 {
-    static const char *const FORMAT[] = {"y*iipO:first_hit_scan", "y*iipO:pair_hit_scan",
+    static const char *const FORMAT[] = {"y*iipO:first_hit_scan", "y*iipO:window_hit_scan",
                                          "y*iipO:gap_hit_scan"};
     Py_buffer buf;
     int p, k, forward;
@@ -574,8 +587,8 @@ static PyObject *hit_scan(PyObject *args, int route)
                      "k = %d", p, k);
         goto done;
     }
-    if (route == PAIR && forward) {
-        PyErr_SetString(PyExc_ValueError, "pair_hit_scan takes centered scans only");
+    if (route == WINDOW && forward) {
+        PyErr_SetString(PyExc_ValueError, "window_hit_scan takes centered scans only");
         goto done;
     }
     if (route == GAP && !(forward && k == 1)) {
@@ -598,7 +611,7 @@ static PyObject *hit_scan(PyObject *args, int route)
     k_obj = PyLong_FromLong(k);
     if (k_obj == NULL || hits_init(&h, record, k_obj) < 0)
         goto done;
-    int status = route == PAIR ? pair_scan(a, rem, n, p, k, &h)
+    int status = route == WINDOW ? window_scan(a, rem, n, p, k, &h)
                  : route == GAP ? gap_scan(a, rem, n, p, &h)
                  : rotation_scan(a, rem, n, p, k, forward, &h);
     if (status < 0)
@@ -623,9 +636,9 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
     return hit_scan(args, ROTATION);
 }
 
-static PyObject *pair_hit_scan(PyObject *self, PyObject *args)
+static PyObject *window_hit_scan(PyObject *self, PyObject *args)
 {
-    return hit_scan(args, PAIR);
+    return hit_scan(args, WINDOW);
 }
 
 static PyObject *gap_hit_scan(PyObject *self, PyObject *args)
@@ -918,10 +931,10 @@ static PyMethodDef methods[] = {
      "first_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
      "Same contract as ajtkit._kernels_py.first_hit_scan, with the mask as\n"
      "little-endian bytes of length ceil(p/8)."},
-    {"pair_hit_scan", pair_hit_scan, METH_VARARGS,
-     "pair_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
-     "Same contract as ajtkit._kernels_py.pair_hit_scan: first_hit_scan's\n"
-     "result from the pairs of the mask, for centered scans."},
+    {"window_hit_scan", window_hit_scan, METH_VARARGS,
+     "window_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
+     "Same contract as ajtkit._kernels_py.window_hit_scan: first_hit_scan's\n"
+     "result from word windows of the mask and its mirror, for centered scans."},
     {"gap_hit_scan", gap_hit_scan, METH_VARARGS,
      "gap_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
      "Same contract as ajtkit._kernels_py.gap_hit_scan: first_hit_scan's\n"

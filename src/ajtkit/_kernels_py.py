@@ -5,14 +5,14 @@ Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 scan answers the S_k/N_k question at radius k: centered, the least d with
 a + i*d in A for 0 < |i| <= k for each a in A; forward, the least d with
 b + i*d in A for 1 <= i <= k for each b outside A. It has three routes with
-the same result: first_hit_scan rotates the mask, pair_hit_scan reads the
-witnesses of a centered scan off the pairs of the set, and gap_hit_scan
-those of a forward scan at k = 1 off the gaps between its elements. Each
-scan returns its map finished, as records of a tuple type it is given or no
-map at all, and the least element left without a witness. The compiled twin
-in _kernels.c implements s1_exhaust with the same traversal order and the
-scans with the same insertion order; the backends must stay byte-for-byte
-interchangeable.
+the same result: first_hit_scan rotates the mask, window_hit_scan reads the
+witnesses of a centered scan off word windows of the mask and its mirror,
+and gap_hit_scan those of a forward scan at k = 1 off the gaps between its
+elements. Each scan returns its map finished, as records of a tuple type it
+is given or no map at all, and the least element left without a witness.
+The compiled twin in _kernels.c implements s1_exhaust with the same
+traversal order and the scans with the same insertion order; the backends
+must stay byte-for-byte interchangeable.
 
 affine_product multiplies a reduced polynomial over F_p, its coefficient
 tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
@@ -127,41 +127,45 @@ def first_hit_scan(
     return _hit_map(hits, record, k), least
 
 
-def pair_hit_scan(
+def window_hit_scan(
     mask: int, p: int, k: int, forward: bool, record: type | None
 ) -> tuple[dict | None, int | None]:
-    """first_hit_scan's (hits, least) for a centered scan, from the pairs of A.
+    """first_hit_scan's (hits, least) for a centered scan, from word windows.
 
-    A pair y < z of A = `mask` is (c - d, c + d) for the center
-    c = (y + z)/2 and d = (z - y)/2 mod p, and (c + e, c - e) for e = p - d,
-    so every witness is the pair of its two ends, and a candidate needs only
-    the steps 2 <= |i| <= k tested: c + i*d in A. Each element keeps its
-    least candidate, and the hits are listed by ascending d, then ascending
-    element, as the rotation lists them. O(|A|^2) pairs, whatever p is.
+    With D = A | A << p for A = `mask` and M the same of its mirror R, bit j
+    of R being bit p - 1 - j of A, bit t of (D >> (c + 1)) & (M >> (p - c))
+    is set when both c + t + 1 and c - t - 1 lie in A. Below (p - 1)/2 those
+    bits are the candidates d = t + 1 for the center c, ascending, and only
+    the steps 2 <= |i| <= k are left to test. Sorting the keys d * p + c
+    lists the hits by ascending d, then ascending element, as the rotation
+    lists them; asked for no map, the scan stops at the first element left
+    without a witness, the least. O(L) big-int work per element.
     ValueError for a forward scan.
     """
     _check_scan(mask, p, k, record)
     if forward:
-        raise ValueError("pair_hit_scan takes centered scans only")
-    others = [i for i in range(-k, k + 1) if abs(i) > 1]
-    half = (p + 1) // 2  # the inverse of 2 mod p
-    elements = _bits(mask)
-    members = set(elements)
-    best: dict[int, int] = {}
-    for j, z in enumerate(elements):
-        for y in elements[:j]:
-            c = (y + z) * half % p
-            if c not in members:
-                continue
-            d = (z - y) * half % p
-            for cand in sorted((d, p - d)):
-                if cand >= best.get(c, p):
+        raise ValueError("window_hit_scan takes centered scans only")
+    others = range(2, k + 1)
+    doubled = mask | mask << p
+    mirror = int(format(mask, f"0{p}b")[::-1], 2)
+    mirror |= mirror << p
+    low = (1 << (p - 1) // 2) - 1
+    keys, least = [], None
+    for c in _bits(mask):
+        both = (doubled >> (c + 1)) & (mirror >> (p - c)) & low
+        while both:
+            d = (both & -both).bit_length()
+            if all(mask >> ((c + i * d) % p) & mask >> ((c - i * d) % p) & 1 for i in others):
+                keys.append(d * p + c)
+                break
+            both &= both - 1
+        else:
+            if least is None:
+                least = c
+                if record is None:
                     break
-                if all(mask >> ((c + i * cand) % p) & 1 for i in others):
-                    best[c] = cand
-                    break
-    hits = {c: d for d, c in sorted((d, c) for c, d in best.items())}
-    return _hit_map(hits, record, k), next((a for a in elements if a not in best), None)
+    keys.sort()
+    return _hit_map({key % p: key // p for key in keys}, record, k), least
 
 
 def gap_hit_scan(

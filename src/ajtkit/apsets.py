@@ -11,14 +11,15 @@ Sets are bit masks over residues (bit i == residue i). Certification asks
 kernels.first_hit_scan the question itself: a centered scan of A for
 S_k-type, a forward scan of its complement for the outside half of N_k-type,
 each for radius k. The kernel finds each element's least witness d by one of
-three routes with identical results: word rotations of the mask, the pairs
-(a - d, a + d) of its elements, or, for forward scans at k = 1, the gap from
-each b to the next element; kernels.scan_route picks one from |A|, p, k and
-the direction. A witness is an ApWitness, a tuple record that compares equal
-to (element, step, radius). The scan builds the maps of SkReport and
-NkReport itself, records included, listed in its order, ascending d, and
-names the least element left without a witness; the partition's acceptance
-test asks the same scans for no map at all.
+three routes with identical results: word rotations of the mask, word
+windows of the mask and its mirror around each element a, whose bits are
+the d with a - d and a + d in A, or, for forward scans at k = 1, the gap
+from each b to the next element; kernels.scan_route picks one from |A|, p,
+k and the direction. A witness is an ApWitness, a tuple record that
+compares equal to (element, step, radius). The scan builds the maps of
+SkReport and NkReport itself, records included, listed in its order,
+ascending d, and names the least element left without a witness; the
+partition's acceptance test asks the same scans for no map at all.
 """
 
 from __future__ import annotations
@@ -55,14 +56,16 @@ class ResidueSet:
 
     def __init__(self, p: int, mask: int):
         self.p = _as_prime(p)
-        if not 0 <= mask < (1 << self.p):
+        if mask < 0 or mask.bit_length() > self.p:
             raise InputError("mask has bits outside [0, p)")
         self.mask = mask
 
     @classmethod
     def from_elements(cls, p: int, elements: Iterable[int]) -> "ResidueSet":
+        """The set of `elements`, each an integer in [0, p), else InputError;
+        each is checked and set in the one pass over them."""
         p = _as_prime(p)
-        mask = 0
+        buf = bytearray((p + 7) // 8)
         for e in elements:
             try:
                 e = operator.index(e)
@@ -70,8 +73,8 @@ class ResidueSet:
                 raise InputError(f"residue {e!r} is not an integer") from None
             if not 0 <= e < p:
                 raise InputError(f"residue {e} outside [0, {p})")
-            mask |= 1 << e
-        return cls(p, mask)
+            buf[e >> 3] |= 1 << (e & 7)
+        return cls(p, int.from_bytes(buf, "little"))
 
     def elements(self) -> tuple[int, ...]:
         return tuple(_bits(self.mask))
@@ -240,13 +243,14 @@ def build_s1_log(p: int) -> ResidueSet:
     if p < 5:
         raise InputError("need p >= 5")
     s = (p - 1) // 4 if p % 4 == 1 else (p + 1) // 4
-    elems = {0, 1, p - 1, (p - 1) // 2}
-    c = s
-    while c >= 1:
-        elems.add(c)
-        elems.add(p - c)
-        c //= 2
-    return ResidueSet.from_elements(p, elems)
+    # one pass over the chain into two (s + 1)-bit ints: c in low, and p - c
+    # in high as bit s - c, shifted into place once
+    low = high = 0
+    for i in range(s.bit_length()):
+        c = s >> i
+        low |= 1 << c
+        high |= 1 << (s - c)
+    return ResidueSet(p, low | high << (p - s) | 1 | 1 << (p - 1) // 2)
 
 
 def _ceil_root(value: int, r: int) -> int:
@@ -385,6 +389,7 @@ def partition_nk(
     parts: int | None = None,
     seed: int = 0,
     max_tries: int = 200,
+    budget: Budget | str | None = None,
 ) -> Partition:
     """Random partition of Z/p into N_k-type parts.
 
@@ -393,7 +398,9 @@ def partition_nk(
     masks are packed from the labels in one vectorized pass, and a draw is
     accepted when every part is N_k-type, decided by the scans is_nk_type
     runs. The default part count is ceil(p^(1/(2k+1))); more parts than
-    residues would leave a part empty, which is never N_k-type.
+    residues would leave a part empty, which is never N_k-type. Before each
+    draw the node budget is charged the words that the draws so far may
+    read in their scans (_draw_words): BudgetExceeded when they pass it.
     """
     p = _as_prime(p)
     _check_radius(p, k)
@@ -403,8 +410,11 @@ def partition_nk(
         raise InputError(f"part count must be in [1, p], got {parts} for p = {p}")
     if max_tries < 1:
         raise InputError(f"need max_tries >= 1, got {max_tries}")
+    b = current_budget(budget)
+    words = _draw_words(p, k, parts)
     rng = random.Random(seed)
     for attempt in range(1, max_tries + 1):
+        b.check_nodes(attempt * words, what=f"N_{k} partition through draw {attempt}")
         labels = _draw_labels(rng, p, parts)
         members = labels == np.arange(parts)[:, None]  # row j: the residues of part j
         rows = np.packbits(members, axis=1, bitorder="little")
@@ -416,6 +426,17 @@ def partition_nk(
         f"no N_{k} partition of F_{p} into {parts} parts in {max_tries} draws",
         attempts=max_tries,
     )
+
+
+def _draw_words(p: int, k: int, parts: int) -> int:
+    """The most words the scans of one partition draw read: each residue is
+    the center of one part's scan, which reads at most ceil((p - 1)/128)
+    words of windows a center, and each part's forward scan reads L =
+    ceil(p/64) words by the gaps at k = 1, or k L words for each difference
+    up to p - 1 by the rotation."""
+    limbs = (p + 63) // 64
+    forward = limbs if k == 1 else k * limbs * (p - 1)
+    return p * -(-(p - 1) // 128) + parts * forward
 
 
 def _draw_labels(rng: random.Random, p: int, parts: int) -> np.ndarray:

@@ -149,7 +149,8 @@ def cmd_sk_build(args) -> int:
 
 def cmd_nk_partition(args) -> int:
     partition = apsets.partition_nk(
-        args.p, args.k, parts=args.parts, seed=args.seed, max_tries=args.max_tries
+        args.p, args.k, parts=args.parts, seed=args.seed, max_tries=args.max_tries,
+        budget=args.budget,
     )
     payload = {"config": _config(args)}
     payload.update(partition.to_json())
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, required=True)
     s.add_argument("--parts", type=int, default=None)
     s.add_argument("--max-tries", type=int, default=200)
-    _add_common(s, budget=False, seed=True)
+    _add_common(s, seed=True)
     s.set_defaults(func=cmd_nk_partition)
 
     s = subs.add_parser("check", help="run the P1..P5 chain on one matrix")

@@ -19,14 +19,15 @@ when record is None, and the least element left without a witness, or None.
 
 The scan has three routes with identical results. rotation_scan tries
 d = 1, 2, ... and ANDs rotated masks, about L = ceil(p/64) words per d up to
-the largest witness; pair_scan, for centered scans, reads each witness off
-the pair (a - d, a + d) of the set, about |A|^2 / 2 pair tests; gap_scan,
-for forward scans at k = 1, reads each witness off the gap to the next
-element of the set, in one O(p) sweep. scan_route takes the gaps for every
-forward scan at k = 1, and the pairs for centered scans with
-|A|^2 <= c * p * sqrt(L), c from PAIR_CUTOFF for the backend; other forward
-scans and denser sets rotate. The rule reads only |A|, p, k and the
-direction.
+the largest witness; window_scan, for centered scans, ANDs for each element
+c the word windows of the mask from c + 1 and of its mirror from p - c,
+whose bits are the d with both c - d and c + d in A, about d_c / 64 words
+for c's witness d_c; gap_scan, for forward scans at k = 1, reads each
+witness off the gap to the next element of the set, in one O(p) sweep.
+scan_route takes the gaps for every forward scan at k = 1, and the windows
+for centered scans of sets sparse enough by WINDOW_CUTOFF for the backend;
+other forward scans and denser sets rotate. The rule reads only |A|, p, k
+and the direction.
 
 affine_product multiplies a reduced polynomial's coefficient tensor by a
 list of affine factors c0 + c1 x_1 + ... + cn x_n in one call: every product
@@ -46,7 +47,6 @@ bytes, 1 for zero, which become the results' buffers.
 from __future__ import annotations
 
 import importlib
-import math
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +55,7 @@ from . import _kernels_py
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 5
+API = 6
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -83,10 +83,12 @@ _ext = _load_extension()
 
 BACKEND = "compiled" if _ext is not None else "pure"
 
-# c in |A|^2 <= c * p * sqrt(L), just below where the pair route stops
-# winning on random sets at p = 1009..20011: c is 2.6..3.6 compiled, 1.0..1.8
-# pure, the bytecode per pair costing more than the big-int rotations
-PAIR_CUTOFF = {"compiled": 2.5, "pure": 1.0}
+# (c, e) in |A|^3 <= c * p^e, at k = 1 and at k >= 2, just below where the
+# window route stops winning on random sets at p = 1009..20011
+# (BENCH_22.json): compiled, a density of about 0.17 and 0.29; pure, where
+# each center's O(L) big-int shifts meet the rotation's, |A|^3 near 5 p^2
+# and 1.2 p^2
+WINDOW_CUTOFF = {"compiled": ((0.005, 3), (0.025, 3)), "pure": ((5, 2), (1.2, 2))}
 
 
 def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
@@ -99,20 +101,20 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
 
 def scan_route(mask: int, p: int, k: int, forward: bool) -> str:
     """The route first_hit_scan takes for this set and this scan: "gap",
-    "pair" or "rotation".
+    "window" or "rotation".
 
     A forward scan at k = 1 takes the gaps, O(p) for any set; other forward
-    scans rotate. A centered scan of A costs about |A|^2 / 2 pair tests, or
-    L = ceil(p/64) words for each difference d that the rotation tries, up
-    to the largest witness, near p^2 ln|A| / |A|^2 for a random set. The two
-    meet where |A|^2 is about c * p * sqrt(L), c weakly rising with |A|;
-    pairs are taken below PAIR_CUTOFF's c for the backend that runs.
+    scans rotate. A centered scan of A reads about d / 64 words a center by
+    the windows, d its witness, near (p/|A|)^(2k) for a random set, or L =
+    ceil(p/64) words for each difference the rotation tries, up to the
+    largest witness. Sparse sets take the windows, dense ones the rotation,
+    split by WINDOW_CUTOFF's |A|^3 <= c * p^e for the backend that runs and
+    for k = 1 or k >= 2.
     """
     if forward:
         return "gap" if k == 1 else "rotation"
-    cutoff = PAIR_CUTOFF["pure" if _ext is None else "compiled"]
-    size = mask.bit_count()
-    return "pair" if size * size <= cutoff * p * math.sqrt((p + 63) // 64) else "rotation"
+    c, e = WINDOW_CUTOFF["pure" if _ext is None else "compiled"][k > 1]
+    return "window" if mask.bit_count() ** 3 <= c * p**e else "rotation"
 
 
 def first_hit_scan(
@@ -121,7 +123,7 @@ def first_hit_scan(
     """(hits, least) of _kernels_py.first_hit_scan, by the route that
     scan_route picks, compiled when built. Every route gives the same result."""
     route = scan_route(mask, p, k, forward)
-    scan = gap_scan if route == "gap" else pair_scan if route == "pair" else rotation_scan
+    scan = gap_scan if route == "gap" else window_scan if route == "window" else rotation_scan
     return scan(mask, p, k, forward, record)
 
 
@@ -130,9 +132,9 @@ def rotation_scan(mask: int, p: int, k: int, forward: bool, record: type | None)
     return _scan("first_hit_scan", mask, p, k, forward, record)
 
 
-def pair_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
-    """(hits, least) of _kernels_py.pair_hit_scan, compiled when built."""
-    return _scan("pair_hit_scan", mask, p, k, forward, record)
+def window_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
+    """(hits, least) of _kernels_py.window_hit_scan, compiled when built."""
+    return _scan("window_hit_scan", mask, p, k, forward, record)
 
 
 def gap_scan(mask: int, p: int, k: int, forward: bool, record: type | None):

@@ -35,6 +35,7 @@ from ajtkit.apsets import (
 )
 from ajtkit.budget import Budget
 from ajtkit.errors import (
+    BudgetExceeded,
     InputError,
     NotFound,
     PartitionNotFound,
@@ -112,6 +113,14 @@ def test_residue_set_elements_read_every_bit():
         for mask in (0, 1, 1 << (p - 1), full, rng.getrandbits(p)):
             want = tuple(i for i in range(p) if mask >> i & 1)
             assert ResidueSet(p, mask).elements() == want
+
+
+def test_residue_set_rejects_masks_outside_p():
+    for p in (5, 61, 67, 20011):
+        assert ResidueSet(p, (1 << p) - 1).elements() == tuple(range(p))
+        for mask in (1 << p, -1, -(1 << p)):
+            with pytest.raises(InputError):
+                ResidueSet(p, mask)
 
 
 def test_residue_set_rejects_bad_elements():
@@ -307,6 +316,20 @@ def test_build_s1_log_contains_seed():
             assert e in s, (p, e)
 
 
+def test_build_s1_log_matches_its_definition():
+    # the mask built in one pass holds exactly the seeds and both halving
+    # chains, for every prime below 10^4
+    for p in range(5, 10**4):
+        if not all(p % q for q in range(2, math.isqrt(p) + 1)):
+            continue
+        s = (p - 1) // 4 if p % 4 == 1 else (p + 1) // 4
+        elements = {0, 1, p - 1, (p - 1) // 2}
+        while s:
+            elements |= {s, p - s}
+            s //= 2
+        assert build_s1_log(p).mask == sum(1 << e for e in elements), p
+
+
 def test_build_s1_log_exact_size_law():
     # size is 2*bitlength(s)+2 for s = (p -+ 1)/4; this equals
     # 2*floor(log2 p) except when p is a Mersenne prime = 3 mod 4,
@@ -497,6 +520,26 @@ def test_label_draws_are_randrange_word_for_word(seed, parts):
         labels = apsets._draw_labels(bulk, p, parts)
         assert labels.tolist() == [single.randrange(parts) for _ in range(p)]
         assert bulk.getstate() == single.getstate()
+
+
+def test_partition_charges_its_draws_before_drawing():
+    # each draw is charged the words its scans may read, on top of the draws
+    # before it: a budget of one draw's words stops the second draw of a
+    # seed whose first is refused, and admits the first draw that is kept
+    p, parts = 1009, 8
+    words = apsets._draw_words(p, 1, parts)
+    assert words == p * 8 + parts * 16  # ceil(1008 / 128) words a center, L = 16
+    first = partition_nk(p, 1, parts=parts, seed=0)
+    one = Budget(nodes=words)
+    seed = next(s for s in range(20) if partition_nk(p, 1, parts=parts, seed=s).attempts > 1)
+    with pytest.raises(BudgetExceeded, match="draw 2"):
+        partition_nk(p, 1, parts=parts, seed=seed, budget=one)
+    if first.attempts == 1:
+        assert partition_nk(p, 1, parts=parts, seed=0, budget=one) == first
+    with pytest.raises(BudgetExceeded, match="draw 1"):
+        partition_nk(p, 1, parts=parts, seed=0, budget=words - 1)
+    # the default budget admits every default draw of an N_1 partition of F_20011
+    assert 200 * apsets._draw_words(20011, 1, 28) <= Budget().nodes
 
 
 def test_partition_rejects_more_parts_than_residues():

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -179,6 +180,24 @@ def test_nk_partition(capsys):
     assert rc == 0
     assert len(payload["parts"]) == 2
     assert payload["attempts"] >= 1
+
+
+def test_nk_partition_budget(capsys):
+    # the scans of the first draw at p = 1000003 pass the default budget, so
+    # the run ends before any label is drawn; a budget below one draw's words
+    # stops a small run too, and one above it changes nothing but the echo
+    start = time.perf_counter()
+    rc = main(["nk-partition", "--p", "1000003", "--k", "97", "--parts", "97"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 2
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith("budget exceeded:") and captured.err.count("\n") == 1
+    small = ("nk-partition", "--p", "257", "--k", "1", "--parts", "2", "--seed", "3")
+    assert run(capsys, *small, "--budget", "100") == (3, "")
+    rc, payload = run_json(capsys, *small, "--budget", "default")
+    assert payload["config"]["budget"] == "default"
+    payload["config"]["budget"] = None
+    assert (rc, payload) == run_json(capsys, *small)
 
 
 def test_nk_partition_failure_is_exit_1(capsys):

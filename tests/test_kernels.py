@@ -6,10 +6,10 @@ claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
 order and the same least uncovered element, so that witness maps do not
 depend on the backend either, nor on the route: the rotation, for centered
-scans the pairs of the set, and for forward scans at k = 1 the gaps between
-its elements. The maps each scan builds, witness records included, must
-agree the same way, and a scan asked for no map must name the same least
-uncovered element.
+scans the word windows of the set and its mirror, and for forward scans at
+k = 1 the gaps between its elements. The maps each scan builds, witness
+records included, must agree the same way, and a scan asked for no map must
+name the same least uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
 backends the tensor that the same factors give through mul_reduce, by the
 shift route and by the interpolate route. products_vanish, behind the
@@ -235,49 +235,61 @@ def test_first_hit_scan_parity(ext, p):
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
-def test_pair_route_parity(ext, p):
-    # centered scans: the pairs, compiled and pure, give the rotation's map
-    # in the same order and the same least element, on the sets where their
-    # |A|^2 / 2 pair tests stay cheap
+def test_window_route_parity(ext, p):
+    # centered scans: the windows, compiled and pure, give the rotation's
+    # map in the same order and the same least element on every set, the
+    # empty and the full one and those with elements left without a witness
+    # included; asked for no map, the same least element
     rng = random.Random(p)
     for mask in scan_sets(p, rng):
         for k, forward in scans(p):
             if forward:
                 continue
             want = ext.rotation_scan(mask, p, k, False, tuple)
-            for scan, most in ((ext.pair_scan, 6000), (_kernels_py.pair_hit_scan, 600)):
-                if mask.bit_count() > most:
-                    continue
+            for scan in (ext.window_scan, _kernels_py.window_hit_scan):
                 hits, least = scan(mask, p, k, False, tuple)
                 assert list(hits.items()) == list(want[0].items()) and least == want[1]
+                assert scan(mask, p, k, False, None) == (None, want[1])
 
 
-def test_pair_route_needs_both_unit_steps(compiled):
-    # the pair route takes centered scans only, whose steps hold -1 and +1;
-    # a forward scan is refused on both backends at every k
+def test_window_route_refuses_forward_scans(compiled):
+    # the window route takes centered scans only, whose steps hold -1 and
+    # +1; a forward scan is refused on both backends at every k
     log = apsets.build_s1_log(13).mask
     for k in (1, 2, 3):
         with pytest.raises(ValueError):
-            _kernels_py.pair_hit_scan(log, 13, k, True, None)
+            _kernels_py.window_hit_scan(log, 13, k, True, None)
         with pytest.raises(ValueError):
-            compiled.pair_hit_scan(log.to_bytes(2, "little"), 13, k, True, None)
+            compiled.window_hit_scan(log.to_bytes(2, "little"), 13, k, True, None)
         want = _kernels_py.first_hit_scan(log, 13, k, False, tuple)
-        assert _kernels_py.pair_hit_scan(log, 13, k, False, tuple) == want
-        assert compiled.pair_hit_scan(log.to_bytes(2, "little"), 13, k, False, tuple) == want
+        assert _kernels_py.window_hit_scan(log, 13, k, False, tuple) == want
+        assert compiled.window_hit_scan(log.to_bytes(2, "little"), 13, k, False, tuple) == want
 
 
-def test_scan_route_rule():
-    # gaps for forward scans at k = 1, whatever the set; pairs for sparse
-    # centered scans; other forward scans and dense sets rotate
-    p = 9973
+def test_scan_route_rule(compiled, monkeypatch):
+    # gaps for forward scans at k = 1, whatever the set; other forward scans
+    # rotate. Centered scans take the windows for the sparse sets, the log
+    # set and an N_1 part of F_20011, on both backends; dense sets rotate,
+    # from a quarter of F_p compiled at k = 1 but not at k = 2, and from a
+    # tenth on the pure backend, whose windows cost O(L) a center
+    p = 20011
     log = apsets.build_s1_log(p).mask
-    full = (1 << p) - 1
-    assert kernels.scan_route(log, p, 1, False) == "pair"
-    assert kernels.scan_route(log, p, 2, False) == "pair"
-    assert kernels.scan_route(log, p, 1, True) == "gap"
-    assert kernels.scan_route(full, p, 1, True) == "gap"
-    assert kernels.scan_route(full, p, 1, False) == "rotation"
-    assert kernels.scan_route(log, p, 2, True) == "rotation"
+    part, tenth, quarter, full = ((1 << size) - 1 for size in (732, p // 10, p // 4, p))
+    for backend in (compiled, None):
+        monkeypatch.setattr(kernels, "_ext", backend)
+        assert kernels.scan_route(log, p, 1, True) == "gap"
+        assert kernels.scan_route(full, p, 1, True) == "gap"
+        assert kernels.scan_route(log, p, 2, True) == "rotation"
+        for k in (1, 2, 3):
+            assert kernels.scan_route(log, p, k, False) == "window"
+            assert kernels.scan_route(part, p, k, False) == "window"
+            assert kernels.scan_route(full, p, k, False) == "rotation"
+    monkeypatch.setattr(kernels, "_ext", compiled)
+    assert kernels.scan_route(quarter, p, 1, False) == "rotation"
+    assert kernels.scan_route(quarter, p, 2, False) == "window"
+    monkeypatch.setattr(kernels, "_ext", None)
+    assert kernels.scan_route(tenth, p, 1, False) == "rotation"
+    assert kernels.scan_route(tenth, p, 2, False) == "rotation"
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
@@ -311,8 +323,8 @@ def test_gap_route_needs_the_one_step(compiled):
 ROUTES = [
     ("rotation", [-1, 1], "rotation_scan", "first_hit_scan"),
     ("rotation", [1, 2], "rotation_scan", "first_hit_scan"),
-    ("pair", [-1, 1], "pair_scan", "pair_hit_scan"),
-    ("pair", [-2, -1, 1, 2], "pair_scan", "pair_hit_scan"),
+    ("window", [-1, 1], "window_scan", "window_hit_scan"),
+    ("window", [-2, -1, 1, 2], "window_scan", "window_hit_scan"),
     ("gap", [1], "gap_scan", "gap_hit_scan"),
 ]
 
@@ -348,7 +360,7 @@ def test_compiled_records_need_a_tuple_layout(compiled):
         __slots__ = ()
 
     mask = (0b111).to_bytes(1, "little")
-    for scan in (compiled.first_hit_scan, compiled.pair_hit_scan):
+    for scan in (compiled.first_hit_scan, compiled.window_hit_scan):
         hits, least = scan(mask, 5, 1, False, Slotted)
         assert (hits, least) == ({1: (1, 1, 1)}, 0) and type(hits[1]) is Slotted
         for record in (Wide, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
@@ -540,7 +552,7 @@ def test_first_hit_scan_rejects_bad_input(compiled):
     # every route on both backends: the mask, p and k are checked and a
     # record is None or a tuple type, int no longer
     log = apsets.build_s1_log(13).mask
-    for name in ("first_hit_scan", "pair_hit_scan", "gap_hit_scan"):
+    for name in ("first_hit_scan", "window_hit_scan", "gap_hit_scan"):
         forward = name == "gap_hit_scan"
         c_scan, py_scan = getattr(compiled, name), getattr(_kernels_py, name)
         # the empty set: nothing to hit centered, and 0 left over forward
