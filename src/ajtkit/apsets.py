@@ -37,15 +37,7 @@ import numpy as np
 from . import kernels
 from ._kernels_py import _bits, _rotl
 from .budget import Budget, current_budget
-from .errors import (
-    ConstructionFailed,
-    InputError,
-    MathViolation,
-    NotFound,
-    PartitionNotFound,
-    PreconditionViolated,
-    RadiusTooLarge,
-)
+from .errors import InputError, MathViolation
 from .fp_core import FpMatrix, _as_prime, _json_int
 
 
@@ -190,7 +182,7 @@ def _check_radius(p: int, k: int) -> None:
     if k < 1:
         raise InputError(f"radius k must be >= 1, got {k}")
     if 2 * k + 1 > p:
-        raise RadiusTooLarge(f"need 2k + 1 <= p, got k={k}, p={p}")
+        raise InputError(f"need 2k + 1 <= p, got k={k}, p={p}")
 
 
 def _is_nk_mask(mask: int, p: int, k: int) -> bool:
@@ -294,7 +286,7 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
     x is the smallest integer with x^(4k+4) >= p. Stage 1 is the interval
     [-kx, kx] plus fringe hops; each later stage spreads the previous fringe
     sets by multiples of the next power of x. The result is certified by
-    is_sk_type and ConstructionFailed carries the failure when p is too
+    is_sk_type, and MathViolation reports the failure when p is too
     small for the stages to close up.
     """
     p = _as_prime(p)
@@ -361,11 +353,9 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
         aset=aset, k=k, x=x, stage_sizes=tuple(stage_sizes), report=report
     )
     if not report.ok:
-        raise ConstructionFailed(
+        raise MathViolation(
             f"staged construction does not certify at p={p}, k={k} "
-            f"(element {report.failing} has no witness)",
-            candidate=aset,
-            report=report,
+            f"(element {report.failing} has no witness)"
         )
     return result
 
@@ -422,9 +412,8 @@ def partition_nk(
         if all(_is_nk_mask(m, p, k) for m in masks):
             parts = tuple(ResidueSet(p, m) for m in masks)
             return Partition(p=p, k=k, parts=parts, seed=seed, attempts=attempt)
-    raise PartitionNotFound(
-        f"no N_{k} partition of F_{p} into {parts} parts in {max_tries} draws",
-        attempts=max_tries,
+    raise MathViolation(
+        f"no N_{k} partition of F_{p} into {parts} parts in {max_tries} draws"
     )
 
 
@@ -540,19 +529,8 @@ def _box_points(boxes: Sequence[ResidueSet]) -> Iterator[tuple[int, ...]]:
     return itertools.product(*[box.elements() for box in boxes])
 
 
-def _combination(
-    basis: Sequence[Sequence[int]], coeffs: Sequence[int], p: int
-) -> tuple[int, ...]:
-    n = len(basis[0])
-    out = [0] * n
-    for c, vec in zip(coeffs, basis):
-        for i in range(n):
-            out[i] = (out[i] + c * vec[i]) % p
-    return tuple(out)
-
-
 def _basis_matrix(basis: Sequence[Sequence[int]], p: int) -> FpMatrix:
-    # basis vectors become columns
+    # basis vectors become columns, so matvec(c) is sum(c_j * basis_j)
     n = len(basis)
     if any(len(v) != n for v in basis):
         raise InputError("basis vectors must have length n")
@@ -586,7 +564,6 @@ def multipliers_valid(
     c_i * lam_i^(-1) membership in V_i for all i. 'auto' picks by size.
     """
     p = u_boxes[0].p
-    n = len(e_basis)
     b = current_budget(budget)
     nu = math.prod(len(u) for u in u_boxes)
     nv = math.prod(len(v) for v in v_boxes)
@@ -594,21 +571,21 @@ def multipliers_valid(
     lambdas = [int(c) % p for c in lambdas]
     if any(c == 0 for c in lambdas):
         raise InputError("multipliers must be nonzero mod p")
+    e, f = _basis_matrix(e_basis, p), _basis_matrix(f_basis, p)
     if route == "exhaustive":
         b.check_nodes(nu + nv, what="exhaustive sum-set intersection")
-        left = {_combination(e_basis, u, p) for u in _box_points(u_boxes)}
+        left = {e.matvec(u) for u in _box_points(u_boxes)}
         for v in _box_points(v_boxes):
             scaled = [lam * y % p for lam, y in zip(lambdas, v)]
-            if _combination(f_basis, scaled, p) in left:
+            if f.matvec(scaled) in left:
                 return False
         return True
     if route == "solve":
         b.check_nodes(nu, what="basis-solve collision scan")
-        finv = _basis_matrix(f_basis, p).invert()
+        finv = f.invert()
         inv_l = [pow(lam, -1, p) for lam in lambdas]
         for u in _box_points(u_boxes):
-            point = _combination(e_basis, u, p)
-            coords = finv.matvec(point)
+            coords = finv.matvec(e.matvec(u))
             if all(
                 c != 0 and (c * il % p) in box
                 for c, il, box in zip(coords, inv_l, v_boxes)
@@ -644,12 +621,12 @@ def random_multipliers(
         if box.p != p:
             raise InputError("boxes live over different moduli")
         if len(box) == 0 or 0 in box:
-            raise PreconditionViolated("boxes must be nonempty subsets of F_p \\ {0}")
+            raise InputError("boxes must be nonempty subsets of F_p \\ {0}")
     if _basis_matrix(e_basis, p).det() == 0 or _basis_matrix(f_basis, p).det() == 0:
-        raise PreconditionViolated("both families must be bases")
+        raise InputError("both families must be bases")
     sizes = math.prod(len(b) for b in u_boxes) * math.prod(len(b) for b in v_boxes)
     if sizes >= (p - 1) ** n:
-        raise PreconditionViolated(
+        raise InputError(
             f"box size product {sizes} must stay below (p-1)^n = {(p - 1) ** n}"
         )
     b = current_budget(budget)
@@ -663,9 +640,7 @@ def random_multipliers(
             return MultiplierCertificate(
                 p=p, lambdas=lambdas, seed=seed, attempts=attempt, route=route
             )
-    raise NotFound(
-        f"no separating multipliers in {max_tries} draws", attempts=max_tries
-    )
+    raise MathViolation(f"no separating multipliers in {max_tries} draws")
 
 
 class GoodSubsets(NamedTuple):
@@ -683,7 +658,7 @@ class GoodSubsets(NamedTuple):
 def _shift_off_zero(aset: ResidueSet) -> ResidueSet:
     """Translate the set so it avoids 0; smallest nonnegative shift."""
     if len(aset) >= aset.p:
-        raise PreconditionViolated("a proper subset is required")
+        raise InputError("a proper subset is required")
     for c in range(aset.p):
         if (aset.p - c) % aset.p not in aset:
             return aset.translate(c)
@@ -723,7 +698,7 @@ def good_subsets(
         base_a = a_set if a_set is not None else appendix_lookup(p) or build_s1_log(p)
         base_b = b_set if b_set is not None else base_a
         if not is_sk_type(base_a, 1).ok or not is_sk_type(base_b, 1).ok:
-            raise PreconditionViolated("base sets must certify S_1")
+            raise InputError("base sets must certify S_1")
     elif k >= 2:
         base_a = a_set if a_set is not None else build_sk(p, k).aset
         if b_set is not None:
@@ -732,15 +707,15 @@ def good_subsets(
             partition = partition_nk(p, k, seed=seed)
             base_b = min(partition.parts, key=len)
         if not is_sk_type(base_a, k).ok:
-            raise PreconditionViolated("base A must certify S_k")
+            raise InputError("base A must certify S_k")
         if not is_nk_type(base_b, k).ok:
-            raise PreconditionViolated("base B must certify N_k")
+            raise InputError("base B must certify N_k")
     else:
         raise InputError("k must be >= 1")
     base_a = _shift_off_zero(base_a)
     base_b = _shift_off_zero(base_b)
     if len(base_a) * len(base_b) >= p - 1:
-        raise PreconditionViolated(
+        raise InputError(
             f"need |A| * |B| < p - 1, got {len(base_a)} * {len(base_b)} vs {p - 1}"
         )
     cert = random_multipliers(

@@ -42,15 +42,23 @@ class Budget(NamedTuple):
 
     def check_nodes_power(self, base: int, exp: int, what: str = "search") -> None:
         """check_nodes(base ** exp) for base >= 2, without forming a power
-        past the cap: base ** exp >= 2 ** (exp * (base.bit_length() - 1)),
-        so once that exponent reaches the cap's bit length the refusal
-        states the bound instead."""
-        bound = exp * (base.bit_length() - 1)
-        if bound >= self.nodes.bit_length():
-            raise BudgetExceeded(
-                f"{what} needs at least 2^{bound} nodes, budget allows {self.nodes}"
-            )
+        past the cap (_check_power_bound)."""
+        _check_power_bound(base, exp, self.nodes, "nodes", what)
         self.check_nodes(base**exp, what=what)
+
+    def check_entries_power(self, base: int, exp: int, what: str = "dense table") -> None:
+        """check_entries(base ** exp) for base >= 2, the same way."""
+        _check_power_bound(base, exp, self.entries, "entries", what)
+        self.check_entries(base**exp, what=what)
+
+
+def _check_power_bound(base: int, exp: int, cap: int, unit: str, what: str) -> None:
+    """base ** exp >= 2 ** (exp * (base.bit_length() - 1)): once that exponent
+    reaches the cap's bit length, refuse with the bound, before the power is
+    formed."""
+    bound = exp * (base.bit_length() - 1)
+    if bound >= cap.bit_length():
+        raise BudgetExceeded(f"{what} needs at least 2^{bound} {unit}, budget allows {cap}")
 
 
 def _count(needed: int) -> str:

@@ -3,9 +3,9 @@
 Subcommands mirror the library: table verification, set construction and
 search, partitioning, property reports, exhaustive sweeps, duality and
 pairing probes. Output is deterministic for a fixed seed and configuration;
-exit codes are 0 (success), 1 (a verified mathematical statement failed, or
-stdout closed before the output was written), 2 (bad input), 3 (budget
-exceeded).
+exit codes are 0 (success), 1 (MathViolation: a verified statement failed or
+no certificate was found; or stdout closed before the output was written),
+2 (InputError: bad input), 3 (BudgetExceeded).
 """
 
 from __future__ import annotations
@@ -21,15 +21,7 @@ import numpy as np
 
 from . import apsets, fp_core, fp_poly, group_ring, properties
 from .budget import Budget, current_budget
-from .errors import (
-    AjtError,
-    BudgetExceeded,
-    ConstructionFailed,
-    InputError,
-    MathViolation,
-    NotFound,
-    PartitionNotFound,
-)
+from .errors import AjtError, BudgetExceeded, InputError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -79,12 +71,18 @@ def _load_json(path: str) -> dict:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _matrix_from_args(args) -> fp_core.FpMatrix:
-    if getattr(args, "matrix", None):
-        return fp_core.FpMatrix.from_json(_load_json(args.matrix))
-    if getattr(args, "p", None) is None or getattr(args, "n", None) is None:
+def _random_shape(args) -> tuple[int, int]:
+    """(p, n) of a random matrix, p validated, else InputError."""
+    if args.p is None or args.n is None:
         raise InputError("give --matrix FILE or both --p and --n for a random matrix")
-    return fp_core.random_nonsingular(args.p, args.n, seed=args.seed or 0)
+    return fp_core._as_prime(args.p), args.n
+
+
+def _matrix_from_args(args) -> fp_core.FpMatrix:
+    if args.matrix:
+        return fp_core.FpMatrix.from_json(_load_json(args.matrix))
+    p, n = _random_shape(args)
+    return fp_core.random_nonsingular(p, n, seed=args.seed or 0, budget=args.budget)
 
 
 def _check_trials(args) -> None:
@@ -159,6 +157,11 @@ def cmd_nk_partition(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not args.matrix:
+        # P3's p^(n+1) table, the first charge check_all makes, keeps n near
+        # 10 whatever the node cap: refuse it before an n^3 draw
+        p, n = _random_shape(args)
+        current_budget(args.budget).check_entries_power(p, n + 1, what="group-ring table")
     m = _matrix_from_args(args)
     spec = None
     if args.forbidden:
@@ -281,7 +284,7 @@ def cmd_duality(args) -> int:
     disagreements = []
     factorial_failures = []
     for trial in range(args.trials):
-        m = fp_core.random_nonsingular(p, n, rng=rng)
+        m = fp_core.random_nonsingular(p, n, rng=rng, budget=args.budget)
         r = [rng.randrange(0, p) for _ in range(n)]
         s = _random_balanced_partner(rng, r, p)
         result = fp_poly.duality_check(m, r, s, budget=args.budget)
@@ -330,7 +333,7 @@ def cmd_multi(args) -> int:
     witness_free = []
     for _ in range(args.trials):
         matrices = [
-            fp_core.random_nonsingular(args.p, args.n, rng=rng)
+            fp_core.random_nonsingular(args.p, args.n, rng=rng, budget=args.budget)
             for _ in range(args.k)
         ]
         witness = properties.check_multi(
@@ -370,11 +373,17 @@ def cmd_pairing(args) -> int:
 def cmd_sigma(args) -> int:
     _check_trials(args)
     if args.matrix:
-        matrices = [fp_core.FpMatrix.from_json(_load_json(args.matrix))]
+        matrices = [_matrix_from_args(args)]
     else:
+        p, n = _random_shape(args)
+        budget = current_budget(args.budget)
+        # every trial rolls one (2n+1)·p^n sigma stack: all of them are
+        # charged before the first draw, p^n by its size first
+        budget.check_nodes_power(p, n, what="sigma trials")
+        budget.check_nodes(args.trials * (2 * n + 1) * p**n, what="sigma trials")
         rng = random.Random(args.seed)
         matrices = [
-            fp_core.random_nonsingular(args.p, args.n, rng=rng)
+            fp_core.random_nonsingular(p, n, rng=rng, budget=budget)
             for _ in range(args.trials)
         ]
     candidates = []
@@ -514,9 +523,10 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (MathViolation, NotFound, PartitionNotFound, ConstructionFailed) as exc:
-        # no certificate: either a verified statement failed or a randomized
-        # search ran out of retries without one
+    except AjtError as exc:
+        # MathViolation, the only other class: either a verified statement
+        # failed or a randomized search ran out of retries without a
+        # certificate
         print(f"violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

@@ -21,11 +21,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .budget import Budget, current_budget
-from .errors import (
-    InputError,
-    NotPrime,
-    SingularMatrix,
-)
+from .errors import InputError
 
 # Deterministic Miller-Rabin witness set, exact for every n < 3.3 * 10^24,
 # far beyond the 2^31 modulus range supported here.
@@ -59,29 +55,18 @@ def is_probable_prime(m: int) -> bool:
     return True
 
 
-class Prime(int):
-    """An odd prime modulus, validated at construction."""
-
-    def __new__(cls, value: int) -> "Prime":
-        value = int(value)
-        if value < 3 or not is_probable_prime(value):
-            raise NotPrime(f"modulus must be an odd prime >= 3, got {value}")
-        return super().__new__(cls, value)
-
-
-# moduli that have passed Prime(p) in this process; primality never changes,
-# so each modulus is validated once
+# moduli that have passed _as_prime in this process; primality never
+# changes, so each modulus is validated once
 _VALIDATED: set[int] = set()
 
 
 def _as_prime(p: int) -> int:
-    """p as an exact int, validated as an odd prime the first time it is seen.
-
-    Returns a plain int, not a Prime: CPython's specialized int fast paths
-    skip subclasses."""
+    """p as an exact int, validated as an odd prime the first time it is
+    seen, else InputError."""
     p = int(p)
     if p not in _VALIDATED:
-        Prime(p)
+        if p < 3 or not is_probable_prime(p):
+            raise InputError(f"modulus must be an odd prime >= 3, got {p}")
         _VALIDATED.add(p)
     return p
 
@@ -128,14 +113,14 @@ class FpMatrix:
         return self.det() != 0
 
     def invert(self) -> "FpMatrix":
-        """Inverse via Gauss-Jordan elimination; SingularMatrix when det is 0."""
+        """Inverse via Gauss-Jordan elimination; InputError when det is 0."""
         p, n = self.p, self.n
         a = [list(row) + [1 if i == j else 0 for j in range(n)]
              for i, row in enumerate(self.rows)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if a[r][col]), None)
             if pivot is None:
-                raise SingularMatrix(f"matrix is singular modulo {p}")
+                raise InputError(f"matrix is singular modulo {p}")
             if pivot != col:
                 a[col], a[pivot] = a[pivot], a[col]
             inv = pow(a[col][col], -1, p)
@@ -319,9 +304,14 @@ def enumerate_nonsingular(
 
 
 def random_nonsingular(p: int, n: int, seed: int | None = None,
-                       rng: random.Random | None = None) -> FpMatrix:
-    """Rejection-sample a nonsingular matrix; deterministic for a fixed seed."""
+                       rng: random.Random | None = None,
+                       budget: Budget | str | None = None) -> FpMatrix:
+    """Rejection-sample a nonsingular matrix; deterministic for a fixed seed.
+
+    The node budget is charged n^3, about one elimination, before the first
+    draw."""
     p = _as_prime(p)
+    current_budget(budget).check_nodes(n**3, what="random matrix")
     if rng is None:
         rng = random.Random(seed)
     while True:

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import kernels
 from .budget import Budget, current_budget
-from .errors import DegreeMismatch, InputError
+from .errors import InputError
 from .fp_core import FpMatrix, _as_prime
 
 ExponentVector = tuple[int, ...]
@@ -363,7 +363,7 @@ def duality_check(
 ) -> DualityResult:
     """Coefficient duality between the rows of m and the columns of m.
 
-    With sum(r) == sum(s) (else DegreeMismatch) and entries in [0, p-1]:
+    With sum(r) == sum(s) (else InputError) and entries in [0, p-1]:
     the coefficient of x^s in prod_i <row_i, x>^(r_i) vanishes exactly when
     the coefficient of x^r in prod_j <col_j, x>^(s_j) does.
     """
@@ -376,7 +376,7 @@ def duality_check(
     if any(not 0 <= x <= p - 1 for x in r + s):
         raise InputError("exponents must lie in [0, p-1]")
     if sum(r) != sum(s):
-        raise DegreeMismatch(f"sum(r) = {sum(r)} differs from sum(s) = {sum(s)}")
+        raise InputError(f"sum(r) = {sum(r)} differs from sum(s) = {sum(s)}")
     lhs = _form_product(p, m.rows, r)
     rhs = _form_product(p, list(zip(*m.rows)), s)
     return DualityResult(

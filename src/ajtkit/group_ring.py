@@ -38,7 +38,7 @@ import numpy as np
 from . import kernels
 from ._kernels_py import _exact, _expand, _roll
 from .budget import Budget, current_budget
-from .errors import InputError, PhaseInNonCyclotomicRing
+from .errors import InputError
 from .fp_core import FpMatrix, _as_prime
 
 
@@ -199,7 +199,7 @@ def product_of_factors(
     shape = _shape(spec.p, spec.n, ring)
     b.check_entries(spec.p ** len(shape), what="group-ring table")
     if spec.phases is not None and ring is not CyclotomicRing:
-        raise PhaseInNonCyclotomicRing("phases require the cyclotomic coefficient ring")
+        raise InputError("phases require the cyclotomic coefficient ring")
     phases = spec.phases or [(None,) * e for e in spec.exponents]
     shifts = [
         _shift(spec.p, ring, v, phase)

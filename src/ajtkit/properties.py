@@ -38,10 +38,7 @@ import numpy as np
 
 from ._kernels_py import _roll
 from .budget import Budget, current_budget
-from .errors import (
-    InputError,
-    PreconditionViolated,
-)
+from .errors import InputError
 from .fp_core import FpMatrix, _as_prime, _json_int, _json_int_rows, _vectors
 from .fp_poly import (
     _eval_dense,
@@ -297,7 +294,7 @@ def check_multi(
         if (m.p, m.n) != (p, n):
             raise InputError("matrices must share p and n")
         if not m.is_nonsingular():
-            raise PreconditionViolated("matrices must be nonsingular")
+            raise InputError("matrices must be nonsingular")
     b = current_budget(budget)
     b.check_entries(n * p, what="witness value lists")
     rows = [list(row) for m in matrices for row in m.rows]
@@ -632,19 +629,19 @@ def check_all(
     """Run P1 through P5 for one matrix; requires p > 3.
 
     The budget is resolved once and charged for P3's p^(n+1) table, the
-    largest any property builds, before P1 searches.
+    largest any property builds, before the determinant and P1 search run.
     """
     p, n = m.p, m.n
     if p <= 3:
-        raise PreconditionViolated("the property chain needs p > 3")
+        raise InputError("the property chain needs p > 3")
+    b = current_budget(budget)
+    b.check_entries(p ** (n + 1), what="group-ring table")
     if not m.is_nonsingular():
-        raise PreconditionViolated("the property chain is stated for nonsingular matrices")
+        raise InputError("the property chain is stated for nonsingular matrices")
     if spec is None:
         spec = ForbiddenSpec.default(p, n)
     if (spec.p, spec.n) != (p, n):
         raise InputError("forbidden spec does not match the matrix")
-    b = current_budget(budget)
-    b.check_entries(p ** (n + 1), what="group-ring table")
     witness = check_p1(m, spec, budget=b)
     p2 = check_p2(m, spec.c_lists, spec.d_lists, budget=b)
     p3 = check_p3(m, spec.c_lists, spec.d_lists, budget=b)

@@ -34,13 +34,7 @@ from ajtkit.apsets import (
     witness_covers_forward,
 )
 from ajtkit.budget import Budget
-from ajtkit.errors import (
-    BudgetExceeded,
-    InputError,
-    NotFound,
-    PartitionNotFound,
-    PreconditionViolated,
-)
+from ajtkit.errors import BudgetExceeded, InputError, MathViolation
 from ajtkit.fp_core import FpMatrix
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -467,7 +461,7 @@ def test_partition_deterministic_by_seed():
 def test_partition_default_part_count_needs_large_p():
     # at p=257 the default count ceil(p^(1/3)) = 7 makes uniform draws
     # essentially never certify; the failure must be reported, not hidden
-    with pytest.raises(PartitionNotFound):
+    with pytest.raises(MathViolation, match="no N_1 partition of F_257 into 7 parts in 25 draws"):
         partition_nk(257, 1, seed=0, max_tries=25)
 
 
@@ -555,7 +549,7 @@ def test_partition_draw_test_runs_the_outside_scan():
     # part vacuously); the outside scan of the empty part must reject it
     rng = random.Random(0)
     assert any(len({rng.randrange(2) for _ in range(5)}) == 1 for _ in range(50))
-    with pytest.raises(PartitionNotFound):
+    with pytest.raises(MathViolation, match="no N_1 partition of F_5 into 2 parts in 50 draws"):
         partition_nk(5, 1, parts=2, seed=0, max_tries=50)
 
 
@@ -639,7 +633,7 @@ def test_random_multipliers_precondition():
     p, n = 5, 1
     e = std_basis(p, n)
     big = [ResidueSet.from_elements(p, [1, 2, 3, 4])]
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InputError, match=r"box size product 16 must stay below \(p-1\)\^n = 4"):
         random_multipliers(e, e, big, big, seed=0)
 
 
@@ -675,7 +669,7 @@ def test_good_subsets_small_p_precondition():
     # S_1(13)^2 = 36 >= 12, so no certified base pair exists at p=13
     p, n = 13, 1
     e = std_basis(p, n)
-    with pytest.raises((PreconditionViolated, NotFound)):
+    with pytest.raises(InputError, match=r"need \|A\| \* \|B\| < p - 1, got 6 \* 6 vs 12"):
         good_subsets(p, 1, e, e, seed=0)
 
 

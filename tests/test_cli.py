@@ -3,6 +3,7 @@
 import concurrent.futures
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -215,6 +216,28 @@ def test_check_random_matrix(capsys):
     assert rc == 0
     assert payload["violations"] == []
     assert payload["P1"]["witness"] is not None
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (("check", "--p", "10007", "--n", "500"),
+         "group-ring table needs at least 2^6513 entries, budget allows 16777216"),
+        (("pairing", "--p", "5", "--n", "2000", "--trials", "40"),
+         "random matrix needs 8000000000 nodes, budget allows 1000000000"),
+        (("duality", "--p", "5", "--n", "2000", "--trials", "1"),
+         "random matrix needs 8000000000 nodes, budget allows 1000000000"),
+        (("sigma", "--p", "7", "--n", "7", "--trials", "10007"),
+         "sigma trials needs 123617922015 nodes, budget allows 1000000000"),
+    ],
+)
+def test_random_matrices_are_charged_before_any_draw(capsys, monkeypatch, argv, refusal):
+    def never(*args):
+        raise AssertionError("a matrix entry was drawn")
+
+    monkeypatch.setattr(random.Random, "randrange", never)
+    assert main(list(argv)) == 3
+    assert capsys.readouterr().err == f"budget exceeded: {refusal}\n"
 
 
 def test_check_from_file(tmp_path, capsys):

@@ -1,0 +1,86 @@
+"""Exit-code gate: boundary argv end in their documented exit code, fast.
+
+Each argv runs in its own interpreter, one at a time, under a 1.5 GB
+address-space limit and a 10 s wall limit. It must exit 0-3 with no
+traceback, and an exit 2 (bad input) or 3 (budget) prints one stderr line.
+
+Left out: `s1 --p 1000003 --mode min --budget low`. The node budget counts
+search nodes but does not bound a node's O(p * L) work at that size, so the
+run is not bounded in time by any budget yet.
+"""
+
+import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ajtkit import cli
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+ADDRESS_SPACE = 1536 * 2**20
+WALL_S = 10
+
+ARGV = [
+    # sweep: p^(n^2) refused by its bit length, p validated first
+    ("sweep --p 5 --n 2000 --budget low", 3),
+    ("sweep --p 40 --n 2000 --budget low", 2),
+    ("sweep --p 4 --n 1000003", 2),
+    ("sweep --p 7 --n 10007 --budget low", 3),
+    # random matrices are charged before they are drawn
+    ("check --p 10007 --n 10007", 3),
+    ("check --p 10007 --n 500", 3),
+    ("check --p 10000019 --n 1", 3),
+    ("pairing --p 5 --n 2000 --trials 40", 3),
+    ("duality --p 5 --n 2000 --trials 1", 3),
+    ("sigma --p 7 --n 7 --trials 10007", 3),
+    ("sigma --n 2", 2),
+    ("nk-partition --p 1000003 --k 97 --parts 97", 3),
+    # -1, 0 and 1 for --p, --n, --k and --trials
+    ("s1 --p -1", 2),
+    ("s1 --p 0", 2),
+    ("s1 --p 1", 2),
+    ("check --p 5 --n -1", 2),
+    ("check --p 5 --n 0", 2),
+    ("check --p 5 --n 1", 0),
+    ("sk-build --p 11 --k -1", 2),
+    ("sk-build --p 11 --k 0", 2),
+    ("sk-build --p 11 --k 1", 2),
+    ("sigma --p 5 --n 2 --trials -1", 2),
+    ("sigma --p 5 --n 2 --trials 0", 2),
+    ("sigma --p 5 --n 2 --trials 1", 0),
+    # one argv per cause that once had its own exception class
+    ("s1 --p 9", 2),
+    ("sk-build --p 5 --k 3", 2),
+    ("check --p 3 --n 2", 2),
+    ("pairing --matrix {singular}", 2),
+    ("nk-partition --p 7 --k 1 --parts 7 --max-tries 1", 1),
+    ("nk-partition --p 101 --k 2 --max-tries 1", 1),
+]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("line, code", ARGV, ids=[line for line, _ in ARGV])
+def test_argv_exits_with_its_code(tmp_path, line, code):
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps({"p": 5, "rows": [[1, 2], [2, 4]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ajtkit.cli", *line.format(singular=singular).split()],
+        capture_output=True,
+        text=True,
+        stdin=subprocess.DEVNULL,
+        env={**os.environ, "PYTHONPATH": SRC},
+        preexec_fn=_limit_address_space,
+        timeout=WALL_S,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == code, proc.stderr
+    if code in (2, 3):
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajtkit.budget import Budget
-from ajtkit.errors import BudgetExceeded, InputError, NotPrime, SingularMatrix
+from ajtkit.errors import BudgetExceeded, InputError
 from ajtkit.fp_core import (
     FpMatrix,
-    Prime,
+    _as_prime,
     _det_mod_p,
     enumerate_nonsingular,
     enumerate_nonsingular_groups,
@@ -53,23 +53,23 @@ def matmul(a, b):
 
 
 def test_prime_accepts_odd_primes():
-    assert int(Prime(3)) == 3
-    assert int(Prime(7919)) == 7919
+    assert _as_prime(3) == 3
+    assert _as_prime(7919) == 7919
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2, 4, 6, 9, 561, 1000003 * 3])
 def test_prime_rejects_everything_else(bad):
     # 2 is rejected on purpose: every construction here needs (p-1)/2 etc.
-    with pytest.raises(NotPrime):
-        Prime(bad)
+    with pytest.raises(InputError, match="modulus must be an odd prime"):
+        _as_prime(bad)
 
 
 def test_composite_modulus_raises_on_every_call():
     # only moduli that passed are remembered; a composite is rejected each time
     for _ in range(3):
-        with pytest.raises(NotPrime):
+        with pytest.raises(InputError, match="modulus must be an odd prime"):
             FpMatrix([[1]], 9)
-        with pytest.raises(NotPrime):
+        with pytest.raises(InputError, match="modulus must be an odd prime"):
             next(enumerate_nonzero_rows(15, 2))
     assert type(FpMatrix([[1]], 7).p) is int
 
@@ -102,7 +102,7 @@ def test_det_multiplicative():
 
 
 def test_invert_singular_raises():
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(InputError, match="matrix is singular modulo"):
         FpMatrix([[1, 2], [2, 4]], 5).invert()
 
 
@@ -224,7 +224,7 @@ def test_grouped_enumeration_checks_its_budget_and_prefix():
         flattened_groups(p, n, prefix=[[1, 0, 0]])
     with pytest.raises(InputError):
         flattened_groups(p, 0)
-    with pytest.raises(NotPrime):
+    with pytest.raises(InputError, match="modulus must be an odd prime"):
         flattened_groups(9, n)
 
 
@@ -235,6 +235,14 @@ def test_random_nonsingular_deterministic_and_valid():
     assert a.det() != 0
     c = random_nonsingular(7, 3, seed=43)
     assert c.det() != 0
+
+
+def test_random_nonsingular_charges_before_drawing():
+    rng = random.Random(5)
+    with pytest.raises(BudgetExceeded, match="random matrix needs 27 nodes"):
+        random_nonsingular(7, 3, rng=rng, budget=Budget(nodes=26))
+    assert rng.random() == random.Random(5).random()  # nothing was drawn
+    assert random_nonsingular(7, 3, seed=42, budget=27) == random_nonsingular(7, 3, seed=42)
 
 
 def test_matrix_json_round_trip():
@@ -261,7 +269,7 @@ def test_inverse_really_inverts(p, data):
     )
     m = FpMatrix(rows, p)
     if m.det() == 0:
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(InputError, match="matrix is singular modulo"):
             m.invert()
     else:
         ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ajtkit.errors import DegreeMismatch, InputError
+from ajtkit.errors import InputError
 from ajtkit.fp_core import FpMatrix, random_nonsingular
 from ajtkit.fp_poly import (
     ReducedPoly,
@@ -274,7 +274,7 @@ def test_duality_zero_iff_zero():
 
 def test_duality_rejects_unbalanced():
     m = FpMatrix([[1, 1], [1, 2]], P)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(InputError, match=r"sum\(r\) = 3 differs from sum\(s\) = 2"):
         duality_check(m, [1, 2], [1, 1])
     with pytest.raises(InputError):
         duality_check(m, [1, P], [1, P])  # exponents above p-1

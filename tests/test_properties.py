@@ -8,7 +8,7 @@ import pytest
 
 from ajtkit import properties
 from ajtkit.budget import Budget
-from ajtkit.errors import BudgetExceeded, InputError, PreconditionViolated
+from ajtkit.errors import BudgetExceeded, InputError
 from ajtkit.fp_core import FpMatrix, enumerate_nonsingular, random_nonsingular
 from ajtkit.properties import (
     ForbiddenSpec,
@@ -197,6 +197,11 @@ def test_check_all_charges_the_largest_table_before_p1(monkeypatch):
     assert calls == []
     assert check_all(m, budget=Budget(entries=p ** (n + 1))).ok
     assert len(calls) == 1
+    # the charge also comes before the determinant: a singular matrix past
+    # the cap is refused for its size, not its rank
+    singular = FpMatrix([[1, 2], [2, 4]], p)
+    with pytest.raises(BudgetExceeded, match="group-ring table"):
+        check_all(singular, budget=Budget(entries=p ** (n + 1) - 1))
 
 
 def test_a_charge_too_long_to_print_states_a_bound():
@@ -266,7 +271,7 @@ def test_check_multi_identity_matrices():
 def test_check_multi_rejects_singular():
     good = random_nonsingular(P, 2, seed=0)
     bad = FpMatrix([[1, 2], [2, 4]], P)
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InputError, match="matrices must be nonsingular"):
         check_multi([good, bad])
 
 
@@ -310,9 +315,9 @@ def test_check_all_report_json():
 
 
 def test_check_all_preconditions():
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InputError, match="the property chain needs p > 3"):
         check_all(FpMatrix([[1]], 3))
-    with pytest.raises(PreconditionViolated):
+    with pytest.raises(InputError, match="the property chain is stated for nonsingular"):
         check_all(FpMatrix([[1, 2], [2, 4]], P))
 
 
