@@ -34,14 +34,15 @@ whole duality_check on each backend, and asserts equal verdicts.
 Another table times the group-ring factor products, which gather along each
 axis, against a plain `np.roll` loop kept here as the reference, and asserts
 that both give the same tables or verdicts; its stacked row runs
-kernels.products_vanish on the backend that imported. The products_vanish
-table times that kernel on each backend, at one sweep group each of (5, 2),
-(11, 2), (5, 3) and (31, 2), and asserts equal flags. The stacked products
-and the stacked nowhere-zero witness search take one sweep group as two
-arrays, the head rows it shares and the last row of each matrix; the witness table times that
-search against `check_p1` called per matrix, and asserts that both find the
-same witnesses. A last row times the grouped enumeration of GL_3(F_5), rows
-as arrays, against the same matrices built one `FpMatrix` at a time.
+properties.sweep_verdicts, all three sweep verdicts through
+kernels.products_vanish on the backend that imported, and compares its two
+product flags. The products_vanish table times that kernel on each backend,
+at one sweep group each of (5, 2), (11, 2), (5, 3) and (31, 2), and asserts
+equal flags. sweep_verdicts takes one sweep group as two arrays, the head
+rows it shares and the last row of each matrix; the witness table times it
+against `check_p1` called per matrix, and asserts that both find the same
+witnesses. A last row times the grouped enumeration of GL_3(F_5), rows as
+arrays, against the same matrices built one `FpMatrix` at a time.
 
 Run from a checkout with the package installed:
 
@@ -200,7 +201,7 @@ def product_cases():
     yield (
         f"stack of {len(group)}, Z and F_p", 11, len(group) * 11**2,
         rolled_verdicts,
-        lambda: group_ring.products_vanish(11, head, last),
+        lambda: properties.sweep_verdicts(11, head, last)[2:],
     )
 
 
@@ -220,10 +221,9 @@ def witness_cases():
 
 
 def stacked_witnesses(p, head, last):
-    """nowhere_zero_witnesses as check_p1 returns them: a vector or None."""
-    found, first = properties.nowhere_zero_witnesses(p, head, last)
-    vectors = properties.nowhere_zero_vectors(p, head.shape[1])
-    return [tuple(vectors[i].tolist()) if f else None for f, i in zip(found, first)]
+    """sweep_verdicts' witnesses as check_p1 returns them: a vector or None."""
+    found, witness = properties.sweep_verdicts(p, head, last)[:2]
+    return [tuple(w.tolist()) if f else None for f, w in zip(found, witness)]
 
 
 def timed(fn, *args, repeat=1):

@@ -190,24 +190,20 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
         "modp_nonzero": 0,
         "violations": [],
     }
-    vectors = properties.nowhere_zero_vectors(p, n)
     groups = fp_core.enumerate_nonsingular_groups(
         p, n, budget=budget, prefix=[list(first_row)]
     )
     # the matrices of a group share their first n-1 rows, so they share all
-    # but one factor and all but one row: their products are expanded and
-    # their witnesses searched as stacks, the head rows shared and the last
-    # row varying. A stack holds at most SWEEP_STACK_ENTRIES table entries,
-    # and fewer witness-mask entries ((p-1)^n < p^n a matrix), and never
-    # more than the budget allows
+    # but one factor and all but one row: one call answers all three
+    # verdicts for a stack, the head rows shared and the last row varying.
+    # A stack holds at most SWEEP_STACK_ENTRIES table entries, and fewer
+    # witness-mask entries ((p-1)^n < p^n a matrix), and never more than
+    # the budget allows
     size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // p**n)
     for head, last in groups:
         for start in range(0, len(last), size):
             stack = last[start : start + size]
-            int_zero, modp_zero = group_ring.products_vanish(
-                p, head, stack, budget=budget
-            )
-            found, first = properties.nowhere_zero_witnesses(
+            found, witness, int_zero, modp_zero = properties.sweep_verdicts(
                 p, head, stack, budget=budget
             )
             counts["matrices"] += len(stack)
@@ -219,7 +215,7 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
                 counts["violations"].append(
                     {
                         "matrix": fp_core.FpMatrix(rows, p).to_json(),
-                        "p1_witness": vectors[first[i]].tolist() if found[i] else None,
+                        "p1_witness": witness[i].tolist() if found[i] else None,
                         "integer_zero": bool(int_zero[i]),
                         "modp_zero": bool(modp_zero[i]),
                     }
@@ -279,15 +275,20 @@ def cmd_sweep(args) -> int:
 
 def cmd_duality(args) -> int:
     _check_trials(args)
+    p, n = fp_core._as_prime(args.p), args.n
+    budget = current_budget(args.budget)
+    # every trial draws an n^3 matrix and builds two p^n reduced products:
+    # all of them are charged before the first draw, p^n by its size first
+    budget.check_nodes_power(p, n, what="duality trials")
+    budget.check_nodes(args.trials * (n**3 + 2 * p**n), what="duality trials")
     rng = random.Random(args.seed)
-    p, n = args.p, args.n
     disagreements = []
     factorial_failures = []
     for trial in range(args.trials):
-        m = fp_core.random_nonsingular(p, n, rng=rng, budget=args.budget)
+        m = fp_core.random_nonsingular(p, n, rng=rng, budget=budget)
         r = [rng.randrange(0, p) for _ in range(n)]
         s = _random_balanced_partner(rng, r, p)
-        result = fp_poly.duality_check(m, r, s, budget=args.budget)
+        result = fp_poly.duality_check(m, r, s, budget=budget)
         if not result.agree:
             disagreements.append(result.to_json())
         if not result.factorial_relation_holds():
@@ -328,17 +329,20 @@ def cmd_multi(args) -> int:
     if args.k < 2:
         raise InputError("multi needs k >= 2 matrices per tuple")
     _check_trials(args)
+    p, n = fp_core._as_prime(args.p), args.n
+    budget = current_budget(args.budget)
+    # every trial draws k matrices, n^3 nodes each: all of them are charged
+    # before the first draw
+    budget.check_nodes(args.trials * args.k * n**3, what="multi trials")
     rng = random.Random(args.seed)
     found = 0
     witness_free = []
     for _ in range(args.trials):
         matrices = [
-            fp_core.random_nonsingular(args.p, args.n, rng=rng, budget=args.budget)
+            fp_core.random_nonsingular(p, n, rng=rng, budget=budget)
             for _ in range(args.k)
         ]
-        witness = properties.check_multi(
-            matrices, seed=args.seed, budget=args.budget
-        )
+        witness = properties.check_multi(matrices, seed=args.seed, budget=budget)
         if witness is not None:
             found += 1
         else:
@@ -346,8 +350,8 @@ def cmd_multi(args) -> int:
             witness_free.append([list(list(r) for r in m.rows) for m in matrices])
     payload = {
         "config": _config(args),
-        "p": args.p,
-        "n": args.n,
+        "p": p,
+        "n": n,
         "k": args.k,
         "trials": args.trials,
         "found": found,
@@ -360,6 +364,11 @@ def cmd_multi(args) -> int:
 
 def cmd_pairing(args) -> int:
     _check_trials(args)
+    if not args.matrix:
+        # the p^n pairing table, the first charge pairing_test makes: refuse
+        # it before an n^3 draw, as cmd_check does
+        p, n = _random_shape(args)
+        current_budget(args.budget).check_entries_power(p, n, what="pairing table")
     m = _matrix_from_args(args)
     report = properties.pairing_test(
         m, trials=args.trials, seed=args.seed or 0, budget=args.budget

@@ -14,13 +14,10 @@ statements about matrices and products of factors (1 - phase * g^v).
 
 Factor products are the only multiplication: `GroupRingElem` is the value a
 product returns, with equality and a zero test but no ring arithmetic.
-`products_vanish` takes a stack of matrices as two row arrays, the (n-1)-row
-head they share and the last row of each, as `sweep` enumerates them, and
-`kernels.products_vanish` answers both of the sweep's product verdicts for
-each: zero over Z, and zero mod p. It expands the unit vectors and the head
-rows once, into one table, then each matrix's last row, compiled when the
-extension is built; its pure twin and `product_of_factors` share one numpy
-expansion, `_kernels_py._expand`.
+`product_of_factors` shares its numpy expansion, `_kernels_py._expand`,
+with the pure twin of `kernels.products_vanish`, which answers `sweep`'s two
+product verdicts for a whole stack of matrices; `properties.sweep_verdicts`
+is the one layer that validates and charges such a stack.
 `sigma_of_factors` stacks the elementary symmetric functions of the factors
 as one table stack, one roll of the stack per factor.
 
@@ -35,7 +32,6 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import kernels
 from ._kernels_py import _exact, _expand, _roll
 from .budget import Budget, current_budget
 from .errors import InputError
@@ -210,41 +206,6 @@ def product_of_factors(
     if ring is ModPRing:
         table = _exact(table % spec.p, spec.p)
     return GroupRingElem(spec.p, spec.n, ring, table)
-
-
-def _stack_arrays(
-    p: int, head: np.ndarray, last: np.ndarray
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """p validated, n, and the int64 rows of a stack of B matrices: each
-    has the (n-1, n) `head` rows, the same in every matrix, followed by its
-    own row of the (B, n) `last` rows."""
-    head = np.asarray(head, dtype=np.int64)
-    last = np.asarray(last, dtype=np.int64)
-    if last.ndim != 2 or head.shape != (last.shape[1] - 1, last.shape[1]):
-        raise InputError("a stack is an (n-1, n) head and a (B, n) array of last rows")
-    return _as_prime(p), last.shape[1], head, last
-
-
-def products_vanish(
-    p: int,
-    head: np.ndarray,
-    last: np.ndarray,
-    budget: Budget | str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Whether prod (1-g^(e_i)) * prod (1-g^(a_i)) vanishes over Z and over
-    F_p (`check_p4` with unit exponents) for each of a stack of B matrices.
-
-    Matrix b has the (n-1, n) `head` rows and the row last[b] (see
-    `_stack_arrays`). `kernels.products_vanish` expands the products over Z
-    once, the unit vectors and the head rows as factors of one table, and
-    reads both verdicts off each matrix's table. Returns (int_zero,
-    modp_zero), two (B,) bool arrays: a table is zero, and it is zero mod p.
-    The entries budget is charged for the whole stack, on either backend.
-    """
-    b = current_budget(budget)
-    p, n, head, last = _stack_arrays(p, head, last)
-    b.check_entries(len(last) * p**n, what="group-ring stack")
-    return kernels.products_vanish(p, head, last)
 
 
 def check_p4(

@@ -38,10 +38,11 @@ returns them in a bytearray, which becomes the result's buffer.
 products_vanish answers the sweep's two group-ring verdicts for a stack of B
 matrices, an (n-1, n) head of shared rows and a (B, n) array of last rows:
 whether prod (1 - g^(e_i)) * prod (1 - g^(a_i)) vanishes over Z, and mod p.
-The compiled side applies the unit vectors and the head rows once, to one
-p^n int64 table, then each last row into one scratch table, so it holds
-2 p^n entries whatever B is, and returns the flags in two bytearrays of B
-bytes, 1 for zero, which become the results' buffers.
+Its one caller, properties.sweep_verdicts, validates, charges and converts
+the two arrays. The compiled side applies the unit vectors and the head rows
+once, to one p^n int64 table, then each last row into one scratch table, so
+it holds 2 p^n entries whatever B is, and returns the flags in two
+bytearrays of B bytes, 1 for zero, which become the results' buffers.
 """
 
 from __future__ import annotations
@@ -167,14 +168,10 @@ def products_vanish(
     p: int, head: np.ndarray, last: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """_kernels_py.products_vanish of the stack whose matrices share the
-    (n-1, n) int64 rows `head` and end in the (B, n) rows `last`, compiled
-    when built: (int_zero, modp_zero), two (B,) bool arrays."""
+    (n-1, n) rows `head` and end in the (B, n) rows `last`, both contiguous
+    int64, compiled when built: (int_zero, modp_zero), two (B,) bool arrays."""
     n = last.shape[1]
     if _ext is None:
         return _kernels_py.products_vanish(head, last, p, n)
-    flags = _ext.products_vanish(
-        np.ascontiguousarray(head, dtype=np.int64),
-        np.ascontiguousarray(last, dtype=np.int64),
-        p, n,
-    )
+    flags = _ext.products_vanish(head, last, p, n)
     return tuple(np.frombuffer(f, dtype=bool) for f in flags)

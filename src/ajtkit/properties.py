@@ -14,12 +14,11 @@ coordinates and d_i for the images, the five properties are:
 P1, P2, P3 are equivalent; P3 implies P4 implies P5 (p > 3). check_all runs
 all five and reports any violation of that chain.
 
-check_p1 searches depth first with early exit, for any forbidden lists. For
-the nowhere-zero lists (c_i = d_i = {0}) of a stack of matrices given as row
-arrays, the (n-1)-row head they share and the last row of each,
-nowhere_zero_witnesses tests all (p-1)^n candidates at once, one product
-over the stack for the last rows, and finds the same witnesses; sweep uses
-it next to the stacked group-ring products.
+check_p1 searches depth first with early exit, for any forbidden lists.
+sweep_verdicts is sweep's one stack layer: for matrices given as the
+(n-1)-row head they share and the last row of each, it finds check_p1's
+nowhere-zero witnesses, all (p-1)^n candidates at once, and both group-ring
+verdicts, by one kernels.products_vanish call.
 
 The delta operators and the pairing test exercise the functional reading of
 P4: difference operators along unit vectors and along the rows of M, images
@@ -36,6 +35,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import kernels
 from ._kernels_py import _roll
 from .budget import Budget, current_budget
 from .errors import InputError
@@ -49,7 +49,6 @@ from .fp_poly import (
 from .group_ring import (
     FactorSpec,
     ModPRing,
-    _stack_arrays,
     check_p3,
     check_p4,
     product_of_factors,
@@ -234,44 +233,53 @@ def check_p1(
 
 # a table can be as large as the entries budget, so only a few are kept
 @lru_cache(maxsize=8)
-def nowhere_zero_vectors(p: int, n: int) -> np.ndarray:
+def _nowhere_zero_vectors(p: int, n: int) -> np.ndarray:
     """The (p-1)^n vectors of {1, ..., p-1}^n in lex order, as a read-only
-    (K, n) table: the candidates of `nowhere_zero_witnesses`."""
+    (K, n) table: the witness candidates of `sweep_verdicts`."""
     table = np.indices((p - 1,) * n).reshape(n, -1).T + 1
     table.flags.writeable = False
     return table
 
 
-def nowhere_zero_witnesses(
+def sweep_verdicts(
     p: int,
     head: np.ndarray,
     last: np.ndarray,
     budget: Budget | str | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """`check_p1` with the default spec for each of a stack of B matrices:
-    whether some x in {1..p-1}^n has Mx nowhere zero, and the lex-first one.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`sweep`'s three verdicts for each of a stack of B matrices, which
+    share the (n-1, n) `head` rows and end in the rows of the (B, n) `last`:
+    (found, witness, int_zero, modp_zero).
 
-    Matrix b has the (n-1, n) `head` rows and the row last[b] (see
-    `group_ring._stack_arrays`). Returns (found, first), two (B,) arrays:
-    where found[b], matrix b's witness is row first[b] of
-    `nowhere_zero_vectors(p, n)`. With the default spec every coordinate
-    has the same slack, so `check_p1` assigns coordinates 0..n-1 with values
-    in ascending order and its first hit is this lex-first x. Here all
-    K = (p-1)^n candidates are tested at once: the head rows give one (K,)
-    mask, and the last rows one product over the stack, a (B, K) mask.
-    The entries budget is charged for the B * K mask entries, the node
-    budget for the K candidates of one matrix.
+    found[b] tells whether some x in {1..p-1}^n has M_b x nowhere zero, and
+    witness[b] is the lex-first such x (zeros where none), the one `check_p1`
+    finds with the default spec, whose equal slacks make it assign
+    coordinates 0..n-1 with values in ascending order. All K = (p-1)^n
+    candidates are tested at once: the head rows give one (K,) mask, and the
+    last rows one (B, K) product over the stack. int_zero and modp_zero, from
+    one `kernels.products_vanish` call, tell whether
+    prod (1-g^(e_i)) * prod (1-g^(a_i)) vanishes over Z and over F_p.
+
+    p and the shapes are validated and the rows made contiguous int64 once,
+    here. The entries budget is charged B * p^n, the product tables, which
+    covers the B * K mask; the node budget K.
     """
+    head = np.ascontiguousarray(head, dtype=np.int64)
+    last = np.ascontiguousarray(last, dtype=np.int64)
+    if last.ndim != 2 or head.shape != (last.shape[1] - 1, last.shape[1]):
+        raise InputError("a stack is an (n-1, n) head and a (B, n) array of last rows")
+    p, n = _as_prime(p), last.shape[1]
     b = current_budget(budget)
-    p, n, head, last = _stack_arrays(p, head, last)
-    count = (p - 1) ** n
-    b.check_entries(len(last) * count, what="witness stack")
-    b.check_nodes(count, what="witness search")
+    b.check_entries(len(last) * p**n, what="group-ring stack")
+    b.check_nodes((p - 1) ** n, what="witness search")
+    int_zero, modp_zero = kernels.products_vanish(p, head, last)
     # an image sum_j a_j x_j is below n p^2, which fits int64 for p < 2^31
     # whenever the (p-1)^n vectors fit in memory
-    vectors = nowhere_zero_vectors(p, n)
+    vectors = _nowhere_zero_vectors(p, n)
     ok = (vectors @ head.T % p != 0).all(axis=1) & (last @ vectors.T % p != 0)
-    return ok.any(axis=1), ok.argmax(axis=1)
+    found = ok.any(axis=1)
+    witness = vectors[ok.argmax(axis=1)] * found[:, None]
+    return found, witness, int_zero, modp_zero
 
 
 def check_multi(

@@ -224,11 +224,15 @@ def test_check_random_matrix(capsys):
         (("check", "--p", "10007", "--n", "500"),
          "group-ring table needs at least 2^6513 entries, budget allows 16777216"),
         (("pairing", "--p", "5", "--n", "2000", "--trials", "40"),
-         "random matrix needs 8000000000 nodes, budget allows 1000000000"),
+         "pairing table needs at least 2^4000 entries, budget allows 16777216"),
         (("duality", "--p", "5", "--n", "2000", "--trials", "1"),
-         "random matrix needs 8000000000 nodes, budget allows 1000000000"),
+         "duality trials needs at least 2^4000 nodes, budget allows 1000000000"),
         (("sigma", "--p", "7", "--n", "7", "--trials", "10007"),
          "sigma trials needs 123617922015 nodes, budget allows 1000000000"),
+        (("duality", "--p", "5", "--n", "2", "--trials", "100000000"),
+         "duality trials needs 5800000000 nodes, budget allows 1000000000"),
+        (("multi", "--p", "5", "--n", "2", "--trials", "100000000"),
+         "multi trials needs 1600000000 nodes, budget allows 1000000000"),
     ],
 )
 def test_random_matrices_are_charged_before_any_draw(capsys, monkeypatch, argv, refusal):
@@ -414,8 +418,7 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
 
     for module, name in [
         (cli.fp_core, "enumerate_nonsingular_groups"),
-        (cli.properties, "nowhere_zero_witnesses"),
-        (cli.group_ring, "products_vanish"),
+        (cli.properties, "sweep_verdicts"),
     ]:
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     expanded = []
@@ -427,21 +430,18 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
         capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1", "--budget", "700"
     )
     assert rc == 0
-    assert {name for name, _ in seen} == {
-        "enumerate_nonsingular_groups", "nowhere_zero_witnesses", "products_vanish"
-    }
-    # at n = 2 each of the 24 first rows is one group: one stacked product
-    # call, whose kernel call answers both rings, and one stacked witness
-    # search per group
+    assert {name for name, _ in seen} == {"enumerate_nonsingular_groups", "sweep_verdicts"}
+    # at n = 2 each of the 24 first rows is one group: one stack call per
+    # group, whose one kernel call answers both rings
     assert len(expanded) == 24
-    assert len(seen) == 24 + 2 * 24
+    assert len(seen) == 24 + 24
     assert {budget for _, budget in seen} == {Budget(nodes=700)}
 
 
 def recording_stacks(monkeypatch):
-    """Record (head rows, last rows) of every products_vanish call."""
+    """Record (head rows, last rows) of every sweep_verdicts call."""
     stacks = []
-    real = group_ring.products_vanish
+    real = properties.sweep_verdicts
 
     def recording(p, head, last, budget=None):
         n = last.shape[1]
@@ -449,7 +449,7 @@ def recording_stacks(monkeypatch):
         stacks.append((head.tolist(), last.tolist()))
         return real(p, head, last, budget=budget)
 
-    monkeypatch.setattr(group_ring, "products_vanish", recording)
+    monkeypatch.setattr(properties, "sweep_verdicts", recording)
     return stacks
 
 

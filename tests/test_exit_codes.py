@@ -35,7 +35,11 @@ ARGV = [
     ("check --p 10007 --n 500", 3),
     ("check --p 10000019 --n 1", 3),
     ("pairing --p 5 --n 2000 --trials 40", 3),
+    ("pairing --p 10007 --n 500", 3),
     ("duality --p 5 --n 2000 --trials 1", 3),
+    # every trial is charged before the first draw
+    ("duality --p 5 --n 2 --trials 100000000", 3),
+    ("multi --p 5 --n 2 --trials 100000000", 3),
     ("sigma --p 7 --n 7 --trials 10007", 3),
     ("sigma --n 2", 2),
     ("nk-partition --p 1000003 --k 97 --parts 97", 3),

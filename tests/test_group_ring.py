@@ -20,11 +20,10 @@ from ajtkit.group_ring import (
     check_p3,
     check_p4,
     product_of_factors,
-    products_vanish,
     sigma_of_factors,
     sigma_vanishing_candidate,
 )
-from ajtkit.properties import ForbiddenSpec, check_p1
+from ajtkit.properties import ForbiddenSpec, check_p1, sweep_verdicts
 
 P = 5
 
@@ -273,7 +272,7 @@ def rolled_products(p, shifts):
 
 def stacked_rows(matrices):
     """The (n-1, n) head shared by matrices that agree on their first n-1
-    rows, and the (B, n) last rows, as products_vanish takes them."""
+    rows, and the (B, n) last rows, as sweep_verdicts takes them."""
     rows = np.array([m.rows for m in matrices], dtype=np.int64)
     assert (rows[:, :-1] == rows[:1, :-1]).all()
     return rows[0, :-1], rows[:, -1]
@@ -290,7 +289,8 @@ def test_stacked_products_match_one_at_a_time(p, n):
     # sweep stacks them
     grouped = ([], [])
     for _, group in itertools.groupby(matrices, key=lambda m: m.rows[:-1]):
-        for out, got in zip(grouped, products_vanish(p, *stacked_rows(list(group)))):
+        verdicts = sweep_verdicts(p, *stacked_rows(list(group)))
+        for out, got in zip(grouped, verdicts[2:]):
             out += got.tolist()
     assert grouped == want
     int_zero, modp_zero = map(np.array, grouped)
@@ -298,9 +298,9 @@ def test_stacked_products_match_one_at_a_time(p, n):
     # a head must be n-1 rows
     head, last = stacked_rows(matrices[:1])
     with pytest.raises(InputError):
-        products_vanish(p, np.vstack([head, last]), last)
+        sweep_verdicts(p, np.vstack([head, last]), last)
     # an empty stack
-    assert [a.shape for a in products_vanish(p, head, last[:0])] == [(0,), (0,)]
+    assert [a.shape for a in sweep_verdicts(p, head, last[:0])] == [(0,), (0, n), (0,), (0,)]
     if p == 3:
         # (1-g)^3 = 1 - g^3 = 0 over F_3, so some mod-p products vanish
         assert modp_zero.any()
@@ -333,16 +333,16 @@ def test_stack_budget_charges_every_table():
     # the matrices [[1, 1], [1, a]] for a = 2, 3, 4
     head = np.array([[1, 1]])
     last = np.array([[1, a] for a in (2, 3, 4)])
-    with pytest.raises(BudgetExceeded):
-        products_vanish(P, head, last, budget=Budget(entries=3 * P**2 - 1))
-    got = products_vanish(P, head, last, budget=Budget(entries=3 * P**2))
-    assert [a.tolist() for a in got] == [[False] * 3] * 2
+    with pytest.raises(BudgetExceeded, match="group-ring stack needs 75 entries"):
+        sweep_verdicts(P, head, last, budget=Budget(entries=3 * P**2 - 1))
+    got = sweep_verdicts(P, head, last, budget=Budget(entries=3 * P**2))
+    assert [a.tolist() for a in got[2:]] == [[False] * 3] * 2
 
 
 def test_stack_rejects_mixed_shapes():
     head = np.array([[1, 1]])
     last = np.array([[1, 2]])
-    assert [a.tolist() for a in products_vanish(P, head, last)] == [[False]] * 2
+    assert [a.tolist() for a in sweep_verdicts(P, head, last)[2:]] == [[False]] * 2
     for bad_head, bad_last in [
         (head, np.array([[1, 2, 3]])),  # rows of two lengths
         (np.array([[1, 1], [2, 1]]), last),  # three rows of length two
@@ -350,10 +350,10 @@ def test_stack_rejects_mixed_shapes():
         (head[0], last),  # head rows not a matrix
         (head, last[0]),  # last rows not a stack
     ]:
-        with pytest.raises(InputError):
-            products_vanish(P, bad_head, bad_last)
-    with pytest.raises(InputError):
-        products_vanish(4, head, last)
+        with pytest.raises(InputError, match="a stack is"):
+            sweep_verdicts(P, bad_head, bad_last)
+    with pytest.raises(InputError, match="odd prime"):
+        sweep_verdicts(4, head, last)
 
 
 # ---------------------------------------------------------------------------

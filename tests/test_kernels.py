@@ -14,7 +14,10 @@ affine_product, behind every P2/P5/duality product, must return on both
 backends the tensor that the same factors give through mul_reduce, by the
 shift route and by the interpolate route. products_vanish, behind the
 sweep's group-ring verdicts, must return the same flags on both backends,
-byte for byte, as an np.roll expansion of each matrix's product gives them.
+byte for byte, as an np.roll expansion of each matrix's product gives them;
+and properties.sweep_verdicts, its one caller, must give on each backend
+the witness and both flags that check_p1 and the factor products over Z and
+F_p give one matrix at a time.
 
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
@@ -36,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ajtkit import _kernels_py, apsets, kernels
+from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels, properties
 from ajtkit.fp_poly import ReducedPoly, mul_reduce
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ajtkit" / "_kernels.c"
@@ -507,6 +510,52 @@ def test_products_vanish_parity(ext, p, n):
     assert {(False, False), (True, True)} <= seen
     if p == 3:
         assert (False, True) in seen
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
+def test_sweep_verdicts_match_one_matrix_at_a_time(backend, p, n):
+    # properties.sweep_verdicts on each backend against check_p1 and the
+    # factor products over Z and F_p, one matrix at a time. Stacks: the first
+    # group of the enumeration and the group below a random prefix, each cut
+    # into stacks of 8 with a ragged last one, an empty stack, and random
+    # rows with entries below 0 and at or above p, which every route reads
+    # mod p, and a last row 0 mod p, so a singular matrix
+    rng = random.Random(p * 10 + n)
+    first = next(fp_core.enumerate_nonsingular_groups(p, n))
+    prefix = fp_core.random_nonsingular(p, n, rng=rng).rows[:-1]
+    (drawn,) = fp_core.enumerate_nonsingular_groups(p, n, prefix=prefix)
+    stacks = [(head, last[i : i + 8]) for head, last in (first, drawn)
+              for i in range(0, len(last), 8)]
+    stacks.append((first[0], first[1][:0]))
+    loose = np.array([[rng.randrange(-p, 2 * p) for _ in range(n)] for _ in range(n + 8)])
+    loose[n - 1] = [p * rng.randrange(-2, 3) for _ in range(n)]  # 0 mod p
+    stacks.append((loose[: n - 1], loose[n - 1 :]))
+    assert len(stacks[-3][1]) < 8  # ragged
+    seen = set()
+    for head, last in stacks:
+        found, witness, int_zero, modp_zero = properties.sweep_verdicts(p, head, last)
+        assert [a.dtype for a in (found, witness, int_zero, modp_zero)] == [
+            bool, np.int64, bool, bool
+        ]
+        assert witness.shape == last.shape
+        for b, row in enumerate(last.tolist()):
+            m = fp_core.FpMatrix(head.tolist() + [row], p)
+            spec = group_ring.FactorSpec.from_matrix(m)
+            want = (
+                properties.check_p1(m),
+                group_ring.product_of_factors(spec, group_ring.IntegerRing).is_zero(),
+                group_ring.product_of_factors(spec, group_ring.ModPRing).is_zero(),
+            )
+            got = (
+                tuple(witness[b].tolist()) if found[b] else None,
+                bool(int_zero[b]),
+                bool(modp_zero[b]),
+            )
+            assert got == want
+            assert found[b] or not witness[b].any()
+            seen.add((want[0] is None,) + want[1:])
+    assert (False, False, False) in seen
+    assert (True, True, True) in seen  # the zero row's product vanishes
 
 
 def test_products_vanish_rejects_bad_input(compiled):

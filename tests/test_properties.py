@@ -20,9 +20,8 @@ from ajtkit.properties import (
     image_membership_routes,
     line_sum,
     multiplier_invariance_test,
-    nowhere_zero_vectors,
-    nowhere_zero_witnesses,
     pairing_test,
+    sweep_verdicts,
 )
 
 P = 5
@@ -107,17 +106,17 @@ def test_check_p1_no_witness_when_everything_forbidden():
 
 def stacked_rows(matrices):
     """The (n-1, n) head shared by matrices that agree on their first n-1
-    rows, and the (B, n) last rows, as nowhere_zero_witnesses takes them."""
+    rows, and the (B, n) last rows, as sweep_verdicts takes them."""
     rows = np.array([m.rows for m in matrices], dtype=np.int64)
     assert (rows[:, :-1] == rows[:1, :-1]).all()
     return rows[0, :-1], rows[:, -1]
 
 
 def stacked_witnesses(p, head, last, budget=None):
-    """nowhere_zero_witnesses as check_p1 returns them: a vector or None."""
-    found, first = nowhere_zero_witnesses(p, head, last, budget=budget)
-    vectors = nowhere_zero_vectors(p, last.shape[1])
-    return [tuple(vectors[i].tolist()) if f else None for f, i in zip(found, first)]
+    """sweep_verdicts' witnesses as check_p1 returns them: a vector or None."""
+    found, witness = sweep_verdicts(p, head, last, budget=budget)[:2]
+    assert not witness[~found].any()  # zeros where there is no witness
+    return [tuple(w.tolist()) if f else None for f, w in zip(found, witness)]
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3)])
@@ -151,22 +150,23 @@ def test_stacked_witnesses_reject_mixed_shapes():
         (head[0], last),  # head rows not a matrix
         (head, last[0]),  # last rows not a stack
     ]:
-        with pytest.raises(InputError):
-            nowhere_zero_witnesses(P, bad_head, bad_last)
-    with pytest.raises(InputError):
-        nowhere_zero_witnesses(9, head, last)
+        with pytest.raises(InputError, match="a stack is"):
+            sweep_verdicts(P, bad_head, bad_last)
+    with pytest.raises(InputError, match="odd prime"):
+        sweep_verdicts(9, head, last)
 
 
 def test_stacked_witnesses_charge_the_whole_stack():
-    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4
+    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4; the stack's B * p^n
+    # product tables cover its B * (p-1)^n witness mask
     m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
     head, last = stacked_rows(m)
-    entries = 3 * (P - 1) ** 2
-    with pytest.raises(BudgetExceeded):
-        nowhere_zero_witnesses(P, head, last, budget=Budget(entries=entries - 1))
-    with pytest.raises(BudgetExceeded):
-        nowhere_zero_witnesses(P, head, last, budget=Budget(nodes=(P - 1) ** 2 - 1))
-    got = stacked_witnesses(P, head, last, budget=Budget(entries=entries))
+    entries = 3 * P**2
+    with pytest.raises(BudgetExceeded, match="group-ring stack"):
+        sweep_verdicts(P, head, last, budget=Budget(entries=entries - 1))
+    with pytest.raises(BudgetExceeded, match="witness search needs 16 nodes"):
+        sweep_verdicts(P, head, last, budget=Budget(nodes=(P - 1) ** 2 - 1))
+    got = stacked_witnesses(P, head, last, budget=Budget(entries=entries, nodes=(P - 1) ** 2))
     assert got == [check_p1(x) for x in m]
 
 
