@@ -6,21 +6,18 @@ counts included for the search, hits in the same order for the scan, the
 same tensor for the product, the same flags for the sweep's products. This
 script times them side by side on the workloads that dominate real use:
 exhausting all sets below the optimum and finding a minimum set one size
-up, and the S_1 and N_1 certification scans of a logarithmic set and of one
-partition part. The compiled side runs through ajtkit.kernels, which
-carries the mask across as bytes. The scan table times the routes of
-first_hit_scan on each backend, at k = 1 and asked for no map, so the
-kernel's own work: the rotation against the word windows of the set and its
-mirror for the centered scans, and against the gaps between its elements
-for the forward scan. It names the route that kernels.scan_route picks, and
-asserts that every route gives the pure rotation's hits in the same order
-and the same least element left without a witness. The centered-route table
-times both centered routes, maps built, on random sets of densities from
-one element to 0.9 at p = 1009 and 20011, next to the words each reads;
-kernels.WINDOW_CUTOFF sits where they cost the same. The witness-map rows
-time is_nk_type on the N_1 part, per backend, against its two scans asked
-for no map; the difference is the cost of the maps and their records, which
-the scans build themselves. Both backends must give equal reports. The
+up, and the certification scans. The compiled side runs through
+ajtkit.kernels, which carries the mask across as bytes. The compiled search
+table times s1_exhaust alone at sizes the pure search would take minutes
+for, with its node counts. The scan table times first_hit_scan on each
+backend, asked for no map, so the kernel's own work, and with a map: the
+log set at p = 9973, one N_1 part of F_20011 inside and outside, a dense
+random half of F_20011 at k = 3 and a sparse set's forward scan at k = 2.
+It asserts that both backends give the same hits in the same order and the
+same least element left without a witness. The witness-map rows time
+is_nk_type on the N_1 part, per backend, against its two scans asked for no
+map; the difference is the cost of the maps and their records, which the
+scans build themselves. Both backends must give equal reports. The
 label-draw row times partition_nk's bulk label draw against p calls of
 random.randrange, and asserts the same labels and the same generator state
 after.
@@ -69,36 +66,20 @@ CASES = [
     (1009, 5, "exhaust, 16 limbs"),
 ]
 
+# (p, limit, node budget) for the compiled search alone
+SEARCH_CASES = [(151, 8, 10**9), (1009, 5, 10**9), (10007, 5, 2000)]
+
+
 def scan_cases():
-    """(label, p, mask, forward) for the certification scans, all at k = 1."""
-    yield "log set, S_1", 9973, apsets.build_s1_log(9973).mask, False
+    """(label, p, k, mask, forward) for the scan table."""
+    yield "log set, S_1", 9973, 1, apsets.build_s1_log(9973).mask, False
     part = apsets.partition_nk(20011, 1, seed=0).parts[0].mask
-    yield "N_1 part, inside", 20011, part, False
-    yield "N_1 part, outside", 20011, part, True
-
-
-def density_cases():
-    """(p, k, mask) for the centered-route table: one random set at each
-    density from a single element to 0.9, at p = 1009 and 20011, k = 1, 2."""
-    for p in (1009, 20011):
-        rng = random.Random(p)
-        for k in (1, 2):
-            for density in (1 / p, 0.003, 0.01, 1 / 27, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9):
-                yield p, k, sum(1 << e for e in range(p) if rng.random() < density) or 1
-
-
-def scan_words(mask, p, k, hits):
-    """(window, rotation): the 64-bit words each route reads in a centered
-    scan of the set with these witnesses, (p - 1)/2 for an element with
-    none. The windows read two words a center for every 64 candidates up
-    to its witness; the rotation reads 2k words a limb for every difference
-    up to the largest witness in that limb."""
-    half = (p - 1) // 2
-    witness = {e: hits[e][1] if e in hits else half for e in range(p) if mask >> e & 1}
-    limbs = {}
-    for e, d in witness.items():
-        limbs[e // 64] = max(limbs.get(e // 64, 0), d)
-    return sum(2 * -(-d // 64) for d in witness.values()), 2 * k * sum(limbs.values())
+    yield "N_1 part, inside", 20011, 1, part, False
+    yield "N_1 part, outside", 20011, 1, part, True
+    rng = random.Random(20011)
+    yield "dense half set, S_3", 20011, 3, rng.getrandbits(20011), False
+    sparse = sum(1 << e for e in rng.sample(range(20011), 282))
+    yield "sparse set, forward k = 2", 20011, 2, sparse, True
 
 
 def route_on(ext, fn, *args):
@@ -256,52 +237,34 @@ def main():
             line += f"{t_c:>14.4f}{t_py / t_c:>8.1f}x"
         print(line)
     print()
-    # scans take milliseconds, so each time is the best of five calls
-    header = f"{'scan':<28}{'p':>6}{'|A|':>6}{'hits':>7}{'backend':>10}{'route':>10}"
-    header += f"{'rotation (s)':>14}{'other':>7}{'other (s)':>11}{'speedup':>9}"
+    if COMPILED:
+        header = f"{'compiled search':<28}{'p':>6}{'limit':>7}{'budget':>12}{'nodes':>10}"
+        header += f"{'exhausted':>11}{'compiled (s)':>14}"
+        print(header)
+        print("-" * len(header))
+        for p, limit, budget in SEARCH_CASES:
+            t_c, (_, exhausted, nodes) = timed(kernels.s1_exhaust, p, limit, budget)
+            print(f"{'s1_exhaust':<28}{p:>6}{limit:>7}{budget:>12}{nodes:>10}"
+                  f"{str(exhausted):>11}{t_c:>14.4f}")
+        print()
+    # scans take micro- to milliseconds, so each time is the best of three calls
+    header = f"{'scan':<28}{'p':>6}{'k':>3}{'|A|':>7}{'hits':>7}{'backend':>10}"
+    header += f"{'no map (s)':>12}{'map (s)':>10}"
     print(header)
     print("-" * len(header))
-    for label, p, mask, forward in scan_cases():
-        want = _kernels_py.first_hit_scan(mask, p, 1, forward, tuple)
-        hits = len(want[0])
+    for label, p, k, mask, forward in scan_cases():
+        want = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
         for backend, ext in BACKENDS:
-            route = route_on(ext, kernels.scan_route, mask, p, 1, forward)
-            # the other route: gaps for the forward scan, windows for centered ones
-            other, scan = ("gap", kernels.gap_scan) if forward else ("window", kernels.window_scan)
-            for name, fn in (("rotation", kernels.rotation_scan), (other, scan)):
-                got = route_on(ext, fn, mask, p, 1, forward, tuple)
-                assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
-                    f"{name} mismatch on {label}, {backend}"
-                )
-            t_rot, _ = timed(route_on, ext, kernels.rotation_scan, mask, p, 1, forward,
-                             None, repeat=5)
-            t_other, _ = timed(route_on, ext, scan, mask, p, 1, forward, None, repeat=5)
-            line = f"{label:<28}{p:>6}{mask.bit_count():>6}{hits:>7}"
-            line += f"{backend:>10}{route:>10}{t_rot:>14.5f}"
-            print(line + f"{other:>7}{t_other:>11.5f}{t_rot / t_other:>8.1f}x")
-    print()
-    # the centered routes by density, with their maps, as certification asks:
-    # where they cost the same is kernels.WINDOW_CUTOFF
-    header = f"{'centered routes':<16}{'p':>6}{'k':>3}{'|A|':>6}{'|A|/p':>8}{'backend':>10}{'route':>10}"
-    header += f"{'window words':>14}{'rotation words':>16}{'window (s)':>12}{'rotation (s)':>14}"
-    print(header)
-    print("-" * len(header))
-    for p, k, mask in density_cases():
-        want = kernels.rotation_scan(mask, p, k, False, tuple)
-        words = scan_words(mask, p, k, want[0])
-        for backend, ext in BACKENDS:
-            route = route_on(ext, kernels.scan_route, mask, p, k, False)
-            repeat = 3 if ext else 1
-            t_win, got = timed(route_on, ext, kernels.window_scan, mask, p, k, False, tuple,
-                               repeat=repeat)
+            t_map, got = timed(route_on, ext, kernels.first_hit_scan, mask, p, k, forward,
+                               tuple, repeat=3)
+            t_scan, least = timed(route_on, ext, kernels.first_hit_scan, mask, p, k,
+                                  forward, None, repeat=3)
             assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
-                f"window mismatch at p = {p}, |A| = {mask.bit_count()}, {backend}"
+                f"scan mismatch on {label}, {backend}"
             )
-            t_rot, _ = timed(route_on, ext, kernels.rotation_scan, mask, p, k, False, tuple,
-                             repeat=repeat)
-            size = mask.bit_count()
-            line = f"{'random set':<16}{p:>6}{k:>3}{size:>6}{size / p:>8.4f}{backend:>10}{route:>10}"
-            print(line + f"{words[0]:>14}{words[1]:>16}{t_win:>12.6f}{t_rot:>14.6f}")
+            assert least == (None, want[1]), f"least mismatch on {label}, {backend}"
+            line = f"{label:<28}{p:>6}{k:>3}{mask.bit_count():>7}{len(got[0]):>7}"
+            print(line + f"{backend:>10}{t_scan:>12.5f}{t_map:>10.5f}")
     print()
     # is_nk_type with its witness maps, and the same two scans with no map
     header = f"{'witness map':<28}{'p':>6}{'witnesses':>10}{'no map (s)':>12}"

@@ -11,17 +11,19 @@
    traversal, so the found mask, the exhausted flag and the node count agree
    with the pure twin bit for bit. The visited table is open addressing with
    linear probing. A slot whose low limb is 0 is empty: every reachable set
-   contains {0, 1}.
+   contains {0, 1}. Each node finds the element it repairs with the scan's
+   own window code.
 
-   first_hit_scan, window_hit_scan and gap_hit_scan mirror their twins in
-   _kernels_py: the three routes of one scan, for any p >= 3 and
-   1 <= k <= (p - 1)/2, with the same hits in the same order. A centered
-   scan asks, for each a in A, the least d with a + i*d in A for 0 < |i| <= k;
-   a forward scan asks, for each b outside A, the least d with b + i*d in A
-   for 1 <= i <= k. The window route serves centered scans, the gap route
-   forward scans at k = 1. Each returns its map finished (struct Hits), of
-   records of a tuple type the caller passes in, or no map, and the least
-   element left without a witness.
+   first_hit_scan mirrors _kernels_py.first_hit_scan, for any p >= 3 and
+   1 <= k <= (p - 1)/2, with the same hits in the same order by another
+   method. A centered scan asks, for each a in A, the least d with a + i*d
+   in A for 0 < |i| <= k; a forward scan asks, for each b outside A, the
+   least d with b + i*d in A for 1 <= i <= k. The pure twin rotates the
+   mask; this one reads each element's candidates off word windows of the
+   mask (and of its mirror, centered) and visits the elements in ascending
+   order. It returns its map finished (struct Hits), of records of a tuple
+   type the caller passes in, or no map, and the least element left without
+   a witness.
 
    affine_product mirrors _kernels_py.affine_product: a reduced polynomial
    over F_p in n variables, held as its p^n int64 coefficients, times a list
@@ -44,7 +46,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 6            /* bumped whenever a kernel's signature or result changes */
+#define API 7            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -120,94 +122,10 @@ static int push(Search *s, const u64 *mask)
     return 0;
 }
 
-/* Rotate the p-bit word x by one place: up maps A to A + 1, down to A - 1.
-   rotate_up leaves the bits it shifts past p - 1 in place; they only move
-   further up, and the witness scan ANDs them with a rotate_down result,
-   which has none. */
-static void rotate_up(u64 *x, int L, int p)
-{
-    u64 carry = (x[L - 1] >> ((p - 1) & 63)) & 1;
-    for (int i = 0; i < L; i++) {
-        u64 out = x[i] >> 63;
-        x[i] = (x[i] << 1) | carry;
-        carry = out;
-    }
-}
-
-static void rotate_down(u64 *x, int L, int p)
-{
-    u64 low = x[0] & 1;
-    for (int i = 0; i + 1 < L; i++)
-        x[i] = (x[i] >> 1) | (x[i + 1] << 63);
-    x[L - 1] = (x[L - 1] >> 1) | (low << ((p - 1) & 63));
-}
-
 static int has(const u64 *a, int i) { return (a[i >> 6] >> (i & 63)) & 1; }
 
-/* found is 6 L zeroed limbs: the found mask, then the working masks. */
-static int search(Search *s, int limit, long long budget, u64 *found,
-                  long long *nodes)
-{
-    int p = s->p, L = s->L, half = (p - 1) / 2;
-    size_t bytes = L * sizeof(u64);
-    u64 *a = found + L, *up = a + L, *down = up + L, *w = down + L, *child = w + L;
-
-    if (limit < 2)
-        return NONE_FOUND;
-    a[0] = 3;
-    if (visit(s, a) < 0 || push(s, a) < 0)
-        return NO_MEMORY;
-    while (s->sp > 0) {
-        memcpy(a, s->stack + --s->sp * L, bytes);
-        if (++*nodes > budget)
-            return OVER_BUDGET;
-        /* witness scan: w gathers the x of a with x - d and x + d in a */
-        /* own scan: rotation_scan gives the same nodes at twice the time */
-        memcpy(up, a, bytes);
-        memcpy(down, a, bytes);
-        memset(w, 0, bytes);
-        int covered = 0;
-        for (int d = 1; d <= half && !covered; d++) {
-            rotate_up(up, L, p);
-            rotate_down(down, L, p);
-            covered = 1;
-            for (int i = 0; i < L; i++) {
-                w[i] |= up[i] & down[i];
-                if (a[i] & ~w[i])
-                    covered = 0;
-            }
-        }
-        if (covered) {
-            memcpy(found, a, bytes);
-            return FOUND;
-        }
-        /* repair the lowest uncovered element e with the pair e - d, e + d */
-        int e = 0, size = 0;
-        for (int i = L - 1; i >= 0; i--)
-            if (a[i] & ~w[i])
-                e = 64 * i + __builtin_ctzll(a[i] & ~w[i]);
-        for (int i = 0; i < L; i++)
-            size += __builtin_popcountll(a[i]);
-        /* descending d, so that pops see ascending d like the pure twin;
-           the children are distinct, so visit order among them is moot */
-        for (int d = half; d >= 1; d--) {
-            int lo = e - d < 0 ? e - d + p : e - d;
-            int hi = e + d >= p ? e + d - p : e + d;
-            if (size + !has(a, lo) + !has(a, hi) > limit)
-                continue;
-            memcpy(child, a, bytes);
-            child[lo >> 6] |= 1ULL << (lo & 63);
-            child[hi >> 6] |= 1ULL << (hi & 63);
-            int fresh = visit(s, child);
-            if (fresh < 0 || (fresh && push(s, child) < 0))
-                return NO_MEMORY;
-        }
-    }
-    return NONE_FOUND;
-}
-
-/* Rotation of A by s, limb i: the 64-bit window of the doubled mask
-   D = A | A << p starting at bit 64 * i + p - s. */
+/* The 64 bits of the doubled mask D = A | A << p from bit `bit` on: limb i
+   of the translate A - s is the window from bit 64 * i + s. */
 static u64 window(const u64 *D, size_t bit)
 {
     size_t q = bit >> 6;
@@ -215,8 +133,7 @@ static u64 window(const u64 *D, size_t bit)
     return r ? (D[q] >> r) | (D[q + 1] << (64 - r)) : D[q];
 }
 
-/* The doubled mask D = A | A << p of the n-limb mask a, into the zeroed
-   (2p + 63)/64 + 1 limbs of D, one spare for window's read past the end. */
+/* The doubled mask D = A | A << p of the n-limb mask a, ORed into D. */
 static void double_mask(const u64 *a, int n, int p, u64 *D)
 {
     int q = p >> 6, r = p & 63;
@@ -228,76 +145,37 @@ static void double_mask(const u64 *a, int n, int p, u64 *D)
     }
 }
 
-/* The n-limb mask held in buf (little-endian, ceil(p/8) bytes), or -1 with
-   ValueError set when the length is wrong or a bit lies at or above p. */
-static int read_mask(Py_buffer *buf, int p, u64 *out, int n)
+/* x with its 64 bits in reverse order. */
+static u64 reverse_bits(u64 x)
 {
-    const unsigned char *b = buf->buf;
-    Py_ssize_t want = ((Py_ssize_t)p + 7) / 8;
-    if (buf->len != want) {
-        PyErr_Format(PyExc_ValueError, "mask must be %zd bytes for p = %d, got %zd",
-                     want, p, buf->len);
-        return -1;
-    }
-    memset(out, 0, n * sizeof(u64));
-    for (Py_ssize_t k = 0; k < buf->len; k++)
-        out[k >> 3] |= (u64)b[k] << (8 * (k & 7));
-    if (p & 63 && out[n - 1] >> (p & 63)) {
-        PyErr_Format(PyExc_ValueError, "mask has bits at or above p = %d", p);
-        return -1;
-    }
-    return 0;
+    x = (x >> 1 & 0x5555555555555555ULL) | (x & 0x5555555555555555ULL) << 1;
+    x = (x >> 2 & 0x3333333333333333ULL) | (x & 0x3333333333333333ULL) << 2;
+    x = (x >> 4 & 0x0F0F0F0F0F0F0F0FULL) | (x & 0x0F0F0F0F0F0F0F0FULL) << 4;
+    return __builtin_bswap64(x);
 }
 
-/* The mask m as little-endian bytes of length ceil(p/8). */
-static PyObject *write_mask(const u64 *m, int p)
-{
-    Py_ssize_t n = ((Py_ssize_t)p + 7) / 8;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, n);
-    if (out == NULL)
-        return NULL;
-    unsigned char *b = (unsigned char *)PyBytes_AS_STRING(out);
-    for (Py_ssize_t k = 0; k < n; k++)
-        b[k] = (unsigned char)(m[k >> 3] >> (8 * (k & 7)));
-    return out;
-}
+/* Limbs of a doubled mask: 2p bits and one spare limb for window's read
+   past the end. */
+static size_t doubled_limbs(int p) { return (2 * (size_t)p + 63) / 64 + 1; }
 
-static PyObject *s1_exhaust(PyObject *self, PyObject *args)
+/* The windows' masks of the n-limb mask a: D = A | A << p and, unless M is
+   NULL, M = R | R << p for the mirror R of A, bit j of R being bit
+   p - 1 - j of A; R is n + 1 limbs of scratch. O(L) for L = ceil(p/64). */
+static void window_masks(const u64 *a, int n, int p, u64 *D, u64 *M, u64 *R)
 {
-    int p, overflow;
-    Py_ssize_t limit;
-    PyObject *budget_obj;
-    if (!PyArg_ParseTuple(args, "inO:s1_exhaust", &p, &limit, &budget_obj))
-        return NULL;
-    if (p < 5)
-        return PyErr_Format(PyExc_ValueError, "s1_exhaust needs p >= 5, got %d", p);
-    long long budget = PyLong_AsLongLongAndOverflow(budget_obj, &overflow);
-    if (budget == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow)
-        budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
-
-    Search s = {p, (int)(((size_t)p + 63) / 64), NULL, TABLE_START, 0, NULL,
-                STACK_START, 0};
-    s.keys = calloc(s.cap * s.L, sizeof(u64));
-    s.stack = malloc(s.scap * s.L * sizeof(u64));
-    u64 *found = calloc(6 * (size_t)s.L, sizeof(u64));
-    long long nodes = 0;
-    int status = NO_MEMORY;
-    if (s.keys != NULL && s.stack != NULL && found != NULL) {
-        Py_BEGIN_ALLOW_THREADS
-        status = search(&s, (int)(limit < 0 ? 0 : limit > p ? p : limit), budget,
-                        found, &nodes);
-        Py_END_ALLOW_THREADS
-    }
-    PyObject *result = status == NO_MEMORY
-        ? PyErr_NoMemory()
-        : Py_BuildValue("(NOL)", write_mask(found, p),
-                        status == OVER_BUDGET ? Py_False : Py_True, nodes);
-    free(s.keys);
-    free(s.stack);
-    free(found);
-    return result;
+    memset(D, 0, doubled_limbs(p) * sizeof(u64));
+    double_mask(a, n, p, D);
+    if (M == NULL)
+        return;
+    /* A reversed as 64 n bits holds bit p - 1 - j of A at bit j + 64 n - p */
+    int shift = (int)(64 * (size_t)n - p);
+    for (int i = 0; i < n; i++)
+        R[i] = reverse_bits(a[n - 1 - i]);
+    R[n] = 0;
+    for (int i = 0; i < n && shift; i++)
+        R[i] = R[i] >> shift | R[i + 1] << (64 - shift);
+    memset(M, 0, doubled_limbs(p) * sizeof(u64));
+    double_mask(R, n, p, M);
 }
 
 /* The map a scan returns. map is NULL when none is built (record None);
@@ -372,213 +250,205 @@ static int hits_add(Hits *h, long e, long d)
     return status;
 }
 
-/* The rotation route: for d = 1, 2, ..., the elements e of rem with e + i*d
-   in A for each step i (0 < |i| <= k, or 1 <= i <= k when forward) are hit
-   at d and leave rem. Limb j of A - i*d is the 64-bit window of the doubled
-   mask D = A | A << p from bit 64 * j + (i*d mod p). Only the limbs of rem
-   still nonzero are visited: live lists them in ascending order, so hits go
-   in by ascending d, then ascending e. */
-static int rotation_scan(const u64 *a, u64 *rem, int n, int p, int k, int forward,
-                         Hits *h)
+/* 1 if e + i*d lies in A for every 2 <= i <= k, and e - i*d too when
+   centered. */
+static int covers(const u64 *a, int e, int d, int k, int p, int centered)
 {
-    int nlive = 0, status = -1;
-    u64 *D = calloc((2 * (size_t)p + 63) / 64 + 1, sizeof(u64));
-    int *live = malloc(n * sizeof(int));
-    if (D == NULL || live == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    double_mask(a, n, p, D);
-    for (int i = 0; i < n; i++)
-        if (rem[i])
-            live[nlive++] = i;
-    /* a centered witness d also serves as p - d, so none is first past (p-1)/2 */
-    int last = forward ? p - 1 : (p - 1) / 2;
-    for (int d = 1; d <= last && nlive > 0; d++) {
-        int kept = 0;
-        for (int j = 0; j < nlive; j++) {
-            int i = live[j];
-            u64 hit = rem[i];
-            /* id runs through i*d mod p */
-            for (int s = 1, id = d; s <= k && hit;
-                 s++, id = id >= p - d ? id - (p - d) : id + d) {
-                hit &= window(D, 64 * (size_t)i + id);
-                if (!forward)
-                    hit &= window(D, 64 * (size_t)i + p - id);
-            }
-            rem[i] &= ~hit;
-            for (; hit && h->map; hit &= hit - 1)
-                if (hits_add(h, 64L * i + __builtin_ctzll(hit), d) < 0)
-                    goto done;
-            if (rem[i])
-                live[kept++] = i;
-        }
-        nlive = kept;
-    }
-    status = 0;
-done:
-    free(D);
-    free(live);
-    return status;
-}
-
-/* (d, a) keys packed as d * p + a sort by ascending d, then ascending a. */
-static int key_order(const void *x, const void *y)
-{
-    u64 u = *(const u64 *)x, v = *(const u64 *)y;
-    return (u > v) - (u < v);
-}
-
-/* 1 if c + i*d and c - i*d lie in A for every 2 <= i <= k. */
-static int covers(const u64 *a, int c, int d, int k, int p)
-{
-    for (long long i = 2; i <= k; i++) {
-        long long id = i * d % p;
-        if (!has(a, (int)((c + id) % p)) || !has(a, (int)((c - id + p) % p)))
+    /* id runs through i*d mod p */
+    for (int i = 2, id = d; i <= k; i++) {
+        id = id >= p - d ? id - (p - d) : id + d;
+        if (!has(a, e >= p - id ? e - (p - id) : e + id) ||
+            (centered && !has(a, e >= id ? e - id : e + (p - id))))
             return 0;
     }
     return 1;
 }
 
-/* x with its 64 bits in reverse order. */
-static u64 reverse_bits(u64 x)
+/* e's least witness d, or 0 for none: d <= (p - 1)/2 for a centered scan
+   (M given), d <= p - 1 for a forward one (M NULL). Bit j of the window of
+   D from bit e + 1 + t says e + t + j + 1 is in A, and bit j of the window
+   of M from bit p - e + t says e - t - j - 1 is; their AND, or the first
+   alone when forward, lists the candidates d = t + j + 1, 64 at a time,
+   and only the steps 2 <= |i| <= k are left to test. */
+static int least_witness(const u64 *a, const u64 *D, const u64 *M, int e, int p, int k)
 {
-    x = (x >> 1 & 0x5555555555555555ULL) | (x & 0x5555555555555555ULL) << 1;
-    x = (x >> 2 & 0x3333333333333333ULL) | (x & 0x3333333333333333ULL) << 2;
-    x = (x >> 4 & 0x0F0F0F0F0F0F0F0FULL) | (x & 0x0F0F0F0F0F0F0F0FULL) << 4;
-    return __builtin_bswap64(x);
-}
-
-/* c's least witness d <= (p - 1)/2, or 0 for none. Bit j of the window of
-   D from bit c + 1 + t says c + t + j + 1 is in A, and bit j of the window
-   of M from bit p - c + t says c - t - j - 1 is; their AND lists the
-   candidates d = t + j + 1, 64 at a time, and only the steps 2 <= |i| <= k
-   are left to test. */
-static int least_window(const u64 *a, const u64 *D, const u64 *M, int c, int p, int k)
-{
-    int half = (p - 1) / 2;
-    for (int t = 0; t < half; t += 64) {
-        u64 both = window(D, c + 1 + (size_t)t) & window(M, p - c + (size_t)t);
-        if (half - t < 64)
-            both &= (1ULL << (half - t)) - 1;
-        for (; both; both &= both - 1) {
-            int d = t + __builtin_ctzll(both) + 1;
-            if (covers(a, c, d, k, p))
+    int last = M ? (p - 1) / 2 : p - 1;
+    for (int t = 0; t < last; t += 64) {
+        u64 cand = window(D, e + 1 + (size_t)t);
+        if (M)
+            cand &= window(M, p - e + (size_t)t);
+        if (last - t < 64)
+            cand &= (1ULL << (last - t)) - 1;
+        for (; cand; cand &= cand - 1) {
+            int d = t + __builtin_ctzll(cand) + 1;
+            if (covers(a, e, d, k, p, M != NULL))
                 return d;
         }
     }
     return 0;
 }
 
-/* The window route, for centered scans: the rotation's hits and rem, read
-   center by center off two doubled masks, D = A | A << p and its mirror
-   M = R | R << p, where bit j of R is bit p - 1 - j of A (least_window).
-   The hits, keyed d * p + c, are sorted into the rotation's order. The cost
-   is the sum over the centers c of ceil(d_c / 64) words after O(L) set-up,
-   d_c the witness of c, or (p - 1)/2 when it has none; asked for no map,
-   the scan stops at the first center without one, the least. */
-static int window_scan(const u64 *a, u64 *rem, int n, int p, int k, Hits *h)
+/* The scan proper: the elements it asks about, A centered or its
+   complement forward, in ascending order, each hit added to h as it is
+   found. Returns the least element left without a witness, -1 for none,
+   or -2 with an exception set; with no map to build it stops at that
+   element. The cost is the sum over the elements e of ceil(d_e / 64)
+   windows, d_e the witness of e, or its whole range when it has none. */
+static int scan_elements(const u64 *a, int n, int p, int k, int forward, const u64 *D,
+                         const u64 *M, Hits *h)
 {
-    int size = 0, nkeys = 0, status = -1;
-    for (int i = 0; i < n; i++)
-        size += __builtin_popcountll(a[i]);
-    size_t limbs = (2 * (size_t)p + 63) / 64 + 1;
-    u64 *D = calloc(2 * limbs + n + 1, sizeof(u64)), *M = D + limbs, *R = M + limbs;
-    u64 *keys = malloc((size + 1) * sizeof(u64));
-    if (D == NULL || keys == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    /* A reversed as 64 n bits holds bit p - 1 - j of A at bit j + 64 n - p */
-    int shift = (int)(64 * (size_t)n - p);
-    for (int i = 0; i < n; i++)
-        R[i] = reverse_bits(a[n - 1 - i]);
-    for (int i = 0; i < n && shift; i++)
-        R[i] = R[i] >> shift | R[i + 1] << (64 - shift);
-    double_mask(a, n, p, D);
-    double_mask(R, n, p, M);
-    int stop = 0;
-    for (int i = 0; i < n && !stop; i++)
-        for (u64 w = a[i]; w && !stop; w &= w - 1) {
-            int c = 64 * i + __builtin_ctzll(w), d = least_window(a, D, M, c, p, k);
-            if (d) {
-                rem[i] &= ~(1ULL << (c & 63));
-                keys[nkeys++] = (u64)d * p + c;
+    int least = -1;
+    for (int i = 0; i < n; i++) {
+        u64 w = forward ? ~a[i] : a[i];
+        if (i == n - 1 && p & 63)
+            w &= (1ULL << (p & 63)) - 1;
+        for (; w; w &= w - 1) {
+            int e = 64 * i + __builtin_ctzll(w);
+            int d = least_witness(a, D, forward ? NULL : M, e, p, k);
+            if (d && hits_add(h, e, d) < 0)
+                return -2;
+            if (!d && least < 0) {
+                least = e;
+                if (h->map == NULL)
+                    return least;
             }
-            /* with no map to build, the first element left over is the least */
-            stop = d == 0 && h->map == NULL;
         }
-    if (h->map != NULL)
-        qsort(keys, nkeys, sizeof(u64), key_order);
-    for (int j = 0; j < nkeys && h->map; j++)
-        if (hits_add(h, (long)(keys[j] % p), (long)(keys[j] / p)) < 0)
-            goto done;
-    status = 0;
-done:
-    free(D);
-    free(keys);
-    return status;
+    }
+    return least;
 }
 
-/* The gap route, for forward scans at k = 1: the least witness of b outside
-   A is the distance from b to the next element of A, cyclically. One
-   backward sweep gives each b its d (dist, 0 for the elements of A), and a
-   counting sort by d lists the hits by ascending d, then ascending b, as the
-   rotation lists them. Every b is hit unless A is empty. O(p), and O(L)
-   when no map is built. */
-static int gap_scan(const u64 *a, u64 *rem, int n, int p, Hits *h)
+/* found is 3 L zeroed limbs, the found mask, the node and a child, then
+   two doubled masks and L + 1 limbs of scratch for window_masks. */
+static int search(Search *s, int limit, long long budget, u64 *found,
+                  long long *nodes)
 {
-    int first = -1;
-    for (int i = n - 1; i >= 0; i--)
-        if (a[i])
-            first = 64 * i + __builtin_ctzll(a[i]);
-    if (first < 0)
-        return 0;
-    memset(rem, 0, n * sizeof(u64));
-    if (h->map == NULL)
-        return 0;
-    int *dist = malloc((3 * (size_t)p + 1) * sizeof(int));
-    if (dist == NULL) {
-        PyErr_NoMemory();
+    int p = s->p, L = s->L, half = (p - 1) / 2;
+    size_t bytes = L * sizeof(u64);
+    u64 *a = found + L, *child = a + L, *D = child + L, *M = D + doubled_limbs(p),
+        *R = M + doubled_limbs(p);
+    Hits none = {NULL, NULL, NULL};
+
+    if (limit < 2)
+        return NONE_FOUND;
+    a[0] = 3;
+    if (visit(s, a) < 0 || push(s, a) < 0)
+        return NO_MEMORY;
+    while (s->sp > 0) {
+        memcpy(a, s->stack + --s->sp * L, bytes);
+        if (++*nodes > budget)
+            return OVER_BUDGET;
+        /* the least element without a centered witness, by the scan's code */
+        window_masks(a, L, p, D, M, R);
+        int e = scan_elements(a, L, p, 1, 0, D, M, &none);
+        if (e < 0) {
+            memcpy(found, a, bytes);
+            return FOUND;
+        }
+        /* repair it with the pair e - d, e + d */
+        int size = 0;
+        for (int i = 0; i < L; i++)
+            size += __builtin_popcountll(a[i]);
+        /* descending d, so that pops see ascending d like the pure twin;
+           the children are distinct, so visit order among them is moot */
+        for (int d = half; d >= 1; d--) {
+            int lo = e - d < 0 ? e - d + p : e - d;
+            int hi = e + d >= p ? e + d - p : e + d;
+            if (size + !has(a, lo) + !has(a, hi) > limit)
+                continue;
+            memcpy(child, a, bytes);
+            child[lo >> 6] |= 1ULL << (lo & 63);
+            child[hi >> 6] |= 1ULL << (hi & 63);
+            int fresh = visit(s, child);
+            if (fresh < 0 || (fresh && push(s, child) < 0))
+                return NO_MEMORY;
+        }
+    }
+    return NONE_FOUND;
+}
+
+/* The n-limb mask held in buf (little-endian, ceil(p/8) bytes), or -1 with
+   ValueError set when the length is wrong or a bit lies at or above p. */
+static int read_mask(Py_buffer *buf, int p, u64 *out, int n)
+{
+    const unsigned char *b = buf->buf;
+    Py_ssize_t want = ((Py_ssize_t)p + 7) / 8;
+    if (buf->len != want) {
+        PyErr_Format(PyExc_ValueError, "mask must be %zd bytes for p = %d, got %zd",
+                     want, p, buf->len);
         return -1;
     }
-    int *order = dist + p, *start = order + p; /* start: p + 1 counts */
-    memset(start, 0, (p + 1) * sizeof(int));
-    for (int b = p - 1, next = first + p; b >= 0; b--) {
-        int in = has(a, b);
-        dist[b] = in ? 0 : next - b;
-        next = in ? b : next;
-        start[dist[b]]++;
+    memset(out, 0, n * sizeof(u64));
+    for (Py_ssize_t k = 0; k < buf->len; k++)
+        out[k >> 3] |= (u64)b[k] << (8 * (k & 7));
+    if (p & 63 && out[n - 1] >> (p & 63)) {
+        PyErr_Format(PyExc_ValueError, "mask has bits at or above p = %d", p);
+        return -1;
     }
-    /* start[d]: where the hits at d begin, after the elements of A at d = 0 */
-    for (int d = 0, sum = 0; d <= p; d++) {
-        int count = start[d];
-        start[d] = sum;
-        sum += count;
-    }
-    for (int b = 0; b < p; b++)
-        order[start[dist[b]]++] = b;
-    int status = 0;
-    for (int j = start[0]; j < p && status == 0; j++)
-        status = hits_add(h, order[j], dist[order[j]]);
-    free(dist);
-    return status;
+    return 0;
 }
 
-enum { ROTATION, WINDOW, GAP };
-
-/* The scan of A = mask by one route: the arguments (mask, p, k, forward,
-   record), the result (map or None, the least element left without a
-   witness or None). A centered scan targets A itself, a forward one the
-   complement of A, and each route checks that it serves the scan asked. */
-static PyObject *hit_scan(PyObject *args, int route)
+/* The mask m as little-endian bytes of length ceil(p/8). */
+static PyObject *write_mask(const u64 *m, int p)
 {
-    static const char *const FORMAT[] = {"y*iipO:first_hit_scan", "y*iipO:window_hit_scan",
-                                         "y*iipO:gap_hit_scan"};
+    Py_ssize_t n = ((Py_ssize_t)p + 7) / 8;
+    PyObject *out = PyBytes_FromStringAndSize(NULL, n);
+    if (out == NULL)
+        return NULL;
+    unsigned char *b = (unsigned char *)PyBytes_AS_STRING(out);
+    for (Py_ssize_t k = 0; k < n; k++)
+        b[k] = (unsigned char)(m[k >> 3] >> (8 * (k & 7)));
+    return out;
+}
+
+static PyObject *s1_exhaust(PyObject *self, PyObject *args)
+{
+    int p, overflow;
+    Py_ssize_t limit;
+    PyObject *budget_obj;
+    if (!PyArg_ParseTuple(args, "inO:s1_exhaust", &p, &limit, &budget_obj))
+        return NULL;
+    if (p < 5)
+        return PyErr_Format(PyExc_ValueError, "s1_exhaust needs p >= 5, got %d", p);
+    long long budget = PyLong_AsLongLongAndOverflow(budget_obj, &overflow);
+    if (budget == -1 && PyErr_Occurred())
+        return NULL;
+    if (overflow)
+        budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+
+    Search s = {p, (int)(((size_t)p + 63) / 64), NULL, TABLE_START, 0, NULL,
+                STACK_START, 0};
+    s.keys = calloc(s.cap * s.L, sizeof(u64));
+    s.stack = malloc(s.scap * s.L * sizeof(u64));
+    u64 *found = calloc(4 * (size_t)s.L + 1 + 2 * doubled_limbs(p), sizeof(u64));
+    long long nodes = 0;
+    int status = NO_MEMORY;
+    if (s.keys != NULL && s.stack != NULL && found != NULL) {
+        Py_BEGIN_ALLOW_THREADS
+        status = search(&s, (int)(limit < 0 ? 0 : limit > p ? p : limit), budget,
+                        found, &nodes);
+        Py_END_ALLOW_THREADS
+    }
+    PyObject *result = status == NO_MEMORY
+        ? PyErr_NoMemory()
+        : Py_BuildValue("(NOL)", write_mask(found, p),
+                        status == OVER_BUDGET ? Py_False : Py_True, nodes);
+    free(s.keys);
+    free(s.stack);
+    free(found);
+    return result;
+}
+
+/* first_hit_scan(mask, p, k, forward, record) -> (map or None, the least
+   element left without a witness or None). A centered scan targets A
+   itself, a forward one the complement of A. A forward scan at k = 1 hits
+   every b outside A, at its distance to the next element, unless A is
+   empty, which leaves 0; asked for no map, it answers from that in O(L). */
+static PyObject *first_hit_scan(PyObject *self, PyObject *args)
+{
     Py_buffer buf;
     int p, k, forward;
     PyObject *record, *k_obj = NULL, *result = NULL;
-    if (!PyArg_ParseTuple(args, FORMAT[route], &buf, &p, &k, &forward, &record))
+    if (!PyArg_ParseTuple(args, "y*iipO:first_hit_scan", &buf, &p, &k, &forward, &record))
         return NULL;
     Hits h = {NULL, NULL, NULL};
     u64 *a = NULL;
@@ -587,39 +457,30 @@ static PyObject *hit_scan(PyObject *args, int route)
                      "k = %d", p, k);
         goto done;
     }
-    if (route == WINDOW && forward) {
-        PyErr_SetString(PyExc_ValueError, "window_hit_scan takes centered scans only");
-        goto done;
-    }
-    if (route == GAP && !(forward && k == 1)) {
-        PyErr_SetString(PyExc_ValueError, "gap_hit_scan takes forward scans at k = 1 only");
-        goto done;
-    }
     int n = (int)(((size_t)p + 63) / 64);
-    a = malloc(2 * (size_t)n * sizeof(u64)); /* A, then rem: what is left to hit */
+    /* A, scratch R, then the doubled masks D and M */
+    a = malloc((2 * (size_t)n + 1 + 2 * doubled_limbs(p)) * sizeof(u64));
     if (a == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    u64 *rem = a + n;
+    u64 *R = a + n, *D = R + n + 1, *M = D + doubled_limbs(p);
     if (read_mask(&buf, p, a, n) < 0)
         goto done;
-    for (int i = 0; i < n; i++)
-        rem[i] = forward ? ~a[i] : a[i];
-    if (p & 63)
-        rem[n - 1] &= (1ULL << (p & 63)) - 1;
     k_obj = PyLong_FromLong(k);
     if (k_obj == NULL || hits_init(&h, record, k_obj) < 0)
         goto done;
-    int status = route == WINDOW ? window_scan(a, rem, n, p, k, &h)
-                 : route == GAP ? gap_scan(a, rem, n, p, &h)
-                 : rotation_scan(a, rem, n, p, k, forward, &h);
-    if (status < 0)
-        goto done;
     int least = -1;
-    for (int i = n - 1; i >= 0; i--)
-        if (rem[i])
-            least = 64 * i + __builtin_ctzll(rem[i]);
+    if (forward && k == 1 && h.map == NULL) {
+        least = 0;
+        for (int i = 0; i < n; i++)
+            if (a[i])
+                least = -1;
+    } else {
+        window_masks(a, n, p, D, forward ? NULL : M, R);
+        if ((least = scan_elements(a, n, p, k, forward, D, M, &h)) == -2)
+            goto done;
+    }
     PyObject *map = h.map ? h.map : Py_None;
     result = least < 0 ? Py_BuildValue("(OO)", map, Py_None)
                        : Py_BuildValue("(Oi)", map, least);
@@ -629,21 +490,6 @@ done:
     free(a);
     PyBuffer_Release(&buf);
     return result;
-}
-
-static PyObject *first_hit_scan(PyObject *self, PyObject *args)
-{
-    return hit_scan(args, ROTATION);
-}
-
-static PyObject *window_hit_scan(PyObject *self, PyObject *args)
-{
-    return hit_scan(args, WINDOW);
-}
-
-static PyObject *gap_hit_scan(PyObject *self, PyObject *args)
-{
-    return hit_scan(args, GAP);
 }
 
 /* Multiply the p^n coefficients in src by c0 + sum_j c[j] x_j into dst,
@@ -931,14 +777,6 @@ static PyMethodDef methods[] = {
      "first_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
      "Same contract as ajtkit._kernels_py.first_hit_scan, with the mask as\n"
      "little-endian bytes of length ceil(p/8)."},
-    {"window_hit_scan", window_hit_scan, METH_VARARGS,
-     "window_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
-     "Same contract as ajtkit._kernels_py.window_hit_scan: first_hit_scan's\n"
-     "result from word windows of the mask and its mirror, for centered scans."},
-    {"gap_hit_scan", gap_hit_scan, METH_VARARGS,
-     "gap_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
-     "Same contract as ajtkit._kernels_py.gap_hit_scan: first_hit_scan's\n"
-     "result from the gaps of the mask, for forward scans at k = 1."},
     {"affine_product", affine_product, METH_VARARGS,
      "affine_product(tensor, p, n, factors) -> bytearray\n\n"
      "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"
@@ -953,7 +791,7 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled S_1 search, the three first-hit scan routes, the affine\n"
+    "Compiled S_1 search, the first-hit scan, the affine\n"
     "product of reduced polynomials and the sweep's group-ring products; see\n"
     "ajtkit._kernels_py for the pure twins.",
     -1, methods,

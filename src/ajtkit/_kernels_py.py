@@ -4,15 +4,14 @@ affine product of reduced polynomials and the sweep's group-ring products.
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 scan answers the S_k/N_k question at radius k: centered, the least d with
 a + i*d in A for 0 < |i| <= k for each a in A; forward, the least d with
-b + i*d in A for 1 <= i <= k for each b outside A. It has three routes with
-the same result: first_hit_scan rotates the mask, window_hit_scan reads the
-witnesses of a centered scan off word windows of the mask and its mirror,
-and gap_hit_scan those of a forward scan at k = 1 off the gaps between its
-elements. Each scan returns its map finished, as records of a tuple type it
-is given or no map at all, and the least element left without a witness.
-The compiled twin in _kernels.c implements s1_exhaust with the same
-traversal order and the scans with the same insertion order; the backends
-must stay byte-for-byte interchangeable.
+b + i*d in A for 1 <= i <= k for each b outside A. first_hit_scan rotates
+the mask, one difference at a time, and returns its map finished, as
+records of a tuple type it is given listed by ascending element, or no map
+at all, and the least element left without a witness. The compiled twin in
+_kernels.c implements s1_exhaust with the same traversal order and the scan
+by word windows around each element, a method of its own, with the same
+map in the same order; the backends must stay byte-for-byte
+interchangeable.
 
 affine_product multiplies a reduced polynomial over F_p, its coefficient
 tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
@@ -33,7 +32,7 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 from itertools import compress, repeat
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,15 +98,20 @@ def first_hit_scan(
     for each b outside A, for the least d with b + i*d in A for 1 <= i <= k.
     For d = 1, 2, ... the elements still without a witness are ANDed with
     the translates A - i*d. Returns (hits, least): hits maps each element e,
-    in ascending d and ascending e within one d, to record(e, d, k), or is
-    None when record is None; least is the least element left without a
-    witness, None when there is none. ValueError for p < 3, k outside
+    in ascending order, to record(e, d, k), or is None when record is None;
+    least is the least element left without a witness, None when there is
+    none. A forward scan at k = 1 hits every b outside A, at its distance
+    to the next element, unless A is empty, which leaves 0: asked for no
+    map, it answers from that alone. ValueError for p < 3, k outside
     [1, (p - 1)/2] or a mask bit at or above p; TypeError for a record that
     is neither None nor a tuple type.
     """
     full = _check_scan(mask, p, k, record)
+    if forward and k == 1 and record is None:
+        return None, None if mask else 0
     steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
-    remaining = full & ~mask if forward else mask
+    targets = full & ~mask if forward else mask
+    remaining = targets
     hits: dict[int, int] = {}
     # a centered witness d also serves as p - d, so none is first past (p-1)/2
     for d in range(1, p if forward else (p + 1) // 2):
@@ -124,79 +128,15 @@ def first_hit_scan(
             hits[low.bit_length() - 1] = d
             hit ^= low
     least = (remaining & -remaining).bit_length() - 1 if remaining else None
-    return _hit_map(hits, record, k), least
-
-
-def window_hit_scan(
-    mask: int, p: int, k: int, forward: bool, record: type | None
-) -> tuple[dict | None, int | None]:
-    """first_hit_scan's (hits, least) for a centered scan, from word windows.
-
-    With D = A | A << p for A = `mask` and M the same of its mirror R, bit j
-    of R being bit p - 1 - j of A, bit t of (D >> (c + 1)) & (M >> (p - c))
-    is set when both c + t + 1 and c - t - 1 lie in A. Below (p - 1)/2 those
-    bits are the candidates d = t + 1 for the center c, ascending, and only
-    the steps 2 <= |i| <= k are left to test. Sorting the keys d * p + c
-    lists the hits by ascending d, then ascending element, as the rotation
-    lists them; asked for no map, the scan stops at the first element left
-    without a witness, the least. O(L) big-int work per element.
-    ValueError for a forward scan.
-    """
-    _check_scan(mask, p, k, record)
-    if forward:
-        raise ValueError("window_hit_scan takes centered scans only")
-    others = range(2, k + 1)
-    doubled = mask | mask << p
-    mirror = int(format(mask, f"0{p}b")[::-1], 2)
-    mirror |= mirror << p
-    low = (1 << (p - 1) // 2) - 1
-    keys, least = [], None
-    for c in _bits(mask):
-        both = (doubled >> (c + 1)) & (mirror >> (p - c)) & low
-        while both:
-            d = (both & -both).bit_length()
-            if all(mask >> ((c + i * d) % p) & mask >> ((c - i * d) % p) & 1 for i in others):
-                keys.append(d * p + c)
-                break
-            both &= both - 1
-        else:
-            if least is None:
-                least = c
-                if record is None:
-                    break
-    keys.sort()
-    return _hit_map({key % p: key // p for key in keys}, record, k), least
-
-
-def gap_hit_scan(
-    mask: int, p: int, k: int, forward: bool, record: type | None
-) -> tuple[dict | None, int | None]:
-    """first_hit_scan's (hits, least) for forward scans at k = 1, from the gaps.
-
-    The least witness of b outside A = `mask` is the distance from b to the
-    next element of A, cyclically: between an element y and the next one z,
-    the residues y + 1, ..., z - 1 get the distances z - y - 1, ..., 1.
-    Sorting the keys d * p + b lists the hits by ascending d, then ascending
-    b, as the rotation lists them. Every b is hit unless A is empty, which
-    leaves 0 without a witness. O(p). ValueError for any other scan.
-    """
-    _check_scan(mask, p, k, record)
-    if not forward or k != 1:
-        raise ValueError("gap_hit_scan takes forward scans at k = 1 only")
-    elements = _bits(mask)
-    if not elements:
-        return _hit_map({}, record, k), 0
     if record is None:
-        return None, None
-    ends = elements[1:] + [elements[0] + p]
-    gaps = zip(elements, ends)
-    keys = sorted([(z - b) * p + b % p for y, z in gaps for b in range(y + 1, z)])
-    return _hit_map({key % p: key // p for key in keys}, record, k), None
+        return None, least
+    found = _bits(targets & ~remaining)
+    return _hit_map(found, map(hits.__getitem__, found), record, k), least
 
 
 def _check_scan(mask: int, p: int, k: int, record: type | None) -> int:
     """The full p-bit mask, once the scan's arguments pass the checks that
-    the compiled scans make."""
+    the compiled scan makes."""
     if p < 3 or not 1 <= k <= (p - 1) // 2:
         raise ValueError(f"scans need p >= 3 and 2k + 1 <= p, got p = {p}, k = {k}")
     full = (1 << p) - 1
@@ -207,14 +147,12 @@ def _check_scan(mask: int, p: int, k: int, record: type | None) -> int:
     return full
 
 
-def _hit_map(hits: dict[int, int], record: type | None, k: int) -> dict | None:
-    """The hits {e: d}, in their order, as {e: record(e, d, k)}, built in one
-    C-level pass (tuple.__new__ over zipped fields), with no bytecode per
-    record; None when record is None."""
-    if record is None:
-        return None
-    fields = zip(hits, hits.values(), repeat(k))
-    return dict(zip(hits, map(tuple.__new__, repeat(record), fields)))
+def _hit_map(elements: list[int], steps: Iterable[int], record: type, k: int) -> dict:
+    """{e: record(e, d, k)} for the elements e and their steps d, in their
+    order, built in one C-level pass (tuple.__new__ over zipped fields),
+    with no bytecode per record."""
+    fields = zip(elements, steps, repeat(k))
+    return dict(zip(elements, map(tuple.__new__, repeat(record), fields)))
 
 
 def _bits(mask: int) -> list[int]:

@@ -10,16 +10,14 @@ minimum ones, and verifies a frozen table of small optimal examples.
 Sets are bit masks over residues (bit i == residue i). Certification asks
 kernels.first_hit_scan the question itself: a centered scan of A for
 S_k-type, a forward scan of its complement for the outside half of N_k-type,
-each for radius k. The kernel finds each element's least witness d by one of
-three routes with identical results: word rotations of the mask, word
-windows of the mask and its mirror around each element a, whose bits are
-the d with a - d and a + d in A, or, for forward scans at k = 1, the gap
-from each b to the next element; kernels.scan_route picks one from |A|, p,
-k and the direction. A witness is an ApWitness, a tuple record that
-compares equal to (element, step, radius). The scan builds the maps of
-SkReport and NkReport itself, records included, listed in its order,
-ascending d, and names the least element left without a witness; the
-partition's acceptance test asks the same scans for no map at all.
+each for radius k. The kernel finds each element's least witness d, the
+compiled one from word windows of the mask (and of its mirror, centered)
+around each element, the pure one by word rotations of the mask. A witness
+is an ApWitness, a tuple record that compares equal to (element, step,
+radius). The scan builds the maps of SkReport and NkReport itself, records
+included, listed by ascending element, and names the least element left
+without a witness; the partition's acceptance test asks the same scans for
+no map at all.
 """
 
 from __future__ import annotations
@@ -418,14 +416,18 @@ def partition_nk(
 
 
 def _draw_words(p: int, k: int, parts: int) -> int:
-    """The most words the scans of one partition draw read: each residue is
-    the center of one part's scan, which reads at most ceil((p - 1)/128)
-    words of windows a center, and each part's forward scan reads L =
-    ceil(p/64) words by the gaps at k = 1, or k L words for each difference
-    up to p - 1 by the rotation."""
-    limbs = (p + 63) // 64
-    forward = limbs if k == 1 else k * limbs * (p - 1)
-    return p * -(-(p - 1) // 128) + parts * forward
+    """The most words the scans of one partition draw read, asked for no
+    map: each residue is the center of one part's scan, which reads at most
+    ceil((p - 1)/128) windows a center. At k = 1 each part's forward scan
+    answers from whether the part is empty, L = ceil(p/64) words. At k >= 2
+    each part's forward scan reads at most ceil((p - 1)/64) windows for each
+    of the at most p residues outside it, and every candidate test of both
+    scans tries one element of the part as e + d for one element e: at most
+    p * |part| a part, p^2 in all."""
+    centers = p * -(-(p - 1) // 128)
+    if k == 1:
+        return centers + parts * ((p + 63) // 64)
+    return centers + parts * p * -(-(p - 1) // 64) + p * p
 
 
 def _draw_labels(rng: random.Random, p: int, parts: int) -> np.ndarray:

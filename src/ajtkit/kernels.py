@@ -1,11 +1,11 @@
-"""Backend selection for the four kernels, and route selection for the scan.
+"""Backend selection for the four kernels.
 
 Which backend runs is fixed at import: the compiled extension (_kernels.c)
 when it is built, the pure-Python twins in _kernels_py when it is not. An
 extension built from other sources (its API differs from this module's) is
 an ImportError naming the rebuild command, never a silent fallback. The
 compiled s1_exhaust takes any p >= 5 and returns its mask as little-endian
-bytes of length ceil(p/8); the scans take any p >= 3 and their mask as such
+bytes of length ceil(p/8); the scan takes any p >= 3 and its mask as such
 bytes. Each pair returns identical results: the same masks and node counts
 from s1_exhaust, the same hits in the same order from first_hit_scan, the
 same tensor from affine_product, the same flags from products_vanish.
@@ -14,20 +14,19 @@ first_hit_scan answers the one question the S_k/N_k certificates ask of a
 set A: a centered scan finds, for each a in A, the least d with a + i*d in A
 for 0 < |i| <= k; a forward scan finds, for each b outside A, the least d
 with b + i*d in A for 1 <= i <= k. It returns the map of those witnesses,
-each as record(e, d, k) for a tuple type such as apsets.ApWitness, or None
-when record is None, and the least element left without a witness, or None.
+each as record(e, d, k) for a tuple type such as apsets.ApWitness, listed
+by ascending element, or None when record is None, and the least element
+left without a witness, or None.
 
-The scan has three routes with identical results. rotation_scan tries
-d = 1, 2, ... and ANDs rotated masks, about L = ceil(p/64) words per d up to
-the largest witness; window_scan, for centered scans, ANDs for each element
-c the word windows of the mask from c + 1 and of its mirror from p - c,
-whose bits are the d with both c - d and c + d in A, about d_c / 64 words
-for c's witness d_c; gap_scan, for forward scans at k = 1, reads each
-witness off the gap to the next element of the set, in one O(p) sweep.
-scan_route takes the gaps for every forward scan at k = 1, and the windows
-for centered scans of sets sparse enough by WINDOW_CUTOFF for the backend;
-other forward scans and denser sets rotate. The rule reads only |A|, p, k
-and the direction.
+The two backends answer it by independent methods. The compiled scan visits
+the elements in ascending order and reads each one's candidates off 64-bit
+windows of the doubled mask A | A << p from e + 1, ANDed for a centered
+scan with those of its doubled mirror from p - e: about d_e / 64 words for
+e's witness d_e, after O(L) set-up, L = ceil(p/64). The pure scan tries
+d = 1, 2, ... and ANDs rotated masks, O(L) big-int work a difference up to
+the largest witness, which at p = 20011 beat a pure port of the windows on
+dense centered and sparse forward scans. A forward scan at k = 1 asked for
+no map answers, on both, from whether A is empty.
 
 affine_product multiplies a reduced polynomial's coefficient tensor by a
 list of affine factors c0 + c1 x_1 + ... + cn x_n in one call: every product
@@ -56,7 +55,7 @@ from . import _kernels_py
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 6
+API = 7
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -84,14 +83,6 @@ _ext = _load_extension()
 
 BACKEND = "compiled" if _ext is not None else "pure"
 
-# (c, e) in |A|^3 <= c * p^e, at k = 1 and at k >= 2, just below where the
-# window route stops winning on random sets at p = 1009..20011
-# (BENCH_22.json): compiled, a density of about 0.17 and 0.29; pure, where
-# each center's O(L) big-int shifts meet the rotation's, |A|^3 near 5 p^2
-# and 1.2 p^2
-WINDOW_CUTOFF = {"compiled": ((0.005, 3), (0.025, 3)), "pure": ((5, 2), (1.2, 2))}
-
-
 def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
     """(found_mask, exhausted, nodes) of _kernels_py.s1_exhaust, compiled when built."""
     if _ext is None:
@@ -100,56 +91,13 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
     return int.from_bytes(found, "little"), exhausted, nodes
 
 
-def scan_route(mask: int, p: int, k: int, forward: bool) -> str:
-    """The route first_hit_scan takes for this set and this scan: "gap",
-    "window" or "rotation".
-
-    A forward scan at k = 1 takes the gaps, O(p) for any set; other forward
-    scans rotate. A centered scan of A reads about d / 64 words a center by
-    the windows, d its witness, near (p/|A|)^(2k) for a random set, or L =
-    ceil(p/64) words for each difference the rotation tries, up to the
-    largest witness. Sparse sets take the windows, dense ones the rotation,
-    split by WINDOW_CUTOFF's |A|^3 <= c * p^e for the backend that runs and
-    for k = 1 or k >= 2.
-    """
-    if forward:
-        return "gap" if k == 1 else "rotation"
-    c, e = WINDOW_CUTOFF["pure" if _ext is None else "compiled"][k > 1]
-    return "window" if mask.bit_count() ** 3 <= c * p**e else "rotation"
-
-
 def first_hit_scan(
     mask: int, p: int, k: int, forward: bool, record: type | None
 ) -> tuple[dict | None, int | None]:
-    """(hits, least) of _kernels_py.first_hit_scan, by the route that
-    scan_route picks, compiled when built. Every route gives the same result."""
-    route = scan_route(mask, p, k, forward)
-    scan = gap_scan if route == "gap" else window_scan if route == "window" else rotation_scan
-    return scan(mask, p, k, forward, record)
-
-
-def rotation_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
     """(hits, least) of _kernels_py.first_hit_scan, compiled when built."""
-    return _scan("first_hit_scan", mask, p, k, forward, record)
-
-
-def window_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
-    """(hits, least) of _kernels_py.window_hit_scan, compiled when built."""
-    return _scan("window_hit_scan", mask, p, k, forward, record)
-
-
-def gap_scan(mask: int, p: int, k: int, forward: bool, record: type | None):
-    """(hits, least) of _kernels_py.gap_hit_scan, compiled when built."""
-    return _scan("gap_hit_scan", mask, p, k, forward, record)
-
-
-def _scan(name: str, mask: int, p: int, k: int, forward: bool, record: type | None):
-    """The scan `name` on the backend that runs; the compiled one takes the
-    mask as bytes."""
     if _ext is None:
-        return getattr(_kernels_py, name)(mask, p, k, forward, record)
-    size = (p + 7) // 8
-    return getattr(_ext, name)(mask.to_bytes(size, "little"), p, k, forward, record)
+        return _kernels_py.first_hit_scan(mask, p, k, forward, record)
+    return _ext.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward, record)
 
 
 def affine_product(

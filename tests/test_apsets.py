@@ -163,8 +163,9 @@ def n1_part():
 
 
 def test_nk_maps_list_the_kernel_hits_as_records(n1_part):
-    # both maps hold the scans' hits in the kernel's order, ascending d, each
-    # as the record ApWitness(a, d, 1), which the independent checkers accept
+    # both maps hold the scans' hits in the kernel's order, ascending
+    # element, each as the record ApWitness(a, d, 1), which the independent
+    # checkers accept
     p, mask = n1_part.p, n1_part.mask
     report = is_nk_type(n1_part, 1)
     assert report.ok
@@ -175,7 +176,7 @@ def test_nk_maps_list_the_kernel_hits_as_records(n1_part):
     for witnesses, forward, covers in scans:
         hits, least = kernels.first_hit_scan(mask, p, 1, forward, tuple)
         assert least is None
-        assert list(witnesses) == list(hits)
+        assert list(witnesses) == list(hits) == sorted(hits)
         assert list(witnesses.values()) == [ApWitness(*h) for h in hits.values()]
         assert all(type(w) is ApWitness and covers(n1_part, w) for w in witnesses.values())
 
@@ -534,6 +535,14 @@ def test_partition_charges_its_draws_before_drawing():
         partition_nk(p, 1, parts=parts, seed=0, budget=words - 1)
     # the default budget admits every default draw of an N_1 partition of F_20011
     assert 200 * apsets._draw_words(20011, 1, 28) <= Budget().nodes
+
+
+def test_partition_charges_forward_windows_and_candidate_tests():
+    # at k >= 2 a forward scan reads at most ceil((p - 1)/64) windows for
+    # each residue outside its part, and the candidate tests of all the
+    # scans of a draw, each an element of a part as e + d, are at most p^2
+    p, parts = 1009, 4  # ceil(1009^(1/5))
+    assert apsets._draw_words(p, 2, parts) == p * 8 + parts * p * 16 + p * p == 1090729
 
 
 def test_partition_rejects_more_parts_than_residues():

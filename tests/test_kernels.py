@@ -4,12 +4,12 @@ Four kernels are compared. s1_exhaust must agree bit for bit: same found
 set, same exhausted flag, and the same node count, so that proven_optimal
 claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
-order and the same least uncovered element, so that witness maps do not
-depend on the backend either, nor on the route: the rotation, for centered
-scans the word windows of the set and its mirror, and for forward scans at
-k = 1 the gaps between its elements. The maps each scan builds, witness
-records included, must agree the same way, and a scan asked for no map must
-name the same least uncovered element.
+order, ascending element, and the same least uncovered element, so that
+witness maps do not depend on the backend either: the compiled scan reads
+word windows around each element and the pure one rotates the mask, two
+independent methods, and both must give what the definition gives. The maps
+each scan builds, witness records included, must agree the same way, and a
+scan asked for no map must name the same least uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
 backends the tensor that the same factors give through mul_reduce, by the
 shift route and by the interpolate route. products_vanish, behind the
@@ -202,148 +202,80 @@ def scan_sets(p, rng):
 
 def naive_scan(mask, p, k, forward):
     """The scan from its definition: the (e, d, k) of each element asked
-    about, by ascending d, then ascending e, and the least element with no
-    witness, or None."""
-    members = {a for a in range(p) if mask >> a & 1}
+    about, by ascending e, and the least element with no witness, or None.
+    For d = 1, 2, ... each element still without a witness tests its
+    progression through a membership table."""
+    member = np.array([mask >> a & 1 for a in range(p)], dtype=bool)
     steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
-    hits, missing = [], []
-    for e in (a for a in range(p) if (a in members) != forward):
-        d = next((d for d in range(1, p) if all((e + i * d) % p in members for i in steps)), 0)
-        if d:
-            hits.append((d, e))
-        else:
-            missing.append(e)
-    return [(e, d, k) for d, e in sorted(hits)], min(missing, default=None)
+    targets = np.flatnonzero(member != forward)
+    left, first = targets, np.zeros(p, dtype=np.int64)
+    for d in range(1, p):
+        if not len(left):
+            break
+        ok = np.ones(len(left), dtype=bool)
+        for i in steps:
+            ok &= member[(left + i * d) % p]
+        first[left[ok]] = d
+        left = left[~ok]
+    hits = [(int(e), int(first[e]), k) for e in targets if first[e]]
+    return hits, int(left[0]) if len(left) else None
 
 
-@pytest.mark.parametrize("p", SCAN_PRIMES)
-def test_first_hit_scan_parity(ext, p):
-    # one limb, limb edges (61, 67, 127, 131) and many limbs: the compiled
-    # rotation gives the pure one's map, in order, and least element; up to
-    # p = 67 both give the definition's, and at every p both leave {0}
-    # without a centered witness
+def check_scan_parity(ext, p, wanted):
+    """Every scan (k, forward) at p that `wanted` picks, on every set of
+    scan_sets: the compiled windows and the pure rotation give the same
+    map, as a list in ascending element order, and the same least element,
+    with a map and without one. Up to p = 1009 both give the definition's;
+    at 20011 the definition, O(p^2) a scan, would take minutes."""
     rng = random.Random(p)
     for mask in scan_sets(p, rng):
-        for k, forward in scans(p):
+        for k, forward in filter(wanted, scans(p)):
             hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
-            got = ext.rotation_scan(mask, p, k, forward, tuple)
+            got = ext.first_hit_scan(mask, p, k, forward, tuple)
             assert list(got[0].items()) == list(hits.items()) and got[1] == least
-            assert all(mask >> e & 1 != forward for e in hits) and least not in hits
+            assert list(hits) == sorted(hits) and least not in hits
+            assert all(mask >> e & 1 != forward for e in hits)
             if least is not None:
                 assert mask >> least & 1 != forward
-            if p <= 67:
+            for scan in (ext.first_hit_scan, _kernels_py.first_hit_scan):
+                assert scan(mask, p, k, forward, None) == (None, least)
+            if p <= 1009:
                 assert (list(hits.values()), least) == naive_scan(mask, p, k, forward)
             if mask == 1 and not forward:
                 assert (hits, least) == ({}, 0)
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
+def test_first_hit_scan_parity(ext, p):
+    # one limb, limb edges (61, 67, 127, 131) and many limbs: forward scans
+    # with more than one step
+    check_scan_parity(ext, p, lambda scan: scan[1] and scan[0] > 1)
+
+
+@pytest.mark.parametrize("p", SCAN_PRIMES)
 def test_window_route_parity(ext, p):
-    # centered scans: the windows, compiled and pure, give the rotation's
-    # map in the same order and the same least element on every set, the
-    # empty and the full one and those with elements left without a witness
-    # included; asked for no map, the same least element
-    rng = random.Random(p)
-    for mask in scan_sets(p, rng):
-        for k, forward in scans(p):
-            if forward:
-                continue
-            want = ext.rotation_scan(mask, p, k, False, tuple)
-            for scan in (ext.window_scan, _kernels_py.window_hit_scan):
-                hits, least = scan(mask, p, k, False, tuple)
-                assert list(hits.items()) == list(want[0].items()) and least == want[1]
-                assert scan(mask, p, k, False, None) == (None, want[1])
-
-
-def test_window_route_refuses_forward_scans(compiled):
-    # the window route takes centered scans only, whose steps hold -1 and
-    # +1; a forward scan is refused on both backends at every k
-    log = apsets.build_s1_log(13).mask
-    for k in (1, 2, 3):
-        with pytest.raises(ValueError):
-            _kernels_py.window_hit_scan(log, 13, k, True, None)
-        with pytest.raises(ValueError):
-            compiled.window_hit_scan(log.to_bytes(2, "little"), 13, k, True, None)
-        want = _kernels_py.first_hit_scan(log, 13, k, False, tuple)
-        assert _kernels_py.window_hit_scan(log, 13, k, False, tuple) == want
-        assert compiled.window_hit_scan(log.to_bytes(2, "little"), 13, k, False, tuple) == want
-
-
-def test_scan_route_rule(compiled, monkeypatch):
-    # gaps for forward scans at k = 1, whatever the set; other forward scans
-    # rotate. Centered scans take the windows for the sparse sets, the log
-    # set and an N_1 part of F_20011, on both backends; dense sets rotate,
-    # from a quarter of F_p compiled at k = 1 but not at k = 2, and from a
-    # tenth on the pure backend, whose windows cost O(L) a center
-    p = 20011
-    log = apsets.build_s1_log(p).mask
-    part, tenth, quarter, full = ((1 << size) - 1 for size in (732, p // 10, p // 4, p))
-    for backend in (compiled, None):
-        monkeypatch.setattr(kernels, "_ext", backend)
-        assert kernels.scan_route(log, p, 1, True) == "gap"
-        assert kernels.scan_route(full, p, 1, True) == "gap"
-        assert kernels.scan_route(log, p, 2, True) == "rotation"
-        for k in (1, 2, 3):
-            assert kernels.scan_route(log, p, k, False) == "window"
-            assert kernels.scan_route(part, p, k, False) == "window"
-            assert kernels.scan_route(full, p, k, False) == "rotation"
-    monkeypatch.setattr(kernels, "_ext", compiled)
-    assert kernels.scan_route(quarter, p, 1, False) == "rotation"
-    assert kernels.scan_route(quarter, p, 2, False) == "window"
-    monkeypatch.setattr(kernels, "_ext", None)
-    assert kernels.scan_route(tenth, p, 1, False) == "rotation"
-    assert kernels.scan_route(tenth, p, 2, False) == "rotation"
+    # centered scans, the sets left without a witness included: at every p
+    # both backends leave {0} without a centered witness
+    check_scan_parity(ext, p, lambda scan: not scan[1])
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
 def test_gap_route_parity(ext, p):
-    # forward scans at k = 1: the gaps, compiled and pure, give the
-    # rotation's map in the same order and the same least element
-    rng = random.Random(p)
-    for mask in scan_sets(p, rng):
-        want = ext.rotation_scan(mask, p, 1, True, tuple)
-        for scan in (ext.gap_scan, _kernels_py.gap_hit_scan):
-            hits, least = scan(mask, p, 1, True, tuple)
-            assert list(hits.items()) == list(want[0].items()) and least == want[1]
-
-
-def test_gap_route_needs_the_one_step(compiled):
-    # the gap route takes the forward scan at k = 1 only, whose one step is
-    # +1; centered scans and forward scans at k > 1 are refused on both
-    # backends
-    log = apsets.build_s1_log(13).mask
-    for k, forward in ((1, False), (2, False), (2, True), (3, True)):
-        with pytest.raises(ValueError):
-            _kernels_py.gap_hit_scan(log, 13, k, forward, None)
-        with pytest.raises(ValueError):
-            compiled.gap_hit_scan(log.to_bytes(2, "little"), 13, k, forward, None)
-    want = _kernels_py.first_hit_scan(log, 13, 1, True, tuple)
-    assert _kernels_py.gap_hit_scan(log, 13, 1, True, tuple) == want
-    assert compiled.gap_hit_scan(log.to_bytes(2, "little"), 13, 1, True, tuple) == want
-
-
-# each scan named by its steps: -k..-1, 1..k centered, 1..k forward
-ROUTES = [
-    ("rotation", [-1, 1], "rotation_scan", "first_hit_scan"),
-    ("rotation", [1, 2], "rotation_scan", "first_hit_scan"),
-    ("window", [-1, 1], "window_scan", "window_hit_scan"),
-    ("window", [-2, -1, 1, 2], "window_scan", "window_hit_scan"),
-    ("gap", [1], "gap_scan", "gap_hit_scan"),
-]
+    # forward scans at k = 1, whose one step is +1
+    check_scan_parity(ext, p, lambda scan: scan == (1, True))
 
 
 @pytest.mark.parametrize("p", [5, 67, 257])
-@pytest.mark.parametrize("route, steps, wrapper, pure", ROUTES)
-def test_scans_build_records_and_skip_maps(ext, p, route, steps, wrapper, pure):
-    # every route on both backends: with a record type the map holds
+@pytest.mark.parametrize("k, forward", [(1, False), (1, True), (2, False), (2, True)])
+def test_scans_build_records_and_skip_maps(ext, p, k, forward):
+    # the scan on both backends: with a record type the map holds
     # record(e, d, k) for each hit e at d, in the same order; with None
     # there is no map and the same least element
-    k, forward = max(steps), min(steps) > 0
     rng = random.Random(p)
     for mask in (apsets.build_s1_log(p).mask, rng.getrandbits(p), (1 << p) - 1, 0):
         hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
         want = [apsets.ApWitness(*h) for h in hits.values()]
-        for scan in (getattr(ext, wrapper), getattr(_kernels_py, pure)):
+        for scan in (ext.first_hit_scan, _kernels_py.first_hit_scan):
             records, rest = scan(mask, p, k, forward, apsets.ApWitness)
             assert list(records) == list(hits) and rest == least
             assert list(records.values()) == want
@@ -363,12 +295,11 @@ def test_compiled_records_need_a_tuple_layout(compiled):
         __slots__ = ()
 
     mask = (0b111).to_bytes(1, "little")
-    for scan in (compiled.first_hit_scan, compiled.window_hit_scan):
-        hits, least = scan(mask, 5, 1, False, Slotted)
-        assert (hits, least) == ({1: (1, 1, 1)}, 0) and type(hits[1]) is Slotted
-        for record in (Wide, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
-            with pytest.raises(TypeError):
-                scan(mask, 5, 1, False, record)
+    hits, least = compiled.first_hit_scan(mask, 5, 1, False, Slotted)
+    assert (hits, least) == ({1: (1, 1, 1)}, 0) and type(hits[1]) is Slotted
+    for record in (Wide, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
+        with pytest.raises(TypeError):
+            compiled.first_hit_scan(mask, 5, 1, False, record)
 
 
 def affine_chain(coeffs, p, factors, route):
@@ -598,12 +529,11 @@ def test_built_extension_matches_the_api(compiled):
 
 
 def test_first_hit_scan_rejects_bad_input(compiled):
-    # every route on both backends: the mask, p and k are checked and a
+    # both backends, both directions: the mask, p and k are checked and a
     # record is None or a tuple type, int no longer
     log = apsets.build_s1_log(13).mask
-    for name in ("first_hit_scan", "window_hit_scan", "gap_hit_scan"):
-        forward = name == "gap_hit_scan"
-        c_scan, py_scan = getattr(compiled, name), getattr(_kernels_py, name)
+    c_scan, py_scan = compiled.first_hit_scan, _kernels_py.first_hit_scan
+    for forward in (False, True):
         # the empty set: nothing to hit centered, and 0 left over forward
         want = {}, (0 if forward else None)
         assert c_scan(bytes(2), 13, 1, forward, tuple) == want
