@@ -171,8 +171,8 @@ def product_cases():
         lambda: rolled_product(11, 4, unit_and_row_shifts(m, phases)),
         lambda: group_ring.product_of_factors(spec, group_ring.CyclotomicRing).coeffs,
     )
-    head, last = sweep_stack(11, [[1, 2]])
-    group = list(fp_core.enumerate_nonsingular(11, 2, prefix=[[1, 2]]))
+    head, last = sweep_stack(11, (1, 2))
+    group = stack_matrices(11, head, last)
 
     def rolled_verdicts():
         """Whether each reference table is zero over Z, and zero mod p."""
@@ -186,19 +186,26 @@ def product_cases():
     )
 
 
-def sweep_stack(p, prefix):
-    """The one group of the sweep below n-1 fixed rows: (head, last rows)."""
-    (group,) = fp_core.enumerate_nonsingular_groups(p, len(prefix) + 1, prefix=prefix)
-    return group
+def sweep_stack(p, first):
+    """The first group of the sweep below the first row `first`, from the
+    one-row range that holds it: (head, last rows)."""
+    n = len(first)
+    index = sum(a * p ** (n - 1 - i) for i, a in enumerate(first)) - 1
+    return next(fp_core.enumerate_nonsingular_groups(p, n, first_rows=slice(index, index + 1)))
+
+
+def stack_matrices(p, head, last):
+    """The matrices of a sweep stack, one FpMatrix each."""
+    return [fp_core.FpMatrix(head.tolist() + [row], p) for row in last.tolist()]
 
 
 def witness_cases():
     """(label, p, head, last rows, matrices) for the witness search: one
     sweep stack each, the matrices after a fixed first n-1 rows."""
-    for p, prefix in [(11, [[1, 2]]), (5, [[1, 2, 3], [0, 1, 4]])]:
-        n = len(prefix) + 1
-        stack = list(fp_core.enumerate_nonsingular(p, n, prefix=prefix))
-        yield f"stack of {len(stack)}, n = {n}", p, *sweep_stack(p, prefix), stack
+    for p, first in [(11, (1, 2)), (5, (1, 2, 3))]:
+        head, last = sweep_stack(p, first)
+        stack = stack_matrices(p, head, last)
+        yield f"stack of {len(stack)}, n = {len(first)}", p, head, last, stack
 
 
 def stacked_witnesses(p, head, last):
@@ -352,10 +359,9 @@ def main():
     header += "".join(f"{b + ' (s)':>15}" for b, _ in BACKENDS) + f"{'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for p, prefix in [(5, [[1, 2]]), (11, [[1, 2]]), (5, [[1, 2, 3], [0, 1, 4]]),
-                      (31, [[1, 2]])]:
-        head, last = sweep_stack(p, prefix)
-        n, times, flags = len(prefix) + 1, [], []
+    for p, first in [(5, (1, 2)), (11, (1, 2)), (5, (1, 2, 3)), (31, (1, 2))]:
+        head, last = sweep_stack(p, first)
+        n, times, flags = len(first), [], []
         for backend, ext in BACKENDS:
             t, got = timed(route_on, ext, kernels.products_vanish, p, head, last, repeat=20)
             times.append(t)

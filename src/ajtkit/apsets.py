@@ -35,7 +35,7 @@ import numpy as np
 from . import kernels
 from ._kernels_py import _bits, _rotl
 from .budget import Budget, current_budget
-from .errors import InputError, MathViolation
+from .errors import BudgetExceeded, InputError, MathViolation
 from .fp_core import FpMatrix, _as_prime, _json_int
 
 
@@ -267,17 +267,6 @@ class SkConstruction(NamedTuple):
         return len(self.aset)
 
 
-def _progression_hit(c: int, target: set[int], d: int, p: int) -> int:
-    """c + i*d with i >= 1 minimal landing in target; a negative d walks
-    backward."""
-    cur = c
-    for _ in range(p):
-        cur = (cur + d) % p
-        if cur in target:
-            return cur
-    raise MathViolation("progression failed to meet a nonempty set")
-
-
 def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstruction:
     """Staged S_k-type construction with step sizes x, x^2, ..., x^(4k+3).
 
@@ -295,16 +284,32 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
     x = _ceil_root(p, 4 * k + 4)
     kx = k * x
     span = 2 * kx
+    nodes, work = b.nodes, 0
+
+    def hit(c: int, target: set[int], d: int) -> int:
+        # c + i*d with i >= 1 minimal landing in target, a negative d walking
+        # backward: the i steps are charged as nodes, and a walk stops once
+        # the budget is spent
+        nonlocal work
+        left = nodes - work
+        cur = c
+        for i in range(1, (p if left >= p else left) + 1):
+            cur = (cur + d) % p
+            if cur in target:
+                work += i
+                return cur
+        if left < p:
+            raise BudgetExceeded(f"staged construction needs more than {nodes} nodes")
+        raise MathViolation("progression failed to meet a nonempty set")
 
     a_cur = {t % p for t in range(-kx, kx + 1)}
     b_cur = {(-kx + t) % p for t in range(k + 1)}
-    b_cur |= {_progression_hit(j % p, a_cur, x, p) for j in range(kx - k, kx + 1)}
+    b_cur |= {hit(j, a_cur, x) for j in range(kx - k, kx + 1)}
     c_cur = {(kx - k + t) % p for t in range(k + 1)}
-    c_cur |= {_progression_hit(j % p, a_cur, -x, p) for j in range(-kx, -kx + k + 1)}
+    c_cur |= {hit(j, a_cur, -x) for j in range(-kx, -kx + k + 1)}
 
     union = set(a_cur)
     stage_sizes = [len(a_cur)]
-    work = 0
     for stage in range(2, 4 * k + 4):
         step = pow(x, stage - 1, p)
         bigstep = pow(x, stage, p)
@@ -316,7 +321,7 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
             (a - j * step) % p for a in b_cur for j in range(span - k, span + 1)
         }
         b_next |= {
-            _progression_hit((a + j * step) % p, a_next, bigstep, p)
+            hit(a + j * step, a_next, bigstep)
             for a in c_cur
             for j in range(span - k, span + 1)
         }
@@ -324,7 +329,7 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
             (a + j * step) % p for a in c_cur for j in range(span - k, span + 1)
         }
         c_next |= {
-            _progression_hit((a - j * step) % p, a_next, -bigstep, p)
+            hit(a - j * step, a_next, -bigstep)
             for a in b_cur
             for j in range(span - k, span + 1)
         }
@@ -335,13 +340,10 @@ def build_sk(p: int, k: int, budget: Budget | str | None = None) -> SkConstructi
     last = pow(x, 4 * k + 3, p)
     a_final: set[int] = set()
     for a in c_cur:
-        cur = a
-        a_final.add(cur)
-        for _ in range(p):
-            cur = (cur + last) % p
-            a_final.add(cur)
-            if cur in a_prev:
-                break
+        # the walk from a to a_prev, a included
+        before = work
+        hit(a, a_prev, last)
+        a_final.update((a + i * last) % p for i in range(work - before + 1))
     union |= a_final
     stage_sizes.append(len(a_final))
 

@@ -2,7 +2,9 @@
 
 Subcommands mirror the library: table verification, set construction and
 search, partitioning, property reports, exhaustive sweeps, duality and
-pairing probes. Output is deterministic for a fixed seed and configuration;
+pairing probes. `sweep` cuts the p^n - 1 nonzero first rows into one
+contiguous range a worker, each range one job that enumerates its matrices
+in one call. Output is deterministic for a fixed seed and configuration;
 exit codes are 0 (success), 1 (MathViolation: a verified statement failed or
 no certificate was found; or stdout closed before the output was written),
 2 (InputError: bad input), 3 (BudgetExceeded).
@@ -181,8 +183,8 @@ def cmd_check(args) -> int:
 SWEEP_STACK_ENTRIES = 2**16
 
 
-def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
-    p, n, first_row, budget = job
+def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
+    p, n, first_rows, budget = job
     counts = {
         "matrices": 0,
         "p1_witness": 0,
@@ -191,7 +193,7 @@ def _sweep_one_prefix(job: tuple[int, int, tuple[int, ...], Budget]) -> dict:
         "violations": [],
     }
     groups = fp_core.enumerate_nonsingular_groups(
-        p, n, budget=budget, prefix=[list(first_row)]
+        p, n, budget=budget, first_rows=first_rows
     )
     # the matrices of a group share their first n-1 rows, so they share all
     # but one factor and all but one row: one call answers all three
@@ -232,21 +234,22 @@ def cmd_sweep(args) -> int:
     p = fp_core._as_prime(p)
     budget = current_budget(args.budget)
     budget.check_nodes_power(p, n * n, what="matrix sweep")
-    jobs = [
-        (p, n, row, budget)
-        for row in fp_core.enumerate_nonzero_rows(p, n)
-    ]
-    # never more workers than usable CPUs or jobs
-    workers = min(args.threads, len(os.sched_getaffinity(0)), len(jobs))
+    # every nonzero first row has the same prod_{i=1}^{n-1} (p^n - p^i)
+    # completions, so equal ranges of first rows are equal jobs; never more
+    # workers than usable CPUs or first rows
+    rows = p**n - 1
+    workers = min(args.threads, len(os.sched_getaffinity(0)), rows)
+    cuts = [rows * w // workers for w in range(workers + 1)]
+    jobs = [(p, n, slice(a, b), budget) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         # imported here: concurrent.futures and multiprocessing cost every
         # process that imports this module about 1.4 MB, a pool or not
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_sweep_one_prefix, jobs))
+            partials = list(pool.map(_sweep_range, jobs))
     else:
-        partials = [_sweep_one_prefix(job) for job in jobs]
+        partials = [_sweep_range(job) for job in jobs]
     totals = {
         "matrices": 0,
         "p1_witness": 0,

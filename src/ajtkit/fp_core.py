@@ -6,10 +6,11 @@ immutable; determinants are computed by Gaussian elimination over the field
 and cached.
 
 GL_n(F_p) is enumerated on integer row arrays: each independent (n-1)-row
-prefix comes with one (B, n) array of the last rows that complete it, the
-vectors outside its span, found by encoding the span as base-p indices.
-`sweep` checks those arrays directly; `enumerate_nonsingular` builds the
-matrices one at a time.
+head comes with one (B, n) array of the last rows that complete it, the
+vectors outside its span, found by encoding the span as base-p indices. A
+slice of the nonzero first rows picks a contiguous range of the heads;
+`sweep` runs one such range a job and checks the arrays directly, and
+`enumerate_nonsingular` builds the matrices one at a time.
 """
 
 from __future__ import annotations
@@ -61,10 +62,12 @@ _VALIDATED: set[int] = set()
 
 
 def _as_prime(p: int) -> int:
-    """p as an exact int, validated as an odd prime the first time it is
-    seen, else InputError."""
+    """p as an exact int, validated as an odd prime below 2^31 (the C
+    kernels hold p in an int) the first time it is seen, else InputError."""
     p = int(p)
     if p not in _VALIDATED:
+        if p >= 2**31:
+            raise InputError(f"modulus must be below 2^31, got {p}")
         if p < 3 or not is_probable_prime(p):
             raise InputError(f"modulus must be an odd prime >= 3, got {p}")
         _VALIDATED.add(p)
@@ -214,11 +217,6 @@ def _vectors(p: int, n: int) -> np.ndarray:
     return table
 
 
-def enumerate_nonzero_rows(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    """All nonzero length-n row tuples over F_p in lexicographic order."""
-    return map(tuple, _vectors(_as_prime(p), n)[1:].tolist())
-
-
 def _index(p: int, rows: np.ndarray) -> np.ndarray:
     """The base-p index in `_vectors` of each reduced row of `rows`."""
     return rows @ p ** np.arange(rows.shape[-1] - 1, -1, -1)
@@ -240,7 +238,7 @@ def enumerate_nonsingular_groups(
     p: int,
     n: int,
     budget: Budget | str | None = None,
-    prefix: Sequence[Sequence[int]] | None = None,
+    first_rows: slice = slice(None),
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Every nonsingular n x n matrix over F_p, grouped by its first n-1 rows.
 
@@ -248,56 +246,49 @@ def enumerate_nonsingular_groups(
     leading rows and the (B, n) int64 array of every last row that completes
     it to a nonsingular matrix, which are the p^n vectors outside span(head).
     Heads come in lex order and so do the last rows of each, so the matrices,
-    flattened, are in lexicographic order of their row tuples. A prefix pins
-    the leading rows: a dependent prefix yields nothing, and a full n-row
-    prefix yields the one group of that matrix. The candidate count p^(n^2)
-    is charged against the node budget up front, without forming it when
-    it is past the cap.
+    flattened, are in lexicographic order of their row tuples. `first_rows`
+    slices the p^n - 1 nonzero first rows, in lex order: only the matrices
+    whose first row it keeps are yielded, so contiguous slices partition the
+    enumeration. The candidate count p^(n^2) is charged against the node
+    budget up front, without forming it when it is past the cap.
     """
     p = _as_prime(p)
     if n < 1:
         raise InputError("need n >= 1")
     b = current_budget(budget)
     b.check_nodes_power(p, n * n, what=f"enumeration of {n}x{n} matrices over F_{p}")
-    pinned = [[int(a) % p for a in row] for row in prefix or []]
-    if any(len(row) != n for row in pinned):
-        raise InputError("prefix rows must have length n")
-    head = np.array(pinned, dtype=np.int64).reshape(len(pinned), n)
-    for k in range(len(head)):
-        # n independent rows span everything, so an (n+1)-th is dependent
-        if k == n or _span_mask(p, head[:k])[_index(p, head[k])]:
-            return
-    if len(head) == n:
-        yield head[:-1], head[-1:]
-    else:
-        yield from _groups(p, n, head)
+    vectors = _vectors(p, n)
+    yield from _groups(p, n, vectors[:0], vectors[1:][first_rows])
 
 
-def _groups(p: int, n: int, head: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    # head holds independent reduced rows, fewer than n, and p is validated
-    outside = _vectors(p, n)[~_span_mask(p, head)]
+def _groups(
+    p: int, n: int, head: np.ndarray, rows: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    # head holds independent reduced rows, fewer than n, rows the candidates
+    # for the next one, all outside span(head), and p is validated
     if len(head) == n - 1:
-        yield head, outside
+        yield head, rows
         return
-    for row in outside:
-        yield from _groups(p, n, np.vstack([head, row]))
+    for row in rows:
+        below = np.vstack([head, row])
+        yield from _groups(p, n, below, _vectors(p, n)[~_span_mask(p, below)])
 
 
 def enumerate_nonsingular(
     p: int,
     n: int,
     budget: Budget | str | None = None,
-    prefix: Sequence[Sequence[int]] | None = None,
+    first_rows: slice = slice(None),
 ) -> Iterator[FpMatrix]:
     """Yield every nonsingular n x n matrix over F_p.
 
     The matrices of `enumerate_nonsingular_groups`, in the same
-    lexicographic order, with the same prefix semantics and the same
+    lexicographic order, with the same first-row slice and the same
     up-front node charge. Rows are reduced and p validated there, so the
     matrices are built without re-validation.
     """
     p = _as_prime(p)
-    for head, last in enumerate_nonsingular_groups(p, n, budget=budget, prefix=prefix):
+    for head, last in enumerate_nonsingular_groups(p, n, budget, first_rows):
         rows = tuple(map(tuple, head.tolist()))
         for row in last.tolist():
             yield FpMatrix._from_reduced(rows + (tuple(row),), p)

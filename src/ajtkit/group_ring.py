@@ -58,14 +58,6 @@ def _shape(p: int, n: int, ring: _RingTag) -> tuple[int, ...]:
     return (p,) * (n + (ring is CyclotomicRing))
 
 
-def _shift(p: int, ring: _RingTag, v: Sequence[int], phase: int | None) -> tuple[int, ...]:
-    """Roll offsets for multiplication by g^v, or by w^(-phase) * g^v over Z[w]."""
-    shift = tuple(int(a) % p for a in v)
-    if ring is CyclotomicRing:
-        return shift + (-(phase or 0) % p,)
-    return shift
-
-
 class GroupRingElem:
     """A dense element of R[(Z/p)^n]; coefficients indexed by group vectors.
 
@@ -196,12 +188,15 @@ def product_of_factors(
     b.check_entries(spec.p ** len(shape), what="group-ring table")
     if spec.phases is not None and ring is not CyclotomicRing:
         raise InputError("phases require the cyclotomic coefficient ring")
-    phases = spec.phases or [(None,) * e for e in spec.exponents]
-    shifts = [
-        _shift(spec.p, ring, v, phase)
-        for v, ph in zip(spec.vectors, phases)
-        for phase in ph
-    ]
+    # over Z[w] a factor 1 - w^(-phase) * g^v also rolls the w axis by -phase
+    shifts = []
+    for i, (v, e) in enumerate(zip(spec.vectors, spec.exponents)):
+        shift = tuple(int(a) % spec.p for a in v)
+        if ring is CyclotomicRing:
+            phases = spec.phases[i] if spec.phases else (0,) * e
+            shifts += [shift + (-c % spec.p,) for c in phases]
+        else:
+            shifts += [shift] * e
     table = _expand(spec.p, len(shape), shifts)
     if ring is ModPRing:
         table = _exact(table % spec.p, spec.p)
@@ -265,13 +260,6 @@ class SigmaReport(NamedTuple):
     @property
     def candidate(self) -> bool:
         return all(self.vanishing)
-
-    def to_json(self) -> dict:
-        return {
-            **self._asdict(),
-            "candidate": self.candidate,
-            "vanishing": list(self.vanishing),
-        }
 
 
 def sigma_vanishing_candidate(

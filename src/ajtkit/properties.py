@@ -522,13 +522,6 @@ class InvarianceReport(NamedTuple):
     seed: int
     mismatches: tuple[dict, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
-
-    def to_json(self) -> dict:
-        return {**self._asdict(), "mismatches": list(self.mismatches), "ok": self.ok}
-
 
 def multiplier_invariance_test(
     m: FpMatrix,

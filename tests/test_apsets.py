@@ -8,6 +8,7 @@ import math
 import pathlib
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -421,6 +422,16 @@ def test_build_sk_certifies_and_reports():
 def test_build_sk_x_is_ceil_root():
     for p, want in ((211, 2), (4099, 3), (10007, 3)):
         assert build_sk(p, 2).x == want
+
+
+def test_build_sk_charges_its_progression_walks():
+    # at p = 100000007, x = 5, and stage 1's first walk, steps of 5 from 8
+    # back into [-10, 10], takes about p / 5 steps: a small node budget stops
+    # it, where an uncharged walk runs for tens of seconds
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="staged construction needs more than 10000 nodes"):
+        build_sk(100000007, 2, budget=Budget(nodes=10**4))
+    assert time.perf_counter() - start < 2
 
 
 def test_build_sk_saturates_at_this_scale():

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, payload shapes."""
 
 import concurrent.futures
+import itertools
 import json
 import os
 import random
@@ -67,7 +68,7 @@ def test_csv_is_refused_before_any_sweep_work(capsys, monkeypatch):
     def never(job):
         raise AssertionError("the sweep started")
 
-    monkeypatch.setattr(cli, "_sweep_one_prefix", never)
+    monkeypatch.setattr(cli, "_sweep_range", never)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--p", "5", "--n", "2", "--format", "csv"])
     assert exc.value.code == 2
@@ -299,6 +300,47 @@ def test_bad_json_entries_are_input_errors(tmp_path, capsys, command, option, pa
     assert captured.err.startswith("error:") and "Traceback" not in captured.err
 
 
+FORBIDDEN_LISTS = '"c_lists": [[], []], "d_lists": [[], []]'
+
+
+@pytest.mark.parametrize(
+    "option, text, message",
+    [
+        ("--matrix", '{"p": 5, "rows": [[1, 1], [1, 2]]', "is not valid JSON"),
+        ("--matrix", '{"p": 5}', "needs keys 'p' and 'rows'"),
+        ("--matrix", '{"rows": [[1, 1], [1, 2]]}', "needs keys 'p' and 'rows'"),
+        ("--matrix", "[5, [[1, 1], [1, 2]]]", "needs keys 'p' and 'rows'"),
+        ("--matrix", '{"p": 5, "n": 3, "rows": [[1, 1], [1, 2]]}', "'n' does not match"),
+        ("--forbidden", '{"p": 5, "n": 2, "c_lists": [[0]], "d_lists": [[], []]}',
+         "one forbidden list per coordinate"),
+        ("--forbidden", '{"p": 5, "n": 2, "c_lists": [[5], []], "d_lists": [[], []]}',
+         "must lie in [0, p)"),
+        ("--forbidden", '{"p": 5, "n": 2, "c_lists": [[], []], "d_lists": [[], [-1]]}',
+         "must lie in [0, p)"),
+        ("--forbidden", '{"p": 5, "n": 2, "c_lists": [[1, 1], []], "d_lists": [[], []]}',
+         "must be distinct"),
+        ("--forbidden", '{"p": 5, "n": 2, "c_lists": [[], []]}', "needs p, n, c_lists, d_lists"),
+        ("--forbidden", '{"p": 7, "n": 2, ' + FORBIDDEN_LISTS + "}", "does not match the matrix"),
+        ("--forbidden", '{"p": 5, "n": 2, ' + FORBIDDEN_LISTS, "is not valid JSON"),
+    ],
+)
+def test_check_refuses_bad_input_files(tmp_path, capsys, option, text, message):
+    # each refusal exits 2 with one stderr line that names it
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = tmp_path / "m.json"
+    good.write_text(json.dumps(GOOD_MATRIX))
+    argv = ["check", option, str(bad)]
+    if option == "--forbidden":
+        argv += ["--matrix", str(good)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error:") and message in captured.err
+
+
 def test_sweep_5_2(capsys):
     rc, payload = run_json(capsys, "sweep", "--p", "5", "--n", "2")
     assert rc == 0
@@ -366,9 +408,11 @@ def test_sweep_refuses_before_it_forms_the_matrix_count(capsys, argv, code):
 
 
 class _SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+    """Stands in for ProcessPoolExecutor: records max_workers and the jobs,
+    starts nothing."""
 
     requested: list[int] = []
+    jobs: list[tuple] = []
 
     def __init__(self, max_workers):
         self.requested.append(max_workers)
@@ -380,6 +424,8 @@ class _SerialPool:
         return False
 
     def map(self, fn, jobs):
+        jobs = list(jobs)
+        self.jobs.extend(jobs)
         return map(fn, jobs)
 
 
@@ -394,6 +440,7 @@ class _SerialPool:
 )
 def test_sweep_worker_count_is_capped(capsys, monkeypatch, threads, cpus, n, want):
     monkeypatch.setattr(_SerialPool, "requested", [])
+    monkeypatch.setattr(_SerialPool, "jobs", [])
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     rc, payload = run_json(
@@ -402,6 +449,14 @@ def test_sweep_worker_count_is_capped(capsys, monkeypatch, threads, cpus, n, wan
     assert rc == 0
     assert _SerialPool.requested == ([] if want is None else [want])
     assert payload["config"]["threads"] == threads  # the request, as given
+    # one job a worker: contiguous ranges of first rows, equal to within one
+    ranges = [job[2] for job in _SerialPool.jobs]
+    assert len(ranges) == (want or 0)
+    if ranges:
+        assert ranges[0].start == 0 and ranges[-1].stop == 5**n - 1
+        assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
+        sizes = [r.stop - r.start for r in ranges]
+        assert max(sizes) - min(sizes) <= 1
 
 
 def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
@@ -430,11 +485,12 @@ def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):
         capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1", "--budget", "700"
     )
     assert rc == 0
-    assert {name for name, _ in seen} == {"enumerate_nonsingular_groups", "sweep_verdicts"}
-    # at n = 2 each of the 24 first rows is one group: one stack call per
-    # group, whose one kernel call answers both rings
+    # --threads 1 is one job, so one enumeration call over all 24 first
+    # rows; at n = 2 each first row is one group: one stack call per group,
+    # whose one kernel call answers both rings
+    assert [name for name, _ in seen[:1]] == ["enumerate_nonsingular_groups"]
+    assert [name for name, _ in seen[1:]] == ["sweep_verdicts"] * 24
     assert len(expanded) == 24
-    assert len(seen) == 24 + 24
     assert {budget for _, budget in seen} == {Budget(nodes=700)}
 
 
@@ -477,7 +533,8 @@ def test_sweep_splits_groups_into_capped_stacks(capsys, monkeypatch):
     )
     assert [len(last) for _, last in stacks] == ([3] * 6 + [2]) * 24
     first_rows = [head[0] for head, _ in stacks]
-    assert first_rows == [list(r) for r in fp_core.enumerate_nonzero_rows(5, 2) for _ in range(7)]
+    nonzero = [list(r) for r in itertools.product(range(5), repeat=2)][1:]
+    assert first_rows == [r for r in nonzero for _ in range(7)]
 
 
 def test_sweep_group_larger_than_the_entries_budget():
@@ -485,7 +542,8 @@ def test_sweep_group_larger_than_the_entries_budget():
     # each table fits the default budget, so the sweep runs it in stacks
     p, n = 67, 2
     assert (p**n - p) * p**n > Budget().entries
-    counts = cli._sweep_one_prefix((p, n, (1, 0), Budget()))
+    # the range holds the one first row (1, 0)
+    counts = cli._sweep_range((p, n, slice(p - 1, p), Budget()))
     assert counts == {
         "matrices": p**2 - p,
         "p1_witness": p**2 - p,
@@ -494,12 +552,10 @@ def test_sweep_group_larger_than_the_entries_budget():
         "violations": [],
     }
     # a budget of one table gives stacks of one; below that nothing runs
-    job = (7, 2, (1, 2), Budget())
-    assert cli._sweep_one_prefix(job[:3] + (Budget(entries=7**2),)) == (
-        cli._sweep_one_prefix(job)
-    )
+    job = (7, 2, slice(8, 10), Budget())
+    assert cli._sweep_range(job[:3] + (Budget(entries=7**2),)) == cli._sweep_range(job)
     with pytest.raises(BudgetExceeded):
-        cli._sweep_one_prefix(job[:3] + (Budget(entries=7**2 - 1),))
+        cli._sweep_range(job[:3] + (Budget(entries=7**2 - 1),))
 
 
 def test_sweep_payload_matches_one_matrix_at_a_time(capsys):

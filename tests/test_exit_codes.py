@@ -43,6 +43,7 @@ ARGV = [
     ("sigma --p 7 --n 7 --trials 10007", 3),
     ("sigma --n 2", 2),
     ("nk-partition --p 1000003 --k 97 --parts 97", 3),
+    ("sk-build --p 100000007 --k 2 --budget low", 3),
     # -1, 0 and 1 for --p, --n, --k and --trials
     ("s1 --p -1", 2),
     ("s1 --p 0", 2),
@@ -58,6 +59,7 @@ ARGV = [
     ("sigma --p 5 --n 2 --trials 1", 0),
     # one argv per cause that once had its own exception class
     ("s1 --p 9", 2),
+    ("s1 --p 2147483659 --mode build", 2),
     ("sk-build --p 5 --k 3", 2),
     ("check --p 3 --n 2", 2),
     ("pairing --matrix {singular}", 2),

@@ -16,7 +16,6 @@ from ajtkit.fp_core import (
     _det_mod_p,
     enumerate_nonsingular,
     enumerate_nonsingular_groups,
-    enumerate_nonzero_rows,
     nonsingular_count,
     random_nonsingular,
 )
@@ -64,13 +63,21 @@ def test_prime_rejects_everything_else(bad):
         _as_prime(bad)
 
 
+def test_prime_range_stops_below_2_31():
+    # the compiled kernels hold p in a C int
+    assert _as_prime(2**31 - 1) == 2**31 - 1
+    for big in (2**31 + 11, 2**31, 2**64 + 13):
+        with pytest.raises(InputError, match=r"modulus must be below 2\^31"):
+            _as_prime(big)
+
+
 def test_composite_modulus_raises_on_every_call():
     # only moduli that passed are remembered; a composite is rejected each time
     for _ in range(3):
         with pytest.raises(InputError, match="modulus must be an odd prime"):
             FpMatrix([[1]], 9)
         with pytest.raises(InputError, match="modulus must be an odd prime"):
-            next(enumerate_nonzero_rows(15, 2))
+            next(enumerate_nonsingular_groups(15, 2))
     assert type(FpMatrix([[1]], 7).p) is int
 
 
@@ -147,39 +154,35 @@ def test_enumerated_matrices_equal_validated_ones():
         assert m.det() == fresh.det() != 0
 
 
-def test_enumerate_nonzero_rows():
-    rows = list(enumerate_nonzero_rows(3, 2))
-    assert len(rows) == 8
-    assert (0, 0) not in rows
-
-
-def test_enumerate_prefix_chunks_partition_the_space():
+def test_first_row_ranges_partition_the_space():
+    # each of the 8 first rows of (3, 2) has 9 - 3 = 6 completions
     p, n = 3, 2
-    whole = {m.rows for m in enumerate_nonsingular(p, n)}
-    chunked = set()
-    for first in enumerate_nonzero_rows(p, n):
-        for m in enumerate_nonsingular(p, n, prefix=[list(first)]):
-            assert m.rows[0] == first
-            assert m.rows not in chunked
-            chunked.add(m.rows)
-    assert chunked == whole
+    whole = [m.rows for m in enumerate_nonsingular(p, n)]
+    cuts = [0, 1, 4, 4, 8]
+    for a, b in zip(cuts, cuts[1:]):
+        rows = [m.rows for m in enumerate_nonsingular(p, n, first_rows=slice(a, b))]
+        assert rows == whole[6 * a : 6 * b]
 
 
-def naive_nonsingular(p, n, prefix=()):
-    """Every nonsingular matrix whose leading rows are `prefix`, as row
-    tuples in lex order: all candidates, filtered by determinant."""
-    rows = itertools.product(range(p), repeat=n)
+def naive_nonsingular(p, n, first_rows=slice(None)):
+    """Every nonsingular matrix whose first row is one of the nonzero rows
+    that `first_rows` slices, as row tuples in lex order: all candidates,
+    filtered by determinant."""
+    rows = list(itertools.product(range(p), repeat=n))
     return [
         m
-        for rest in itertools.product(list(rows), repeat=n - len(prefix))
-        if _det_mod_p(m := tuple(prefix) + rest, p)
+        for first in rows[1:][first_rows]
+        for rest in itertools.product(rows, repeat=n - 1)
+        if _det_mod_p(m := (first,) + rest, p)
     ]
 
 
-def flattened_groups(p, n, prefix=None, budget=None):
+def flattened_groups(p, n, first_rows=slice(None), budget=None):
     """The matrices of enumerate_nonsingular_groups as row tuples, in order."""
     out = []
-    for head, last in enumerate_nonsingular_groups(p, n, budget=budget, prefix=prefix):
+    for head, last in enumerate_nonsingular_groups(
+        p, n, budget=budget, first_rows=first_rows
+    ):
         assert head.dtype == last.dtype == np.int64
         assert head.shape == (n - 1, n) and last.shape[1:] == (n,)
         rows = tuple(map(tuple, head.tolist()))
@@ -187,41 +190,26 @@ def flattened_groups(p, n, prefix=None, budget=None):
     return out
 
 
-@pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (3, 3)])
+@pytest.mark.parametrize("p, n", [(5, 1), (3, 2), (5, 2), (3, 3)])
 def test_grouped_enumeration_matches_a_naive_filter(p, n):
     everything = naive_nonsingular(p, n)
     assert len(everything) == nonsingular_count(p, n)
-    for k in sorted({0, 1, n - 1}):
-        # every independent k-row prefix
-        for prefix in sorted({m[:k] for m in everything}):
-            want = naive_nonsingular(p, n, prefix)
-            pinned = [list(row) for row in prefix]
-            assert flattened_groups(p, n, prefix=pinned) == want
-            assert [m.rows for m in enumerate_nonsingular(p, n, prefix=pinned)] == want
-        # a dependent one: twice its first row, or the zero row, last
-        if k:
-            twice = tuple(2 * a for a in prefix[0]) if k > 1 else (0,) * n
-            pinned = [list(row) for row in prefix[:-1] + (twice,)]
-            assert flattened_groups(p, n, prefix=pinned) == []
-            assert list(enumerate_nonsingular(p, n, prefix=pinned)) == []
-    # a full prefix yields its own matrix if nonsingular, unreduced rows
-    # included, and nothing otherwise
-    for m in everything[:: len(everything) // 7]:
-        unreduced = [[a + p for a in row] for row in m]
-        assert flattened_groups(p, n, prefix=unreduced) == [m]
-        assert [x.rows for x in enumerate_nonsingular(p, n, prefix=unreduced)] == [m]
-        singular = [list(m[0])] * n
-        assert flattened_groups(p, n, prefix=singular) == []
-        assert flattened_groups(p, n, prefix=list(m) + [[1] * n]) == []
+    assert flattened_groups(p, n) == everything
+    assert [m.rows for m in enumerate_nonsingular(p, n)] == everything
+    # first-row ranges: single rows, a middle run, the ends, an empty one
+    firsts = p**n - 1
+    for first_rows in [slice(0, 1), slice(firsts - 1, firsts), slice(2, firsts - 2),
+                       slice(None, 3), slice(3, None), slice(4, 4)]:
+        want = naive_nonsingular(p, n, first_rows)
+        assert flattened_groups(p, n, first_rows) == want
+        assert [m.rows for m in enumerate_nonsingular(p, n, first_rows=first_rows)] == want
 
 
-def test_grouped_enumeration_checks_its_budget_and_prefix():
+def test_grouped_enumeration_checks_its_budget():
     p, n = 3, 2
     with pytest.raises(BudgetExceeded):
-        flattened_groups(p, n, prefix=[[0, 0]], budget=Budget(nodes=p ** (n * n) - 1))
+        flattened_groups(p, n, slice(0, 1), budget=Budget(nodes=p ** (n * n) - 1))
     assert len(flattened_groups(p, n, budget=Budget(nodes=p ** (n * n)))) == 48
-    with pytest.raises(InputError):
-        flattened_groups(p, n, prefix=[[1, 0, 0]])
     with pytest.raises(InputError):
         flattened_groups(p, 0)
     with pytest.raises(InputError, match="modulus must be an odd prime"):

@@ -322,7 +322,8 @@ def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
     # a sweep stack shares the unit vectors and its head row: the pure twin
     # rolls those three factors once, and gathers the last rows in one go
     rolls.clear()
-    group = list(enumerate_nonsingular(p, 2, prefix=[[1, 2]]))
+    group = list(enumerate_nonsingular(p, 2, first_rows=slice(p + 1, p + 2)))  # (1, 2)
+    assert {m.rows[0] for m in group} == {(1, 2)}
     head, last = stacked_rows(group)
     int_zero, modp_zero = _kernels_py.products_vanish(head, last, p, 2)
     assert int_zero.tolist() == modp_zero.tolist() == [False] * len(group)

@@ -447,14 +447,14 @@ def test_products_vanish_parity(ext, p, n):
 def test_sweep_verdicts_match_one_matrix_at_a_time(backend, p, n):
     # properties.sweep_verdicts on each backend against check_p1 and the
     # factor products over Z and F_p, one matrix at a time. Stacks: the first
-    # group of the enumeration and the group below a random prefix, each cut
-    # into stacks of 8 with a ragged last one, an empty stack, and random
-    # rows with entries below 0 and at or above p, which every route reads
-    # mod p, and a last row 0 mod p, so a singular matrix
+    # group of the enumeration and the first group below a random first row,
+    # each cut into stacks of 8 with a ragged last one, an empty stack, and
+    # random rows with entries below 0 and at or above p, which every route
+    # reads mod p, and a last row 0 mod p, so a singular matrix
     rng = random.Random(p * 10 + n)
     first = next(fp_core.enumerate_nonsingular_groups(p, n))
-    prefix = fp_core.random_nonsingular(p, n, rng=rng).rows[:-1]
-    (drawn,) = fp_core.enumerate_nonsingular_groups(p, n, prefix=prefix)
+    r = rng.randrange(p**n - 1)
+    drawn = next(fp_core.enumerate_nonsingular_groups(p, n, first_rows=slice(r, r + 1)))
     stacks = [(head, last[i : i + 8]) for head, last in (first, drawn)
               for i in range(0, len(last), 8)]
     stacks.append((first[0], first[1][:0]))
