@@ -1,9 +1,10 @@
 """Compare the compiled kernels against their pure-Python twins.
 
-Both backends expose the same four kernels, s1_exhaust, first_hit_scan,
-affine_product and products_vanish, and must return identical results: node
-counts included for the search, hits in the same order for the scan, the
-same tensor for the product, the same flags for the sweep's products. This
+Both backends expose the same five kernels, s1_exhaust, first_hit_scan,
+affine_product, products_vanish and first_witness, and must return
+identical results: node counts included for the search, hits in the same
+order for the scan, the same tensor for the product, the same flags for the
+sweep's products, the same witnesses and units for the witness search. This
 script times them side by side on the workloads that dominate real use:
 exhausting all sets below the optimum and finding a minimum set one size
 up, and the certification scans. The compiled side runs through
@@ -35,23 +36,31 @@ properties.sweep_verdicts, all three sweep verdicts through
 kernels.products_vanish on the backend that imported, and compares its two
 product flags. The products_vanish table times that kernel on each backend,
 at one sweep group each of (5, 2), (11, 2), (5, 3) and (31, 2), and asserts
-equal flags. sweep_verdicts takes one sweep group as two arrays, the head
-rows it shares and the last row of each matrix; the witness table times it
-against `check_p1` called per matrix, and asserts that both find the same
-witnesses. A last row times the grouped enumeration of GL_3(F_5), rows as
-arrays, against the same matrices built one `FpMatrix` at a time.
+equal flags. The witness table times first_witness on each backend, on
+one sweep group each of (11, 2), (5, 3) and (31, 2) as sweep_verdicts passes
+it, the head rows shared and the last row of each matrix, and on the search
+of `multi --p 5 --n 60 --budget low`, two random matrices' 120 rows capped
+at 10^6 units. It prints the units each used, asserts equal results on both
+backends, and asserts that the sweep groups' witnesses are those check_p1
+finds one matrix at a time. Its pinned rows run `sweep --p 5 --n 3` and
+`sweep --p 31 --n 2` with --threads 1 through cli.main on the backend that
+imported, with their wall time and the units of all their searches. A last
+row times the grouped enumeration of GL_3(F_5), rows as arrays, against the
+same matrices built one `FpMatrix` at a time.
 
 Run from a checkout with the package installed:
 
     python3 benchmarks/bench_kernels.py
 """
 
+import contextlib
+import io
 import random
 import time
 
 import numpy as np
 
-from ajtkit import _kernels_py, apsets, fp_core, fp_poly, group_ring, kernels, properties
+from ajtkit import _kernels_py, apsets, cli, fp_core, fp_poly, group_ring, kernels, properties
 
 COMPILED = kernels.BACKEND == "compiled"
 BACKENDS = [("pure", None)] + ([("compiled", kernels._ext)] if COMPILED else [])
@@ -200,18 +209,40 @@ def stack_matrices(p, head, last):
 
 
 def witness_cases():
-    """(label, p, head, last rows, matrices) for the witness search: one
-    sweep stack each, the matrices after a fixed first n-1 rows."""
-    for p, first in [(11, (1, 2)), (5, (1, 2, 3))]:
+    """(label, p, first_witness arguments, matrices or None) for the witness
+    table: one sweep group each, as sweep_verdicts passes it, with its
+    matrices, and the search of a budget-low `multi` at n = 60."""
+    for p, first in [(11, (1, 2)), (5, (1, 2, 3)), (31, (1, 2))]:
         head, last = sweep_stack(p, first)
-        stack = stack_matrices(p, head, last)
-        yield f"stack of {len(stack)}, n = {len(first)}", p, head, last, stack
+        n = len(first)
+        args = (head, last, properties._forbidden_masks(p, [(0,)] * n), [range(1, p)] * n,
+                p, 10**9)
+        yield f"sweep group, n = {n}", p, args, stack_matrices(p, head, last)
+    rng = random.Random(60)
+    p, n = 5, 60
+    rows = [row for _ in range(2) for row in fp_core.random_nonsingular(p, n, rng=rng).rows]
+    args = (np.array(rows, dtype=np.int64), None,
+            properties._forbidden_masks(p, [(0,)] * len(rows)), [range(p)] * n, p, 10**6)
+    yield "multi, 120 rows, capped", p, args, None
 
 
-def stacked_witnesses(p, head, last):
-    """sweep_verdicts' witnesses as check_p1 returns them: a vector or None."""
-    found, witness = properties.sweep_verdicts(p, head, last)[:2]
-    return [tuple(w.tolist()) if f else None for f, w in zip(found, witness)]
+def pinned_sweep(p, n):
+    """(wall time, units of every witness search) of `sweep --p p --n n
+    --threads 1` through cli.main, stdout discarded."""
+    units, search = [], kernels.first_witness
+
+    def counting(*args):
+        out = search(*args)
+        units.append(int(out[2].sum()))
+        return out
+
+    kernels.first_witness = counting
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            t, _ = timed(cli.main, ["sweep", "--p", str(p), "--n", str(n), "--threads", "1"])
+    finally:
+        kernels.first_witness = search
+    return t, sum(units)
 
 
 def timed(fn, *args, repeat=1):
@@ -370,17 +401,29 @@ def main():
         line = f"{'one sweep group':<28}{p:>6}{n:>4}{len(last):>10}{len(last) * p**n:>10}"
         print(line + "".join(f"{t:>15.6f}" for t in times) + f"{times[0] / times[-1]:>8.1f}x")
     print()
-    header = f"{'witness search':<28}{'p':>6}{'witnesses':>10}"
-    header += f"{'check_p1 (s)':>13}{'stacked (s)':>12}{'speedup':>9}"
+    header = f"{'witness search':<28}{'p':>6}{'n':>4}{'instances':>10}{'units':>12}"
+    header += "".join(f"{b + ' (s)':>15}" for b, _ in BACKENDS) + f"{'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for label, p, head, last, stack in witness_cases():
-        t_ref, want = timed(lambda: [properties.check_p1(m) for m in stack], repeat=20)
-        t_new, got = timed(stacked_witnesses, p, head, last, repeat=20)
-        assert got == want, f"witness mismatch on {label}"
-        found = sum(w is not None for w in got)
-        print(f"{label:<28}{p:>6}{found:>10}{t_ref:>13.6f}{t_new:>12.6f}"
-              f"{t_ref / t_new:>8.1f}x")
+    for label, p, args, stack in witness_cases():
+        times, results = [], []
+        for backend, ext in BACKENDS:
+            t, got = timed(route_on, ext, kernels.first_witness, *args, repeat=3)
+            times.append(t)
+            results.append([a.tolist() for a in got])
+        assert all(r == results[0] for r in results), f"first_witness differs on {label}"
+        found, witness, units = results[0]
+        if stack is not None:
+            want = [properties.check_p1(m) for m in stack]
+            assert [tuple(w) if f else None for f, w in zip(found, witness)] == want, (
+                f"witness mismatch on {label}"
+            )
+        line = f"{label:<28}{p:>6}{len(args[3]):>4}{len(found):>10}{sum(units):>12}"
+        print(line + "".join(f"{t:>15.5f}" for t in times) + f"{times[0] / times[-1]:>8.1f}x")
+    for p, n in [(5, 3), (31, 2)]:
+        t, units = pinned_sweep(p, n)
+        print(f"{'sweep, ' + kernels.BACKEND:<28}{p:>6}{n:>4}"
+              f"{fp_core.nonsingular_count(p, n):>10}{units:>12}{t:>15.3f}")
     print()
     header = f"{'enumeration':<28}{'p':>6}{'n':>4}{'matrices':>10}"
     header += f"{'FpMatrix (s)':>13}{'grouped (s)':>12}{'speedup':>9}"

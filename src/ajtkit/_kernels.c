@@ -1,6 +1,6 @@
 /* Compiled kernels: the S_1 search, the first-hit progression scan, the
-   affine product of reduced polynomials and the sweep's group-ring
-   products.
+   affine product of reduced polynomials, the sweep's group-ring products
+   and the witness search.
 
    Inside, a subset of Z/p is a mask of L = ceil(p/64) 64-bit limbs, least
    significant limb first, allocated per call, so one code path serves every
@@ -34,6 +34,14 @@
    whether prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over Z[(Z/p)^n] is zero,
    and zero mod p, with every factor applied as t <- t - roll(t, v) to p^n
    int64 entries.
+
+   first_witness mirrors _kernels_py.first_witness: for each instance, the
+   first x in depth-first order, coordinates by ascending slack and values
+   in the order given, with no image <row, x> in its row's forbidden mask.
+   The same nodes in the same order, so the same witness and units; the
+   running row sums live in one int64 array, updated and taken back as a
+   value is tried and left, and the shared rows are laid out by position
+   once for a whole batch.
    API names this contract; ajtkit.kernels refuses an extension built from
    another. */
 
@@ -46,7 +54,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 7            /* bumped whenever a kernel's signature or result changes */
+#define API 8            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -768,6 +776,245 @@ done:
     return result;
 }
 
+/* The search's fixed part, all by position (coordinates in ascending-slack
+   order): the values each position tries, in order, vals[vstart[i]..
+   vstart[i+1]); the shared rows nonzero there with their entries, (trow,
+   ta)[tstart[i]..tstart[i+1]]; and the shared rows whose last nonzero entry
+   is there, drow[dstart[i]..dstart[i+1]]. A last row, when there is one, is
+   row R, with its entries given per instance. */
+typedef struct {
+    long long p, n, R, width;   /* width: bytes a forbidden mask */
+    const unsigned char *masks; /* one mask a row, the last row's at R */
+    const long long *vstart, *vals, *tstart, *trow, *ta, *dstart, *drow;
+} Plan;
+
+static int banned(const Plan *w, long long r, long long s)
+{
+    return w->masks[r * w->width + (s >> 3)] >> (s & 7) & 1;
+}
+
+/* One instance's search: 1 with x (by position) filled when a witness is
+   found, 0 when none is or the units pass cap, with *units those used.
+   lastc[i] is the last row's entry at position i (NULL: no last row) and
+   lastdue its last nonzero position. sums holds R + 1 zeros, tried n. */
+static int witness_walk(const Plan *w, const long long *lastc, long long lastdue,
+                        long long cap, long long *sums, long long *tried, long long *x,
+                        long long *units)
+{
+    long long p = w->p, R = w->R, pos = 0;
+    *units = 0;
+    while (pos >= 0) {
+        const long long *vals = w->vals + w->vstart[pos];
+        long long i = tried[pos], t0 = w->tstart[pos], t1 = w->tstart[pos + 1];
+        long long lc = lastc ? lastc[pos] : 0;
+        if (i) {
+            /* take back the value tried last at this position */
+            long long back = p - vals[i - 1];
+            for (long long t = t0; t < t1; t++)
+                sums[w->trow[t]] = (sums[w->trow[t]] + w->ta[t] * back) % p;
+            if (lc)
+                sums[R] = (sums[R] + lc * back) % p;
+        }
+        if (i == w->vstart[pos + 1] - w->vstart[pos]) {
+            pos--;
+            continue;
+        }
+        tried[pos] = i + 1;
+        *units += 1 + (t1 - t0) + (lc != 0);
+        if (*units > cap)
+            return 0;
+        long long v = x[pos] = vals[i];
+        for (long long t = t0; t < t1; t++)
+            sums[w->trow[t]] = (sums[w->trow[t]] + w->ta[t] * v) % p;
+        if (lc)
+            sums[R] = (sums[R] + lc * v) % p;
+        int ok = !(lastdue == pos && banned(w, R, sums[R]));
+        for (long long d = w->dstart[pos]; ok && d < w->dstart[pos + 1]; d++)
+            ok = !banned(w, w->drow[d], sums[w->drow[d]]);
+        if (ok) {
+            if (++pos == w->n)
+                return 1;
+            tried[pos] = 0;
+        }
+    }
+    return 0;
+}
+
+/* The n entries of a row at the positions, reduced into [0, p), in out;
+   returns its last nonzero position, -1 for a zero row. */
+static long long read_row(const int64_t *row, const long long *coord, long long n,
+                          long long p, long long *out)
+{
+    long long due = -1;
+    for (long long i = 0; i < n; i++) {
+        long long r = row[coord[i]] % p;
+        if ((out[i] = r < 0 ? r + p : r))
+            due = i;
+    }
+    return due;
+}
+
+/* first_witness(rows, last, forbidden, orders, p, cap) -> (found, witness,
+   units): bytearrays of B bytes, 1 where instance b has a witness, of
+   B * n int64, the witnesses (zeros for none), and of B int64, the units
+   each instance used. The instances share the R rows in `rows` and, unless
+   last is None, instance b has row b of `last` as well; all are native
+   int64, read mod p. The shared rows are laid out by position once for the
+   whole batch, and each instance reads only its last row. p, n, the buffer
+   lengths and the values are checked before any row is read. */
+static PyObject *first_witness(PyObject *self, PyObject *args)
+{
+    Py_buffer rows, forbidden, last = {0};
+    PyObject *last_obj, *orders_obj, *cap_obj, *orders = NULL, *fast = NULL, *result = NULL;
+    PyObject *found = NULL, *witness = NULL, *units = NULL;
+    long long p, *pool = NULL;
+    if (!PyArg_ParseTuple(args, "y*Oy*OLO:first_witness", &rows, &last_obj, &forbidden,
+                          &orders_obj, &p, &cap_obj))
+        return NULL;
+    int has_last = last_obj != Py_None, overflow;
+    if (has_last && PyObject_GetBuffer(last_obj, &last, PyBUF_SIMPLE) < 0)
+        goto done;
+    long long cap = PyLong_AsLongLongAndOverflow(cap_obj, &overflow);
+    if (cap == -1 && PyErr_Occurred())
+        goto done;
+    if (overflow)
+        cap = overflow > 0 ? LLONG_MAX : LLONG_MIN;
+    orders = PySequence_Fast(orders_obj, "orders must be a sequence");
+    if (orders == NULL)
+        goto done;
+    long long n = PySequence_Fast_GET_SIZE(orders);
+    if (p < 2 || p > INT_MAX || n < 1) {
+        PyErr_Format(PyExc_ValueError, "first_witness needs 2 <= p < 2^31 and n >= 1, "
+                     "got p = %lld, n = %lld", p, n);
+        goto done;
+    }
+    Py_ssize_t row = n * (Py_ssize_t)sizeof(int64_t), width = (Py_ssize_t)((p + 7) / 8);
+    long long R = rows.len / row, B = has_last ? last.len / row : 1, total = 0;
+    if (rows.len % row || (has_last && last.len % row) ||
+        forbidden.len != (R + has_last) * width) {
+        PyErr_SetString(PyExc_ValueError, "need R * n row entries, B * n last entries "
+                        "and one mask a row");
+        goto done;
+    }
+    /* each value order as a list or tuple, held so its length stays put */
+    if ((fast = PyList_New(n)) == NULL)
+        goto done;
+    for (long long c = 0; c < n; c++) {
+        PyObject *order = PySequence_Fast(PySequence_Fast_GET_ITEM(orders, c),
+                                          "each value order must be a sequence");
+        if (order == NULL)
+            goto done;
+        PyList_SET_ITEM(fast, c, order);
+        total += PySequence_Fast_GET_SIZE(order);
+    }
+    /* coord, lens, the plan's arrays, then per row its due position, and
+       per instance sums, x, the last row's entries and tried */
+    size_t count = 8 * (size_t)n + 4 + total + 2 * (size_t)(R * n) + 3 * (size_t)R;
+    if ((pool = malloc(count * sizeof(long long))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    long long *coord = pool, *lens = coord + n, *vstart = lens + n, *vals = vstart + n + 1,
+              *tstart = vals + total, *trow = tstart + n + 1, *ta = trow + R * n,
+              *dstart = ta + R * n, *drow = dstart + n + 1, *due = drow + R,
+              *sums = due + R, *x = sums + R + 1, *lastc = x + n, *tried = lastc + n;
+    /* the positions: coordinates by ascending slack, then by index */
+    for (long long c = 0; c < n; c++) {
+        long long at = c;
+        lens[c] = PySequence_Fast_GET_SIZE(PyList_GET_ITEM(fast, c));
+        for (; at > 0 && lens[coord[at - 1]] > lens[c]; at--)
+            coord[at] = coord[at - 1];
+        coord[at] = c;
+    }
+    vstart[0] = 0;
+    for (long long i = 0; i < n; i++) {
+        PyObject *order = PyList_GET_ITEM(fast, coord[i]);
+        vstart[i + 1] = vstart[i] + lens[coord[i]];
+        for (long long j = 0; j < lens[coord[i]]; j++) {
+            long long v = PyLong_AsLongLongAndOverflow(PySequence_Fast_GET_ITEM(order, j),
+                                                       &overflow);
+            if (!(v == -1 && PyErr_Occurred()) && (overflow || v < 0 || v >= p))
+                PyErr_Format(PyExc_ValueError, "values must lie in [0, p) for p = %lld", p);
+            if (PyErr_Occurred())
+                goto done;
+            vals[vstart[i] + j] = v;
+        }
+    }
+    found = PyByteArray_FromStringAndSize(NULL, B);
+    witness = PyByteArray_FromStringAndSize(NULL, B * row);
+    units = PyByteArray_FromStringAndSize(NULL, B * (Py_ssize_t)sizeof(int64_t));
+    if (found == NULL || witness == NULL || units == NULL)
+        goto done;
+    char *f = PyByteArray_AS_STRING(found);
+    int64_t *wit = (int64_t *)PyByteArray_AS_STRING(witness);
+    int64_t *used = (int64_t *)PyByteArray_AS_STRING(units);
+    const int64_t *shared = rows.buf, *lasts = last.buf;
+    Plan w = {p, n, R, width, forbidden.buf, vstart, vals, tstart, trow, ta, dstart, drow};
+    Py_BEGIN_ALLOW_THREADS
+    memset(f, 0, B);
+    memset(wit, 0, B * row);
+    memset(used, 0, B * sizeof(int64_t));
+    /* touch and due by counting: the rows nonzero and the rows due at each
+       position are counted into tstart and dstart, summed into offsets and
+       filled, row by row, with tried and lastc as the two cursors; x holds
+       the row being read, by position, until the instances need it */
+    int dead = 0;
+    for (long long i = 0; i <= n; i++)
+        tstart[i] = dstart[i] = 0;
+    for (long long r = 0; r < R; r++) {
+        due[r] = read_row(shared + r * n, coord, n, p, x);
+        dead |= due[r] < 0 && banned(&w, r, 0);
+        dstart[due[r] + 1] += due[r] >= 0;
+        for (long long i = 0; i < n; i++)
+            tstart[i + 1] += x[i] != 0;
+    }
+    for (long long i = 0; i < n; i++) {
+        tstart[i + 1] += tstart[i];
+        dstart[i + 1] += dstart[i];
+        tried[i] = tstart[i];
+        lastc[i] = dstart[i];
+    }
+    for (long long r = 0; r < R; r++) {
+        read_row(shared + r * n, coord, n, p, x);
+        for (long long i = 0; i < n; i++)
+            if (x[i]) {
+                trow[tried[i]] = r;
+                ta[tried[i]++] = x[i];
+            }
+        if (due[r] >= 0)
+            drow[lastc[due[r]]++] = r;
+    }
+    for (long long b = 0; b < B && !dead; b++) {
+        long long lastdue = has_last ? read_row(lasts + b * n, coord, n, p, lastc) : -1;
+        if (has_last && lastdue < 0 && banned(&w, R, 0))
+            continue;
+        memset(sums, 0, (R + 1) * sizeof(long long));
+        memset(tried, 0, n * sizeof(long long));
+        long long spent;
+        if (witness_walk(&w, has_last ? lastc : NULL, lastdue, cap, sums, tried, x, &spent)) {
+            f[b] = 1;
+            for (long long i = 0; i < n; i++)
+                wit[b * n + coord[i]] = x[i];
+        }
+        used[b] = spent;
+        if (spent > cap)
+            break;
+    }
+    Py_END_ALLOW_THREADS
+    result = PyTuple_Pack(3, found, witness, units);
+done:
+    Py_XDECREF(orders);
+    Py_XDECREF(fast);
+    Py_XDECREF(found);
+    Py_XDECREF(witness);
+    Py_XDECREF(units);
+    free(pool);
+    PyBuffer_Release(&rows);
+    PyBuffer_Release(&forbidden);
+    PyBuffer_Release(&last);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
      "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
@@ -786,14 +1033,19 @@ static PyMethodDef methods[] = {
      "Same contract as ajtkit._kernels_py.products_vanish, with the rows read\n"
      "from native int64 buffers and the flags returned as two bytearrays of\n"
      "B bytes, 1 for zero."},
+    {"first_witness", first_witness, METH_VARARGS,
+     "first_witness(rows, last, forbidden, orders, p, cap) -> (found, witness, units)\n\n"
+     "Same contract and traversal as ajtkit._kernels_py.first_witness, with the\n"
+     "rows read from native int64 buffers and the results returned as\n"
+     "bytearrays of B bytes, B * n int64 and B int64."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
     "Compiled S_1 search, the first-hit scan, the affine\n"
-    "product of reduced polynomials and the sweep's group-ring products; see\n"
-    "ajtkit._kernels_py for the pure twins.",
+    "product of reduced polynomials, the sweep's group-ring products and the\n"
+    "witness search; see ajtkit._kernels_py for the pure twins.",
     -1, methods,
 };
 

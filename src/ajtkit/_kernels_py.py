@@ -1,5 +1,6 @@
 """Pure-Python kernels: the S_1 search, the first-hit progression scan, the
-affine product of reduced polynomials and the sweep's group-ring products.
+affine product of reduced polynomials, the sweep's group-ring products and
+the witness search.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 scan answers the S_k/N_k question at radius k: centered, the least d with
@@ -25,6 +26,12 @@ vanishes over Z and mod p. Its numpy expansion of the shared factors,
 `_expand`, is also the one behind group_ring's factor products, and its
 roll, `_roll`, serves the sigma stack and properties' difference operators;
 the compiled twin applies the same factors in C and returns the same flags.
+
+first_witness finds, for each of a batch of instances, the first x with
+every x_i in its value order and no image <row, x> forbidden for its row,
+by a depth-first search over the coordinates in ascending-slack order. The
+compiled twin walks the same nodes in the same order, so both return the
+same witnesses and charge the same units.
 """
 
 from __future__ import annotations
@@ -296,3 +303,114 @@ def affine_product(
         bound *= weight
     cur %= p
     return cur.reshape((p,) * n)
+
+
+def first_witness(
+    rows, last, forbidden, orders: Sequence[Sequence[int]], p: int, cap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first x, in search order, with each x_i taken from orders[i] and
+    every image <row, x> off its row's forbidden residues, for each of a
+    batch of instances.
+
+    The n = len(orders) coordinates are assigned depth first in
+    ascending-slack order (fewest values first, then by index), each trying
+    its values in the order given; a row is tested once its last nonzero
+    coordinate is set, so a branch ends at the first row it dooms. The
+    instances share the R rows `rows`, R * n int64 entries read mod p; with
+    `last`, B * n entries, instance b also has the row last[b], and without
+    it there is one instance. `forbidden` holds one mask a row, the shared
+    rows first and then the last row: ceil(p/8) bytes, bit s of the mask
+    set when the image s is forbidden. A zero row whose mask forbids 0
+    leaves its instances without a witness at no cost.
+
+    Each value tried is one node and charges one unit, plus one for each row
+    whose sum it updates; an instance stops once its units pass `cap`, and
+    so does the batch. Returns (found, witness, units): (B,) bool, (B, n)
+    int64 with zeros where none was found, and the (B,) units each instance
+    used, 0 for those never searched. ValueError, before a row is read, for
+    p outside [2, 2^31), no coordinates, buffer lengths that disagree with n
+    and p, or a value outside [0, p).
+    """
+    n = len(orders)
+    if not 2 <= p < 2**31 or n < 1:
+        raise ValueError(f"first_witness needs 2 <= p < 2^31 and n >= 1, got p = {p}, n = {n}")
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    batch = None if last is None else np.asarray(last, dtype=np.int64).reshape(-1)
+    width = (p + 7) // 8
+    forbidden = bytes(forbidden)
+    count = len(rows) // n + (batch is not None)
+    if len(rows) % n or (batch is not None and len(batch) % n) or len(forbidden) != count * width:
+        raise ValueError("need R * n row entries, B * n last entries and one mask a row")
+    values = [[operator.index(v) for v in order] for order in orders]
+    if any(not 0 <= v < p for order in values for v in order):
+        raise ValueError(f"values must lie in [0, p) for p = {p}")
+
+    def banned(r: int, s: int) -> int:
+        return forbidden[r * width + (s >> 3)] >> (s & 7) & 1
+
+    coords = sorted(range(n), key=lambda c: (len(values[c]), c))
+    values = [values[c] for c in coords]
+    shared = (rows.reshape(-1, n) % p)[:, coords].tolist()
+    lasts = [[]]
+    if batch is not None:
+        lasts = [[r] for r in (batch.reshape(-1, n) % p)[:, coords].tolist()]
+    found = np.zeros(len(lasts), dtype=bool)
+    witness = np.zeros((len(lasts), n), dtype=np.int64)
+    units = np.zeros(len(lasts), dtype=np.int64)
+    for b, extra in enumerate(lasts):
+        x, used = _witness_walk(p, shared + extra, values, banned, cap)
+        units[b] = used
+        if x is not None:
+            found[b] = True
+            witness[b, coords] = x
+        if used > cap:
+            break
+    return found, witness, units
+
+
+def _witness_walk(p, rows, values, banned, cap) -> tuple[list | None, int]:
+    """The search of one instance over `rows`, their entries reduced and by
+    position: (x by position or None, units used). touch[i] lists (row,
+    entry) for the rows nonzero at position i and due[i] the rows whose last
+    nonzero entry is there; a zero row that forbids its image 0 ends the
+    search before its first node."""
+    n = len(values)
+    touch = [[] for _ in range(n)]
+    due = [[] for _ in range(n)]
+    for r, row in enumerate(rows):
+        nonzero = [i for i, a in enumerate(row) if a]
+        if not nonzero:
+            if banned(r, 0):
+                return None, 0
+            continue
+        for i in nonzero:
+            touch[i].append((r, row[i]))
+        due[nonzero[-1]].append(r)
+    sums = [0] * len(rows)
+    x = [0] * n
+    tried = [0] * n  # the values taken so far at each position
+    units = 0
+    pos = 0
+    while pos >= 0:
+        i = tried[pos]
+        if i:
+            # take back the value tried last at this position
+            back = p - values[pos][i - 1]
+            for r, a in touch[pos]:
+                sums[r] = (sums[r] + a * back) % p
+        if i == len(values[pos]):
+            pos -= 1
+            continue
+        tried[pos] = i + 1
+        units += 1 + len(touch[pos])
+        if units > cap:
+            return None, units
+        v = x[pos] = values[pos][i]
+        for r, a in touch[pos]:
+            sums[r] = (sums[r] + a * v) % p
+        if not any(banned(r, sums[r]) for r in due[pos]):
+            pos += 1
+            if pos == n:
+                return x, units
+            tried[pos] = 0
+    return None, units

@@ -222,6 +222,20 @@ def is_nk_type(aset: ResidueSet, k: int) -> NkReport:
 # constructions
 
 
+# p-bit masks that building, certifying and listing the log construction
+# hold at once: listing its elements (_bits) holds two strings of p digits,
+# 8 masks each, and a `s1 --mode build` run peaked at 18.6 masks above the
+# interpreter's own RSS at p = 100000007
+S1_BUILD_MASKS = 20
+
+
+def s1_build_entries(p: int) -> int:
+    """The entries that building, certifying and listing the log
+    construction at p hold at once: S1_BUILD_MASKS masks of ceil(p/64)
+    words. Its callers charge it before the first mask is built."""
+    return S1_BUILD_MASKS * -(-p // 64)
+
+
 def build_s1_log(p: int) -> ResidueSet:
     """Logarithmic-size S_1-type set: halving chains plus fixed anchors.
 
@@ -479,12 +493,15 @@ def min_s1_search(p: int, budget: Budget | str | None = None) -> MinS1Result:
     {0, 1} under an affine bijection, so the kernel searches upward from
     {0, 1}, repairing witness-less elements. Size limits run from 3 up to
     one below the logarithmic construction; proven_optimal is True only
-    when every smaller size was exhausted within the node budget.
+    when every smaller size was exhausted within the node budget. The
+    entries budget is charged s1_build_entries(p) before the construction
+    is built.
     """
     p = _as_prime(p)
     if p < 5:
         raise InputError("need p >= 5")
     b = current_budget(budget)
+    b.check_entries(s1_build_entries(p), what="S_1 construction masks")
     upper = build_s1_log(p)
     if not is_sk_type(upper, 1).ok:
         raise MathViolation(f"logarithmic construction failed certification at p={p}")

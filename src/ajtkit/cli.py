@@ -112,7 +112,11 @@ def cmd_appendix_verify(args) -> int:
 
 def cmd_s1(args) -> int:
     if args.mode == "build":
-        aset = apsets.build_s1_log(args.p)
+        p = fp_core._as_prime(args.p)
+        current_budget(args.budget).check_entries(
+            apsets.s1_build_entries(p), what="S_1 construction masks"
+        )
+        aset = apsets.build_s1_log(p)
         report = apsets.is_sk_type(aset, 1)
         payload = {
             "config": _config(args),
@@ -175,12 +179,14 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-# entries of one stack of the sweep's stacked calls: per matrix, the witness
-# search, 2-10x the cost of the compiled products, is about flat from 2^14 to
-# 2^18 entries a stack at (11, 2), (31, 2), (61, 2), (11, 3) and (5, 4),
-# slower at 2^20 for p >= 31, and slower below 2^14; the products, a few us a
-# call, cost at most a quarter less at 2^20 than at 2^16
-SWEEP_STACK_ENTRIES = 2**16
+# entries of one stack of the sweep's stacked calls, B matrices of p^n table
+# entries each. With the compiled witness search and products, a --threads 1
+# sweep (best of 3 to 5 runs, two sessions on one core of a shared 2-core VM)
+# took the same time at every size from 2^14 up at (11, 2) and (5, 3), whose
+# groups fit 2^14; at (17, 2), (23, 2) and (31, 2) it took 15-19%, 23-24%
+# and 8-30% less at 2^20 than at 2^16, and at 2^12 2x to 7x as long. The
+# compiled products hold 2 p^n entries whatever B is
+SWEEP_STACK_ENTRIES = 2**20
 
 
 def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
@@ -198,9 +204,8 @@ def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
     # the matrices of a group share their first n-1 rows, so they share all
     # but one factor and all but one row: one call answers all three
     # verdicts for a stack, the head rows shared and the last row varying.
-    # A stack holds at most SWEEP_STACK_ENTRIES table entries, and fewer
-    # witness-mask entries ((p-1)^n < p^n a matrix), and never more than
-    # the budget allows
+    # A stack holds at most SWEEP_STACK_ENTRIES table entries, never more
+    # than the budget allows, and its witness search n entries a matrix
     size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // p**n)
     for head, last in groups:
         for start in range(0, len(last), size):

@@ -1,4 +1,4 @@
-"""Backend selection for the four kernels.
+"""Backend selection for the five kernels.
 
 Which backend runs is fixed at import: the compiled extension (_kernels.c)
 when it is built, the pure-Python twins in _kernels_py when it is not. An
@@ -8,7 +8,8 @@ compiled s1_exhaust takes any p >= 5 and returns its mask as little-endian
 bytes of length ceil(p/8); the scan takes any p >= 3 and its mask as such
 bytes. Each pair returns identical results: the same masks and node counts
 from s1_exhaust, the same hits in the same order from first_hit_scan, the
-same tensor from affine_product, the same flags from products_vanish.
+same tensor from affine_product, the same flags from products_vanish, the
+same witnesses and units from first_witness.
 
 first_hit_scan answers the one question the S_k/N_k certificates ask of a
 set A: a centered scan finds, for each a in A, the least d with a + i*d in A
@@ -42,6 +43,18 @@ the two arrays. The compiled side applies the unit vectors and the head rows
 once, to one p^n int64 table, then each last row into one scratch table, so
 it holds 2 p^n entries whatever B is, and returns the flags in two
 bytearrays of B bytes, 1 for zero, which become the results' buffers.
+
+first_witness is the one witness search, behind check_p1, check_multi and
+the sweep: for each instance, the first x in a depth-first order with each
+x_i from its value order and no image <row, x> forbidden for its row. The
+coordinates go in ascending-slack order, and a row is tested once its last
+nonzero coordinate is set. The instances share a block of rows, and a batch
+gives each one more row of its own, so the sweep's stack of matrices with a
+common head is one call. Forbidden residues are one p-bit mask a row, as
+ceil(p/8) bytes each. Each value tried is one node and one unit, plus one
+unit for each row sum it updates; an instance stops once its units pass the
+cap, and so does the batch. Both backends walk the same nodes in the same
+order: the same witness from both, and the same units.
 """
 
 from __future__ import annotations
@@ -55,7 +68,7 @@ from . import _kernels_py
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 7
+API = 8
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -123,3 +136,25 @@ def products_vanish(
         return _kernels_py.products_vanish(head, last, p, n)
     flags = _ext.products_vanish(head, last, p, n)
     return tuple(np.frombuffer(f, dtype=bool) for f in flags)
+
+
+def first_witness(
+    rows: np.ndarray,
+    last: np.ndarray | None,
+    forbidden: bytes,
+    orders: Sequence[Sequence[int]],
+    p: int,
+    cap: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_kernels_py.first_witness of the instances that share the (R, n) rows
+    `rows` and, unless `last` is None, each end in a row of the (B, n) `last`,
+    both contiguous int64, compiled when built: (found, witness, units), a
+    (B,) bool, a (B, n) int64 and a (B,) int64 array, B = 1 without last."""
+    if _ext is None:
+        return _kernels_py.first_witness(rows, last, forbidden, orders, p, cap)
+    found, witness, units = _ext.first_witness(rows, last, forbidden, orders, p, cap)
+    return (
+        np.frombuffer(found, dtype=bool),
+        np.frombuffer(witness, dtype=np.int64).reshape(-1, len(orders)),
+        np.frombuffer(units, dtype=np.int64),
+    )

@@ -14,11 +14,12 @@ coordinates and d_i for the images, the five properties are:
 P1, P2, P3 are equivalent; P3 implies P4 implies P5 (p > 3). check_all runs
 all five and reports any violation of that chain.
 
-check_p1 searches depth first with early exit, for any forbidden lists.
-sweep_verdicts is sweep's one stack layer: for matrices given as the
-(n-1)-row head they share and the last row of each, it finds check_p1's
-nowhere-zero witnesses, all (p-1)^n candidates at once, and both group-ring
-verdicts, by one kernels.products_vanish call.
+check_p1 and check_multi search depth first with early exit, for any
+forbidden lists, by one kernels.first_witness call each. sweep_verdicts is
+sweep's one stack layer: for matrices given as the (n-1)-row head they share
+and the last row of each, it finds check_p1's nowhere-zero witnesses by one
+kernels.first_witness call over the stack, and both group-ring verdicts by
+one kernels.products_vanish call.
 
 The delta operators and the pairing test exercise the functional reading of
 P4: difference operators along unit vectors and along the rows of M, images
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -133,70 +133,35 @@ class ForbiddenSpec:
 # witness search
 
 
-def _search_rows(
+def _forbidden_masks(p: int, lists: Sequence[Sequence[int]]) -> bytearray:
+    """One little-endian p-bit mask a list, ceil(p/8) bytes each, bit v set
+    for each forbidden residue v: the rows' masks that first_witness reads."""
+    width = (p + 7) // 8
+    masks = bytearray(width * len(lists))
+    for r, values in enumerate(lists):
+        for v in values:
+            masks[r * width + (v >> 3)] |= 1 << (v & 7)
+    return masks
+
+
+def _witness(
     p: int,
-    n: int,
-    allowed_per_coord: Sequence[Sequence[int]],
     rows: Sequence[Sequence[int]],
-    forbidden_per_row: Sequence[frozenset[int]],
+    forbidden: Sequence[Sequence[int]],
+    orders: Sequence[Sequence[int]],
     budget: Budget,
-    value_orders: Sequence[Sequence[int]] | None = None,
 ) -> tuple[int, ...] | None:
-    """Depth-first search for x with x_i allowed and <row_i, x> never forbidden.
-
-    Coordinates are assigned in ascending-slack order (fewest allowed values
-    first); a row is checked as soon as its last participating coordinate is
-    assigned. Returns the first witness in that deterministic order.
-    """
-    order = sorted(range(n), key=lambda i: (len(allowed_per_coord[i]), i))
-    position = {coord: pos for pos, coord in enumerate(order)}
-    due: list[list[int]] = [[] for _ in range(n)]
-    for ri, row in enumerate(rows):
-        involved = [j for j, a in enumerate(row) if a % p]
-        if not involved:
-            # a zero row has constant image 0
-            if 0 in forbidden_per_row[ri]:
-                return None
-            continue
-        due[max(position[j] for j in involved)].append(ri)
-
-    if value_orders is None:
-        value_orders = [allowed_per_coord[i] for i in range(n)]
-
-    assignment = [0] * n
-    sums = [0] * len(rows)
-    nodes = 0
-
-    def walk(pos: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        if pos == n:
-            return tuple(assignment)
-        coord = order[pos]
-        for val in value_orders[coord]:
-            nodes += 1
-            budget.check_nodes(nodes, what="witness search")
-            assignment[coord] = val
-            touched = []
-            ok = True
-            for ri, row in enumerate(rows):
-                a = row[coord] % p
-                if a:
-                    sums[ri] = (sums[ri] + a * val) % p
-                    touched.append(ri)
-            for ri in due[pos]:
-                if sums[ri] in forbidden_per_row[ri]:
-                    ok = False
-                    break
-            if ok:
-                result = walk(pos + 1)
-                if result is not None:
-                    return result
-            for ri in touched:
-                a = rows[ri][coord] % p
-                sums[ri] = (sums[ri] - a * val) % p
-        return None
-
-    return walk(0)
+    """The first witness kernels.first_witness finds for the rows, with the
+    node budget as its cap on units: x, or None when there is none. The
+    entries budget is charged for the rows' masks, ceil(p/64) words each,
+    before they are built."""
+    budget.check_entries(len(rows) * -(-p // 64), what="forbidden masks")
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(orders))
+    found, witness, units = kernels.first_witness(
+        table, None, _forbidden_masks(p, forbidden), orders, p, budget.nodes
+    )
+    budget.check_nodes(int(units[0]), what="witness search")
+    return tuple(witness[0].tolist()) if found[0] else None
 
 
 def check_p1(
@@ -221,24 +186,7 @@ def check_p1(
     allowed = [
         [v for v in range(p) if v not in banned] for banned in map(set, spec.c_lists)
     ]
-    return _search_rows(
-        p,
-        n,
-        allowed,
-        [list(row) for row in m.rows],
-        [frozenset(d) for d in spec.d_lists],
-        b,
-    )
-
-
-# a table can be as large as the entries budget, so only a few are kept
-@lru_cache(maxsize=8)
-def _nowhere_zero_vectors(p: int, n: int) -> np.ndarray:
-    """The (p-1)^n vectors of {1, ..., p-1}^n in lex order, as a read-only
-    (K, n) table: the witness candidates of `sweep_verdicts`."""
-    table = np.indices((p - 1,) * n).reshape(n, -1).T + 1
-    table.flags.writeable = False
-    return table
+    return _witness(p, m.rows, spec.d_lists, allowed, b)
 
 
 def sweep_verdicts(
@@ -254,15 +202,17 @@ def sweep_verdicts(
     found[b] tells whether some x in {1..p-1}^n has M_b x nowhere zero, and
     witness[b] is the lex-first such x (zeros where none), the one `check_p1`
     finds with the default spec, whose equal slacks make it assign
-    coordinates 0..n-1 with values in ascending order. All K = (p-1)^n
-    candidates are tested at once: the head rows give one (K,) mask, and the
-    last rows one (B, K) product over the stack. int_zero and modp_zero, from
-    one `kernels.products_vanish` call, tell whether
-    prod (1-g^(e_i)) * prod (1-g^(a_i)) vanishes over Z and over F_p.
+    coordinates 0..n-1 with values in ascending order. One
+    kernels.first_witness call searches the whole stack, reading the head
+    rows once for all B matrices, and one kernels.products_vanish call gives
+    int_zero and modp_zero: whether prod (1-g^(e_i)) * prod (1-g^(a_i))
+    vanishes over Z and over F_p.
 
     p and the shapes are validated and the rows made contiguous int64 once,
     here. The entries budget is charged B * p^n, the product tables, which
-    covers the B * K mask; the node budget K.
+    covers the search's B * n witness entries; the node budget (p-1)^n up
+    front, the candidates of one matrix, and then the units the search of
+    each matrix used, which the budget also caps.
     """
     head = np.ascontiguousarray(head, dtype=np.int64)
     last = np.ascontiguousarray(last, dtype=np.int64)
@@ -273,12 +223,10 @@ def sweep_verdicts(
     b.check_entries(len(last) * p**n, what="group-ring stack")
     b.check_nodes((p - 1) ** n, what="witness search")
     int_zero, modp_zero = kernels.products_vanish(p, head, last)
-    # an image sum_j a_j x_j is below n p^2, which fits int64 for p < 2^31
-    # whenever the (p-1)^n vectors fit in memory
-    vectors = _nowhere_zero_vectors(p, n)
-    ok = (vectors @ head.T % p != 0).all(axis=1) & (last @ vectors.T % p != 0)
-    found = ok.any(axis=1)
-    witness = vectors[ok.argmax(axis=1)] * found[:, None]
+    found, witness, units = kernels.first_witness(
+        head, last, _forbidden_masks(p, [(0,)] * n), [range(1, p)] * n, p, b.nodes
+    )
+    b.check_nodes(int(units.max(initial=0)), what="witness search")
     return found, witness, int_zero, modp_zero
 
 
@@ -305,14 +253,12 @@ def check_multi(
             raise InputError("matrices must be nonsingular")
     b = current_budget(budget)
     b.check_entries(n * p, what="witness value lists")
-    rows = [list(row) for m in matrices for row in m.rows]
-    forbidden = [frozenset((0,))] * len(rows)
-    allowed = [list(range(p)) for _ in range(n)]
-    orders = None
+    rows = [row for m in matrices for row in m.rows]
+    orders = [range(p)] * n
     if seed is not None:
         rng = random.Random(seed)
         orders = [rng.sample(range(p), p) for _ in range(n)]
-    return _search_rows(p, n, allowed, rows, forbidden, b, value_orders=orders)
+    return _witness(p, rows, [(0,)] * len(rows), orders, b)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,10 @@ ARGV = [
     ("sigma --n 2", 2),
     ("nk-partition --p 1000003 --k 97 --parts 97", 3),
     ("sk-build --p 100000007 --k 2 --budget low", 3),
+    # the witness search charges its row updates and stops at the cap
+    ("multi --p 5 --n 60 --trials 1 --budget low", 3),
+    # the log construction's p-bit masks are charged before they are built
+    ("s1 --p 2147483647 --mode build", 3),
     # -1, 0 and 1 for --p, --n, --k and --trials
     ("s1 --p -1", 2),
     ("s1 --p 0", 2),

@@ -1,6 +1,6 @@
 """Parity between the compiled kernels and their pure-Python twins.
 
-Four kernels are compared. s1_exhaust must agree bit for bit: same found
+Five kernels are compared. s1_exhaust must agree bit for bit: same found
 set, same exhausted flag, and the same node count, so that proven_optimal
 claims do not depend on which backend happened to import. first_hit_scan,
 behind every S_k/N_k certification, must return the same hits in the same
@@ -17,68 +17,33 @@ sweep's group-ring verdicts, must return the same flags on both backends,
 byte for byte, as an np.roll expansion of each matrix's product gives them;
 and properties.sweep_verdicts, its one caller, must give on each backend
 the witness and both flags that check_p1 and the factor products over Z and
-F_p give one matrix at a time.
+F_p give one matrix at a time. first_witness, behind check_p1, check_multi
+and the sweep, must return the same witnesses, flags and units on both
+backends, on drawn rows, forbidden lists, value orders and caps, and the
+witness a brute force over F_p^n finds first in the search's order.
 
-When ajtkit._kernels is not built in place, the `compiled` fixture compiles
-src/ajtkit/_kernels.c into a temporary directory and imports it from there;
-the tests skip only when no C compiler is available. The `ext` fixture puts
-that module behind ajtkit.kernels, which carries the mask across as bytes;
-the `backend` fixture runs a test once on each backend.
+The `compiled` fixture (conftest.py) is the built extension, or one
+compiled into a temporary directory; the tests skip only when no C compiler
+is available. The `ext` fixture puts that module behind ajtkit.kernels,
+which carries the mask across as bytes; the `backend` fixture runs a test
+once on each backend.
 """
 
-import importlib.util
+import itertools
 import math
 import random
-import shlex
-import shutil
 import sys
-import sysconfig
 import types
-from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels, properties
 from ajtkit.fp_poly import ReducedPoly, mul_reduce
 
-SOURCE = Path(__file__).resolve().parents[1] / "src" / "ajtkit" / "_kernels.c"
-
 PRIMES = [5, 7, 11, 13, 17, 19, 23]
-
-
-def _build_kernel(build_dir):
-    from setuptools import Distribution, Extension
-    from setuptools.command.build_ext import build_ext
-
-    dist = Distribution(
-        {"name": "ajtkit-kernel", "ext_modules": [Extension("_kernels", [str(SOURCE)])]}
-    )
-    cmd = build_ext(dist)
-    cmd.build_lib = str(build_dir / "lib")
-    cmd.build_temp = str(build_dir / "tmp")
-    cmd.ensure_finalized()
-    cmd.run()
-    spec = importlib.util.spec_from_file_location(
-        "_kernels", cmd.get_ext_fullpath("_kernels")
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def compiled(tmp_path_factory):
-    try:
-        from ajtkit import _kernels
-
-        return _kernels
-    except ImportError:
-        pass
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")[0]
-    if shutil.which(cc) is None:
-        pytest.skip(f"no C compiler ({cc}) to build the compiled kernel")
-    return _build_kernel(tmp_path_factory.mktemp("kernel-build"))
 
 
 @pytest.fixture
@@ -444,9 +409,10 @@ def test_products_vanish_parity(ext, p, n):
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
-def test_sweep_verdicts_match_one_matrix_at_a_time(backend, p, n):
+def test_sweep_verdicts_match_one_matrix_at_a_time(backend, twin_witness, p, n):
     # properties.sweep_verdicts on each backend against check_p1 and the
-    # factor products over Z and F_p, one matrix at a time. Stacks: the first
+    # factor products over Z and F_p, one matrix at a time, every witness
+    # search run on both backends (twin_witness). Stacks: the first
     # group of the enumeration and the first group below a random first row,
     # each cut into stacks of 8 with a ragged last one, an empty stack, and
     # random rows with entries below 0 and at or above p, which every route
@@ -487,6 +453,8 @@ def test_sweep_verdicts_match_one_matrix_at_a_time(backend, p, n):
             seen.add((want[0] is None,) + want[1:])
     assert (False, False, False) in seen
     assert (True, True, True) in seen  # the zero row's product vanishes
+    # one search a stack and one a matrix, each on both backends
+    assert len(twin_witness) == len(stacks) + sum(len(last) for _, last in stacks)
 
 
 def test_products_vanish_rejects_bad_input(compiled):
@@ -504,6 +472,100 @@ def test_products_vanish_rejects_bad_input(compiled):
             (np.zeros(4, np.int64), last, 5, 2),  # head not (n - 1) * n entries
             (np.array([1], np.int64), last, 5, 2),
             (head, np.array([1, 2, 3], np.int64), 5, 2),  # last not B * n entries
+        ]
+        for args in bad:
+            with pytest.raises(ValueError):
+                kernel(*args)
+
+
+def first_in_search_order(p, rows, forbidden, orders):
+    """The first x over F_p^n, in the search's order, with each x_i from
+    orders[i] and no <row, x> in its row's forbidden set, by brute force:
+    positions by ascending slack, each position's values in their order."""
+    n = len(orders)
+    coords = sorted(range(n), key=lambda c: (len(orders[c]), c))
+    for values in itertools.product(*(orders[c] for c in coords)):
+        x = [0] * n
+        for c, v in zip(coords, values):
+            x[c] = v
+        if all(sum(a * v for a, v in zip(row, x)) % p not in bad
+               for row, bad in zip(rows, forbidden)):
+            return tuple(x)
+    return None
+
+
+@st.composite
+def witness_instances(draw):
+    """p <= 13, n <= 3, shared rows and an optional batch of last rows with
+    entries in [-p, 2p), zero rows included, one forbidden set a row, a value
+    order a coordinate, and a cap, often a small one."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-p, 2 * p - 1) | st.just(0)
+    row = st.lists(entry, min_size=n, max_size=n)
+    rows = draw(st.lists(row, max_size=3))
+    last = draw(st.none() | st.lists(row, max_size=4))
+    count = len(rows) + (last is not None)
+    forbidden = draw(st.lists(st.sets(st.integers(0, p - 1)), min_size=count, max_size=count))
+    value = st.integers(0, p - 1)
+    orders = draw(st.lists(st.lists(value, unique=True), min_size=n, max_size=n))
+    cap = draw(st.integers(0, 40) | st.just(10**6))
+    return p, n, rows, last, forbidden, orders, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(witness_instances())
+def test_first_witness_parity_drawn(compiled, instance):
+    p, n, rows, last, forbidden, orders, cap = instance
+    args = (
+        np.array(rows, dtype=np.int64).reshape(-1, n),
+        None if last is None else np.array(last, dtype=np.int64).reshape(-1, n),
+        properties._forbidden_masks(p, forbidden),
+        orders, p, cap,
+    )
+    found, witness, units = _kernels_py.first_witness(*args)
+    assert compiled.first_witness(*args) == (
+        found.tobytes(), witness.tobytes(), units.tobytes()
+    )
+    capped = False
+    for b, extra in enumerate([[]] if last is None else [[r] for r in last]):
+        got = tuple(witness[b].tolist()) if found[b] else None
+        if capped:
+            # the batch stopped at an earlier instance's cap
+            assert (got, units[b]) == (None, 0)
+            continue
+        capped = units[b] > cap
+        if not capped:
+            assert got == first_in_search_order(p, rows + extra, forbidden, orders)
+        else:
+            assert got is None
+        assert found[b] or not witness[b].any()
+
+
+def test_first_witness_rejects_bad_input(compiled):
+    rows = np.array([[1, 2]], dtype=np.int64)
+    last = np.array([[0, 1], [3, 0]], dtype=np.int64)
+    masks = properties._forbidden_masks(5, [(0,)] * 2)
+    orders = [range(1, 5)] * 2
+    for kernel in (compiled.first_witness, _kernels_py.first_witness):
+        # x = (1, 1) each time: x_1 updates the rows nonzero at x_1, then x_2
+        # those nonzero at x_2, a unit a node and one an update: 2 + 3 units
+        # with the last row [0, 1], 3 + 2 with [3, 0]
+        assert [bytes(a) for a in kernel(rows, last, masks, orders, 5, 100)] == [
+            b"\1\1",
+            np.array([[1, 1], [1, 1]], dtype=np.int64).tobytes(),
+            np.array([5, 5], dtype=np.int64).tobytes(),
+        ]
+        bad = [
+            (rows, last, masks, orders, 1, 100),  # p < 2
+            (rows, last, masks, orders, 2**31, 100),  # p >= 2^31, checked first
+            (rows, last, masks, [], 5, 100),  # no coordinates
+            (np.array([1, 2, 3], np.int64), last, masks, orders, 5, 100),  # R * n entries
+            (rows, np.array([1, 2, 3], np.int64), masks, orders, 5, 100),  # B * n entries
+            (rows, None, masks, orders, 5, 100),  # one mask a row
+            (rows, last, masks[:-1], orders, 5, 100),
+            (rows, last, masks, [[1, 5], [1]], 5, 100),  # values in [0, p)
+            (rows, last, masks, [[1, -1], [1]], 5, 100),
         ]
         for args in bad:
             with pytest.raises(ValueError):

@@ -73,7 +73,7 @@ def test_spec_random_respects_bounds():
 # witness search
 
 
-def test_check_p1_known_witness():
+def test_check_p1_known_witness(twin_witness):
     m = FpMatrix([[1, 1], [1, 2]], P)
     w = check_p1(m)
     assert w is not None
@@ -82,7 +82,7 @@ def test_check_p1_known_witness():
     assert all(c != 0 for c in y)
 
 
-def test_check_p1_matches_brute_force_existence():
+def test_check_p1_matches_brute_force_existence(twin_witness):
     rng = random.Random(2)
     for _ in range(120):
         n = rng.choice((1, 2))
@@ -98,7 +98,7 @@ def test_check_p1_matches_brute_force_existence():
                 assert y[i] not in spec.d_lists[i]
 
 
-def test_check_p1_no_witness_when_everything_forbidden():
+def test_check_p1_no_witness_when_everything_forbidden(twin_witness):
     m = FpMatrix([[1]], P)
     spec = ForbiddenSpec(P, 1, c_lists=(tuple(range(P)),), d_lists=((),))
     assert check_p1(m, spec) is None
@@ -120,7 +120,7 @@ def stacked_witnesses(p, head, last, budget=None):
 
 
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (3, 3)])
-def test_stacked_witnesses_match_check_p1(p, n):
+def test_stacked_witnesses_match_check_p1(p, n, twin_witness):
     matrices = list(enumerate_nonsingular(p, n))
     want = [check_p1(m) for m in matrices]
     if (p, n) == (3, 2):
@@ -156,7 +156,7 @@ def test_stacked_witnesses_reject_mixed_shapes():
         sweep_verdicts(9, head, last)
 
 
-def test_stacked_witnesses_charge_the_whole_stack():
+def test_stacked_witnesses_charge_the_whole_stack(twin_witness):
     # the matrices [[1, 1], [1, a]] for a = 2, 3, 4; the stack's B * p^n
     # product tables cover its B * (p-1)^n witness mask
     m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
@@ -168,6 +168,16 @@ def test_stacked_witnesses_charge_the_whole_stack():
         sweep_verdicts(P, head, last, budget=Budget(nodes=(P - 1) ** 2 - 1))
     got = stacked_witnesses(P, head, last, budget=Budget(entries=entries, nodes=(P - 1) ** 2))
     assert got == [check_p1(x) for x in m]
+
+
+def test_witness_search_charges_a_unit_a_node_and_a_row_update(twin_witness):
+    # [[1, 1], [1, 2]] at p = 5: x_1 = 1 updates both rows' sums, 3 units,
+    # and x_2 = 1 both again, giving the images 2 and 3: 6 units in all
+    m = FpMatrix([[1, 1], [1, 2]], P)
+    assert check_p1(m, budget=Budget(nodes=6)) == (1, 1)
+    with pytest.raises(BudgetExceeded, match="witness search needs 6 nodes, budget allows 5"):
+        check_p1(m, budget=Budget(nodes=5))
+    assert [units.tolist() for _, _, units in twin_witness] == [[6], [6]]
 
 
 def test_value_lists_are_charged_before_they_are_built():
@@ -214,7 +224,7 @@ def test_a_charge_too_long_to_print_states_a_bound():
         check_all(m)
 
 
-def test_check_multi_matches_brute_force():
+def test_check_multi_matches_brute_force(twin_witness):
     # x itself carries no constraint; only the images must avoid zero.
     # p=5 with three matrices genuinely admits witness-free triples
     # (six hyperplanes can cover all 25 vectors), so compare against a
@@ -240,14 +250,14 @@ def test_check_multi_matches_brute_force():
     assert nones > 0  # the sample includes a witness-free triple
 
 
-def test_check_multi_always_finds_at_p7():
+def test_check_multi_always_finds_at_p7(twin_witness):
     rng = random.Random(3)
     for _ in range(100):
         mats = [random_nonsingular(7, 2, rng=rng) for _ in range(3)]
         assert check_multi(mats, seed=0) is not None
 
 
-def test_check_multi_single_matrix_degenerates():
+def test_check_multi_single_matrix_degenerates(twin_witness):
     rng = random.Random(13)
     for _ in range(20):
         m = random_nonsingular(P, 2, rng=rng)
@@ -261,7 +271,7 @@ def test_check_multi_rejects_empty():
         check_multi([])
 
 
-def test_check_multi_identity_matrices():
+def test_check_multi_identity_matrices(twin_witness):
     eye = FpMatrix([[1, 0], [0, 1]], P)
     w = check_multi([eye, eye])
     assert w is not None
