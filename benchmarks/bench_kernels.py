@@ -215,14 +215,13 @@ def witness_cases():
     for p, first in [(11, (1, 2)), (5, (1, 2, 3)), (31, (1, 2))]:
         head, last = sweep_stack(p, first)
         n = len(first)
-        args = (head, last, properties._forbidden_masks(p, [(0,)] * n), [range(1, p)] * n,
-                p, 10**9)
+        args = (head, last, [(0,)] * n, [range(1, p)] * n, p, 10**9)
         yield f"sweep group, n = {n}", p, args, stack_matrices(p, head, last)
     rng = random.Random(60)
     p, n = 5, 60
     rows = [row for _ in range(2) for row in fp_core.random_nonsingular(p, n, rng=rng).rows]
-    args = (np.array(rows, dtype=np.int64), None,
-            properties._forbidden_masks(p, [(0,)] * len(rows)), [range(p)] * n, p, 10**6)
+    args = (np.array(rows, dtype=np.int64), None, [(0,)] * len(rows), [range(p)] * n,
+            p, 10**6)
     yield "multi, 120 rows, capped", p, args, None
 
 

@@ -31,7 +31,8 @@ first_witness finds, for each of a batch of instances, the first x with
 every x_i in its value order and no image <row, x> forbidden for its row,
 by a depth-first search over the coordinates in ascending-slack order. The
 compiled twin walks the same nodes in the same order, so both return the
-same witnesses and charge the same units.
+same witnesses and charge the same units; it reads each row's forbidden
+images as the p-bit mask that forbidden_masks builds, as this search does.
 """
 
 from __future__ import annotations
@@ -305,6 +306,23 @@ def affine_product(
     return cur.reshape((p,) * n)
 
 
+def forbidden_masks(p: int, forbidden: Sequence[Iterable[int]]) -> bytearray:
+    """The forbidden images of first_witness's rows as the compiled twin
+    reads them: one little-endian p-bit mask a row, ceil(p/8) bytes, bit s
+    set when the image s is forbidden. ValueError for p outside [2, 2^31),
+    before any mask is allocated, or an image outside [0, p)."""
+    if not 2 <= p < 2**31:
+        raise ValueError(f"first_witness needs 2 <= p < 2^31, got p = {p}")
+    width = (p + 7) // 8
+    masks = bytearray(width * len(forbidden))
+    for r, images in enumerate(forbidden):
+        for s in images:
+            if not 0 <= s < p:
+                raise ValueError(f"forbidden images must lie in [0, p) for p = {p}")
+            masks[r * width + (s >> 3)] |= 1 << (s & 7)
+    return masks
+
+
 def first_witness(
     rows, last, forbidden, orders: Sequence[Sequence[int]], p: int, cap: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -318,9 +336,9 @@ def first_witness(
     coordinate is set, so a branch ends at the first row it dooms. The
     instances share the R rows `rows`, R * n int64 entries read mod p; with
     `last`, B * n entries, instance b also has the row last[b], and without
-    it there is one instance. `forbidden` holds one mask a row, the shared
-    rows first and then the last row: ceil(p/8) bytes, bit s of the mask
-    set when the image s is forbidden. A zero row whose mask forbids 0
+    it there is one instance. `forbidden` holds one collection of forbidden
+    images a row, the shared rows first and then the last row, which the
+    search reads as forbidden_masks gives them. A zero row that forbids 0
     leaves its instances without a witness at no cost.
 
     Each value tried is one node and charges one unit, plus one for each row
@@ -328,8 +346,9 @@ def first_witness(
     so does the batch. Returns (found, witness, units): (B,) bool, (B, n)
     int64 with zeros where none was found, and the (B,) units each instance
     used, 0 for those never searched. ValueError, before a row is read, for
-    p outside [2, 2^31), no coordinates, buffer lengths that disagree with n
-    and p, or a value outside [0, p).
+    p outside [2, 2^31), no coordinates, buffer lengths that disagree with n,
+    a count of forbidden collections other than one a row, or a value or a
+    forbidden image outside [0, p).
     """
     n = len(orders)
     if not 2 <= p < 2**31 or n < 1:
@@ -337,7 +356,7 @@ def first_witness(
     rows = np.asarray(rows, dtype=np.int64).reshape(-1)
     batch = None if last is None else np.asarray(last, dtype=np.int64).reshape(-1)
     width = (p + 7) // 8
-    forbidden = bytes(forbidden)
+    forbidden = forbidden_masks(p, forbidden)
     count = len(rows) // n + (batch is not None)
     if len(rows) % n or (batch is not None and len(batch) % n) or len(forbidden) != count * width:
         raise ValueError("need R * n row entries, B * n last entries and one mask a row")

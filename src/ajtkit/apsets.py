@@ -229,23 +229,25 @@ def is_nk_type(aset: ResidueSet, k: int) -> NkReport:
 S1_BUILD_MASKS = 20
 
 
-def s1_build_entries(p: int) -> int:
-    """The entries that building, certifying and listing the log
-    construction at p hold at once: S1_BUILD_MASKS masks of ceil(p/64)
-    words. Its callers charge it before the first mask is built."""
-    return S1_BUILD_MASKS * -(-p // 64)
-
-
-def build_s1_log(p: int) -> ResidueSet:
+def build_s1_log(p: int, budget: Budget | str | None = None) -> ResidueSet:
     """Logarithmic-size S_1-type set: halving chains plus fixed anchors.
 
     Seeds {-1, 0, 1, (p-1)/2} and adds the chains s, floor(s/2), ..., 1 and
     their negatives, where s = (p-1)/4 for p = 1 mod 4 and s = (p+1)/4 for
     p = 3 mod 4. The size is exactly 2*(floor(log2 s) + 1) + 2.
+
+    With a budget, its entries budget is charged for what building,
+    certifying and listing the set hold at once, S1_BUILD_MASKS masks of
+    ceil(p/64) words, before the first mask is built; without one nothing
+    is charged.
     """
     p = _as_prime(p)
     if p < 5:
         raise InputError("need p >= 5")
+    if budget is not None:
+        current_budget(budget).check_entries(
+            S1_BUILD_MASKS * -(-p // 64), what="S_1 construction masks"
+        )
     s = (p - 1) // 4 if p % 4 == 1 else (p + 1) // 4
     # one pass over the chain into two (s + 1)-bit ints: c in low, and p - c
     # in high as bit s - c, shifted into place once
@@ -494,15 +496,14 @@ def min_s1_search(p: int, budget: Budget | str | None = None) -> MinS1Result:
     {0, 1}, repairing witness-less elements. Size limits run from 3 up to
     one below the logarithmic construction; proven_optimal is True only
     when every smaller size was exhausted within the node budget. The
-    entries budget is charged s1_build_entries(p) before the construction
+    entries budget is charged for the construction (build_s1_log) before it
     is built.
     """
     p = _as_prime(p)
     if p < 5:
         raise InputError("need p >= 5")
     b = current_budget(budget)
-    b.check_entries(s1_build_entries(p), what="S_1 construction masks")
-    upper = build_s1_log(p)
+    upper = build_s1_log(p, budget=b)
     if not is_sk_type(upper, 1).ok:
         raise MathViolation(f"logarithmic construction failed certification at p={p}")
     best = upper

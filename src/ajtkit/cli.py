@@ -112,11 +112,7 @@ def cmd_appendix_verify(args) -> int:
 
 def cmd_s1(args) -> int:
     if args.mode == "build":
-        p = fp_core._as_prime(args.p)
-        current_budget(args.budget).check_entries(
-            apsets.s1_build_entries(p), what="S_1 construction masks"
-        )
-        aset = apsets.build_s1_log(p)
+        aset = apsets.build_s1_log(args.p, budget=current_budget(args.budget))
         report = apsets.is_sk_type(aset, 1)
         payload = {
             "config": _config(args),
@@ -180,13 +176,15 @@ def cmd_check(args) -> int:
 
 
 # entries of one stack of the sweep's stacked calls, B matrices of p^n table
-# entries each. With the compiled witness search and products, a --threads 1
-# sweep (best of 3 to 5 runs, two sessions on one core of a shared 2-core VM)
-# took the same time at every size from 2^14 up at (11, 2) and (5, 3), whose
-# groups fit 2^14; at (17, 2), (23, 2) and (31, 2) it took 15-19%, 23-24%
-# and 8-30% less at 2^20 than at 2^16, and at 2^12 2x to 7x as long. The
-# compiled products hold 2 p^n entries whatever B is
-SWEEP_STACK_ENTRIES = 2**20
+# entries each. A --threads 1 sweep with the compiled witness search and
+# products (best of 3 to 5 runs, one core of a shared 2-core VM) took the
+# same time at every size from 2^14 up at (11, 2) and (5, 3), whose groups
+# fit 2^14, 8-30% less at 2^20 than at 2^16 at (17, 2), (23, 2) and
+# (31, 2), and 2x to 7x as long at 2^12. The pure products build (B, p^n)
+# arrays: a pure (31, 2) sweep took 20 s at 2^20 and 24-29 s at 2^16 with
+# --threads 1, about 11 s at both with 2, but peaked at 45 MB, not 32 MB
+# (40 MB with 2 threads), so the stacks stay at 2^16
+SWEEP_STACK_ENTRIES = 2**16
 
 
 def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:

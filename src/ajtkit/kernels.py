@@ -50,17 +50,19 @@ x_i from its value order and no image <row, x> forbidden for its row. The
 coordinates go in ascending-slack order, and a row is tested once its last
 nonzero coordinate is set. The instances share a block of rows, and a batch
 gives each one more row of its own, so the sweep's stack of matrices with a
-common head is one call. Forbidden residues are one p-bit mask a row, as
-ceil(p/8) bytes each. Each value tried is one node and one unit, plus one
-unit for each row sum it updates; an instance stops once its units pass the
-cap, and so does the batch. Both backends walk the same nodes in the same
-order: the same witness from both, and the same units.
+common head is one call. Each row's forbidden images come as a collection
+of residues in [0, p), which this module turns into the p-bit masks the
+compiled side reads (_kernels_py.forbidden_masks). Each value tried is one
+node and one unit, plus one unit for each row sum it updates; an instance
+stops once its units pass the cap, and so does the batch. Both backends
+walk the same nodes in the same order: the same witness from both, and the
+same units.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -141,18 +143,20 @@ def products_vanish(
 def first_witness(
     rows: np.ndarray,
     last: np.ndarray | None,
-    forbidden: bytes,
+    forbidden: Sequence[Iterable[int]],
     orders: Sequence[Sequence[int]],
     p: int,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_kernels_py.first_witness of the instances that share the (R, n) rows
     `rows` and, unless `last` is None, each end in a row of the (B, n) `last`,
-    both contiguous int64, compiled when built: (found, witness, units), a
-    (B,) bool, a (B, n) int64 and a (B,) int64 array, B = 1 without last."""
+    both contiguous int64, with the forbidden images of each row, compiled
+    when built: (found, witness, units), a (B,) bool, a (B, n) int64 and a
+    (B,) int64 array, B = 1 without last."""
     if _ext is None:
         return _kernels_py.first_witness(rows, last, forbidden, orders, p, cap)
-    found, witness, units = _ext.first_witness(rows, last, forbidden, orders, p, cap)
+    masks = _kernels_py.forbidden_masks(p, forbidden)
+    found, witness, units = _ext.first_witness(rows, last, masks, orders, p, cap)
     return (
         np.frombuffer(found, dtype=bool),
         np.frombuffer(witness, dtype=np.int64).reshape(-1, len(orders)),

@@ -133,17 +133,6 @@ class ForbiddenSpec:
 # witness search
 
 
-def _forbidden_masks(p: int, lists: Sequence[Sequence[int]]) -> bytearray:
-    """One little-endian p-bit mask a list, ceil(p/8) bytes each, bit v set
-    for each forbidden residue v: the rows' masks that first_witness reads."""
-    width = (p + 7) // 8
-    masks = bytearray(width * len(lists))
-    for r, values in enumerate(lists):
-        for v in values:
-            masks[r * width + (v >> 3)] |= 1 << (v & 7)
-    return masks
-
-
 def _witness(
     p: int,
     rows: Sequence[Sequence[int]],
@@ -153,12 +142,12 @@ def _witness(
 ) -> tuple[int, ...] | None:
     """The first witness kernels.first_witness finds for the rows, with the
     node budget as its cap on units: x, or None when there is none. The
-    entries budget is charged for the rows' masks, ceil(p/64) words each,
-    before they are built."""
+    entries budget is charged for the p-bit masks of the rows' forbidden
+    images that the kernel builds, ceil(p/64) words each, before the call."""
     budget.check_entries(len(rows) * -(-p // 64), what="forbidden masks")
     table = np.array(rows, dtype=np.int64).reshape(-1, len(orders))
     found, witness, units = kernels.first_witness(
-        table, None, _forbidden_masks(p, forbidden), orders, p, budget.nodes
+        table, None, forbidden, orders, p, budget.nodes
     )
     budget.check_nodes(int(units[0]), what="witness search")
     return tuple(witness[0].tolist()) if found[0] else None
@@ -224,7 +213,7 @@ def sweep_verdicts(
     b.check_nodes((p - 1) ** n, what="witness search")
     int_zero, modp_zero = kernels.products_vanish(p, head, last)
     found, witness, units = kernels.first_witness(
-        head, last, _forbidden_masks(p, [(0,)] * n), [range(1, p)] * n, p, b.nodes
+        head, last, [(0,)] * n, [range(1, p)] * n, p, b.nodes
     )
     b.check_nodes(int(units.max(initial=0)), what="witness search")
     return found, witness, int_zero, modp_zero

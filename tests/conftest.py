@@ -3,7 +3,9 @@
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
 the tests that use it skip only when no C compiler is available.
-`twin_witness` runs every kernels.first_witness call on both backends.
+`witness_twins` runs kernels.first_witness on both backends, and on the pure
+one alone when there is no compiler; `twin_witness` routes every
+kernels.first_witness call of a test through it.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from ajtkit import _kernels_py, kernels
+from ajtkit import kernels
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ajtkit" / "_kernels.c"
 
@@ -53,19 +55,51 @@ def compiled(tmp_path_factory):
     return _build_kernel(tmp_path_factory.mktemp("kernel-build"))
 
 
-@pytest.fixture
-def twin_witness(compiled, monkeypatch):
-    """kernels.first_witness with every call run on both backends, which must
-    agree bit for bit, witnesses and units included. Returns the list of the
-    calls' results, as the pure twin gives them."""
-    calls = []
+# kernels.first_witness itself, before twin_witness patches it
+FIRST_WITNESS = kernels.first_witness
 
-    def both(rows, last, forbidden, orders, p, cap):
-        raw = compiled.first_witness(rows, last, forbidden, orders, p, cap)
-        pure = _kernels_py.first_witness(rows, last, forbidden, orders, p, cap)
-        assert raw == tuple(a.tobytes() for a in pure)
-        calls.append(pure)
+
+def _first_witness_on(ext, *args):
+    """kernels.first_witness on the backend `ext`, None for the pure one."""
+    saved, kernels._ext = kernels._ext, ext
+    try:
+        return FIRST_WITNESS(*args)
+    finally:
+        kernels._ext = saved
+
+
+@pytest.fixture(scope="session")
+def witness_twins(request):
+    """kernels.first_witness run on the pure backend and on the compiled one,
+    which must agree bit for bit, witnesses and units included; the pure
+    backend alone when no compiled kernel can be had. Returns the pure
+    results."""
+    try:
+        ext = request.getfixturevalue("compiled")
+    except pytest.skip.Exception:
+        ext = None
+
+    def both(*args):
+        pure = _first_witness_on(None, *args)
+        if ext is not None:
+            got = _first_witness_on(ext, *args)
+            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+                (a.dtype, a.shape, a.tobytes()) for a in pure
+            ]
         return pure
 
-    monkeypatch.setattr(kernels, "first_witness", both)
+    return both
+
+
+@pytest.fixture
+def twin_witness(witness_twins, monkeypatch):
+    """kernels.first_witness with every call run by witness_twins. Returns
+    the list of the calls' results, as the pure backend gives them."""
+    calls = []
+
+    def record(*args):
+        calls.append(witness_twins(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(kernels, "first_witness", record)
     return calls

@@ -26,7 +26,8 @@ The `compiled` fixture (conftest.py) is the built extension, or one
 compiled into a temporary directory; the tests skip only when no C compiler
 is available. The `ext` fixture puts that module behind ajtkit.kernels,
 which carries the mask across as bytes; the `backend` fixture runs a test
-once on each backend.
+once on each backend; `witness_twins` (conftest.py) runs a first_witness
+call on both, or on the pure one alone when there is no compiler.
 """
 
 import itertools
@@ -515,17 +516,12 @@ def witness_instances(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(witness_instances())
-def test_first_witness_parity_drawn(compiled, instance):
+def test_first_witness_parity_drawn(witness_twins, instance):
     p, n, rows, last, forbidden, orders, cap = instance
-    args = (
+    found, witness, units = witness_twins(
         np.array(rows, dtype=np.int64).reshape(-1, n),
         None if last is None else np.array(last, dtype=np.int64).reshape(-1, n),
-        properties._forbidden_masks(p, forbidden),
-        orders, p, cap,
-    )
-    found, witness, units = _kernels_py.first_witness(*args)
-    assert compiled.first_witness(*args) == (
-        found.tobytes(), witness.tobytes(), units.tobytes()
+        forbidden, orders, p, cap,
     )
     capped = False
     for b, extra in enumerate([[]] if last is None else [[r] for r in last]):
@@ -542,34 +538,34 @@ def test_first_witness_parity_drawn(compiled, instance):
         assert found[b] or not witness[b].any()
 
 
-def test_first_witness_rejects_bad_input(compiled):
+def test_first_witness_rejects_bad_input(backend):
     rows = np.array([[1, 2]], dtype=np.int64)
     last = np.array([[0, 1], [3, 0]], dtype=np.int64)
-    masks = properties._forbidden_masks(5, [(0,)] * 2)
+    zeros = [(0,)] * 2
     orders = [range(1, 5)] * 2
-    for kernel in (compiled.first_witness, _kernels_py.first_witness):
-        # x = (1, 1) each time: x_1 updates the rows nonzero at x_1, then x_2
-        # those nonzero at x_2, a unit a node and one an update: 2 + 3 units
-        # with the last row [0, 1], 3 + 2 with [3, 0]
-        assert [bytes(a) for a in kernel(rows, last, masks, orders, 5, 100)] == [
-            b"\1\1",
-            np.array([[1, 1], [1, 1]], dtype=np.int64).tobytes(),
-            np.array([5, 5], dtype=np.int64).tobytes(),
-        ]
-        bad = [
-            (rows, last, masks, orders, 1, 100),  # p < 2
-            (rows, last, masks, orders, 2**31, 100),  # p >= 2^31, checked first
-            (rows, last, masks, [], 5, 100),  # no coordinates
-            (np.array([1, 2, 3], np.int64), last, masks, orders, 5, 100),  # R * n entries
-            (rows, np.array([1, 2, 3], np.int64), masks, orders, 5, 100),  # B * n entries
-            (rows, None, masks, orders, 5, 100),  # one mask a row
-            (rows, last, masks[:-1], orders, 5, 100),
-            (rows, last, masks, [[1, 5], [1]], 5, 100),  # values in [0, p)
-            (rows, last, masks, [[1, -1], [1]], 5, 100),
-        ]
-        for args in bad:
-            with pytest.raises(ValueError):
-                kernel(*args)
+    # x = (1, 1) each time: x_1 updates the rows nonzero at x_1, then x_2
+    # those nonzero at x_2, a unit a node and one an update: 2 + 3 units
+    # with the last row [0, 1], 3 + 2 with [3, 0]
+    found, witness, units = backend.first_witness(rows, last, zeros, orders, 5, 100)
+    assert found.tolist() == [True, True]
+    assert witness.tolist() == [[1, 1], [1, 1]]
+    assert units.tolist() == [5, 5]
+    bad = [
+        (rows, last, zeros, orders, 1, 100),  # p < 2
+        (rows, last, zeros, orders, 2**31, 100),  # p >= 2^31, checked first
+        (rows, last, zeros, [], 5, 100),  # no coordinates
+        (np.array([1, 2, 3], np.int64), last, zeros, orders, 5, 100),  # R * n entries
+        (rows, np.array([1, 2, 3], np.int64), zeros, orders, 5, 100),  # B * n entries
+        (rows, None, zeros, orders, 5, 100),  # one forbidden collection a row
+        (rows, last, zeros[:-1], orders, 5, 100),
+        (rows, last, [(0,), (5,)], orders, 5, 100),  # forbidden images in [0, p)
+        (rows, last, [(0,), (-1,)], orders, 5, 100),
+        (rows, last, zeros, [[1, 5], [1]], 5, 100),  # values in [0, p)
+        (rows, last, zeros, [[1, -1], [1]], 5, 100),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            backend.first_witness(*args)
 
 
 def test_stale_extension_fails_loudly(monkeypatch):
