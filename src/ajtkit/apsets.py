@@ -36,7 +36,7 @@ from . import kernels
 from ._kernels_py import _bits, _rotl
 from .budget import Budget, current_budget
 from .errors import BudgetExceeded, InputError, MathViolation
-from .fp_core import FpMatrix, _as_prime, _json_int
+from .fp_core import FpMatrix, _as_prime
 
 
 class ResidueSet:
@@ -100,25 +100,6 @@ class ResidueSet:
             raise InputError("dilation factor must be nonzero mod p")
         return ResidueSet.from_elements(
             self.p, (lam * e % self.p for e in self.elements())
-        )
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "elements": list(self.elements())}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ResidueSet":
-        """The set in `obj`, whose 'p' is a JSON integer and whose
-        'elements' a list of them (read as fp_core._json_int reads them),
-        else InputError."""
-        try:
-            p, elements = obj["p"], obj["elements"]
-        except (KeyError, TypeError):
-            raise InputError("set JSON needs keys 'p' and 'elements'") from None
-        if type(elements) is not list:
-            raise InputError("set JSON 'elements' must be a list of JSON integers")
-        return cls.from_elements(
-            _json_int(p, "set JSON 'p'"),
-            [_json_int(e, "set JSON element") for e in elements],
         )
 
 

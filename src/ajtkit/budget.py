@@ -42,7 +42,7 @@ class Budget(NamedTuple):
 
     def check_nodes_power(self, base: int, exp: int, what: str = "search") -> None:
         """check_nodes(base ** exp) for base >= 2, without forming a power
-        past the cap (_check_power_bound)."""
+        too large to form (_check_power_bound)."""
         _check_power_bound(base, exp, self.nodes, "nodes", what)
         self.check_nodes(base**exp, what=what)
 
@@ -54,20 +54,18 @@ class Budget(NamedTuple):
 
 def _check_power_bound(base: int, exp: int, cap: int, unit: str, what: str) -> None:
     """base ** exp >= 2 ** (exp * (base.bit_length() - 1)): once that exponent
-    reaches the cap's bit length, refuse with the bound, before the power is
-    formed."""
+    reaches the cap's bit length and 2^16, refuse with the bound, unformed; a
+    smaller power forms in about a millisecond and is charged exactly."""
     bound = exp * (base.bit_length() - 1)
-    if bound >= cap.bit_length():
+    if bound >= max(cap.bit_length(), 2**16):
         raise BudgetExceeded(f"{what} needs at least 2^{bound} {unit}, budget allows {cap}")
 
 
 def _count(needed: int) -> str:
-    """needed in decimal, or a power-of-two bound when it has more digits
-    than Python converts to a string."""
-    try:
+    """needed in decimal up to 64 bits, else the largest power of two below it."""
+    if needed.bit_length() <= 64:
         return str(needed)
-    except ValueError:
-        return f"more than 2^{needed.bit_length() - 1}"
+    return f"more than 2^{(needed - 1).bit_length() - 1}"
 
 
 def parse_budget(text: str) -> Budget:

@@ -80,11 +80,11 @@ def _random_shape(args) -> tuple[int, int]:
     return fp_core._as_prime(args.p), args.n
 
 
-def _matrix_from_args(args) -> fp_core.FpMatrix:
+def _matrix_from_args(args, budget: Budget) -> fp_core.FpMatrix:
     if args.matrix:
         return fp_core.FpMatrix.from_json(_load_json(args.matrix))
     p, n = _random_shape(args)
-    return fp_core.random_nonsingular(p, n, seed=args.seed or 0, budget=args.budget)
+    return fp_core.random_nonsingular(p, n, seed=args.seed or 0, budget=budget)
 
 
 def _check_trials(args) -> None:
@@ -93,10 +93,10 @@ def _check_trials(args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each given the budget that main resolved
 
 
-def cmd_appendix_verify(args) -> int:
+def cmd_appendix_verify(args, budget: Budget) -> int:
     report = apsets.verify_appendix()
     if args.format == "csv":
         sys.stdout.write(apsets.appendix_csv_text())
@@ -110,9 +110,9 @@ def cmd_appendix_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_s1(args) -> int:
+def cmd_s1(args, budget: Budget) -> int:
     if args.mode == "build":
-        aset = apsets.build_s1_log(args.p, budget=current_budget(args.budget))
+        aset = apsets.build_s1_log(args.p, budget=budget)
         report = apsets.is_sk_type(aset, 1)
         payload = {
             "config": _config(args),
@@ -124,15 +124,15 @@ def cmd_s1(args) -> int:
         }
         _emit(payload, args.format)
         return EXIT_OK if report.ok else EXIT_VIOLATION
-    result = apsets.min_s1_search(args.p, budget=args.budget)
+    result = apsets.min_s1_search(args.p, budget=budget)
     payload = {"config": _config(args), "mode": "min"}
     payload.update(result.to_json())
     _emit(payload, args.format)
     return EXIT_OK
 
 
-def cmd_sk_build(args) -> int:
-    result = apsets.build_sk(args.p, args.k, budget=args.budget)
+def cmd_sk_build(args, budget: Budget) -> int:
+    result = apsets.build_sk(args.p, args.k, budget=budget)
     payload = {
         "config": _config(args),
         "p": args.p,
@@ -147,10 +147,10 @@ def cmd_sk_build(args) -> int:
     return EXIT_OK
 
 
-def cmd_nk_partition(args) -> int:
+def cmd_nk_partition(args, budget: Budget) -> int:
     partition = apsets.partition_nk(
         args.p, args.k, parts=args.parts, seed=args.seed, max_tries=args.max_tries,
-        budget=args.budget,
+        budget=budget,
     )
     payload = {"config": _config(args)}
     payload.update(partition.to_json())
@@ -158,17 +158,14 @@ def cmd_nk_partition(args) -> int:
     return EXIT_OK
 
 
-def cmd_check(args) -> int:
+def cmd_check(args, budget: Budget) -> int:
     if not args.matrix:
-        # P3's p^(n+1) table, the first charge check_all makes, keeps n near
-        # 10 whatever the node cap: refuse it before an n^3 draw
-        p, n = _random_shape(args)
-        current_budget(args.budget).check_entries_power(p, n + 1, what="group-ring table")
-    m = _matrix_from_args(args)
+        properties.charge_check_all(*_random_shape(args), budget)
+    m = _matrix_from_args(args, budget)
     spec = None
     if args.forbidden:
         spec = properties.ForbiddenSpec.from_json(_load_json(args.forbidden))
-    report = properties.check_all(m, spec, budget=args.budget)
+    report = properties.check_all(m, spec, budget=budget)
     payload = {"config": _config(args)}
     payload.update(report.to_json())
     _emit(payload, args.format)
@@ -186,16 +183,13 @@ def cmd_check(args) -> int:
 # (40 MB with 2 threads), so the stacks stay at 2^16
 SWEEP_STACK_ENTRIES = 2**16
 
+# the sweep's tallies, each a sum over its jobs
+SWEEP_COUNTS = ("matrices", "p1_witness", "integer_nonzero", "modp_nonzero")
+
 
 def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
     p, n, first_rows, budget = job
-    counts = {
-        "matrices": 0,
-        "p1_witness": 0,
-        "integer_nonzero": 0,
-        "modp_nonzero": 0,
-        "violations": [],
-    }
+    counts = {**dict.fromkeys(SWEEP_COUNTS, 0), "violations": []}
     groups = fp_core.enumerate_nonsingular_groups(
         p, n, budget=budget, first_rows=first_rows
     )
@@ -204,7 +198,8 @@ def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
     # verdicts for a stack, the head rows shared and the last row varying.
     # A stack holds at most SWEEP_STACK_ENTRIES table entries, never more
     # than the budget allows, and its witness search n entries a matrix
-    size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // p**n)
+    table = properties.charge_sweep_stack(p, n, budget)
+    size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // table)
     for head, last in groups:
         for start in range(0, len(last), size):
             stack = last[start : start + size]
@@ -228,15 +223,12 @@ def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
     return counts
 
 
-def cmd_sweep(args) -> int:
-    p, n = args.p, args.n
-    if n < 1:
-        raise InputError("need n >= 1")
+def cmd_sweep(args, budget: Budget) -> int:
     if args.threads < 1:
         raise InputError("need --threads >= 1")
-    p = fp_core._as_prime(p)
-    budget = current_budget(args.budget)
-    budget.check_nodes_power(p, n * n, what="matrix sweep")
+    n = args.n
+    p = fp_core.charge_enumeration(args.p, n, budget)
+    properties.charge_sweep_stack(p, n, budget)
     # every nonzero first row has the same prod_{i=1}^{n-1} (p^n - p^i)
     # completions, so equal ranges of first rows are equal jobs; never more
     # workers than usable CPUs or first rows
@@ -253,17 +245,8 @@ def cmd_sweep(args) -> int:
             partials = list(pool.map(_sweep_range, jobs))
     else:
         partials = [_sweep_range(job) for job in jobs]
-    totals = {
-        "matrices": 0,
-        "p1_witness": 0,
-        "integer_nonzero": 0,
-        "modp_nonzero": 0,
-    }
-    violations: list[dict] = []
-    for part in partials:
-        for key in totals:
-            totals[key] += part[key]
-        violations.extend(part["violations"])
+    totals = {key: sum(part[key] for part in partials) for key in SWEEP_COUNTS}
+    violations = [v for part in partials for v in part["violations"]]
     expected = fp_core.nonsingular_count(p, n)
     payload = {
         "config": _config(args),
@@ -279,14 +262,12 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def cmd_duality(args) -> int:
+def cmd_duality(args, budget: Budget) -> int:
     _check_trials(args)
     p, n = fp_core._as_prime(args.p), args.n
-    budget = current_budget(args.budget)
-    # every trial draws an n^3 matrix and builds two p^n reduced products:
-    # all of them are charged before the first draw, p^n by its size first
-    budget.check_nodes_power(p, n, what="duality trials")
-    budget.check_nodes(args.trials * (n**3 + 2 * p**n), what="duality trials")
+    # every trial's draw and products are charged before the first draw
+    nodes = fp_core.draw_nodes(n) + fp_poly.duality_nodes(p, n, budget)
+    budget.check_nodes(args.trials * nodes, what="duality trials")
     rng = random.Random(args.seed)
     disagreements = []
     factorial_failures = []
@@ -331,15 +312,14 @@ def _random_balanced_partner(rng, r: list[int], p: int) -> list[int]:
             return s
 
 
-def cmd_multi(args) -> int:
+def cmd_multi(args, budget: Budget) -> int:
     if args.k < 2:
         raise InputError("multi needs k >= 2 matrices per tuple")
     _check_trials(args)
     p, n = fp_core._as_prime(args.p), args.n
-    budget = current_budget(args.budget)
-    # every trial draws k matrices, n^3 nodes each: all of them are charged
-    # before the first draw
-    budget.check_nodes(args.trials * args.k * n**3, what="multi trials")
+    # a trial's search and its k draws are charged before the first draw
+    properties.charge_witness_search(p, n, budget, matrices=args.k)
+    budget.check_nodes(args.trials * args.k * fp_core.draw_nodes(n), what="multi trials")
     rng = random.Random(args.seed)
     found = 0
     witness_free = []
@@ -368,16 +348,13 @@ def cmd_multi(args) -> int:
     return EXIT_OK
 
 
-def cmd_pairing(args) -> int:
+def cmd_pairing(args, budget: Budget) -> int:
     _check_trials(args)
     if not args.matrix:
-        # the p^n pairing table, the first charge pairing_test makes: refuse
-        # it before an n^3 draw, as cmd_check does
-        p, n = _random_shape(args)
-        current_budget(args.budget).check_entries_power(p, n, what="pairing table")
-    m = _matrix_from_args(args)
+        properties.charge_pairing(*_random_shape(args), args.trials, budget)
+    m = _matrix_from_args(args, budget)
     report = properties.pairing_test(
-        m, trials=args.trials, seed=args.seed or 0, budget=args.budget
+        m, trials=args.trials, seed=args.seed or 0, budget=budget
     )
     payload = {"config": _config(args), "matrix": m.to_json()}
     payload.update(report.to_json())
@@ -385,17 +362,15 @@ def cmd_pairing(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-def cmd_sigma(args) -> int:
+def cmd_sigma(args, budget: Budget) -> int:
     _check_trials(args)
     if args.matrix:
-        matrices = [_matrix_from_args(args)]
+        matrices = [_matrix_from_args(args, budget)]
     else:
         p, n = _random_shape(args)
-        budget = current_budget(args.budget)
-        # every trial rolls one (2n+1)·p^n sigma stack: all of them are
-        # charged before the first draw, p^n by its size first
-        budget.check_nodes_power(p, n, what="sigma trials")
-        budget.check_nodes(args.trials * (2 * n + 1) * p**n, what="sigma trials")
+        # every trial's draw and sigma stack are charged before the first draw
+        nodes = fp_core.draw_nodes(n) + group_ring.sigma_nodes(p, n, budget)
+        budget.check_nodes(args.trials * nodes, what="sigma trials")
         rng = random.Random(args.seed)
         matrices = [
             fp_core.random_nonsingular(p, n, rng=rng, budget=budget)
@@ -403,7 +378,7 @@ def cmd_sigma(args) -> int:
         ]
     candidates = []
     for m in matrices:
-        report = group_ring.sigma_vanishing_candidate(m, budget=args.budget)
+        report = group_ring.sigma_vanishing_candidate(m, budget=budget)
         if report.candidate:
             candidates.append(m.to_json())
     payload = {
@@ -521,10 +496,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        # reject a malformed budget up front, even if the command never
-        # consults it
-        current_budget(getattr(args, "budget", None))
-        code = args.func(args)
+        # resolved once, for the command and all it calls; a malformed
+        # budget is rejected even if the command never consults it
+        code = args.func(args, current_budget(getattr(args, "budget", None)))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -234,6 +234,16 @@ def _span_mask(p: int, rows: np.ndarray) -> np.ndarray:
     return inside
 
 
+def charge_enumeration(p: int, n: int, budget: Budget) -> int:
+    """The enumeration's checks before its first matrix: p prime, n >= 1 and
+    its p^(n^2) candidates as nodes. Returns p as validated."""
+    p = _as_prime(p)
+    if n < 1:
+        raise InputError("need n >= 1")
+    budget.check_nodes_power(p, n * n, what=f"enumeration of {n}x{n} matrices over F_{p}")
+    return p
+
+
 def enumerate_nonsingular_groups(
     p: int,
     n: int,
@@ -249,14 +259,9 @@ def enumerate_nonsingular_groups(
     flattened, are in lexicographic order of their row tuples. `first_rows`
     slices the p^n - 1 nonzero first rows, in lex order: only the matrices
     whose first row it keeps are yielded, so contiguous slices partition the
-    enumeration. The candidate count p^(n^2) is charged against the node
-    budget up front, without forming it when it is past the cap.
+    enumeration. `charge_enumeration` runs before the first matrix.
     """
-    p = _as_prime(p)
-    if n < 1:
-        raise InputError("need n >= 1")
-    b = current_budget(budget)
-    b.check_nodes_power(p, n * n, what=f"enumeration of {n}x{n} matrices over F_{p}")
+    p = charge_enumeration(p, n, current_budget(budget))
     vectors = _vectors(p, n)
     yield from _groups(p, n, vectors[:0], vectors[1:][first_rows])
 
@@ -294,15 +299,19 @@ def enumerate_nonsingular(
             yield FpMatrix._from_reduced(rows + (tuple(row),), p)
 
 
+def draw_nodes(n: int) -> int:
+    """The nodes of one random_nonsingular draw: n^3, about one elimination."""
+    return n**3
+
+
 def random_nonsingular(p: int, n: int, seed: int | None = None,
                        rng: random.Random | None = None,
                        budget: Budget | str | None = None) -> FpMatrix:
     """Rejection-sample a nonsingular matrix; deterministic for a fixed seed.
 
-    The node budget is charged n^3, about one elimination, before the first
-    draw."""
+    The node budget is charged `draw_nodes(n)` before the first draw."""
     p = _as_prime(p)
-    current_budget(budget).check_nodes(n**3, what="random matrix")
+    current_budget(budget).check_nodes(draw_nodes(n), what="random matrix")
     if rng is None:
         rng = random.Random(seed)
     while True:

@@ -53,8 +53,8 @@ class ReducedPoly:
 
     Stored as an int64 tensor of shape (p,) * n whose entry at an exponent
     vector is that term's coefficient in [0, p-1]. The tensor has p^n
-    entries however few terms are nonzero, so callers charge p^n entries
-    to their budget before building one.
+    entries however few terms are nonzero, so callers charge it to their
+    budget (`charge_product`) before building one.
     """
 
     __slots__ = ("p", "n", "coeffs")
@@ -269,6 +269,12 @@ def _form_product(
     return ReducedPoly(p, n, kernels.affine_product(_one(p, n), p, factors))
 
 
+def charge_product(p: int, n: int, budget: Budget) -> int:
+    """Charge one reduced product's (p,) * n tensor as entries; returns p^n."""
+    budget.check_entries_power(p, n, what="reduced product")
+    return p**n
+
+
 def check_p2(
     m: FpMatrix,
     c_lists: Sequence[Sequence[int]],
@@ -281,7 +287,7 @@ def check_p2(
     the reduced form is zero exactly when h is zero at every point.
     """
     p, n = m.p, m.n
-    current_budget(budget).check_entries(p**n, what="reduced product")
+    charge_product(p, n, current_budget(budget))
     factors = [(-int(d) % p, *row) for i, row in enumerate(m.rows) for d in d_lists[i]]
     factors += [(-int(c) % p, *_unit(n, i)) for i in range(n) for c in c_lists[i]]
     return not kernels.affine_product(_one(p, n), p, factors).any()
@@ -299,7 +305,7 @@ def check_p5(
     sum(t) + sum(t').
     """
     p, n = m.p, m.n
-    current_budget(budget).check_entries(p**n, what="reduced product")
+    charge_product(p, n, current_budget(budget))
     if t is None:
         t = [1] * n
     if t_prime is None:
@@ -355,6 +361,11 @@ class DualityResult(NamedTuple):
         }
 
 
+def duality_nodes(p: int, n: int, budget: Budget) -> int:
+    """Charge duality_check's two products as entries; returns their nodes."""
+    return 2 * charge_product(p, n, budget)
+
+
 def duality_check(
     m: FpMatrix,
     r: Sequence[int],
@@ -368,7 +379,8 @@ def duality_check(
     the coefficient of x^r in prod_j <col_j, x>^(s_j) does.
     """
     p, n = m.p, m.n
-    current_budget(budget).check_entries(p**n, what="reduced product")
+    b = current_budget(budget)
+    b.check_nodes(duality_nodes(p, n, b), what="duality products")
     r = tuple(int(x) for x in r)
     s = tuple(int(x) for x in s)
     if len(r) != n or len(s) != n:
@@ -421,7 +433,7 @@ def scalar_product_condition(
                 vals %= p
         return int(vals.sum() % p)
     if route == "coefficient":
-        b.check_entries(p**n, what="reduced product")
+        charge_product(p, n, b)
         c = _form_product(p, m.rows, r, monomial=s).coeff((p - 1,) * n)
         return c * pow(-1, n, p) % p
     raise InputError(f"unknown route {route!r}")

@@ -230,6 +230,15 @@ def check_p3(
     return product_of_factors(spec, CyclotomicRing, budget=budget).is_zero()
 
 
+def sigma_nodes(p: int, n: int, budget: Budget) -> int:
+    """Charge sigma_of_factors' (2n+1) * p^n stack as entries; returns its nodes."""
+    what = "group-ring sigma stack"
+    budget.check_entries_power(p, n, what=what)
+    size = (2 * n + 1) * p**n
+    budget.check_entries(size, what=what)
+    return size
+
+
 def sigma_of_factors(
     m: FpMatrix, budget: Budget | str | None = None
 ) -> list[GroupRingElem]:
@@ -238,11 +247,11 @@ def sigma_of_factors(
 
     The sigmas are one (2n+1, p, ..., p) stack, and each factor (1 - g^v)
     adds sigma_(j-1) * (1 - g^v) to every sigma_j with one roll of the
-    stack. The entries budget is charged for the whole stack.
+    stack. The budget is charged `sigma_nodes` first.
     """
     b = current_budget(budget)
     p, n = m.p, m.n
-    b.check_entries((2 * n + 1) * p**n, what="group-ring sigma stack")
+    b.check_nodes(sigma_nodes(p, n, b), what="group-ring sigma stack")
     stack = np.zeros((2 * n + 1,) + (p,) * n, dtype=np.int64)
     stack[(0,) * (n + 1)] = 1
     for v in FactorSpec.from_matrix(m).vectors:

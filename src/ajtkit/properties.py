@@ -141,16 +141,20 @@ def _witness(
     budget: Budget,
 ) -> tuple[int, ...] | None:
     """The first witness kernels.first_witness finds for the rows, with the
-    node budget as its cap on units: x, or None when there is none. The
-    entries budget is charged for the p-bit masks of the rows' forbidden
-    images that the kernel builds, ceil(p/64) words each, before the call."""
-    budget.check_entries(len(rows) * -(-p // 64), what="forbidden masks")
+    node budget as its cap on units: x, or None when there is none."""
     table = np.array(rows, dtype=np.int64).reshape(-1, len(orders))
     found, witness, units = kernels.first_witness(
         table, None, forbidden, orders, p, budget.nodes
     )
     budget.check_nodes(int(units[0]), what="witness search")
     return tuple(witness[0].tolist()) if found[0] else None
+
+
+def charge_witness_search(p: int, n: int, budget: Budget, matrices: int = 1) -> None:
+    """A witness search's entries: n lists of up to p values, and the p-bit
+    mask of each row's forbidden images, ceil(p/64) words, n rows a matrix."""
+    budget.check_entries(n * p, what="witness value lists")
+    budget.check_entries(matrices * n * -(-p // 64), what="forbidden masks")
 
 
 def check_p1(
@@ -162,20 +166,28 @@ def check_p1(
 
     Returns x with every x_i off its forbidden list and every <a_i, x> off
     its list, or None when no such x exists (the property holds). The
-    entries budget is charged for the n lists of allowed values, up to p
-    each, before they are built.
+    budget is charged `charge_witness_search` first.
     """
     p, n = m.p, m.n
+    b = current_budget(budget)
+    charge_witness_search(p, n, b)
     if spec is None:
         spec = ForbiddenSpec.default(p, n)
     if (spec.p, spec.n) != (p, n):
         raise InputError("forbidden spec does not match the matrix")
-    b = current_budget(budget)
-    b.check_entries(n * p, what="witness value lists")
     allowed = [
         [v for v in range(p) if v not in banned] for banned in map(set, spec.c_lists)
     ]
     return _witness(p, m.rows, spec.d_lists, allowed, b)
+
+
+def charge_sweep_stack(p: int, n: int, budget: Budget, matrices: int = 1) -> int:
+    """sweep_verdicts' charge: a p^n product table a matrix, which covers its
+    n witness entries, and one matrix's (p-1)^n witness candidates. Returns
+    the entries of one table."""
+    budget.check_entries(matrices * p**n, what="group-ring stack")
+    budget.check_nodes((p - 1) ** n, what="witness search")
+    return p**n
 
 
 def sweep_verdicts(
@@ -198,10 +210,8 @@ def sweep_verdicts(
     vanishes over Z and over F_p.
 
     p and the shapes are validated and the rows made contiguous int64 once,
-    here. The entries budget is charged B * p^n, the product tables, which
-    covers the search's B * n witness entries; the node budget (p-1)^n up
-    front, the candidates of one matrix, and then the units the search of
-    each matrix used, which the budget also caps.
+    here. The budget is charged `charge_sweep_stack` up front, and then the
+    units the search of each matrix used, which the budget also caps.
     """
     head = np.ascontiguousarray(head, dtype=np.int64)
     last = np.ascontiguousarray(last, dtype=np.int64)
@@ -209,8 +219,7 @@ def sweep_verdicts(
         raise InputError("a stack is an (n-1, n) head and a (B, n) array of last rows")
     p, n = _as_prime(p), last.shape[1]
     b = current_budget(budget)
-    b.check_entries(len(last) * p**n, what="group-ring stack")
-    b.check_nodes((p - 1) ** n, what="witness search")
+    charge_sweep_stack(p, n, b, matrices=len(last))
     int_zero, modp_zero = kernels.products_vanish(p, head, last)
     found, witness, units = kernels.first_witness(
         head, last, [(0,)] * n, [range(1, p)] * n, p, b.nodes
@@ -229,19 +238,18 @@ def check_multi(
     Exhaustive over F_p^n in a deterministic order; a seed permutes the
     per-coordinate value order (the search stays exhaustive). A single
     matrix degenerates to the plain witness search with x unconstrained.
-    The entries budget is charged for the n value orders, p each, before
-    they are built.
+    The budget is charged `charge_witness_search` first.
     """
     if not matrices:
         raise InputError("need at least one matrix")
     p, n = matrices[0].p, matrices[0].n
+    b = current_budget(budget)
+    charge_witness_search(p, n, b, matrices=len(matrices))
     for m in matrices:
         if (m.p, m.n) != (p, n):
             raise InputError("matrices must share p and n")
         if not m.is_nonsingular():
             raise InputError("matrices must be nonsingular")
-    b = current_budget(budget)
-    b.check_entries(n * p, what="witness value lists")
     rows = [row for m in matrices for row in m.rows]
     orders = [range(p)] * n
     if seed is not None:
@@ -365,10 +373,19 @@ class PairingReport(NamedTuple):
         return out
 
 
-def _table_from_coeff_tensor(c: np.ndarray, p: int) -> np.ndarray:
-    full = np.zeros((p,) * c.ndim, dtype=np.int64)
-    full[tuple(slice(0, p - 1) for _ in range(c.ndim))] = c
+def _table_from_coeffs(coeffs, p: int, n: int) -> np.ndarray:
+    """The values of the polynomial of per-variable degree <= p-2 whose
+    (p-1,) * n coefficient tensor holds `coeffs` in C order."""
+    full = np.zeros((p,) * n, dtype=np.int64)
+    full[(slice(0, p - 1),) * n] = np.reshape(coeffs, (p - 1,) * n)
     return _eval_dense(full, p)
+
+
+def charge_pairing(p: int, n: int, trials: int, budget: Budget) -> None:
+    """pairing_test's charge: its p^n table, and 2 * p^n nodes a trial, which
+    evaluates two such tables."""
+    budget.check_entries_power(p, n, what="pairing table")
+    budget.check_nodes(trials * 2 * p**n, what="pairing trials")
 
 
 def pairing_test(
@@ -388,7 +405,7 @@ def pairing_test(
     """
     p, n = m.p, m.n
     b = current_budget(budget)
-    b.check_entries(p**n, what="pairing table")
+    charge_pairing(p, n, trials, b)
     p4 = check_p4(m, budget=b)
     rng = random.Random(seed)
     minv = m.invert()
@@ -396,16 +413,11 @@ def pairing_test(
     points = _vectors(p, n)
     mprime = np.array(minv.rows, dtype=np.int64)
     subst = points @ mprime % p  # row x gives transpose(M') x
+    draws = (p - 1) ** n
     nonzero = 0
     for _ in range(trials):
-        cf = np.array(
-            [rng.randrange(p) for _ in range((p - 1) ** n)], dtype=np.int64
-        ).reshape((p - 1,) * n)
-        ch = np.array(
-            [rng.randrange(p) for _ in range((p - 1) ** n)], dtype=np.int64
-        ).reshape((p - 1,) * n)
-        f_table = _table_from_coeff_tensor(cf, p)
-        h_table = _table_from_coeff_tensor(ch, p)
+        f_table = _table_from_coeffs([rng.randrange(p) for _ in range(draws)], p, n)
+        h_table = _table_from_coeffs([rng.randrange(p) for _ in range(draws)], p, n)
         g_flat = h_table[tuple(subst.T)]
         pairing = int((f_table.ravel() * g_flat).sum() % p)
         if pairing:
@@ -413,18 +425,14 @@ def pairing_test(
     exhaustive = False
     converse = nonzero > 0
     if not p4 and nonzero == 0:
-        # basis scan: f = x^b, h = y^c over b, c in [0, p-2]^n
+        # basis scan: f = x^b, h = y^c over b, c in [0, p-2]^n, the monomial
+        # x^b given by the one coefficient at b's C-order index
         if (p - 1) ** (2 * n) * p**n <= b.nodes:
             exhaustive = True
-            basis_f = []
-            for b_exp in np.ndindex(*((p - 1,) * n)):
-                cf = np.zeros((p - 1,) * n, dtype=np.int64)
-                cf[b_exp] = 1
-                basis_f.append(_table_from_coeff_tensor(cf, p).ravel())
-            for c_exp in np.ndindex(*((p - 1,) * n)):
-                ch = np.zeros((p - 1,) * n, dtype=np.int64)
-                ch[c_exp] = 1
-                g_flat = _table_from_coeff_tensor(ch, p)[tuple(subst.T)]
+            monomials = [np.arange(draws) == i for i in range(draws)]
+            basis_f = [_table_from_coeffs(c, p, n).ravel() for c in monomials]
+            for c in monomials:
+                g_flat = _table_from_coeffs(c, p, n)[tuple(subst.T)]
                 for f_flat in basis_f:
                     if int((f_flat * g_flat).sum() % p):
                         converse = True
@@ -557,6 +565,14 @@ class PropertyReport(NamedTuple):
         }
 
 
+def charge_check_all(p: int, n: int, budget: Budget) -> None:
+    """check_all's checks before it reads the matrix: p > 3, and P3's
+    p^(n+1) table, the largest any property builds."""
+    if p <= 3:
+        raise InputError("the property chain needs p > 3")
+    budget.check_entries_power(p, n + 1, what="group-ring table")
+
+
 def check_all(
     m: FpMatrix,
     spec: ForbiddenSpec | None = None,
@@ -564,14 +580,12 @@ def check_all(
 ) -> PropertyReport:
     """Run P1 through P5 for one matrix; requires p > 3.
 
-    The budget is resolved once and charged for P3's p^(n+1) table, the
-    largest any property builds, before the determinant and P1 search run.
+    The budget is resolved once and `charge_check_all` runs before the
+    determinant and the P1 search.
     """
     p, n = m.p, m.n
-    if p <= 3:
-        raise InputError("the property chain needs p > 3")
     b = current_budget(budget)
-    b.check_entries(p ** (n + 1), what="group-ring table")
+    charge_check_all(p, n, b)
     if not m.is_nonsingular():
         raise InputError("the property chain is stated for nonsingular matrices")
     if spec is None:

@@ -90,8 +90,6 @@ def test_residue_set_round_trips():
     assert s.elements() == (0, 5, 12)
     assert len(s) == 3
     assert 5 in s and 6 not in s
-    again = ResidueSet.from_json(s.to_json())
-    assert again == s
 
 
 def test_residue_set_ops():
@@ -126,16 +124,6 @@ def test_residue_set_rejects_bad_elements():
             ResidueSet.from_elements(7, bad)
     s = ResidueSet.from_elements(7, [1, np.int64(3), np.int32(5), np.uint8(6)])
     assert s.elements() == (1, 3, 5, 6)
-    # set JSON holds JSON integers only: nothing is rounded or coerced
-    for obj in (
-        {"p": 7, "elements": [1.9, True, "3"]},
-        {"p": 7, "elements": [True]},
-        {"p": "7", "elements": [1]},
-        {"p": 7, "elements": 3},
-        {"p": 7, "elements": "13"},
-    ):
-        with pytest.raises(InputError):
-            ResidueSet.from_json(obj)
 
 
 def test_witness_helpers():

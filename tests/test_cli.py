@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ajtkit import budget as budget_module
 from ajtkit import cli, fp_core, group_ring, kernels, properties
 from ajtkit.budget import Budget
 from ajtkit.apsets import appendix_csv_text
@@ -223,13 +224,13 @@ def test_check_random_matrix(capsys):
     "argv, refusal",
     [
         (("check", "--p", "10007", "--n", "500"),
-         "group-ring table needs at least 2^6513 entries, budget allows 16777216"),
+         "group-ring table needs more than 2^6657 entries, budget allows 16777216"),
         (("pairing", "--p", "5", "--n", "2000", "--trials", "40"),
-         "pairing table needs at least 2^4000 entries, budget allows 16777216"),
+         "pairing table needs more than 2^4643 entries, budget allows 16777216"),
         (("duality", "--p", "5", "--n", "2000", "--trials", "1"),
-         "duality trials needs at least 2^4000 nodes, budget allows 1000000000"),
+         "reduced product needs more than 2^4643 entries, budget allows 16777216"),
         (("sigma", "--p", "7", "--n", "7", "--trials", "10007"),
-         "sigma trials needs 123617922015 nodes, budget allows 1000000000"),
+         "sigma trials needs 123621354416 nodes, budget allows 1000000000"),
         (("duality", "--p", "5", "--n", "2", "--trials", "100000000"),
          "duality trials needs 5800000000 nodes, budget allows 1000000000"),
         (("multi", "--p", "5", "--n", "2", "--trials", "100000000"),
@@ -243,6 +244,49 @@ def test_random_matrices_are_charged_before_any_draw(capsys, monkeypatch, argv, 
     monkeypatch.setattr(random.Random, "randrange", never)
     assert main(list(argv)) == 3
     assert capsys.readouterr().err == f"budget exceeded: {refusal}\n"
+
+
+def _identity(p, n):
+    return fp_core.FpMatrix([[int(i == j) for j in range(n)] for i in range(n)], p)
+
+
+@pytest.mark.parametrize(
+    "argv, routine",
+    [
+        (("check", "--p", "10007", "--n", "500"),
+         lambda: properties.check_all(_identity(10007, 500))),
+        (("pairing", "--p", "10007", "--n", "500"),
+         lambda: properties.pairing_test(_identity(10007, 500))),
+        (("sweep", "--p", "5", "--n", "2000", "--budget", "low"),
+         lambda: next(fp_core.enumerate_nonsingular_groups(5, 2000, budget="low"))),
+    ],
+    ids=["check", "pairing", "sweep"],
+)
+def test_up_front_refusal_is_the_routines_own(capsys, argv, routine):
+    # the command charges by the function its routine charges by, so both
+    # refuse a shape with one message, before either reads a matrix
+    with pytest.raises(BudgetExceeded) as refused:
+        routine()
+    assert main(list(argv)) == 3
+    assert capsys.readouterr().err == f"budget exceeded: {refused.value}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--p", "5", "--n", "2", "--seed", "7"),
+        ("duality", "--p", "5", "--n", "2", "--trials", "3"),
+        ("sweep", "--p", "3", "--n", "2"),
+    ],
+)
+def test_budget_is_parsed_once_a_run(capsys, monkeypatch, argv):
+    calls = []
+    real = budget_module.parse_budget
+    monkeypatch.setattr(budget_module, "parse_budget", lambda t: calls.append(t) or real(t))
+    rc, payload = run_json(capsys, *argv, "--budget", "low")
+    assert rc in (0, 1)
+    assert calls == ["low"]
+    assert payload["config"]["budget"] == "low"
 
 
 def test_check_from_file(tmp_path, capsys):
@@ -457,6 +501,27 @@ def test_sweep_worker_count_is_capped(capsys, monkeypatch, threads, cpus, n, wan
         assert all(a.stop == b.start for a, b in zip(ranges, ranges[1:]))
         sizes = [r.stop - r.start for r in ranges]
         assert max(sizes) - min(sizes) <= 1
+
+
+def test_refused_sweep_starts_no_pool(capsys, monkeypatch):
+    # one table of a p > 2^12 sweep at n = 2, or of a p > 2^24 sweep at
+    # n = 1, is past the entries budget: the stack charge sweep_verdicts
+    # makes refuses the sweep before any worker exists, as the enumeration's
+    # own charge does
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    for argv, refusal in (
+        (("--p", "16777259", "--n", "1"), "group-ring stack needs"),
+        (("--p", "4099", "--n", "2", "--budget", str(10**15)), "group-ring stack needs"),
+        (("--p", "5", "--n", "2000", "--budget", "low"), "enumeration of 2000x2000"),
+    ):
+        assert main(["sweep", *argv, "--threads", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"budget exceeded: {refusal}")
 
 
 def test_sweep_workers_get_the_resolved_budget(capsys, monkeypatch):

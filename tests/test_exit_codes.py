@@ -40,6 +40,8 @@ ARGV = [
     # every trial is charged before the first draw
     ("duality --p 5 --n 2 --trials 100000000", 3),
     ("multi --p 5 --n 2 --trials 100000000", 3),
+    ("multi --p 5 --n 2 --trials 1 --k 100000000", 3),
+    ("pairing --p 5 --n 3 --trials 1000000 --budget low", 3),
     ("sigma --p 7 --n 7 --trials 10007", 3),
     ("sigma --n 2", 2),
     ("nk-partition --p 1000003 --k 97 --parts 97", 3),
