@@ -61,6 +61,7 @@ import time
 import numpy as np
 
 from ajtkit import _kernels_py, apsets, cli, fp_core, fp_poly, group_ring, kernels, properties
+from ajtkit.budget import Budget
 
 COMPILED = kernels.BACKEND == "compiled"
 BACKENDS = [("pure", None)] + ([("compiled", kernels._ext)] if COMPILED else [])
@@ -77,6 +78,8 @@ CASES = [
 
 # (p, limit, node budget) for the compiled search alone
 SEARCH_CASES = [(151, 8, 10**9), (1009, 5, 10**9), (10007, 5, 2000)]
+# the words of table and stack the default entries budget allows a search
+WORDS = Budget().entries
 
 
 def scan_cases():
@@ -264,11 +267,12 @@ def main():
     print(header)
     print("-" * len(header))
     for p, limit, label in CASES:
-        t_py, (mask_py, ex_py, nodes_py) = timed(_kernels_py.s1_exhaust, p, limit, 10**9)
+        t_py, want = timed(_kernels_py.s1_exhaust, p, limit, 10**9, WORDS)
+        nodes_py = want[2]
         line = f"{label:<28}{p:>6}{limit:>7}{nodes_py:>10}{t_py:>11.4f}"
         if COMPILED:
-            t_c, got = timed(kernels.s1_exhaust, p, limit, 10**9)
-            assert got == (mask_py, ex_py, nodes_py), (
+            t_c, got = timed(kernels.s1_exhaust, p, limit, 10**9, WORDS)
+            assert got == want, (
                 f"backend mismatch at p={p} limit={limit}"
             )
             line += f"{t_c:>14.4f}{t_py / t_c:>8.1f}x"
@@ -280,7 +284,7 @@ def main():
         print(header)
         print("-" * len(header))
         for p, limit, budget in SEARCH_CASES:
-            t_c, (_, exhausted, nodes) = timed(kernels.s1_exhaust, p, limit, budget)
+            t_c, (_, exhausted, nodes, _) = timed(kernels.s1_exhaust, p, limit, budget, WORDS)
             print(f"{'s1_exhaust':<28}{p:>6}{limit:>7}{budget:>12}{nodes:>10}"
                   f"{str(exhausted):>11}{t_c:>14.4f}")
         print()

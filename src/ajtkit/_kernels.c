@@ -12,7 +12,11 @@
    with the pure twin bit for bit. The visited table is open addressing with
    linear probing. A slot whose low limb is 0 is empty: every reachable set
    contains {0, 1}. Each node finds the element it repairs with the scan's
-   own window code.
+   own window code. The table's slots and the stack's masks, L limbs each,
+   are capped at a number of words: the search stops before its first
+   node when the first table and stack pass it, and at the visit or push
+   that would grow either past it, where the pure twin, which counts the
+   same slots and masks, stops too.
 
    first_hit_scan mirrors _kernels_py.first_hit_scan, for any p >= 3 and
    1 <= k <= (p - 1)/2, with the same hits in the same order by another
@@ -54,13 +58,13 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 8            /* bumped whenever a kernel's signature or result changes */
+#define API 9            /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
 typedef uint64_t u64;
 
-enum { NO_MEMORY = -1, NONE_FOUND = 0, FOUND = 1, OVER_BUDGET = 2 };
+enum { TABLE_FULL = -2, NO_MEMORY = -1, NONE_FOUND = 0, FOUND = 1, OVER_BUDGET = 2 };
 
 typedef struct {
     int p, L;
@@ -68,7 +72,11 @@ typedef struct {
     size_t cap, used;
     u64 *stack;      /* scap * L limbs */
     size_t scap, sp;
+    size_t masks;    /* the cap on cap + scap: the cap in words over L */
 } Search;
+
+/* 1 if a table of cap slots and a stack of scap masks fit the cap. */
+static int fits(const Search *s, size_t cap, size_t scap) { return cap + scap <= s->masks; }
 
 static u64 mix64(u64 z)
 {
@@ -91,12 +99,15 @@ static u64 *probe(u64 *keys, size_t cap, int L, const u64 *key)
     }
 }
 
-/* 1 if key is new (and now recorded), 0 if seen before. */
+/* 1 if key is new (and now recorded), 0 if seen before, TABLE_FULL when
+   the table must grow past the cap first. */
 static int visit(Search *s, const u64 *key)
 {
     int L = s->L;
     if ((s->used + 1) * 10 >= s->cap * 6) {
         size_t cap = s->cap * 2;
+        if (!fits(s, cap, s->scap))
+            return TABLE_FULL;
         u64 *fresh = calloc(cap * L, sizeof(u64));
         if (fresh == NULL)
             return NO_MEMORY;
@@ -120,6 +131,8 @@ static int visit(Search *s, const u64 *key)
 static int push(Search *s, const u64 *mask)
 {
     if (s->sp == s->scap) {
+        if (!fits(s, s->cap, 2 * s->scap))
+            return TABLE_FULL;
         u64 *grown = realloc(s->stack, 2 * s->scap * s->L * sizeof(u64));
         if (grown == NULL)
             return NO_MEMORY;
@@ -336,8 +349,6 @@ static int search(Search *s, int limit, long long budget, u64 *found,
         *R = M + doubled_limbs(p);
     Hits none = {NULL, NULL, NULL};
 
-    if (limit < 2)
-        return NONE_FOUND;
     a[0] = 3;
     if (visit(s, a) < 0 || push(s, a) < 0)
         return NO_MEMORY;
@@ -356,8 +367,9 @@ static int search(Search *s, int limit, long long budget, u64 *found,
         int size = 0;
         for (int i = 0; i < L; i++)
             size += __builtin_popcountll(a[i]);
-        /* descending d, so that pops see ascending d like the pure twin;
-           the children are distinct, so visit order among them is moot */
+        /* descending d, so that pops see ascending d and the visits and
+           pushes come in the pure twin's order, which fixes where a cap on
+           words stops both */
         for (int d = half; d >= 1; d--) {
             int lo = e - d < 0 ? e - d + p : e - d;
             int hi = e + d >= p ? e + d - p : e + d;
@@ -367,8 +379,8 @@ static int search(Search *s, int limit, long long budget, u64 *found,
             child[lo >> 6] |= 1ULL << (lo & 63);
             child[hi >> 6] |= 1ULL << (hi & 63);
             int fresh = visit(s, child);
-            if (fresh < 0 || (fresh && push(s, child) < 0))
-                return NO_MEMORY;
+            if (fresh < 0 || (fresh && (fresh = push(s, child)) < 0))
+                return fresh;
         }
     }
     return NONE_FOUND;
@@ -395,7 +407,7 @@ static int read_mask(Py_buffer *buf, int p, u64 *out, int n)
     return 0;
 }
 
-/* The mask m as little-endian bytes of length ceil(p/8). */
+/* The mask m as little-endian bytes of length ceil(p/8), zeros for NULL. */
 static PyObject *write_mask(const u64 *m, int p)
 {
     Py_ssize_t n = ((Py_ssize_t)p + 7) / 8;
@@ -404,42 +416,57 @@ static PyObject *write_mask(const u64 *m, int p)
         return NULL;
     unsigned char *b = (unsigned char *)PyBytes_AS_STRING(out);
     for (Py_ssize_t k = 0; k < n; k++)
-        b[k] = (unsigned char)(m[k >> 3] >> (8 * (k & 7)));
+        b[k] = m == NULL ? 0 : (unsigned char)(m[k >> 3] >> (8 * (k & 7)));
     return out;
+}
+
+/* The long long value of an int, clamped to [lo, LLONG_MAX]; -1 with an
+   exception set when obj is not an int. */
+static int clamped_ll(PyObject *obj, long long lo, long long *out)
+{
+    int overflow;
+    long long v = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (overflow)
+        v = overflow > 0 ? LLONG_MAX : lo;
+    *out = v < lo ? lo : v;
+    return 0;
 }
 
 static PyObject *s1_exhaust(PyObject *self, PyObject *args)
 {
-    int p, overflow;
+    int p;
     Py_ssize_t limit;
-    PyObject *budget_obj;
-    if (!PyArg_ParseTuple(args, "inO:s1_exhaust", &p, &limit, &budget_obj))
+    PyObject *budget_obj, *words_obj;
+    long long budget, words;
+    if (!PyArg_ParseTuple(args, "inOO:s1_exhaust", &p, &limit, &budget_obj, &words_obj))
         return NULL;
     if (p < 5)
         return PyErr_Format(PyExc_ValueError, "s1_exhaust needs p >= 5, got %d", p);
-    long long budget = PyLong_AsLongLongAndOverflow(budget_obj, &overflow);
-    if (budget == -1 && PyErr_Occurred())
+    if (clamped_ll(budget_obj, LLONG_MIN, &budget) < 0 || clamped_ll(words_obj, 0, &words) < 0)
         return NULL;
-    if (overflow)
-        budget = overflow > 0 ? LLONG_MAX : LLONG_MIN;
 
-    Search s = {p, (int)(((size_t)p + 63) / 64), NULL, TABLE_START, 0, NULL,
-                STACK_START, 0};
-    s.keys = calloc(s.cap * s.L, sizeof(u64));
-    s.stack = malloc(s.scap * s.L * sizeof(u64));
-    u64 *found = calloc(4 * (size_t)s.L + 1 + 2 * doubled_limbs(p), sizeof(u64));
+    int L = (int)(((size_t)p + 63) / 64);
+    Search s = {p, L, NULL, TABLE_START, 0, NULL, STACK_START, 0, (size_t)words / L};
+    u64 *found = NULL;
     long long nodes = 0;
-    int status = NO_MEMORY;
-    if (s.keys != NULL && s.stack != NULL && found != NULL) {
-        Py_BEGIN_ALLOW_THREADS
-        status = search(&s, (int)(limit < 0 ? 0 : limit > p ? p : limit), budget,
-                        found, &nodes);
-        Py_END_ALLOW_THREADS
+    int status = limit < 2 ? NONE_FOUND : fits(&s, s.cap, s.scap) ? NO_MEMORY : TABLE_FULL;
+    if (status == NO_MEMORY) {
+        s.keys = calloc(s.cap * s.L, sizeof(u64));
+        s.stack = malloc(s.scap * s.L * sizeof(u64));
+        found = calloc(4 * (size_t)s.L + 1 + 2 * doubled_limbs(p), sizeof(u64));
+        if (s.keys != NULL && s.stack != NULL && found != NULL) {
+            Py_BEGIN_ALLOW_THREADS
+            status = search(&s, (int)(limit > p ? p : limit), budget, found, &nodes);
+            Py_END_ALLOW_THREADS
+        }
     }
     PyObject *result = status == NO_MEMORY
         ? PyErr_NoMemory()
-        : Py_BuildValue("(NOL)", write_mask(found, p),
-                        status == OVER_BUDGET ? Py_False : Py_True, nodes);
+        : Py_BuildValue("(NOLO)", write_mask(status == FOUND ? found : NULL, p),
+                        status == OVER_BUDGET || status == TABLE_FULL ? Py_False : Py_True,
+                        nodes, status == TABLE_FULL ? Py_True : Py_False);
     free(s.keys);
     free(s.stack);
     free(found);
@@ -1017,7 +1044,7 @@ done:
 
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
-     "s1_exhaust(p, limit, node_budget) -> (found_mask, exhausted, nodes)\n\n"
+     "s1_exhaust(p, limit, node_budget, words) -> (found_mask, exhausted, nodes, full)\n\n"
      "Same contract and traversal as ajtkit._kernels_py.s1_exhaust, with the\n"
      "found mask as little-endian bytes of length ceil(p/8)."},
     {"first_hit_scan", first_hit_scan, METH_VARARGS,

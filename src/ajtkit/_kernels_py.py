@@ -2,6 +2,13 @@
 affine product of reduced polynomials, the sweep's group-ring products and
 the witness search.
 
+These twins load only without the compiled extension: ajtkit.kernels
+imports this module when it has no extension to call, and the parity tests
+and perfbench import it by name. The helpers both backends share live where
+the package uses them: the mask helpers (_rotl, _bits, forbidden_masks) in
+ajtkit.masks, and the numpy factor expansion (_expand, _roll, _rotation) in
+ajtkit.group_ring, whose factor products it serves first.
+
 Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 scan answers the S_k/N_k question at radius k: centered, the least d with
 a + i*d in A for 0 < |i| <= k for each a in A; forward, the least d with
@@ -9,10 +16,10 @@ b + i*d in A for 1 <= i <= k for each b outside A. first_hit_scan rotates
 the mask, one difference at a time, and returns its map finished, as
 records of a tuple type it is given listed by ascending element, or no map
 at all, and the least element left without a witness. The compiled twin in
-_kernels.c implements s1_exhaust with the same traversal order and the scan
-by word windows around each element, a method of its own, with the same
-map in the same order; the backends must stay byte-for-byte
-interchangeable.
+_kernels.c implements s1_exhaust with the same traversal order and the same
+table and stack sizes, and the scan by word windows around each element, a
+method of its own, with the same map in the same order; the backends must
+stay byte-for-byte interchangeable.
 
 affine_product multiplies a reduced polynomial over F_p, its coefficient
 tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
@@ -22,10 +29,9 @@ tensor.
 products_vanish tells, for each of a stack of matrices that share an
 (n-1)-row head and differ in their last row, whether the group-ring product
 prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over its unit vectors and rows
-vanishes over Z and mod p. Its numpy expansion of the shared factors,
-`_expand`, is also the one behind group_ring's factor products, and its
-roll, `_roll`, serves the sigma stack and properties' difference operators;
-the compiled twin applies the same factors in C and returns the same flags.
+vanishes over Z and mod p, expanding the shared factors with group_ring's
+_expand; the compiled twin applies the same factors in C and returns the
+same flags.
 
 first_witness finds, for each of a batch of instances, the first x with
 every x_i in its value order and no image <row, x> forbidden for its row,
@@ -38,27 +44,24 @@ images as the p-bit mask that forbidden_masks builds, as this search does.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
-from itertools import compress, repeat
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .group_ring import _expand, _rotation
+from .masks import _bits, _rotl, forbidden_masks
+
 _INT64_MAX = 2**63 - 1
-_INT64_BOUND = 2**62
 
-_DIGIT = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
-
-
-def _rotl(mask: int, s: int, p: int, full: int) -> int:
-    # left rotation of a p-bit word; rot(A, s) is the translate A + s
-    s %= p
-    if s == 0:
-        return mask
-    return ((mask << s) | (mask >> (p - s))) & full
+# the compiled twin's first visited table and stack, in masks; both double
+_TABLE_START = 1024
+_STACK_START = 256
 
 
-def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
+def s1_exhaust(
+    p: int, limit: int, node_budget: int, words: int
+) -> tuple[int, bool, int, bool]:
     """Search for a centered-progression-closed set of at most `limit` residues.
 
     Starts from {0, 1} (every such set with >= 2 elements maps onto one
@@ -66,11 +69,24 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
     property), and repeatedly repairs the smallest element lacking a witness
     by adding the pair {a - d, a + d} for each step d.
 
-    Returns (found_mask, exhausted, nodes): found_mask is 0 when no set was
-    found; exhausted is False only when the node budget ran out first.
+    The compiled twin holds the sets it has visited in a table of
+    ceil(p/64)-word slots, 1024 at first and doubled at 60% load, and its
+    stack in masks of that width, 256 at first and doubled when full. This
+    search counts the slots and masks those would hold, and stops where the
+    compiled one does: before the first node when the first table and stack
+    need more than `words` words, and at the visit or push that would grow
+    either past that.
+
+    Returns (found_mask, exhausted, nodes, full): found_mask is 0 when no set
+    was found; exhausted is False when the node budget ran out first, or the
+    words, and then full is True.
     """
     if limit < 2:
-        return (0, True, 0)
+        return (0, True, 0, False)
+    masks = words // -(-p // 64)
+    slots, held = _TABLE_START, _STACK_START
+    if slots + held > masks:
+        return (0, False, 0, True)
     full = (1 << p) - 1
     half = (p - 1) // 2
     start = 0b11
@@ -81,19 +97,30 @@ def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
         a = stack.pop()
         nodes += 1
         if nodes > node_budget:
-            return (0, False, nodes)
+            return (0, False, nodes, False)
         # repair the least element without a centered witness
         _, e = first_hit_scan(a, p, 1, False, None)
         if e is None:
-            return (a, True, nodes)
-        children = []
-        for d in range(1, half + 1):
+            return (a, True, nodes, False)
+        # descending d, so that pops see ascending d; a child that fits is a
+        # visit, and the table grows, when it must, before the visit
+        for d in range(half, 0, -1):
             child = a | _rotl(1 << e, d, p, full) | _rotl(1 << e, p - d, p, full)
-            if child.bit_count() <= limit and child not in visited:
-                visited.add(child)
-                children.append(child)
-        stack.extend(reversed(children))
-    return (0, True, nodes)
+            if child.bit_count() > limit:
+                continue
+            if (len(visited) + 1) * 10 >= slots * 6:
+                slots *= 2
+                if slots + held > masks:
+                    return (0, False, nodes, True)
+            if child in visited:
+                continue
+            visited.add(child)
+            if len(stack) == held:
+                held *= 2
+                if slots + held > masks:
+                    return (0, False, nodes, True)
+            stack.append(child)
+    return (0, True, nodes, False)
 
 
 def first_hit_scan(
@@ -161,62 +188,6 @@ def _hit_map(elements: list[int], steps: Iterable[int], record: type, k: int) ->
     with no bytecode per record."""
     fields = zip(elements, steps, repeat(k))
     return dict(zip(elements, map(tuple.__new__, repeat(record), fields)))
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of mask, ascending, read off its binary
-    digits in O(p) by one C-level pass over all of them."""
-    digits = bin(mask)[:1:-1].encode().translate(_DIGIT)  # byte i is bit i
-    return list(compress(range(len(digits)), digits))
-
-
-def _exact(table: np.ndarray, bound: int) -> np.ndarray:
-    """The table in a dtype exact for entries up to `bound` in absolute value.
-
-    Below 2^62 that is int64, and the difference of two entries, which the
-    Z[w] zero test takes, still fits."""
-    return table.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
-
-
-@lru_cache(maxsize=None)
-def _rotation(p: int) -> np.ndarray:
-    """rot[s, i] = (i - s) % p: gathering a length-p axis at rot[s] rolls it by s.
-
-    A read-only (p, p) window view of 0..p-1 repeated twice, so it holds 2p
-    entries, not p^2.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(np.arange(p), 2), p)
-    return windows[p:0:-1]
-
-
-def _roll(table: np.ndarray, shifts: Sequence[int], p: int) -> np.ndarray:
-    """The last len(shifts) axes of `table` rolled as numpy.roll does, one
-    gather per axis through the rotation table.
-
-    Axes with shift 0 mod p are not copied, so the result may be `table`
-    itself.
-    """
-    rot = _rotation(p)
-    for axis, s in enumerate(shifts, table.ndim - len(shifts)):
-        if s % p:
-            table = table[(slice(None),) * axis + (rot[s % p],)]
-    return table
-
-
-def _expand(p: int, d: int, shifts: Sequence[Sequence[int]]) -> np.ndarray:
-    """The product prod_k (1 - g^(shifts[k])) over Z, a table of shape (p,) * d.
-
-    Each factor is `t = t - roll(t, shift)`, one `_roll`. The entries of a
-    product of m >= 1 factors (1 - x) sum to 0 and have absolute sum at most
-    2^m, so none exceeds 2^(m-1): the table is int64 for up to 62 factors and
-    Python ints beyond.
-    """
-    table = np.zeros((p,) * d, dtype=np.int64)
-    table[(0,) * d] = 1
-    table = _exact(table, 2 ** len(shifts) // 2)
-    for s in shifts:
-        table = table - _roll(table, s, p)
-    return table
 
 
 def products_vanish(head, last, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,23 +275,6 @@ def affine_product(
         bound *= weight
     cur %= p
     return cur.reshape((p,) * n)
-
-
-def forbidden_masks(p: int, forbidden: Sequence[Iterable[int]]) -> bytearray:
-    """The forbidden images of first_witness's rows as the compiled twin
-    reads them: one little-endian p-bit mask a row, ceil(p/8) bytes, bit s
-    set when the image s is forbidden. ValueError for p outside [2, 2^31),
-    before any mask is allocated, or an image outside [0, p)."""
-    if not 2 <= p < 2**31:
-        raise ValueError(f"first_witness needs 2 <= p < 2^31, got p = {p}")
-    width = (p + 7) // 8
-    masks = bytearray(width * len(forbidden))
-    for r, images in enumerate(forbidden):
-        for s in images:
-            if not 0 <= s < p:
-                raise ValueError(f"forbidden images must lie in [0, p) for p = {p}")
-            masks[r * width + (s >> 3)] |= 1 << (s & 7)
-    return masks
 
 
 def first_witness(

@@ -14,10 +14,13 @@ statements about matrices and products of factors (1 - phase * g^v).
 
 Factor products are the only multiplication: `GroupRingElem` is the value a
 product returns, with equality and a zero test but no ring arithmetic.
-`product_of_factors` shares its numpy expansion, `_kernels_py._expand`,
-with the pure twin of `kernels.products_vanish`, which answers `sweep`'s two
-product verdicts for a whole stack of matrices; `properties.sweep_verdicts`
-is the one layer that validates and charges such a stack.
+`product_of_factors` expands its factors with `_expand`, one `_roll` a
+factor, and this module is the one home of both: the pure twin of
+`kernels.products_vanish` (in `_kernels_py`, which loads only without the
+compiled extension) expands a sweep stack's shared factors with `_expand`,
+and `properties`' difference operators roll with `_roll`. This module
+imports neither `kernels` nor `_kernels_py`. `properties.sweep_verdicts` is
+the one layer that validates and charges a sweep stack.
 `sigma_of_factors` stacks the elementary symmetric functions of the factors
 as one table stack, one roll of the stack per factor.
 
@@ -28,11 +31,11 @@ and Python ints (dtype=object) otherwise, so values never wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ._kernels_py import _exact, _expand, _roll
 from .budget import Budget, current_budget
 from .errors import InputError
 from .fp_core import FpMatrix, _as_prime
@@ -56,6 +59,58 @@ _RINGS = (IntegerRing, ModPRing, CyclotomicRing)
 
 def _shape(p: int, n: int, ring: _RingTag) -> tuple[int, ...]:
     return (p,) * (n + (ring is CyclotomicRing))
+
+
+_INT64_BOUND = 2**62
+
+
+def _exact(table: np.ndarray, bound: int) -> np.ndarray:
+    """The table in a dtype exact for entries up to `bound` in absolute value.
+
+    Below 2^62 that is int64, and the difference of two entries, which the
+    Z[w] zero test takes, still fits."""
+    return table.astype(np.int64 if bound < _INT64_BOUND else object, copy=False)
+
+
+@lru_cache(maxsize=None)
+def _rotation(p: int) -> np.ndarray:
+    """rot[s, i] = (i - s) % p: gathering a length-p axis at rot[s] rolls it by s.
+
+    A read-only (p, p) window view of 0..p-1 repeated twice, so it holds 2p
+    entries, not p^2.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(np.arange(p), 2), p)
+    return windows[p:0:-1]
+
+
+def _roll(table: np.ndarray, shifts: Sequence[int], p: int) -> np.ndarray:
+    """The last len(shifts) axes of `table` rolled as numpy.roll does, one
+    gather per axis through the rotation table.
+
+    Axes with shift 0 mod p are not copied, so the result may be `table`
+    itself.
+    """
+    rot = _rotation(p)
+    for axis, s in enumerate(shifts, table.ndim - len(shifts)):
+        if s % p:
+            table = table[(slice(None),) * axis + (rot[s % p],)]
+    return table
+
+
+def _expand(p: int, d: int, shifts: Sequence[Sequence[int]]) -> np.ndarray:
+    """The product prod_k (1 - g^(shifts[k])) over Z, a table of shape (p,) * d.
+
+    Each factor is `t = t - roll(t, shift)`, one `_roll`. The entries of a
+    product of m >= 1 factors (1 - x) sum to 0 and have absolute sum at most
+    2^m, so none exceeds 2^(m-1): the table is int64 for up to 62 factors and
+    Python ints beyond.
+    """
+    table = np.zeros((p,) * d, dtype=np.int64)
+    table[(0,) * d] = 1
+    table = _exact(table, 2 ** len(shifts) // 2)
+    for s in shifts:
+        table = table - _roll(table, s, p)
+    return table
 
 
 class GroupRingElem:

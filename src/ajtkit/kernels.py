@@ -1,15 +1,24 @@
 """Backend selection for the five kernels.
 
 Which backend runs is fixed at import: the compiled extension (_kernels.c)
-when it is built, the pure-Python twins in _kernels_py when it is not. An
-extension built from other sources (its API differs from this module's) is
-an ImportError naming the rebuild command, never a silent fallback. The
-compiled s1_exhaust takes any p >= 5 and returns its mask as little-endian
-bytes of length ceil(p/8); the scan takes any p >= 3 and its mask as such
-bytes. Each pair returns identical results: the same masks and node counts
-from s1_exhaust, the same hits in the same order from first_hit_scan, the
-same tensor from affine_product, the same flags from products_vanish, the
-same witnesses and units from first_witness.
+when it is built, the pure-Python twins in _kernels_py when it is not. The
+twins load only then: each dispatch imports _kernels_py when it has no
+extension to call, so with the extension built no module of the package
+imports them, and a process does not compile them. The helpers that both
+backends use live in modules that both load: the mask helpers, among them
+forbidden_masks, in ajtkit.masks, and the numpy factor expansion in
+ajtkit.group_ring. An extension built from other sources (its API differs
+from this module's) is an ImportError naming the rebuild command, never a
+silent fallback. The compiled s1_exhaust takes any p >= 5 and returns its
+mask as little-endian bytes of length ceil(p/8); the scan takes any p >= 3
+and its mask as such bytes. Each pair returns identical results: the same
+masks and node counts from s1_exhaust, the same hits in the same order from
+first_hit_scan, the same tensor from affine_product, the same flags from
+products_vanish, the same witnesses and units from first_witness.
+
+s1_exhaust also stops, on both, where its visited table and stack would
+grow past a cap in words, ceil(p/64) of them a mask: the same node, the
+same node count, and the flag `full` set.
 
 first_hit_scan answers the one question the S_k/N_k certificates ask of a
 set A: a centered scan finds, for each a in A, the least d with a + i*d in A
@@ -52,7 +61,7 @@ nonzero coordinate is set. The instances share a block of rows, and a batch
 gives each one more row of its own, so the sweep's stack of matrices with a
 common head is one call. Each row's forbidden images come as a collection
 of residues in [0, p), which this module turns into the p-bit masks the
-compiled side reads (_kernels_py.forbidden_masks). Each value tried is one
+compiled side reads (masks.forbidden_masks). Each value tried is one
 node and one unit, plus one unit for each row sum it updates; an instance
 stops once its units pass the cap, and so does the batch. Both backends
 walk the same nodes in the same order: the same witness from both, and the
@@ -66,11 +75,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels_py
+from .masks import forbidden_masks
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 8
+API = 9
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -98,12 +107,23 @@ _ext = _load_extension()
 
 BACKEND = "compiled" if _ext is not None else "pure"
 
-def s1_exhaust(p: int, limit: int, node_budget: int) -> tuple[int, bool, int]:
-    """(found_mask, exhausted, nodes) of _kernels_py.s1_exhaust, compiled when built."""
+
+def _pure():
+    """The pure twins, imported by the first call made without an extension."""
+    from . import _kernels_py
+
+    return _kernels_py
+
+
+def s1_exhaust(
+    p: int, limit: int, node_budget: int, words: int
+) -> tuple[int, bool, int, bool]:
+    """(found_mask, exhausted, nodes, full) of _kernels_py.s1_exhaust,
+    compiled when built."""
     if _ext is None:
-        return _kernels_py.s1_exhaust(p, limit, node_budget)
-    found, exhausted, nodes = _ext.s1_exhaust(p, limit, node_budget)
-    return int.from_bytes(found, "little"), exhausted, nodes
+        return _pure().s1_exhaust(p, limit, node_budget, words)
+    found, exhausted, nodes, full = _ext.s1_exhaust(p, limit, node_budget, words)
+    return int.from_bytes(found, "little"), exhausted, nodes, full
 
 
 def first_hit_scan(
@@ -111,7 +131,7 @@ def first_hit_scan(
 ) -> tuple[dict | None, int | None]:
     """(hits, least) of _kernels_py.first_hit_scan, compiled when built."""
     if _ext is None:
-        return _kernels_py.first_hit_scan(mask, p, k, forward, record)
+        return _pure().first_hit_scan(mask, p, k, forward, record)
     return _ext.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward, record)
 
 
@@ -122,7 +142,7 @@ def affine_product(
     (p,) * n tensor coeffs, compiled when built: a new tensor, coeffs untouched."""
     n = coeffs.ndim
     if _ext is None:
-        return _kernels_py.affine_product(coeffs, p, n, factors)
+        return _pure().affine_product(coeffs, p, n, factors)
     out = _ext.affine_product(np.ascontiguousarray(coeffs, dtype=np.int64), p, n, factors)
     return np.frombuffer(out, dtype=np.int64).reshape(coeffs.shape)
 
@@ -135,7 +155,7 @@ def products_vanish(
     int64, compiled when built: (int_zero, modp_zero), two (B,) bool arrays."""
     n = last.shape[1]
     if _ext is None:
-        return _kernels_py.products_vanish(head, last, p, n)
+        return _pure().products_vanish(head, last, p, n)
     flags = _ext.products_vanish(head, last, p, n)
     return tuple(np.frombuffer(f, dtype=bool) for f in flags)
 
@@ -154,8 +174,8 @@ def first_witness(
     when built: (found, witness, units), a (B,) bool, a (B, n) int64 and a
     (B,) int64 array, B = 1 without last."""
     if _ext is None:
-        return _kernels_py.first_witness(rows, last, forbidden, orders, p, cap)
-    masks = _kernels_py.forbidden_masks(p, forbidden)
+        return _pure().first_witness(rows, last, forbidden, orders, p, cap)
+    masks = forbidden_masks(p, forbidden)
     found, witness, units = _ext.first_witness(rows, last, masks, orders, p, cap)
     return (
         np.frombuffer(found, dtype=bool),

@@ -36,7 +36,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import kernels
-from ._kernels_py import _roll
 from .budget import Budget, current_budget
 from .errors import InputError
 from .fp_core import FpMatrix, _as_prime, _json_int, _json_int_rows, _vectors
@@ -49,6 +48,7 @@ from .fp_poly import (
 from .group_ring import (
     FactorSpec,
     ModPRing,
+    _roll,
     check_p3,
     check_p4,
     product_of_factors,

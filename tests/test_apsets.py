@@ -19,17 +19,13 @@ from ajtkit import apsets, kernels
 from ajtkit.apsets import (
     ApWitness,
     ResidueSet,
-    appendix_lookup,
     appendix_rows,
     build_s1_log,
     build_sk,
-    good_subsets,
     is_nk_type,
     is_sk_type,
     min_s1_search,
-    multipliers_valid,
     partition_nk,
-    random_multipliers,
     verify_appendix,
     witness_covers_centered,
     witness_covers_forward,
@@ -37,6 +33,12 @@ from ajtkit.apsets import (
 from ajtkit.budget import Budget
 from ajtkit.errors import BudgetExceeded, InputError, MathViolation
 from ajtkit.fp_core import FpMatrix
+from ajtkit.multipliers import (
+    appendix_lookup,
+    good_subsets,
+    multipliers_valid,
+    random_multipliers,
+)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -754,7 +756,7 @@ def test_reading_results_calls_no_public_function(n1_part):
     # reading a result back (elements, report fields, witness maps) runs no
     # public ajtkit function, so a tracer that wraps them charges nothing to
     # the reader; the first read shows that the probe sees such calls
-    for name in ("kernels", "_kernels_py", "fp_core", "properties"):
+    for name in ("kernels", "_kernels_py", "masks", "fp_core", "properties", "multipliers"):
         importlib.import_module(f"ajtkit.{name}")
     assert "ajtkit.apsets.build_s1_log" in public_ajtkit_calls(lambda: build_s1_log(13))
     found = min_s1_search(13)

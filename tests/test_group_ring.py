@@ -311,11 +311,11 @@ def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
     rng = np.random.default_rng(5)
     shifts = rng.integers(0, p, size=(5, 2))
     rolls = []
-    real = _kernels_py._roll
+    real = group_ring._roll
     monkeypatch.setattr(
-        _kernels_py, "_roll", lambda t, s, q: rolls.append(t.shape) or real(t, s, q)
+        group_ring, "_roll", lambda t, s, q: rolls.append(t.shape) or real(t, s, q)
     )
-    got = _kernels_py._expand(p, 2, shifts.tolist())
+    got = group_ring._expand(p, 2, shifts.tolist())
     assert got.dtype == np.int64
     assert rolls == [(p, p)] * 5  # each factor once
     assert np.array_equal(got, rolled_products(p, shifts[:, None])[0])

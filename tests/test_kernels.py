@@ -1,15 +1,17 @@
 """Parity between the compiled kernels and their pure-Python twins.
 
 Five kernels are compared. s1_exhaust must agree bit for bit: same found
-set, same exhausted flag, and the same node count, so that proven_optimal
-claims do not depend on which backend happened to import. first_hit_scan,
-behind every S_k/N_k certification, must return the same hits in the same
-order, ascending element, and the same least uncovered element, so that
-witness maps do not depend on the backend either: the compiled scan reads
-word windows around each element and the pure one rotates the mask, two
-independent methods, and both must give what the definition gives. The maps
-each scan builds, witness records included, must agree the same way, and a
-scan asked for no map must name the same least uncovered element.
+set, same exhausted flag, the same node count and the same stop where its
+table and stack would pass their cap in words, so that proven_optimal
+claims and budget stops do not depend on which backend happened to
+import. first_hit_scan, behind every S_k/N_k certification, must return
+the same hits in the same order, ascending element, and the same least
+uncovered element, so that witness maps do not depend on the backend
+either: the compiled scan reads word windows around each element and the
+pure one rotates the mask, two independent methods, and both must give
+what the definition gives. The maps each scan builds, witness records
+included, must agree the same way, and a scan asked for no map must name
+the same least uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
 backends the tensor that the same factors give through mul_reduce, by the
 shift route and by the interpolate route. products_vanish, behind the
@@ -42,9 +44,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ajtkit import _kernels_py, apsets, fp_core, group_ring, kernels, properties
+from ajtkit.budget import Budget
 from ajtkit.fp_poly import ReducedPoly, mul_reduce
 
 PRIMES = [5, 7, 11, 13, 17, 19, 23]
+# the words of table and stack that the default entries budget allows
+WORDS = Budget().entries
 
 
 @pytest.fixture
@@ -77,8 +82,8 @@ def naive_witness_mask(mask, p):
 @pytest.mark.parametrize("p", PRIMES)
 def test_exhaust_parity(ext, p):
     for limit in range(3, 2 * p.bit_length() + 3):
-        got_c = ext.s1_exhaust(p, limit, 10**8)
-        got_py = _kernels_py.s1_exhaust(p, limit, 10**8)
+        got_c = ext.s1_exhaust(p, limit, 10**8, WORDS)
+        got_py = _kernels_py.s1_exhaust(p, limit, 10**8, WORDS)
         assert got_c == got_py
 
 
@@ -86,18 +91,18 @@ def test_exhaust_parity(ext, p):
 def test_exhaust_parity_multi_limb(ext, p):
     # 3 to 16 64-bit limbs; 257 is the largest appendix row
     for limit in range(3, 6):
-        got_c = ext.s1_exhaust(p, limit, 10**8)
-        assert got_c == _kernels_py.s1_exhaust(p, limit, 10**8)
-        assert got_c[0] == 0 and got_c[1] is True and got_c[2] > 0
+        got_c = ext.s1_exhaust(p, limit, 10**8, WORDS)
+        assert got_c == _kernels_py.s1_exhaust(p, limit, 10**8, WORDS)
+        assert got_c[0] == 0 and got_c[1] is True and got_c[2] > 0 and got_c[3] is False
 
 
 def test_exhaust_parity_found_set(ext):
     # size 8 is the minimum at 67: the search stops on the first set found
-    got_c = ext.s1_exhaust(67, 8, 10**8)
-    assert got_c == _kernels_py.s1_exhaust(67, 8, 10**8)
-    found, exhausted, _ = got_c
+    got_c = ext.s1_exhaust(67, 8, 10**8, WORDS)
+    assert got_c == _kernels_py.s1_exhaust(67, 8, 10**8, WORDS)
+    found, exhausted, _, full = got_c
     aset = apsets.ResidueSet(67, found)
-    assert exhausted is True
+    assert exhausted is True and full is False
     assert len(aset) == 8
     assert apsets.is_sk_type(aset, 1).ok
 
@@ -116,7 +121,7 @@ def test_pure_witness_mask_semantics():
 
 def test_exhaust_found_set_is_s1():
     for p in (11, 13, 17):
-        found, exhausted, nodes = kernels.s1_exhaust(p, 6, 10**8)
+        found, exhausted, nodes, _ = kernels.s1_exhaust(p, 6, 10**8, WORDS)
         if found:
             aset = apsets.ResidueSet(p, found)
             assert apsets.is_sk_type(aset, 1).ok
@@ -130,20 +135,62 @@ def test_exhaust_found_set_is_s1():
 def test_exhaust_respects_node_budget(ext, p, limit, cap):
     # each cap is below the tree size (11150 nodes at p = 61, limit 7), so
     # the search stops at the first node past it and reports exhausted=False
-    capped = _kernels_py.s1_exhaust(p, limit, cap)
-    assert capped == (0, False, cap + 1)
-    assert ext.s1_exhaust(p, limit, cap) == capped
+    capped = _kernels_py.s1_exhaust(p, limit, cap, WORDS)
+    assert capped == (0, False, cap + 1, False)
+    assert ext.s1_exhaust(p, limit, cap, WORDS) == capped
+
+
+# masks of table and stack: the first table and stack hold 1024 + 256, the
+# table doubles at 60% load and the stack when full
+@pytest.mark.parametrize("masks", [0, 1279, 1280, 2303, 2304, 4351, 4352, 8448, 16640])
+@pytest.mark.parametrize("p, limit", [(61, 7), (101, 6), (331, 5)])
+def test_exhaust_respects_word_cap(ext, p, limit, masks):
+    # both stop at the visit or push that would pass the cap, at the same
+    # node, with full set; a cap that holds the whole search changes nothing
+    words = masks * -(-p // 64)
+    got = ext.s1_exhaust(p, limit, 10**8, words)
+    assert got == _kernels_py.s1_exhaust(p, limit, 10**8, words)
+    whole = ext.s1_exhaust(p, limit, 10**8, WORDS)
+    found, exhausted, nodes, full = got
+    if full:
+        assert (found, exhausted) == (0, False) and nodes < whole[2]
+        assert nodes == 0 if masks < 1280 else nodes > 0
+    else:
+        assert got == whole
+    # a word short of the masks is a mask short
+    assert ext.s1_exhaust(p, limit, 10**8, words - 1) == _kernels_py.s1_exhaust(
+        p, limit, 10**8, words - 1
+    )
+
+
+def test_exhaust_word_cap_stops_at_a_growth():
+    # at p = 61, limit 7 (one word a mask) the table doubles to 2048 slots
+    # at its 615th visit, and a cap of 2303 masks stops the search there
+    # with fewer nodes than one of 2304, which lets it grow once more
+    short = _kernels_py.s1_exhaust(61, 7, 10**8, 2303)
+    longer = _kernels_py.s1_exhaust(61, 7, 10**8, 2304)
+    assert short[:2] == longer[:2] == (0, False) and short[3] and longer[3]
+    assert 0 < short[2] < longer[2] < 11150
 
 
 def test_exhaust_budget_beyond_64_bits(ext):
     for cap in (10**30, -(10**30)):
-        assert ext.s1_exhaust(13, 5, cap) == _kernels_py.s1_exhaust(13, 5, cap)
+        for words in (WORDS, 10**30, -(10**30)):
+            assert ext.s1_exhaust(13, 5, cap, words) == _kernels_py.s1_exhaust(13, 5, cap, words)
+
+
+def test_exhaust_below_two_elements_answers_before_the_cap(ext):
+    # limit < 2 answers before the first table and stack are charged
+    for words in (0, WORDS):
+        for limit in (-1, 0, 1):
+            assert ext.s1_exhaust(1000003, limit, 10, words) == (0, True, 0, False)
+            assert _kernels_py.s1_exhaust(1000003, limit, 10, words) == (0, True, 0, False)
 
 
 def test_exhaust_rejects_p_out_of_range(compiled):
     for p in (3, 2, 0, -7):
         with pytest.raises(ValueError):
-            compiled.s1_exhaust(p, 5, 10)
+            compiled.s1_exhaust(p, 5, 10, WORDS)
 
 
 SCAN_PRIMES = [5, 7, 61, 67, 127, 131, 257, 1009, 20011]
