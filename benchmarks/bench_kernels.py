@@ -2,8 +2,8 @@
 
 Both backends expose the same five kernels, s1_exhaust, first_hit_scan,
 affine_product, products_vanish and first_witness, and must return
-identical results: node counts included for the search, hits in the same
-order for the scan, the same tensor for the product, the same flags for the
+identical results: node counts included for the search, the same hits
+buffer for the scan, the same tensor for the product, the same flags for the
 sweep's products, the same witnesses and units for the witness search. This
 script times them side by side on the workloads that dominate real use:
 exhausting all sets below the optimum and finding a minimum set one size
@@ -11,17 +11,22 @@ up, and the certification scans. The compiled side runs through
 ajtkit.kernels, which carries the mask across as bytes. The compiled search
 table times s1_exhaust alone at sizes the pure search would take minutes
 for, with its node counts. The scan table times first_hit_scan on each
-backend, asked for no map, so the kernel's own work, and with a map: the
-log set at p = 9973, one N_1 part of F_20011 inside and outside, a dense
-random half of F_20011 at k = 3 and a sparse set's forward scan at k = 2.
-It asserts that both backends give the same hits in the same order and the
-same least element left without a witness. The witness-map rows time
+backend, asked for no hits, so the kernel's own work, and for its hits
+buffer, and then the first full read of its records, which
+kernels._witness_records builds from the buffer: the log set at p = 9973,
+one N_1 part of F_20011 inside and outside, a dense random half of F_20011
+at k = 3 and a sparse set's forward scan at k = 2, which stops at the first
+element it leaves without a witness and so returns no hits. It asserts that
+both backends give the same hits buffer, byte for byte, the same least
+element left without a witness and the same records. The witness-map rows time
 is_nk_type on the N_1 part, per backend, against its two scans asked for no
-map; the difference is the cost of the maps and their records, which the
-scans build themselves. Both backends must give equal reports. The
-label-draw row times partition_nk's bulk label draw against p calls of
-random.randrange, and asserts the same labels and the same generator state
-after.
+hits, and then the first read of both its maps, which builds their
+records. Both backends must give equal reports. The full-field row runs
+is_sk_type of all of F_1000003 at k = 2 in a fresh interpreter, on the
+backend that imported, with its wall time and the peak RSS it adds, asked
+for the map's length only. The label-draw row times partition_nk's bulk
+label draw against p calls of random.randrange, and asserts the same labels
+and the same generator state after.
 
 The affine-product table times prod_i <a_i, x>^(r_i), with the exponents
 summing to n(p - 1)/2 as in a duality check, by affine_product on each
@@ -55,7 +60,10 @@ Run from a checkout with the package installed:
 
 import contextlib
 import io
+import json
 import random
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -92,6 +100,49 @@ def scan_cases():
     yield "dense half set, S_3", 20011, 3, rng.getrandbits(20011), False
     sparse = sum(1 << e for e in rng.sample(range(20011), 282))
     yield "sparse set, forward k = 2", 20011, 2, sparse, True
+
+
+# is_sk_type of the full field in a fresh interpreter: (seconds, MB of peak
+# RSS above the RSS before the call), read from /proc/self/status (Linux):
+# VmHWM is this process's own peak, where getrusage's ru_maxrss also counts
+# the parent's at the fork before exec
+FULL_FIELD = """
+import json, sys, time
+from ajtkit import apsets
+
+def status_mb(field):
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith(field)) / 1024
+
+p, k = int(sys.argv[1]), int(sys.argv[2])
+full = apsets.ResidueSet(p, (1 << p) - 1)
+rss = status_mb("VmRSS:")
+t0 = time.perf_counter()
+report = apsets.is_sk_type(full, k)
+t = time.perf_counter() - t0
+assert report.ok and len(report.witnesses) == p
+print(json.dumps([t, status_mb("VmHWM:") - rss]))
+"""
+
+
+def full_field(p, k):
+    """(seconds, MB of peak RSS added) of is_sk_type of all of F_p at radius
+    k, in a fresh interpreter, asked for the map's length only."""
+    out = subprocess.run([sys.executable, "-c", FULL_FIELD, str(p), str(k)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def first_read(ext, part, repeat):
+    """(best seconds, report) of the first read of both witness maps of a
+    fresh is_nk_type report of part, which builds their records."""
+    best, report = float("inf"), None
+    for _ in range(repeat):
+        report = route_on(ext, apsets.is_nk_type, part, 1)
+        t0 = time.perf_counter()
+        route_on(ext, lambda: (report.inside.values(), report.outside.values()))
+        best = min(best, time.perf_counter() - t0)
+    return best, report
 
 
 def route_on(ext, fn, *args):
@@ -290,26 +341,35 @@ def main():
         print()
     # scans take micro- to milliseconds, so each time is the best of three calls
     header = f"{'scan':<28}{'p':>6}{'k':>3}{'|A|':>7}{'hits':>7}{'backend':>10}"
-    header += f"{'no map (s)':>12}{'map (s)':>10}"
+    header += f"{'no hits (s)':>13}{'hits (s)':>10}{'records read (s)':>18}"
     print(header)
     print("-" * len(header))
     for label, p, k, mask, forward in scan_cases():
-        want = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
+        want = _kernels_py.first_hit_scan(mask, p, k, forward, True)
+        records = want[0] and _kernels_py._hit_map(want[0], k, apsets.ApWitness)
         for backend, ext in BACKENDS:
-            t_map, got = timed(route_on, ext, kernels.first_hit_scan, mask, p, k, forward,
-                               tuple, repeat=3)
+            t_hits, got = timed(route_on, ext, kernels.first_hit_scan, mask, p, k, forward,
+                                True, repeat=3)
             t_scan, least = timed(route_on, ext, kernels.first_hit_scan, mask, p, k,
-                                  forward, None, repeat=3)
-            assert list(got[0].items()) == list(want[0].items()) and got[1] == want[1], (
-                f"scan mismatch on {label}, {backend}"
-            )
+                                  forward, False, repeat=3)
+            assert got == want, f"scan mismatch on {label}, {backend}"
             assert least == (None, want[1]), f"least mismatch on {label}, {backend}"
-            line = f"{label:<28}{p:>6}{k:>3}{mask.bit_count():>7}{len(got[0]):>7}"
-            print(line + f"{backend:>10}{t_scan:>12.5f}{t_map:>10.5f}")
+            # a scan that leaves an element without a witness has no records
+            found, read = "-", "-"
+            if got[0] is not None:
+                t_read, built = timed(route_on, ext, kernels._witness_records, got[0], k,
+                                      apsets.ApWitness, repeat=3)
+                assert list(built.items()) == list(records.items()), (
+                    f"records mismatch on {label}, {backend}"
+                )
+                found, read = len(built), f"{t_read:.5f}"
+            line = f"{label:<28}{p:>6}{k:>3}{mask.bit_count():>7}{found:>7}"
+            print(line + f"{backend:>10}{t_scan:>13.5f}{t_hits:>10.5f}{read:>18}")
     print()
-    # is_nk_type with its witness maps, and the same two scans with no map
-    header = f"{'witness map':<28}{'p':>6}{'witnesses':>10}{'no map (s)':>12}"
-    header += f"{'is_nk_type (s)':>16}{'maps (s)':>10}"
+    # is_nk_type with its witness maps, the same two scans with no hits, and
+    # the first read of both maps
+    header = f"{'witness map':<28}{'p':>6}{'witnesses':>10}{'no hits (s)':>13}"
+    header += f"{'is_nk_type (s)':>16}{'first read (s)':>16}"
     print(header)
     print("-" * len(header))
     part = apsets.partition_nk(20011, 1, seed=0).parts[0]
@@ -317,20 +377,32 @@ def main():
     reports = []
     for backend, ext in BACKENDS:
         t_scan, _ = timed(route_on, ext, lambda: (
-            kernels.first_hit_scan(mask, p, 1, False, None),
-            kernels.first_hit_scan(mask, p, 1, True, None)), repeat=5)
-        t_map, report = timed(route_on, ext, apsets.is_nk_type, part, 1, repeat=5)
+            kernels.first_hit_scan(mask, p, 1, False, False),
+            kernels.first_hit_scan(mask, p, 1, True, False)), repeat=5)
+        t_nk, report = timed(route_on, ext, apsets.is_nk_type, part, 1, repeat=5)
+        t_read, report = first_read(ext, part, repeat=5)
         assert report.ok
         reports.append(report)
         found = len(report.inside) + len(report.outside)
-        print(f"{'N_1 part, ' + backend:<28}{p:>6}{found:>10}{t_scan:>12.5f}"
-              f"{t_map:>16.5f}{t_map - t_scan:>10.5f}")
+        print(f"{'N_1 part, ' + backend:<28}{p:>6}{found:>10}{t_scan:>13.5f}"
+              f"{t_nk:>16.5f}{t_read:>16.5f}")
     assert all(
         list(r.inside.items()) == list(reports[0].inside.items())
         and list(r.outside.items()) == list(reports[0].outside.items())
         for r in reports
     ), "witness maps differ between backends"
     print()
+    if COMPILED:
+        # the whole field is S_k, so the scan hits every element at d = 1
+        header = f"{'full field':<28}{'p':>8}{'k':>3}{'witnesses':>10}"
+        header += f"{'is_sk_type (s)':>16}{'RSS added (MB)':>16}"
+        print(header)
+        print("-" * len(header))
+        p, k = 1000003, 2
+        t, added = full_field(p, k)
+        print(f"{'is_sk_type, ' + kernels.BACKEND:<28}{p:>8}{k:>3}{p:>10}{t:>16.4f}"
+              f"{added:>16.1f}")
+        print()
     # partition_nk's labels: one bulk draw against p randrange calls
     header = f"{'label draw':<28}{'p':>6}{'parts':>7}{'randrange (s)':>15}"
     header += f"{'bulk (s)':>10}{'speedup':>9}"

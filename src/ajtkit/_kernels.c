@@ -25,9 +25,13 @@
    least d with b + i*d in A for 1 <= i <= k. The pure twin rotates the
    mask; this one reads each element's candidates off word windows of the
    mask (and of its mirror, centered) and visits the elements in ascending
-   order. It returns its map finished (struct Hits), of records of a tuple
-   type the caller passes in, or no map, and the least element left without
-   a witness.
+   order, but for the forward scan at k = 1, whose witnesses are the gaps
+   to the next element, filled in one pass. Asked for them, it returns its
+   hits (struct Hits) as one bytes buffer of int32, the elements and then
+   their steps, and it stops at the first element left without a witness,
+   which it returns in place of the hits. _witness_records turns a hits
+   buffer into the map of records of a tuple type the caller passes in,
+   when a caller first reads it.
 
    affine_product mirrors _kernels_py.affine_product: a reduced polynomial
    over F_p in n variables, held as its p^n int64 coefficients, times a list
@@ -58,7 +62,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 9            /* bumped whenever a kernel's signature or result changes */
+#define API 10           /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -199,76 +203,25 @@ static void window_masks(const u64 *a, int n, int p, u64 *D, u64 *M, u64 *R)
     double_mask(R, n, p, M);
 }
 
-/* The map a scan returns. map is NULL when none is built (record None);
-   otherwise each hit e goes in as e -> record(e, d, k), built as tuple's own
-   constructor builds it (record_new), which hits_init allows only for a
-   tuple subclass laid out as tuple: no instance dict, no extra slots. Such a
-   record holds three ints and can close no reference cycle, so it leaves
-   the collector's lists at once, as CPython untracks a tuple of atoms at its
-   first collection; a re-certified N_1 part makes about 20k of them. */
+/* The hits a scan returns: one bytes buffer of 2 count int32, count the
+   elements it asks about, allocated once and filled as they are found, the
+   elements in ascending order and then their steps, 8 bytes a hit. buf is
+   NULL when none are asked for. A re-certified N_1 part has about 20k
+   hits, which as records and their dict held some 150 bytes each; here
+   they hold 8, and no caller but a reader of the records builds those
+   (_witness_records). */
 typedef struct {
-    PyObject *map;
-    PyTypeObject *record;
-    PyObject *k;
+    PyObject *buf;
+    int32_t *at;
+    Py_ssize_t count, filled;
 } Hits;
 
-static int hits_init(Hits *h, PyObject *record, PyObject *k)
+static void hits_add(Hits *h, int e, int d)
 {
-    PyTypeObject *t = (PyTypeObject *)record;
-    h->map = NULL;
-    h->record = t;
-    h->k = k;
-    if (record == Py_None)
-        return 0;
-    if (!PyType_Check(record) || !PyType_IsSubtype(t, &PyTuple_Type) ||
-        t->tp_basicsize != PyTuple_Type.tp_basicsize ||
-        t->tp_itemsize != PyTuple_Type.tp_itemsize) {
-        PyErr_SetString(PyExc_TypeError,
-                        "record must be None or a tuple subclass without instance fields");
-        return -1;
-    }
-    h->map = PyDict_New();
-    return h->map == NULL ? -1 : 0;
-}
-
-/* record(key, step, k), untracked. Before 3.14 a tuple subclass's own
-   constructor (tuple_subtype_new) is tp_alloc plus the items, so the record
-   is built that way here; from 3.14 a tuple also caches its hash, which that
-   constructor initialises, so the record goes through it. */
-static PyObject *record_new(Hits *h, PyObject *key, PyObject *step)
-{
-    PyObject *value;
-#if PY_VERSION_HEX < 0x030E0000
-    if ((value = h->record->tp_alloc(h->record, 3)) == NULL)
-        return NULL;
-    PyTuple_SET_ITEM(value, 0, Py_NewRef(key));
-    PyTuple_SET_ITEM(value, 1, Py_NewRef(step));
-    PyTuple_SET_ITEM(value, 2, Py_NewRef(h->k));
-#else
-    PyObject *fields = PyTuple_Pack(3, key, step, h->k);
-    PyObject *args = fields == NULL ? NULL : PyTuple_Pack(1, fields);
-    value = args == NULL ? NULL : PyTuple_Type.tp_new(h->record, args, NULL);
-    Py_XDECREF(fields);
-    Py_XDECREF(args);
-    if (value == NULL)
-        return NULL;
-#endif
-    PyObject_GC_UnTrack(value);
-    return value;
-}
-
-static int hits_add(Hits *h, long e, long d)
-{
-    if (h->map == NULL)
-        return 0;
-    PyObject *key = PyLong_FromLong(e), *step = PyLong_FromLong(d), *value = NULL;
-    if (key != NULL && step != NULL)
-        value = record_new(h, key, step);
-    int status = value == NULL || PyDict_SetItem(h->map, key, value) < 0 ? -1 : 0;
-    Py_XDECREF(key);
-    Py_XDECREF(step);
-    Py_XDECREF(value);
-    return status;
+    if (h->buf == NULL)
+        return;
+    h->at[h->filled] = e;
+    h->at[h->count + h->filled++] = d;
 }
 
 /* 1 if e + i*d lies in A for every 2 <= i <= k, and e - i*d too when
@@ -311,14 +264,13 @@ static int least_witness(const u64 *a, const u64 *D, const u64 *M, int e, int p,
 
 /* The scan proper: the elements it asks about, A centered or its
    complement forward, in ascending order, each hit added to h as it is
-   found. Returns the least element left without a witness, -1 for none,
-   or -2 with an exception set; with no map to build it stops at that
-   element. The cost is the sum over the elements e of ceil(d_e / 64)
-   windows, d_e the witness of e, or its whole range when it has none. */
+   found. Returns the first element left without a witness, where it
+   stops, or -1 for none. The cost is the sum over the elements e of
+   ceil(d_e / 64) windows, d_e the witness of e, or its whole range for the
+   one that has none. */
 static int scan_elements(const u64 *a, int n, int p, int k, int forward, const u64 *D,
                          const u64 *M, Hits *h)
 {
-    int least = -1;
     for (int i = 0; i < n; i++) {
         u64 w = forward ? ~a[i] : a[i];
         if (i == n - 1 && p & 63)
@@ -326,16 +278,32 @@ static int scan_elements(const u64 *a, int n, int p, int k, int forward, const u
         for (; w; w &= w - 1) {
             int e = 64 * i + __builtin_ctzll(w);
             int d = least_witness(a, D, forward ? NULL : M, e, p, k);
-            if (d && hits_add(h, e, d) < 0)
-                return -2;
-            if (!d && least < 0) {
-                least = e;
-                if (h->map == NULL)
-                    return least;
-            }
+            if (!d)
+                return e;
+            hits_add(h, e, d);
         }
     }
-    return least;
+    return -1;
+}
+
+/* The forward hits at k = 1 of the nonempty n-limb mask a: each b outside
+   A at its distance to the next element of A, cyclically. One pass over
+   A's elements, ascending, fills the gap below each, and the last gap
+   wraps to the first element. */
+static void gap_hits(const u64 *a, int n, int p, Hits *h)
+{
+    int first = -1, prev = -1;
+    for (int i = 0; i < n; i++)
+        for (u64 w = a[i]; w; w &= w - 1) {
+            int e = 64 * i + __builtin_ctzll(w);
+            if (first < 0)
+                first = e;
+            for (int b = prev + 1; b < e; b++)
+                hits_add(h, b, e - b);
+            prev = e;
+        }
+    for (int b = prev + 1; b < p; b++)
+        hits_add(h, b, first + p - b);
 }
 
 /* found is 3 L zeroed limbs, the found mask, the node and a child, then
@@ -347,7 +315,7 @@ static int search(Search *s, int limit, long long budget, u64 *found,
     size_t bytes = L * sizeof(u64);
     u64 *a = found + L, *child = a + L, *D = child + L, *M = D + doubled_limbs(p),
         *R = M + doubled_limbs(p);
-    Hits none = {NULL, NULL, NULL};
+    Hits none = {NULL, NULL, 0, 0};
 
     a[0] = 3;
     if (visit(s, a) < 0 || push(s, a) < 0)
@@ -473,19 +441,22 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
     return result;
 }
 
-/* first_hit_scan(mask, p, k, forward, record) -> (map or None, the least
+/* first_hit_scan(mask, p, k, forward, hits) -> (hits or None, the least
    element left without a witness or None). A centered scan targets A
-   itself, a forward one the complement of A. A forward scan at k = 1 hits
+   itself, a forward one the complement of A. The hits, when asked for and
+   every target has a witness, are a bytes buffer of 2 count int32: the
+   count targets ascending, then their steps. A forward scan at k = 1 hits
    every b outside A, at its distance to the next element, unless A is
-   empty, which leaves 0; asked for no map, it answers from that in O(L). */
+   empty, which leaves 0; it answers in one pass over A (gap_hits), and
+   asked for no hits from whether A is empty, in O(L). */
 static PyObject *first_hit_scan(PyObject *self, PyObject *args)
 {
     Py_buffer buf;
-    int p, k, forward;
-    PyObject *record, *k_obj = NULL, *result = NULL;
-    if (!PyArg_ParseTuple(args, "y*iipO:first_hit_scan", &buf, &p, &k, &forward, &record))
+    int p, k, forward, want;
+    PyObject *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*iipp:first_hit_scan", &buf, &p, &k, &forward, &want))
         return NULL;
-    Hits h = {NULL, NULL, NULL};
+    Hits h = {NULL, NULL, 0, 0};
     u64 *a = NULL;
     if (p < 3 || k < 1 || k > (p - 1) / 2) {
         PyErr_Format(PyExc_ValueError, "scans need p >= 3 and 2k + 1 <= p, got p = %d, "
@@ -502,27 +473,123 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
     u64 *R = a + n, *D = R + n + 1, *M = D + doubled_limbs(p);
     if (read_mask(&buf, p, a, n) < 0)
         goto done;
-    k_obj = PyLong_FromLong(k);
-    if (k_obj == NULL || hits_init(&h, record, k_obj) < 0)
-        goto done;
-    int least = -1;
-    if (forward && k == 1 && h.map == NULL) {
-        least = 0;
-        for (int i = 0; i < n; i++)
-            if (a[i])
-                least = -1;
+    int size = 0;
+    for (int i = 0; i < n; i++)
+        size += __builtin_popcountll(a[i]);
+    h.count = forward ? p - size : size;
+    if (want) {
+        h.buf = PyBytes_FromStringAndSize(NULL, 2 * h.count * (Py_ssize_t)sizeof(int32_t));
+        if (h.buf == NULL)
+            goto done;
+        h.at = (int32_t *)PyBytes_AS_STRING(h.buf);
+    }
+    int least;
+    if (forward && k == 1) {
+        least = size ? -1 : 0;
+        if (size)
+            gap_hits(a, n, p, &h);
     } else {
         window_masks(a, n, p, D, forward ? NULL : M, R);
-        if ((least = scan_elements(a, n, p, k, forward, D, M, &h)) == -2)
+        least = scan_elements(a, n, p, k, forward, D, M, &h);
+    }
+    if (least >= 0)
+        Py_CLEAR(h.buf);
+    PyObject *hits = h.buf ? h.buf : Py_None;
+    result = least < 0 ? Py_BuildValue("(OO)", hits, Py_None)
+                       : Py_BuildValue("(Oi)", hits, least);
+done:
+    Py_XDECREF(h.buf);
+    free(a);
+    PyBuffer_Release(&buf);
+    return result;
+}
+
+/* record(key, step, k), untracked. Before 3.14 a tuple subclass's own
+   constructor (tuple_subtype_new) is tp_alloc plus the items, so the record
+   is built that way here; from 3.14 a tuple also caches its hash, which that
+   constructor initialises, so the record goes through it. */
+static PyObject *record_new(PyTypeObject *record, PyObject *key, PyObject *step, PyObject *k)
+{
+    PyObject *value;
+#if PY_VERSION_HEX < 0x030E0000
+    if ((value = record->tp_alloc(record, 3)) == NULL)
+        return NULL;
+    PyTuple_SET_ITEM(value, 0, Py_NewRef(key));
+    PyTuple_SET_ITEM(value, 1, Py_NewRef(step));
+    PyTuple_SET_ITEM(value, 2, Py_NewRef(k));
+#else
+    PyObject *fields = PyTuple_Pack(3, key, step, k);
+    PyObject *args = fields == NULL ? NULL : PyTuple_Pack(1, fields);
+    value = args == NULL ? NULL : PyTuple_Type.tp_new(record, args, NULL);
+    Py_XDECREF(fields);
+    Py_XDECREF(args);
+    if (value == NULL)
+        return NULL;
+#endif
+    PyObject_GC_UnTrack(value);
+    return value;
+}
+
+/* An empty dict with room for count items, so that filling it never
+   resizes it. The presizing call is private to CPython, so only the
+   versions this file is known to build against use it. */
+static PyObject *dict_sized(Py_ssize_t count)
+{
+#if PY_VERSION_HEX < 0x030E0000
+    return _PyDict_NewPresized(count);
+#else
+    (void)count;
+    return PyDict_New();
+#endif
+}
+
+/* _witness_records(hits, k, record) -> {e: record(e, d, k)} for the hits of
+   a scan at radius k, in their order. record must be a tuple subclass laid
+   out as tuple, no instance dict and no extra slots, since each record is
+   built as tuple's own constructor builds it (record_new). Such a record
+   holds three ints and can close no reference cycle, so it leaves the
+   collector's lists at once, as CPython untracks a tuple of atoms at its
+   first collection. */
+static PyObject *witness_records(PyObject *self, PyObject *args)
+{
+    Py_buffer buf;
+    int k;
+    PyObject *record, *k_obj = NULL, *map = NULL, *result = NULL;
+    if (!PyArg_ParseTuple(args, "y*iO:_witness_records", &buf, &k, &record))
+        return NULL;
+    PyTypeObject *t = (PyTypeObject *)record;
+    if (!PyType_Check(record) || !PyType_IsSubtype(t, &PyTuple_Type) ||
+        t->tp_basicsize != PyTuple_Type.tp_basicsize ||
+        t->tp_itemsize != PyTuple_Type.tp_itemsize) {
+        PyErr_SetString(PyExc_TypeError, "record must be a tuple subclass without instance fields");
+        goto done;
+    }
+    if (buf.len % (2 * sizeof(int32_t))) {
+        PyErr_Format(PyExc_ValueError, "hits must be 2 int32 a hit, got %zd bytes", buf.len);
+        goto done;
+    }
+    Py_ssize_t count = buf.len / (2 * sizeof(int32_t));
+    const char *at = buf.buf;
+    if ((k_obj = PyLong_FromLong(k)) == NULL || (map = dict_sized(count)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        int32_t e, d;
+        memcpy(&e, at + i * sizeof(int32_t), sizeof e);
+        memcpy(&d, at + (count + i) * sizeof(int32_t), sizeof d);
+        PyObject *key = PyLong_FromLong(e), *step = PyLong_FromLong(d), *value = NULL;
+        if (key != NULL && step != NULL)
+            value = record_new(t, key, step, k_obj);
+        int status = value == NULL ? -1 : PyDict_SetItem(map, key, value);
+        Py_XDECREF(key);
+        Py_XDECREF(step);
+        Py_XDECREF(value);
+        if (status < 0)
             goto done;
     }
-    PyObject *map = h.map ? h.map : Py_None;
-    result = least < 0 ? Py_BuildValue("(OO)", map, Py_None)
-                       : Py_BuildValue("(Oi)", map, least);
+    result = Py_NewRef(map);
 done:
-    Py_XDECREF(h.map);
+    Py_XDECREF(map);
     Py_XDECREF(k_obj);
-    free(a);
     PyBuffer_Release(&buf);
     return result;
 }
@@ -1048,9 +1115,13 @@ static PyMethodDef methods[] = {
      "Same contract and traversal as ajtkit._kernels_py.s1_exhaust, with the\n"
      "found mask as little-endian bytes of length ceil(p/8)."},
     {"first_hit_scan", first_hit_scan, METH_VARARGS,
-     "first_hit_scan(mask, p, k, forward, record) -> (hits, least)\n\n"
+     "first_hit_scan(mask, p, k, forward, hits) -> (hits, least)\n\n"
      "Same contract as ajtkit._kernels_py.first_hit_scan, with the mask as\n"
      "little-endian bytes of length ceil(p/8)."},
+    {"_witness_records", witness_records, METH_VARARGS,
+     "_witness_records(hits, k, record) -> dict\n\n"
+     "Same contract as ajtkit._kernels_py._hit_map, with each record untracked\n"
+     "by the garbage collector."},
     {"affine_product", affine_product, METH_VARARGS,
      "affine_product(tensor, p, n, factors) -> bytearray\n\n"
      "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"

@@ -5,7 +5,7 @@ the witness search.
 These twins load only without the compiled extension: ajtkit.kernels
 imports this module when it has no extension to call, and the parity tests
 and perfbench import it by name. The helpers both backends share live where
-the package uses them: the mask helpers (_rotl, _bits, forbidden_masks) in
+the package uses them: the mask helpers (_rotl, forbidden_masks) in
 ajtkit.masks, and the numpy factor expansion (_expand, _roll, _rotation) in
 ajtkit.group_ring, whose factor products it serves first.
 
@@ -13,13 +13,15 @@ Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
 scan answers the S_k/N_k question at radius k: centered, the least d with
 a + i*d in A for 0 < |i| <= k for each a in A; forward, the least d with
 b + i*d in A for 1 <= i <= k for each b outside A. first_hit_scan rotates
-the mask, one difference at a time, and returns its map finished, as
-records of a tuple type it is given listed by ascending element, or no map
-at all, and the least element left without a witness. The compiled twin in
+the mask, one difference at a time, and returns its hits, when asked for
+and every element has a witness, as one buffer of int32, the elements in
+ascending order and then their steps, or the least element left without a
+witness; _hit_map turns such a buffer into the map of records of a tuple
+type it is given, for a caller that reads them. The compiled twin in
 _kernels.c implements s1_exhaust with the same traversal order and the same
 table and stack sizes, and the scan by word windows around each element, a
-method of its own, with the same map in the same order; the backends must
-stay byte-for-byte interchangeable.
+method of its own, with the same hits buffer byte for byte; the backends
+must stay byte-for-byte interchangeable.
 
 affine_product multiplies a reduced polynomial over F_p, its coefficient
 tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
@@ -45,12 +47,12 @@ from __future__ import annotations
 
 import operator
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .group_ring import _expand, _rotation
-from .masks import _bits, _rotl, forbidden_masks
+from .masks import _rotl, forbidden_masks
 
 _INT64_MAX = 2**63 - 1
 
@@ -99,7 +101,7 @@ def s1_exhaust(
         if nodes > node_budget:
             return (0, False, nodes, False)
         # repair the least element without a centered witness
-        _, e = first_hit_scan(a, p, 1, False, None)
+        _, e = first_hit_scan(a, p, 1, False, False)
         if e is None:
             return (a, True, nodes, False)
         # descending d, so that pops see ascending d; a child that fits is a
@@ -124,30 +126,30 @@ def s1_exhaust(
 
 
 def first_hit_scan(
-    mask: int, p: int, k: int, forward: bool, record: type | None
-) -> tuple[dict | None, int | None]:
+    mask: int, p: int, k: int, forward: bool, hits: bool
+) -> tuple[bytes | None, int | None]:
     """The least difference d witnessing each element the scan asks about.
 
     A centered scan (forward False) asks, for each a in A = `mask`, for the
     least d with a + i*d in A for every 0 < |i| <= k; a forward scan asks,
     for each b outside A, for the least d with b + i*d in A for 1 <= i <= k.
     For d = 1, 2, ... the elements still without a witness are ANDed with
-    the translates A - i*d. Returns (hits, least): hits maps each element e,
-    in ascending order, to record(e, d, k), or is None when record is None;
-    least is the least element left without a witness, None when there is
-    none. A forward scan at k = 1 hits every b outside A, at its distance
-    to the next element, unless A is empty, which leaves 0: asked for no
-    map, it answers from that alone. ValueError for p < 3, k outside
-    [1, (p - 1)/2] or a mask bit at or above p; TypeError for a record that
-    is neither None nor a tuple type.
+    the translates A - i*d. Returns (hits, least): least is the least
+    element left without a witness, None when there is none; hits is None
+    when one is left or `hits` is false, and otherwise one buffer of native
+    int32, the elements in ascending order and then their steps, 8 bytes an
+    element. A forward scan at k = 1 hits every b outside A, at its
+    distance to the next element, unless A is empty, which leaves 0: asked
+    for no hits, it answers from that alone. ValueError for p < 3, k
+    outside [1, (p - 1)/2] or a mask bit at or above p.
     """
-    full = _check_scan(mask, p, k, record)
-    if forward and k == 1 and record is None:
+    full = _check_scan(mask, p, k)
+    if forward and k == 1 and not (hits and mask):
         return None, None if mask else 0
     steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
     targets = full & ~mask if forward else mask
     remaining = targets
-    hits: dict[int, int] = {}
+    planes: list[int] = []  # plane j: the elements whose witness has bit j set
     # a centered witness d also serves as p - d, so none is first past (p-1)/2
     for d in range(1, p if forward else (p + 1) // 2):
         if remaining == 0:
@@ -158,18 +160,29 @@ def first_hit_scan(
             if hit == 0:
                 break
         remaining &= ~hit
-        while hit and record is not None:
-            low = hit & -hit
-            hits[low.bit_length() - 1] = d
-            hit ^= low
-    least = (remaining & -remaining).bit_length() - 1 if remaining else None
-    if record is None:
-        return None, least
-    found = _bits(targets & ~remaining)
-    return _hit_map(found, map(hits.__getitem__, found), record, k), least
+        if hit and hits:
+            planes += [0] * (d.bit_length() - len(planes))
+            for j in range(d.bit_length()):
+                if d >> j & 1:
+                    planes[j] |= hit
+    if remaining:
+        return None, (remaining & -remaining).bit_length() - 1
+    if not hits:
+        return None, None
+    found = np.zeros(p, dtype=np.int32)
+    for j, plane in enumerate(planes):
+        found |= _unpack(plane, p).astype(np.int32) << j
+    elements = np.flatnonzero(_unpack(targets, p))
+    return np.concatenate([elements, found[elements]]).astype(np.int32).tobytes(), None
 
 
-def _check_scan(mask: int, p: int, k: int, record: type | None) -> int:
+def _unpack(mask: int, p: int) -> np.ndarray:
+    """The p-bit mask as p uint8 flags, 1 for a set bit."""
+    raw = np.frombuffer(mask.to_bytes((p + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=p, bitorder="little")
+
+
+def _check_scan(mask: int, p: int, k: int) -> int:
     """The full p-bit mask, once the scan's arguments pass the checks that
     the compiled scan makes."""
     if p < 3 or not 1 <= k <= (p - 1) // 2:
@@ -177,15 +190,21 @@ def _check_scan(mask: int, p: int, k: int, record: type | None) -> int:
     full = (1 << p) - 1
     if mask & ~full:
         raise ValueError(f"mask has bits at or above p = {p}")
-    if record is not None and not (isinstance(record, type) and issubclass(record, tuple)):
-        raise TypeError("record must be None or a tuple subclass")
     return full
 
 
-def _hit_map(elements: list[int], steps: Iterable[int], record: type, k: int) -> dict:
-    """{e: record(e, d, k)} for the elements e and their steps d, in their
-    order, built in one C-level pass (tuple.__new__ over zipped fields),
-    with no bytecode per record."""
+def _hit_map(hits: bytes, k: int, record: type) -> dict:
+    """{e: record(e, d, k)} for the elements e of a scan's hits buffer and
+    their steps d, in its order, built in one C-level pass (tuple.__new__
+    over zipped fields), with no bytecode per record. TypeError for a record
+    that is not a tuple type, ValueError for a buffer that is not 2 int32 a
+    hit."""
+    if not (isinstance(record, type) and issubclass(record, tuple)):
+        raise TypeError("record must be a tuple subclass")
+    if len(hits) % 8:
+        raise ValueError(f"hits must be 2 int32 a hit, got {len(hits)} bytes")
+    at = np.frombuffer(hits, dtype=np.int32).tolist()
+    elements, steps = at[: len(at) // 2], at[len(at) // 2 :]
     fields = zip(elements, steps, repeat(k))
     return dict(zip(elements, map(tuple.__new__, repeat(record), fields)))
 

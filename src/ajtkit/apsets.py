@@ -16,10 +16,12 @@ each for radius k. The kernel finds each element's least witness d, the
 compiled one from word windows of the mask (and of its mirror, centered)
 around each element, the pure one by word rotations of the mask. A witness
 is an ApWitness, a tuple record that compares equal to (element, step,
-radius). The scan builds the maps of SkReport and NkReport itself, records
-included, listed by ascending element, and names the least element left
-without a witness; the partition's acceptance test asks the same scans for
-no map at all.
+radius). The scan returns its hits in one int32 buffer, the elements and
+then their steps, 8 bytes a witness, or names the least element left
+without one; the partition's acceptance test
+asks the same scans for no hits at all. The maps of SkReport and NkReport
+are WitnessMaps over those hits, which build their records, listed by
+ascending element, only when a caller first reads one.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import csv
 import importlib.resources
 import operator
 import random
+from collections.abc import Mapping
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -114,6 +117,51 @@ class ApWitness(NamedTuple):
     radius: int
 
 
+class WitnessMap(Mapping):
+    """The witnesses of a scan, {element: ApWitness(element, step, k)} by
+    ascending element, read-only, over the scan's hits buffer (see
+    kernels.first_hit_scan).
+
+    len comes from the buffer. The first read of a key, value or item
+    builds every record at once, in the kernel, and keeps the dict; keys,
+    values and items are its views. Equal to any mapping with the same
+    items, a dict included.
+    """
+
+    __slots__ = ("_hits", "_k", "_records")
+
+    def __init__(self, hits: bytes, k: int):
+        self._hits = hits
+        self._k = k
+        self._records: dict[int, ApWitness] | None = None
+
+    def _map(self) -> dict[int, ApWitness]:
+        if self._records is None:
+            self._records = kernels._witness_records(self._hits, self._k, ApWitness)
+        return self._records
+
+    def __len__(self) -> int:
+        return len(self._hits) // 8
+
+    def __getitem__(self, element: int) -> ApWitness:
+        return self._map()[element]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._map())
+
+    def keys(self):
+        return self._map().keys()
+
+    def values(self):
+        return self._map().values()
+
+    def items(self):
+        return self._map().items()
+
+    def __repr__(self) -> str:
+        return f"WitnessMap({self._map()!r})"
+
+
 def witness_covers_centered(aset: ResidueSet, w: ApWitness) -> bool:
     """Check a + i*d in A for all -k <= i <= k."""
     p = aset.p
@@ -136,7 +184,7 @@ class SkReport(NamedTuple):
 
     ok: bool
     k: int
-    witnesses: dict[int, ApWitness] | None = None
+    witnesses: WitnessMap | None = None
     failing: int | None = None
 
     def __bool__(self) -> bool:
@@ -148,8 +196,8 @@ class NkReport(NamedTuple):
 
     ok: bool
     k: int
-    inside: dict[int, ApWitness] | None = None
-    outside: dict[int, ApWitness] | None = None
+    inside: WitnessMap | None = None
+    outside: WitnessMap | None = None
     failing: int | None = None
     failing_side: str | None = None
 
@@ -166,10 +214,10 @@ def _check_radius(p: int, k: int) -> None:
 
 def _is_nk_mask(mask: int, p: int, k: int) -> bool:
     """is_nk_type(ResidueSet(p, mask), k).ok from the same two kernel scans,
-    which build no map."""
+    asked for no hits."""
     return (
-        kernels.first_hit_scan(mask, p, k, False, None)[1] is None
-        and kernels.first_hit_scan(mask, p, k, True, None)[1] is None
+        kernels.first_hit_scan(mask, p, k, False, False)[1] is None
+        and kernels.first_hit_scan(mask, p, k, True, False)[1] is None
     )
 
 
@@ -177,15 +225,16 @@ def is_sk_type(aset: ResidueSet, k: int) -> SkReport:
     """Scan for centered progression witnesses for every element of the set.
 
     Each element a maps to ApWitness(a, d, k), d the least difference whose
-    progression a + i*d, 0 < |i| <= k, lies in the set, in the scan's order.
-    The empty set passes vacuously. On failure the report carries the
-    smallest element with no witness.
+    progression a + i*d, 0 < |i| <= k, lies in the set, in the scan's order,
+    in a WitnessMap that builds the records when first read. The empty set
+    passes vacuously. On failure the report carries the smallest element
+    with no witness.
     """
     _check_radius(aset.p, k)
-    witnesses, failing = kernels.first_hit_scan(aset.mask, aset.p, k, False, ApWitness)
+    hits, failing = kernels.first_hit_scan(aset.mask, aset.p, k, False, True)
     if failing is not None:
         return SkReport(ok=False, k=k, failing=failing)
-    return SkReport(ok=True, k=k, witnesses=witnesses)
+    return SkReport(ok=True, k=k, witnesses=WitnessMap(hits, k))
 
 
 def is_nk_type(aset: ResidueSet, k: int) -> NkReport:
@@ -193,10 +242,10 @@ def is_nk_type(aset: ResidueSet, k: int) -> NkReport:
     inside = is_sk_type(aset, k)
     if not inside.ok:
         return NkReport(ok=False, k=k, failing=inside.failing, failing_side="inside")
-    outside, failing = kernels.first_hit_scan(aset.mask, aset.p, k, True, ApWitness)
+    hits, failing = kernels.first_hit_scan(aset.mask, aset.p, k, True, True)
     if failing is not None:
         return NkReport(ok=False, k=k, failing=failing, failing_side="outside")
-    return NkReport(ok=True, k=k, inside=inside.witnesses, outside=outside)
+    return NkReport(ok=True, k=k, inside=inside.witnesses, outside=WitnessMap(hits, k))
 
 
 # ---------------------------------------------------------------------------

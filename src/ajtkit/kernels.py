@@ -12,7 +12,7 @@ from this module's) is an ImportError naming the rebuild command, never a
 silent fallback. The compiled s1_exhaust takes any p >= 5 and returns its
 mask as little-endian bytes of length ceil(p/8); the scan takes any p >= 3
 and its mask as such bytes. Each pair returns identical results: the same
-masks and node counts from s1_exhaust, the same hits in the same order from
+masks and node counts from s1_exhaust, the same hits buffer from
 first_hit_scan, the same tensor from affine_product, the same flags from
 products_vanish, the same witnesses and units from first_witness.
 
@@ -23,10 +23,16 @@ same node count, and the flag `full` set.
 first_hit_scan answers the one question the S_k/N_k certificates ask of a
 set A: a centered scan finds, for each a in A, the least d with a + i*d in A
 for 0 < |i| <= k; a forward scan finds, for each b outside A, the least d
-with b + i*d in A for 1 <= i <= k. It returns the map of those witnesses,
-each as record(e, d, k) for a tuple type such as apsets.ApWitness, listed
-by ascending element, or None when record is None, and the least element
-left without a witness, or None.
+with b + i*d in A for 1 <= i <= k. It returns its hits and the least
+element left without a witness, or None. The hits, asked for with
+hits=True, are one bytes buffer of 2 count native int32, count the elements
+asked about: those elements in ascending order, then their witnesses, 8
+bytes a hit, byte for byte the same from both backends. A scan that meets an
+element without a witness stops there and returns no hits, only that
+element. _witness_records turns a hits buffer into the map {e: record(e, d,
+k)} for a tuple type such as apsets.ApWitness, once a caller reads it; it is
+private, so that a tracer of the public functions charges the reader
+nothing.
 
 The two backends answer it by independent methods. The compiled scan visits
 the elements in ascending order and reads each one's candidates off 64-bit
@@ -36,7 +42,8 @@ e's witness d_e, after O(L) set-up, L = ceil(p/64). The pure scan tries
 d = 1, 2, ... and ANDs rotated masks, O(L) big-int work a difference up to
 the largest witness, which at p = 20011 beat a pure port of the windows on
 dense centered and sparse forward scans. A forward scan at k = 1 asked for
-no map answers, on both, from whether A is empty.
+no hits answers, on both, from whether A is empty; asked for them, the
+compiled scan fills each gap below an element of A in one pass.
 
 affine_product multiplies a reduced polynomial's coefficient tensor by a
 list of affine factors c0 + c1 x_1 + ... + cn x_n in one call: every product
@@ -79,7 +86,7 @@ from .masks import forbidden_masks
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 9
+API = 10
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -127,12 +134,21 @@ def s1_exhaust(
 
 
 def first_hit_scan(
-    mask: int, p: int, k: int, forward: bool, record: type | None
-) -> tuple[dict | None, int | None]:
+    mask: int, p: int, k: int, forward: bool, hits: bool
+) -> tuple[bytes | None, int | None]:
     """(hits, least) of _kernels_py.first_hit_scan, compiled when built."""
     if _ext is None:
-        return _pure().first_hit_scan(mask, p, k, forward, record)
-    return _ext.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward, record)
+        return _pure().first_hit_scan(mask, p, k, forward, hits)
+    return _ext.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward, hits)
+
+
+def _witness_records(hits: bytes, k: int, record: type) -> dict:
+    """_kernels_py._hit_map of a scan's hits buffer, compiled when built:
+    {e: record(e, d, k)} in the buffer's order, the compiled records
+    untracked by the garbage collector."""
+    if _ext is None:
+        return _pure()._hit_map(hits, k, record)
+    return _ext._witness_records(hits, k, record)
 
 
 def affine_product(

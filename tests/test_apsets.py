@@ -1,5 +1,6 @@
 """Progression-closed subsets of Z/p: predicates, constructions, searches."""
 
+import gc
 import importlib
 import inspect
 import itertools
@@ -9,6 +10,7 @@ import pathlib
 import random
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from ajtkit import apsets, kernels
 from ajtkit.apsets import (
     ApWitness,
     ResidueSet,
+    WitnessMap,
     appendix_rows,
     build_s1_log,
     build_sk,
@@ -153,6 +156,14 @@ def n1_part():
     return partition_nk(20011, 1, seed=0).parts[0]
 
 
+def scan_records(hits, k):
+    """{e: ApWitness(e, d, k)} for the hits of a scan's buffer, built here
+    one at a time."""
+    at = np.frombuffer(hits, dtype=np.int32).tolist()
+    half = len(at) // 2
+    return {e: ApWitness(e, d, k) for e, d in zip(at[:half], at[half:])}
+
+
 def test_nk_maps_list_the_kernel_hits_as_records(n1_part):
     # both maps hold the scans' hits in the kernel's order, ascending
     # element, each as the record ApWitness(a, d, 1), which the independent
@@ -165,10 +176,12 @@ def test_nk_maps_list_the_kernel_hits_as_records(n1_part):
         (report.outside, True, witness_covers_forward),
     ]
     for witnesses, forward, covers in scans:
-        hits, least = kernels.first_hit_scan(mask, p, 1, forward, tuple)
-        assert least is None
-        assert list(witnesses) == list(hits) == sorted(hits)
-        assert list(witnesses.values()) == [ApWitness(*h) for h in hits.values()]
+        hits, least = kernels.first_hit_scan(mask, p, 1, forward, True)
+        assert least is None and isinstance(witnesses, WitnessMap)
+        want = scan_records(hits, 1)
+        assert witnesses == want and want == witnesses
+        assert list(witnesses) == list(want) == sorted(want)
+        assert list(witnesses.items()) == list(want.items())
         assert all(type(w) is ApWitness and covers(n1_part, w) for w in witnesses.values())
 
 
@@ -179,6 +192,74 @@ def test_nk_report_is_the_same_on_the_pure_backend(n1_part, monkeypatch):
     assert pure == built
     assert list(pure.inside.items()) == list(built.inside.items())
     assert list(pure.outside.items()) == list(built.outside.items())
+
+
+def test_witness_map_builds_its_records_once_on_first_read(n1_part, monkeypatch):
+    # len comes from the hits buffer; the first read of a key, value or item
+    # builds every record in one kernel call, which later reads reuse
+    calls = []
+    build = kernels._witness_records
+    monkeypatch.setattr(
+        kernels, "_witness_records", lambda *args: calls.append(args) or build(*args)
+    )
+    report = is_nk_type(n1_part, 1)
+    inside, outside = report.inside, report.outside
+    assert len(inside) == len(n1_part) and len(outside) == n1_part.p - len(n1_part)
+    assert bool(outside) and calls == []
+    for read in (list, lambda m: m.keys(), lambda m: m.values(), lambda m: m.items(),
+                 lambda m: m[next(iter(m))], lambda m: min(m) in m):
+        fresh = WitnessMap(inside._hits, 1)
+        read(fresh)
+        assert len(calls) == 1
+        read(fresh)
+        fresh.get(-1)
+        assert len(calls) == 1
+        calls.clear()
+    # keys ascending; an element the scan did not ask about is no key
+    keys = list(outside)
+    assert keys == sorted(keys) and len(keys) == len(outside)
+    for absent in (min(inside), -1, n1_part.p):
+        with pytest.raises(KeyError):
+            outside[absent]
+        assert absent not in outside and outside.get(absent) is None
+    with pytest.raises(TypeError):
+        outside[keys[0]] = ApWitness(keys[0], 1, 1)
+
+
+def test_witness_map_compares_as_a_dict():
+    s = ResidueSet.from_elements(13, [0, 1, 2, 3, 5, 8])
+    report = is_nk_type(s, 1)
+    want = {b: ApWitness(b, d, 1) for b, d in
+            [(4, 1), (6, 2), (7, 1), (9, 4), (10, 3), (11, 2), (12, 1)]}
+    assert report.outside == want and want == report.outside
+    assert report.outside != {**want, 4: ApWitness(4, 2, 1)}
+    assert report.outside != report.inside and report.outside == is_nk_type(s, 1).outside
+    assert WitnessMap(b"", 1) == {} and len(WitnessMap(b"", 1)) == 0
+    assert repr(report.outside).startswith("WitnessMap({4: ApWitness(element=4, step=1")
+
+
+def test_compiled_witness_records_leave_the_collector(compiled, n1_part, monkeypatch):
+    # the compiled records hold three ints and are untracked as they are built
+    monkeypatch.setattr(kernels, "_ext", compiled)
+    report = is_nk_type(n1_part, 1)
+    for witnesses in (report.inside, report.outside):
+        assert not any(gc.is_tracked(w) for w in witnesses.values())
+
+
+def test_full_field_scan_holds_its_hits_not_records(compiled, monkeypatch):
+    # 100,003 witnesses at 8 bytes each, where a dict of records held about
+    # 150 bytes each
+    monkeypatch.setattr(kernels, "_ext", compiled)
+    p = 100003
+    full = ResidueSet(p, (1 << p) - 1)
+    tracemalloc.start()
+    try:
+        report = is_sk_type(full, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and len(report.witnesses) == p
+    assert peak < 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ import numpy as np
 from ajtkit import apsets, kernels
 before = "ajtkit._kernels_py" in sys.modules
 found, exhausted, nodes, full = kernels.s1_exhaust(13, 6, 10**6, 2**24)
-_, least = kernels.first_hit_scan(apsets.build_s1_log(13).mask, 13, 1, False, None)
+_, least = kernels.first_hit_scan(apsets.build_s1_log(13).mask, 13, 1, False, False)
 # (1 + x) times 1 over F_5, one variable
 product = kernels.affine_product(np.eye(1, 5, dtype=np.int64)[0], 5, [[1, 1]])
 # (1 - g)^2 over Z[Z/5] and F_5[Z/5]: not zero

@@ -5,13 +5,13 @@ set, same exhausted flag, the same node count and the same stop where its
 table and stack would pass their cap in words, so that proven_optimal
 claims and budget stops do not depend on which backend happened to
 import. first_hit_scan, behind every S_k/N_k certification, must return
-the same hits in the same order, ascending element, and the same least
+the same hits buffer, byte for byte, ascending element, and the same least
 uncovered element, so that witness maps do not depend on the backend
 either: the compiled scan reads word windows around each element and the
 pure one rotates the mask, two independent methods, and both must give
-what the definition gives. The maps each scan builds, witness records
-included, must agree the same way, and a scan asked for no map must name
-the same least uncovered element.
+what the definition gives. The maps _witness_records builds from a hits
+buffer, records included, must agree the same way, and a scan asked for no
+hits must name the same least uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
 backends the tensor that the same factors give through mul_reduce, by the
 shift route and by the interpolate route. products_vanish, behind the
@@ -116,7 +116,7 @@ def test_pure_witness_mask_semantics():
             mask = rng.getrandbits(p) | 1
             uncovered = mask & ~naive_witness_mask(mask, p)
             want = (uncovered & -uncovered).bit_length() - 1 if uncovered else None
-            assert _kernels_py.first_hit_scan(mask, p, 1, False, None) == (None, want)
+            assert _kernels_py.first_hit_scan(mask, p, 1, False, False) == (None, want)
 
 
 def test_exhaust_found_set_is_s1():
@@ -234,28 +234,40 @@ def naive_scan(mask, p, k, forward):
     return hits, int(left[0]) if len(left) else None
 
 
+def hit_list(hits, k):
+    """The (e, d, k) of each hit of a scan's hits buffer, in its order."""
+    at = np.frombuffer(hits, dtype=np.int32).tolist()
+    half = len(at) // 2
+    return [(e, d, k) for e, d in zip(at[:half], at[half:])]
+
+
 def check_scan_parity(ext, p, wanted):
     """Every scan (k, forward) at p that `wanted` picks, on every set of
     scan_sets: the compiled windows and the pure rotation give the same
-    map, as a list in ascending element order, and the same least element,
-    with a map and without one. Up to p = 1009 both give the definition's;
-    at 20011 the definition, O(p^2) a scan, would take minutes."""
+    hits buffer, byte for byte, and the same least element, with hits and
+    without them. A scan with every element hit lists them all, ascending;
+    one that leaves an element without a witness returns (None, least).
+    Up to p = 1009 both give the definition's; at 20011 the definition,
+    O(p^2) a scan, would take minutes."""
     rng = random.Random(p)
     for mask in scan_sets(p, rng):
         for k, forward in filter(wanted, scans(p)):
-            hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
-            got = ext.first_hit_scan(mask, p, k, forward, tuple)
-            assert list(got[0].items()) == list(hits.items()) and got[1] == least
-            assert list(hits) == sorted(hits) and least not in hits
-            assert all(mask >> e & 1 != forward for e in hits)
-            if least is not None:
-                assert mask >> least & 1 != forward
+            hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, True)
+            assert ext.first_hit_scan(mask, p, k, forward, True) == (hits, least)
             for scan in (ext.first_hit_scan, _kernels_py.first_hit_scan):
-                assert scan(mask, p, k, forward, None) == (None, least)
+                assert scan(mask, p, k, forward, False) == (None, least)
+            if least is None:
+                targets = [e for e in range(p) if mask >> e & 1 != forward]
+                assert [e for e, _, _ in hit_list(hits, k)] == targets
+            else:
+                assert hits is None and mask >> least & 1 != forward
             if p <= 1009:
-                assert (list(hits.values()), least) == naive_scan(mask, p, k, forward)
+                want, first = naive_scan(mask, p, k, forward)
+                assert least == first
+                if least is None:
+                    assert hit_list(hits, k) == want
             if mask == 1 and not forward:
-                assert (hits, least) == ({}, 0)
+                assert (hits, least) == (None, 0)
 
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
@@ -274,45 +286,62 @@ def test_window_route_parity(ext, p):
 
 @pytest.mark.parametrize("p", SCAN_PRIMES)
 def test_gap_route_parity(ext, p):
-    # forward scans at k = 1, whose one step is +1
+    # forward scans at k = 1, whose one step is +1: the compiled scan fills
+    # the gaps below each element in one pass, the pure one rotates
     check_scan_parity(ext, p, lambda scan: scan == (1, True))
 
 
 @pytest.mark.parametrize("p", [5, 67, 257])
 @pytest.mark.parametrize("k, forward", [(1, False), (1, True), (2, False), (2, True)])
-def test_scans_build_records_and_skip_maps(ext, p, k, forward):
-    # the scan on both backends: with a record type the map holds
-    # record(e, d, k) for each hit e at d, in the same order; with None
-    # there is no map and the same least element
+def test_scans_build_records_and_skip_maps(compiled, p, k, forward):
+    # a hits buffer, from either backend, becomes on both the map of
+    # record(e, d, k) for each hit e at d, in the buffer's order; a scan
+    # asked for no hits names the same least element
     rng = random.Random(p)
     for mask in (apsets.build_s1_log(p).mask, rng.getrandbits(p), (1 << p) - 1, 0):
-        hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, tuple)
-        want = [apsets.ApWitness(*h) for h in hits.values()]
-        for scan in (ext.first_hit_scan, _kernels_py.first_hit_scan):
-            records, rest = scan(mask, p, k, forward, apsets.ApWitness)
-            assert list(records) == list(hits) and rest == least
+        hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, True)
+        assert _kernels_py.first_hit_scan(mask, p, k, forward, False) == (None, least)
+        if hits is None:
+            continue
+        want = [apsets.ApWitness(*h) for h in hit_list(hits, k)]
+        for build in (compiled._witness_records, _kernels_py._hit_map):
+            records = build(hits, k, apsets.ApWitness)
+            assert list(records) == [w.element for w in want]
             assert list(records.values()) == want
             assert all(type(w) is apsets.ApWitness for w in records.values())
             # hashed as the equal tuple, so records and Python-built
             # witnesses find each other in sets and dicts
             for w in records.values():
                 assert hash(w) == hash(tuple(w)) and w in {apsets.ApWitness(*w)}
-            assert scan(mask, p, k, forward, None) == (None, least)
 
 
 def test_compiled_records_need_a_tuple_layout(compiled):
+    # records are built as tuple's own constructor builds them, so the
+    # record type must be a tuple subclass laid out as tuple, and the
+    # buffer 2 int32 a hit
     class Wide(tuple):  # instances carry a __dict__
         pass
 
     class Slotted(tuple):
         __slots__ = ()
 
-    mask = (0b111).to_bytes(1, "little")
-    hits, least = compiled.first_hit_scan(mask, 5, 1, False, Slotted)
-    assert (hits, least) == ({1: (1, 1, 1)}, 0) and type(hits[1]) is Slotted
-    for record in (Wide, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
+    hits = np.array([1, 3, 1, 2], dtype=np.int32).tobytes()
+    records = compiled._witness_records(hits, 1, Slotted)
+    assert records == {1: (1, 1, 1), 3: (3, 2, 1)} and type(records[1]) is Slotted
+    assert _kernels_py._hit_map(hits, 1, Slotted) == records
+    for record in (None, Wide, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
         with pytest.raises(TypeError):
-            compiled.first_hit_scan(mask, 5, 1, False, record)
+            compiled._witness_records(hits, 1, record)
+    for record in (None, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
+        with pytest.raises(TypeError):
+            _kernels_py._hit_map(hits, 1, record)
+    for build in (compiled._witness_records, _kernels_py._hit_map):
+        assert build(b"", 1, apsets.ApWitness) == {}
+        for bad in (hits[:-4], hits + b"\0"):
+            with pytest.raises(ValueError):
+                build(bad, 1, apsets.ApWitness)
+        with pytest.raises(TypeError):
+            build(None, 1, apsets.ApWitness)
 
 
 def affine_chain(coeffs, p, factors, route):
@@ -634,31 +663,24 @@ def test_built_extension_matches_the_api(compiled):
 
 
 def test_first_hit_scan_rejects_bad_input(compiled):
-    # both backends, both directions: the mask, p and k are checked and a
-    # record is None or a tuple type, int no longer
-    log = apsets.build_s1_log(13).mask
+    # both backends, both directions: the mask, p and k are checked
     c_scan, py_scan = compiled.first_hit_scan, _kernels_py.first_hit_scan
     for forward in (False, True):
         # the empty set: nothing to hit centered, and 0 left over forward
-        want = {}, (0 if forward else None)
-        assert c_scan(bytes(2), 13, 1, forward, tuple) == want
-        assert py_scan(0, 13, 1, forward, tuple) == want
+        want = (None, 0) if forward else (b"", None)
+        assert c_scan(bytes(2), 13, 1, forward, True) == want
+        assert py_scan(0, 13, 1, forward, True) == want
         for mask in (bytes(3), bytes(1), b"", (1 << 13).to_bytes(2, "little")):
             with pytest.raises(ValueError):  # ceil(13 / 8) bytes, residues below 13
-                c_scan(mask, 13, 1, forward, None)
+                c_scan(mask, 13, 1, forward, False)
         for mask in (1 << 13, -1):
             with pytest.raises(ValueError):
-                py_scan(mask, 13, 1, forward, None)
+                py_scan(mask, 13, 1, forward, False)
         for p, k in ((2, 1), (1, 1), (0, 1), (-7, 1), (13, 0), (13, -1), (13, 7), (5, 3)):
             with pytest.raises(ValueError):
-                c_scan(b"\x00", p, k, forward, None)
+                c_scan(b"\x00", p, k, forward, False)
             with pytest.raises(ValueError):
-                py_scan(0, p, k, forward, None)
-        for record in (int, list, 3):
-            with pytest.raises(TypeError):
-                c_scan(log.to_bytes(2, "little"), 13, 1, forward, record)
-            with pytest.raises(TypeError):
-                py_scan(log, 13, 1, forward, record)
+                py_scan(0, p, k, forward, False)
 
 
 def test_backend_label():
