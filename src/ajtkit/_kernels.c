@@ -206,10 +206,7 @@ static void window_masks(const u64 *a, int n, int p, u64 *D, u64 *M, u64 *R)
 /* The hits a scan returns: one bytes buffer of 2 count int32, count the
    elements it asks about, allocated once and filled as they are found, the
    elements in ascending order and then their steps, 8 bytes a hit. buf is
-   NULL when none are asked for. A re-certified N_1 part has about 20k
-   hits, which as records and their dict held some 150 bytes each; here
-   they hold 8, and no caller but a reader of the records builds those
-   (_witness_records). */
+   NULL when none are asked for. */
 typedef struct {
     PyObject *buf;
     int32_t *at;
@@ -530,19 +527,6 @@ static PyObject *record_new(PyTypeObject *record, PyObject *key, PyObject *step,
     return value;
 }
 
-/* An empty dict with room for count items, so that filling it never
-   resizes it. The presizing call is private to CPython, so only the
-   versions this file is known to build against use it. */
-static PyObject *dict_sized(Py_ssize_t count)
-{
-#if PY_VERSION_HEX < 0x030E0000
-    return _PyDict_NewPresized(count);
-#else
-    (void)count;
-    return PyDict_New();
-#endif
-}
-
 /* _witness_records(hits, k, record) -> {e: record(e, d, k)} for the hits of
    a scan at radius k, in their order. record must be a tuple subclass laid
    out as tuple, no instance dict and no extra slots, since each record is
@@ -570,7 +554,7 @@ static PyObject *witness_records(PyObject *self, PyObject *args)
     }
     Py_ssize_t count = buf.len / (2 * sizeof(int32_t));
     const char *at = buf.buf;
-    if ((k_obj = PyLong_FromLong(k)) == NULL || (map = dict_sized(count)) == NULL)
+    if ((k_obj = PyLong_FromLong(k)) == NULL || (map = PyDict_New()) == NULL)
         goto done;
     for (Py_ssize_t i = 0; i < count; i++) {
         int32_t e, d;

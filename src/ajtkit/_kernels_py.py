@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .group_ring import _expand, _rotation
-from .masks import _rotl, forbidden_masks
+from .masks import _bits, _rotl, forbidden_masks
 
 _INT64_MAX = 2**63 - 1
 
@@ -149,7 +149,7 @@ def first_hit_scan(
     steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
     targets = full & ~mask if forward else mask
     remaining = targets
-    planes: list[int] = []  # plane j: the elements whose witness has bit j set
+    found: dict[int, int] = {}
     # a centered witness d also serves as p - d, so none is first past (p-1)/2
     for d in range(1, p if forward else (p + 1) // 2):
         if remaining == 0:
@@ -160,26 +160,16 @@ def first_hit_scan(
             if hit == 0:
                 break
         remaining &= ~hit
-        if hit and hits:
-            planes += [0] * (d.bit_length() - len(planes))
-            for j in range(d.bit_length()):
-                if d >> j & 1:
-                    planes[j] |= hit
+        while hit and hits:
+            low = hit & -hit
+            found[low.bit_length() - 1] = d
+            hit ^= low
     if remaining:
         return None, (remaining & -remaining).bit_length() - 1
     if not hits:
         return None, None
-    found = np.zeros(p, dtype=np.int32)
-    for j, plane in enumerate(planes):
-        found |= _unpack(plane, p).astype(np.int32) << j
-    elements = np.flatnonzero(_unpack(targets, p))
-    return np.concatenate([elements, found[elements]]).astype(np.int32).tobytes(), None
-
-
-def _unpack(mask: int, p: int) -> np.ndarray:
-    """The p-bit mask as p uint8 flags, 1 for a set bit."""
-    raw = np.frombuffer(mask.to_bytes((p + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=p, bitorder="little")
+    elements = _bits(targets)
+    return np.array(elements + [found[e] for e in elements], dtype=np.int32).tobytes(), None
 
 
 def _check_scan(mask: int, p: int, k: int) -> int:
