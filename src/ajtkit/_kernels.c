@@ -1,6 +1,7 @@
 /* Compiled kernels: the S_1 search, the first-hit progression scan, the
    affine product of reduced polynomials, the sweep's group-ring products
-   and the witness search.
+   and the witness search. The module exports these five kernels and API,
+   nothing else.
 
    Inside, a subset of Z/p is a mask of L = ceil(p/64) 64-bit limbs, least
    significant limb first, allocated per call, so one code path serves every
@@ -29,9 +30,7 @@
    to the next element, filled in one pass. Asked for them, it returns its
    hits (struct Hits) as one bytes buffer of int32, the elements and then
    their steps, and it stops at the first element left without a witness,
-   which it returns in place of the hits. _witness_records turns a hits
-   buffer into the map of records of a tuple type the caller passes in,
-   when a caller first reads it.
+   which it returns in place of the hits.
 
    affine_product mirrors _kernels_py.affine_product: a reduced polynomial
    over F_p in n variables, held as its p^n int64 coefficients, times a list
@@ -62,7 +61,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 10           /* bumped whenever a kernel's signature or result changes */
+#define API 11           /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -497,83 +496,6 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
 done:
     Py_XDECREF(h.buf);
     free(a);
-    PyBuffer_Release(&buf);
-    return result;
-}
-
-/* record(key, step, k), untracked. Before 3.14 a tuple subclass's own
-   constructor (tuple_subtype_new) is tp_alloc plus the items, so the record
-   is built that way here; from 3.14 a tuple also caches its hash, which that
-   constructor initialises, so the record goes through it. */
-static PyObject *record_new(PyTypeObject *record, PyObject *key, PyObject *step, PyObject *k)
-{
-    PyObject *value;
-#if PY_VERSION_HEX < 0x030E0000
-    if ((value = record->tp_alloc(record, 3)) == NULL)
-        return NULL;
-    PyTuple_SET_ITEM(value, 0, Py_NewRef(key));
-    PyTuple_SET_ITEM(value, 1, Py_NewRef(step));
-    PyTuple_SET_ITEM(value, 2, Py_NewRef(k));
-#else
-    PyObject *fields = PyTuple_Pack(3, key, step, k);
-    PyObject *args = fields == NULL ? NULL : PyTuple_Pack(1, fields);
-    value = args == NULL ? NULL : PyTuple_Type.tp_new(record, args, NULL);
-    Py_XDECREF(fields);
-    Py_XDECREF(args);
-    if (value == NULL)
-        return NULL;
-#endif
-    PyObject_GC_UnTrack(value);
-    return value;
-}
-
-/* _witness_records(hits, k, record) -> {e: record(e, d, k)} for the hits of
-   a scan at radius k, in their order. record must be a tuple subclass laid
-   out as tuple, no instance dict and no extra slots, since each record is
-   built as tuple's own constructor builds it (record_new). Such a record
-   holds three ints and can close no reference cycle, so it leaves the
-   collector's lists at once, as CPython untracks a tuple of atoms at its
-   first collection. */
-static PyObject *witness_records(PyObject *self, PyObject *args)
-{
-    Py_buffer buf;
-    int k;
-    PyObject *record, *k_obj = NULL, *map = NULL, *result = NULL;
-    if (!PyArg_ParseTuple(args, "y*iO:_witness_records", &buf, &k, &record))
-        return NULL;
-    PyTypeObject *t = (PyTypeObject *)record;
-    if (!PyType_Check(record) || !PyType_IsSubtype(t, &PyTuple_Type) ||
-        t->tp_basicsize != PyTuple_Type.tp_basicsize ||
-        t->tp_itemsize != PyTuple_Type.tp_itemsize) {
-        PyErr_SetString(PyExc_TypeError, "record must be a tuple subclass without instance fields");
-        goto done;
-    }
-    if (buf.len % (2 * sizeof(int32_t))) {
-        PyErr_Format(PyExc_ValueError, "hits must be 2 int32 a hit, got %zd bytes", buf.len);
-        goto done;
-    }
-    Py_ssize_t count = buf.len / (2 * sizeof(int32_t));
-    const char *at = buf.buf;
-    if ((k_obj = PyLong_FromLong(k)) == NULL || (map = PyDict_New()) == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < count; i++) {
-        int32_t e, d;
-        memcpy(&e, at + i * sizeof(int32_t), sizeof e);
-        memcpy(&d, at + (count + i) * sizeof(int32_t), sizeof d);
-        PyObject *key = PyLong_FromLong(e), *step = PyLong_FromLong(d), *value = NULL;
-        if (key != NULL && step != NULL)
-            value = record_new(t, key, step, k_obj);
-        int status = value == NULL ? -1 : PyDict_SetItem(map, key, value);
-        Py_XDECREF(key);
-        Py_XDECREF(step);
-        Py_XDECREF(value);
-        if (status < 0)
-            goto done;
-    }
-    result = Py_NewRef(map);
-done:
-    Py_XDECREF(map);
-    Py_XDECREF(k_obj);
     PyBuffer_Release(&buf);
     return result;
 }
@@ -1102,10 +1024,6 @@ static PyMethodDef methods[] = {
      "first_hit_scan(mask, p, k, forward, hits) -> (hits, least)\n\n"
      "Same contract as ajtkit._kernels_py.first_hit_scan, with the mask as\n"
      "little-endian bytes of length ceil(p/8)."},
-    {"_witness_records", witness_records, METH_VARARGS,
-     "_witness_records(hits, k, record) -> dict\n\n"
-     "Same contract as ajtkit._kernels_py._hit_map, with each record untracked\n"
-     "by the garbage collector."},
     {"affine_product", affine_product, METH_VARARGS,
      "affine_product(tensor, p, n, factors) -> bytearray\n\n"
      "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"

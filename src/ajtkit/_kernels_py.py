@@ -16,8 +16,7 @@ b + i*d in A for 1 <= i <= k for each b outside A. first_hit_scan rotates
 the mask, one difference at a time, and returns its hits, when asked for
 and every element has a witness, as one buffer of int32, the elements in
 ascending order and then their steps, or the least element left without a
-witness; _hit_map turns such a buffer into the map of records of a tuple
-type it is given, for a caller that reads them. The compiled twin in
+witness. The compiled twin in
 _kernels.c implements s1_exhaust with the same traversal order and the same
 table and stack sizes, and the scan by word windows around each element, a
 method of its own, with the same hits buffer byte for byte; the backends
@@ -46,7 +45,6 @@ images as the p-bit mask that forbidden_masks builds, as this search does.
 from __future__ import annotations
 
 import operator
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -149,7 +147,8 @@ def first_hit_scan(
     steps = range(1, k + 1) if forward else [i for i in range(-k, k + 1) if i]
     targets = full & ~mask if forward else mask
     remaining = targets
-    found: dict[int, int] = {}
+    # (d, the elements d witnesses first), expanded only once none is left
+    found: list[tuple[int, int]] = []
     # a centered witness d also serves as p - d, so none is first past (p-1)/2
     for d in range(1, p if forward else (p + 1) // 2):
         if remaining == 0:
@@ -160,16 +159,20 @@ def first_hit_scan(
             if hit == 0:
                 break
         remaining &= ~hit
-        while hit and hits:
-            low = hit & -hit
-            found[low.bit_length() - 1] = d
-            hit ^= low
+        if hit and hits:
+            found.append((d, hit))
     if remaining:
         return None, (remaining & -remaining).bit_length() - 1
     if not hits:
         return None, None
+    step: dict[int, int] = {}
+    for d, hit in found:
+        while hit:
+            low = hit & -hit
+            step[low.bit_length() - 1] = d
+            hit ^= low
     elements = _bits(targets)
-    return np.array(elements + [found[e] for e in elements], dtype=np.int32).tobytes(), None
+    return np.array(elements + [step[e] for e in elements], dtype=np.int32).tobytes(), None
 
 
 def _check_scan(mask: int, p: int, k: int) -> int:
@@ -181,22 +184,6 @@ def _check_scan(mask: int, p: int, k: int) -> int:
     if mask & ~full:
         raise ValueError(f"mask has bits at or above p = {p}")
     return full
-
-
-def _hit_map(hits: bytes, k: int, record: type) -> dict:
-    """{e: record(e, d, k)} for the elements e of a scan's hits buffer and
-    their steps d, in its order, built in one C-level pass (tuple.__new__
-    over zipped fields), with no bytecode per record. TypeError for a record
-    that is not a tuple type, ValueError for a buffer that is not 2 int32 a
-    hit."""
-    if not (isinstance(record, type) and issubclass(record, tuple)):
-        raise TypeError("record must be a tuple subclass")
-    if len(hits) % 8:
-        raise ValueError(f"hits must be 2 int32 a hit, got {len(hits)} bytes")
-    at = np.frombuffer(hits, dtype=np.int32).tolist()
-    elements, steps = at[: len(at) // 2], at[len(at) // 2 :]
-    fields = zip(elements, steps, repeat(k))
-    return dict(zip(elements, map(tuple.__new__, repeat(record), fields)))
 
 
 def products_vanish(head, last, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,8 +20,9 @@ radius). The scan returns its hits in one int32 buffer, the elements and
 then their steps, 8 bytes a witness, or names the least element left
 without one; the partition's acceptance test
 asks the same scans for no hits at all. The maps of SkReport and NkReport
-are WitnessMaps over those hits, which build their records, listed by
-ascending element, only when a caller first reads one.
+are WitnessMaps over those hits, which build their records themselves,
+the same from either backend's buffer, listed by ascending element, only
+when a caller first reads one.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import importlib.resources
 import operator
 import random
 from collections.abc import Mapping
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -123,9 +125,9 @@ class WitnessMap(Mapping):
     kernels.first_hit_scan).
 
     len comes from the buffer. The first read of a key, value or item
-    builds every record at once, in the kernel, and keeps the dict; keys,
-    values and items are its views. Equal to any mapping with the same
-    items, a dict included.
+    builds every record at once, whichever backend filled the buffer, and
+    keeps the dict; keys, values and items are its views. Equal to any
+    mapping with the same items, a dict included.
     """
 
     __slots__ = ("_hits", "_k", "_records")
@@ -137,7 +139,11 @@ class WitnessMap(Mapping):
 
     def _map(self) -> dict[int, ApWitness]:
         if self._records is None:
-            self._records = kernels._witness_records(self._hits, self._k, ApWitness)
+            # one C-level pass over the fields, no bytecode a record
+            at = np.frombuffer(self._hits, np.int32).tolist()
+            elements, steps = at[: len(at) // 2], at[len(at) // 2 :]
+            fields = zip(elements, steps, repeat(self._k))
+            self._records = dict(zip(elements, map(tuple.__new__, repeat(ApWitness), fields)))
         return self._records
 
     def __len__(self) -> int:

@@ -29,10 +29,7 @@ hits=True, are one bytes buffer of 2 count native int32, count the elements
 asked about: those elements in ascending order, then their witnesses, 8
 bytes a hit, byte for byte the same from both backends. A scan that meets an
 element without a witness stops there and returns no hits, only that
-element. _witness_records turns a hits buffer into the map {e: record(e, d,
-k)} for a tuple type such as apsets.ApWitness, once a caller reads it; it is
-private, so that a tracer of the public functions charges the reader
-nothing.
+element. apsets.WitnessMap builds the records of a hits buffer.
 
 The two backends answer it by independent methods. The compiled scan visits
 the elements in ascending order and reads each one's candidates off 64-bit
@@ -86,7 +83,7 @@ from .masks import forbidden_masks
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 10
+API = 11
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -140,15 +137,6 @@ def first_hit_scan(
     if _ext is None:
         return _pure().first_hit_scan(mask, p, k, forward, hits)
     return _ext.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward, hits)
-
-
-def _witness_records(hits: bytes, k: int, record: type) -> dict:
-    """_kernels_py._hit_map of a scan's hits buffer, compiled when built:
-    {e: record(e, d, k)} in the buffer's order, the compiled records
-    untracked by the garbage collector."""
-    if _ext is None:
-        return _pure()._hit_map(hits, k, record)
-    return _ext._witness_records(hits, k, record)
 
 
 def affine_product(

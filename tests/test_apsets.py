@@ -1,6 +1,5 @@
 """Progression-closed subsets of Z/p: predicates, constructions, searches."""
 
-import gc
 import importlib
 import inspect
 import itertools
@@ -194,27 +193,22 @@ def test_nk_report_is_the_same_on_the_pure_backend(n1_part, monkeypatch):
     assert list(pure.outside.items()) == list(built.outside.items())
 
 
-def test_witness_map_builds_its_records_once_on_first_read(n1_part, monkeypatch):
+def test_witness_map_builds_its_records_once_on_first_read(n1_part):
     # len comes from the hits buffer; the first read of a key, value or item
-    # builds every record in one kernel call, which later reads reuse
-    calls = []
-    build = kernels._witness_records
-    monkeypatch.setattr(
-        kernels, "_witness_records", lambda *args: calls.append(args) or build(*args)
-    )
+    # builds the dict of every record, which later reads reuse
     report = is_nk_type(n1_part, 1)
     inside, outside = report.inside, report.outside
     assert len(inside) == len(n1_part) and len(outside) == n1_part.p - len(n1_part)
-    assert bool(outside) and calls == []
+    assert bool(outside) and inside._records is None and outside._records is None
     for read in (list, lambda m: m.keys(), lambda m: m.values(), lambda m: m.items(),
                  lambda m: m[next(iter(m))], lambda m: min(m) in m):
         fresh = WitnessMap(inside._hits, 1)
         read(fresh)
-        assert len(calls) == 1
+        built = fresh._records
+        assert type(built) is dict and len(built) == len(fresh)
         read(fresh)
         fresh.get(-1)
-        assert len(calls) == 1
-        calls.clear()
+        assert fresh._records is built
     # keys ascending; an element the scan did not ask about is no key
     keys = list(outside)
     assert keys == sorted(keys) and len(keys) == len(outside)
@@ -236,14 +230,6 @@ def test_witness_map_compares_as_a_dict():
     assert report.outside != report.inside and report.outside == is_nk_type(s, 1).outside
     assert WitnessMap(b"", 1) == {} and len(WitnessMap(b"", 1)) == 0
     assert repr(report.outside).startswith("WitnessMap({4: ApWitness(element=4, step=1")
-
-
-def test_compiled_witness_records_leave_the_collector(compiled, n1_part, monkeypatch):
-    # the compiled records hold three ints and are untracked as they are built
-    monkeypatch.setattr(kernels, "_ext", compiled)
-    report = is_nk_type(n1_part, 1)
-    for witnesses in (report.inside, report.outside):
-        assert not any(gc.is_tracked(w) for w in witnesses.values())
 
 
 def test_full_field_scan_holds_its_hits_not_records(compiled, monkeypatch):

@@ -2,7 +2,8 @@
 a fresh interpreter.
 
 With the extension built, importing apsets, fp_poly and cli, the modules a
-search, a scan or a product needs, and then every other module of the
+search, a scan or a product needs, certifying a set and reading every
+record of its witness maps, and then importing every other module of the
 package leaves the pure twins (_kernels_py) unloaded, and apsets leaves the
 multiplier section (multipliers) unloaded. Without the extension, which the
 child blocks as a missing module, the pure twins load on the first kernel
@@ -24,10 +25,13 @@ SRC = str(Path(cli.__file__).resolve().parents[1])
 BUILT = """
 import json, sys
 from ajtkit import apsets, fp_poly, cli, kernels
+report = apsets.is_nk_type(apsets.ResidueSet.from_elements(13, [0, 1, 2, 3, 5, 8]), 1)
+records = [list(report.inside.values()), list(report.outside.values())]
 first = sorted(m for m in sys.modules if m.startswith("ajtkit"))
 from ajtkit import budget, errors, fp_core, group_ring, masks, properties
 after = sorted(m for m in sys.modules if m.startswith("ajtkit"))
-print(json.dumps({"backend": kernels.BACKEND, "first": first, "after": after}))
+print(json.dumps({"backend": kernels.BACKEND, "first": first, "after": after,
+                  "records": records}))
 """
 
 PURE = """
@@ -79,6 +83,9 @@ def test_built_extension_leaves_the_twins_and_multipliers_unloaded():
         pytest.skip("the extension is not built in place")
     assert "ajtkit.apsets" in got["first"] and "ajtkit.cli" in got["first"]
     assert "ajtkit._kernels" in got["first"]
+    # the N_1 set {0, 1, 2, 3, 5, 8} of Z/13, whose records WitnessMap built
+    assert [len(records) for records in got["records"]] == [6, 7]
+    assert got["records"][1][0] == [4, 1, 1]
     for loaded in (got["first"], got["after"]):
         assert "ajtkit._kernels_py" not in loaded
         assert "ajtkit.multipliers" not in loaded

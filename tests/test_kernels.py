@@ -9,7 +9,7 @@ the same hits buffer, byte for byte, ascending element, and the same least
 uncovered element, so that witness maps do not depend on the backend
 either: the compiled scan reads word windows around each element and the
 pure one rotates the mask, two independent methods, and both must give
-what the definition gives. The maps _witness_records builds from a hits
+what the definition gives. The WitnessMaps over either backend's hits
 buffer, records included, must agree the same way, and a scan asked for no
 hits must name the same least uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
@@ -294,18 +294,21 @@ def test_gap_route_parity(ext, p):
 @pytest.mark.parametrize("p", [5, 67, 257])
 @pytest.mark.parametrize("k, forward", [(1, False), (1, True), (2, False), (2, True)])
 def test_scans_build_records_and_skip_maps(compiled, p, k, forward):
-    # a hits buffer, from either backend, becomes on both the map of
-    # record(e, d, k) for each hit e at d, in the buffer's order; a scan
-    # asked for no hits names the same least element
+    # a hits buffer, from either backend, becomes through WitnessMap the map
+    # of ApWitness(e, d, k) for each hit e at d, in the buffer's order; a
+    # scan asked for no hits names the same least element
     rng = random.Random(p)
     for mask in (apsets.build_s1_log(p).mask, rng.getrandbits(p), (1 << p) - 1, 0):
         hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, True)
         assert _kernels_py.first_hit_scan(mask, p, k, forward, False) == (None, least)
         if hits is None:
             continue
+        built = compiled.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward,
+                                        True)
+        assert built == (hits, None)
         want = [apsets.ApWitness(*h) for h in hit_list(hits, k)]
-        for build in (compiled._witness_records, _kernels_py._hit_map):
-            records = build(hits, k, apsets.ApWitness)
+        for buffer in (hits, built[0]):
+            records = apsets.WitnessMap(buffer, k)
             assert list(records) == [w.element for w in want]
             assert list(records.values()) == want
             assert all(type(w) is apsets.ApWitness for w in records.values())
@@ -313,35 +316,6 @@ def test_scans_build_records_and_skip_maps(compiled, p, k, forward):
             # witnesses find each other in sets and dicts
             for w in records.values():
                 assert hash(w) == hash(tuple(w)) and w in {apsets.ApWitness(*w)}
-
-
-def test_compiled_records_need_a_tuple_layout(compiled):
-    # records are built as tuple's own constructor builds them, so the
-    # record type must be a tuple subclass laid out as tuple, and the
-    # buffer 2 int32 a hit
-    class Wide(tuple):  # instances carry a __dict__
-        pass
-
-    class Slotted(tuple):
-        __slots__ = ()
-
-    hits = np.array([1, 3, 1, 2], dtype=np.int32).tobytes()
-    records = compiled._witness_records(hits, 1, Slotted)
-    assert records == {1: (1, 1, 1), 3: (3, 2, 1)} and type(records[1]) is Slotted
-    assert _kernels_py._hit_map(hits, 1, Slotted) == records
-    for record in (None, Wide, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
-        with pytest.raises(TypeError):
-            compiled._witness_records(hits, 1, record)
-    for record in (None, list, str, int, 3, apsets.ApWitness(0, 1, 1)):
-        with pytest.raises(TypeError):
-            _kernels_py._hit_map(hits, 1, record)
-    for build in (compiled._witness_records, _kernels_py._hit_map):
-        assert build(b"", 1, apsets.ApWitness) == {}
-        for bad in (hits[:-4], hits + b"\0"):
-            with pytest.raises(ValueError):
-                build(bad, 1, apsets.ApWitness)
-        with pytest.raises(TypeError):
-            build(None, 1, apsets.ApWitness)
 
 
 def affine_chain(coeffs, p, factors, route):
