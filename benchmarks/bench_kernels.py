@@ -18,7 +18,10 @@ one N_1 part of F_20011 inside and outside, a dense random half of F_20011
 at k = 3 and a sparse set's forward scan at k = 2, which stops at the first
 element it leaves without a witness and so returns no hits. It asserts that
 both backends give the same hits buffer, byte for byte, the same least
-element left without a witness and the same records. The witness-map rows time
+element left without a witness and the same records. The log-set table
+times the certify workload's S_1 verdicts on each backend: the log sets of
+all 1,227 primes below 10^4, their scans asked for no hits, prebuilt, and
+build_s1_log with is_sk_type of each. The witness-map rows time
 is_nk_type on the N_1 part, per backend, against its two scans asked for no
 hits, and then the first read of both its maps, which builds their
 records. Both backends must give equal reports. The full-field row runs
@@ -143,6 +146,12 @@ def first_read(ext, part, repeat):
         report.inside.values(), report.outside.values()
         best = min(best, time.perf_counter() - t0)
     return best, report
+
+
+def certify_log_sets(primes):
+    """build_s1_log and is_sk_type at radius 1 of each prime: the certify
+    workload's S_1 verdicts."""
+    return [apsets.is_sk_type(apsets.build_s1_log(q), 1) for q in primes]
 
 
 def read_records(hits, k):
@@ -346,9 +355,10 @@ def main():
             print(f"{'s1_exhaust':<28}{p:>6}{limit:>7}{budget:>12}{nodes:>10}"
                   f"{str(exhausted):>11}{t_c:>14.4f}")
         print()
-    # scans take micro- to milliseconds, so each time is the best of three calls
+    # scans take micro- to milliseconds, so each time is the best of three
+    # calls, in microseconds
     header = f"{'scan':<28}{'p':>6}{'k':>3}{'|A|':>7}{'hits':>7}{'backend':>10}"
-    header += f"{'no hits (s)':>13}{'hits (s)':>10}{'records read (s)':>18}"
+    header += f"{'no hits (us)':>14}{'hits (us)':>11}{'records read (us)':>19}"
     print(header)
     print("-" * len(header))
     for label, p, k, mask, forward in scan_cases():
@@ -368,9 +378,29 @@ def main():
                 assert list(built.items()) == list(records.items()), (
                     f"records mismatch on {label}, {backend}"
                 )
-                found, read = len(built), f"{t_read:.5f}"
+                found, read = len(built), f"{t_read * 1e6:.1f}"
             line = f"{label:<28}{p:>6}{k:>3}{mask.bit_count():>7}{found:>7}"
-            print(line + f"{backend:>10}{t_scan:>13.5f}{t_hits:>10.5f}{read:>18}")
+            print(line + f"{backend:>10}{t_scan * 1e6:>14.1f}{t_hits * 1e6:>11.1f}{read:>19}")
+    print()
+    # the 1,227 log sets' scans and verdicts, best of five
+    header = f"{'log sets':<28}{'p <':>6}{'sets':>6}{'|A|':>7}{'backend':>10}"
+    header += f"{'scans (ms)':>12}{'verdicts (ms)':>15}"
+    print(header)
+    print("-" * len(header))
+    primes = [q for q in range(5, 10**4) if fp_core.is_probable_prime(q)]
+    masks = [(apsets.build_s1_log(q).mask, q) for q in primes]
+    want = [_kernels_py.first_hit_scan(mask, q, 1, False, True) for mask, q in masks]
+    size = sum(mask.bit_count() for mask, _ in masks)
+    for backend, ext in BACKENDS:
+        t_cert, reports = timed(route_on, ext, certify_log_sets, primes, repeat=5)
+        t_scan, _ = timed(route_on, ext, lambda: [
+            kernels.first_hit_scan(mask, q, 1, False, False) for mask, q in masks], repeat=5)
+        got = route_on(ext, lambda: [
+            kernels.first_hit_scan(mask, q, 1, False, True) for mask, q in masks])
+        assert got == want, f"log set scan mismatch, {backend}"
+        assert all(r.ok for r in reports) and sum(len(r.witnesses) for r in reports) == size
+        print(f"{'build_s1_log + is_sk_type':<28}{10**4:>6}{len(primes):>6}{size:>7}"
+              f"{backend:>10}{t_scan * 1e3:>12.2f}{t_cert * 1e3:>15.2f}")
     print()
     # is_nk_type with its witness maps, the same two scans with no hits, and
     # the first read of both maps

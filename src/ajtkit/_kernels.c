@@ -24,13 +24,14 @@
    method. A centered scan asks, for each a in A, the least d with a + i*d
    in A for 0 < |i| <= k; a forward scan asks, for each b outside A, the
    least d with b + i*d in A for 1 <= i <= k. The pure twin rotates the
-   mask; this one reads each element's candidates off word windows of the
-   mask (and of its mirror, centered) and visits the elements in ascending
-   order, but for the forward scan at k = 1, whose witnesses are the gaps
-   to the next element, filled in one pass. Asked for them, it returns its
-   hits (struct Hits) as one bytes buffer of int32, the elements and then
-   their steps, and it stops at the first element left without a witness,
-   which it returns in place of the hits.
+   mask; this one visits the elements e in ascending order and reads the
+   candidates d with e + d in A off 64-bit windows of the doubled mask,
+   ANDed, centered, with windows of its mirror, which keep those with e - d
+   in A too. The forward scan at k = 1 fills each gap below an element as
+   one run. Asked for them, the scan returns its hits (struct Hits) as one
+   bytes buffer of int32, the elements and then their steps, and it stops
+   at the first element left without a witness, which it returns in place
+   of the hits.
 
    affine_product mirrors _kernels_py.affine_product: a reduced polynomial
    over F_p in n variables, held as its p^n int64 coefficients, times a list
@@ -157,17 +158,9 @@ static u64 window(const u64 *D, size_t bit)
     return r ? (D[q] >> r) | (D[q + 1] << (64 - r)) : D[q];
 }
 
-/* The doubled mask D = A | A << p of the n-limb mask a, ORed into D. */
-static void double_mask(const u64 *a, int n, int p, u64 *D)
-{
-    int q = p >> 6, r = p & 63;
-    for (int i = 0; i < n; i++) {
-        D[i] |= a[i];
-        D[i + q] |= a[i] << r;
-        if (r)
-            D[i + q + 1] |= a[i] >> (64 - r);
-    }
-}
+/* Limbs of a doubled mask: 2p bits and one spare limb for window's read
+   past the end. */
+static size_t doubled_limbs(int p) { return (2 * (size_t)p + 63) / 64 + 1; }
 
 /* x with its 64 bits in reverse order. */
 static u64 reverse_bits(u64 x)
@@ -178,28 +171,30 @@ static u64 reverse_bits(u64 x)
     return __builtin_bswap64(x);
 }
 
-/* Limbs of a doubled mask: 2p bits and one spare limb for window's read
-   past the end. */
-static size_t doubled_limbs(int p) { return (2 * (size_t)p + 63) / 64 + 1; }
-
-/* The windows' masks of the n-limb mask a: D = A | A << p and, unless M is
-   NULL, M = R | R << p for the mirror R of A, bit j of R being bit
-   p - 1 - j of A; R is n + 1 limbs of scratch. O(L) for L = ceil(p/64). */
-static void window_masks(const u64 *a, int n, int p, u64 *D, u64 *M, u64 *R)
+/* The doubled mask D = A | A << p of the n-limb mask a, in O(n). */
+static void double_mask(const u64 *a, int n, int p, u64 *D)
 {
-    memset(D, 0, doubled_limbs(p) * sizeof(u64));
-    double_mask(a, n, p, D);
-    if (M == NULL)
-        return;
-    /* A reversed as 64 n bits holds bit p - 1 - j of A at bit j + 64 n - p */
-    int shift = (int)(64 * (size_t)n - p);
-    for (int i = 0; i < n; i++)
-        R[i] = reverse_bits(a[n - 1 - i]);
-    R[n] = 0;
-    for (int i = 0; i < n && shift; i++)
-        R[i] = R[i] >> shift | R[i + 1] << (64 - shift);
-    memset(M, 0, doubled_limbs(p) * sizeof(u64));
-    double_mask(R, n, p, M);
+    int q = p >> 6, r = p & 63;
+    memcpy(D, a, n * sizeof(u64));
+    memset(D + n, 0, (doubled_limbs(p) - n) * sizeof(u64));
+    for (int i = 0; i < n; i++) {
+        D[i + q] |= a[i] << r;
+        if (r)
+            D[i + q + 1] |= a[i] >> (64 - r);
+    }
+}
+
+/* The mirror M of the doubled mask D, a doubled mask too: bit j of M is
+   bit 2p - 1 - j of D, so bit p - e + j says e - j - 1 is in A. */
+static void mirror_mask(const u64 *D, int p, u64 *M)
+{
+    /* D reversed as 64 m bits holds bit 2p - 1 - j of D at bit j + 64 m - 2p */
+    int m = (int)doubled_limbs(p) - 1, shift = 64 * m - 2 * p;
+    for (int i = 0; i < m; i++)
+        M[i] = reverse_bits(D[m - 1 - i]);
+    M[m] = 0;
+    for (int i = 0; i < m && shift; i++)
+        M[i] = M[i] >> shift | M[i + 1] << (64 - shift);
 }
 
 /* The hits a scan returns: one bytes buffer of 2 count int32, count the
@@ -221,14 +216,12 @@ static void hits_add(Hits *h, int e, int d)
 }
 
 /* 1 if e + i*d lies in A for every 2 <= i <= k, and e - i*d too when
-   centered. */
-static int covers(const u64 *a, int e, int d, int k, int p, int centered)
+   centered: bits e + id and e + p - id of the doubled mask D, id = i*d mod p. */
+static int covers(const u64 *D, int e, int d, int k, int p, int centered)
 {
-    /* id runs through i*d mod p */
     for (int i = 2, id = d; i <= k; i++) {
         id = id >= p - d ? id - (p - d) : id + d;
-        if (!has(a, e >= p - id ? e - (p - id) : e + id) ||
-            (centered && !has(a, e >= id ? e - id : e + (p - id))))
+        if (!has(D, e + id) || (centered && !has(D, e + p - id)))
             return 0;
     }
     return 1;
@@ -240,7 +233,7 @@ static int covers(const u64 *a, int e, int d, int k, int p, int centered)
    of M from bit p - e + t says e - t - j - 1 is; their AND, or the first
    alone when forward, lists the candidates d = t + j + 1, 64 at a time,
    and only the steps 2 <= |i| <= k are left to test. */
-static int least_witness(const u64 *a, const u64 *D, const u64 *M, int e, int p, int k)
+static int least_witness(const u64 *D, const u64 *M, int e, int p, int k)
 {
     int last = M ? (p - 1) / 2 : p - 1;
     for (int t = 0; t < last; t += 64) {
@@ -251,29 +244,33 @@ static int least_witness(const u64 *a, const u64 *D, const u64 *M, int e, int p,
             cand &= (1ULL << (last - t)) - 1;
         for (; cand; cand &= cand - 1) {
             int d = t + __builtin_ctzll(cand) + 1;
-            if (covers(a, e, d, k, p, M != NULL))
+            if (covers(D, e, d, k, p, M != NULL))
                 return d;
         }
     }
     return 0;
 }
 
-/* The scan proper: the elements it asks about, A centered or its
-   complement forward, in ascending order, each hit added to h as it is
-   found. Returns the first element left without a witness, where it
-   stops, or -1 for none. The cost is the sum over the elements e of
-   ceil(d_e / 64) windows, d_e the witness of e, or its whole range for the
-   one that has none. */
-static int scan_elements(const u64 *a, int n, int p, int k, int forward, const u64 *D,
-                         const u64 *M, Hits *h)
+/* The scan of the n-limb mask a, with two doubled masks of scratch: the
+   elements it asks about, A centered or its complement forward, ascending,
+   each hit added to h as found. Returns the first element left without a
+   witness, where it stops, or -1 for none. The cost is O(n) for the doubled
+   mask and, centered, its mirror, then ceil(d_e / 64) windows an element e
+   of witness d_e, or the whole range for one without. */
+static int scan_elements(const u64 *a, int n, int p, int k, int forward, u64 *scratch,
+                         Hits *h)
 {
+    u64 *D = scratch, *M = forward ? NULL : D + doubled_limbs(p);
+    double_mask(a, n, p, D);
+    if (M)
+        mirror_mask(D, p, M);
     for (int i = 0; i < n; i++) {
         u64 w = forward ? ~a[i] : a[i];
         if (i == n - 1 && p & 63)
             w &= (1ULL << (p & 63)) - 1;
         for (; w; w &= w - 1) {
             int e = 64 * i + __builtin_ctzll(w);
-            int d = least_witness(a, D, forward ? NULL : M, e, p, k);
+            int d = least_witness(D, M, e, p, k);
             if (!d)
                 return e;
             hits_add(h, e, d);
@@ -282,35 +279,34 @@ static int scan_elements(const u64 *a, int n, int p, int k, int forward, const u
     return -1;
 }
 
-/* The forward hits at k = 1 of the nonempty n-limb mask a: each b outside
-   A at its distance to the next element of A, cyclically. One pass over
-   A's elements, ascending, fills the gap below each, and the last gap
-   wraps to the first element. */
+/* The forward hits at k = 1 of the nonempty n-limb mask a, into the buffer
+   of h: each b outside A at its distance to the next element of A,
+   cyclically. One pass over A's elements, ascending, fills the gap below
+   each as one run, and the last gap wraps to the first element. */
 static void gap_hits(const u64 *a, int n, int p, Hits *h)
 {
-    int first = -1, prev = -1;
+    int32_t *at = h->at, *step = h->at + h->count;
+    int first = -1, b = 0;
     for (int i = 0; i < n; i++)
         for (u64 w = a[i]; w; w &= w - 1) {
             int e = 64 * i + __builtin_ctzll(w);
-            if (first < 0)
-                first = e;
-            for (int b = prev + 1; b < e; b++)
-                hits_add(h, b, e - b);
-            prev = e;
+            first = first < 0 ? e : first;
+            for (; b < e; b++)
+                *at++ = b, *step++ = e - b;
+            b = e + 1;
         }
-    for (int b = prev + 1; b < p; b++)
-        hits_add(h, b, first + p - b);
+    for (; b < p; b++)
+        *at++ = b, *step++ = first + p - b;
 }
 
 /* found is 3 L zeroed limbs, the found mask, the node and a child, then
-   two doubled masks and L + 1 limbs of scratch for window_masks. */
+   the scan's scratch. */
 static int search(Search *s, int limit, long long budget, u64 *found,
                   long long *nodes)
 {
     int p = s->p, L = s->L, half = (p - 1) / 2;
     size_t bytes = L * sizeof(u64);
-    u64 *a = found + L, *child = a + L, *D = child + L, *M = D + doubled_limbs(p),
-        *R = M + doubled_limbs(p);
+    u64 *a = found + L, *child = a + L, *scratch = child + L;
     Hits none = {NULL, NULL, 0, 0};
 
     a[0] = 3;
@@ -321,8 +317,7 @@ static int search(Search *s, int limit, long long budget, u64 *found,
         if (++*nodes > budget)
             return OVER_BUDGET;
         /* the least element without a centered witness, by the scan's code */
-        window_masks(a, L, p, D, M, R);
-        int e = scan_elements(a, L, p, 1, 0, D, M, &none);
+        int e = scan_elements(a, L, p, 1, 0, scratch, &none);
         if (e < 0) {
             memcpy(found, a, bytes);
             return FOUND;
@@ -354,16 +349,19 @@ static int search(Search *s, int limit, long long budget, u64 *found,
    ValueError set when the length is wrong or a bit lies at or above p. */
 static int read_mask(Py_buffer *buf, int p, u64 *out, int n)
 {
-    const unsigned char *b = buf->buf;
     Py_ssize_t want = ((Py_ssize_t)p + 7) / 8;
     if (buf->len != want) {
         PyErr_Format(PyExc_ValueError, "mask must be %zd bytes for p = %d, got %zd",
                      want, p, buf->len);
         return -1;
     }
-    memset(out, 0, n * sizeof(u64));
-    for (Py_ssize_t k = 0; k < buf->len; k++)
-        out[k >> 3] |= (u64)b[k] << (8 * (k & 7));
+    /* a word at a time, the last one zero-padded: little-endian in place */
+    out[n - 1] = 0;
+    memcpy(out, buf->buf, buf->len);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    for (int i = 0; i < n; i++)
+        out[i] = __builtin_bswap64(out[i]);
+#endif
     if (p & 63 && out[n - 1] >> (p & 63)) {
         PyErr_Format(PyExc_ValueError, "mask has bits at or above p = %d", p);
         return -1;
@@ -419,7 +417,7 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
     if (status == NO_MEMORY) {
         s.keys = calloc(s.cap * s.L, sizeof(u64));
         s.stack = malloc(s.scap * s.L * sizeof(u64));
-        found = calloc(4 * (size_t)s.L + 1 + 2 * doubled_limbs(p), sizeof(u64));
+        found = calloc(3 * (size_t)s.L + 2 * doubled_limbs(p), sizeof(u64));
         if (s.keys != NULL && s.stack != NULL && found != NULL) {
             Py_BEGIN_ALLOW_THREADS
             status = search(&s, (int)(limit > p ? p : limit), budget, found, &nodes);
@@ -460,13 +458,12 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
         goto done;
     }
     int n = (int)(((size_t)p + 63) / 64);
-    /* A, scratch R, then the doubled masks D and M */
-    a = malloc((2 * (size_t)n + 1 + 2 * doubled_limbs(p)) * sizeof(u64));
+    /* A, then the scan's scratch */
+    a = malloc((n + 2 * doubled_limbs(p)) * sizeof(u64));
     if (a == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    u64 *R = a + n, *D = R + n + 1, *M = D + doubled_limbs(p);
     if (read_mask(&buf, p, a, n) < 0)
         goto done;
     int size = 0;
@@ -482,11 +479,10 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
     int least;
     if (forward && k == 1) {
         least = size ? -1 : 0;
-        if (size)
+        if (size && want)
             gap_hits(a, n, p, &h);
     } else {
-        window_masks(a, n, p, D, forward ? NULL : M, R);
-        least = scan_elements(a, n, p, k, forward, D, M, &h);
+        least = scan_elements(a, n, p, k, forward, a + n, &h);
     }
     if (least >= 0)
         Py_CLEAR(h.buf);

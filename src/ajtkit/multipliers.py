@@ -200,6 +200,7 @@ def good_subsets(
     max_tries: int = 1000,
     a_set: ResidueSet | None = None,
     b_set: ResidueSet | None = None,
+    budget: Budget | str | None = None,
 ) -> GoodSubsets:
     """Assemble A_i = A and B_i = lam_i * B with disjoint boxed sum sets.
 
@@ -208,21 +209,24 @@ def good_subsets(
     S_1-type set (frozen table first, logarithmic construction otherwise);
     for k >= 2 the defaults are the staged construction and the smallest
     part of a random N_k partition. Dilation preserves both properties, so
-    each B_i inherits the base certificate.
+    each B_i inherits the base certificate. The budget, resolved once,
+    goes to every construction, the partition and the multiplier draws,
+    which charge it as they run.
     """
     p = _as_prime(p)
     n = len(e_basis)
+    b = current_budget(budget)
     if k == 1:
-        base_a = a_set if a_set is not None else appendix_lookup(p) or build_s1_log(p)
+        base_a = a_set if a_set is not None else appendix_lookup(p) or build_s1_log(p, b)
         base_b = b_set if b_set is not None else base_a
         if not is_sk_type(base_a, 1).ok or not is_sk_type(base_b, 1).ok:
             raise InputError("base sets must certify S_1")
     elif k >= 2:
-        base_a = a_set if a_set is not None else build_sk(p, k).aset
+        base_a = a_set if a_set is not None else build_sk(p, k, b).aset
         if b_set is not None:
             base_b = b_set
         else:
-            partition = partition_nk(p, k, seed=seed)
+            partition = partition_nk(p, k, seed=seed, budget=b)
             base_b = min(partition.parts, key=len)
         if not is_sk_type(base_a, k).ok:
             raise InputError("base A must certify S_k")
@@ -243,6 +247,7 @@ def good_subsets(
         [base_b] * n,
         seed=seed,
         max_tries=max_tries,
+        budget=b,
     )
     b_sets = tuple(base_b.dilate(lam) for lam in cert.lambdas)
     return GoodSubsets(

@@ -750,6 +750,27 @@ def test_good_subsets_small_p_precondition():
         good_subsets(p, 1, e, e, seed=0)
 
 
+@pytest.mark.parametrize(
+    "k, given_a, budget, what",
+    [
+        (1, False, Budget(entries=1), "S_1 construction masks"),
+        (2, False, Budget(nodes=1), "staged construction"),
+        (2, True, Budget(nodes=1), "N_2 partition through draw 1"),
+    ],
+)
+def test_good_subsets_charges_its_budget_first(monkeypatch, k, given_a, budget, what):
+    # 1009 has no table row, so k = 1 builds the log set: a small entries
+    # or node budget reaches the construction or the partition, which stop
+    # before a set is returned or a label drawn, and no multiplier is tried
+    p = 1009
+    e = std_basis(p, 2)
+    monkeypatch.setattr(apsets, "_draw_labels", pytest.fail)
+    monkeypatch.setattr("ajtkit.multipliers.random_multipliers", pytest.fail)
+    a_set = ResidueSet(p, (1 << p) - 1) if given_a else None
+    with pytest.raises(BudgetExceeded, match=what):
+        good_subsets(p, k, e, e, a_set=a_set, budget=budget)
+
+
 # ---------------------------------------------------------------------------
 # the embedded table
 

@@ -203,14 +203,17 @@ def scans(p):
 
 
 def scan_sets(p, rng):
-    """Random sets of two densities, the log set, a sparse set, the empty
-    set, a singleton, the full set and {0}, whose element has no centered
-    witness."""
+    """Random sets of densities 1/2, 1/4, 1/8, 1/64 and 1/200, the log set,
+    a sparse set, the empty set, a singleton, the full set, {0}, whose
+    element has no centered witness, and {p - 1} and {0, p - 1}, whose
+    forward gap past the last element is empty; {0}'s is the whole field
+    less one."""
     half = rng.getrandbits(p)
     sparse = sum(1 << e for e in rng.sample(range(p), max(3, math.isqrt(4 * p))))
     log = apsets.build_s1_log(p).mask
-    return [half, half & rng.getrandbits(p), log, sparse, 0, 1 << rng.randrange(p),
-            (1 << p) - 1, 1]
+    sets = [half, half & rng.getrandbits(p), log, sparse, 0, 1 << rng.randrange(p),
+            (1 << p) - 1, 1, 1 << (p - 1), 1 | 1 << (p - 1)]
+    return sets + [sum(1 << e for e in rng.sample(range(p), p // den)) for den in (8, 64, 200)]
 
 
 def naive_scan(mask, p, k, forward):
@@ -241,26 +244,33 @@ def hit_list(hits, k):
     return [(e, d, k) for e, d in zip(at[:half], at[half:])]
 
 
+def scan_parity(ext, mask, p, k, forward):
+    """The compiled windows and the pure rotation scan one set alike: the
+    same hits buffer, byte for byte, and the same least element, with hits
+    and without them. A scan with every element hit lists them all,
+    ascending; one that leaves an element without a witness returns
+    (None, least). Returns the hits and the least element."""
+    hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, True)
+    assert ext.first_hit_scan(mask, p, k, forward, True) == (hits, least)
+    for scan in (ext.first_hit_scan, _kernels_py.first_hit_scan):
+        assert scan(mask, p, k, forward, False) == (None, least)
+    if least is None:
+        bits = format(mask, f"0{p}b")[::-1]
+        targets = [e for e in range(p) if (bits[e] == "1") != forward]
+        assert [e for e, _, _ in hit_list(hits, k)] == targets
+    else:
+        assert hits is None and mask >> least & 1 != forward
+    return hits, least
+
+
 def check_scan_parity(ext, p, wanted):
-    """Every scan (k, forward) at p that `wanted` picks, on every set of
-    scan_sets: the compiled windows and the pure rotation give the same
-    hits buffer, byte for byte, and the same least element, with hits and
-    without them. A scan with every element hit lists them all, ascending;
-    one that leaves an element without a witness returns (None, least).
-    Up to p = 1009 both give the definition's; at 20011 the definition,
-    O(p^2) a scan, would take minutes."""
+    """scan_parity for every scan (k, forward) at p that `wanted` picks, on
+    every set of scan_sets. Up to p = 1009 both give the definition's; at
+    20011 the definition, O(p^2) a scan, would take minutes."""
     rng = random.Random(p)
     for mask in scan_sets(p, rng):
         for k, forward in filter(wanted, scans(p)):
-            hits, least = _kernels_py.first_hit_scan(mask, p, k, forward, True)
-            assert ext.first_hit_scan(mask, p, k, forward, True) == (hits, least)
-            for scan in (ext.first_hit_scan, _kernels_py.first_hit_scan):
-                assert scan(mask, p, k, forward, False) == (None, least)
-            if least is None:
-                targets = [e for e in range(p) if mask >> e & 1 != forward]
-                assert [e for e, _, _ in hit_list(hits, k)] == targets
-            else:
-                assert hits is None and mask >> least & 1 != forward
+            hits, least = scan_parity(ext, mask, p, k, forward)
             if p <= 1009:
                 want, first = naive_scan(mask, p, k, forward)
                 assert least == first
@@ -287,8 +297,20 @@ def test_window_route_parity(ext, p):
 @pytest.mark.parametrize("p", SCAN_PRIMES)
 def test_gap_route_parity(ext, p):
     # forward scans at k = 1, whose one step is +1: the compiled scan fills
-    # the gaps below each element in one pass, the pure one rotates
+    # the gaps below each element in one pass, the pure one rotates; {0},
+    # {p - 1} and {0, p - 1} take the gap that wraps to its extremes
     check_scan_parity(ext, p, lambda scan: scan == (1, True))
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(5, 2000), pytest.param(2000, 10**4, marks=pytest.mark.slow)]
+)
+def test_log_set_scan_parity(ext, lo, hi):
+    # the certify workload's S_1 verdicts: the log set of every prime below
+    # 10^4, whose few elements leave most windows without a candidate
+    for q in range(lo, hi):
+        if fp_core.is_probable_prime(q):
+            assert scan_parity(ext, apsets.build_s1_log(q).mask, q, 1, False)[1] is None
 
 
 @pytest.mark.parametrize("p", [5, 67, 257])
