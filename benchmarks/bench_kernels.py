@@ -43,7 +43,9 @@ that both give the same tables or verdicts; its stacked row runs
 properties.sweep_verdicts, all three sweep verdicts through
 kernels.products_vanish on the backend that imported, and compares its two
 product flags. The products_vanish table times that kernel on each backend,
-at one sweep group each of (5, 2), (11, 2), (5, 3) and (31, 2), and asserts
+at one sweep group each of (5, 2), (11, 2), (5, 3) and (31, 2), whose
+products do not vanish, and one of (3, 3) whose products all do, which the
+compiled kernel decides only at the last entry of each table, and asserts
 equal flags. The witness table times first_witness on each backend, on
 one sweep group each of (11, 2), (5, 3) and (31, 2) as sweep_verdicts passes
 it, the head rows shared and the last row of each matrix, and on the search
@@ -85,6 +87,18 @@ CASES = [
     (67, 8, "find minimum set"),
     (101, 8, "exhaust below optimum"),
     (1009, 5, "exhaust, 16 limbs"),
+]
+
+# (p, head rows) of the sweep groups the products_vanish table times: the
+# first group below a first row, and at p = 3 a group whose products all
+# vanish, over Z and mod 3, so the compiled kernel reads every entry of
+# each product table before it decides
+PRODUCT_GROUPS = [
+    (5, [(1, 2)]),
+    (11, [(1, 2)]),
+    (5, [(1, 2, 3)]),
+    (31, [(1, 2)]),
+    (3, [(0, 1, 1), (0, 1, 2)]),
 ]
 
 # (p, limit, node budget) for the compiled search alone
@@ -265,12 +279,13 @@ def product_cases():
     )
 
 
-def sweep_stack(p, first):
-    """The first group of the sweep below the first row `first`, from the
-    one-row range that holds it: (head, last rows)."""
-    n = len(first)
+def sweep_stack(p, *rows):
+    """The first group of the sweep whose head starts with `rows`, from the
+    range of its one first row: (head, last rows)."""
+    first, n = rows[0], len(rows[0])
     index = sum(a * p ** (n - 1 - i) for i, a in enumerate(first)) - 1
-    return next(fp_core.enumerate_nonsingular_groups(p, n, first_rows=slice(index, index + 1)))
+    groups = fp_core.enumerate_nonsingular_groups(p, n, first_rows=slice(index, index + 1))
+    return next((h, l) for h, l in groups if h[: len(rows)].tolist() == list(map(list, rows)))
 
 
 def stack_matrices(p, head, last):
@@ -501,15 +516,16 @@ def main():
     header += "".join(f"{b + ' (s)':>15}" for b, _ in BACKENDS) + f"{'speedup':>9}"
     print(header)
     print("-" * len(header))
-    for p, first in [(5, (1, 2)), (11, (1, 2)), (5, (1, 2, 3)), (31, (1, 2))]:
-        head, last = sweep_stack(p, first)
-        n, times, flags = len(first), [], []
+    for p, rows in PRODUCT_GROUPS:
+        head, last = sweep_stack(p, *rows)
+        n, times, flags = len(rows[0]), [], []
         for backend, ext in BACKENDS:
             t, got = timed(route_on, ext, kernels.products_vanish, p, head, last, repeat=20)
             times.append(t)
             flags.append([a.tolist() for a in got])
         assert all(f == flags[0] for f in flags), f"products_vanish differs at ({p}, {n})"
-        line = f"{'one sweep group':<28}{p:>6}{n:>4}{len(last):>10}{len(last) * p**n:>10}"
+        label = "sweep group, all vanish" if all(flags[0][1]) else "one sweep group"
+        line = f"{label:<28}{p:>6}{n:>4}{len(last):>10}{len(last) * p**n:>10}"
         print(line + "".join(f"{t:>15.6f}" for t in times) + f"{times[0] / times[-1]:>8.1f}x")
     print()
     header = f"{'witness search':<28}{'p':>6}{'n':>4}{'instances':>10}{'units':>12}"

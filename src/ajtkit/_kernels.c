@@ -40,8 +40,9 @@
    products_vanish mirrors _kernels_py.products_vanish: for each of a stack
    of matrices that share n - 1 head rows and differ in their last row,
    whether prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over Z[(Z/p)^n] is zero,
-   and zero mod p, with every factor applied as t <- t - roll(t, v) to p^n
-   int64 entries.
+   and zero mod p. The shared factors are applied as t <- t - roll(t, v)
+   to p^n int64 entries; each last row's factor is read off t one entry at
+   a time, up to the first entry that decides both answers.
 
    first_witness mirrors _kernels_py.first_witness: for each instance, the
    first x in depth-first order, coordinates by ascending slack and values
@@ -642,43 +643,90 @@ done:
     return result;
 }
 
-/* dst = src - roll(src, v) for a table of p^n int64 entries, row-major:
-   entry i of dst is src[i] - src[i - v], the index taken mod p along each
+/* The rows of t - roll(t, v) for a table t of p^n int64 entries,
+   row-major: entry i is t[i] - t[i - v], the index taken mod p along each
    axis, with every shift v[a] in [0, p). Along the last axis a row is two
    contiguous runs: its first v[n-1] slots read the end of the source row,
-   the others its start. The source row sits at the destination row's outer
-   digits minus v; an odometer over the n - 1 outer axes steps both, the
-   destination's digits in place[] and the source's in digit[], with the
-   source row's offset in from. */
+   the others its start. The source row sits at the row's outer digits
+   minus v; an odometer over the n - 1 outer axes steps both, the row's
+   digits in place[] and the source's in digit[], with the source row's
+   offset in from. */
+typedef struct {
+    int p, n, place[31], digit[31];
+    size_t stride[31], from;
+} Rows;
+
+static void rows_start(Rows *r, int p, int n, const int *v)
+{
+    size_t s = (size_t)p;
+    r->p = p;
+    r->n = n;
+    r->from = 0;
+    for (int a = n - 2; a >= 0; a--, s *= (size_t)p) {
+        r->stride[a] = s;
+        r->place[a] = 0;
+        r->digit[a] = v[a] ? p - v[a] : 0;
+        r->from += (size_t)r->digit[a] * s;
+    }
+}
+
+static void rows_next(Rows *r)
+{
+    for (int a = r->n - 2; a >= 0; a--) {
+        r->from += r->stride[a];
+        if (++r->digit[a] == r->p) {
+            r->digit[a] = 0;
+            r->from -= (size_t)r->p * r->stride[a];
+        }
+        if (++r->place[a] < r->p)
+            break;
+        r->place[a] = 0;
+    }
+}
+
+/* dst = src - roll(src, v), row by row. */
 static void roll_sub(const int64_t *restrict src, int64_t *restrict dst, size_t size,
                      int p, int n, const int *v)
 {
-    int place[31], digit[31], last = v[n - 1];
-    size_t stride[31], from = 0, s = (size_t)p;
-    for (int a = n - 2; a >= 0; a--, s *= (size_t)p) {
-        stride[a] = s;
-        place[a] = 0;
-        digit[a] = v[a] ? p - v[a] : 0;
-        from += (size_t)digit[a] * s;
-    }
-    for (size_t row = 0; row < size; row += (size_t)p) {
-        const int64_t *same = src + row, *back = src + from;
+    Rows r;
+    int last = v[n - 1];
+    rows_start(&r, p, n, v);
+    for (size_t row = 0; row < size; row += (size_t)p, rows_next(&r)) {
+        const int64_t *same = src + row, *back = src + r.from;
         int64_t *out = dst + row;
         for (int x = 0; x < last; x++)
             out[x] = same[x] - back[p - last + x];
         for (int x = last; x < p; x++)
             out[x] = same[x] - back[x - last];
-        for (int a = n - 2; a >= 0; a--) {
-            from += stride[a];
-            if (++digit[a] == p) {
-                digit[a] = 0;
-                from -= (size_t)p * stride[a];
+    }
+}
+
+/* Whether t - roll(t, v) is zero (*zero) and zero mod p (*modp), its
+   entries read in roll_sub's order and none written: the Z test stops at
+   the first nonzero entry, and the mod p test goes on from there to the
+   first entry nonzero mod p, which decides both. So the walk reads all
+   p^n entries only when the product vanishes mod p. */
+static void roll_sub_zero(const int64_t *t, size_t size, int p, int n, const int *v,
+                          char *zero, char *modp)
+{
+    Rows r;
+    int last = v[n - 1], z = 1;
+    rows_start(&r, p, n, v);
+    for (size_t row = 0; row < size; row += (size_t)p, rows_next(&r)) {
+        const int64_t *same = t + row, *back = t + r.from;
+        for (int x = 0; x < p; x++) {
+            int64_t d = same[x] - back[x < last ? p - last + x : x - last];
+            if (d != 0) {
+                z = 0;
+                if (d % p != 0) {
+                    *zero = *modp = 0;
+                    return;
+                }
             }
-            if (++place[a] < p)
-                break;
-            place[a] = 0;
         }
     }
+    *zero = (char)z;
+    *modp = 1;
 }
 
 /* The n entries of a row, reduced mod p into [0, p). */
@@ -695,11 +743,11 @@ static void read_shifts(const int64_t *row, int n, int p, int *v)
    prod (1 - g^(e_i)) * prod (1 - g^(a_i)) is zero over Z, respectively
    mod p. The matrices share the n - 1 rows in `head` and matrix b ends in
    row b of `last`, all native int64, read mod p. The unit vectors and the
-   head rows are applied once, to one table; each last row then takes one
-   roll_sub into a scratch table, and the zero tests stop at the first entry
-   that decides them. 2n factors keep every entry at most 2^(2n-1), so
-   n <= 31 keeps int64 exact. p, n and the buffer lengths are checked before
-   either buffer is read. */
+   head rows are applied once, to one table, and each last row's factor is
+   then read off it entry by entry (roll_sub_zero), never written out, up
+   to the entry that decides both flags. 2n factors keep every entry at
+   most 2^(2n-1), so n <= 31 keeps int64 exact. p, n and the buffer lengths
+   are checked before either buffer is read. */
 static PyObject *products_vanish(PyObject *self, PyObject *args)
 {
     Py_buffer head, last;
@@ -752,14 +800,7 @@ static PyObject *products_vanish(PyObject *self, PyObject *args)
     }
     for (Py_ssize_t b = 0; b < count; b++) {
         read_shifts(lasts + (size_t)b * n, n, p, v);
-        roll_sub(cur, nxt, size, p, n, v);
-        size_t i = 0;
-        while (i < size && nxt[i] == 0)
-            i++;
-        z[b] = i == size;
-        while (i < size && nxt[i] % p == 0)
-            i++;
-        m[b] = i == size;
+        roll_sub_zero(cur, size, p, n, v, z + b, m + b);
     }
     Py_END_ALLOW_THREADS
     result = PyTuple_Pack(2, zero, modp);

@@ -206,10 +206,16 @@ def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
             found, witness, int_zero, modp_zero = properties.sweep_verdicts(
                 p, head, stack, budget=budget
             )
+            witnessed = int(np.count_nonzero(found))
+            int_zeros = int(np.count_nonzero(int_zero))
+            modp_zeros = int(np.count_nonzero(modp_zero))
             counts["matrices"] += len(stack)
-            counts["p1_witness"] += int(found.sum())
-            counts["integer_nonzero"] += len(stack) - int(int_zero.sum())
-            counts["modp_nonzero"] += len(stack) - int(modp_zero.sum())
+            counts["p1_witness"] += witnessed
+            counts["integer_nonzero"] += len(stack) - int_zeros
+            counts["modp_nonzero"] += len(stack) - modp_zeros
+            # almost no stack holds a violation: the mask waits for a count to show one
+            if witnessed == len(stack) and not int_zeros and not modp_zeros:
+                continue
             for i in np.flatnonzero(~found | int_zero | modp_zero).tolist():
                 rows = head.tolist() + [stack[i].tolist()]
                 counts["violations"].append(

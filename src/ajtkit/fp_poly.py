@@ -11,7 +11,9 @@ Every polynomial behind the verdicts (P2, P5, duality and the coefficient
 route of the scalar-product condition) is a product of affine factors:
 <a_i, x> - d, x_i - c, <row, x> and x_j. Each verdict lists its factors and
 makes one kernels.affine_product call, which multiplies the tensor by them
-one pass per factor, compiled when the extension is built.
+one pass per factor, compiled when the extension is built. Powers of forms
+with one term, c x_j, and the monomials x^t are one term together, so
+_form_product starts from that term's tensor and lists them as no factor.
 
 mul_reduce, the product of two general reduced polynomials, has two
 independent routes. The shift route adds one shifted copy of one factor per
@@ -255,18 +257,31 @@ def _form_product(
 
     Every power is reduced first: on F_p, y^k and y^reduce_exponent(k) are
     the same function of y, and the canonical form depends only on the
-    function. So each form, and each x_j of the monomial, is listed at most
-    p - 1 times.
+    function. So each form is listed at most p - 1 times. A one-term form
+    c x_j and the monomial cost no pass: (c x_j)^k is c^k x_j^k, so they
+    make one term, c^k's product at the exponents summed per axis and then
+    reduced, and that term is the tensor the other forms multiply.
     """
     if any(k < 0 for k in powers):
         raise InputError("negative powers are not defined")
     n = len(forms[0])
+    coeff, exps = 1, [0] * n
+    for j, t in enumerate(monomial):
+        exps[j] = reduce_exponent(int(t), p)
     factors = []
     for coefficients, k in zip(forms, powers):
-        factors += [(0, *(int(c) % p for c in coefficients))] * reduce_exponent(k, p)
-    for j, t in enumerate(monomial):
-        factors += [(0, *_unit(n, j))] * reduce_exponent(int(t), p)
-    return ReducedPoly(p, n, kernels.affine_product(_one(p, n), p, factors))
+        form = [int(c) % p for c in coefficients]
+        terms = [j for j, c in enumerate(form) if c]
+        if len(terms) == 1:
+            coeff = coeff * pow(form[terms[0]], int(k), p) % p
+            exps[terms[0]] += int(k)
+        else:
+            factors += [(0, *form)] * reduce_exponent(k, p)
+    start = np.zeros((p,) * n, dtype=np.int64)
+    start[tuple(reduce_exponent(e, p) for e in exps)] = coeff
+    if factors:
+        start = kernels.affine_product(start, p, factors)
+    return ReducedPoly(p, n, start)
 
 
 def charge_product(p: int, n: int, budget: Budget) -> int:

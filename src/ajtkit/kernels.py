@@ -53,9 +53,14 @@ matrices, an (n-1, n) head of shared rows and a (B, n) array of last rows:
 whether prod (1 - g^(e_i)) * prod (1 - g^(a_i)) vanishes over Z, and mod p.
 Its one caller, properties.sweep_verdicts, validates, charges and converts
 the two arrays. The compiled side applies the unit vectors and the head rows
-once, to one p^n int64 table, then each last row into one scratch table, so
-it holds 2 p^n entries whatever B is, and returns the flags in two
-bytearrays of B bytes, 1 for zero, which become the results' buffers.
+once, to one p^n int64 table, in two buffers of p^n entries whatever B is.
+It then reads each last row's factor off that table one entry at a time,
+without writing it out, and stops at the first entry nonzero mod p, which
+decides both flags: no sweep at p >= 5 has met a product that vanishes,
+and there the first few entries decide. It returns the flags in two bytearrays of B bytes, 1 for
+zero, which become the results' buffers. The pure side expands the same
+shared factors with numpy and applies the last rows as one gather over the
+whole stack, a second method for the parity tests to compare.
 
 first_witness is the one witness search, behind check_p1, check_multi and
 the sweep: for each instance, the first x in a depth-first order with each

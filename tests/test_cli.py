@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, payload shapes."""
 
 import concurrent.futures
+import hashlib
 import itertools
 import json
 import os
@@ -660,6 +661,46 @@ def test_sweep_payload_matches_one_matrix_at_a_time(capsys):
             "violations": violations,
             **counts,
         }
+
+
+# sha256 of `sweep --p P --n N --threads T` stdout, keyed (P, N, T), as the
+# sweep printed it before its products were decided entry by entry; the
+# payload echoes --threads, so each thread count has its own digest
+SWEEP_DIGESTS = {
+    (3, 1, 1): "8e9fd1d33ee01c8a32f6755153cd5f3a72649dcea868432100a3554fb74c639e",
+    (3, 1, 2): "b85d6074f903404bb61f23306c6ca4b60250265f19e2fd74d9d45f5ed6cc6690",
+    (5, 1, 1): "c026e35f29d6d8ace9967656f9384798774ea7a12444c25b4a91398cb3625496",
+    (5, 1, 2): "372b846eb49884a385a090db4f4c0a8c77a19a23d651ccf905f058b008496fe4",
+    (3, 2, 1): "2f3f453c7b1d7cf39320da94f11a488f35b22671bab24f7498563fec1b16d8cd",
+    (3, 2, 2): "bba23e687cffb69bab114bd75774d5a32c5a6bf1be0c58f1b48810004533413b",
+    (5, 2, 1): "9107c34cfff663802a53d2b95100542f79f0c3ceda754e7a1c85a7fca11ccc01",
+    (5, 2, 2): "d695146e86a594fc31199259ffe4ae92c3ffff97f0c167594bda81e231e01c12",
+    (7, 2, 1): "ea7e34119fd3be46982b2a48344469d889b05f6d4fe212b93232d4d29a2a956d",
+    (7, 2, 2): "87496c9318aac5d3d80022c82d60b9bc4fb68472cf9f686d6aa032864cad3599",
+    (11, 2, 1): "4a7890f522658e5b28713455869d5711d6151421fc4927a55c7e34b4ce1285c2",
+    (11, 2, 2): "b165bfbebf528675201200dfab192b65db939821e76fa6c98a13c342eb445cf0",
+    (13, 2, 1): "ba2a664828b7404a5a37c5154c684571d5a6cb563accf1d1b30c324875f9c805",
+    (13, 2, 2): "d55faa8ea9789f2aba950aceba1029ebf1d1f6307f5fe32d0550779a4912948f",
+    (3, 3, 1): "9afbed09d1a5c5a93b4c32aa5f928e1e8eeb6c8c46be0446e49618bbdf0adba7",
+    (3, 3, 2): "54802e5366a505854e693bc5efd8e6610bef320e6f5322848f240077e1df0377",
+    (5, 3, 1): "4e69faa682756c2e7661415614f257ff0bdeb1ac20ca4279733422cfd922497b",
+    (5, 3, 2): "137791599497ec382dd2cfc4ed1ac82bd71f3eaf6f80e53d69f92eddab28b08e",
+}
+
+
+@pytest.mark.parametrize(
+    "p, n, threads",
+    [
+        pytest.param(*key, marks=pytest.mark.slow) if key[:2] == (5, 3) else key
+        for key in SWEEP_DIGESTS
+    ],
+)
+def test_sweep_stdout_is_pinned(capsys, p, n, threads):
+    # stdout byte for byte, the p = 3 violations and their order included,
+    # on whichever backend is built
+    rc, out = run(capsys, "sweep", "--p", str(p), "--n", str(n), "--threads", str(threads))
+    assert rc == (1 if p == 3 and n > 1 else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_DIGESTS[p, n, threads]
 
 
 def test_sweep_validates_the_prime_once(capsys, monkeypatch):

@@ -4,11 +4,13 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ajtkit import kernels
 from ajtkit.errors import InputError
 from ajtkit.fp_core import FpMatrix, random_nonsingular
 from ajtkit.fp_poly import (
@@ -179,6 +181,57 @@ def test_one_term_form_power_is_one_monomial(n, r):
             ):
                 want = repeated_products(P, forms, powers)
                 assert _form_product(P, forms, powers) == want
+
+
+def listed_product(p, forms, powers, monomial):
+    """The tensor of prod <forms[i], x>^(powers[i]) * x^monomial with every
+    factor listed: each power of a form, and each x_j of the monomial, one
+    kernels.affine_product pass from the constant 1."""
+    n = len(forms[0])
+    factors = []
+    for form, k in zip(forms, powers):
+        factors += [(0, *(c % p for c in form))] * reduce_exponent(k, p)
+    for j, t in enumerate(monomial):
+        factors += [(0, *(int(i == j) for i in range(n)))] * reduce_exponent(t, p)
+    one = np.zeros((p,) * n, dtype=np.int64)
+    one[(0,) * n] = 1
+    return kernels.affine_product(one, p, factors)
+
+
+@st.composite
+def form_products(draw):
+    """(p, forms, powers, monomial): forms with one term, zero forms (every
+    coefficient 0 mod p) and dense ones, coefficients below 0 and at or
+    above p, powers and monomial exponents past p - 1."""
+    p = draw(st.sampled_from([3, 5, 7, 11]))
+    n = draw(st.integers(1, 3))
+    dense = st.lists(st.integers(-p, 2 * p), min_size=n, max_size=n)
+    zero = st.lists(st.integers(-2, 2).map(lambda c: p * c), min_size=n, max_size=n)
+    one_term = st.tuples(st.integers(0, n - 1), st.integers(1, p - 1), st.integers(-2, 2)).map(
+        lambda t: [t[1] + p * t[2] if i == t[0] else 0 for i in range(n)]
+    )
+    forms = draw(st.lists(one_term | zero | dense, min_size=1, max_size=4))
+    exponent = st.integers(0, 3 * p)
+    powers = draw(st.lists(exponent, min_size=len(forms), max_size=len(forms)))
+    monomial = draw(st.just(()) | st.lists(exponent, min_size=n, max_size=n))
+    return p, forms, powers, monomial
+
+
+@settings(max_examples=80, deadline=None)
+@given(form_products())
+def test_form_product_matches_listed_factors(compiled, case):
+    # the one-term forms and the monomial as the start term, not as passes:
+    # the same tensor byte for byte as every factor listed, on both backends
+    p, forms, powers, monomial = case
+    got = []
+    for ext in (compiled, None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_ext", ext)
+            got += [_form_product(p, forms, powers, monomial).coeffs,
+                    listed_product(p, forms, powers, monomial)]
+    want = got[-1]
+    assert want.shape == (p,) * len(forms[0])
+    assert all(g.dtype == np.int64 and g.tobytes() == want.tobytes() for g in got)
 
 
 def test_mul_is_pointwise_product():

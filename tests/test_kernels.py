@@ -481,6 +481,41 @@ def test_products_vanish_parity(ext, p, n):
         assert (False, True) in seen
 
 
+@st.composite
+def vanish_stacks(draw):
+    """(p, n, head, last) with entries below 0 and at or above p, some rows
+    0 mod p, and at p = 3 stacks whose products vanish mod 3: a head row
+    and last rows that are the same unit vector mod 3, which with that unit
+    vector's own factor make (1 - g^e)^3 = 1 - g^(3e) = 0 mod 3."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 13]))
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-p, 2 * p - 1)
+    row = st.lists(entry, min_size=n, max_size=n) | st.lists(
+        st.integers(-2, 2).map(lambda c: p * c), min_size=n, max_size=n
+    )
+    head = draw(st.lists(row, min_size=n - 1, max_size=n - 1))
+    last = draw(st.lists(row, max_size=6))
+    if p == 3 and n > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        unit = [int(a == j) for a in range(n)]
+        head[0] = unit
+        last += [[u + 3 * c for u, c in zip(unit, r)] for r in draw(st.lists(row, max_size=3))]
+    head = np.array(head, np.int64).reshape(n - 1, n)
+    return p, n, head, np.array(last, np.int64).reshape(-1, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(vanish_stacks())
+def test_products_vanish_parity_drawn(compiled, stack):
+    # compiled and pure flags bit for bit, and as the np.roll expansion of
+    # each matrix's product gives them
+    p, n, head, last = stack
+    pure = _kernels_py.products_vanish(head, last, p, n)
+    assert compiled.products_vanish(head, last, p, n) == tuple(a.tobytes() for a in pure)
+    want = [rolled_flags(p, np.concatenate([head, row[None]])) for row in last]
+    assert [tuple(map(bool, t)) for t in zip(*pure)] == want
+
+
 @pytest.mark.parametrize("p, n", [(3, 2), (5, 2), (7, 2), (11, 2), (3, 3), (5, 3), (3, 4)])
 def test_sweep_verdicts_match_one_matrix_at_a_time(backend, twin_witness, p, n):
     # properties.sweep_verdicts on each backend against check_p1 and the
