@@ -1,14 +1,15 @@
 """Compare the compiled kernels against their pure-Python twins.
 
-Both backends expose the same five kernels, s1_exhaust, first_hit_scan,
-affine_product, products_vanish and first_witness, and must return
-identical results: node counts included for the search, the same hits
+Both backends expose the same six kernels, s1_exhaust, s1_log,
+first_hit_scan, affine_product, products_vanish and first_witness, and must
+return identical results: node counts included for the search, the same
+mask for the log construction, the same hits
 buffer for the scan, the same tensor for the product, the same flags for the
 sweep's products, the same witnesses and units for the witness search. This
 script times them side by side on the workloads that dominate real use:
 exhausting all sets below the optimum and finding a minimum set one size
 up, and the certification scans. The compiled side runs through
-ajtkit.kernels, which carries the mask across as bytes. The compiled search
+ajtkit.kernels, which hands masks across as ints. The compiled search
 table times s1_exhaust alone at sizes the pure search would take minutes
 for, with its node counts. The scan table times first_hit_scan on each
 backend, asked for no hits, so the kernel's own work, and for its hits
@@ -20,8 +21,9 @@ element it leaves without a witness and so returns no hits. It asserts that
 both backends give the same hits buffer, byte for byte, the same least
 element left without a witness and the same records. The log-set table
 times the certify workload's S_1 verdicts on each backend: the log sets of
-all 1,227 primes below 10^4, their scans asked for no hits, prebuilt, and
-build_s1_log with is_sk_type of each. The witness-map rows time
+all 1,227 primes below 10^4 built by the s1_log kernel alone, their scans
+asked for no hits, prebuilt, and build_s1_log with is_sk_type of each; it
+asserts the same masks and hits from both backends. The witness-map rows time
 is_nk_type on the N_1 part, per backend, against its two scans asked for no
 hits, and then the first read of both its maps, which builds their
 records. Both backends must give equal reports. The full-field row runs
@@ -397,25 +399,28 @@ def main():
             line = f"{label:<28}{p:>6}{k:>3}{mask.bit_count():>7}{found:>7}"
             print(line + f"{backend:>10}{t_scan * 1e6:>14.1f}{t_hits * 1e6:>11.1f}{read:>19}")
     print()
-    # the 1,227 log sets' scans and verdicts, best of five
-    header = f"{'log sets':<28}{'p <':>6}{'sets':>6}{'|A|':>7}{'backend':>10}"
-    header += f"{'scans (ms)':>12}{'verdicts (ms)':>15}"
+    # the 1,227 log sets' masks, scans and verdicts, best of five
+    header = f"{'log sets':<28}{'p <':>6}{'sets':>6}{'|A|':>7}{'backend':>10}{'time (ms)':>11}"
     print(header)
     print("-" * len(header))
     primes = [q for q in range(5, 10**4) if fp_core.is_probable_prime(q)]
-    masks = [(apsets.build_s1_log(q).mask, q) for q in primes]
+    masks = [(_kernels_py.s1_log(q), q) for q in primes]
     want = [_kernels_py.first_hit_scan(mask, q, 1, False, True) for mask, q in masks]
     size = sum(mask.bit_count() for mask, _ in masks)
     for backend, ext in BACKENDS:
+        t_log, built = timed(route_on, ext, lambda: [kernels.s1_log(q) for q in primes],
+                             repeat=5)
         t_cert, reports = timed(route_on, ext, certify_log_sets, primes, repeat=5)
         t_scan, _ = timed(route_on, ext, lambda: [
             kernels.first_hit_scan(mask, q, 1, False, False) for mask, q in masks], repeat=5)
         got = route_on(ext, lambda: [
             kernels.first_hit_scan(mask, q, 1, False, True) for mask, q in masks])
+        assert built == [mask for mask, _ in masks], f"log set mask mismatch, {backend}"
         assert got == want, f"log set scan mismatch, {backend}"
         assert all(r.ok for r in reports) and sum(len(r.witnesses) for r in reports) == size
-        print(f"{'build_s1_log + is_sk_type':<28}{10**4:>6}{len(primes):>6}{size:>7}"
-              f"{backend:>10}{t_scan * 1e3:>12.2f}{t_cert * 1e3:>15.2f}")
+        for label, t in (("s1_log", t_log), ("first_hit_scan, no hits", t_scan),
+                         ("build_s1_log + is_sk_type", t_cert)):
+            print(f"{label:<28}{10**4:>6}{len(primes):>6}{size:>7}{backend:>10}{t * 1e3:>11.2f}")
     print()
     # is_nk_type with its witness maps, the same two scans with no hits, and
     # the first read of both maps

@@ -1,12 +1,13 @@
-/* Compiled kernels: the S_1 search, the first-hit progression scan, the
-   affine product of reduced polynomials, the sweep's group-ring products
-   and the witness search. The module exports these five kernels and API,
-   nothing else.
+/* Compiled kernels: the S_1 search, the log S_1 construction, the
+   first-hit progression scan, the affine product of reduced polynomials,
+   the sweep's group-ring products and the witness search. The module
+   exports these six kernels and API, nothing else.
 
    Inside, a subset of Z/p is a mask of L = ceil(p/64) 64-bit limbs, least
    significant limb first, allocated per call, so one code path serves every
-   p. Masks cross the Python boundary, both ways, as little-endian bytes of
-   length ceil(p/8) (read_mask, write_mask).
+   p. Masks cross the Python boundary, both ways, as ints, bit i for
+   residue i, copied straight into and out of the limbs (read_mask,
+   mask_int).
 
    s1_exhaust mirrors _kernels_py.s1_exhaust and takes any p >= 5: the same
    traversal, so the found mask, the exhausted flag and the node count agree
@@ -18,6 +19,9 @@
    node when the first table and stack pass it, and at the visit or push
    that would grow either past it, where the pure twin, which counts the
    same slots and masks, stops too.
+
+   s1_log mirrors _kernels_py.s1_log: the 2 bitlen(s) + 2 bits of the
+   logarithmic construction, set in a zeroed mask.
 
    first_hit_scan mirrors _kernels_py.first_hit_scan, for any p >= 3 and
    1 <= k <= (p - 1)/2, with the same hits in the same order by another
@@ -63,7 +67,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 11           /* bumped whenever a kernel's signature or result changes */
+#define API 12           /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -346,41 +350,45 @@ static int search(Search *s, int limit, long long budget, u64 *found,
     return NONE_FOUND;
 }
 
-/* The n-limb mask held in buf (little-endian, ceil(p/8) bytes), or -1 with
-   ValueError set when the length is wrong or a bit lies at or above p. */
-static int read_mask(Py_buffer *buf, int p, u64 *out, int n)
+/* The int obj as the n-limb mask of a subset of Z/p in out, or -1 with
+   ValueError set when it is negative or has a bit at or above p. */
+static int read_mask(PyObject *obj, int p, u64 *out, int n)
 {
-    Py_ssize_t want = ((Py_ssize_t)p + 7) / 8;
-    if (buf->len != want) {
-        PyErr_Format(PyExc_ValueError, "mask must be %zd bytes for p = %d, got %zd",
-                     want, p, buf->len);
+    /* Python 3.13 gave _PyLong_AsByteArray a sixth argument, with_exceptions */
+#if PY_VERSION_HEX >= 0x030D0000
+    int status = _PyLong_AsByteArray((PyLongObject *)obj, (unsigned char *)out,
+                                     n * sizeof(u64), 1, 0, 1);
+#else
+    int status = _PyLong_AsByteArray((PyLongObject *)obj, (unsigned char *)out,
+                                     n * sizeof(u64), 1, 0);
+#endif
+    /* unsigned, so a negative int and one past n limbs are OverflowErrors */
+    if (status < 0 && !PyErr_ExceptionMatches(PyExc_OverflowError))
         return -1;
-    }
-    /* a word at a time, the last one zero-padded: little-endian in place */
-    out[n - 1] = 0;
-    memcpy(out, buf->buf, buf->len);
 #if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
-    for (int i = 0; i < n; i++)
+    for (int i = 0; status == 0 && i < n; i++)
         out[i] = __builtin_bswap64(out[i]);
 #endif
-    if (p & 63 && out[n - 1] >> (p & 63)) {
+    int top = p - 64 * (n - 1); /* the last limb's bits below p */
+    if (status < 0 || (top < 64 && out[n - 1] >> top)) {
+        PyErr_Clear();
         PyErr_Format(PyExc_ValueError, "mask has bits at or above p = %d", p);
         return -1;
     }
     return 0;
 }
 
-/* The mask m as little-endian bytes of length ceil(p/8), zeros for NULL. */
-static PyObject *write_mask(const u64 *m, int p)
+/* The n-limb mask m as an int, 0 for NULL; m is reordered in place on a
+   big-endian host. */
+static PyObject *mask_int(u64 *m, int n)
 {
-    Py_ssize_t n = ((Py_ssize_t)p + 7) / 8;
-    PyObject *out = PyBytes_FromStringAndSize(NULL, n);
-    if (out == NULL)
-        return NULL;
-    unsigned char *b = (unsigned char *)PyBytes_AS_STRING(out);
-    for (Py_ssize_t k = 0; k < n; k++)
-        b[k] = m == NULL ? 0 : (unsigned char)(m[k >> 3] >> (8 * (k & 7)));
-    return out;
+    if (m == NULL)
+        return PyLong_FromLong(0);
+#if __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+    for (int i = 0; i < n; i++)
+        m[i] = __builtin_bswap64(m[i]);
+#endif
+    return _PyLong_FromByteArray((const unsigned char *)m, n * sizeof(u64), 1, 0);
 }
 
 /* The long long value of an int, clamped to [lo, LLONG_MAX]; -1 with an
@@ -427,12 +435,38 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
     }
     PyObject *result = status == NO_MEMORY
         ? PyErr_NoMemory()
-        : Py_BuildValue("(NOLO)", write_mask(status == FOUND ? found : NULL, p),
+        : Py_BuildValue("(NOLO)", mask_int(status == FOUND ? found : NULL, L),
                         status == OVER_BUDGET || status == TABLE_FULL ? Py_False : Py_True,
                         nodes, status == TABLE_FULL ? Py_True : Py_False);
     free(s.keys);
     free(s.stack);
     free(found);
+    return result;
+}
+
+/* s1_log(p) -> the mask of the log construction at p >= 5 as an int:
+   0, (p - 1)/2 and the chain s, s >> 1, ..., 1 with the negative of each,
+   s = (p - 1)/4 for p = 1 mod 4 and (p + 1)/4 for p = 3 mod 4. */
+static PyObject *s1_log(PyObject *self, PyObject *arg)
+{
+    long p = PyLong_AsLong(arg);
+    if (p == -1 && PyErr_Occurred())
+        return NULL;
+    if (p < 5 || p > INT_MAX)
+        return PyErr_Format(PyExc_ValueError, "s1_log needs 5 <= p < 2^31, got %ld", p);
+    int L = (int)((p + 63) / 64);
+    u64 *m = calloc(L, sizeof(u64));
+    if (m == NULL)
+        return PyErr_NoMemory();
+    long s = p % 4 == 1 ? (p - 1) / 4 : (p + 1) / 4, half = (p - 1) / 2;
+    m[0] = 1;
+    m[half >> 6] |= 1ULL << (half & 63);
+    for (long c = s; c; c >>= 1) {
+        m[c >> 6] |= 1ULL << (c & 63);
+        m[(p - c) >> 6] |= 1ULL << ((p - c) & 63);
+    }
+    PyObject *result = mask_int(m, L);
+    free(m);
     return result;
 }
 
@@ -446,10 +480,11 @@ static PyObject *s1_exhaust(PyObject *self, PyObject *args)
    asked for no hits from whether A is empty, in O(L). */
 static PyObject *first_hit_scan(PyObject *self, PyObject *args)
 {
-    Py_buffer buf;
+    PyObject *mask;
     int p, k, forward, want;
     PyObject *result = NULL;
-    if (!PyArg_ParseTuple(args, "y*iipp:first_hit_scan", &buf, &p, &k, &forward, &want))
+    if (!PyArg_ParseTuple(args, "O!iipp:first_hit_scan", &PyLong_Type, &mask, &p, &k,
+                          &forward, &want))
         return NULL;
     Hits h = {NULL, NULL, 0, 0};
     u64 *a = NULL;
@@ -465,7 +500,7 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    if (read_mask(&buf, p, a, n) < 0)
+    if (read_mask(mask, p, a, n) < 0)
         goto done;
     int size = 0;
     for (int i = 0; i < n; i++)
@@ -493,7 +528,6 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
 done:
     Py_XDECREF(h.buf);
     free(a);
-    PyBuffer_Release(&buf);
     return result;
 }
 
@@ -1055,12 +1089,16 @@ done:
 static PyMethodDef methods[] = {
     {"s1_exhaust", s1_exhaust, METH_VARARGS,
      "s1_exhaust(p, limit, node_budget, words) -> (found_mask, exhausted, nodes, full)\n\n"
-     "Same contract and traversal as ajtkit._kernels_py.s1_exhaust, with the\n"
-     "found mask as little-endian bytes of length ceil(p/8)."},
+     "Same contract and traversal as ajtkit._kernels_py.s1_exhaust: the\n"
+     "found mask is an int, 0 when none was found."},
+    {"s1_log", s1_log, METH_O,
+     "s1_log(p) -> mask\n\n"
+     "Same contract as ajtkit._kernels_py.s1_log: the log S_1 construction\n"
+     "at p >= 5 as an int mask."},
     {"first_hit_scan", first_hit_scan, METH_VARARGS,
      "first_hit_scan(mask, p, k, forward, hits) -> (hits, least)\n\n"
-     "Same contract as ajtkit._kernels_py.first_hit_scan, with the mask as\n"
-     "little-endian bytes of length ceil(p/8)."},
+     "Same contract as ajtkit._kernels_py.first_hit_scan, with the mask an\n"
+     "int: TypeError for any other type."},
     {"affine_product", affine_product, METH_VARARGS,
      "affine_product(tensor, p, n, factors) -> bytearray\n\n"
      "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"
@@ -1080,9 +1118,9 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_kernels",
-    "Compiled S_1 search, the first-hit scan, the affine\n"
-    "product of reduced polynomials, the sweep's group-ring products and the\n"
-    "witness search; see ajtkit._kernels_py for the pure twins.",
+    "Compiled S_1 search, the log S_1 construction, the first-hit\n"
+    "scan, the affine product of reduced polynomials, the sweep's group-ring\n"
+    "products and the witness search; see ajtkit._kernels_py for the pure twins.",
     -1, methods,
 };
 

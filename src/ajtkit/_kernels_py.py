@@ -1,6 +1,6 @@
-"""Pure-Python kernels: the S_1 search, the first-hit progression scan, the
-affine product of reduced polynomials, the sweep's group-ring products and
-the witness search.
+"""Pure-Python kernels: the S_1 search, the log S_1 construction, the
+first-hit progression scan, the affine product of reduced polynomials, the
+sweep's group-ring products and the witness search.
 
 These twins load only without the compiled extension: ajtkit.kernels
 imports this module when it has no extension to call, and the parity tests
@@ -9,10 +9,12 @@ the package uses them: the mask helpers (_rotl, forbidden_masks) in
 ajtkit.masks, and the numpy factor expansion (_expand, _roll, _rotation) in
 ajtkit.group_ring, whose factor products it serves first.
 
-Subsets of Z/p are bit masks: bit i set means residue i is in the set. The
-scan answers the S_k/N_k question at radius k: centered, the least d with
-a + i*d in A for 0 < |i| <= k for each a in A; forward, the least d with
-b + i*d in A for 1 <= i <= k for each b outside A. first_hit_scan rotates
+Subsets of Z/p are bit masks: bit i set means residue i is in the set.
+s1_log builds the logarithmic S_1 construction's mask with big-int shifts;
+the compiled twin sets the same bits in a zeroed mask. The scan answers the
+S_k/N_k question at radius k: centered, the least d with a + i*d in A for
+0 < |i| <= k for each a in A; forward, the least d with b + i*d in A for
+1 <= i <= k for each b outside A. first_hit_scan rotates
 the mask, one difference at a time, and returns its hits, when asked for
 and every element has a witness, as one buffer of int32, the elements in
 ascending order and then their steps, or the least element left without a
@@ -121,6 +123,30 @@ def s1_exhaust(
                     return (0, False, nodes, True)
             stack.append(child)
     return (0, True, nodes, False)
+
+
+def s1_log(p: int) -> int:
+    """The mask of the logarithmic S_1 construction at p >= 5, else ValueError.
+
+    Seeds {-1, 0, 1, (p-1)/2} and adds the chains s, floor(s/2), ..., 1 and
+    their negatives, where s = (p-1)/4 for p = 1 mod 4 and s = (p+1)/4 for
+    p = 3 mod 4: 2*(floor(log2 s) + 1) + 2 bits.
+    """
+    if p < 5:
+        raise ValueError(f"s1_log needs p >= 5, got {p}")
+    s = (p - 1) // 4 if p % 4 == 1 else (p + 1) // 4
+    # one pass up the chain 1, ..., s >> 1, s, so that both ints grow from
+    # small: low takes 0 and each c, top each p - c as bit prev - c, shifted
+    # left as prev, the largest c so far, grows; at the end top holds p - c
+    # at bit s - c, and two shifts put it in place above (p - 1)/2
+    low, top, prev = 1, 0, 0
+    for i in range(s.bit_length() - 1, -1, -1):
+        c = s >> i
+        low |= 1 << c
+        top = top << (c - prev) | 1
+        prev = c
+    half = (p - 1) // 2
+    return (top << (p - s - half) | 1) << half | low
 
 
 def first_hit_scan(

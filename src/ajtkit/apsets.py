@@ -9,7 +9,9 @@ minimum ones, and verifies a frozen table of small optimal examples. The
 multiplier certificates and good subset families built from them are in
 ajtkit.multipliers.
 
-Sets are bit masks over residues (bit i == residue i). Certification asks
+Sets are bit masks over residues (bit i == residue i), held as ints, which
+cross into the kernels as they are. The logarithmic construction's mask
+comes from kernels.s1_log. Certification asks
 kernels.first_hit_scan the question itself: a centered scan of A for
 S_k-type, a forward scan of its complement for the outside half of N_k-type,
 each for radius k. The kernel finds each element's least witness d, the
@@ -51,6 +53,10 @@ class ResidueSet:
 
     def __init__(self, p: int, mask: int):
         self.p = _as_prime(p)
+        try:
+            mask = operator.index(mask)
+        except TypeError:
+            raise InputError(f"mask {mask!r} is not an integer") from None
         if mask < 0 or mask.bit_length() > self.p:
             raise InputError("mask has bits outside [0, p)")
         self.mask = mask
@@ -272,7 +278,9 @@ def build_s1_log(p: int, budget: Budget | str | None = None) -> ResidueSet:
 
     Seeds {-1, 0, 1, (p-1)/2} and adds the chains s, floor(s/2), ..., 1 and
     their negatives, where s = (p-1)/4 for p = 1 mod 4 and s = (p+1)/4 for
-    p = 3 mod 4. The size is exactly 2*(floor(log2 s) + 1) + 2.
+    p = 3 mod 4. The size is exactly 2*(floor(log2 s) + 1) + 2. The mask
+    comes from kernels.s1_log, which the compiled backend builds by setting
+    those bits in a zeroed mask.
 
     With a budget, its entries budget is charged for what building,
     certifying and listing the set hold at once, S1_BUILD_MASKS masks of
@@ -286,19 +294,7 @@ def build_s1_log(p: int, budget: Budget | str | None = None) -> ResidueSet:
         current_budget(budget).check_entries(
             S1_BUILD_MASKS * -(-p // 64), what="S_1 construction masks"
         )
-    s = (p - 1) // 4 if p % 4 == 1 else (p + 1) // 4
-    # one pass up the chain 1, ..., s >> 1, s, so that both ints grow from
-    # small: low takes 0 and each c, top each p - c as bit prev - c, shifted
-    # left as prev, the largest c so far, grows; at the end top holds p - c
-    # at bit s - c, and two shifts put it in place above (p - 1)/2
-    low, top, prev = 1, 0, 0
-    for i in range(s.bit_length() - 1, -1, -1):
-        c = s >> i
-        low |= 1 << c
-        top = top << (c - prev) | 1
-        prev = c
-    half = (p - 1) // 2
-    return ResidueSet(p, (top << (p - s - half) | 1) << half | low)
+    return ResidueSet(p, kernels.s1_log(p))
 
 
 def _ceil_root(value: int, r: int) -> int:

@@ -1,4 +1,4 @@
-"""Backend selection for the five kernels.
+"""Backend selection for the six kernels.
 
 Which backend runs is fixed at import: the compiled extension (_kernels.c)
 when it is built, the pure-Python twins in _kernels_py when it is not. The
@@ -9,16 +9,22 @@ backends use live in modules that both load: the mask helpers, among them
 forbidden_masks, in ajtkit.masks, and the numpy factor expansion in
 ajtkit.group_ring. An extension built from other sources (its API differs
 from this module's) is an ImportError naming the rebuild command, never a
-silent fallback. The compiled s1_exhaust takes any p >= 5 and returns its
-mask as little-endian bytes of length ceil(p/8); the scan takes any p >= 3
-and its mask as such bytes. Each pair returns identical results: the same
-masks and node counts from s1_exhaust, the same hits buffer from
+silent fallback. Masks cross into either backend and back as ints, bit i
+for residue i: s1_exhaust (any p >= 5) and s1_log return one, and the scan
+(any p >= 3) takes one, which the compiled side copies straight into its
+limbs. Each pair returns identical results: the same masks and node counts from
+s1_exhaust, the same mask from s1_log, the same hits buffer from
 first_hit_scan, the same tensor from affine_product, the same flags from
 products_vanish, the same witnesses and units from first_witness.
 
 s1_exhaust also stops, on both, where its visited table and stack would
 grow past a cap in words, ceil(p/64) of them a mask: the same node, the
 same node count, and the flag `full` set.
+
+s1_log builds the logarithmic S_1 construction at p >= 5, the upper bound
+the minimum search starts from and the set that certify checks: the pure
+twin with big-int shifts, the compiled one by setting its 2 bitlen(s) + 2
+bits in a zeroed mask.
 
 first_hit_scan answers the one question the S_k/N_k certificates ask of a
 set A: a centered scan finds, for each a in A, the least d with a + i*d in A
@@ -88,7 +94,7 @@ from .masks import forbidden_masks
 
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 11
+API = 12
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -129,19 +135,19 @@ def s1_exhaust(
 ) -> tuple[int, bool, int, bool]:
     """(found_mask, exhausted, nodes, full) of _kernels_py.s1_exhaust,
     compiled when built."""
-    if _ext is None:
-        return _pure().s1_exhaust(p, limit, node_budget, words)
-    found, exhausted, nodes, full = _ext.s1_exhaust(p, limit, node_budget, words)
-    return int.from_bytes(found, "little"), exhausted, nodes, full
+    return (_ext or _pure()).s1_exhaust(p, limit, node_budget, words)
+
+
+def s1_log(p: int) -> int:
+    """The mask of _kernels_py.s1_log, compiled when built."""
+    return (_ext or _pure()).s1_log(p)
 
 
 def first_hit_scan(
     mask: int, p: int, k: int, forward: bool, hits: bool
 ) -> tuple[bytes | None, int | None]:
     """(hits, least) of _kernels_py.first_hit_scan, compiled when built."""
-    if _ext is None:
-        return _pure().first_hit_scan(mask, p, k, forward, hits)
-    return _ext.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward, hits)
+    return (_ext or _pure()).first_hit_scan(mask, p, k, forward, hits)
 
 
 def affine_product(

@@ -120,6 +120,21 @@ def test_residue_set_rejects_masks_outside_p():
                 ResidueSet(p, mask)
 
 
+def test_residue_set_reads_its_mask_as_an_index():
+    # the mask is read with operator.index, as from_elements reads elements:
+    # a float is refused, a numpy integer becomes an int, so the kernels are
+    # always handed an int
+    for bad in (5.0, 5.5, "5", b"\x05", None):
+        with pytest.raises(InputError):
+            ResidueSet(7, bad)
+    for mask in (np.int64(5), np.uint8(5), np.int32(5), True):
+        s = ResidueSet(7, mask)
+        assert type(s.mask) is int and s.mask == int(mask)
+        assert is_sk_type(s, 1) == is_sk_type(ResidueSet(7, int(mask)), 1)
+    with pytest.raises(InputError):
+        ResidueSet(7, np.int64(-1))
+
+
 def test_residue_set_rejects_bad_elements():
     # elements are read with operator.index: a float or a string is refused,
     # not truncated or parsed, and numpy integers are integers

@@ -1,15 +1,16 @@
 """Parity between the compiled kernels and their pure-Python twins.
 
-Five kernels are compared. s1_exhaust must agree bit for bit: same found
+Six kernels are compared. s1_exhaust must agree bit for bit: same found
 set, same exhausted flag, the same node count and the same stop where its
 table and stack would pass their cap in words, so that proven_optimal
 claims and budget stops do not depend on which backend happened to
-import. first_hit_scan, behind every S_k/N_k certification, must return
-the same hits buffer, byte for byte, ascending element, and the same least
-uncovered element, so that witness maps do not depend on the backend
-either: the compiled scan reads word windows around each element and the
-pure one rotates the mask, two independent methods, and both must give
-what the definition gives. The WitnessMaps over either backend's hits
+import. s1_log must return the same int mask on both backends, for every
+prime below 20011 and two above 10^6. first_hit_scan, behind every S_k/N_k
+certification, must return the same hits buffer, byte for byte, ascending
+element, and the same least uncovered element, so that witness maps do
+not depend on the backend either: the compiled scan reads word windows
+around each element and the pure one rotates the mask, two independent
+methods, and both must give what the definition gives. The WitnessMaps over either backend's hits
 buffer, records included, must agree the same way, and a scan asked for no
 hits must name the same least uncovered element.
 affine_product, behind every P2/P5/duality product, must return on both
@@ -27,9 +28,10 @@ witness a brute force over F_p^n finds first in the search's order.
 The `compiled` fixture (conftest.py) is the built extension, or one
 compiled into a temporary directory; the tests skip only when no C compiler
 is available. The `ext` fixture puts that module behind ajtkit.kernels,
-which carries the mask across as bytes; the `backend` fixture runs a test
-once on each backend; `witness_twins` (conftest.py) runs a first_witness
-call on both, or on the pure one alone when there is no compiler.
+which hands it masks as ints and gets them back as ints; the `backend`
+fixture runs a test once on each backend; `witness_twins` (conftest.py)
+runs a first_witness call on both, or on the pure one alone when there is
+no compiler.
 """
 
 import itertools
@@ -84,7 +86,7 @@ def test_exhaust_parity(ext, p):
     for limit in range(3, 2 * p.bit_length() + 3):
         got_c = ext.s1_exhaust(p, limit, 10**8, WORDS)
         got_py = _kernels_py.s1_exhaust(p, limit, 10**8, WORDS)
-        assert got_c == got_py
+        assert got_c == got_py and type(got_c[0]) is int
 
 
 @pytest.mark.parametrize("p", [131, 257, 331, 521, 1009])
@@ -101,6 +103,7 @@ def test_exhaust_parity_found_set(ext):
     got_c = ext.s1_exhaust(67, 8, 10**8, WORDS)
     assert got_c == _kernels_py.s1_exhaust(67, 8, 10**8, WORDS)
     found, exhausted, _, full = got_c
+    assert type(found) is int
     aset = apsets.ResidueSet(67, found)
     assert exhausted is True and full is False
     assert len(aset) == 8
@@ -325,8 +328,7 @@ def test_scans_build_records_and_skip_maps(compiled, p, k, forward):
         assert _kernels_py.first_hit_scan(mask, p, k, forward, False) == (None, least)
         if hits is None:
             continue
-        built = compiled.first_hit_scan(mask.to_bytes((p + 7) // 8, "little"), p, k, forward,
-                                        True)
+        built = compiled.first_hit_scan(mask, p, k, forward, True)
         assert built == (hits, None)
         want = [apsets.ApWitness(*h) for h in hit_list(hits, k)]
         for buffer in (hits, built[0]):
@@ -694,24 +696,34 @@ def test_built_extension_matches_the_api(compiled):
 
 
 def test_first_hit_scan_rejects_bad_input(compiled):
-    # both backends, both directions: the mask, p and k are checked
-    c_scan, py_scan = compiled.first_hit_scan, _kernels_py.first_hit_scan
-    for forward in (False, True):
-        # the empty set: nothing to hit centered, and 0 left over forward
-        want = (None, 0) if forward else (b"", None)
-        assert c_scan(bytes(2), 13, 1, forward, True) == want
-        assert py_scan(0, 13, 1, forward, True) == want
-        for mask in (bytes(3), bytes(1), b"", (1 << 13).to_bytes(2, "little")):
-            with pytest.raises(ValueError):  # ceil(13 / 8) bytes, residues below 13
-                c_scan(mask, 13, 1, forward, False)
-        for mask in (1 << 13, -1):
+    # both backends, both directions: the mask is an int of residues below
+    # p, and p and k are checked
+    for scan in (compiled.first_hit_scan, _kernels_py.first_hit_scan):
+        for forward in (False, True):
+            # the empty set: nothing to hit centered, and 0 left over forward
+            assert scan(0, 13, 1, forward, True) == ((None, 0) if forward else (b"", None))
+            for mask in (-1, 1 << 13, -(1 << 13), 1 << 64, 1 << 200):
+                with pytest.raises(ValueError):
+                    scan(mask, 13, 1, forward, False)
+            for mask in (bytes(2), b"", bytearray(2)):
+                with pytest.raises(TypeError):
+                    scan(mask, 13, 1, forward, False)
+            for p, k in ((2, 1), (1, 1), (0, 1), (-7, 1), (13, 0), (13, -1), (13, 7), (5, 3)):
+                with pytest.raises(ValueError):
+                    scan(0, p, k, forward, False)
+
+
+def test_s1_log_parity(compiled):
+    # the same int mask on both backends for every prime 5..20011, one limb
+    # and many, and at two primes above 10^6; p < 5 is a ValueError on both
+    primes = [q for q in range(5, 20012) if fp_core.is_probable_prime(q)]
+    for q in primes + [1000003, 10000019]:
+        got = compiled.s1_log(q)
+        assert type(got) is int and got == _kernels_py.s1_log(q), q
+    for p in (4, 3, 2, 0, -7):
+        for s1_log in (compiled.s1_log, _kernels_py.s1_log):
             with pytest.raises(ValueError):
-                py_scan(mask, 13, 1, forward, False)
-        for p, k in ((2, 1), (1, 1), (0, 1), (-7, 1), (13, 0), (13, -1), (13, 7), (5, 3)):
-            with pytest.raises(ValueError):
-                c_scan(b"\x00", p, k, forward, False)
-            with pytest.raises(ValueError):
-                py_scan(0, p, k, forward, False)
+                s1_log(p)
 
 
 def test_backend_label():
