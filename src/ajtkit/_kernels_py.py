@@ -6,7 +6,7 @@ These twins load only without the compiled extension: ajtkit.kernels
 imports this module when it has no extension to call, and the parity tests
 and perfbench import it by name. The helpers both backends share live where
 the package uses them: the mask helpers (_rotl, forbidden_masks) in
-ajtkit.masks, and the numpy factor expansion (_expand, _roll, _rotation) in
+ajtkit.masks, and the numpy factor expansion (_expand, _roll) in
 ajtkit.group_ring, whose factor products it serves first.
 
 Subsets of Z/p are bit masks: bit i set means residue i is in the set.
@@ -33,8 +33,8 @@ products_vanish tells, for each of a stack of matrices that share an
 (n-1)-row head and differ in their last row, whether the group-ring product
 prod (1 - g^(e_i)) * prod (1 - g^(a_i)) over its unit vectors and rows
 vanishes over Z and mod p, expanding the shared factors with group_ring's
-_expand; the compiled twin applies the same factors in C and returns the
-same flags.
+_expand and then applying each last row with one _roll of that table; the
+compiled twin applies the same factors in C and returns the same flags.
 
 first_witness finds, for each of a batch of instances, the first x with
 every x_i in its value order and no image <row, x> forbidden for its row,
@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .group_ring import _expand, _rotation
+from .group_ring import _expand, _roll
 from .masks import _bits, _rotl, forbidden_masks
 
 _INT64_MAX = 2**63 - 1
@@ -220,10 +220,11 @@ def products_vanish(head, last, p: int, n: int) -> tuple[np.ndarray, np.ndarray]
     The matrices share the n - 1 rows `head`, (n - 1) * n int64 entries, and
     matrix b ends in the row last[b], B * n entries in all; a row's entries
     are read mod p. The unit vectors and the head rows are factors of one
-    table, expanded once (`_expand`), and the last rows are one gather over
-    the stack. Returns (int_zero, modp_zero), two (B,) bool arrays: a table
-    is zero, and it is zero mod p. ValueError, before either buffer is read,
-    for p < 3, n outside [1, 31] (the 2n factors keep every entry at most
+    table, expanded once (`_expand`), and each last row's factor is one
+    `_roll` of that table, so the twin holds a few tables whatever B is.
+    Returns (int_zero, modp_zero), two (B,) bool arrays: a table is zero,
+    and it is zero mod p. ValueError, before either buffer is read, for
+    p < 3, n outside [1, 31] (the 2n factors keep every entry at most
     2^(2n-1) < 2^63), or buffer lengths that disagree with n.
     """
     if p < 3 or not 1 <= n <= 31:
@@ -236,17 +237,15 @@ def products_vanish(head, last, p: int, n: int) -> tuple[np.ndarray, np.ndarray]
         raise ValueError("need (n - 1) * n head and B * n last entries")
     factors = np.concatenate([np.eye(n, dtype=np.int64), head.reshape(n - 1, n)])
     table = _expand(p, n, factors.tolist())
-    # entry (b, i) of the gather is table[i - last[b]], one axis at a time
-    last = last.reshape(-1, n) % p
-    rot = _rotation(p)
-    index = []
-    for a in range(n):
-        shape = [len(last)] + [1] * n
-        shape[a + 1] = p
-        index.append(rot[last[:, a]].reshape(shape))
-    stack = table - table[tuple(index)]
-    axes = tuple(range(1, stack.ndim))
-    return ~stack.any(axis=axes), ~(stack % p).any(axis=axes)
+    int_zero = np.empty(last.size // n, dtype=bool)
+    modp_zero = np.empty_like(int_zero)
+    for b, row in enumerate(last.reshape(-1, n).tolist()):
+        t = table - _roll(table, row, p)
+        # an entry nonzero mod p is nonzero over Z: one test decides both
+        zero_mod_p = not (t % p).any()
+        modp_zero[b] = zero_mod_p
+        int_zero[b] = zero_mod_p and not t.any()
+    return int_zero, modp_zero
 
 
 def affine_product(

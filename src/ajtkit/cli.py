@@ -172,17 +172,6 @@ def cmd_check(args, budget: Budget) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
-# entries of one stack of the sweep's stacked calls, B matrices of p^n table
-# entries each. A --threads 1 sweep with the compiled witness search and
-# products (best of 3 to 5 runs, one core of a shared 2-core VM) took the
-# same time at every size from 2^14 up at (11, 2) and (5, 3), whose groups
-# fit 2^14, 8-30% less at 2^20 than at 2^16 at (17, 2), (23, 2) and
-# (31, 2), and 2x to 7x as long at 2^12. The pure products build (B, p^n)
-# arrays: a pure (31, 2) sweep took 20 s at 2^20 and 24-29 s at 2^16 with
-# --threads 1, about 11 s at both with 2, but peaked at 45 MB, not 32 MB
-# (40 MB with 2 threads), so the stacks stay at 2^16
-SWEEP_STACK_ENTRIES = 2**16
-
 # the sweep's tallies, each a sum over its jobs
 SWEEP_COUNTS = ("matrices", "p1_witness", "integer_nonzero", "modp_nonzero")
 
@@ -195,37 +184,31 @@ def _sweep_range(job: tuple[int, int, slice, Budget]) -> dict:
     )
     # the matrices of a group share their first n-1 rows, so they share all
     # but one factor and all but one row: one call answers all three
-    # verdicts for a stack, the head rows shared and the last row varying.
-    # A stack holds at most SWEEP_STACK_ENTRIES table entries, never more
-    # than the budget allows, and its witness search n entries a matrix
-    table = properties.charge_sweep_stack(p, n, budget)
-    size = max(1, min(SWEEP_STACK_ENTRIES, budget.entries) // table)
+    # verdicts for a group, the head rows shared and the last row varying
     for head, last in groups:
-        for start in range(0, len(last), size):
-            stack = last[start : start + size]
-            found, witness, int_zero, modp_zero = properties.sweep_verdicts(
-                p, head, stack, budget=budget
+        found, witness, int_zero, modp_zero = properties.sweep_verdicts(
+            p, head, last, budget=budget
+        )
+        witnessed = int(np.count_nonzero(found))
+        int_zeros = int(np.count_nonzero(int_zero))
+        modp_zeros = int(np.count_nonzero(modp_zero))
+        counts["matrices"] += len(last)
+        counts["p1_witness"] += witnessed
+        counts["integer_nonzero"] += len(last) - int_zeros
+        counts["modp_nonzero"] += len(last) - modp_zeros
+        # almost no group holds a violation: the mask waits for a count to show one
+        if witnessed == len(last) and not int_zeros and not modp_zeros:
+            continue
+        for i in np.flatnonzero(~found | int_zero | modp_zero).tolist():
+            rows = head.tolist() + [last[i].tolist()]
+            counts["violations"].append(
+                {
+                    "matrix": fp_core.FpMatrix(rows, p).to_json(),
+                    "p1_witness": witness[i].tolist() if found[i] else None,
+                    "integer_zero": bool(int_zero[i]),
+                    "modp_zero": bool(modp_zero[i]),
+                }
             )
-            witnessed = int(np.count_nonzero(found))
-            int_zeros = int(np.count_nonzero(int_zero))
-            modp_zeros = int(np.count_nonzero(modp_zero))
-            counts["matrices"] += len(stack)
-            counts["p1_witness"] += witnessed
-            counts["integer_nonzero"] += len(stack) - int_zeros
-            counts["modp_nonzero"] += len(stack) - modp_zeros
-            # almost no stack holds a violation: the mask waits for a count to show one
-            if witnessed == len(stack) and not int_zeros and not modp_zeros:
-                continue
-            for i in np.flatnonzero(~found | int_zero | modp_zero).tolist():
-                rows = head.tolist() + [stack[i].tolist()]
-                counts["violations"].append(
-                    {
-                        "matrix": fp_core.FpMatrix(rows, p).to_json(),
-                        "p1_witness": witness[i].tolist() if found[i] else None,
-                        "integer_zero": bool(int_zero[i]),
-                        "modp_zero": bool(modp_zero[i]),
-                    }
-                )
     return counts
 
 

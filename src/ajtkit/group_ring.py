@@ -17,10 +17,11 @@ product returns, with equality and a zero test but no ring arithmetic.
 `product_of_factors` expands its factors with `_expand`, one `_roll` a
 factor, and this module is the one home of both: the pure twin of
 `kernels.products_vanish` (in `_kernels_py`, which loads only without the
-compiled extension) expands a sweep stack's shared factors with `_expand`,
-and `properties`' difference operators roll with `_roll`. This module
-imports neither `kernels` nor `_kernels_py`. `properties.sweep_verdicts` is
-the one layer that validates and charges a sweep stack.
+compiled extension) expands a sweep stack's shared factors with `_expand`
+and applies each last row with one `_roll` of that table, and `properties`'
+difference operators roll with `_roll`. This module imports neither
+`kernels` nor `_kernels_py`. `properties.sweep_verdicts` is the one layer
+that validates and charges a sweep stack.
 `sigma_of_factors` stacks the elementary symmetric functions of the factors
 as one table stack, one roll of the stack per factor.
 

@@ -65,8 +65,9 @@ without writing it out, and stops at the first entry nonzero mod p, which
 decides both flags: no sweep at p >= 5 has met a product that vanishes,
 and there the first few entries decide. It returns the flags in two bytearrays of B bytes, 1 for
 zero, which become the results' buffers. The pure side expands the same
-shared factors with numpy and applies the last rows as one gather over the
-whole stack, a second method for the parity tests to compare.
+shared factors with numpy and applies each last row as one roll of that
+table, a second method for the parity tests to compare; it too holds a few
+tables of p^n entries whatever B is.
 
 first_witness is the one witness search, behind check_p1, check_multi and
 the sweep: for each instance, the first x in a depth-first order with each

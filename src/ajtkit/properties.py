@@ -19,7 +19,10 @@ forbidden lists, by one kernels.first_witness call each. sweep_verdicts is
 sweep's one stack layer: for matrices given as the (n-1)-row head they share
 and the last row of each, it finds check_p1's nowhere-zero witnesses by one
 kernels.first_witness call over the stack, and both group-ring verdicts by
-one kernels.products_vanish call.
+one kernels.products_vanish call. The sweep makes one such call for each
+enumeration group, whatever its size: the compiled products hold two p^n
+buffers and the pure twin the shared table and one roll of it a last row,
+so the stack is charged one table, not one a matrix.
 
 The delta operators and the pairing test exercise the functional reading of
 P4: difference operators along unit vectors and along the rows of M, images
@@ -181,13 +184,12 @@ def check_p1(
     return _witness(p, m.rows, spec.d_lists, allowed, b)
 
 
-def charge_sweep_stack(p: int, n: int, budget: Budget, matrices: int = 1) -> int:
-    """sweep_verdicts' charge: a p^n product table a matrix, which covers its
-    n witness entries, and one matrix's (p-1)^n witness candidates. Returns
-    the entries of one table."""
-    budget.check_entries(matrices * p**n, what="group-ring stack")
+def charge_sweep_stack(p: int, n: int, budget: Budget) -> None:
+    """sweep_verdicts' charge: one p^n product table whatever the stack's
+    size B, since neither backend of kernels.products_vanish holds a table a
+    matrix, and one matrix's (p-1)^n witness candidates."""
+    budget.check_entries(p**n, what="group-ring stack")
     budget.check_nodes((p - 1) ** n, what="witness search")
-    return p**n
 
 
 def sweep_verdicts(
@@ -219,7 +221,7 @@ def sweep_verdicts(
         raise InputError("a stack is an (n-1, n) head and a (B, n) array of last rows")
     p, n = _as_prime(p), last.shape[1]
     b = current_budget(budget)
-    charge_sweep_stack(p, n, b, matrices=len(last))
+    charge_sweep_stack(p, n, b)
     int_zero, modp_zero = kernels.products_vanish(p, head, last)
     found, witness, units = kernels.first_witness(
         head, last, [(0,)] * n, [range(1, p)] * n, p, b.nodes

@@ -2,7 +2,6 @@
 
 import concurrent.futures
 import hashlib
-import itertools
 import json
 import os
 import random
@@ -588,26 +587,13 @@ def test_sweep_stacks_share_their_first_rows(capsys, monkeypatch):
     assert swept == [m.rows for m in fp_core.enumerate_nonsingular(3, 3)]
 
 
-def test_sweep_splits_groups_into_capped_stacks(capsys, monkeypatch):
-    # at (5, 2) a group is the 20 matrices after one first row; a cap of
-    # 3 * 5^2 entries splits it into stacks of 3, 3, 3, 3, 3, 3, 2
-    rc, want = run_json(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1")
-    stacks = recording_stacks(monkeypatch)
-    monkeypatch.setattr(cli, "SWEEP_STACK_ENTRIES", 3 * 5**2)
-    assert run_json(capsys, "sweep", "--p", "5", "--n", "2", "--threads", "1") == (
-        rc, want
-    )
-    assert [len(last) for _, last in stacks] == ([3] * 6 + [2]) * 24
-    first_rows = [head[0] for head, _ in stacks]
-    nonzero = [list(r) for r in itertools.product(range(5), repeat=2)][1:]
-    assert first_rows == [r for r in nonzero for _ in range(7)]
-
-
-def test_sweep_group_larger_than_the_entries_budget():
-    # (67, 2): a group of 4422 matrices holds 4422 * 67^2 > 2^24 entries, but
-    # each table fits the default budget, so the sweep runs it in stacks
+def test_sweep_group_larger_than_the_entries_budget(monkeypatch):
+    # (67, 2): a group of 4422 matrices holds 4422 * 67^2 > 2^24 entries if
+    # each had its table, but the stack holds one table whatever its size,
+    # so the group is one sweep_verdicts call under the default budget
     p, n = 67, 2
     assert (p**n - p) * p**n > Budget().entries
+    stacks = recording_stacks(monkeypatch)
     # the range holds the one first row (1, 0)
     counts = cli._sweep_range((p, n, slice(p - 1, p), Budget()))
     assert counts == {
@@ -617,9 +603,12 @@ def test_sweep_group_larger_than_the_entries_budget():
         "modp_nonzero": p**2 - p,
         "violations": [],
     }
-    # a budget of one table gives stacks of one; below that nothing runs
+    assert [(head, len(last)) for head, last in stacks] == [([[1, 0]], p**2 - p)]
+    # a budget of one table runs every group whole; below that nothing runs
     job = (7, 2, slice(8, 10), Budget())
+    stacks.clear()
     assert cli._sweep_range(job[:3] + (Budget(entries=7**2),)) == cli._sweep_range(job)
+    assert [len(last) for _, last in stacks] == [7**2 - 7] * 4
     with pytest.raises(BudgetExceeded):
         cli._sweep_range(job[:3] + (Budget(entries=7**2 - 1),))
 

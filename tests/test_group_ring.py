@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -10,7 +11,12 @@ import pytest
 from ajtkit import _kernels_py, group_ring
 from ajtkit.budget import Budget
 from ajtkit.errors import BudgetExceeded, InputError
-from ajtkit.fp_core import FpMatrix, enumerate_nonsingular, random_nonsingular
+from ajtkit.fp_core import (
+    FpMatrix,
+    enumerate_nonsingular,
+    enumerate_nonsingular_groups,
+    random_nonsingular,
+)
 from ajtkit.group_ring import (
     CyclotomicRing,
     FactorSpec,
@@ -306,37 +312,61 @@ def test_stacked_products_match_one_at_a_time(p, n):
         assert modp_zero.any()
 
 
-def test_shared_factors_expand_once_then_the_stack_gathers(monkeypatch):
+def test_shared_factors_expand_once_then_each_last_row_rolls(monkeypatch):
     p = 7
     rng = np.random.default_rng(5)
     shifts = rng.integers(0, p, size=(5, 2))
     rolls = []
     real = group_ring._roll
-    monkeypatch.setattr(
-        group_ring, "_roll", lambda t, s, q: rolls.append(t.shape) or real(t, s, q)
-    )
+
+    def recording(t, s, q):
+        rolls.append((t.shape, list(s)))
+        return real(t, s, q)
+
+    monkeypatch.setattr(group_ring, "_roll", recording)
+    monkeypatch.setattr(_kernels_py, "_roll", recording)
     got = group_ring._expand(p, 2, shifts.tolist())
     assert got.dtype == np.int64
-    assert rolls == [(p, p)] * 5  # each factor once
+    assert [shape for shape, _ in rolls] == [(p, p)] * 5  # each factor once
     assert np.array_equal(got, rolled_products(p, shifts[:, None])[0])
     # a sweep stack shares the unit vectors and its head row: the pure twin
-    # rolls those three factors once, and gathers the last rows in one go
+    # rolls those three factors once, then one table roll a last row
     rolls.clear()
     group = list(enumerate_nonsingular(p, 2, first_rows=slice(p + 1, p + 2)))  # (1, 2)
     assert {m.rows[0] for m in group} == {(1, 2)}
     head, last = stacked_rows(group)
     int_zero, modp_zero = _kernels_py.products_vanish(head, last, p, 2)
     assert int_zero.tolist() == modp_zero.tolist() == [False] * len(group)
-    assert rolls == [(p, p)] * 3
+    assert rolls == [((p, p), [1, 0]), ((p, p), [0, 1]), ((p, p), [1, 2])] + [
+        ((p, p), row) for row in last.tolist()
+    ]
 
 
-def test_stack_budget_charges_every_table():
-    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4
+def test_pure_products_hold_a_few_tables_whatever_the_stack():
+    # one (31, 2) group, the 930 last rows after the first row (1, 0): the
+    # pure twin's peak stays below 32 tables of p^n int64 entries, where a
+    # table a matrix would be 930
+    p, n = 31, 2
+    [(head, last)] = enumerate_nonsingular_groups(p, n, first_rows=slice(p - 1, p))
+    assert head.tolist() == [[1, 0]] and len(last) == p**n - p
+    tracemalloc.start()
+    try:
+        int_zero, modp_zero = _kernels_py.products_vanish(head, last, p, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not int_zero.any() and not modp_zero.any()
+    assert peak < 32 * p**n * 8
+
+
+def test_stack_budget_charges_one_table():
+    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4: either backend holds a
+    # few tables whatever the stack's size, so the stack is charged one
     head = np.array([[1, 1]])
     last = np.array([[1, a] for a in (2, 3, 4)])
-    with pytest.raises(BudgetExceeded, match="group-ring stack needs 75 entries"):
-        sweep_verdicts(P, head, last, budget=Budget(entries=3 * P**2 - 1))
-    got = sweep_verdicts(P, head, last, budget=Budget(entries=3 * P**2))
+    with pytest.raises(BudgetExceeded, match="group-ring stack needs 25 entries"):
+        sweep_verdicts(P, head, last, budget=Budget(entries=P**2 - 1))
+    got = sweep_verdicts(P, head, last, budget=Budget(entries=P**2))
     assert [a.tolist() for a in got[2:]] == [[False] * 3] * 2
 
 

@@ -157,11 +157,12 @@ def test_stacked_witnesses_reject_mixed_shapes():
 
 
 def test_stacked_witnesses_charge_the_whole_stack(twin_witness):
-    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4; the stack's B * p^n
-    # product tables cover its B * (p-1)^n witness mask
+    # the matrices [[1, 1], [1, a]] for a = 2, 3, 4; the stack is charged
+    # one p^n product table whatever its size, and one matrix's (p-1)^n
+    # witness candidates
     m = [FpMatrix([[1, 1], [1, a]], P) for a in (2, 3, 4)]
     head, last = stacked_rows(m)
-    entries = 3 * P**2
+    entries = P**2
     with pytest.raises(BudgetExceeded, match="group-ring stack"):
         sweep_verdicts(P, head, last, budget=Budget(entries=entries - 1))
     with pytest.raises(BudgetExceeded, match="witness search needs 16 nodes"):
