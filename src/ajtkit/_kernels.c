@@ -7,7 +7,9 @@
    significant limb first, allocated per call, so one code path serves every
    p. Masks cross the Python boundary, both ways, as ints, bit i for
    residue i, copied straight into and out of the limbs (read_mask,
-   mask_int).
+   mask_int). Rows and tensors come in as native int64 buffers, and
+   results that are arrays go out as bytearrays. Each kernel takes the
+   arguments its pure twin takes and returns the same types.
 
    s1_exhaust mirrors _kernels_py.s1_exhaust and takes any p >= 5: the same
    traversal, so the found mask, the exhausted flag and the node count agree
@@ -50,7 +52,8 @@
 
    first_witness mirrors _kernels_py.first_witness: for each instance, the
    first x in depth-first order, coordinates by ascending slack and values
-   in the order given, with no image <row, x> in its row's forbidden mask.
+   in the order given, with no image <row, x> in its row's forbidden mask,
+   an int read into L limbs like any other mask.
    The same nodes in the same order, so the same witness and units; the
    running row sums live in one int64 array, updated and taken back as a
    value is tried and left, and the shared rows are laid out by position
@@ -67,7 +70,7 @@
 #include <stdlib.h>
 #include <string.h>
 
-#define API 12           /* bumped whenever a kernel's signature or result changes */
+#define API 13           /* bumped whenever a kernel's signature or result changes */
 #define TABLE_START 1024 /* slots; the table doubles at 60% load */
 #define STACK_START 256  /* masks; the stack doubles when full */
 
@@ -351,9 +354,15 @@ static int search(Search *s, int limit, long long budget, u64 *found,
 }
 
 /* The int obj as the n-limb mask of a subset of Z/p in out, or -1 with
-   ValueError set when it is negative or has a bit at or above p. */
+   TypeError set when it is not an int, ValueError when it is negative or
+   has a bit at or above p. */
 static int read_mask(PyObject *obj, int p, u64 *out, int n)
 {
+    if (!PyLong_Check(obj)) {
+        PyErr_Format(PyExc_TypeError, "a mask must be an int, not %.100s",
+                     Py_TYPE(obj)->tp_name);
+        return -1;
+    }
     /* Python 3.13 gave _PyLong_AsByteArray a sixth argument, with_exceptions */
 #if PY_VERSION_HEX >= 0x030D0000
     int status = _PyLong_AsByteArray((PyLongObject *)obj, (unsigned char *)out,
@@ -483,8 +492,7 @@ static PyObject *first_hit_scan(PyObject *self, PyObject *args)
     PyObject *mask;
     int p, k, forward, want;
     PyObject *result = NULL;
-    if (!PyArg_ParseTuple(args, "O!iipp:first_hit_scan", &PyLong_Type, &mask, &p, &k,
-                          &forward, &want))
+    if (!PyArg_ParseTuple(args, "Oiipp:first_hit_scan", &mask, &p, &k, &forward, &want))
         return NULL;
     Hits h = {NULL, NULL, 0, 0};
     u64 *a = NULL;
@@ -854,14 +862,14 @@ done:
    is there, drow[dstart[i]..dstart[i+1]]. A last row, when there is one, is
    row R, with its entries given per instance. */
 typedef struct {
-    long long p, n, R, width;   /* width: bytes a forbidden mask */
-    const unsigned char *masks; /* one mask a row, the last row's at R */
+    long long p, n, R, L;  /* L: limbs a forbidden mask */
+    const u64 *masks;      /* one mask a row, the last row's at R */
     const long long *vstart, *vals, *tstart, *trow, *ta, *dstart, *drow;
 } Plan;
 
 static int banned(const Plan *w, long long r, long long s)
 {
-    return w->masks[r * w->width + (s >> 3)] >> (s & 7) & 1;
+    return has(w->masks + r * w->L, (int)s);
 }
 
 /* One instance's search: 1 with x (by position) filled when a witness is
@@ -930,16 +938,20 @@ static long long read_row(const int64_t *row, const long long *coord, long long 
    B * n int64, the witnesses (zeros for none), and of B int64, the units
    each instance used. The instances share the R rows in `rows` and, unless
    last is None, instance b has row b of `last` as well; all are native
-   int64, read mod p. The shared rows are laid out by position once for the
-   whole batch, and each instance reads only its last row. p, n, the buffer
-   lengths and the values are checked before any row is read. */
+   int64, read mod p. `forbidden` holds one int mask a row, the last row's
+   at R, each read into L limbs (read_mask). The shared rows are laid out by
+   position once for the whole batch, and each instance reads only its last
+   row. p, n, the buffer lengths, the masks and the values are checked
+   before any row is read. */
 static PyObject *first_witness(PyObject *self, PyObject *args)
 {
-    Py_buffer rows, forbidden, last = {0};
-    PyObject *last_obj, *orders_obj, *cap_obj, *orders = NULL, *fast = NULL, *result = NULL;
+    Py_buffer rows, last = {0};
+    PyObject *last_obj, *forbidden_obj, *orders_obj, *cap_obj, *forbidden = NULL;
+    PyObject *orders = NULL, *fast = NULL, *result = NULL;
     PyObject *found = NULL, *witness = NULL, *units = NULL;
     long long p, *pool = NULL;
-    if (!PyArg_ParseTuple(args, "y*Oy*OLO:first_witness", &rows, &last_obj, &forbidden,
+    u64 *masks = NULL;
+    if (!PyArg_ParseTuple(args, "y*OOOLO:first_witness", &rows, &last_obj, &forbidden_obj,
                           &orders_obj, &p, &cap_obj))
         return NULL;
     int has_last = last_obj != Py_None, overflow;
@@ -951,7 +963,8 @@ static PyObject *first_witness(PyObject *self, PyObject *args)
     if (overflow)
         cap = overflow > 0 ? LLONG_MAX : LLONG_MIN;
     orders = PySequence_Fast(orders_obj, "orders must be a sequence");
-    if (orders == NULL)
+    forbidden = PySequence_Fast(forbidden_obj, "forbidden must be a sequence");
+    if (orders == NULL || forbidden == NULL)
         goto done;
     long long n = PySequence_Fast_GET_SIZE(orders);
     if (p < 2 || p > INT_MAX || n < 1) {
@@ -959,14 +972,22 @@ static PyObject *first_witness(PyObject *self, PyObject *args)
                      "got p = %lld, n = %lld", p, n);
         goto done;
     }
-    Py_ssize_t row = n * (Py_ssize_t)sizeof(int64_t), width = (Py_ssize_t)((p + 7) / 8);
+    Py_ssize_t row = n * (Py_ssize_t)sizeof(int64_t);
     long long R = rows.len / row, B = has_last ? last.len / row : 1, total = 0;
+    long long L = (p + 63) / 64;
     if (rows.len % row || (has_last && last.len % row) ||
-        forbidden.len != (R + has_last) * width) {
+        PySequence_Fast_GET_SIZE(forbidden) != R + has_last) {
         PyErr_SetString(PyExc_ValueError, "need R * n row entries, B * n last entries "
                         "and one mask a row");
         goto done;
     }
+    if ((masks = malloc(((R + has_last) * L + 1) * sizeof(u64))) == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (long long r = 0; r < R + has_last; r++)
+        if (read_mask(PySequence_Fast_GET_ITEM(forbidden, r), p, masks + r * L, L) < 0)
+            goto done;
     /* each value order as a list or tuple, held so its length stays put */
     if ((fast = PyList_New(n)) == NULL)
         goto done;
@@ -1020,7 +1041,7 @@ static PyObject *first_witness(PyObject *self, PyObject *args)
     int64_t *wit = (int64_t *)PyByteArray_AS_STRING(witness);
     int64_t *used = (int64_t *)PyByteArray_AS_STRING(units);
     const int64_t *shared = rows.buf, *lasts = last.buf;
-    Plan w = {p, n, R, width, forbidden.buf, vstart, vals, tstart, trow, ta, dstart, drow};
+    Plan w = {p, n, R, L, masks, vstart, vals, tstart, trow, ta, dstart, drow};
     Py_BEGIN_ALLOW_THREADS
     memset(f, 0, B);
     memset(wit, 0, B * row);
@@ -1074,14 +1095,15 @@ static PyObject *first_witness(PyObject *self, PyObject *args)
     Py_END_ALLOW_THREADS
     result = PyTuple_Pack(3, found, witness, units);
 done:
+    Py_XDECREF(forbidden);
     Py_XDECREF(orders);
     Py_XDECREF(fast);
     Py_XDECREF(found);
     Py_XDECREF(witness);
     Py_XDECREF(units);
     free(pool);
+    free(masks);
     PyBuffer_Release(&rows);
-    PyBuffer_Release(&forbidden);
     PyBuffer_Release(&last);
     return result;
 }
@@ -1101,18 +1123,19 @@ static PyMethodDef methods[] = {
      "int: TypeError for any other type."},
     {"affine_product", affine_product, METH_VARARGS,
      "affine_product(tensor, p, n, factors) -> bytearray\n\n"
-     "Same contract as ajtkit._kernels_py.affine_product, with the tensor\n"
-     "read from and returned as p^n native int64 entries."},
+     "Same contract as ajtkit._kernels_py.affine_product: the tensor read\n"
+     "from and returned as p^n native int64 entries."},
     {"products_vanish", products_vanish, METH_VARARGS,
      "products_vanish(head, last, p, n) -> (int_zero, modp_zero)\n\n"
-     "Same contract as ajtkit._kernels_py.products_vanish, with the rows read\n"
+     "Same contract as ajtkit._kernels_py.products_vanish: the rows read\n"
      "from native int64 buffers and the flags returned as two bytearrays of\n"
      "B bytes, 1 for zero."},
     {"first_witness", first_witness, METH_VARARGS,
      "first_witness(rows, last, forbidden, orders, p, cap) -> (found, witness, units)\n\n"
-     "Same contract and traversal as ajtkit._kernels_py.first_witness, with the\n"
-     "rows read from native int64 buffers and the results returned as\n"
-     "bytearrays of B bytes, B * n int64 and B int64."},
+     "Same contract and traversal as ajtkit._kernels_py.first_witness: the\n"
+     "rows read from native int64 buffers, one int mask of forbidden images\n"
+     "a row, and the results returned as bytearrays of B bytes, B * n int64\n"
+     "and B int64."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -4,30 +4,30 @@ sweep's group-ring products and the witness search.
 
 These twins load only without the compiled extension: ajtkit.kernels
 imports this module when it has no extension to call, and the parity tests
-and perfbench import it by name. The helpers both backends share live where
-the package uses them: the mask helpers (_rotl, forbidden_masks) in
-ajtkit.masks, and the numpy factor expansion (_expand, _roll) in
-ajtkit.group_ring, whose factor products it serves first.
+and perfbench import it by name. Each takes the arguments its compiled twin
+in _kernels.c takes and returns the same types: masks as ints, bit i for
+residue i, rows and tensors as buffers of native int64 read with
+np.frombuffer, and results as the bytearrays the compiled side fills, which
+ajtkit.kernels views with numpy. The helpers both backends share live where
+the package uses them: the mask helpers (_rotl, _bits) in ajtkit.masks,
+and the numpy factor expansion (_expand, _roll) in ajtkit.group_ring, whose
+factor products it serves first.
 
-Subsets of Z/p are bit masks: bit i set means residue i is in the set.
-s1_log builds the logarithmic S_1 construction's mask with big-int shifts;
-the compiled twin sets the same bits in a zeroed mask. The scan answers the
-S_k/N_k question at radius k: centered, the least d with a + i*d in A for
-0 < |i| <= k for each a in A; forward, the least d with b + i*d in A for
-1 <= i <= k for each b outside A. first_hit_scan rotates
-the mask, one difference at a time, and returns its hits, when asked for
-and every element has a witness, as one buffer of int32, the elements in
-ascending order and then their steps, or the least element left without a
-witness. The compiled twin in
-_kernels.c implements s1_exhaust with the same traversal order and the same
-table and stack sizes, and the scan by word windows around each element, a
-method of its own, with the same hits buffer byte for byte; the backends
-must stay byte-for-byte interchangeable.
+s1_exhaust walks the compiled search's traversal and counts its table and
+stack; s1_log builds the logarithmic S_1 construction's mask with big-int
+shifts where the compiled twin sets the same bits. first_hit_scan answers
+the S_k/N_k question at radius k, centered (the least d with a + i*d in A
+for 0 < |i| <= k, each a in A) or forward (the least d with b + i*d in A
+for 1 <= i <= k, each b outside A), by rotating the mask one difference at
+a time. The compiled twin reads word windows around each element instead;
+a pure port of those windows lost to the rotations at p = 20011 on dense
+centered and sparse forward scans. Both return the same hits buffer, byte
+for byte.
 
 affine_product multiplies a reduced polynomial over F_p, its coefficient
 tensor, by a list of affine factors c0 + c1 x_1 + ... + cn x_n, with numpy
 slices; the compiled twin does the same passes in C and returns the same
-tensor.
+p^n int64 entries.
 
 products_vanish tells, for each of a stack of matrices that share an
 (n-1)-row head and differ in their last row, whether the group-ring product
@@ -38,10 +38,10 @@ compiled twin applies the same factors in C and returns the same flags.
 
 first_witness finds, for each of a batch of instances, the first x with
 every x_i in its value order and no image <row, x> forbidden for its row,
-by a depth-first search over the coordinates in ascending-slack order. The
-compiled twin walks the same nodes in the same order, so both return the
-same witnesses and charge the same units; it reads each row's forbidden
-images as the p-bit mask that forbidden_masks builds, as this search does.
+by a depth-first search over the coordinates in ascending-slack order. Each
+row's forbidden images are one int mask, as a scan's set is. The compiled
+twin walks the same nodes in the same order, so both return the same
+witnesses and charge the same units.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 
 from .group_ring import _expand, _roll
-from .masks import _bits, _rotl, forbidden_masks
+from .masks import _bits, _rotl
 
 _INT64_MAX = 2**63 - 1
 
@@ -81,8 +81,10 @@ def s1_exhaust(
 
     Returns (found_mask, exhausted, nodes, full): found_mask is 0 when no set
     was found; exhausted is False when the node budget ran out first, or the
-    words, and then full is True.
+    words, and then full is True. ValueError for p < 5.
     """
+    if p < 5:
+        raise ValueError(f"s1_exhaust needs p >= 5, got {p}")
     if limit < 2:
         return (0, True, 0, False)
     masks = words // -(-p // 64)
@@ -206,64 +208,72 @@ def _check_scan(mask: int, p: int, k: int) -> int:
     the compiled scan makes."""
     if p < 3 or not 1 <= k <= (p - 1) // 2:
         raise ValueError(f"scans need p >= 3 and 2k + 1 <= p, got p = {p}, k = {k}")
-    full = (1 << p) - 1
-    if mask & ~full:
+    _check_mask(mask, p)
+    return (1 << p) - 1
+
+
+def _check_mask(mask: int, p: int) -> None:
+    """TypeError for a mask that is not an int, ValueError for a negative
+    one or one with a bit at or above p, as the compiled read_mask gives."""
+    if not isinstance(mask, int):
+        raise TypeError(f"a mask must be an int, not {type(mask).__name__}")
+    if mask < 0 or mask >> p:
         raise ValueError(f"mask has bits at or above p = {p}")
-    return full
 
 
-def products_vanish(head, last, p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+def products_vanish(head, last, p: int, n: int) -> tuple[bytearray, bytearray]:
     """Whether prod_i (1 - g^(e_i)) * prod_i (1 - g^(a_i)) over the n unit
     vectors e_i and the n rows a_i of each of a stack of B matrices vanishes
     over Z, and mod p.
 
-    The matrices share the n - 1 rows `head`, (n - 1) * n int64 entries, and
-    matrix b ends in the row last[b], B * n entries in all; a row's entries
-    are read mod p. The unit vectors and the head rows are factors of one
-    table, expanded once (`_expand`), and each last row's factor is one
-    `_roll` of that table, so the twin holds a few tables whatever B is.
-    Returns (int_zero, modp_zero), two (B,) bool arrays: a table is zero,
-    and it is zero mod p. ValueError, before either buffer is read, for
-    p < 3, n outside [1, 31] (the 2n factors keep every entry at most
-    2^(2n-1) < 2^63), or buffer lengths that disagree with n.
+    The matrices share the n - 1 rows `head`, a buffer of (n - 1) * n native
+    int64 entries, and matrix b ends in the row last[b], B * n entries in
+    all; a row's entries are read mod p. The unit vectors and the head rows
+    are factors of one table, expanded once (`_expand`), and each last row's
+    factor is one `_roll` of that table, so the twin holds a few tables
+    whatever B is. Returns (int_zero, modp_zero), two bytearrays of B bytes,
+    1 where the table is zero, and zero mod p. ValueError, before either
+    buffer is read, for p < 3, n outside [1, 31] (the 2n factors keep every
+    entry at most 2^(2n-1) < 2^63), or buffer lengths that disagree with n.
     """
     if p < 3 or not 1 <= n <= 31:
         raise ValueError(
             f"products_vanish needs p >= 3 and 1 <= n <= 31, got p = {p}, n = {n}"
         )
-    head = np.asarray(head, dtype=np.int64)
-    last = np.asarray(last, dtype=np.int64)
+    head = np.frombuffer(head, dtype=np.int64)
+    last = np.frombuffer(last, dtype=np.int64)
     if head.size != (n - 1) * n or last.size % n:
         raise ValueError("need (n - 1) * n head and B * n last entries")
     factors = np.concatenate([np.eye(n, dtype=np.int64), head.reshape(n - 1, n)])
     table = _expand(p, n, factors.tolist())
-    int_zero = np.empty(last.size // n, dtype=bool)
-    modp_zero = np.empty_like(int_zero)
+    int_zero = bytearray(last.size // n)
+    modp_zero = bytearray(len(int_zero))
     for b, row in enumerate(last.reshape(-1, n).tolist()):
         t = table - _roll(table, row, p)
         # an entry nonzero mod p is nonzero over Z: one test decides both
-        zero_mod_p = not (t % p).any()
-        modp_zero[b] = zero_mod_p
-        int_zero[b] = zero_mod_p and not t.any()
+        if not (t % p).any():
+            modp_zero[b] = 1
+            int_zero[b] = not t.any()
     return int_zero, modp_zero
 
 
 def affine_product(
     coeffs, p: int, n: int, factors: Sequence[Sequence[int]]
-) -> np.ndarray:
+) -> bytearray:
     """The reduced product coeffs * prod (c0 + c1 x_1 + ... + cn x_n).
 
-    coeffs holds the p^n coefficients of a polynomial in n variables,
-    indexed by exponent vector, each exponent in [0, p-1]; each factor is
-    (c0, c1, ..., cn), every c in [0, p). Multiplying by x_j moves slot t of
-    axis j to t + 1 for 1 <= t <= p - 2 and both 0 and p - 1 to 1, since
-    x_j^p = x_j: two slice updates per axis. The entries stay nonnegative
-    below an exact bound that a factor of weight c0 + 2 * sum c_j at most
-    multiplies, so they are reduced mod p only when the next factor could
-    pass int64, and once at the end. Returns a new int64 tensor of shape
-    (p,) * n with entries in [0, p). ValueError, before coeffs is read, for
-    p < 2, n < 0, p so large that (2n + 1)(p - 1)^2 overflows int64, a
-    factor that is not n + 1 coefficients in [0, p), or coeffs not p^n long.
+    coeffs is a buffer of the p^n native int64 coefficients of a polynomial
+    in n variables, row-major by exponent vector, each exponent in [0, p-1];
+    each factor is (c0, c1, ..., cn), every c in [0, p). Multiplying by x_j
+    moves slot t of axis j to t + 1 for 1 <= t <= p - 2 and both 0 and p - 1
+    to 1, since x_j^p = x_j: two slice updates per axis. The entries stay
+    nonnegative below an exact bound that a factor of weight
+    c0 + 2 * sum c_j at most multiplies, so they are reduced mod p only when
+    the next factor could pass int64, and once at the end. Returns a new
+    bytearray of the p^n product coefficients as int64, each in [0, p).
+    ValueError, before coeffs is read, for p < 2, n < 0, p so large that
+    (2n + 1)(p - 1)^2 overflows int64, a factor that is not n + 1
+    coefficients in [0, p), or coeffs not p^n long.
     """
     if p < 2 or n < 0:
         raise ValueError(f"affine_product needs p >= 2 and n >= 0, got p = {p}, n = {n}")
@@ -274,10 +284,10 @@ def affine_product(
         raise ValueError(f"each factor needs n + 1 = {n + 1} coefficients")
     if any(not 0 <= c < p for f in rows for c in f):
         raise ValueError(f"factor coefficients must lie in [0, p) for p = {p}")
-    cur = np.asarray(coeffs, dtype=np.int64)
+    cur = np.frombuffer(coeffs, dtype=np.int64)
     if cur.size != p**n:
         raise ValueError(f"tensor must hold p^n entries for p = {p}, n = {n}")
-    cur = cur.reshape(-1) % p
+    cur = cur % p
     bound = p - 1
     for c0, *cs in rows:
         weight = c0 + 2 * sum(cs)
@@ -295,12 +305,12 @@ def affine_product(
         cur = nxt
         bound *= weight
     cur %= p
-    return cur.reshape((p,) * n)
+    return bytearray(cur)
 
 
 def first_witness(
     rows, last, forbidden, orders: Sequence[Sequence[int]], p: int, cap: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[bytearray, bytearray, bytearray]:
     """The first x, in search order, with each x_i taken from orders[i] and
     every image <row, x> off its row's forbidden residues, for each of a
     batch of instances.
@@ -309,38 +319,41 @@ def first_witness(
     ascending-slack order (fewest values first, then by index), each trying
     its values in the order given; a row is tested once its last nonzero
     coordinate is set, so a branch ends at the first row it dooms. The
-    instances share the R rows `rows`, R * n int64 entries read mod p; with
-    `last`, B * n entries, instance b also has the row last[b], and without
-    it there is one instance. `forbidden` holds one collection of forbidden
-    images a row, the shared rows first and then the last row, which the
-    search reads as forbidden_masks gives them. A zero row that forbids 0
-    leaves its instances without a witness at no cost.
+    instances share the R rows `rows`, a buffer of R * n native int64
+    entries read mod p; with `last`, B * n entries, instance b also has the
+    row last[b], and without it there is one instance. `forbidden` holds one
+    int mask a row, the shared rows first and then the last row: bit s set
+    means the image s is forbidden. A zero row that forbids 0 leaves its
+    instances without a witness at no cost.
 
     Each value tried is one node and charges one unit, plus one for each row
     whose sum it updates; an instance stops once its units pass `cap`, and
-    so does the batch. Returns (found, witness, units): (B,) bool, (B, n)
-    int64 with zeros where none was found, and the (B,) units each instance
+    so does the batch. Returns (found, witness, units), bytearrays of B
+    bytes, 1 where instance b has a witness, of B * n int64, the witnesses
+    (zeros where none was found), and of B int64, the units each instance
     used, 0 for those never searched. ValueError, before a row is read, for
-    p outside [2, 2^31), no coordinates, buffer lengths that disagree with n,
-    a count of forbidden collections other than one a row, or a value or a
-    forbidden image outside [0, p).
+    p outside [2, 2^31), no coordinates, buffer lengths that disagree with
+    n, a count of masks other than one a row, a negative mask or one with a
+    bit at or above p, or a value outside [0, p); TypeError for a mask that
+    is not an int.
     """
     n = len(orders)
     if not 2 <= p < 2**31 or n < 1:
         raise ValueError(f"first_witness needs 2 <= p < 2^31 and n >= 1, got p = {p}, n = {n}")
-    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-    batch = None if last is None else np.asarray(last, dtype=np.int64).reshape(-1)
-    width = (p + 7) // 8
-    forbidden = forbidden_masks(p, forbidden)
+    rows = np.frombuffer(rows, dtype=np.int64)
+    batch = None if last is None else np.frombuffer(last, dtype=np.int64)
+    forbidden = list(forbidden)
     count = len(rows) // n + (batch is not None)
-    if len(rows) % n or (batch is not None and len(batch) % n) or len(forbidden) != count * width:
+    if len(rows) % n or (batch is not None and len(batch) % n) or len(forbidden) != count:
         raise ValueError("need R * n row entries, B * n last entries and one mask a row")
+    for mask in forbidden:
+        _check_mask(mask, p)
     values = [[operator.index(v) for v in order] for order in orders]
     if any(not 0 <= v < p for order in values for v in order):
         raise ValueError(f"values must lie in [0, p) for p = {p}")
 
     def banned(r: int, s: int) -> int:
-        return forbidden[r * width + (s >> 3)] >> (s & 7) & 1
+        return forbidden[r] >> s & 1
 
     coords = sorted(range(n), key=lambda c: (len(values[c]), c))
     values = [values[c] for c in coords]
@@ -348,16 +361,18 @@ def first_witness(
     lasts = [[]]
     if batch is not None:
         lasts = [[r] for r in (batch.reshape(-1, n) % p)[:, coords].tolist()]
-    found = np.zeros(len(lasts), dtype=bool)
-    witness = np.zeros((len(lasts), n), dtype=np.int64)
-    units = np.zeros(len(lasts), dtype=np.int64)
+    found = bytearray(len(lasts))
+    witness = bytearray(8 * len(lasts) * n)
+    units = bytearray(8 * len(lasts))
+    at = np.frombuffer(witness, dtype=np.int64).reshape(-1, n)
+    used = np.frombuffer(units, dtype=np.int64)
     for b, extra in enumerate(lasts):
-        x, used = _witness_walk(p, shared + extra, values, banned, cap)
-        units[b] = used
+        x, spent = _witness_walk(p, shared + extra, values, banned, cap)
+        used[b] = spent
         if x is not None:
-            found[b] = True
-            witness[b, coords] = x
-        if used > cap:
+            found[b] = 1
+            at[b, coords] = x
+        if spent > cap:
             break
     return found, witness, units
 

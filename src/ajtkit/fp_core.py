@@ -275,7 +275,7 @@ def _groups(
         yield head, rows
         return
     for row in rows:
-        below = np.vstack([head, row])
+        below = np.concatenate([head, row[None]])
         yield from _groups(p, n, below, _vectors(p, n)[~_span_mask(p, below)])
 
 

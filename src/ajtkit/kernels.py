@@ -5,97 +5,56 @@ when it is built, the pure-Python twins in _kernels_py when it is not. The
 twins load only then: each dispatch imports _kernels_py when it has no
 extension to call, so with the extension built no module of the package
 imports them, and a process does not compile them. The helpers that both
-backends use live in modules that both load: the mask helpers, among them
-forbidden_masks, in ajtkit.masks, and the numpy factor expansion in
-ajtkit.group_ring. An extension built from other sources (its API differs
-from this module's) is an ImportError naming the rebuild command, never a
-silent fallback. Masks cross into either backend and back as ints, bit i
-for residue i: s1_exhaust (any p >= 5) and s1_log return one, and the scan
-(any p >= 3) takes one, which the compiled side copies straight into its
-limbs. Each pair returns identical results: the same masks and node counts from
-s1_exhaust, the same mask from s1_log, the same hits buffer from
-first_hit_scan, the same tensor from affine_product, the same flags from
-products_vanish, the same witnesses and units from first_witness.
+backends use live in modules that both load: the mask helpers in
+ajtkit.masks, and the numpy factor expansion in ajtkit.group_ring. An
+extension built from other sources (its API differs from this module's) is
+an ImportError naming the rebuild command, never a silent fallback.
 
-s1_exhaust also stops, on both, where its visited table and stack would
-grow past a cap in words, ceil(p/64) of them a mask: the same node, the
-same node count, and the flag `full` set.
+Each pair has one contract, which _kernels_py states kernel by kernel: the
+same arguments and the same raw results. So each function here calls
+whichever backend imported, the one way, and views a bytearray result with
+np.frombuffer. Masks cross into either backend and back as ints, bit i for
+residue i: s1_exhaust (any p >= 5) and s1_log return one, the scan (any
+p >= 3) takes one, and first_witness one a row of forbidden images, which
+the compiled side copies straight into its limbs. A negative mask, or one
+with a bit at or above p, is a ValueError on both, and any other type a
+TypeError. Rows and tensors go in as contiguous native int64 buffers.
+Each pair returns identical results, by the same traversal or, for the
+scan and the sweep's products, by independent methods:
 
-s1_log builds the logarithmic S_1 construction at p >= 5, the upper bound
-the minimum search starts from and the set that certify checks: the pure
-twin with big-int shifts, the compiled one by setting its 2 bitlen(s) + 2
-bits in a zeroed mask.
-
-first_hit_scan answers the one question the S_k/N_k certificates ask of a
-set A: a centered scan finds, for each a in A, the least d with a + i*d in A
-for 0 < |i| <= k; a forward scan finds, for each b outside A, the least d
-with b + i*d in A for 1 <= i <= k. It returns its hits and the least
-element left without a witness, or None. The hits, asked for with
-hits=True, are one bytes buffer of 2 count native int32, count the elements
-asked about: those elements in ascending order, then their witnesses, 8
-bytes a hit, byte for byte the same from both backends. A scan that meets an
-element without a witness stops there and returns no hits, only that
-element. apsets.WitnessMap builds the records of a hits buffer.
-
-The two backends answer it by independent methods. The compiled scan visits
-the elements in ascending order and reads each one's candidates off 64-bit
-windows of the doubled mask A | A << p from e + 1, ANDed for a centered
-scan with those of its doubled mirror from p - e: about d_e / 64 words for
-e's witness d_e, after O(L) set-up, L = ceil(p/64). The pure scan tries
-d = 1, 2, ... and ANDs rotated masks, O(L) big-int work a difference up to
-the largest witness, which at p = 20011 beat a pure port of the windows on
-dense centered and sparse forward scans. A forward scan at k = 1 asked for
-no hits answers, on both, from whether A is empty; asked for them, the
-compiled scan fills each gap below an element of A in one pass.
-
-affine_product multiplies a reduced polynomial's coefficient tensor by a
-list of affine factors c0 + c1 x_1 + ... + cn x_n in one call: every product
-behind P2, P5, duality and the coefficient route of the scalar-product
-condition. The compiled side reads the tensor as p^n int64 entries and
-returns them in a bytearray, which becomes the result's buffer.
-
-products_vanish answers the sweep's two group-ring verdicts for a stack of B
-matrices, an (n-1, n) head of shared rows and a (B, n) array of last rows:
-whether prod (1 - g^(e_i)) * prod (1 - g^(a_i)) vanishes over Z, and mod p.
-Its one caller, properties.sweep_verdicts, validates, charges and converts
-the two arrays. The compiled side applies the unit vectors and the head rows
-once, to one p^n int64 table, in two buffers of p^n entries whatever B is.
-It then reads each last row's factor off that table one entry at a time,
-without writing it out, and stops at the first entry nonzero mod p, which
-decides both flags: no sweep at p >= 5 has met a product that vanishes,
-and there the first few entries decide. It returns the flags in two bytearrays of B bytes, 1 for
-zero, which become the results' buffers. The pure side expands the same
-shared factors with numpy and applies each last row as one roll of that
-table, a second method for the parity tests to compare; it too holds a few
-tables of p^n entries whatever B is.
-
-first_witness is the one witness search, behind check_p1, check_multi and
-the sweep: for each instance, the first x in a depth-first order with each
-x_i from its value order and no image <row, x> forbidden for its row. The
-coordinates go in ascending-slack order, and a row is tested once its last
-nonzero coordinate is set. The instances share a block of rows, and a batch
-gives each one more row of its own, so the sweep's stack of matrices with a
-common head is one call. Each row's forbidden images come as a collection
-of residues in [0, p), which this module turns into the p-bit masks the
-compiled side reads (masks.forbidden_masks). Each value tried is one
-node and one unit, plus one unit for each row sum it updates; an instance
-stops once its units pass the cap, and so does the batch. Both backends
-walk the same nodes in the same order: the same witness from both, and the
-same units.
+- s1_exhaust, the minimum S_1 search: the same masks and node counts, and
+  the same stop where its visited table and stack would grow past a cap in
+  words, ceil(p/64) of them a mask.
+- s1_log, the logarithmic S_1 construction that the search starts from and
+  certify checks: the same mask.
+- first_hit_scan, the one question the S_k/N_k certificates ask of a set:
+  the same hits buffer of int32, elements ascending and then their
+  witnesses, or the same least element left without a witness.
+  apsets.WitnessMap builds the records of a hits buffer.
+- affine_product, a reduced polynomial's coefficient tensor times a list
+  of affine factors, every product behind P2, P5, duality and the
+  coefficient route of the scalar-product condition: the same p^n int64
+  entries.
+- products_vanish, the sweep's two group-ring verdicts for a stack of B
+  matrices with a shared head, whose one caller, properties.sweep_verdicts,
+  validates, charges and converts the rows: the same two flags a matrix,
+  B bytes each. Both hold a few p^n tables whatever B is.
+- first_witness, the one witness search behind check_p1, check_multi and
+  the sweep, a batch of instances over a shared block of rows: the same
+  nodes in the same order, so the same found flags, witnesses and units
+  (B bytes, B * n int64 and B int64). The callers build the masks.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .masks import forbidden_masks
-
 # the contract of the kernels that this module drives; the extension exports
 # the one it was built with, and the two must agree
-API = 12
+API = 13
 REBUILD = "python setup.py build_ext --inplace"
 
 
@@ -156,10 +115,9 @@ def affine_product(
 ) -> np.ndarray:
     """_kernels_py.affine_product over the n = coeffs.ndim variables of the
     (p,) * n tensor coeffs, compiled when built: a new tensor, coeffs untouched."""
-    n = coeffs.ndim
-    if _ext is None:
-        return _pure().affine_product(coeffs, p, n, factors)
-    out = _ext.affine_product(np.ascontiguousarray(coeffs, dtype=np.int64), p, n, factors)
+    out = (_ext or _pure()).affine_product(
+        np.ascontiguousarray(coeffs, dtype=np.int64), p, coeffs.ndim, factors
+    )
     return np.frombuffer(out, dtype=np.int64).reshape(coeffs.shape)
 
 
@@ -169,30 +127,26 @@ def products_vanish(
     """_kernels_py.products_vanish of the stack whose matrices share the
     (n-1, n) rows `head` and end in the (B, n) rows `last`, both contiguous
     int64, compiled when built: (int_zero, modp_zero), two (B,) bool arrays."""
-    n = last.shape[1]
-    if _ext is None:
-        return _pure().products_vanish(head, last, p, n)
-    flags = _ext.products_vanish(head, last, p, n)
+    flags = (_ext or _pure()).products_vanish(head, last, p, last.shape[1])
     return tuple(np.frombuffer(f, dtype=bool) for f in flags)
 
 
 def first_witness(
     rows: np.ndarray,
     last: np.ndarray | None,
-    forbidden: Sequence[Iterable[int]],
+    forbidden: Sequence[int],
     orders: Sequence[Sequence[int]],
     p: int,
     cap: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """_kernels_py.first_witness of the instances that share the (R, n) rows
     `rows` and, unless `last` is None, each end in a row of the (B, n) `last`,
-    both contiguous int64, with the forbidden images of each row, compiled
-    when built: (found, witness, units), a (B,) bool, a (B, n) int64 and a
-    (B,) int64 array, B = 1 without last."""
-    if _ext is None:
-        return _pure().first_witness(rows, last, forbidden, orders, p, cap)
-    masks = forbidden_masks(p, forbidden)
-    found, witness, units = _ext.first_witness(rows, last, masks, orders, p, cap)
+    both contiguous int64, with one int mask of forbidden images a row,
+    compiled when built: (found, witness, units), a (B,) bool, a (B, n)
+    int64 and a (B,) int64 array, B = 1 without last."""
+    found, witness, units = (_ext or _pure()).first_witness(
+        rows, last, forbidden, orders, p, cap
+    )
     return (
         np.frombuffer(found, dtype=bool),
         np.frombuffer(witness, dtype=np.int64).reshape(-1, len(orders)),

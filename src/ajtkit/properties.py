@@ -32,6 +32,7 @@ images when the product vanishes.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -62,8 +63,9 @@ from .group_ring import (
 class ForbiddenSpec:
     """Forbidden residue lists: c_lists for coordinates, d_lists for images.
 
-    Values within one list must be distinct mod p; empty lists mean the
-    coordinate or image is unconstrained.
+    Values within one list must be distinct integers in [0, p), each read
+    with operator.index; empty lists mean the coordinate or image is
+    unconstrained.
     """
 
     p: int
@@ -74,12 +76,17 @@ class ForbiddenSpec:
     def __post_init__(self):
         if len(self.c_lists) != self.n or len(self.d_lists) != self.n:
             raise InputError("need one forbidden list per coordinate and per image")
-        for lists in (self.c_lists, self.d_lists):
+        for name in ("c_lists", "d_lists"):
+            try:
+                lists = tuple(tuple(map(operator.index, vals)) for vals in getattr(self, name))
+            except TypeError:
+                raise InputError("forbidden residues must be integers") from None
             for vals in lists:
                 if any(not 0 <= v < self.p for v in vals):
                     raise InputError("forbidden residues must lie in [0, p)")
                 if len(set(vals)) != len(vals):
                     raise InputError("forbidden residues must be distinct")
+            object.__setattr__(self, name, lists)
 
     @classmethod
     def default(cls, p: int, n: int) -> "ForbiddenSpec":
@@ -139,12 +146,13 @@ class ForbiddenSpec:
 def _witness(
     p: int,
     rows: Sequence[Sequence[int]],
-    forbidden: Sequence[Sequence[int]],
+    forbidden: Sequence[int],
     orders: Sequence[Sequence[int]],
     budget: Budget,
 ) -> tuple[int, ...] | None:
-    """The first witness kernels.first_witness finds for the rows, with the
-    node budget as its cap on units: x, or None when there is none."""
+    """The first witness kernels.first_witness finds for the rows, with one
+    int mask of forbidden images a row and the node budget as its cap on
+    units: x, or None when there is none."""
     table = np.array(rows, dtype=np.int64).reshape(-1, len(orders))
     found, witness, units = kernels.first_witness(
         table, None, forbidden, orders, p, budget.nodes
@@ -181,7 +189,8 @@ def check_p1(
     allowed = [
         [v for v in range(p) if v not in banned] for banned in map(set, spec.c_lists)
     ]
-    return _witness(p, m.rows, spec.d_lists, allowed, b)
+    forbidden = [sum(1 << d for d in images) for images in spec.d_lists]
+    return _witness(p, m.rows, forbidden, allowed, b)
 
 
 def charge_sweep_stack(p: int, n: int, budget: Budget) -> None:
@@ -224,7 +233,7 @@ def sweep_verdicts(
     charge_sweep_stack(p, n, b)
     int_zero, modp_zero = kernels.products_vanish(p, head, last)
     found, witness, units = kernels.first_witness(
-        head, last, [(0,)] * n, [range(1, p)] * n, p, b.nodes
+        head, last, [1] * n, [range(1, p)] * n, p, b.nodes
     )
     b.check_nodes(int(units.max(initial=0)), what="witness search")
     return found, witness, int_zero, modp_zero
@@ -257,7 +266,7 @@ def check_multi(
     if seed is not None:
         rng = random.Random(seed)
         orders = [rng.sample(range(p), p) for _ in range(n)]
-    return _witness(p, rows, [(0,)] * len(rows), orders, b)
+    return _witness(p, rows, [1] * len(rows), orders, b)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 When ajtkit._kernels is not built in place, the `compiled` fixture compiles
 src/ajtkit/_kernels.c into a temporary directory and imports it from there;
 the tests that use it skip only when no C compiler is available.
-`witness_twins` runs kernels.first_witness on both backends, and on the pure
-one alone when there is no compiler; `twin_witness` routes every
+`witness_twins` runs a first_witness call on both twins, which take the
+same arguments and return the same bytearrays, and on the pure one alone
+when there is no compiler; `twin_witness` runs the arguments of every
 kernels.first_witness call of a test through it.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from ajtkit import kernels
+from ajtkit import _kernels_py, kernels
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "ajtkit" / "_kernels.c"
 
@@ -55,37 +56,21 @@ def compiled(tmp_path_factory):
     return _build_kernel(tmp_path_factory.mktemp("kernel-build"))
 
 
-# kernels.first_witness itself, before twin_witness patches it
-FIRST_WITNESS = kernels.first_witness
-
-
-def _first_witness_on(ext, *args):
-    """kernels.first_witness on the backend `ext`, None for the pure one."""
-    saved, kernels._ext = kernels._ext, ext
-    try:
-        return FIRST_WITNESS(*args)
-    finally:
-        kernels._ext = saved
-
-
 @pytest.fixture(scope="session")
 def witness_twins(request):
-    """kernels.first_witness run on the pure backend and on the compiled one,
-    which must agree bit for bit, witnesses and units included; the pure
-    backend alone when no compiled kernel can be had. Returns the pure
-    results."""
+    """The pure first_witness and the compiled one run on the same
+    arguments, which must return equal bytearrays, witnesses and units
+    included; the pure twin alone when no compiled kernel can be had.
+    Returns the pure twin's (found, witness, units)."""
     try:
         ext = request.getfixturevalue("compiled")
     except pytest.skip.Exception:
         ext = None
 
     def both(*args):
-        pure = _first_witness_on(None, *args)
+        pure = _kernels_py.first_witness(*args)
         if ext is not None:
-            got = _first_witness_on(ext, *args)
-            assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
-                (a.dtype, a.shape, a.tobytes()) for a in pure
-            ]
+            assert ext.first_witness(*args) == pure
         return pure
 
     return both
@@ -93,12 +78,13 @@ def witness_twins(request):
 
 @pytest.fixture
 def twin_witness(witness_twins, monkeypatch):
-    """kernels.first_witness with every call run by witness_twins. Returns
-    the list of the calls' results, as the pure backend gives them."""
-    calls = []
+    """kernels.first_witness with the arguments of every call also run by
+    witness_twins. Returns the list of the calls' results."""
+    calls, search = [], kernels.first_witness
 
     def record(*args):
-        calls.append(witness_twins(*args))
+        witness_twins(*args)
+        calls.append(search(*args))
         return calls[-1]
 
     monkeypatch.setattr(kernels, "first_witness", record)

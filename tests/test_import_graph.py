@@ -48,9 +48,9 @@ product = kernels.affine_product(np.eye(1, 5, dtype=np.int64)[0], 5, [[1, 1]])
 int_zero, modp_zero = kernels.products_vanish(
     5, np.zeros((0, 1), dtype=np.int64), np.ones((1, 1), dtype=np.int64)
 )
-# the first x in 1..4 with x != 0 mod 5 and 2x != 1
+# the first x in 1..4 with x != 0 mod 5 and 2x != 1: one mask a row
 hit, witness, units = kernels.first_witness(
-    np.array([[1], [2]], dtype=np.int64), None, [[0], [1]], [[1, 2, 3, 4]], 5, 100
+    np.array([[1], [2]], dtype=np.int64), None, [1 << 0, 1 << 1], [[1, 2, 3, 4]], 5, 100
 )
 print(json.dumps({
     "backend": kernels.BACKEND,

@@ -22,8 +22,11 @@ and properties.sweep_verdicts, its one caller, must give on each backend
 the witness and both flags that check_p1 and the factor products over Z and
 F_p give one matrix at a time. first_witness, behind check_p1, check_multi
 and the sweep, must return the same witnesses, flags and units on both
-backends, on drawn rows, forbidden lists, value orders and caps, and the
-witness a brute force over F_p^n finds first in the search's order.
+backends, on drawn rows, forbidden masks, value orders and caps, and the
+witness a brute force over F_p^n finds first in the search's order. One
+contract test calls each of the six twins with the same arguments: both
+return results of the same types that compare equal, or raise the same
+exception type, a bad mask included.
 
 The `compiled` fixture (conftest.py) is the built extension, or one
 compiled into a temporary directory; the tests skip only when no C compiler
@@ -192,8 +195,9 @@ def test_exhaust_below_two_elements_answers_before_the_cap(ext):
 
 def test_exhaust_rejects_p_out_of_range(compiled):
     for p in (3, 2, 0, -7):
-        with pytest.raises(ValueError):
-            compiled.s1_exhaust(p, 5, 10, WORDS)
+        for exhaust in (compiled.s1_exhaust, _kernels_py.s1_exhaust):
+            with pytest.raises(ValueError):
+                exhaust(p, 5, 10, WORDS)
 
 
 SCAN_PRIMES = [5, 7, 61, 67, 127, 131, 257, 1009, 20011]
@@ -412,12 +416,9 @@ def test_affine_product_reduces_lazily(backend):
 
 
 def test_affine_product_rejects_bad_input(compiled):
-    def entries(out):  # the compiled kernel returns a bytearray of int64
-        return np.frombuffer(out, dtype=np.int64).ravel().tolist()
-
     tensor = np.zeros(5**2, dtype=np.int64)
     for kernel in (compiled.affine_product, _kernels_py.affine_product):
-        assert entries(kernel(tensor, 5, 2, [(1, 0, 0)])) == [0] * 25
+        assert kernel(tensor, 5, 2, [(1, 0, 0)]) == int64s(*[0] * 25)
         bad = [
             (tensor[:24], 5, 2, []),  # not p^n entries
             (np.zeros(5**3, dtype=np.int64), 5, 2, []),
@@ -435,9 +436,7 @@ def test_affine_product_rejects_bad_input(compiled):
         # tensor is read, so nothing p^n long is ever allocated
         with pytest.raises(ValueError, match="overflows"):
             kernel(np.zeros(1, dtype=np.int64), 2**31 - 1, 1, [])
-        assert entries(kernel(np.full(1, -1, dtype=np.int64), 2**31 - 1, 0, [])) == [
-            2**31 - 2
-        ]
+        assert kernel(np.full(1, -1, dtype=np.int64), 2**31 - 1, 0, []) == int64s(2**31 - 2)
         with pytest.raises(TypeError):
             kernel(tensor, 5, 2, [(0, 1.5, 0)])
 
@@ -472,11 +471,10 @@ def test_products_vanish_parity(ext, p, n):
         want = [rolled_flags(p, np.concatenate([head, row[None]])) for row in last]
         pure = _kernels_py.products_vanish(head, last, p, n)
         assert [tuple(map(bool, t)) for t in zip(*pure)] == want
-        raw = ext._ext.products_vanish(head, last, p, n)
-        assert raw == tuple(a.tobytes() for a in pure)  # bit for bit
+        assert ext._ext.products_vanish(head, last, p, n) == pure  # bit for bit
         got = ext.products_vanish(p, head, last)
         assert [(a.dtype, a.flags.writeable) for a in got] == [(bool, True)] * 2
-        assert all(np.array_equal(a, b) for a, b in zip(got, pure))
+        assert [bytes(a) for a in got] == list(map(bytes, pure))
         seen.update(want)
     assert {(False, False), (True, True)} <= seen
     if p == 3:
@@ -513,7 +511,7 @@ def test_products_vanish_parity_drawn(compiled, stack):
     # each matrix's product gives them
     p, n, head, last = stack
     pure = _kernels_py.products_vanish(head, last, p, n)
-    assert compiled.products_vanish(head, last, p, n) == tuple(a.tobytes() for a in pure)
+    assert compiled.products_vanish(head, last, p, n) == pure
     want = [rolled_flags(p, np.concatenate([head, row[None]])) for row in last]
     assert [tuple(map(bool, t)) for t in zip(*pure)] == want
 
@@ -571,9 +569,8 @@ def test_products_vanish_rejects_bad_input(compiled):
     head = np.array([[1, 2]], dtype=np.int64)
     last = np.array([[0, 1], [5, 0]], dtype=np.int64)
     for kernel in (compiled.products_vanish, _kernels_py.products_vanish):
-        # bytearrays from the compiled kernel, bool arrays from the pure one
-        assert [bytes(f) for f in kernel(head, last, 5, 2)] == [b"\0\1"] * 2
-        assert [bytes(f) for f in kernel(head, last[:0], 5, 2)] == [b""] * 2
+        assert kernel(head, last, 5, 2) == (bytearray(b"\0\1"),) * 2
+        assert kernel(head, last[:0], 5, 2) == (bytearray(),) * 2
         bad = [
             (head, last, 2, 2),  # p < 3
             (head, last, -5, 2),
@@ -630,8 +627,10 @@ def test_first_witness_parity_drawn(witness_twins, instance):
     found, witness, units = witness_twins(
         np.array(rows, dtype=np.int64).reshape(-1, n),
         None if last is None else np.array(last, dtype=np.int64).reshape(-1, n),
-        forbidden, orders, p, cap,
+        [sum(1 << s for s in images) for images in forbidden], orders, p, cap,
     )
+    witness = np.frombuffer(witness, dtype=np.int64).reshape(-1, n)
+    units = np.frombuffer(units, dtype=np.int64)
     capped = False
     for b, extra in enumerate([[]] if last is None else [[r] for r in last]):
         got = tuple(witness[b].tolist()) if found[b] else None
@@ -650,7 +649,7 @@ def test_first_witness_parity_drawn(witness_twins, instance):
 def test_first_witness_rejects_bad_input(backend):
     rows = np.array([[1, 2]], dtype=np.int64)
     last = np.array([[0, 1], [3, 0]], dtype=np.int64)
-    zeros = [(0,)] * 2
+    zeros = [1, 1]  # 0 forbidden a row
     orders = [range(1, 5)] * 2
     # x = (1, 1) each time: x_1 updates the rows nonzero at x_1, then x_2
     # those nonzero at x_2, a unit a node and one an update: 2 + 3 units
@@ -665,16 +664,117 @@ def test_first_witness_rejects_bad_input(backend):
         (rows, last, zeros, [], 5, 100),  # no coordinates
         (np.array([1, 2, 3], np.int64), last, zeros, orders, 5, 100),  # R * n entries
         (rows, np.array([1, 2, 3], np.int64), zeros, orders, 5, 100),  # B * n entries
-        (rows, None, zeros, orders, 5, 100),  # one forbidden collection a row
+        (rows, None, zeros, orders, 5, 100),  # one forbidden mask a row
         (rows, last, zeros[:-1], orders, 5, 100),
-        (rows, last, [(0,), (5,)], orders, 5, 100),  # forbidden images in [0, p)
-        (rows, last, [(0,), (-1,)], orders, 5, 100),
+        (rows, last, [1, 1 << 5], orders, 5, 100),  # mask bits in [0, p)
+        (rows, last, [1, -1], orders, 5, 100),
         (rows, last, zeros, [[1, 5], [1]], 5, 100),  # values in [0, p)
         (rows, last, zeros, [[1, -1], [1]], 5, 100),
     ]
     for args in bad:
         with pytest.raises(ValueError):
             backend.first_witness(*args)
+    for masks in ([1, (0,)], [1, 1.0]):  # a mask is an int
+        with pytest.raises(TypeError):
+            backend.first_witness(rows, last, masks, orders, 5, 100)
+
+
+KERNELS = ("s1_exhaust", "s1_log", "first_hit_scan", "affine_product", "products_vanish",
+           "first_witness")
+
+
+def int64s(*values):
+    """The bytearray of native int64 values that the kernels return."""
+    return bytearray(np.array(values, dtype=np.int64))
+
+
+def contract_cases():
+    """Kernel name -> [(args, want)]: want is the exception type both twins
+    raise, the result both return, or None when any result does so long as
+    the twins agree on it. The first_witness cases share rows [1, 2] and
+    the last rows [0, 1] and [3, 0] over F_5, with 0 forbidden a row: x =
+    (1, 1) each time, at a unit a node and one a row update, 2 + 3 units
+    with the last row [0, 1] and 3 + 2 with [3, 0]."""
+    tensor = np.arange(5**2, dtype=np.int64)
+    head = np.array([[1, 2]], dtype=np.int64)
+    last = np.array([[0, 1], [5, 0], [2, 3]], dtype=np.int64)
+    rows = np.array([[1, 2]], dtype=np.int64)
+    lasts = np.array([[0, 1], [3, 0]], dtype=np.int64)
+    zeros = [1, 1]
+    orders = [range(1, 5)] * 2
+    return {
+        "s1_exhaust": [((13, 6, 10**6, WORDS), None), ((61, 7, 1000, WORDS), None),
+                       ((101, 6, 10**8, 1279), (0, False, 0, True)),
+                       ((3, 2, 10, WORDS), ValueError)],
+        "s1_log": [((13,), None), ((1009,), None), ((3,), ValueError)],
+        "first_hit_scan": [
+            ((0b1011, 5, 1, False, True), None),
+            ((0b1011, 5, 1, True, True), None),
+            ((apsets.build_s1_log(131).mask, 131, 1, False, True), None),
+            ((-1, 13, 1, False, False), ValueError),  # a negative mask
+            ((1 << 13, 13, 1, True, False), ValueError),  # a bit at or above p
+            ((bytes(2), 13, 1, False, False), TypeError),  # not an int
+            ((13.0, 13, 1, False, False), TypeError),
+        ],
+        "affine_product": [
+            ((tensor, 5, 2, [(1, 2, 3), (4, 0, 1)]), None),
+            ((tensor, 5, 2, []), bytearray(tensor % 5)),
+            ((tensor[:24], 5, 2, []), ValueError),
+        ],
+        "products_vanish": [
+            ((head, last, 5, 2), (bytearray(b"\0\1\0"),) * 2),  # [5, 0] is 0 mod p
+            ((np.zeros(0, np.int64), np.ones(1, np.int64), 5, 1), None),
+            ((head, last[:0], 5, 2), (bytearray(), bytearray())),
+            ((head, last, 2, 2), ValueError),
+        ],
+        "first_witness": [
+            ((rows, lasts, zeros, orders, 5, 100),
+             (bytearray(b"\1\1"), int64s(1, 1, 1, 1), int64s(5, 5))),
+            ((rows, None, [0b10], [[1, 2, 3, 4]], 5, 100), None),
+            ((rows, lasts, [1, 1 << 5], orders, 5, 100), ValueError),  # a bit at p
+            ((rows, lasts, [1, -1], orders, 5, 100), ValueError),  # a negative mask
+            ((rows, lasts, [1, (0,)], orders, 5, 100), TypeError),  # not an int
+            ((rows, lasts, [1, 1.0], orders, 5, 100), TypeError),
+            ((rows, lasts, zeros, orders, 1, 100), ValueError),  # p < 2
+            ((rows, lasts, zeros, orders, 2**31, 100), ValueError),  # p >= 2^31
+            ((rows, lasts, zeros, [], 5, 100), ValueError),  # no coordinates
+            ((np.array([1, 2, 3], np.int64), lasts, zeros, orders, 5, 100), ValueError),
+            ((rows, np.array([1, 2, 3], np.int64), zeros, orders, 5, 100), ValueError),
+            ((rows, None, zeros, orders, 5, 100), ValueError),  # one mask a row
+            ((rows, lasts, zeros[:-1], orders, 5, 100), ValueError),
+            ((rows, lasts, zeros, [[1, 5], [1]], 5, 100), ValueError),  # values in [0, p)
+            ((rows, lasts, zeros, [[1, -1], [1]], 5, 100), ValueError),
+        ],
+    }
+
+
+def outcome(kernel, args):
+    """kernel(*args), or the type of the exception it raises."""
+    try:
+        return kernel(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def kinds(result):
+    """The type of a result, and of each item of a tuple result."""
+    if isinstance(result, tuple):
+        return tuple, [type(item) for item in result]
+    return type(result)
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_twins_share_one_contract(compiled, name):
+    # each compiled kernel and its pure twin, given the same arguments,
+    # return results of the same types that compare equal, or raise the
+    # same exception type
+    cases = contract_cases()
+    assert sorted(cases) == sorted(KERNELS)
+    for args, want in cases[name]:
+        got = outcome(getattr(compiled, name), args)
+        pure = outcome(getattr(_kernels_py, name), args)
+        assert (kinds(got), got) == (kinds(pure), pure), args
+        assert want is None or got == want, args
 
 
 def test_stale_extension_fails_loudly(monkeypatch):

@@ -52,6 +52,20 @@ def test_default_spec_forbids_zero():
     assert spec.t_prime == (1, 1)
 
 
+def test_spec_rejects_residues_that_are_not_integers():
+    # each residue is read with operator.index: a float or a str is an
+    # InputError, here or in check_p1, and an integer type becomes an int
+    m = FpMatrix([[1, 2], [3, 4]], P)
+    for bad in (2.0, 1.0, "2"):
+        for lists in ((((0,), (0,)), ((bad,), (0,))), (((bad,), (0,)), ((0,), (0,)))):
+            with pytest.raises(InputError, match="must be integers"):
+                check_p1(m, ForbiddenSpec(P, 2, *lists))
+    spec = ForbiddenSpec(P, 2, ((np.int64(1),), ()), ((True,), (0,)))
+    assert spec.c_lists == ((1,), ()) and spec.d_lists == ((1,), (0,))
+    assert all(type(v) is int for v in spec.c_lists[0] + spec.d_lists[0])
+    assert check_p1(m, spec) == brute_force_p1(m, spec)
+
+
 def test_spec_json_round_trip():
     rng = random.Random(0)
     for _ in range(10):
